@@ -156,7 +156,8 @@ def apply_equivalence(d: SBLDatum, e: EquivalenceMap) -> SBLDatum:
     new_pi = tuple(e.phi_i[i] @ d.pi[i] @ phi_inv for i in range(4))
     out = SBLDatum(d.dim_H, d.dims, new_pi)
     for i in range(4):
-        assert out.pi[i] @ e.phi == e.phi_i[i] @ d.pi[i]
+        if out.pi[i] @ e.phi != e.phi_i[i] @ d.pi[i]:
+            raise AssertionError(f"map {i} does not intertwine")
     return out
 
 

@@ -182,8 +182,8 @@ def holder_normal_form(d: SBLDatum) -> Optional[PencilForm]:
     a3 = gammas[2].transpose()
     base = EquivalenceMap(phi, tuple(phis))
     form = PencilForm(a, b, a2, a3, base)
-    assert apply_equivalence(d, base) == form.normal_form_datum(), \
-        "pencil reconstruction failed"
+    if apply_equivalence(d, base) != form.normal_form_datum():
+        raise AssertionError("pencil reconstruction failed")
     return form
 
 
@@ -260,7 +260,8 @@ def strip_c0(m: FourModule) -> Tuple[FourModule, int]:
     cap = subspace_intersect(m.sub[0], span123)
     ext = image_basis(hstack(cap.basis, m.sub[0].basis)).basis
     w = ext.submatrix(range(m.dim_M), range(cap.dim, ext.cols))
-    assert w.cols == k
+    if w.cols != k:
+        raise AssertionError("kernel-only complement has the wrong dimension")
     bs = span123.basis
     new_subs = [Subspace._trusted(span123.dim, solve_right(bs, cap.basis)
                                   if cap.dim else Matrix.zeros(span123.dim, 0))]

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
-from .polynomials import Poly, poly_lcm
+from .polynomials import Poly
 
 
 def _frac(x) -> Fraction:
@@ -470,7 +470,8 @@ def extend_to_basis(sub: Subspace) -> Matrix:
     cols = sub.basis
     ext = image_basis(hstack(cols, Matrix.identity(n))).basis
     # image_basis keeps the original (independent) columns first
-    assert ext.cols == n
+    if ext.cols != n:
+        raise AssertionError("extension is not a basis")
     return ext
 
 
@@ -489,45 +490,6 @@ def companion_matrix(p: Poly) -> Matrix:
     for i in range(n):
         m[i][n - 1] = -p[i]
     return Matrix.from_rows(m)
-
-
-def mat_poly_eval(p: Poly, m: Matrix) -> Matrix:
-    """p(m) by Horner's rule."""
-    if not m.is_square:
-        raise ValueError("square matrix required")
-    acc = Matrix.zeros(m.rows, m.rows)
-    eye = Matrix.identity(m.rows)
-    for c in reversed(p.coeffs):
-        acc = acc @ m + eye.scale(c)
-    return acc
-
-
-def minimal_polynomial(m: Matrix) -> Poly:
-    """Monic minimal polynomial via Krylov dependencies, one basis vector at a time."""
-    if not m.is_square:
-        raise ValueError("square matrix required")
-    n = m.rows
-    if n == 0:
-        return Poly.one()
-    mp = Poly.one()
-    for j in range(n):
-        if mp.degree >= n:
-            break
-        v = Matrix(n, 1, [1 if i == j else 0 for i in range(n)])
-        # grow the Krylov chain of e_j until m^k e_j depends on the others
-        if not mat_poly_eval(mp, m).__matmul__(v).is_zero:
-            chain = [v]
-            w = v
-            while True:
-                w = m @ w
-                kmat = hstack(*chain)
-                sol = solve_right(kmat, w)
-                if sol is not None:
-                    coeffs = [-sol[i, 0] for i in range(len(chain))] + [Fraction(1)]
-                    mp = poly_lcm(mp, Poly(coeffs))
-                    break
-                chain.append(w)
-    return mp.monic()
 
 
 def rank_power_sequence(m: Matrix, lam, kmax: int) -> List[int]:

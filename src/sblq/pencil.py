@@ -5,9 +5,14 @@ regarded as the family A3 - lambda*A2.  Its strict-equivalence invariants
 are the wide singular blocks (epsilon x (epsilon+1), one polynomial right
 kernel generator of degree epsilon each), the tall singular blocks
 ((eta+1) x eta, the transposed story), and a regular square core.  The
-singular structure is extracted by exact staircase deflation: the span of
-all polynomial kernel coefficients is split off, the quotient pencil is
-transposed, and the process repeats, leaving the regular core.
+singular structure is read off the Wong sequences (Berger, Ilchmann and
+Trenn, "The quasi-Kronecker form for matrix pencils", SIAM J. Matrix Anal.
+Appl. 33, 2012), which need only preimages of subspaces of Q^b: their
+limits V* and W* meet in the domain of the wide blocks, and the growth of
+W_i cap V* counts the wide blocks by index (Berger and Trenn's 2013
+addendum on the minimal indices).  That domain is split off, the quotient
+pencil is transposed, and the same step yields the tall blocks and leaves
+the regular core.
 
 On the regular core, the smallest prime mu with mu*A2 + A3 invertible
 normalizes the pencil to the single operator S = (mu*A2 + A3)^{-1} A2.
@@ -23,11 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .linalg import (
-    Matrix, Subspace, hstack, image_basis, inverse, is_invertible,
-    invariant_factors, kernel_basis, rank, rank_power_sequence, solve_right,
+    Matrix, Subspace, extend_to_basis, hstack, image_basis, inverse,
+    is_invertible, invariant_factors, jordan_block_sizes, kernel_basis, rank,
+    solve_right, subspace_intersect,
 )
 from .polynomials import Poly
 
@@ -54,92 +60,58 @@ class PencilBlocks:
         return (ra + reg, rb + reg) == (a, b)
 
 
-def _poly_kernel_profile(a2: Matrix, a3: Matrix):
-    """Dimension profile of polynomial right kernels, plus the coefficient span.
+def _preimage(m: Matrix, s: Matrix) -> Subspace:
+    """{x : m x lies in the column span of s}."""
+    ker = kernel_basis(hstack(m, -s))
+    return image_basis(ker.basis.submatrix(range(m.cols), range(ker.dim)))
 
-    Returns (dims, span) where dims[k] is the dimension of the space of
-    x(lambda) of degree <= k with (A3 - lambda A2) x(lambda) = 0, for k up
-    to b-1 (no wide block has a larger index), and span is the column span
-    of every coefficient vector of every such solution.
+
+def _wide_part(a2: Matrix, a3: Matrix) -> Tuple[Tuple[int, ...], Subspace]:
+    """Indices of the wide blocks, ascending, and the subspace they live on.
+
+    Runs the Wong sequences V_0 = Q^b, V_{i+1} = {x : A3 x in A2 V_i} and
+    W_0 = 0, W_{i+1} = {x : A2 x in A3 W_i}.  The increment
+    g_i = dim(W_i cap V*) - dim(W_{i-1} cap V*) counts the wide blocks with
+    epsilon >= i-1, and V* cap W* is their domain.  Since g_i never grows,
+    W_i cap V* is final once it stops growing, before W_i itself may be.
     """
-    a, b = a2.rows, a2.cols
-    if b == 0:
-        return [], Subspace.zero(0)
-    if a == 0:
-        return [(k + 1) * b for k in range(b)], Subspace.full(b)
-    kmax = b - 1
-    rows: List[List[Fraction]] = []
-    # (A3 - lambda A2)(x_0 + ... + x_kmax lambda^kmax) = 0, coefficientwise
-    for blk in range(kmax + 2):
-        for r in range(a):
-            row = [Fraction(0)] * ((kmax + 1) * b)
-            if blk <= kmax:
-                row[blk * b:(blk + 1) * b] = list(a3.row(r))
-            if blk >= 1:
-                j = blk - 1
-                for c in range(b):
-                    row[j * b + c] -= a2[r, c]
-            rows.append(row)
-    ker = kernel_basis(Matrix.from_rows(rows, cols=(kmax + 1) * b))
-    n = ker.dim
-    dims = []
-    for k in range(kmax + 1):
-        if k == kmax or n == 0:
-            dims.append(n)
-            continue
-        # solutions of degree <= k are kernel elements with top blocks zero
-        top = ker.basis.submatrix(range((k + 1) * b, (kmax + 1) * b), range(n))
-        dims.append(n - rank(top))
-    if n == 0:
-        return dims, Subspace.zero(b)
-    pieces = [ker.basis.submatrix(range(j * b, (j + 1) * b), range(n))
-              for j in range(kmax + 1)]
-    return dims, image_basis(hstack(*pieces))
-
-
-def _wide_counts(dims: List[int]) -> List[int]:
-    """Block counts per index from the kernel-dimension profile."""
-    f = [0, 0] + dims          # f[k+2] = dim of degree-<=k solutions
-    counts = []
-    for eps in range(len(dims)):
-        cum_this = f[eps + 2] - f[eps + 1]   # number of blocks with index <= eps
-        cum_prev = f[eps + 1] - f[eps]
-        counts.append(cum_this - cum_prev)
-    return counts
+    w = kernel_basis(a2)                       # W_1
+    if w.dim == 0:                             # g_1 = 0: no wide blocks
+        return (), w
+    b = a2.cols
+    v = Subspace._trusted(b, Matrix.identity(b))
+    while True:
+        nxt = _preimage(a3, a2 @ v.basis)
+        if nxt.dim == v.dim:
+            break
+        v = nxt
+    full = v.dim == b                          # then every W_i lies in V*
+    caps = [0]
+    while True:
+        caps.append(w.dim if full else w.dim + v.dim - rank(hstack(w.basis, v.basis)))
+        if caps[-1] == caps[-2]:
+            break
+        w = _preimage(a2, a3 @ w.basis)
+    g = [caps[i] - caps[i - 1] for i in range(1, len(caps))]
+    wide = tuple(e for e in range(len(g) - 1) for _ in range(g[e] - g[e + 1]))
+    return wide, w if full else subspace_intersect(v, w)
 
 
 def _split_off(a2: Matrix, a3: Matrix, dom: Subspace):
     """Quotient pencil on complements of dom and of A2 dom + A3 dom."""
     a, b = a2.rows, a2.cols
     cod = image_basis(hstack(a2 @ dom.basis, a3 @ dom.basis)) if dom.dim else Subspace.zero(a)
-    dom_full = _extend(dom, b)
-    cod_full = _extend(cod, a)
-    inv_cod = inverse(cod_full)
+    dom_full = extend_to_basis(dom)
+    inv_cod = inverse(extend_to_basis(cod))
     q2 = inv_cod @ a2 @ dom_full
     q3 = inv_cod @ a3 @ dom_full
     rd, rc = dom.dim, cod.dim
     sub2 = q2.submatrix(range(rc, a), range(rd, b))
     sub3 = q3.submatrix(range(rc, a), range(rd, b))
     for m in (q2, q3):
-        low = m.submatrix(range(rc, a), range(rd))
-        assert low.is_zero, "deflation subspace is not invariant"
+        if not m.submatrix(range(rc, a), range(rd)).is_zero:
+            raise AssertionError("deflation subspace is not invariant")
     return sub2, sub3
-
-
-def _extend(sub: Subspace, n: int) -> Matrix:
-    ext = image_basis(hstack(sub.basis, Matrix.identity(n))).basis
-    assert ext.cols == n
-    return ext
-
-
-def _jordan_sizes_from_ranks(seq: List[int]) -> List[int]:
-    sizes = []
-    n = len(seq) - 1
-    for k in range(1, n + 1):
-        nxt = seq[k + 1] if k + 1 <= n else seq[n]
-        count = seq[k - 1] - 2 * seq[k] + nxt
-        sizes.extend([k] * count)
-    return sorted(sizes, reverse=True)
 
 
 def kronecker_blocks(a2: Matrix, a3: Matrix) -> PencilBlocks:
@@ -148,16 +120,11 @@ def kronecker_blocks(a2: Matrix, a3: Matrix) -> PencilBlocks:
         raise ValueError("pencil matrices must share a shape")
     a, b = a2.rows, a2.cols
 
-    # wide singular structure straight off the polynomial kernel profile
-    dims, dom = _poly_kernel_profile(a2, a3)
-    counts = _wide_counts(dims)
-    wide = tuple(eps for eps, c in enumerate(counts) for _ in range(c))
+    wide, dom = _wide_part(a2, a3)
     q2, q3 = _split_off(a2, a3, dom)
 
     # the quotient holds the tall blocks: they are wide for the transpose
-    dims_t, dom_t = _poly_kernel_profile(q2.transpose(), q3.transpose())
-    counts_t = _wide_counts(dims_t)
-    tall = tuple(eta for eta, c in enumerate(counts_t) for _ in range(c))
+    tall, dom_t = _wide_part(q2.transpose(), q3.transpose())
     c2t, c3t = _split_off(q2.transpose(), q3.transpose(), dom_t)
     core2, core3 = c2t.transpose(), c3t.transpose()
 
@@ -166,7 +133,8 @@ def kronecker_blocks(a2: Matrix, a3: Matrix) -> PencilBlocks:
         raise AssertionError("regular core is not square")
     if r == 0:
         blocks = PencilBlocks((a, b), wide, tall, (), (), (), ())
-        assert blocks.size_check(), "block sizes do not sum to the pencil shape"
+        if not blocks.size_check():
+            raise AssertionError("block sizes do not sum to the pencil shape")
         return blocks
 
     mu = _normalizing_prime(core2, core3)
@@ -175,8 +143,7 @@ def kronecker_blocks(a2: Matrix, a3: Matrix) -> PencilBlocks:
     jordans = []
     killer = Matrix.identity(r)
     for s0 in specials:
-        seq = rank_power_sequence(s, s0, r)
-        jordans.append(tuple(_jordan_sizes_from_ranks(seq)))
+        jordans.append(tuple(jordan_block_sizes(s, s0)))
         shift = s - Matrix.identity(r).scale(s0)
         for _ in range(r):
             killer = killer @ shift
@@ -184,14 +151,16 @@ def kronecker_blocks(a2: Matrix, a3: Matrix) -> PencilBlocks:
     factors: Tuple[Poly, ...] = ()
     if rest.dim:
         coeff = solve_right(rest.basis, s @ rest.basis)
-        assert coeff is not None, "remainder subspace is not invariant"
+        if coeff is None:
+            raise AssertionError("remainder subspace is not invariant")
         x = inverse(coeff) - Matrix.identity(rest.dim).scale(mu)
         factors = tuple(invariant_factors(x))
-        for fpoly in factors:
-            assert fpoly(0) != 0 and fpoly(1) != 0, "remainder touches a special eigenvalue"
+        if any(f(0) == 0 or f(1) == 0 for f in factors):
+            raise AssertionError("remainder touches a special eigenvalue")
     blocks = PencilBlocks((a, b), wide, tall, jordans[0], jordans[1], jordans[2],
                           factors, mu=mu)
-    assert blocks.size_check(), "block sizes do not sum to the pencil shape"
+    if not blocks.size_check():
+        raise AssertionError("block sizes do not sum to the pencil shape")
     return blocks
 
 

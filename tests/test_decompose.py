@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+import sblq
 from sblq.core import (
     SBLDatum, apply_equivalence, datum_to_module, direct_sum, direct_sum_all,
     module_isomorphic, module_to_datum, random_equivalence,
@@ -63,6 +68,42 @@ def test_holder_normal_form_twisted_pencil():
     tags = [s.tag for s in kronecker_decompose(form)]
     assert sorted(t.family for t in tags) == ["J1", "J2"]
     assert all(t.n == 1 for t in tags)
+
+
+PERTURBED_RECONSTRUCTION = textwrap.dedent("""
+    import sys
+    import sblq.decompose
+    from sblq.core import SBLDatum
+    from sblq.fixtures import twisted_paraproduct
+    from sblq.linalg import Matrix
+
+    if not sys.flags.optimize:
+        sys.exit("not running under -O")
+    mod = sys.modules["sblq.decompose"]
+    real = mod.apply_equivalence
+
+    def perturbed(d, e):
+        out = real(d, e)
+        bump = Matrix(out.pi[1].rows, out.pi[1].cols, [1] + [0] * (len(out.pi[1].data) - 1))
+        return SBLDatum(out.dim_H, out.dims, (out.pi[0], out.pi[1] + bump) + out.pi[2:])
+
+    mod.apply_equivalence = perturbed
+    try:
+        form = mod.holder_normal_form(twisted_paraproduct())
+    except AssertionError as exc:
+        print("raised:", exc)
+    else:
+        print("returned:", form)
+""")
+
+
+def test_holder_normal_form_check_survives_optimize():
+    # `python -O` strips assert statements; the reconstruction check must stay
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sblq.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", PERTURBED_RECONSTRUCTION],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: pencil reconstruction failed")
 
 
 def test_holder_normal_form_rejects_young():

@@ -7,9 +7,8 @@ import sympy
 from sblq.linalg import (
     Matrix, Subspace, block_diag, companion_matrix, det, hstack, image_basis,
     inverse, invariant_factors, is_direct_complement, jordan_block_sizes,
-    kernel_basis, mat_poly_eval, minimal_polynomial, rank,
-    rank_power_sequence, solve_right, subspace_intersect, subspace_sum,
-    vstack,
+    kernel_basis, rank, rank_power_sequence, solve_right, subspace_intersect,
+    subspace_sum, vstack,
 )
 from sblq.polynomials import Poly
 
@@ -115,22 +114,6 @@ def test_det_matches_sympy():
         n = rng.randint(1, 5)
         m = random_matrix(rng, n, n)
         assert sympy.Rational(det(m)) == to_sympy(m).det()
-
-
-def test_minimal_polynomial_examples():
-    assert minimal_polynomial(jordan0(2)) == Poly([0, 0, 1])
-    assert minimal_polynomial(Matrix.identity(4)) == Poly([-1, 1])
-    c = companion_matrix(Poly([-2, 0, 1]))
-    assert minimal_polynomial(c) == Poly([-2, 0, 1])
-
-
-def test_minimal_polynomial_annihilates():
-    rng = random.Random(11)
-    for _ in range(15):
-        n = rng.randint(1, 5)
-        m = random_matrix(rng, n, n, scale=3)
-        p = minimal_polynomial(m)
-        assert mat_poly_eval(p, m).is_zero
 
 
 def test_rank_power_sequence_examples():

@@ -24,48 +24,59 @@ def scrambled(a2, a3, rng):
 
 
 BLOCK_KINDS = ("wide", "tall", "j0", "j1", "jinf", "reg")
+# singular kinds drawn twice as often, so that pencils hold several of them
+DRAWN_KINDS = BLOCK_KINDS + ("wide", "tall")
+REGULAR_ROOTS = [Fraction(-3), Fraction(-2), Fraction(-1), Fraction(1, 2),
+                 Fraction(3, 2), Fraction(2), Fraction(3), Fraction(-1, 2)]
 
 
-def random_pencil(rng):
-    """Random direct sum of canonical blocks plus its expected block data."""
-    expected = {"wide": [], "tall": [], "j0": [], "j1": [], "jinf": [], "reg": []}
+def canonical_pencil(blocks):
+    """Direct sum of canonical blocks, given as (kind, size, root), plus its expected block data."""
+    expected = {kind: [] for kind in BLOCK_KINDS}
     a2s, a3s = [], []
-    total = 0
-    while total < 2 or (total < 8 and rng.random() < 0.7):
-        kind = rng.choice(BLOCK_KINDS)
-        n = rng.randint(0 if kind in ("wide", "tall") else 1, 2)
+    for kind, n, lam in blocks:
         if kind == "wide":
             a2s.append(arrow_left(n)), a3s.append(arrow_right(n))
-            expected["wide"].append(n)
         elif kind == "tall":
             a2s.append(arrow_up(n)), a3s.append(arrow_down(n))
-            expected["tall"].append(n)
         elif kind == "j0":
             a2s.append(eye(n)), a3s.append(jordan(n, 0))
-            expected["j0"].append(n)
         elif kind == "j1":
             a2s.append(eye(n)), a3s.append(jordan(n, 1))
-            expected["j1"].append(n)
         elif kind == "jinf":
             a2s.append(jordan(n, 0)), a3s.append(eye(n))
-            expected["jinf"].append(n)
         else:
-            lam = rng.choice([Fraction(-3), Fraction(-2), Fraction(-1),
-                              Fraction(1, 2), Fraction(3, 2), Fraction(2),
-                              Fraction(3), Fraction(-1, 2)])
             poly = Poly.from_roots([lam] * n)
             a2s.append(eye(n)), a3s.append(companion_matrix(poly))
-            expected["reg"].append(poly)
-        total += max(n, 1)
+        expected[kind].append(poly if kind == "reg" else n)
     return block_diag(*a2s), block_diag(*a3s), expected
+
+
+def random_pencil(rng, max_size, max_total):
+    """Random direct sum of canonical blocks of size <= max_size, plus its expected block data."""
+    blocks = []
+    total = 0
+    while total < 2 or (total < max_total and rng.random() < 0.8):
+        kind = rng.choice(DRAWN_KINDS)
+        n = rng.randint(0 if kind in ("wide", "tall") else 1, max_size)
+        blocks.append((kind, n, rng.choice(REGULAR_ROOTS)))
+        total += max(n, 1)
+    return canonical_pencil(blocks)
+
+
+def oracle_pencils(rng):
+    for _ in range(25):
+        yield random_pencil(rng, max_size=4, max_total=16)
+    # distinct wide indices and distinct tall indices >= 2 side by side
+    yield canonical_pencil([("wide", 0, None), ("wide", 1, None), ("wide", 3, None),
+                            ("tall", 0, None), ("tall", 2, None), ("j0", 2, None),
+                            ("jinf", 1, None), ("reg", 1, Fraction(3, 2))])
 
 
 def test_kronecker_blocks_random_oracle():
     rng = random.Random(2024)
-    for _ in range(25):
-        a2, a3, expected = random_pencil(rng)
-        b2, b3 = scrambled(a2, a3, rng)
-        blocks = kronecker_blocks(b2, b3)
+    for a2, a3, expected in oracle_pencils(rng):
+        blocks = kronecker_blocks(*scrambled(a2, a3, rng))
         assert sorted(blocks.wide) == sorted(expected["wide"])
         assert sorted(blocks.tall) == sorted(expected["tall"])
         assert sorted(blocks.jordan_at_0) == sorted(expected["j0"])
