@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core import SBLDatum, validate_datum
 from .decompose import (
-    DecompositionResult, IndecompSummand, _case_feasible, decompose,
+    DecompositionResult, IndecompSummand, _case_feasible, _decompose,
     expand_tags, necessary_conditions,
 )
 from .tables import FamilyTag
@@ -280,7 +280,7 @@ def classify(d: SBLDatum, trials: int = 32, seed: int = 0,
     if failures:
         return Verdict([], [], StatusTag("NotPBounded", witness=failures[0]),
                        witnesses=failures, warnings=report.warnings)
-    dec = decompose(d, trials=trials, seed=seed, refine_real=refine_real)
+    dec = _decompose(d, nec, trials, seed, refine_real)
     if not dec.classified:
         status = StatusTag("Unclassified",
                            witness="; ".join(dec.diagnostics[-2:]))

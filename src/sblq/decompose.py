@@ -15,9 +15,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
-    EquivalenceMap, FourModule, SBLDatum, apply_equivalence,
-    certificate_valid, datum_to_module, direct_sum, direct_sum_all,
-    module_isomorphic, module_to_datum, validate_datum,
+    EquivalenceMap, FourModule, SBLDatum, certificate_valid, datum_to_module,
+    direct_sum, direct_sum_all, module_isomorphic, module_to_datum,
+    validate_datum,
 )
 from .linalg import (
     Matrix, Subspace, block_diag, hstack, image_basis, inverse,
@@ -182,7 +182,10 @@ def holder_normal_form(d: SBLDatum) -> Optional[PencilForm]:
     a3 = gammas[2].transpose()
     base = EquivalenceMap(phi, tuple(phis))
     form = PencilForm(a, b, a2, a3, base)
-    if apply_equivalence(d, base) != form.normal_form_datum():
+    # phi is invertible (EquivalenceMap checks it), so intertwining
+    # pi'_i phi = phi_i pi_i is the same as pi'_i = phi_i pi_i phi^-1
+    nf = form.normal_form_datum()
+    if any(nf.pi[i] @ phi != phis[i] @ d.pi[i] for i in range(4)):
         raise AssertionError("pencil reconstruction failed")
     return form
 
@@ -438,7 +441,12 @@ def decompose(d: SBLDatum, trials: int = 32, seed: int = 0,
     report = validate_datum(d)
     if not report.valid:
         raise ValueError(f"datum maps not surjective at {report.failures()}")
-    nec = necessary_conditions(d)
+    return _decompose(d, necessary_conditions(d), trials, seed, refine_real)
+
+
+def _decompose(d: SBLDatum, nec: NecessityReport, trials: int, seed: int,
+               refine_real: bool) -> DecompositionResult:
+    """`decompose` of a validated datum whose necessity report is known."""
     m = datum_to_module(d)
     rest, c0_count = strip_c0(m)
     summands: List[IndecompSummand] = []

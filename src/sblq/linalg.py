@@ -2,10 +2,14 @@
 
 Everything rank- or kernel-shaped in the classifier runs through this
 module: rank decisions are discontinuous, so no floating point is allowed
-anywhere near them.  The elimination core clears denominators row-wise and
-runs fraction-free (Bareiss) integer elimination; division-free growth is
-then bounded by minor sizes, which is plenty for the matrix sizes that
-occur here (a few hundred rows at most in homomorphism-space solves).
+anywhere near them.  Entries are stored as `Fraction`s, but the inner loops
+run on Python ints: products clear denominators per row of the left and per
+column of the right operand, and the elimination core clears them row-wise
+and runs fraction-free (Bareiss) integer elimination, carried on to the
+fraction-free reduced form for kernels and solves.  Growth is bounded by
+minor sizes, which is plenty for the matrix sizes that occur here (a few
+hundred rows at most in homomorphism-space solves).  Each result entry
+becomes one `Fraction` at the end.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -13,14 +17,26 @@ All values are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .polynomials import Poly
 
 
+_ZERO = Fraction(0)
+
+
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _scaled(entries: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """Integers n_k and the least common denominator den with entries = n_k / den."""
+    den = lcm(*[x.denominator for x in entries])
+    if den == 1:
+        return [x.numerator for x in entries], 1
+    return [x.numerator * (den // x.denominator) for x in entries], den
 
 
 class Matrix:
@@ -123,22 +139,16 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        n, k, m = self.rows, self.cols, other.cols
-        out = [Fraction(0)] * (n * m)
-        orows = [other.row(t) for t in range(k)]
-        for i in range(n):
-            srow = self.row(i)
-            acc = [Fraction(0)] * m
-            for t in range(k):
-                a = srow[t]
-                if a == 0:
-                    continue
-                orow = orows[t]
-                for j in range(m):
-                    if orow[j] != 0:
-                        acc[j] += a * orow[j]
-            out[i * m:(i + 1) * m] = acc
-        return Matrix(n, m, out)
+        # integer rows over per-row denominators times integer columns over
+        # per-column denominators: one Fraction per output cell
+        left = [_scaled(self.row(i)) for i in range(self.rows)]
+        right = [_scaled(other.col(j)) for j in range(other.cols)]
+        out = []
+        for a, r in left:
+            for b, c in right:
+                s = sum(map(mul, a, b))
+                out.append(Fraction(s, r * c) if s else _ZERO)
+        return Matrix(self.rows, other.cols, out)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows,
@@ -195,30 +205,28 @@ def _int_rows(m: Matrix) -> List[List[int]]:
     """Clear denominators row by row; preserves row space and kernel."""
     out = []
     for i in range(m.rows):
-        row = m.row(i)
-        den = 1
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-        ints = [int(x * den) for x in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
+        ints, _ = _scaled(m.row(i))
+        g = gcd(*ints)
+        out.append([v // g for v in ints] if g > 1 else ints)
     return out
 
 
-def _echelon(rows: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
+def _echelon(rows: List[List[int]],
+             reduced: bool = False) -> Tuple[List[List[int]], List[int], int]:
     """Fraction-free (Bareiss) row echelon, in place.
 
-    Returns the echelon rows and the list of pivot columns.  The update
-    a_ij <- (p * a_ij - a_ic * a_rj) / prev is exact by the Sylvester
-    identity; every intermediate entry is a minor of the input.
+    Returns the echelon rows, the list of pivot columns and the sign of the
+    row permutation.  The update a_ij <- (p * a_ij - a_ic * a_rj) / prev is
+    exact by the Sylvester identity; every intermediate entry is a minor of
+    the input.  With `reduced` the update also runs on the rows above the
+    pivot (fraction-free Gauss-Jordan): every pivot row then has zeros in the
+    other pivot columns and the last pivot d in its own, so the reduced row
+    echelon form is the returned rows over d.
     """
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
     pivots: List[int] = []
+    sign = 1
     prev = 1
     r = 0
     for c in range(nc):
@@ -238,67 +246,73 @@ def _echelon(rows: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
         p = rows[r][c]
         rrow = rows[r]
-        for i in range(r + 1, nr):
+        for i in range(0 if reduced else r + 1, nr):
+            if i == r:
+                continue
             irow = rows[i]
+            # row r is zero left of c, so there the update only rescales;
+            # rows below are zero there too, rows above from their pivot on
+            lo = pivots[i] if i < r else c
             f = irow[c]
             if f:
-                for j in range(c, nc):
-                    irow[j] = (p * irow[j] - f * rrow[j]) // prev
+                irow[lo:] = [(p * x - f * y) // prev for x, y in zip(irow[lo:], rrow[lo:])]
             elif prev != 1 or p != 1:
-                for j in range(c, nc):
-                    irow[j] = (p * irow[j]) // prev
+                irow[lo:] = [(p * x) // prev for x in irow[lo:]]
         prev = p
         pivots.append(c)
         r += 1
-    return rows[:r] + [row for row in rows[r:] if any(row)], pivots
+    return rows[:r] + [row for row in rows[r:] if any(row)], pivots, sign
 
 
-def _kernel_from_echelon(ech: List[List[int]], pivots: List[int], ncols: int) -> List[List[Fraction]]:
-    """Basis vectors of the right kernel, one per free column, free var = 1."""
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for f in free:
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            if pc > f:
-                continue
-            row = ech[r]
-            s = sum((row[c] * x[c] for c in range(pc + 1, ncols) if x[c] != 0), Fraction(0))
-            x[pc] = -s / row[pc]
-        basis.append(x)
-    return basis
+def _reduced(m: Matrix) -> Tuple[List[List[int]], List[int], int]:
+    """Fraction-free reduced rows, pivot columns and the common pivot d.
+
+    The first len(pivots) rows over d are the reduced row echelon form.
+    """
+    ech, pivots, _ = _echelon(_int_rows(m), reduced=True)
+    return ech, pivots, ech[len(pivots) - 1][pivots[-1]] if pivots else 1
 
 
 def rank(m: Matrix) -> int:
     """Rank over the rationals (fraction-free Gaussian elimination)."""
     if m.rows == 0 or m.cols == 0:
         return 0
-    _, pivots = _echelon(_int_rows(m))
+    _, pivots, _ = _echelon(_int_rows(m))
     return len(pivots)
 
 
 def kernel_basis(m: Matrix) -> "Subspace":
-    """Basis of the right null space; rank + kernel dim = cols."""
+    """Basis of the right null space; rank + kernel dim = cols.
+
+    One vector per free column, with that free variable 1 and the others 0,
+    read off the reduced echelon form.
+    """
     if m.cols == 0:
         return Subspace.zero(0)
     if m.rows == 0:
         return Subspace.full(m.cols)
-    ech, pivots = _echelon(_int_rows(m))
-    basis = _kernel_from_echelon(ech, pivots, m.cols)
-    cols = [Matrix.column(b) for b in basis]
-    return Subspace._trusted(m.cols, hstack(*cols) if cols else Matrix.zeros(m.cols, 0))
+    ech, pivots, d = _reduced(m)
+    pivset = set(pivots)
+    free = [c for c in range(m.cols) if c not in pivset]
+    out = [[_ZERO] * len(free) for _ in range(m.cols)]
+    for k, f in enumerate(free):
+        out[f][k] = Fraction(1)
+        for row, pc in zip(ech, pivots):
+            if pc > f:
+                break
+            if row[f]:
+                out[pc][k] = Fraction(-row[f], d)
+    return Subspace._trusted(m.cols, Matrix(m.cols, len(free), [x for r in out for x in r]))
 
 
 def image_basis(m: Matrix) -> "Subspace":
     """Column-span basis: the original columns at the pivot positions."""
     if m.rows == 0 or m.cols == 0:
         return Subspace(m.rows, Matrix.zeros(m.rows, 0))
-    _, pivots = _echelon(_int_rows(m))
+    _, pivots, _ = _echelon(_int_rows(m))
     return Subspace._trusted(m.rows, m.submatrix(range(m.rows), pivots))
 
 
@@ -312,27 +326,18 @@ def solve_right(a: Matrix, b: Matrix) -> Optional[Matrix]:
         raise ValueError("row mismatch in solve_right")
     if a.cols == 0:
         return Matrix.zeros(0, b.cols) if b.is_zero else None
-    aug = hstack(a, b)
-    ech, pivots = _echelon(_int_rows(aug))
-    pivots_a = [c for c in pivots if c < a.cols]
-    if len(pivots_a) != len(pivots):
-        return None  # a pivot landed in the b block: inconsistent
-    out_cols = []
     n = a.cols
-    for k in range(b.cols):
-        x = [Fraction(0)] * n
-        for r in range(len(pivots_a) - 1, -1, -1):
-            pc = pivots_a[r]
-            row = ech[r]
-            s = Fraction(row[n + k])
-            s -= sum((row[c] * x[c] for c in range(pc + 1, n) if x[c] != 0), Fraction(0))
-            x[pc] = s / row[pc]
-        out_cols.append(Matrix.column(x))
+    ech, pivots, d = _reduced(hstack(a, b))
+    if pivots and pivots[-1] >= n:
+        return None  # a pivot landed in the b block: inconsistent
+    out = [[_ZERO] * b.cols for _ in range(n)]
+    for row, pc in zip(ech, pivots):
+        out[pc] = [Fraction(v, d) if v else _ZERO for v in row[n:]]
+    x = Matrix(n, b.cols, [v for r in out for v in r])
     # rows of a beyond the pivot count must be consistent; verify exactly
-    x_full = hstack(*out_cols) if out_cols else Matrix.zeros(n, 0)
-    if a @ x_full != b:
+    if a @ x != b:
         return None
-    return x_full
+    return x
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -349,30 +354,27 @@ def is_invertible(a: Matrix) -> bool:
 
 
 def det(a: Matrix) -> Fraction:
-    """Determinant via fraction-free elimination."""
+    """Determinant via fraction-free elimination of the cleared rows.
+
+    The last Bareiss pivot is the determinant of the row-permuted integer
+    matrix; the swap sign and the row scale factors undo the rest.
+    """
     if not a.is_square:
         raise ValueError("det of non-square matrix")
     n = a.rows
     if n == 0:
         return Fraction(1)
-    rows = [list(a.row(i)) for i in range(n)]
-    den = Fraction(1)
-    sign = 1
-    prev = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if piv is None:
+    rows = _int_rows(a)
+    scale = Fraction(1)  # product of (entry of a) / (its cleared integer)
+    for i, row in enumerate(rows):
+        j = next((j for j, v in enumerate(row) if v), None)
+        if j is None:
             return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        p = rows[c][c]
-        for i in range(c + 1, n):
-            f = rows[i][c]
-            for j in range(c, n):
-                rows[i][j] = (p * rows[i][j] - f * rows[c][j]) / prev
-        prev = p
-    return sign * rows[n - 1][n - 1]
+        scale *= a[i, j] / row[j]
+    ech, pivots, sign = _echelon(rows)
+    if len(pivots) < n:
+        return Fraction(0)
+    return sign * ech[n - 1][n - 1] * scale
 
 
 # -- subspaces --------------------------------------------------------------

@@ -94,12 +94,16 @@ class FunkSpectrum:
     def __post_init__(self):
         if self.d < 3:
             raise ValueError("dimension must be >= 3")
-        assert self.lam[0] == 1.0
-        assert all(self.lam[n] == 0.0 for n in range(1, self.max_degree + 1, 2))
+        if self.lam[0] != 1.0:
+            raise AssertionError("lambda_0 must be 1")
+        if any(self.lam[n] != 0.0 for n in range(1, self.max_degree + 1, 2)):
+            raise AssertionError("odd eigenvalues must vanish")
         evens = np.abs(self.lam[2::2])
-        assert np.all(np.diff(evens) < 0), "even eigenvalue magnitudes must decrease"
-        if self.max_degree >= 2:
-            assert abs(abs(self.lam[2]) - 1.0 / (self.d - 1)) <= TOLERANCES["spectral"]
+        if not np.all(np.diff(evens) < 0):
+            raise AssertionError("even eigenvalue magnitudes must decrease")
+        if self.max_degree >= 2 and \
+                not abs(abs(self.lam[2]) - 1.0 / (self.d - 1)) <= TOLERANCES["spectral"]:
+            raise AssertionError("|lambda_2| must equal 1/(d-1)")
 
 
 def funk_spectrum(d: int, max_degree: int) -> FunkSpectrum:

@@ -80,14 +80,14 @@ PERTURBED_RECONSTRUCTION = textwrap.dedent("""
     if not sys.flags.optimize:
         sys.exit("not running under -O")
     mod = sys.modules["sblq.decompose"]
-    real = mod.apply_equivalence
+    real = mod.pencil_datum
 
-    def perturbed(d, e):
-        out = real(d, e)
+    def perturbed(*args):
+        out = real(*args)
         bump = Matrix(out.pi[1].rows, out.pi[1].cols, [1] + [0] * (len(out.pi[1].data) - 1))
         return SBLDatum(out.dim_H, out.dims, (out.pi[0], out.pi[1] + bump) + out.pi[2:])
 
-    mod.apply_equivalence = perturbed
+    mod.pencil_datum = perturbed
     try:
         form = mod.holder_normal_form(twisted_paraproduct())
     except AssertionError as exc:

@@ -1,14 +1,16 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from sblq.linalg import (
-    Matrix, Subspace, block_diag, companion_matrix, det, hstack, image_basis,
-    inverse, invariant_factors, is_direct_complement, jordan_block_sizes,
-    kernel_basis, rank, rank_power_sequence, solve_right, subspace_intersect,
-    subspace_sum, vstack,
+    Matrix, Subspace, _echelon, block_diag, companion_matrix, det, hstack,
+    image_basis, inverse, invariant_factors, is_direct_complement,
+    jordan_block_sizes, kernel_basis, rank, rank_power_sequence, solve_right,
+    subspace_intersect, subspace_sum, vstack,
 )
 from sblq.polynomials import Poly
 
@@ -114,6 +116,13 @@ def test_det_matches_sympy():
         n = rng.randint(1, 5)
         m = random_matrix(rng, n, n)
         assert sympy.Rational(det(m)) == to_sympy(m).det()
+    for _ in range(10):  # singular: rank-deficient products
+        n = rng.randint(2, 5)
+        m = random_matrix(rng, n, n - 1) @ random_matrix(rng, n - 1, n)
+        assert det(m) == 0 == to_sympy(m).det()
+    assert det(Matrix.from_rows([[1, 2], [0, 0]])) == 0
+    assert det(Matrix.from_rows([[0, 1], [1, 0]])) == -1
+    assert det(Matrix.zeros(0, 0)) == 1 == sympy.zeros(0, 0).det()
 
 
 def test_rank_power_sequence_examples():
@@ -216,3 +225,163 @@ def test_stack_helpers():
     assert hstack(a, b).cols == 3
     assert vstack(a, Matrix.zeros(1, 2)).rows == 3
     assert block_diag(a, Matrix.identity(1)) == Matrix.identity(3)
+
+
+# -- reference Fraction kernels -------------------------------------------------
+#
+# The Fraction inner loops the integer kernels replaced: a row-times-row
+# product, and back-substitution through the plain Bareiss echelon.
+
+
+def _ref_int_rows(m):
+    out = []
+    for i in range(m.rows):
+        row = m.row(i)
+        den = 1
+        for x in row:
+            den = den * x.denominator // gcd(den, x.denominator)
+        ints = [int(x * den) for x in row]
+        g = 0
+        for v in ints:
+            g = gcd(g, v)
+        if g > 1:
+            ints = [v // g for v in ints]
+        out.append(ints)
+    return out
+
+
+def ref_matmul(a, b):
+    n, k, m = a.rows, a.cols, b.cols
+    out = [Fraction(0)] * (n * m)
+    brows = [b.row(t) for t in range(k)]
+    for i in range(n):
+        arow = a.row(i)
+        acc = [Fraction(0)] * m
+        for t in range(k):
+            x = arow[t]
+            if x == 0:
+                continue
+            brow = brows[t]
+            for j in range(m):
+                if brow[j] != 0:
+                    acc[j] += x * brow[j]
+        out[i * m:(i + 1) * m] = acc
+    return Matrix(n, m, out)
+
+
+def ref_kernel(m):
+    """Kernel basis matrix, one column per free column with free var = 1."""
+    if m.cols == 0:
+        return Matrix.zeros(0, 0)
+    if m.rows == 0:
+        return Matrix.identity(m.cols)
+    ech, pivots, _ = _echelon(_ref_int_rows(m))
+    ncols = m.cols
+    free = [c for c in range(ncols) if c not in set(pivots)]
+    cols = []
+    for f in free:
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for r in range(len(pivots) - 1, -1, -1):
+            pc = pivots[r]
+            if pc > f:
+                continue
+            row = ech[r]
+            s = sum((row[c] * x[c] for c in range(pc + 1, ncols) if x[c] != 0), Fraction(0))
+            x[pc] = -s / row[pc]
+        cols.append(Matrix.column(x))
+    return hstack(*cols) if cols else Matrix.zeros(ncols, 0)
+
+
+def ref_solve(a, b):
+    """Solution with free variables 0, or None when inconsistent."""
+    if a.cols == 0:
+        return Matrix.zeros(0, b.cols) if b.is_zero else None
+    ech, pivots, _ = _echelon(_ref_int_rows(hstack(a, b)))
+    n = a.cols
+    if any(c >= n for c in pivots):
+        return None
+    cols = []
+    for k in range(b.cols):
+        x = [Fraction(0)] * n
+        for r in range(len(pivots) - 1, -1, -1):
+            pc = pivots[r]
+            row = ech[r]
+            s = Fraction(row[n + k])
+            s -= sum((row[c] * x[c] for c in range(pc + 1, n) if x[c] != 0), Fraction(0))
+            x[pc] = s / row[pc]
+        cols.append(Matrix.column(x))
+    x_full = hstack(*cols) if cols else Matrix.zeros(n, 0)
+    return x_full if ref_matmul(a, x_full) == b else None
+
+
+_entries = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None):
+    """Rational matrices with 0..6 rows/cols, sparse, full or rank-deficient."""
+    r = draw(st.integers(0, 6)) if rows is None else rows
+    c = draw(st.integers(0, 6)) if cols is None else cols
+    kind = draw(st.sampled_from(("dense", "sparse", "low-rank")))
+    if kind == "low-rank" and r and c:
+        k = draw(st.integers(0, min(r, c) - 1))
+        left = Matrix(r, k, draw(st.lists(_entries, min_size=r * k, max_size=r * k)))
+        right = Matrix(k, c, draw(st.lists(_entries, min_size=k * c, max_size=k * c)))
+        return ref_matmul(left, right)
+    cell = st.one_of(st.just(Fraction(0)), _entries) if kind == "sparse" else _entries
+    return Matrix(r, c, draw(st.lists(cell, min_size=r * c, max_size=r * c)))
+
+
+@st.composite
+def products(draw):
+    a = draw(matrices())
+    return a, draw(matrices(rows=a.cols))
+
+
+@st.composite
+def systems(draw):
+    """(a, b): b either arbitrary (often inconsistent) or a @ x (consistent)."""
+    a = draw(matrices())
+    k = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        return a, draw(matrices(rows=a.rows, cols=k))
+    return a, ref_matmul(a, draw(matrices(rows=a.cols, cols=k)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(products())
+def test_matmul_matches_reference(ab):
+    a, b = ab
+    assert (a @ b).data == ref_matmul(a, b).data
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_kernel_matches_reference(m):
+    got = kernel_basis(m).basis
+    want = ref_kernel(m)
+    assert (got.rows, got.cols, got.data) == (want.rows, want.cols, want.data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_solve_right_matches_reference(ab):
+    a, b = ab
+    got, want = solve_right(a, b), ref_solve(a, b)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert (got.rows, got.cols, got.data) == (want.rows, want.cols, want.data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: matrices(rows=n, cols=n)))
+def test_inverse_matches_reference(m):
+    want = ref_solve(m, Matrix.identity(m.rows))
+    if want is None:
+        with pytest.raises(ValueError):
+            inverse(m)
+    else:
+        assert inverse(m).data == want.data

@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 import sympy
 from scipy.special import eval_gegenbauer
 
+import sblq
 from sblq.rotations import (
-    RadialTensorFunction, SliceDecomposition, SphereGrid, TOLERANCES,
+    FunkSpectrum, RadialTensorFunction, SliceDecomposition, SphereGrid, TOLERANCES,
     basis_index, basis_size, decay_exponent_fit, funk_apply,
     funk_apply_direct, funk_eigenvalue, funk_spectrum, gegenbauer,
     great_circle_points, neumann_solve, sobolev_norm, sph_basis,
@@ -60,6 +66,40 @@ def test_spectrum_monotone_decay():
     sp = funk_spectrum(3, 40)
     evens = np.abs(sp.lam[2::2])
     assert np.all(np.diff(evens) < 0)
+
+
+BAD_SPECTRA = textwrap.dedent("""
+    import sys
+    import numpy as np
+    from sblq.rotations import FunkSpectrum, funk_spectrum
+
+    if not sys.flags.optimize:
+        sys.exit("not running under -O")
+    good = funk_spectrum(3, 4).lam
+    bad = {"lambda_0": {0: 0.5}, "odd": {3: 1e-3}, "decrease": {4: -0.6},
+           "lambda_2": {2: -0.4, 4: 0.3}}
+    for name, edits in bad.items():
+        lam = good.copy()
+        for n, v in edits.items():
+            lam[n] = v
+        try:
+            FunkSpectrum(3, 4, lam)
+        except AssertionError as exc:
+            print(name, "raised:", exc)
+        else:
+            print(name, "accepted")
+""")
+
+
+def test_funk_spectrum_checks_survive_optimize():
+    # `python -O` strips assert statements; the spectrum checks must stay
+    FunkSpectrum(3, 4, funk_spectrum(3, 4).lam)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sblq.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", BAD_SPECTRA],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4 and all(" raised: " in line for line in lines), proc.stdout
 
 
 def test_decay_exponent():
