@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .core import SBLDatum, validate_datum
 from .decompose import (
     DecompositionResult, IndecompSummand, _case_feasible, _decompose,
-    expand_tags, necessary_conditions,
+    _superscripts, expand_tags, necessary_conditions,
 )
 from .tables import FamilyTag
 
@@ -88,10 +88,6 @@ def _families(ms: Multiset) -> set:
     return {f for (f, _), c in ms.items() if c}
 
 
-def _superscript_set(ms: Multiset) -> set:
-    return {f[1] for (f, _), c in ms.items() if c and f[0] in "PK"}
-
-
 def case_detect(tags: Sequence[FamilyTag],
                 equality_constraint: Optional[Tuple[int, int, int, int]] = None
                 ) -> List[CaseEntry]:
@@ -108,7 +104,7 @@ def case_detect(tags: Sequence[FamilyTag],
         entries.append(CaseEntry("iv", HOLDER_LINE))
     pk = {"P1", "P2", "P3", "K1", "K2", "K3"}
     if fams <= pk:
-        sups = _superscript_set(ms)
+        sups = _superscripts(fams)
         for excluded in ("1", "2", "3"):
             rest = sorted({"1", "2", "3"} - {excluded})
             if sups <= set(rest):

@@ -13,10 +13,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import (
-    Matrix, Subspace, block_diag, image_basis, inverse, is_invertible,
+    Matrix, Subspace, _scaled, block_diag, image_basis, inverse, is_invertible,
     kernel_basis, rank, solve_right,
 )
 
@@ -74,6 +75,12 @@ class FourModule:
     @property
     def dim_vector(self) -> DimVector:
         return DimVector(self.dim_M, *(s.dim for s in self.sub))
+
+    @cached_property
+    def _annihilators(self) -> Tuple[List[List[int]], ...]:
+        """Per slot, integer rows whose common kernel is that subspace."""
+        kers = [kernel_basis(s.basis.transpose()).basis for s in self.sub]
+        return tuple([_scaled(k.col(j))[0] for j in range(k.cols)] for k in kers)
 
 
 @dataclass(frozen=True)
@@ -200,28 +207,21 @@ class IsoSearch:
 def module_hom_basis(a: FourModule, b: FourModule) -> List[Matrix]:
     """Basis of {psi : psi(sub_i(a)) contained in sub_i(b) for all i}.
 
-    Constraints are N_i psi B_i = 0 where the rows of N_i annihilate the
-    target span; the kernel is computed exactly.
+    Constraints are N_i psi B_i = 0 where the integer rows of N_i annihilate
+    the target span; the kernel is computed exactly.
     """
     m, mp = a.dim_M, b.dim_M
     if m == 0 or mp == 0:
         return [] if m or mp else [Matrix.zeros(0, 0)]
-    rows: List[List[Fraction]] = []
+    rows: List[List[int]] = []
     for i in range(4):
         B = a.sub[i].basis
-        if B.cols == 0:
-            continue
-        ann = kernel_basis(b.sub[i].basis.transpose()).basis.transpose()  # (mp-k') x mp
-        for p in range(ann.rows):
-            nrow = ann.row(p)
-            for q in range(B.cols):
-                bcol = B.col(q)
-                rows.append([nrow[r] * bcol[s] for r in range(mp) for s in range(m)])
-    if not rows:
-        return [Matrix(mp, m, [1 if (r * m + s) == k else 0 for r in range(mp) for s in range(m)])
-                for k in range(mp * m)]
+        cols = [_scaled(B.col(q))[0] for q in range(B.cols)]
+        for nrow in b._annihilators[i]:
+            for bcol in cols:
+                rows.append([x * y for x in nrow for y in bcol])
     ker = kernel_basis(Matrix.from_rows(rows, cols=mp * m))
-    return [Matrix(mp, m, ker.basis.col(j)) for j in range(ker.dim)]
+    return [Matrix._trusted(mp, m, ker.basis.col(j)) for j in range(ker.dim)]
 
 
 def _maps_spans_onto(psi: Matrix, a: FourModule, b: FourModule) -> bool:

@@ -3,20 +3,23 @@
 The dispatch runs: split off the maximal trivial kernel-only power
 (family C at size 0), then try the pencil reduction that is available
 exactly when the kernel of the distribution map is a common complement
-of the other three kernels; otherwise enumerate the non-Hoelder candidate
-multisets compatible with the exponent constraint and certify the first
-match with an isomorphism certificate.  All decisions are exact.
+of the other three kernels; otherwise, for each case whose exponent
+constraint is feasible, solve for the summands from Hom dimensions and
+certify them with an isomorphism.  All decisions are exact.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from operator import mul
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import (
     EquivalenceMap, FourModule, SBLDatum, certificate_valid, datum_to_module,
-    direct_sum, direct_sum_all, module_isomorphic, module_to_datum,
+    direct_sum, direct_sum_all, module_hom_basis, module_to_datum,
     validate_datum,
 )
 from .linalg import (
@@ -26,7 +29,7 @@ from .linalg import (
 )
 from .pencil import kronecker_blocks
 from .polynomials import Poly
-from .tables import FamilyTag, build
+from .tables import FIXED_FAMILIES, FamilyTag, build
 
 
 # -- necessity screening ------------------------------------------------------
@@ -291,82 +294,90 @@ _CASE_FAMILIES = {
 }
 
 
-def _superscripts(counts: Dict[str, int]) -> set:
-    return {f[1] for f, c in counts.items() if c and f[0] in "PK"}
+def _superscripts(families: Iterable[str]) -> set:
+    return {f[1] for f in families if f[0] in "PK"}
 
 
 def _case_counts_admissible(case_tag: str, counts: Dict[str, int]) -> bool:
-    sups = _superscripts(counts)
-    if case_tag == "i":
-        return len(sups) <= 2
-    if case_tag == "ii":
-        return len(sups) <= 1
-    return True
+    limit = {"i": 2, "ii": 1}.get(case_tag, 3)
+    return len(_superscripts(f for f, c in counts.items() if c)) <= limit
 
 
-def module_invariants(m: FourModule) -> Tuple[int, ...]:
-    """Additive isomorphism invariants: dimension vector and pairwise meets."""
-    out = list(m.dim_vector)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            out.append(subspace_intersect(m.sub[i], m.sub[j]).dim)
-    return tuple(out)
+@lru_cache(maxsize=None)
+def _fixed_table() -> Tuple[Dict[str, FourModule], Dict[str, List[List[int]]]]:
+    """The ten fixed family modules and, per case, the integer inverse of
+    H[X][Y] = dim Hom(X, Y) over the case's families."""
+    mods = {f: build(FamilyTag(f)) for f in FIXED_FAMILIES}
+    hom = {(x, y): len(module_hom_basis(mods[x], mods[y]))
+           for x in FIXED_FAMILIES for y in FIXED_FAMILIES}
+    inverses = {}
+    for case_tag, families in _CASE_FAMILIES.items():
+        block = Matrix.from_rows([[hom[x, y] for y in families] for x in families])
+        hinv = inverse(block) if rank(block) == len(families) else None
+        if hinv is None or any(x.denominator != 1 for x in hinv.data):
+            raise AssertionError(f"the case {case_tag} Hom table has no integer inverse")
+        inverses[case_tag] = [[int(x) for x in hinv.row(i)] for i in range(hinv.rows)]
+    return mods, inverses
 
 
-_FAMILY_INVARIANTS: Dict[str, Tuple[int, ...]] = {}
+def _fixed_matcher(m: FourModule, trials: int, seed: int):
+    """`match_nonholder` for one module as `match(case_tag)`; each Hom(X, m)
+    is solved once for all cases and each candidate multiset certified once."""
+    mods, inverses = _fixed_table()
+    homs: Dict[str, List[Matrix]] = {}
+    proved: Dict[Tuple, Optional[tuple]] = {}
+
+    def certify(tags: List[FamilyTag]) -> Optional[tuple]:
+        candidate = direct_sum_all([mods[t.family] for t in tags])
+        for t in range(trials):
+            rng = random.Random((seed << 24) ^ (t + 1))
+            blocks = [_hom_combination(homs[tag.family], rng) for tag in tags]
+            psi = hstack(*blocks) if blocks else Matrix.zeros(0, 0)
+            if certificate_valid(psi, candidate, m):
+                return collect_summands(tags, "certified iso"), inverse(psi)
+        return None
+
+    def match(case_tag: str) -> Optional[tuple]:
+        families = _CASE_FAMILIES[case_tag]
+        homs.update({f: module_hom_basis(mods[f], m) for f in families if f not in homs})
+        h = [len(homs[f]) for f in families]
+        mult = [sum(map(mul, row, h)) for row in inverses[case_tag]]
+        counts = {f: c for f, c in zip(families, mult) if c}
+        total = tuple(sum(c * mods[f].dim_vector[k] for f, c in counts.items())
+                      for k in range(5))
+        if min(mult) < 0 or total != m.dim_vector or not all(homs[f] for f in counts) \
+                or not _case_counts_admissible(case_tag, counts):
+            return None
+        key = tuple(counts.items())
+        if key not in proved:
+            proved[key] = certify([FamilyTag(f) for f, c in counts.items() for _ in range(c)])
+        return proved[key]
+
+    return match
 
 
-def _family_invariants(family: str) -> Tuple[int, ...]:
-    if family not in _FAMILY_INVARIANTS:
-        _FAMILY_INVARIANTS[family] = module_invariants(build(FamilyTag(family)))
-    return _FAMILY_INVARIANTS[family]
-
-
-def _enumerate_multiplicities(families: Sequence[str], target: Tuple[int, ...]):
-    """Nonnegative solutions of the additive invariant system, lexicographic."""
-    vecs = [_family_invariants(f) for f in families]
-
-    def rec(idx: int, remaining: Tuple[int, ...], acc: List[int]):
-        if idx == len(families):
-            if all(r == 0 for r in remaining):
-                yield tuple(acc)
-            return
-        vec = vecs[idx]
-        bound = min((r // v for r, v in zip(remaining, vec) if v), default=0)
-        if all(v == 0 for v in vec):
-            bound = 0
-        for n in range(bound + 1):
-            rest = tuple(r - n * v for r, v in zip(remaining, vec))
-            if any(x < 0 for x in rest):
-                break
-            acc.append(n)
-            yield from rec(idx + 1, rest, acc)
-            acc.pop()
-
-    yield from rec(0, target, [])
+def _hom_combination(basis: Sequence[Matrix], rng: random.Random) -> Matrix:
+    """One seeded integer combination of a Hom-space basis."""
+    coeffs = [rng.randint(-9, 9) for _ in basis]
+    return Matrix._trusted(basis[0].rows, basis[0].cols,
+                           [sum(map(mul, coeffs, cell), Fraction(0))
+                            for cell in zip(*(b.data for b in basis))])
 
 
 def match_nonholder(m: FourModule, case_tag: str, trials: int = 32,
                     seed: int = 0):
     """Certified summand multiset for one non-Hoelder case shape, or None.
 
-    Candidate multiplicities solve the integer system built from the
-    dimension vector plus the pairwise intersection dimensions; candidates
-    are tried in lexicographic order and the first certified isomorphism
-    wins.  Returns (summands, certificate) or None.
+    A module is fixed by its Hom dimensions from the indecomposables
+    (Auslander), so the multiplicities of the case's families are exactly
+    H^-1 h, with H[X][Y] = dim Hom(X, Y) and h_X = dim Hom(X, m); a
+    negative entry, a wrong dimension vector or an inadmissible
+    superscript set is a definite negative.  Otherwise `trials` seeded
+    draws stack one element of Hom(X, m) per summand copy into a map
+    candidate -> m, and the first that `certificate_valid` proves is
+    inverted.  Returns (summands, certificate m -> candidate) or None.
     """
-    families = _CASE_FAMILIES[case_tag]
-    target = module_invariants(m)
-    for counts_vec in _enumerate_multiplicities(families, target):
-        counts = dict(zip(families, counts_vec))
-        if not _case_counts_admissible(case_tag, counts):
-            continue
-        tags = [FamilyTag(f) for f in families for _ in range(counts[f])]
-        candidate = direct_sum_all([build(t) for t in tags])
-        res = module_isomorphic(m, candidate, trials=trials, seed=seed)
-        if res:
-            return collect_summands(tags, "certified iso"), res.certificate
-    return None
+    return _fixed_matcher(m, trials, seed)(case_tag)
 
 
 # -- full decomposition --------------------------------------------------------
@@ -396,37 +407,25 @@ class DecompositionResult:
 
 def _case_feasible(case_tag: str, eqc: Tuple[int, int, int, int]) -> bool:
     """Can the case exponents meet the kernel equality constraint in [0,1]^3?"""
-    d1, d2, d3, k = (Fraction(x) for x in eqc)
+    *ds, k = eqc
 
-    def plane_feasible(c: Fraction) -> bool:
-        vals = []
-        for free_axis in range(3):
-            for b1 in (Fraction(0), Fraction(1)):
-                for b2 in (Fraction(0), Fraction(1)):
-                    q = [None, None, None]
-                    others = [ax for ax in range(3) if ax != free_axis]
-                    q[others[0]], q[others[1]] = b1, b2
-                    q[free_axis] = c - b1 - b2
-                    if not (0 <= q[free_axis] <= 1):
-                        continue
-                    vals.append(d1 * q[0] + d2 * q[1] + d3 * q[2] - k)
+    def plane_feasible(c: int) -> bool:
+        # d . q - k at the vertices of the plane sum(q) = c inside [0, 1]^3
+        vals = [ds[f] * (c - b1 - b2) + ds[o1] * b1 + ds[o2] * b2 - k
+                for f, o1, o2 in ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+                for b1 in (0, 1) for b2 in (0, 1) if 0 <= c - b1 - b2 <= 1]
         return bool(vals) and min(vals) <= 0 <= max(vals)
 
     if case_tag == "ii":
-        return plane_feasible(Fraction(2))
+        return plane_feasible(2)
     if case_tag == "iii":
-        return (d1 + d2 + d3) == 2 * k
+        return sum(ds) == 2 * k
     if case_tag == "iv":
-        return plane_feasible(Fraction(1))
-    # case i: for some excluded index, q_excluded = 1 - s, other two = s
-    ds = (d1, d2, d3)
-    for ex in range(3):
-        rest = [ds[ax] for ax in range(3) if ax != ex]
-        g0 = ds[ex] - k                   # s = 0
-        g1 = rest[0] + rest[1] - k        # s = 1
-        if min(g0, g1) <= 0 <= max(g0, g1):
-            return True
-    return False
+        return plane_feasible(1)
+    # case i: for some excluded index, q_excluded = 1 - s and the other two
+    # are s; d . q - k runs from ds[ex] - k (s = 0) to the rest's sum - k
+    return any(min(g) <= 0 <= max(g)
+               for g in ((ds[ex] - k, sum(ds) - ds[ex] - k) for ex in range(3)))
 
 
 def decompose(d: SBLDatum, trials: int = 32, seed: int = 0,
@@ -463,11 +462,12 @@ def _decompose(d: SBLDatum, nec: NecessityReport, trials: int, seed: int,
             _attach_real_roots(result)
         return result
     diags = ["no Hoelder normal form (kernel complement conditions failed)"]
+    match = _fixed_matcher(rest, trials, seed)
     for case_tag in ("ii", "iii", "i"):
         if not _case_feasible(case_tag, nec.equality_constraint):
             diags.append(f"case {case_tag}: exponent constraint infeasible")
             continue
-        found = match_nonholder(rest, case_tag, trials=trials, seed=seed)
+        found = match(case_tag)
         if found:
             tags, cert = found
             summands.extend(tags)

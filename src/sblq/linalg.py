@@ -55,6 +55,15 @@ class Matrix:
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
 
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: Sequence[Fraction]) -> "Matrix":
+        # Internal fast path for rows * cols entries that are all Fractions.
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "data", tuple(entries))
+        return self
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -97,9 +106,6 @@ class Matrix:
     def col(self, j: int) -> Tuple[Fraction, ...]:
         return self.data[j::self.cols]
 
-    def row_lists(self) -> List[List[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)
@@ -123,18 +129,18 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(self.rows, self.cols, [a + b for a, b in zip(self.data, other.data)])
+        return Matrix._trusted(self.rows, self.cols, [a + b for a, b in zip(self.data, other.data)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(self.rows, self.cols, [a - b for a, b in zip(self.data, other.data)])
+        return Matrix._trusted(self.rows, self.cols, [a - b for a, b in zip(self.data, other.data)])
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [-a for a in self.data])
+        return Matrix._trusted(self.rows, self.cols, [-a for a in self.data])
 
     def scale(self, c) -> "Matrix":
         c = _frac(c)
-        return Matrix(self.rows, self.cols, [c * a for a in self.data])
+        return Matrix._trusted(self.rows, self.cols, [c * a for a in self.data])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -148,15 +154,15 @@ class Matrix:
             for b, c in right:
                 s = sum(map(mul, a, b))
                 out.append(Fraction(s, r * c) if s else _ZERO)
-        return Matrix(self.rows, other.cols, out)
+        return Matrix._trusted(self.rows, other.cols, out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      [self.data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)])
+        return Matrix._trusted(self.cols, self.rows,
+                               [self.data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)])
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        return Matrix(len(row_idx), len(col_idx),
-                      [self[i, j] for i in row_idx for j in col_idx])
+        return Matrix._trusted(len(row_idx), len(col_idx),
+                               [self[i, j] for i in row_idx for j in col_idx])
 
     def _same_shape(self, other: "Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -172,7 +178,7 @@ def hstack(*ms: Matrix) -> Matrix:
     for i in range(rows):
         for m in ms:
             data.extend(m.row(i))
-    return Matrix(rows, sum(m.cols for m in ms), data)
+    return Matrix._trusted(rows, sum(m.cols for m in ms), data)
 
 
 def vstack(*ms: Matrix) -> Matrix:
@@ -182,7 +188,7 @@ def vstack(*ms: Matrix) -> Matrix:
     data = []
     for m in ms:
         data.extend(m.data)
-    return Matrix(sum(m.rows for m in ms), cols, data)
+    return Matrix._trusted(sum(m.rows for m in ms), cols, data)
 
 
 def block_diag(*ms: Matrix) -> Matrix:
@@ -305,7 +311,7 @@ def kernel_basis(m: Matrix) -> "Subspace":
                 break
             if row[f]:
                 out[pc][k] = Fraction(-row[f], d)
-    return Subspace._trusted(m.cols, Matrix(m.cols, len(free), [x for r in out for x in r]))
+    return Subspace._trusted(m.cols, Matrix._trusted(m.cols, len(free), [x for r in out for x in r]))
 
 
 def image_basis(m: Matrix) -> "Subspace":
@@ -333,7 +339,7 @@ def solve_right(a: Matrix, b: Matrix) -> Optional[Matrix]:
     out = [[_ZERO] * b.cols for _ in range(n)]
     for row, pc in zip(ech, pivots):
         out[pc] = [Fraction(v, d) if v else _ZERO for v in row[n:]]
-    x = Matrix(n, b.cols, [v for r in out for v in r])
+    x = Matrix._trusted(n, b.cols, [v for r in out for v in r])
     # rows of a beyond the pivot count must be consistent; verify exactly
     if a @ x != b:
         return None
@@ -411,10 +417,6 @@ class Subspace:
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, Matrix.identity(ambient_dim))
-
-    @classmethod
-    def span_of_columns(cls, m: Matrix) -> "Subspace":
-        return image_basis(m)
 
     @property
     def dim(self) -> int:

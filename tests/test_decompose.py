@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -6,23 +7,26 @@ import textwrap
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import sblq
 from sblq.core import (
-    SBLDatum, apply_equivalence, datum_to_module, direct_sum, direct_sum_all,
-    module_isomorphic, module_to_datum, random_equivalence,
+    SBLDatum, apply_equivalence, certificate_valid, datum_to_module,
+    direct_sum, direct_sum_all, module_hom_basis, module_isomorphic,
+    module_to_datum, random_equivalence,
 )
 from sblq.decompose import (
-    canonical_multiset, decompose, expand_tags, holder_normal_form,
-    kronecker_decompose, match_nonholder, necessary_conditions, pencil_datum,
-    strip_c0,
+    _CASE_FAMILIES, _case_counts_admissible, _case_feasible, _fixed_table,
+    canonical_multiset, collect_summands, decompose, expand_tags,
+    holder_normal_form, kronecker_decompose, match_nonholder,
+    necessary_conditions, pencil_datum, strip_c0,
 )
 from sblq.fixtures import (
     bht, coifman_meyer, fixture_datum, triangular_hilbert, twisted_paraproduct,
 )
-from sblq.linalg import Matrix
+from sblq.linalg import Matrix, inverse, rank, subspace_intersect
 from sblq.polynomials import Poly
-from sblq.tables import FamilyTag, build
+from sblq.tables import FIXED_FAMILIES, FamilyTag, build
 
 
 def n_tag(lam, n=1):
@@ -160,6 +164,192 @@ def test_match_nonholder_examples():
     got = match_nonholder(pk, "i")
     assert got is not None
     assert [(s.tag.family, s.multiplicity) for s in got[0]] == [("P1", 1), ("K1", 1)]
+
+
+# -- the enumerating matcher that Hom-dimension matching replaced, as an oracle
+
+
+def module_invariants(m):
+    """Additive isomorphism invariants: dimension vector and pairwise meets."""
+    out = list(m.dim_vector)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            out.append(subspace_intersect(m.sub[i], m.sub[j]).dim)
+    return tuple(out)
+
+
+def enumerate_multiplicities(families, target):
+    """Nonnegative solutions of the additive invariant system, lexicographic."""
+    vecs = [module_invariants(build(FamilyTag(f))) for f in families]
+
+    def rec(idx, remaining, acc):
+        if idx == len(families):
+            if all(r == 0 for r in remaining):
+                yield tuple(acc)
+            return
+        vec = vecs[idx]
+        bound = min((r // v for r, v in zip(remaining, vec) if v), default=0)
+        if all(v == 0 for v in vec):
+            bound = 0
+        for n in range(bound + 1):
+            rest = tuple(r - n * v for r, v in zip(remaining, vec))
+            if any(x < 0 for x in rest):
+                break
+            acc.append(n)
+            yield from rec(idx + 1, rest, acc)
+            acc.pop()
+
+    yield from rec(0, target, [])
+
+
+def enumerating_match(m, case_tag, trials=32, seed=0):
+    """Certify candidate multisets in lexicographic order; one m^2 Hom solve each."""
+    families = _CASE_FAMILIES[case_tag]
+    for counts_vec in enumerate_multiplicities(families, module_invariants(m)):
+        counts = dict(zip(families, counts_vec))
+        if not _case_counts_admissible(case_tag, counts):
+            continue
+        tags = [FamilyTag(f) for f in families for _ in range(counts[f])]
+        candidate = direct_sum_all([build(t) for t in tags])
+        res = module_isomorphic(m, candidate, trials=trials, seed=seed)
+        if res:
+            return collect_summands(tags, "certified iso"), res.certificate
+    return None
+
+
+def test_hom_dimension_table_has_an_integer_inverse():
+    mods = {f: build(FamilyTag(f)) for f in FIXED_FAMILIES}
+    hom = Matrix.from_rows([[len(module_hom_basis(mods[x], mods[y]))
+                             for y in FIXED_FAMILIES] for x in FIXED_FAMILIES])
+    assert rank(hom) == len(FIXED_FAMILIES)
+    assert all(x.denominator == 1 for x in inverse(hom).data)
+    for case_tag, families in _CASE_FAMILIES.items():
+        idx = [FIXED_FAMILIES.index(f) for f in families]
+        block = hom.submatrix(idx, idx)
+        assert Matrix.from_rows(_fixed_table()[1][case_tag]) @ block == \
+            Matrix.identity(len(families))
+
+
+@st.composite
+def fixed_family_modules(draw):
+    """A scrambled sum of fixed families, sometimes with a summand none of
+    the cases allows (C_0, T_1 or N_1), of total dimension at most 8."""
+    fams = draw(st.lists(st.sampled_from(FIXED_FAMILIES), min_size=1, max_size=4))
+    tags = [FamilyTag(f) for f in fams]
+    extra = draw(st.sampled_from((None, "C0", "T1", "N1")))
+    if extra == "C0":
+        tags.append(FamilyTag("C", 0))
+    elif extra == "T1":
+        tags.append(FamilyTag("T", 1))
+    elif extra == "N1":
+        tags.append(n_tag(draw(st.sampled_from((2, -1, Fraction(1, 2))))))
+    tags = draw(st.permutations(tags))
+    d = module_to_datum(direct_sum_all([build(t) for t in tags]))
+    assume(d.dim_H <= 8)
+    return datum_to_module(apply_equivalence(
+        d, random_equivalence(d, draw(st.integers(0, 2 ** 20)))))
+
+
+def _proved(m, found):
+    if found is None:
+        return None
+    summands, cert = found
+    candidate = direct_sum_all([build(t) for t in expand_tags(summands)])
+    assert certificate_valid(cert, m, candidate)
+    return canonical_multiset(expand_tags(summands))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fixed_family_modules())
+def test_hom_dimension_matcher_agrees_with_enumeration(m):
+    for case_tag in _CASE_FAMILIES:
+        assert _proved(m, match_nonholder(m, case_tag)) == \
+            _proved(m, enumerating_match(m, case_tag))
+
+
+def fraction_case_feasible(case_tag, eqc):
+    """The Fraction version of `_case_feasible`, kept as its reference."""
+    d1, d2, d3, k = (Fraction(x) for x in eqc)
+
+    def plane_feasible(c):
+        vals = []
+        for free_axis in range(3):
+            for b1 in (Fraction(0), Fraction(1)):
+                for b2 in (Fraction(0), Fraction(1)):
+                    q = [None, None, None]
+                    others = [ax for ax in range(3) if ax != free_axis]
+                    q[others[0]], q[others[1]] = b1, b2
+                    q[free_axis] = c - b1 - b2
+                    if not (0 <= q[free_axis] <= 1):
+                        continue
+                    vals.append(d1 * q[0] + d2 * q[1] + d3 * q[2] - k)
+        return bool(vals) and min(vals) <= 0 <= max(vals)
+
+    if case_tag == "ii":
+        return plane_feasible(Fraction(2))
+    if case_tag == "iii":
+        return (d1 + d2 + d3) == 2 * k
+    if case_tag == "iv":
+        return plane_feasible(Fraction(1))
+    ds = (d1, d2, d3)
+    for ex in range(3):
+        rest = [ds[ax] for ax in range(3) if ax != ex]
+        g0 = ds[ex] - k
+        g1 = rest[0] + rest[1] - k
+        if min(g0, g1) <= 0 <= max(g0, g1):
+            return True
+    return False
+
+
+def test_case_feasible_matches_fraction_reference():
+    for eqc in itertools.product(range(9), repeat=4):
+        for case_tag in ("i", "ii", "iii", "iv"):
+            assert _case_feasible(case_tag, eqc) == fraction_case_feasible(case_tag, eqc), \
+                (case_tag, eqc)
+
+
+NONHOLDER_UNDER_OPTIMIZE = textwrap.dedent("""
+    import sys
+    from sblq.classify import classify
+    from sblq.core import certificate_valid, datum_to_module, direct_sum_all
+    from sblq.fixtures import fixture_datum
+    from sblq.tables import FIXED_FAMILIES, build
+
+    if not sys.flags.optimize:
+        sys.exit("not running under -O")
+    mod = sys.modules["sblq.decompose"]
+    for name in ("young", "loomis_whitney", "bilinear_holder_pk"):
+        v = classify(fixture_datum(name))
+        dec = v.decomposition
+        rest, _ = mod.strip_c0(datum_to_module(fixture_datum(name)))
+        candidate = direct_sum_all([build(t) for t in mod.expand_tags(dec.summands)
+                                    if t.family in FIXED_FAMILIES])
+        print(name, v.status.render(), ",".join(c.tag for c in v.cases),
+              " ".join(s.render() for s in v.summands),
+              certificate_valid(dec.certificate, rest, candidate))
+
+    # a Hom-dimension table without an integer inverse must still be caught
+    real = mod.module_hom_basis
+    mod.module_hom_basis = lambda a, b: 2 * real(a, b)
+    mod._fixed_table.cache_clear()
+    try:
+        mod.match_nonholder(rest, "i")
+    except AssertionError as exc:
+        print("raised:", exc)
+""")
+
+
+def test_nonholder_matching_survives_optimize():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sblq.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", NONHOLDER_UNDER_OPTIMIZE],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "young Bounded(thm-i-ii-iii) ii Y Z True",
+        "loomis_whitney Bounded(thm-i-ii-iii) iii L True",
+        "bilinear_holder_pk Bounded(thm-i-ii-iii) i,i,ii,iii P^(1) K^(1) True",
+        "raised: the case i Hom table has no integer inverse",
+    ]
 
 
 def test_decompose_named_forms():
