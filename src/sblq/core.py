@@ -17,8 +17,8 @@ from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import (
-    Matrix, Subspace, _scaled, block_diag, image_basis, inverse, is_invertible,
-    kernel_basis, rank, solve_right,
+    Matrix, Subspace, _int_kernel, _scaled, block_diag, image_basis, inverse,
+    is_invertible, kernel_basis, rank, solve_right,
 )
 
 
@@ -220,7 +220,7 @@ def module_hom_basis(a: FourModule, b: FourModule) -> List[Matrix]:
         for nrow in b._annihilators[i]:
             for bcol in cols:
                 rows.append([x * y for x in nrow for y in bcol])
-    ker = kernel_basis(Matrix.from_rows(rows, cols=mp * m))
+    ker = _int_kernel(rows, mp * m)
     return [Matrix._trusted(mp, m, ker.basis.col(j)) for j in range(ker.dim)]
 
 

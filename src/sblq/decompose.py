@@ -23,9 +23,9 @@ from .core import (
     validate_datum,
 )
 from .linalg import (
-    Matrix, Subspace, block_diag, hstack, image_basis, inverse,
-    invariant_factors, kernel_basis, rank, solve_right, subspace_intersect,
-    subspace_sum,
+    Matrix, Subspace, _annihilator, _echelon, _echelon_key, _int_rows,
+    block_diag, hstack, image_basis, inverse, invariant_factors, kernel_basis,
+    rank, solve_right, subspace_intersect, subspace_sum,
 )
 from .pencil import kronecker_blocks
 from .polynomials import Poly
@@ -70,10 +70,6 @@ class NecessityReport:
         return not self.hard_failures()
 
 
-def _image_dims(d: SBLDatum, sub: Subspace) -> Tuple[int, int, int]:
-    return tuple(rank(d.pi[i] @ sub.basis) if sub.dim else 0 for i in (1, 2, 3))
-
-
 def necessary_conditions(d: SBLDatum, lattice_depth: int = 3,
                          max_lattice: int = 64) -> NecessityReport:
     """Exact screen of the two necessary conditions for p-boundedness.
@@ -83,40 +79,65 @@ def necessary_conditions(d: SBLDatum, lattice_depth: int = 3,
     intersections with the other kernels, closed under pairwise sum and
     intersection to the given nesting depth; the screen is sound but not
     claimed complete.
+
+    The lattice lives in ker Pi_0, so it is computed in the coordinates of
+    a basis B of ker Pi_0 (b columns): with R_i the integer rows of
+    Pi_i B, ker Pi_0 ∩ ker Pi_i is ker R_i and the image dimension of a
+    subspace X of Q^b is the rank of R_i X, as B is injective.  Each
+    subspace is kept as its canonical echelon key and the key of its
+    annihilator (`linalg._echelon_key`, `linalg._annihilator`): U + V is
+    the key of the rows of both keys, U ∩ V the annihilator of the key of
+    both annihilators, and a candidate is new exactly when its key is not
+    in the set of keys found so far.  Each round pairs only entries of
+    which at least one was added in the round before: an older pair was
+    formed in an earlier round, so its sum and intersection are already
+    known, unless `max_lattice` cut that round short, and then no later
+    round adds anything either.  Descriptions and order are those of the
+    full pairwise closure.
     """
     k0 = d.kernel0()
-    surj = [True]
-    for i in (1, 2, 3):
-        img = rank(d.pi[i] @ k0.basis) if k0.dim else 0
-        surj.append(img == d.dims[i])
-    found: List[Tuple[str, Subspace]] = [("ker Pi_0", k0)]
-    for i in (1, 2, 3):
-        cap = subspace_intersect(k0, kernel_basis(d.pi[i]))
-        found.append((f"ker Pi_0 ∩ ker Pi_{i}", cap))
-
-    def known(sub: Subspace) -> bool:
-        return any(s.same_span(sub) for _, s in found)
-
+    b = k0.dim
+    maps = [_int_rows(d.pi[i] @ k0.basis) for i in (1, 2, 3)]
+    surj = (True, *(_int_rank([list(row) for row in r]) == d.dims[i]
+                    for i, r in zip((1, 2, 3), maps)))
+    # (description, key, annihilator key with reversed coordinates)
+    found = [("ker Pi_0", _annihilator((), b), ())]
+    for i, r in zip((1, 2, 3), maps):
+        ann = _echelon_key([row[::-1] for row in r])
+        found.append((f"ker Pi_0 ∩ ker Pi_{i}", _annihilator(ann, b), ann))
+    seen = {key for _, key, _ in found}
+    start = 0
     for _ in range(lattice_depth):
-        new: List[Tuple[str, Subspace]] = []
-        for a in range(len(found)):
-            for b in range(a + 1, len(found)):
-                if len(found) + len(new) >= max_lattice:
+        new = []
+        total = len(found)
+        for u in range(total):
+            for v in range(max(u + 1, start), total):
+                if total + len(new) >= max_lattice:
                     break
-                (da, sa), (db, sb) = found[a], found[b]
-                for op, sub in (("∩", subspace_intersect(sa, sb)),
-                                ("+", subspace_sum(sa, sb))):
-                    if not known(sub) and not any(s.same_span(sub) for _, s in new):
-                        new.append((f"({da}) {op} ({db})", sub))
+                (du, ku, au), (dv, kv, av) = found[u], found[v]
+                cap_ann = _echelon_key([list(r) for r in au + av])
+                cup = _echelon_key([list(r) for r in ku + kv])
+                for op, key, ann in (("∩", _annihilator(cap_ann, b), cap_ann),
+                                     ("+", cup, _annihilator(cup, b))):
+                    if key not in seen:
+                        seen.add(key)
+                        new.append((f"({du}) {op} ({dv})", key, ann))
         if not new:
             break
+        start = total
         found.extend(new)
 
-    entries = tuple(LatticeEntry(desc, sub.dim, _image_dims(d, sub))
-                    for desc, sub in found)
+    entries = tuple(
+        LatticeEntry(desc, len(key), tuple(
+            _int_rank([[sum(map(mul, k, r)) for r in rows] for k in key])
+            for rows in maps))
+        for desc, key, _ in found)
     eq = entries[0]
-    return NecessityReport(tuple(surj), entries,
-                           (*eq.image_dims, eq.dim))
+    return NecessityReport(surj, entries, (*eq.image_dims, eq.dim))
+
+
+def _int_rank(rows: List[List[int]]) -> int:
+    return len(_echelon(rows)[1])
 
 
 # -- the Hoelder-case pencil reduction ---------------------------------------

@@ -9,7 +9,11 @@ and runs fraction-free (Bareiss) integer elimination, carried on to the
 fraction-free reduced form for kernels and solves.  Growth is bounded by
 minor sizes, which is plenty for the matrix sizes that occur here (a few
 hundred rows at most in homomorphism-space solves).  Each result entry
-becomes one `Fraction` at the end.
+becomes one `Fraction` at the end.  Callers that already hold integer rows
+use the private integer entry points directly: `_int_kernel` (the
+homomorphism-space solves), and `_echelon_key` and `_annihilator`
+(canonical keys of row spans and of their annihilators, for the necessity
+screen's subspace lattice).
 
 All values are immutable after construction and all operations are pure.
 """
@@ -273,13 +277,59 @@ def _echelon(rows: List[List[int]],
     return rows[:r] + [row for row in rows[r:] if any(row)], pivots, sign
 
 
-def _reduced(m: Matrix) -> Tuple[List[List[int]], List[int], int]:
+def _reduced(rows: List[List[int]]) -> Tuple[List[List[int]], List[int], int]:
     """Fraction-free reduced rows, pivot columns and the common pivot d.
 
     The first len(pivots) rows over d are the reduced row echelon form.
     """
-    ech, pivots, _ = _echelon(_int_rows(m), reduced=True)
+    ech, pivots, _ = _echelon(rows, reduced=True)
     return ech, pivots, ech[len(pivots) - 1][pivots[-1]] if pivots else 1
+
+
+def _echelon_key(rows: List[List[int]]) -> Tuple[Tuple[int, ...], ...]:
+    """Canonical key of the row span of integer rows (consumed).
+
+    The reduced row echelon rows, each scaled to a primitive integer row
+    with a positive pivot.  The reduced form is unique per span, so two
+    row sets have equal keys exactly when they span the same subspace.
+    """
+    ech, pivots, _ = _echelon(rows, reduced=True)
+    out = []
+    for row, pc in zip(ech, pivots):
+        g = gcd(*row)
+        g = g if row[pc] > 0 else -g
+        out.append(tuple(v // g for v in row))
+    return tuple(out)
+
+
+def _annihilator(key: Tuple[Tuple[int, ...], ...], n: int) -> Tuple[Tuple[int, ...], ...]:
+    """Key of the annihilator {x in Q^n : k . x = 0 for every key row k},
+    written with the n coordinates in reverse order.
+
+    Read off the free columns of the key, with no elimination: free column
+    f gives the vector with x_f = L and x_p = -k_f L / k_p on the pivot
+    column p of each key row k, L the least common multiple of those k_p.
+    Its last nonzero entry is x_f and no other such vector is nonzero at
+    f, so reversed and made primitive these vectors, by decreasing f, are
+    the reduced echelon key of the reversed annihilator.  Reversal commutes
+    with taking annihilators, so `_annihilator(_annihilator(key, n), n)`
+    is `key` again.
+    """
+    pivots = [next(c for c, v in enumerate(row) if v) for row in key]
+    pivset = set(pivots)
+    out = []
+    for f in range(n - 1, -1, -1):
+        if f in pivset:
+            continue
+        hits = [(row[f], row[p], p) for row, p in zip(key, pivots) if row[f]]
+        big = lcm(*[kp for _, kp, _ in hits])
+        x = [0] * n
+        x[f] = big
+        for kf, kp, p in hits:
+            x[p] = -kf * (big // kp)
+        g = gcd(*x)
+        out.append(tuple(v // g for v in reversed(x)))
+    return tuple(out)
 
 
 def rank(m: Matrix) -> int:
@@ -296,14 +346,20 @@ def kernel_basis(m: Matrix) -> "Subspace":
     One vector per free column, with that free variable 1 and the others 0,
     read off the reduced echelon form.
     """
-    if m.cols == 0:
+    return _int_kernel(_int_rows(m), m.cols)
+
+
+def _int_kernel(rows: List[List[int]], cols: int) -> "Subspace":
+    """`kernel_basis` of the matrix with these integer rows (consumed) of
+    length cols; scaling a row does not change the result."""
+    if cols == 0:
         return Subspace.zero(0)
-    if m.rows == 0:
-        return Subspace.full(m.cols)
-    ech, pivots, d = _reduced(m)
+    if not rows:
+        return Subspace.full(cols)
+    ech, pivots, d = _reduced(rows)
     pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
-    out = [[_ZERO] * len(free) for _ in range(m.cols)]
+    free = [c for c in range(cols) if c not in pivset]
+    out = [[_ZERO] * len(free) for _ in range(cols)]
     for k, f in enumerate(free):
         out[f][k] = Fraction(1)
         for row, pc in zip(ech, pivots):
@@ -311,7 +367,7 @@ def kernel_basis(m: Matrix) -> "Subspace":
                 break
             if row[f]:
                 out[pc][k] = Fraction(-row[f], d)
-    return Subspace._trusted(m.cols, Matrix._trusted(m.cols, len(free), [x for r in out for x in r]))
+    return Subspace._trusted(cols, Matrix._trusted(cols, len(free), [x for r in out for x in r]))
 
 
 def image_basis(m: Matrix) -> "Subspace":
@@ -333,7 +389,7 @@ def solve_right(a: Matrix, b: Matrix) -> Optional[Matrix]:
     if a.cols == 0:
         return Matrix.zeros(0, b.cols) if b.is_zero else None
     n = a.cols
-    ech, pivots, d = _reduced(hstack(a, b))
+    ech, pivots, d = _reduced(_int_rows(hstack(a, b)))
     if pivots and pivots[-1] >= n:
         return None  # a pivot landed in the b block: inconsistent
     out = [[_ZERO] * b.cols for _ in range(n)]

@@ -125,6 +125,19 @@ def test_classify_not_p_bounded_witness():
     assert v.cases == []
 
 
+def test_classify_lattice_inequality_witness():
+    # surjective, passes the image condition, fails the lattice inequalities
+    d = SBLDatum(5, (1, 1, 1, 1), (
+        Matrix(1, 5, [0, -1, 2, -1, 2]), Matrix(1, 5, [2, 0, 0, 0, 0]),
+        Matrix(1, 5, [0, 2, -1, -1, 2]), Matrix(1, 5, [2, 2, 0, 0, 0])))
+    v = classify(d)
+    assert v.status.render() == "NotPBounded(dim ker Pi_0 = 4 > 3)"
+    assert len(v.witnesses) == 8
+    assert v.witnesses[-1] == ("dim (ker Pi_0 ∩ ker Pi_1) ∩ ((ker Pi_0 ∩ ker Pi_2) "
+                               "∩ (ker Pi_0 ∩ ker Pi_3)) = 1 > 0")
+    assert v.cases == [] and v.summands == []
+
+
 def test_classify_case_mismatch_is_not_p_bounded():
     # Y plus a kernel-only summand fits no case shape exactly
     from sblq.core import direct_sum

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,14 +18,16 @@ from sblq.core import (
 )
 from sblq.decompose import (
     _CASE_FAMILIES, _case_counts_admissible, _case_feasible, _fixed_table,
-    canonical_multiset, collect_summands, decompose, expand_tags,
+    LatticeEntry, NecessityReport, canonical_multiset, decompose, expand_tags,
     holder_normal_form, kronecker_decompose, match_nonholder,
     necessary_conditions, pencil_datum, strip_c0,
 )
 from sblq.fixtures import (
     bht, coifman_meyer, fixture_datum, triangular_hilbert, twisted_paraproduct,
 )
-from sblq.linalg import Matrix, inverse, rank, subspace_intersect
+from sblq.linalg import (
+    Matrix, inverse, kernel_basis, rank, subspace_intersect, subspace_sum,
+)
 from sblq.polynomials import Poly
 from sblq.tables import FIXED_FAMILIES, FamilyTag, build
 
@@ -52,6 +55,123 @@ def test_necessary_conditions_bijective_kernel_fails():
     nec = necessary_conditions(d)
     assert not nec.passed
     assert any("Pi_1" in f for f in nec.hard_failures())
+
+
+# a surjective datum that passes the image condition and fails eight
+# lattice inequalities, down to a depth-two intersection
+LATTICE_FAILURE = SBLDatum(5, (1, 1, 1, 1), (
+    Matrix(1, 5, [0, -1, 2, -1, 2]), Matrix(1, 5, [2, 0, 0, 0, 0]),
+    Matrix(1, 5, [0, 2, -1, -1, 2]), Matrix(1, 5, [2, 2, 0, 0, 0])))
+
+
+def test_necessary_conditions_lattice_witnesses():
+    assert necessary_conditions(LATTICE_FAILURE).hard_failures() == [
+        "dim ker Pi_0 = 4 > 3",
+        "dim ker Pi_0 ∩ ker Pi_1 = 3 > 2",
+        "dim ker Pi_0 ∩ ker Pi_2 = 3 > 2",
+        "dim ker Pi_0 ∩ ker Pi_3 = 3 > 2",
+        "dim (ker Pi_0 ∩ ker Pi_1) ∩ (ker Pi_0 ∩ ker Pi_2) = 2 > 1",
+        "dim (ker Pi_0 ∩ ker Pi_1) ∩ (ker Pi_0 ∩ ker Pi_3) = 2 > 1",
+        "dim (ker Pi_0 ∩ ker Pi_2) ∩ (ker Pi_0 ∩ ker Pi_3) = 2 > 1",
+        "dim (ker Pi_0 ∩ ker Pi_1) ∩ ((ker Pi_0 ∩ ker Pi_2) ∩ (ker Pi_0 ∩ ker Pi_3)) = 1 > 0",
+    ]
+
+
+# -- the pairwise closure in Q^dim_H that the key-based screen replaced, as an oracle
+
+
+def _reference_image_dims(d, sub):
+    return tuple(rank(d.pi[i] @ sub.basis) if sub.dim else 0 for i in (1, 2, 3))
+
+
+def reference_necessary_conditions(d, lattice_depth=3, max_lattice=64):
+    """Every pair, every round, deduplicated by `same_span` against all."""
+    k0 = d.kernel0()
+    surj = [True]
+    for i in (1, 2, 3):
+        img = rank(d.pi[i] @ k0.basis) if k0.dim else 0
+        surj.append(img == d.dims[i])
+    found = [("ker Pi_0", k0)]
+    for i in (1, 2, 3):
+        cap = subspace_intersect(k0, kernel_basis(d.pi[i]))
+        found.append((f"ker Pi_0 ∩ ker Pi_{i}", cap))
+
+    def known(sub):
+        return any(s.same_span(sub) for _, s in found)
+
+    for _ in range(lattice_depth):
+        new = []
+        for a in range(len(found)):
+            for b in range(a + 1, len(found)):
+                if len(found) + len(new) >= max_lattice:
+                    break
+                (da, sa), (db, sb) = found[a], found[b]
+                for op, sub in (("∩", subspace_intersect(sa, sb)),
+                                ("+", subspace_sum(sa, sb))):
+                    if not known(sub) and not any(s.same_span(sub) for _, s in new):
+                        new.append((f"({da}) {op} ({db})", sub))
+        if not new:
+            break
+        found.extend(new)
+
+    entries = tuple(LatticeEntry(desc, sub.dim, _reference_image_dims(d, sub))
+                    for desc, sub in found)
+    eq = entries[0]
+    return NecessityReport(tuple(surj), entries, (*eq.image_dims, eq.dim))
+
+
+_entries = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+
+
+@st.composite
+def screen_maps(draw, rows, cols):
+    """A rows x cols rational map: dense, sparse, a low-rank product or 0/±1."""
+    kind = draw(st.sampled_from(("dense", "sparse", "low-rank", "unit")))
+    if kind == "low-rank" and rows and cols:
+        k = draw(st.integers(0, min(rows, cols)))
+        left = Matrix(rows, k, draw(st.lists(st.integers(-3, 3), min_size=rows * k,
+                                             max_size=rows * k)))
+        right = Matrix(k, cols, draw(st.lists(_entries, min_size=k * cols,
+                                              max_size=k * cols)))
+        return left @ right if k else Matrix.zeros(rows, cols)
+    cell = {"dense": _entries, "sparse": st.one_of(st.just(0), st.just(0), _entries),
+            "low-rank": _entries, "unit": st.integers(-1, 1)}[kind]
+    return Matrix(rows, cols, draw(st.lists(cell, min_size=rows * cols,
+                                            max_size=rows * cols)))
+
+
+@st.composite
+def screen_data(draw):
+    """Data with dim_H 0..8, not necessarily surjective: some H_i of
+    dimension 0, and an identity Pi_0 (ker Pi_0 = 0) one time in six."""
+    n = draw(st.integers(0, 8))
+    dims = [draw(st.integers(0, n)) for _ in range(4)]
+    injective = draw(st.integers(0, 5)) == 0
+    pis = [Matrix.identity(n) if injective else draw(screen_maps(dims[0], n))]
+    if injective:
+        dims[0] = n
+    pis.extend(draw(screen_maps(h, n)) for h in dims[1:])
+    return SBLDatum(n, tuple(dims), tuple(pis))
+
+
+@settings(max_examples=300, deadline=None)
+@given(screen_data(), st.sampled_from(((3, 64), (0, 64), (1, 64), (2, 6), (3, 5))))
+def test_necessary_conditions_match_pairwise_closure(d, limits):
+    assert necessary_conditions(d, *limits) == reference_necessary_conditions(d, *limits)
+
+
+# its last entry comes from pairing an initial entry with the first entry
+# the first round added, (ker Pi_0 ∩ ker Pi_3) + ((..._1) ∩ (..._2))
+SECOND_ROUND_SUM = SBLDatum(3, (0, 1, 1, 2), (
+    Matrix.zeros(0, 3), Matrix(1, 3, [Fraction(-1, 4), 0, 0]),
+    Matrix(1, 3, [2, -2, -1]), Matrix(2, 3, [-6, 2, 1, -6, 2, -1])))
+
+
+@pytest.mark.parametrize("d", [LATTICE_FAILURE, SECOND_ROUND_SUM])
+def test_necessary_conditions_match_pairwise_closure_on_fixed_data(d):
+    assert len(necessary_conditions(d).lattice_inequalities) > 6
+    for limits in ((3, 64), (0, 64), (1, 64), (2, 6), (3, 5), (3, 7)):
+        assert necessary_conditions(d, *limits) == reference_necessary_conditions(d, *limits)
 
 
 def test_holder_normal_form_bht():
@@ -166,57 +286,6 @@ def test_match_nonholder_examples():
     assert [(s.tag.family, s.multiplicity) for s in got[0]] == [("P1", 1), ("K1", 1)]
 
 
-# -- the enumerating matcher that Hom-dimension matching replaced, as an oracle
-
-
-def module_invariants(m):
-    """Additive isomorphism invariants: dimension vector and pairwise meets."""
-    out = list(m.dim_vector)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            out.append(subspace_intersect(m.sub[i], m.sub[j]).dim)
-    return tuple(out)
-
-
-def enumerate_multiplicities(families, target):
-    """Nonnegative solutions of the additive invariant system, lexicographic."""
-    vecs = [module_invariants(build(FamilyTag(f))) for f in families]
-
-    def rec(idx, remaining, acc):
-        if idx == len(families):
-            if all(r == 0 for r in remaining):
-                yield tuple(acc)
-            return
-        vec = vecs[idx]
-        bound = min((r // v for r, v in zip(remaining, vec) if v), default=0)
-        if all(v == 0 for v in vec):
-            bound = 0
-        for n in range(bound + 1):
-            rest = tuple(r - n * v for r, v in zip(remaining, vec))
-            if any(x < 0 for x in rest):
-                break
-            acc.append(n)
-            yield from rec(idx + 1, rest, acc)
-            acc.pop()
-
-    yield from rec(0, target, [])
-
-
-def enumerating_match(m, case_tag, trials=32, seed=0):
-    """Certify candidate multisets in lexicographic order; one m^2 Hom solve each."""
-    families = _CASE_FAMILIES[case_tag]
-    for counts_vec in enumerate_multiplicities(families, module_invariants(m)):
-        counts = dict(zip(families, counts_vec))
-        if not _case_counts_admissible(case_tag, counts):
-            continue
-        tags = [FamilyTag(f) for f in families for _ in range(counts[f])]
-        candidate = direct_sum_all([build(t) for t in tags])
-        res = module_isomorphic(m, candidate, trials=trials, seed=seed)
-        if res:
-            return collect_summands(tags, "certified iso"), res.certificate
-    return None
-
-
 def test_hom_dimension_table_has_an_integer_inverse():
     mods = {f: build(FamilyTag(f)) for f in FIXED_FAMILIES}
     hom = Matrix.from_rows([[len(module_hom_basis(mods[x], mods[y]))
@@ -233,7 +302,8 @@ def test_hom_dimension_table_has_an_integer_inverse():
 @st.composite
 def fixed_family_modules(draw):
     """A scrambled sum of fixed families, sometimes with a summand none of
-    the cases allows (C_0, T_1 or N_1), of total dimension at most 8."""
+    the cases allows (C_0, T_1 or N_1), of total dimension at most 8, and
+    the generating tags."""
     fams = draw(st.lists(st.sampled_from(FIXED_FAMILIES), min_size=1, max_size=4))
     tags = [FamilyTag(f) for f in fams]
     extra = draw(st.sampled_from((None, "C0", "T1", "N1")))
@@ -247,7 +317,7 @@ def fixed_family_modules(draw):
     d = module_to_datum(direct_sum_all([build(t) for t in tags]))
     assume(d.dim_H <= 8)
     return datum_to_module(apply_equivalence(
-        d, random_equivalence(d, draw(st.integers(0, 2 ** 20)))))
+        d, random_equivalence(d, draw(st.integers(0, 2 ** 20))))), tags
 
 
 def _proved(m, found):
@@ -261,10 +331,15 @@ def _proved(m, found):
 
 @settings(max_examples=60, deadline=None)
 @given(fixed_family_modules())
-def test_hom_dimension_matcher_agrees_with_enumeration(m):
-    for case_tag in _CASE_FAMILIES:
+def test_hom_dimension_matcher_finds_the_generating_sum(drawn):
+    # Krull-Schmidt: a certified answer is the generating multiset, so a
+    # case must answer exactly when that multiset is one of its shapes
+    m, tags = drawn
+    counts = Counter(t.family for t in tags)
+    for case_tag, families in _CASE_FAMILIES.items():
+        fits = set(counts) <= set(families) and _case_counts_admissible(case_tag, counts)
         assert _proved(m, match_nonholder(m, case_tag)) == \
-            _proved(m, enumerating_match(m, case_tag))
+            (canonical_multiset(tags) if fits else None), case_tag
 
 
 def fraction_case_feasible(case_tag, eqc):

@@ -7,7 +7,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from sblq.linalg import (
-    Matrix, Subspace, _echelon, block_diag, companion_matrix, det, hstack,
+    Matrix, Subspace, _annihilator, _echelon, _echelon_key, block_diag,
+    companion_matrix, det, hstack,
     image_basis, inverse, invariant_factors, is_direct_complement,
     jordan_block_sizes, kernel_basis, rank, rank_power_sequence, solve_right,
     subspace_intersect, subspace_sum, vstack,
@@ -385,3 +386,66 @@ def test_inverse_matches_reference(m):
             inverse(m)
     else:
         assert inverse(m).data == want.data
+
+
+# -- canonical span keys -------------------------------------------------------
+
+
+@st.composite
+def row_spans(draw):
+    """Integer rows of a matrix, the rows of a second matrix with as many
+    columns, and a seed for mixing."""
+    a = draw(matrices())
+    b = draw(matrices(cols=a.cols))
+    return _ref_int_rows(a), _ref_int_rows(b), a.cols, draw(st.integers(0, 2 ** 20))
+
+
+def _mixed(rows, n, rng):
+    """Another spanning set of the same span: an invertible integer change
+    of rows, each row scaled, plus a dependent row."""
+    r = len(rows)
+    while True:
+        t = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(r)]
+        if rank(Matrix.from_rows(t, cols=r)) == r:
+            break
+    scales = [rng.choice((-2, 1, 3)) for _ in range(r)]
+    out = [[scales[i] * sum(t[i][k] * rows[k][j] for k in range(r)) for j in range(n)]
+           for i in range(r)]
+    if r:
+        out.append([sum(row[j] for row in rows) for j in range(n)])
+    return out
+
+
+def _span_rank(rows, n):
+    return rank(Matrix.from_rows(rows, cols=n)) if rows else 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_spans())
+def test_echelon_key_is_canonical(drawn):
+    rows, other, n, seed = drawn
+    key = _echelon_key([list(r) for r in rows])
+    assert _echelon_key(_mixed(rows, n, random.Random(seed))) == key
+    assert len(key) == _span_rank(rows, n)
+    # the key is the reduced row echelon form up to a positive scale per row
+    rref = to_sympy(Matrix.from_rows(rows, cols=n)).rref()[0] if key else None
+    for i, row in enumerate(key):
+        lead = next(v for v in row if v)
+        assert lead > 0 and gcd(*row) == 1
+        assert [sympy.Rational(v, lead) for v in row] == list(rref.row(i))
+    same = _span_rank(rows, n) == _span_rank(other, n) == _span_rank(rows + other, n)
+    assert (_echelon_key([list(r) for r in other]) == key) == same
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_spans())
+def test_annihilator_key_spans_the_annihilator(drawn):
+    rows, _, n, _ = drawn
+    key = _echelon_key([list(r) for r in rows])
+    ann = _annihilator(key, n)
+    assert len(key) + len(ann) == n
+    for a in ann:
+        assert all(sum(x * y for x, y in zip(k, reversed(a))) == 0 for k in key)
+    # a canonical key of the reversed annihilator, and an involution
+    assert _echelon_key([list(a) for a in ann]) == ann
+    assert _annihilator(ann, n) == key
