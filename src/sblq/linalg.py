@@ -15,13 +15,24 @@ homomorphism-space solves), and `_echelon_key` and `_annihilator`
 (canonical keys of row spans and of their annihilators, for the necessity
 screen's subspace lattice).
 
+Kernels of integer systems with at least `_MODULAR_CELLS` cells are first
+computed multi-modularly, since Bareiss pivots there grow far beyond the
+entries of the result: the reduced form modulo 31-bit primes (numpy int64,
+imported only then; residues, never floats), Chinese remaindering and
+rational reconstruction of its free-column entries.  A lift is returned
+only after an exact integer check that every basis vector it gives lies in
+the kernel (`_kernel_proven`), which makes it equal to the Bareiss basis
+entry for entry; when the primes run out without that proof, the Bareiss
+pass runs instead.  `solve_right` likewise checks a @ x == b exactly, on
+integer rows.
+
 All values are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
@@ -351,23 +362,185 @@ def kernel_basis(m: Matrix) -> "Subspace":
 
 def _int_kernel(rows: List[List[int]], cols: int) -> "Subspace":
     """`kernel_basis` of the matrix with these integer rows (consumed) of
-    length cols; scaling a row does not change the result."""
+    length cols; scaling a row does not change the result.
+
+    Systems of at least `_MODULAR_CELLS` cells try `_modular_kernel` first;
+    the others, and those it cannot prove, take the Bareiss pass.
+    """
     if cols == 0:
         return Subspace.zero(0)
     if not rows:
         return Subspace.full(cols)
-    ech, pivots, d = _reduced(rows)
-    pivset = set(pivots)
-    free = [c for c in range(cols) if c not in pivset]
+    lift = _modular_kernel(rows, cols) if len(rows) * cols >= _MODULAR_CELLS else None
+    if lift is None:
+        ech, pivots, d = _reduced(rows)
+        pivset = set(pivots)
+        free = [c for c in range(cols) if c not in pivset]
+        nums = [row[f] for row in ech[:len(pivots)] for f in free]
+    else:
+        pivots, free, nums, d = lift
     out = [[_ZERO] * len(free) for _ in range(cols)]
     for k, f in enumerate(free):
         out[f][k] = Fraction(1)
-        for row, pc in zip(ech, pivots):
+        for r, pc in enumerate(pivots):
             if pc > f:
                 break
-            if row[f]:
-                out[pc][k] = Fraction(-row[f], d)
+            v = nums[r * len(free) + k]
+            if v:
+                out[pc][k] = Fraction(-v, d)
     return Subspace._trusted(cols, Matrix._trusted(cols, len(free), [x for r in out for x in r]))
+
+
+# -- multi-modular kernel with an exact proof ---------------------------------
+
+# Integer systems with at least this many cells (rows x cols) go modular
+# first: below it one Bareiss pass is cheaper than a modular pass plus the
+# proof (measured crossover between 200 and 300 cells).
+_MODULAR_CELLS = 256
+
+# The 64 largest primes below 2**31: products of two residues stay below
+# 2**62, so a row update never leaves int64.  Their product (about 1980
+# bits) bounds what `_modular_kernel` can lift: numerators and common
+# denominator of about 990 bits each; past that it gives up.
+_PRIMES = (
+    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
+    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
+    2147483353, 2147483323, 2147483269, 2147483249, 2147483237, 2147483179,
+    2147483171, 2147483137, 2147483123, 2147483077, 2147483069, 2147483059,
+    2147483053, 2147483033, 2147483029, 2147482951, 2147482949, 2147482943,
+    2147482937, 2147482921, 2147482877, 2147482873, 2147482867, 2147482859,
+    2147482819, 2147482817, 2147482811, 2147482801, 2147482763, 2147482739,
+    2147482697, 2147482693, 2147482681, 2147482663, 2147482661, 2147482621,
+    2147482591, 2147482583, 2147482577, 2147482507, 2147482501, 2147482481,
+    2147482417, 2147482409, 2147482367, 2147482361, 2147482349, 2147482343,
+    2147482327, 2147482291, 2147482273, 2147482237,
+)
+
+
+def _rref_mod(a, p: int) -> List[int]:
+    """Reduce the int64 array a (entries in [0, p)) in place to its reduced
+    row echelon form modulo the prime p < 2**31; returns the pivot columns.
+    The first len(pivots) rows of a are the pivot rows."""
+    nr, nc = a.shape
+    pivots: List[int] = []
+    for c in range(nc):
+        r = len(pivots)
+        hits = a[r:, c].nonzero()[0]
+        if not hits.size:
+            continue
+        i = r + int(hits[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        rest = col.nonzero()[0]
+        if rest.size:
+            a[rest, c:] = (a[rest, c:] - col[rest, None] * a[r, c:]) % p
+        pivots.append(c)
+        if r + 1 == nr:
+            break
+    return pivots
+
+
+def _ratrecon(u: int, m: int, bound: int) -> Optional[Tuple[int, int]]:
+    """(n, d) with n = d * u mod m, |n| <= bound and 0 < d <= bound, found by
+    the half-extended Euclidean algorithm (Wang 1981), or None."""
+    r0, r1, t0, t1 = m, u % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if t1 == 0 or abs(t1) > bound:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _lift(residues: List[int], m: int) -> Optional[Tuple[List[int], int]]:
+    """Numerators over one common denominator d with each residue equal to
+    numerator / d modulo m, or None when some residue has no rational
+    reconstruction.  Entries of one reduced form share most of their
+    denominator, so each residue is first multiplied by the denominator
+    found so far and read as an integer when that one is small enough."""
+    bound = isqrt(m >> 1)
+    nums: List[int] = []
+    d = 1
+    for u in residues:
+        y = u * d % m
+        if y > m - y:
+            y -= m
+        if -bound <= y <= bound:
+            nums.append(y)
+            continue
+        nd = _ratrecon(y, m, bound)
+        if nd is None:
+            return None
+        n, e = nd
+        nums = [v * e for v in nums]
+        nums.append(n)
+        d *= e
+    return nums, d
+
+
+def _kernel_proven(rows: List[List[int]], pivots: List[int], free: List[int],
+                   nums: List[int], d: int) -> bool:
+    """Exact integer check that each free column f gives a kernel vector:
+    x_f = d, and x_pc = -(numerator of pivot row r at f) on the pivot
+    column pc of each pivot row r, zero elsewhere."""
+    k = len(free)
+    numcols = [nums[j::k] for j in range(k)]
+    for row in rows:
+        left = [row[pc] for pc in pivots]
+        for f, numcol in zip(free, numcols):
+            if sum(map(mul, left, numcol)) != d * row[f]:
+                return False
+    return True
+
+
+def _modular_kernel(rows: List[List[int]], cols: int):
+    """(pivots, free columns, numerators, d) of the reduced row echelon form
+    of the integer rows (read, not consumed), with the entry of pivot row r
+    at the k-th free column equal to nums[r * len(free) + k] / d; or None.
+
+    Each prime gives the reduced form modulo p.  A bad prime can only lower
+    the rank or move a pivot right, so the primes kept are those with the
+    largest rank and, among them, the earliest pivot columns; a better
+    prime restarts the Chinese remaindering.  After each prime the
+    free-column entries are read back by rational reconstruction, and a
+    candidate is returned only if `_kernel_proven` holds: its cols - rank_p
+    vectors then lie in the kernel, are independent, and rank_p <= rank, so
+    they are the kernel basis, each free column is a true free column, and
+    the entries are those of the exact reduced form.  rank_p = cols proves
+    a zero kernel at once.  None when the primes run out without a proof.
+    """
+    import numpy as np
+
+    try:
+        a = np.array(rows, dtype=np.int64)
+    except OverflowError:  # entries beyond int64 are reduced in Python
+        a = None
+    best = None
+    for p in _PRIMES:
+        m = a % p if a is not None else np.array([[v % p for v in row] for row in rows],
+                                                 dtype=np.int64)
+        pivots = _rref_mod(m, p)
+        if len(pivots) == cols:
+            return pivots, [], [], 1
+        key = (-len(pivots), pivots)
+        if best is not None and key > best:
+            continue
+        pivset = set(pivots)
+        free = [c for c in range(cols) if c not in pivset]
+        new = m[:len(pivots)][:, free].ravel().tolist()
+        if best is None or key < best:
+            best, res, modulus = key, new, p
+        else:
+            inv = pow(modulus % p, -1, p)
+            res = [x + modulus * ((r - x) * inv % p) for x, r in zip(res, new)]
+            modulus *= p
+        lifted = _lift(res, modulus)
+        if lifted is not None and _kernel_proven(rows, pivots, free, *lifted):
+            return (pivots, free) + lifted
+    return None
 
 
 def image_basis(m: Matrix) -> "Subspace":
@@ -389,17 +562,23 @@ def solve_right(a: Matrix, b: Matrix) -> Optional[Matrix]:
     if a.cols == 0:
         return Matrix.zeros(0, b.cols) if b.is_zero else None
     n = a.cols
-    ech, pivots, d = _reduced(_int_rows(hstack(a, b)))
+    rows = _int_rows(hstack(a, b))
+    ech, pivots, d = _reduced([list(row) for row in rows])
     if pivots and pivots[-1] >= n:
         return None  # a pivot landed in the b block: inconsistent
-    out = [[_ZERO] * b.cols for _ in range(n)]
+    nums = [[0] * b.cols for _ in range(n)]
     for row, pc in zip(ech, pivots):
-        out[pc] = [Fraction(v, d) if v else _ZERO for v in row[n:]]
-    x = Matrix._trusted(n, b.cols, [v for r in out for v in r])
-    # rows of a beyond the pivot count must be consistent; verify exactly
-    if a @ x != b:
-        return None
-    return x
+        nums[pc] = row[n:]
+    # verify a @ x == b exactly for x = nums / d, as a @ nums == d * b on
+    # the integer rows of [a | b]
+    numcols = list(zip(*nums))
+    for row in rows:
+        left = row[:n]
+        for k, numcol in enumerate(numcols):
+            if sum(map(mul, left, numcol)) != d * row[n + k]:
+                return None
+    return Matrix._trusted(n, b.cols, [Fraction(v, d) if v else _ZERO
+                                       for r in nums for v in r])
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -556,7 +735,8 @@ def rank_power_sequence(m: Matrix, lam, kmax: int) -> List[int]:
     """Ranks of (m - lam*I)^k for k = 0..kmax.
 
     First differences count kernel growth; second differences give the
-    number of Jordan blocks of each size at the eigenvalue lam.
+    number of Jordan blocks of each size at the eigenvalue lam.  Once two
+    successive ranks agree they stay constant, so the rest is padded.
     """
     if not m.is_square:
         raise ValueError("square matrix required")
@@ -565,7 +745,9 @@ def rank_power_sequence(m: Matrix, lam, kmax: int) -> List[int]:
     shifted = m - Matrix.identity(n).scale(lam)
     out = [n]
     power = Matrix.identity(n)
-    for _ in range(kmax):
+    while len(out) <= kmax:
+        if len(out) > 1 and out[-1] == out[-2]:
+            return out + [out[-1]] * (kmax + 1 - len(out))
         power = power @ shifted
         out.append(rank(power))
     return out

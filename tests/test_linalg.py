@@ -1,13 +1,20 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import sblq
+from sblq import linalg
 from sblq.linalg import (
-    Matrix, Subspace, _annihilator, _echelon, _echelon_key, block_diag,
+    Matrix, Subspace, _annihilator, _echelon, _echelon_key, _int_kernel,
+    _modular_kernel, _rref_mod, block_diag,
     companion_matrix, det, hstack,
     image_basis, inverse, invariant_factors, is_direct_complement,
     jordan_block_sizes, kernel_basis, rank, rank_power_sequence, solve_right,
@@ -147,6 +154,9 @@ def test_rank_power_sequence_differences_nonincreasing():
             seq = rank_power_sequence(m, lam, n)
             drops = [seq[k] - seq[k + 1] for k in range(n)]
             assert all(a >= b for a, b in zip(drops, drops[1:]))
+            # the early stop pads with the settled rank: sympy ranks of all powers
+            shifted = to_sympy(m) - lam * sympy.eye(n)
+            assert seq == [(shifted ** k).rank() for k in range(n + 1)]
 
 
 def _sympy_invariant_factors(m):
@@ -449,3 +459,144 @@ def test_annihilator_key_spans_the_annihilator(drawn):
     # a canonical key of the reversed annihilator, and an involution
     assert _echelon_key([list(a) for a in ann]) == ann
     assert _annihilator(ann, n) == key
+
+
+# -- multi-modular kernel --------------------------------------------------------
+#
+# The Bareiss pass is the oracle: with the switch at 0 every nonempty system
+# takes the modular path, and its basis must equal the Bareiss one entry for
+# entry.
+
+
+def _bareiss_kernel(rows, cols):
+    with mock.patch.object(linalg, "_MODULAR_CELLS", float("inf")):
+        return _int_kernel([list(r) for r in rows], cols)
+
+
+def _switched_kernel(rows, cols):
+    with mock.patch.object(linalg, "_MODULAR_CELLS", 0):
+        return _int_kernel([list(r) for r in rows], cols)
+
+
+def _same_kernel(got, want):
+    return (got.dim, got.basis.rows, got.basis.data) == (want.dim, want.basis.rows, want.basis.data)
+
+
+_small = st.integers(-9, 9)
+_huge = st.one_of(_small, st.integers(2 ** 62, 2 ** 70), st.integers(-2 ** 70, -2 ** 62))
+_tall_height = st.integers(-2 ** 40, 2 ** 40)
+
+
+@st.composite
+def int_systems(draw):
+    """Integer rows and a column count: dense, sparse, rank-deficient,
+    tall (mostly full column rank, so a zero kernel), entries at or beyond
+    2**62, and wide systems whose kernel needs several primes."""
+    kind = draw(st.sampled_from(("dense", "sparse", "low-rank", "tall", "huge", "height")))
+    c = draw(st.integers(1, 7))
+    r = draw(st.integers(c, c + 3) if kind == "tall" else st.integers(1, 7))
+    if kind == "height":
+        r = max(c - 1, 1)
+
+    def grid(nr, nc, cell):
+        return [draw(st.lists(cell, min_size=nc, max_size=nc)) for _ in range(nr)]
+
+    if kind == "low-rank":
+        k = draw(st.integers(0, min(r, c) - 1))
+        left, right = grid(r, k, _small), grid(k, c, _small)
+        return [[sum(x * right[t][j] for t, x in enumerate(row)) for j in range(c)]
+                for row in left], c
+    cell = {"sparse": st.one_of(st.just(0), _small), "huge": _huge,
+            "height": _tall_height}.get(kind, _small)
+    return grid(r, c, cell), c
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_systems())
+def test_modular_kernel_matches_bareiss(drawn):
+    rows, cols = drawn
+    assert _modular_kernel(rows, cols) is not None  # proven, no fallback
+    assert _same_kernel(_switched_kernel(rows, cols), _bareiss_kernel(rows, cols))
+
+
+def test_modular_primes_are_distinct_31_bit_primes():
+    assert len(set(linalg._PRIMES)) == len(linalg._PRIMES)
+    assert all(p < 2 ** 31 and sympy.isprime(p) for p in linalg._PRIMES)
+
+
+# 3 divides the leading entries, so modulo 3 the first pivot moves right;
+# modulo 7 the second does.  The reduced form has entries -13/21 and -5/7.
+_BAD_PRIME_ROWS = [[3, -1, -4, -1], [-3, 1, -3, -4]]
+
+
+def test_modular_kernel_skips_bad_primes():
+    true = linalg._reduced([list(r) for r in _BAD_PRIME_ROWS])[1]
+    assert true == [0, 2]
+    seen = []
+
+    def recording(a, p):
+        pivots = real(a, p)
+        seen.append((p, pivots))
+        return pivots
+
+    real = _rref_mod
+    with mock.patch.object(linalg, "_PRIMES", (3, 5, 7, 11, 13)), \
+            mock.patch.object(linalg, "_rref_mod", recording):
+        assert _modular_kernel(_BAD_PRIME_ROWS, 4) is not None
+        got = _switched_kernel(_BAD_PRIME_ROWS, 4)
+    # 3 is kept until 5 restarts the remaindering; 7 is skipped
+    assert seen[:5] == [(3, [1, 2]), (5, true), (7, [0, 3]), (11, true), (13, true)]
+    assert _same_kernel(got, _bareiss_kernel(_BAD_PRIME_ROWS, 4))
+    assert got.basis.col(0)[2] == 0 and Fraction(-13, 21) in got.basis.data
+
+
+def test_modular_kernel_falls_back_when_the_primes_run_out():
+    # 5 * 11 cannot reconstruct -13/21, so no candidate is ever proven
+    with mock.patch.object(linalg, "_PRIMES", (3, 5, 7, 11)):
+        assert _modular_kernel(_BAD_PRIME_ROWS, 4) is None
+        got = _switched_kernel(_BAD_PRIME_ROWS, 4)
+    assert _same_kernel(got, _bareiss_kernel(_BAD_PRIME_ROWS, 4))
+
+
+PERTURBED_LIFT = """
+import random, sys
+from sblq import linalg
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+real = linalg._lift
+
+def perturbed(residues, m):
+    out = real(residues, m)
+    if out is None:
+        return None
+    nums, d = out
+    return [nums[0] + 1] + nums[1:], d
+
+rng = random.Random(5)
+rows = [[rng.randint(-9, 9) for _ in range(12)] for _ in range(9)]
+linalg._MODULAR_CELLS = float("inf")
+want = linalg._int_kernel([list(r) for r in rows], 12)
+linalg._lift = perturbed
+linalg._MODULAR_CELLS = 0
+print("proof failed:", linalg._modular_kernel(rows, 12) is None)
+got = linalg._int_kernel([list(r) for r in rows], 12)
+print("bareiss basis:", got.basis.data == want.basis.data and got.dim == want.dim == 3)
+"""
+
+
+def _run(*args):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sblq.__file__)))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_modular_kernel_proof_survives_optimize():
+    # a lift one entry off must be caught by the proof and fall back to Bareiss
+    proc = _run("-O", "-c", PERTURBED_LIFT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["proof failed: True", "bareiss basis: True"]
+
+
+def test_import_does_not_load_numpy():
+    proc = _run("-c", "import sblq, sys; assert 'numpy' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
