@@ -9,7 +9,7 @@ quadrature verification of form identities).
 from .classify import StatusTag, Verdict, classify
 from .core import (
     FourModule, SBLDatum, apply_equivalence, datum_from_dict, datum_to_dict,
-    datum_to_module, direct_sum, module_isomorphic, module_to_datum,
+    datum_to_module, direct_sum, module_to_datum,
 )
 from .decompose import decompose
 from .linalg import Matrix, Subspace
@@ -22,6 +22,6 @@ __all__ = [
     "FamilyTag", "FourModule", "Matrix", "Poly", "SBLDatum", "StatusTag",
     "Subspace", "Verdict", "apply_equivalence", "build", "classify",
     "datum_from_dict", "datum_to_dict", "datum_to_module", "decompose",
-    "dim_vector", "direct_sum", "module_isomorphic", "module_to_datum",
+    "dim_vector", "direct_sum", "module_to_datum",
     "__version__",
 ]

@@ -3,9 +3,10 @@
 A datum is a tuple of five spaces and four surjective maps
 (H; H_0..H_3; Pi_0..Pi_3); its dual object is a module: an ambient space
 with four distinguished subspaces, here the column spans of the Pi_i
-transposes.  Equivalence of data corresponds to isomorphism of modules,
-and isomorphism is certified by an explicit invertible matrix mapping
-each subspace span onto its counterpart, verified exactly.
+transposes.  Equivalence of data corresponds to isomorphism of modules.
+The non-Hoelder matcher certifies an isomorphism by an explicit invertible
+matrix drawn from the Hom space; `certificate_valid` checks exactly, over
+the integers, that it maps each subspace span onto its counterpart.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from operator import mul
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .linalg import (
     Matrix, Subspace, _int_kernel, _scaled, block_diag, image_basis, inverse,
-    is_invertible, kernel_basis, rank, solve_right,
+    is_invertible, kernel_basis, rank,
 )
 
 
@@ -187,23 +189,6 @@ def direct_sum_all(mods: Sequence[FourModule]) -> FourModule:
 # -- isomorphism certificates -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IsoSearch:
-    """Outcome of a certificate search.
-
-    verdict is one of 'isomorphic' (certificate attached), 'not-isomorphic'
-    (dimension vectors differ: a definite negative), or 'inconclusive'
-    (trials exhausted without a certificate).
-    """
-
-    verdict: str
-    certificate: Optional[Matrix] = None
-    trials_used: int = 0
-
-    def __bool__(self) -> bool:
-        return self.verdict == "isomorphic"
-
-
 def module_hom_basis(a: FourModule, b: FourModule) -> List[Matrix]:
     """Basis of {psi : psi(sub_i(a)) contained in sub_i(b) for all i}.
 
@@ -224,50 +209,26 @@ def module_hom_basis(a: FourModule, b: FourModule) -> List[Matrix]:
     return [Matrix._trusted(mp, m, ker.basis.col(j)) for j in range(ker.dim)]
 
 
-def _maps_spans_onto(psi: Matrix, a: FourModule, b: FourModule) -> bool:
-    for i in range(4):
-        if a.sub[i].dim != b.sub[i].dim:
-            return False
-        img = psi @ a.sub[i].basis
-        if solve_right(b.sub[i].basis, img) is None:
-            return False
-    return True
-
-
 def certificate_valid(psi: Matrix, a: FourModule, b: FourModule) -> bool:
-    """Exact check: psi invertible and psi(sub_i(a)) = sub_i(b) for all i."""
-    if psi.rows != b.dim_M or psi.cols != a.dim_M or a.dim_M != b.dim_M:
-        return False
-    return is_invertible(psi) and _maps_spans_onto(psi, a, b)
+    """Exact check: psi invertible and psi(sub_i(a)) = sub_i(b) for all i.
 
-
-def module_isomorphic(a: FourModule, b: FourModule, trials: int = 32,
-                      seed: int = 0) -> IsoSearch:
-    """Search for an isomorphism certificate.
-
-    A returned psi is a proof.  Absence after `trials` seeded random
-    rational combinations of the hom-space basis is inconclusive, except
-    when the dimension vectors differ (definite non-isomorphism).
+    Containment is N_i psi B_i = 0 over the integers, with psi over one
+    common denominator and the same annihilator rows N_i as
+    `module_hom_basis`; with equal slot dimensions and psi invertible it is
+    equality.
     """
-    if a.dim_vector != b.dim_vector:
-        return IsoSearch("not-isomorphic")
-    m = a.dim_M
-    if m == 0:
-        return IsoSearch("isomorphic", Matrix.zeros(0, 0))
-    eye = Matrix.identity(m)
-    if _maps_spans_onto(eye, a, b):
-        return IsoSearch("isomorphic", eye)
-    basis = module_hom_basis(a, b)
-    if not basis:
-        return IsoSearch("inconclusive", trials_used=0)
-    for t in range(trials):
-        rng = random.Random((seed << 24) ^ (t + 1))
-        coeffs = [rng.randint(-9, 9) for _ in basis]
-        psi = Matrix(m, m, [sum(c * bk.data[idx] for c, bk in zip(coeffs, basis))
-                            for idx in range(m * m)])
-        if is_invertible(psi) and _maps_spans_onto(psi, a, b):
-            return IsoSearch("isomorphic", psi, trials_used=t + 1)
-    return IsoSearch("inconclusive", trials_used=trials)
+    if psi.rows != b.dim_M or psi.cols != a.dim_M or a.dim_vector != b.dim_vector:
+        return False
+    ints, _ = _scaled(psi.data)
+    prows = [ints[r * psi.cols:(r + 1) * psi.cols] for r in range(psi.rows)]
+    for i in range(4):
+        B = a.sub[i].basis
+        for q in range(B.cols):
+            bcol = _scaled(B.col(q))[0]
+            image = [sum(map(mul, prow, bcol)) for prow in prows]
+            if any(sum(map(mul, nrow, image)) for nrow in b._annihilators[i]):
+                return False
+    return is_invertible(psi)
 
 
 # -- seeded equivalence generation (used by tests and the round-trip audit) ---

@@ -15,16 +15,18 @@ homomorphism-space solves), and `_echelon_key` and `_annihilator`
 (canonical keys of row spans and of their annihilators, for the necessity
 screen's subspace lattice).
 
-Kernels of integer systems with at least `_MODULAR_CELLS` cells are first
-computed multi-modularly, since Bareiss pivots there grow far beyond the
-entries of the result: the reduced form modulo 31-bit primes (numpy int64,
-imported only then; residues, never floats), Chinese remaindering and
-rational reconstruction of its free-column entries.  A lift is returned
-only after an exact integer check that every basis vector it gives lies in
-the kernel (`_kernel_proven`), which makes it equal to the Bareiss basis
-entry for entry; when the primes run out without that proof, the Bareiss
-pass runs instead.  `solve_right` likewise checks a @ x == b exactly, on
-integer rows.
+Kernels and solves share one reduced-form entry point, `_rref`.  Integer
+systems with at least `_MODULAR_CELLS` cells are first reduced
+multi-modularly, since Bareiss pivots there grow far beyond the entries of
+the result: the reduced form modulo 31-bit primes (numpy int64, imported
+only then; residues, never floats), Chinese remaindering and rational
+reconstruction of its free-column entries.  A lift is returned only after
+an exact integer check that every kernel vector it gives lies in the kernel
+(`_kernel_proven`), which makes it equal to the Bareiss form entry for
+entry; when the primes run out without that proof, the Bareiss pass runs
+instead.  `solve_right` reads X off the reduced form of [a | b] and runs
+the same proof on the b columns, which is a @ X == b on integer rows, on
+either path.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -288,15 +290,6 @@ def _echelon(rows: List[List[int]],
     return rows[:r] + [row for row in rows[r:] if any(row)], pivots, sign
 
 
-def _reduced(rows: List[List[int]]) -> Tuple[List[List[int]], List[int], int]:
-    """Fraction-free reduced rows, pivot columns and the common pivot d.
-
-    The first len(pivots) rows over d are the reduced row echelon form.
-    """
-    ech, pivots, _ = _echelon(rows, reduced=True)
-    return ech, pivots, ech[len(pivots) - 1][pivots[-1]] if pivots else 1
-
-
 def _echelon_key(rows: List[List[int]]) -> Tuple[Tuple[int, ...], ...]:
     """Canonical key of the row span of integer rows (consumed).
 
@@ -362,23 +355,8 @@ def kernel_basis(m: Matrix) -> "Subspace":
 
 def _int_kernel(rows: List[List[int]], cols: int) -> "Subspace":
     """`kernel_basis` of the matrix with these integer rows (consumed) of
-    length cols; scaling a row does not change the result.
-
-    Systems of at least `_MODULAR_CELLS` cells try `_modular_kernel` first;
-    the others, and those it cannot prove, take the Bareiss pass.
-    """
-    if cols == 0:
-        return Subspace.zero(0)
-    if not rows:
-        return Subspace.full(cols)
-    lift = _modular_kernel(rows, cols) if len(rows) * cols >= _MODULAR_CELLS else None
-    if lift is None:
-        ech, pivots, d = _reduced(rows)
-        pivset = set(pivots)
-        free = [c for c in range(cols) if c not in pivset]
-        nums = [row[f] for row in ech[:len(pivots)] for f in free]
-    else:
-        pivots, free, nums, d = lift
+    length cols; scaling a row does not change the result."""
+    pivots, free, nums, d = _rref(rows, cols)
     out = [[_ZERO] * len(free) for _ in range(cols)]
     for k, f in enumerate(free):
         out[f][k] = Fraction(1)
@@ -389,6 +367,25 @@ def _int_kernel(rows: List[List[int]], cols: int) -> "Subspace":
             if v:
                 out[pc][k] = Fraction(-v, d)
     return Subspace._trusted(cols, Matrix._trusted(cols, len(free), [x for r in out for x in r]))
+
+
+def _rref(rows: List[List[int]], cols: int) -> Tuple[List[int], List[int], List[int], int]:
+    """(pivots, free columns, numerators, d) of the reduced row echelon form
+    of the integer rows (consumed) of length cols: the entry of pivot row r
+    at the k-th free column is nums[r * len(free) + k] / d.
+
+    Systems of at least `_MODULAR_CELLS` cells try `_modular_kernel` first;
+    the others, and those it cannot prove, take the Bareiss pass, whose
+    fraction-free reduced rows have the last pivot d in every pivot column.
+    """
+    lift = _modular_kernel(rows, cols) if rows and len(rows) * cols >= _MODULAR_CELLS else None
+    if lift is not None:
+        return lift
+    ech, pivots, _ = _echelon(rows, reduced=True)
+    pivset = set(pivots)
+    free = [c for c in range(cols) if c not in pivset]
+    d = ech[len(pivots) - 1][pivots[-1]] if pivots else 1
+    return pivots, free, [row[f] for row in ech[:len(pivots)] for f in free], d
 
 
 # -- multi-modular kernel with an exact proof ---------------------------------
@@ -554,31 +551,29 @@ def image_basis(m: Matrix) -> "Subspace":
 def solve_right(a: Matrix, b: Matrix) -> Optional[Matrix]:
     """Some X with a @ X = b, or None if inconsistent.
 
-    Free variables are pinned to zero so the solution is reproducible
-    byte for byte.
+    Read off the reduced form of [a | b]: the system is consistent exactly
+    when no pivot lands in the b block, and then the b columns are the last
+    free columns and hold X over d on the pivot rows.  Free variables are
+    pinned to zero so the solution is reproducible byte for byte.
     """
     if a.rows != b.rows:
         raise ValueError("row mismatch in solve_right")
     if a.cols == 0:
         return Matrix.zeros(0, b.cols) if b.is_zero else None
-    n = a.cols
+    n, k = a.cols, b.cols
     rows = _int_rows(hstack(a, b))
-    ech, pivots, d = _reduced([list(row) for row in rows])
+    pivots, free, nums, d = _rref([list(row) for row in rows], n + k)
     if pivots and pivots[-1] >= n:
-        return None  # a pivot landed in the b block: inconsistent
-    nums = [[0] * b.cols for _ in range(n)]
-    for row, pc in zip(ech, pivots):
-        nums[pc] = row[n:]
-    # verify a @ x == b exactly for x = nums / d, as a @ nums == d * b on
-    # the integer rows of [a | b]
-    numcols = list(zip(*nums))
-    for row in rows:
-        left = row[:n]
-        for k, numcol in enumerate(numcols):
-            if sum(map(mul, left, numcol)) != d * row[n + k]:
-                return None
-    return Matrix._trusted(n, b.cols, [Fraction(v, d) if v else _ZERO
-                                       for r in nums for v in r])
+        return None
+    # the b columns as kernel vectors of [a | b] prove a @ nums == d * b exactly
+    width = len(free)
+    numb = [v for r in range(len(pivots)) for v in nums[(r + 1) * width - k:(r + 1) * width]]
+    if not _kernel_proven(rows, pivots, free[width - k:], numb, d):
+        return None
+    x = [[_ZERO] * k for _ in range(n)]
+    for r, pc in enumerate(pivots):
+        x[pc] = [Fraction(v, d) if v else _ZERO for v in numb[r * k:(r + 1) * k]]
+    return Matrix._trusted(n, k, [v for r in x for v in r])
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -656,9 +651,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.cols
-
-    def contains_vector(self, v: Matrix) -> bool:
-        return solve_right(self.basis, v) is not None if self.dim else v.is_zero
 
     def contains(self, other: "Subspace") -> bool:
         if other.dim == 0:

@@ -15,7 +15,7 @@ import pytest
 
 from sblq import rotations
 from sblq.classify import classify
-from sblq.core import module_isomorphic, random_equivalence
+from sblq.core import random_equivalence
 from sblq.decompose import canonical_multiset, decompose, expand_tags
 from sblq.fixtures import SHIPPED_FIXTURES, shipped_fixture
 from sblq.numcheck import (
@@ -23,6 +23,8 @@ from sblq.numcheck import (
     check_equivalence_invariance, extend_kernel, verify_mikhlin,
 )
 from sblq.randomized import random_case
+
+from iso_oracle import isomorphism
 from sblq.tables import (
     ALL_FAMILIES, FIXED_FAMILIES, FamilyTag, build, dim_vector,
     permutation_orbits,
@@ -134,10 +136,10 @@ def test_criterion_4_permutation_orbit_audit():
             reps.append(rep)
             for p in orbit[1:]:
                 other = build(FamilyTag("I", n, permutation=p))
-                if module_isomorphic(rep, other, trials=32, seed=0).verdict != "isomorphic":
+                if isomorphism(rep, other, trials=32, seed=0).verdict != "isomorphic":
                     problems.append(f"n={n}: intra-class pair {orbit[0]} vs {p}")
         for a, b in itertools.combinations(range(6), 2):
-            res = module_isomorphic(reps[a], reps[b], trials=32, seed=0)
+            res = isomorphism(reps[a], reps[b], trials=32, seed=0)
             if res.verdict == "isomorphic":
                 problems.append(f"n={n}: classes {a},{b} merged")
     _line("criterion 4 (permutation-orbit audit)", not problems, "; ".join(problems))

@@ -1,16 +1,22 @@
+import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sblq.core import (
-    DatumFormatError, DimVector, EquivalenceMap, SBLDatum, apply_equivalence,
-    datum_from_dict, datum_to_dict, datum_to_module, direct_sum,
-    module_isomorphic, module_to_datum, random_equivalence, validate_datum,
+    DatumFormatError, DimVector, EquivalenceMap, FourModule, SBLDatum,
+    apply_equivalence, certificate_valid, datum_from_dict, datum_to_dict,
+    datum_to_module, direct_sum, direct_sum_all, module_hom_basis,
+    module_to_datum, random_equivalence, validate_datum,
 )
-from sblq.linalg import Matrix, Subspace, block_diag
+from sblq.linalg import Matrix, Subspace, block_diag, is_invertible, solve_right
 from sblq.polynomials import Poly
 from sblq.tables import FamilyTag, build
+
+from iso_oracle import isomorphism
 
 
 def bht_datum(alpha=Fraction(1, 3)):
@@ -50,7 +56,7 @@ def test_bht_module_spans():
     assert m.sub[3].same_span(Subspace(2, Matrix.column([1, Fraction(1, 3)])))
     # and this is the 2-dimensional regular module with parameter 1/3
     n1 = build(FamilyTag("N", 1, regular_poly=Poly([-Fraction(1, 3), 1])))
-    assert module_isomorphic(m, n1)
+    assert isomorphism(m, n1)
 
 
 def test_identity_datum_module():
@@ -105,28 +111,86 @@ def test_random_equivalence_yields_certificate():
     for seed in (0, 1, 2):
         e = random_equivalence(d, seed)
         d2 = apply_equivalence(d, e)
-        res = module_isomorphic(datum_to_module(d), datum_to_module(d2), trials=32, seed=0)
+        res = isomorphism(datum_to_module(d), datum_to_module(d2), trials=32, seed=0)
         assert res.verdict == "isomorphic"
-        from sblq.core import certificate_valid
         assert certificate_valid(res.certificate, datum_to_module(d), datum_to_module(d2))
 
 
 def test_module_isomorphic_self_is_identity():
     m = build(FamilyTag("J2", 1))
-    res = module_isomorphic(m, m)
+    res = isomorphism(m, m)
     assert res and res.certificate == Matrix.identity(2)
 
 
 def test_module_isomorphic_distinct_jordan_types():
     a = build(FamilyTag("J1", 1))
     b = build(FamilyTag("J2", 1))
-    res = module_isomorphic(a, b, trials=32, seed=0)
+    res = isomorphism(a, b, trials=32, seed=0)
     assert res.verdict == "inconclusive"  # equal dims, so only a failed search
 
 
 def test_module_isomorphic_dim_mismatch_definite():
-    res = module_isomorphic(build(FamilyTag("Y")), build(FamilyTag("Z")))
+    res = isomorphism(build(FamilyTag("Y")), build(FamilyTag("Z")))
     assert res.verdict == "not-isomorphic"
+
+
+# -- the integer certificate check against the span check it replaced ----------
+
+
+def ref_certificate_valid(psi, a, b):
+    """psi invertible, equal slot dimensions, and each psi B_i solved in the
+    basis of sub_i(b) with Fraction products."""
+    if psi.rows != b.dim_M or psi.cols != a.dim_M or a.dim_M != b.dim_M:
+        return False
+    if not is_invertible(psi):
+        return False
+    return all(a.sub[i].dim == b.sub[i].dim
+               and solve_right(b.sub[i].basis, psi @ a.sub[i].basis) is not None
+               for i in range(4))
+
+
+_POOL = [FamilyTag(f) for f in ("Y", "Z", "L", "B", "P1", "K2")] + \
+    [FamilyTag(f, 1) for f in ("J1", "J2", "T", "C")] + \
+    [FamilyTag("N", 1, regular_poly=Poly([-Fraction(1, 3), 1]))]
+
+
+@st.composite
+def certificate_cases(draw):
+    """(psi, a, b): b a direct sum of one or two pool modules and a the same
+    module under a seeded equivalence.  psi is a seeded combination of
+    Hom(a, b); or that combination projected onto b's first summand
+    (singular, still a Hom element); or a random integer matrix; or a
+    combination of Hom(a, b') for b' = b with two slots swapped, whose slot
+    dimensions often differ from a's."""
+    parts = [build(t) for t in draw(st.lists(st.sampled_from(_POOL), min_size=1, max_size=2))]
+    b = direct_sum_all(parts)
+    d = module_to_datum(b)
+    a = datum_to_module(apply_equivalence(d, random_equivalence(d, draw(st.integers(0, 2 ** 16)))))
+    kind = draw(st.sampled_from(("hom", "singular", "random", "swapped")))
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    m = b.dim_M
+    if kind == "random":
+        return Matrix(m, m, [rng.randint(-2, 2) for _ in range(m * m)]), a, b
+    if kind == "swapped":
+        i, j = draw(st.sampled_from(list(itertools.combinations(range(4), 2))))
+        subs = list(b.sub)
+        subs[i], subs[j] = subs[j], subs[i]
+        b = FourModule(m, tuple(subs))
+    basis = module_hom_basis(a, b)
+    coeffs = [rng.randint(-9, 9) for _ in basis]
+    psi = Matrix(m, m, [sum(c * bk.data[idx] for c, bk in zip(coeffs, basis))
+                        for idx in range(m * m)])
+    if kind == "singular":
+        k = parts[0].dim_M if len(parts) == 2 else 0
+        psi = Matrix.diag([1] * k + [0] * (m - k)) @ psi
+    return psi, a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(certificate_cases())
+def test_certificate_valid_matches_span_check(case):
+    psi, a, b = case
+    assert certificate_valid(psi, a, b) == ref_certificate_valid(psi, a, b)
 
 
 def test_serialization_round_trip():
@@ -148,14 +212,14 @@ def test_triangular_hilbert_form_is_the_triangular_family():
     # the explicit two-variable form with a one-dimensional modulation slot
     from sblq.fixtures import triangular_hilbert
     m = datum_to_module(triangular_hilbert())
-    res = module_isomorphic(m, build(FamilyTag("T", 1)), trials=32, seed=0)
+    res = isomorphism(m, build(FamilyTag("T", 1)), trials=32, seed=0)
     assert res.verdict == "isomorphic"
 
 
 def test_staircase_form_is_the_staircase_family():
     from sblq.fixtures import coifman_meyer
     m = datum_to_module(coifman_meyer(1))
-    res = module_isomorphic(m, build(FamilyTag("C", 1)), trials=32, seed=0)
+    res = isomorphism(m, build(FamilyTag("C", 1)), trials=32, seed=0)
     assert res.verdict == "isomorphic"
 
 

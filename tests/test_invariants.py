@@ -7,14 +7,16 @@ from fractions import Fraction
 import pytest
 
 from sblq.core import (
-    ExponentTriple, datum_to_module, direct_sum, module_isomorphic,
-    module_to_datum, validate_datum,
+    ExponentTriple, datum_to_module, direct_sum, module_to_datum,
+    validate_datum,
 )
 from sblq.polynomials import Poly
 from sblq.tables import (
     ALL_FAMILIES, FIXED_FAMILIES, RAW_FAMILIES, FamilyTag, build, dim_vector,
     permutation_orbits,
 )
+
+from iso_oracle import isomorphism
 
 
 def tag_for(family, n=1):
@@ -73,12 +75,12 @@ def test_orbit_classes_certify_and_separate(family):
         reps.append((orbit[0], build(rep_tag)))
         if len(orbit) > 1:
             other = rng.choice(orbit[1:])
-            res = module_isomorphic(
+            res = isomorphism(
                 build(rep_tag), build(FamilyTag(family, n, permutation=other)),
                 trials=32, seed=0)
             assert res.verdict == "isomorphic", (family, orbit[0], other)
     for (pa, ma), (pb, mb) in itertools.combinations(reps, 2):
-        res = module_isomorphic(ma, mb, trials=16, seed=0)
+        res = isomorphism(ma, mb, trials=16, seed=0)
         if ma.dim_vector == mb.dim_vector:
             assert res.verdict == "inconclusive", (family, pa, pb)
         else:

@@ -92,12 +92,26 @@ def test_ambient_mismatch_raises():
         subspace_intersect(Subspace.full(2), Subspace.full(3))
 
 
+# Solves and kernels share `_rref`: the default switch, under which these small
+# systems take the Bareiss pass, and 0, under which every system with rows
+# takes the modular path.
+_SWITCHES = (linalg._MODULAR_CELLS, 0)
+
+
 def test_solve_right_examples():
     b = Matrix.from_rows([[2], [5]])
-    assert solve_right(Matrix.identity(2), b) == b
-    assert solve_right(Matrix.zeros(2, 2), b) is None
-    x = solve_right(Matrix(1, 2, [1, 1]), Matrix(1, 1, [2]))
-    assert x == Matrix.from_rows([[2], [0]])  # free variable pinned to zero
+    for cells in _SWITCHES:
+        with mock.patch.object(linalg, "_MODULAR_CELLS", cells):
+            assert solve_right(Matrix.identity(2), b) == b
+            assert solve_right(Matrix.zeros(2, 2), b) is None
+            x = solve_right(Matrix(1, 2, [1, 1]), Matrix(1, 1, [2]))
+            assert x == Matrix.from_rows([[2], [0]])  # free variable pinned to zero
+            # 0-row and 0-column systems
+            assert solve_right(Matrix.zeros(0, 3), Matrix.zeros(0, 2)) == Matrix.zeros(3, 2)
+            assert solve_right(Matrix.identity(2), Matrix.zeros(2, 0)) == Matrix.zeros(2, 0)
+            assert solve_right(Matrix.zeros(2, 0), Matrix.zeros(2, 1)) == Matrix.zeros(0, 1)
+            assert solve_right(Matrix.zeros(2, 0), b) is None
+            assert inverse(Matrix.zeros(0, 0)) == Matrix.zeros(0, 0)
 
 
 def test_solve_right_underdetermined_deterministic():
@@ -379,23 +393,28 @@ def test_kernel_matches_reference(m):
 @given(systems())
 def test_solve_right_matches_reference(ab):
     a, b = ab
-    got, want = solve_right(a, b), ref_solve(a, b)
-    if want is None:
-        assert got is None
-    else:
-        assert got is not None
-        assert (got.rows, got.cols, got.data) == (want.rows, want.cols, want.data)
+    want = ref_solve(a, b)
+    for cells in _SWITCHES:
+        with mock.patch.object(linalg, "_MODULAR_CELLS", cells):
+            got = solve_right(a, b)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None
+            assert (got.rows, got.cols, got.data) == (want.rows, want.cols, want.data)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 6).flatmap(lambda n: matrices(rows=n, cols=n)))
 def test_inverse_matches_reference(m):
     want = ref_solve(m, Matrix.identity(m.rows))
-    if want is None:
-        with pytest.raises(ValueError):
-            inverse(m)
-    else:
-        assert inverse(m).data == want.data
+    for cells in _SWITCHES:
+        with mock.patch.object(linalg, "_MODULAR_CELLS", cells):
+            if want is None:
+                with pytest.raises(ValueError):
+                    inverse(m)
+            else:
+                assert inverse(m).data == want.data
 
 
 # -- canonical span keys -------------------------------------------------------
@@ -530,7 +549,7 @@ _BAD_PRIME_ROWS = [[3, -1, -4, -1], [-3, 1, -3, -4]]
 
 
 def test_modular_kernel_skips_bad_primes():
-    true = linalg._reduced([list(r) for r in _BAD_PRIME_ROWS])[1]
+    true = _echelon([list(r) for r in _BAD_PRIME_ROWS], reduced=True)[1]
     assert true == [0, 2]
     seen = []
 
@@ -575,13 +594,16 @@ def perturbed(residues, m):
 
 rng = random.Random(5)
 rows = [[rng.randint(-9, 9) for _ in range(12)] for _ in range(9)]
+square = linalg.Matrix(9, 9, [v for r in rows for v in r[:9]])
 linalg._MODULAR_CELLS = float("inf")
 want = linalg._int_kernel([list(r) for r in rows], 12)
+want_inv = linalg.inverse(square)
 linalg._lift = perturbed
 linalg._MODULAR_CELLS = 0
 print("proof failed:", linalg._modular_kernel(rows, 12) is None)
 got = linalg._int_kernel([list(r) for r in rows], 12)
 print("bareiss basis:", got.basis.data == want.basis.data and got.dim == want.dim == 3)
+print("bareiss inverse:", linalg.inverse(square).data == want_inv.data)
 """
 
 
@@ -591,10 +613,12 @@ def _run(*args):
 
 
 def test_modular_kernel_proof_survives_optimize():
-    # a lift one entry off must be caught by the proof and fall back to Bareiss
+    # a lift one entry off must be caught by the proof and fall back to Bareiss,
+    # for a kernel and for an inverse
     proc = _run("-O", "-c", PERTURBED_LIFT)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["proof failed: True", "bareiss basis: True"]
+    assert proc.stdout.splitlines() == ["proof failed: True", "bareiss basis: True",
+                                        "bareiss inverse: True"]
 
 
 def test_import_does_not_load_numpy():

@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from sblq.core import DimVector, direct_sum, module_isomorphic
+from sblq.core import DimVector, direct_sum
 from sblq.linalg import Matrix, Subspace
 from sblq.polynomials import Poly
 from sblq.tables import (
     ALL_FAMILIES, FIXED_FAMILIES, FamilyTag, build, dim_vector,
     permutation_orbits,
 )
+
+from iso_oracle import isomorphism
 
 
 def tag_for(family, n):
@@ -99,7 +101,7 @@ def test_typeII_orbits_are_singletons():
     # containment witness: slot 2 sits inside slot 1 for a but not for b
     assert subspace_intersect(a.sub[1], a.sub[2]).dim == a.sub[2].dim
     assert subspace_intersect(b.sub[1], b.sub[2]).dim < b.sub[2].dim
-    res = module_isomorphic(a, b, trials=32, seed=0)
+    res = isomorphism(a, b, trials=32, seed=0)
     assert res.verdict == "inconclusive"
 
 
@@ -119,7 +121,7 @@ def test_orbits_cover_all_permutations():
 
 def test_named_jordan_is_raw_family_in_disguise():
     for n in (1, 2):
-        res = module_isomorphic(build(FamilyTag("J2", n)), build(tag_for("I", n)))
+        res = isomorphism(build(FamilyTag("J2", n)), build(tag_for("I", n)))
         assert res.verdict == "isomorphic"
 
 
@@ -129,7 +131,7 @@ def test_typeI_intra_orbit_isomorphism(n):
     for orbit in orbits:
         rep = build(FamilyTag("I", n, permutation=orbit[0]))
         for p in orbit[1:]:
-            assert module_isomorphic(rep, build(FamilyTag("I", n, permutation=p)),
+            assert isomorphism(rep, build(FamilyTag("I", n, permutation=p)),
                                      trials=32, seed=0).verdict == "isomorphic"
 
 
@@ -137,4 +139,4 @@ def test_typeI_swap_13_certificate_exists():
     # swapping slots 0 and 2 of the raw family gives an isomorphic module
     a = build(FamilyTag("I", 2))
     b = build(FamilyTag("I", 2, permutation=(2, 1, 0, 3)))
-    assert module_isomorphic(a, b, trials=32, seed=0).verdict == "isomorphic"
+    assert isomorphism(a, b, trials=32, seed=0).verdict == "isomorphic"
