@@ -89,6 +89,24 @@ def _matrix_rows(m) -> list:
     return [[str(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
 
 
+def _certificates(dec, with_pencil: bool) -> Dict:
+    """The module isomorphism and the pencil base change of a decomposition;
+    with_pencil nests the base change with the pencil itself under "pencil"."""
+    out = {}
+    if dec.certificate is not None:
+        out["module_isomorphism"] = _matrix_rows(dec.certificate)
+    if dec.pencil is not None:
+        phi = _matrix_rows(dec.pencil.base_change.phi)
+        if with_pencil:
+            out["pencil"] = {"a": dec.pencil.a, "b": dec.pencil.b,
+                             "a2": _matrix_rows(dec.pencil.a2),
+                             "a3": _matrix_rows(dec.pencil.a3),
+                             "base_change_phi": phi}
+        else:
+            out["pencil_base_change_phi"] = phi
+    return out
+
+
 def _summand_payload(s) -> Dict:
     out = {"family": s.tag.family, "n": s.tag.n,
            "multiplicity": s.multiplicity, "note": s.note,
@@ -146,17 +164,7 @@ def cmd_classify(args) -> int:
     payload = _verdict_payload(verdict)
     certificates = None
     if args.certificates and verdict.decomposition is not None:
-        dec = verdict.decomposition
-        certificates = {}
-        if dec.certificate is not None:
-            certificates["module_isomorphism"] = _matrix_rows(dec.certificate)
-        if dec.pencil is not None:
-            certificates["pencil"] = {
-                "a": dec.pencil.a, "b": dec.pencil.b,
-                "a2": _matrix_rows(dec.pencil.a2),
-                "a3": _matrix_rows(dec.pencil.a3),
-                "base_change_phi": _matrix_rows(dec.pencil.base_change.phi),
-            }
+        certificates = _certificates(verdict.decomposition, with_pencil=True)
     _emit(args, _report(args, payload, started, certificates))
     return EXIT_OK if verdict.status.kind != "Unclassified" else EXIT_UNCLASSIFIED
 
@@ -185,13 +193,7 @@ def cmd_decompose(args) -> int:
         payload["real_roots"] = {
             key: [[str(lo), str(hi)] for lo, hi in ivs]
             for key, ivs in dec.real_root_refinements.items()}
-    certificates = None
-    if args.certificates:
-        certificates = {}
-        if dec.certificate is not None:
-            certificates["module_isomorphism"] = _matrix_rows(dec.certificate)
-        if dec.pencil is not None:
-            certificates["pencil_base_change_phi"] = _matrix_rows(dec.pencil.base_change.phi)
+    certificates = _certificates(dec, with_pencil=False) if args.certificates else None
     _emit(args, _report(args, payload, started, certificates))
     return EXIT_OK if dec.classified else EXIT_UNCLASSIFIED
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -23,7 +23,7 @@ from .core import (
     validate_datum,
 )
 from .linalg import (
-    Matrix, Subspace, _annihilator, _echelon, _echelon_key, _int_rows,
+    Matrix, Subspace, _annihilator, _echelon, _echelon_key, _int_rows, _scaled,
     block_diag, hstack, image_basis, inverse, invariant_factors, kernel_basis,
     rank, solve_right, subspace_intersect, subspace_sum,
 )
@@ -147,16 +147,23 @@ def _int_rank(rows: List[List[int]]) -> int:
 class PencilForm:
     """Normal form of a Hoelder-type datum: the pair of a x b pencil matrices.
 
-    The base change is an equivalence carrying the input datum exactly onto
-    the normal-form datum rebuilt from (a, b, A2, A3); this is verified at
-    construction time.
+    `frame` is the inverse of the base change on H and `phi_i` its maps on
+    the H_i.  The reconstruction of the normal-form datum from (a, b, A2, A3)
+    is verified at construction time; the base change itself, an
+    equivalence carrying the input datum exactly onto that normal form, is
+    built only when read.
     """
 
     a: int
     b: int
     a2: Matrix
     a3: Matrix
-    base_change: EquivalenceMap
+    frame: Matrix
+    phi_i: Tuple[Matrix, Matrix, Matrix, Matrix]
+
+    @cached_property
+    def base_change(self) -> EquivalenceMap:
+        return EquivalenceMap(inverse(self.frame), self.phi_i)
 
     def normal_form_datum(self) -> SBLDatum:
         return pencil_datum(self.a, self.b, self.a2, self.a3)
@@ -193,7 +200,6 @@ def holder_normal_form(d: SBLDatum) -> Optional[PencilForm]:
             return None
     u = kernels[0].basis               # complement basis, a columns
     v = k0.basis                       # kernel basis, b columns
-    phi = inverse(hstack(u, v)) if d.dim_H else Matrix.zeros(0, 0)
     phi0 = inverse(d.pi[0] @ u) if a else Matrix.zeros(0, 0)
     phis = [phi0]
     gammas = []
@@ -204,12 +210,12 @@ def holder_normal_form(d: SBLDatum) -> Optional[PencilForm]:
         gammas.append(phii @ (d.pi[i] @ u))
     a2 = gammas[1].transpose()
     a3 = gammas[2].transpose()
-    base = EquivalenceMap(phi, tuple(phis))
-    form = PencilForm(a, b, a2, a3, base)
-    # phi is invertible (EquivalenceMap checks it), so intertwining
-    # pi'_i phi = phi_i pi_i is the same as pi'_i = phi_i pi_i phi^-1
+    frame = hstack(u, v)
+    form = PencilForm(a, b, a2, a3, frame, tuple(phis))
+    # the rank check above makes frame invertible, so pi'_i = phi_i pi_i frame
+    # is intertwining pi'_i phi = phi_i pi_i for the base change phi = frame^-1
     nf = form.normal_form_datum()
-    if any(nf.pi[i] @ phi != phis[i] @ d.pi[i] for i in range(4)):
+    if any(nf.pi[i] != phis[i] @ d.pi[i] @ frame for i in range(4)):
         raise AssertionError("pencil reconstruction failed")
     return form
 
@@ -378,11 +384,14 @@ def _fixed_matcher(m: FourModule, trials: int, seed: int):
 
 
 def _hom_combination(basis: Sequence[Matrix], rng: random.Random) -> Matrix:
-    """One seeded integer combination of a Hom-space basis."""
+    """One seeded integer combination of a Hom-space basis, summed on the
+    integer numerators over the basis's common denominator."""
     coeffs = [rng.randint(-9, 9) for _ in basis]
+    nums, den = _scaled([x for b in basis for x in b.data])
+    size = len(basis[0].data)
     return Matrix._trusted(basis[0].rows, basis[0].cols,
-                           [sum(map(mul, coeffs, cell), Fraction(0))
-                            for cell in zip(*(b.data for b in basis))])
+                           [Fraction(sum(map(mul, coeffs, nums[k::size])), den)
+                            for k in range(size)])
 
 
 def match_nonholder(m: FourModule, case_tag: str, trials: int = 32,

@@ -687,14 +687,6 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     return image_basis(hstack(u.basis, v.basis))
 
 
-def is_direct_complement(u: Subspace, v: Subspace) -> bool:
-    """True iff dim u + dim v = ambient and u ∩ v = {0}."""
-    _check_ambient(u, v)
-    if u.dim + v.dim != u.ambient_dim:
-        return False
-    return rank(hstack(u.basis, v.basis)) == u.ambient_dim
-
-
 def extend_to_basis(sub: Subspace) -> Matrix:
     """An invertible matrix whose first dim(sub) columns are sub's basis."""
     n = sub.ambient_dim
@@ -721,41 +713,6 @@ def companion_matrix(p: Poly) -> Matrix:
     for i in range(n):
         m[i][n - 1] = -p[i]
     return Matrix.from_rows(m)
-
-
-def rank_power_sequence(m: Matrix, lam, kmax: int) -> List[int]:
-    """Ranks of (m - lam*I)^k for k = 0..kmax.
-
-    First differences count kernel growth; second differences give the
-    number of Jordan blocks of each size at the eigenvalue lam.  Once two
-    successive ranks agree they stay constant, so the rest is padded.
-    """
-    if not m.is_square:
-        raise ValueError("square matrix required")
-    lam = _frac(lam)
-    n = m.rows
-    shifted = m - Matrix.identity(n).scale(lam)
-    out = [n]
-    power = Matrix.identity(n)
-    while len(out) <= kmax:
-        if len(out) > 1 and out[-1] == out[-2]:
-            return out + [out[-1]] * (kmax + 1 - len(out))
-        power = power @ shifted
-        out.append(rank(power))
-    return out
-
-
-def jordan_block_sizes(m: Matrix, lam) -> List[int]:
-    """Multiset of Jordan block sizes at eigenvalue lam (possibly empty)."""
-    n = m.rows
-    seq = rank_power_sequence(m, lam, n)
-    sizes = []
-    for k in range(1, n + 1):
-        prev2 = seq[k - 1] if k >= 1 else n
-        nxt = seq[k + 1] if k + 1 <= n else seq[n]
-        count = prev2 - 2 * seq[k] + nxt
-        sizes.extend([k] * count)
-    return sorted(sizes, reverse=True)
 
 
 # -- invariant factors (Smith form of tI - m over Q[t]) ----------------------

@@ -462,35 +462,59 @@ def _integrand(spec: FormSpec):
 
 
 def _combined_form(spec: FormSpec):
-    """Quadratic form Q and shift of the Gaussian part of the integrand.
+    """`_whitening` of the integrand: the pulled-back test functions and the
+    kernel, when it advertises a Gaussian decay form."""
+    extra = None
+    decay = getattr(spec.kernel, "decay_form", None)
+    a_kernel = decay() if decay is not None and spec.datum.dims[0] else None
+    if a_kernel is not None:
+        p = _np(spec.datum.pi[0])
+        extra = p.T @ a_kernel @ p
+    return _whitening([_np(spec.datum.pi[i]) for i in (1, 2, 3)], spec.functions, extra)
 
-    The product of the pulled-back test functions (and the kernel, when it
-    advertises a Gaussian decay form) is exp(-pi (x-x0)^T Q (x-x0)) up to a
-    constant; quadrature is performed in coordinates whitened against Q.
-    Returns (x0, whitening matrix, |det|) or None when Q is degenerate.
-    """
-    dim = spec.datum.dim_H
+
+def _whitening(maps, functions, extra=None):
+    """(x0, W, |det W|) with W^T Q W = I for the Gaussian product
+    prod_i f_i(P_i x) = c exp(-pi (x-x0)^T Q (x-x0)), Q being the sum of the
+    P_i^T A_i P_i and `extra`; None when Q is degenerate."""
+    dim = maps[0].shape[1]
     q = np.zeros((dim, dim))
     lin = np.zeros(dim)
-    for i in (1, 2, 3):
-        p = _np(spec.datum.pi[i])
-        f = spec.functions[i - 1]
+    for p, f in zip(maps, functions):
         if f.dim == 0:
             continue
         q += p.T @ f.quad_form @ p
         lin += p.T @ f.quad_form @ f.center
-    decay = getattr(spec.kernel, "decay_form", None)
-    if decay is not None and spec.datum.dims[0]:
-        a_kernel = decay()
-        if a_kernel is not None:
-            p = _np(spec.datum.pi[0])
-            q += p.T @ a_kernel @ p
+    if extra is not None:
+        q += extra
     eigval, eigvec = np.linalg.eigh(q)
     if eigval.min() <= 1e-9:
         return None
     whiten = eigvec @ np.diag(1.0 / np.sqrt(eigval))
     center = np.linalg.solve(q, lin)
     return center, whiten, abs(float(np.linalg.det(whiten)))
+
+
+def _hermite_grid(points: int, dim: int, scale: float = 1.0):
+    """Tensor Gauss-Hermite nodes for the weight exp(-pi |v|^2) on R^dim,
+    and their weights times `scale`."""
+    t_nodes, t_w = roots_hermite(points)
+    v_nodes = t_nodes / np.sqrt(pi)
+    grids = np.meshgrid(*([v_nodes] * dim), indexing="ij")
+    v_pts = np.stack([g.ravel() for g in grids], axis=1)
+    weights = np.full(len(v_pts), scale * pi ** (-dim / 2.0))
+    for axis in range(dim):
+        idx = np.unravel_index(np.arange(len(v_pts)), (points,) * dim)[axis]
+        weights *= t_w[idx]
+    return v_pts, weights
+
+
+def _whitened_rule(points: int, whitening):
+    """The Hermite rule through a whitening, weight divided out: it integrates f dx."""
+    center, whiten, vol = whitening
+    v_pts, weights = _hermite_grid(points, whiten.shape[1], vol)
+    weights *= np.exp(pi * np.sum(v_pts * v_pts, axis=1))
+    return center + v_pts @ whiten.T, weights
 
 
 def _auto_box(spec: FormSpec) -> float:
@@ -515,17 +539,7 @@ def _tensor_value(spec: FormSpec, points: int, box: Optional[float] = None) -> f
             weights = weights * w[np.unravel_index(np.arange(len(pts)),
                                                    (points,) * dim)[axis]]
         return float(np.dot(weights, _integrand(spec)(pts)))
-    center, whiten, vol = whitening
-    t_nodes, t_w = roots_hermite(points)
-    v_nodes = t_nodes / np.sqrt(pi)
-    grids = np.meshgrid(*([v_nodes] * dim), indexing="ij")
-    v_pts = np.stack([g.ravel() for g in grids], axis=1)
-    pts = center + v_pts @ whiten.T
-    weights = np.full(len(pts), vol * pi ** (-dim / 2.0))
-    for axis in range(dim):
-        idx = np.unravel_index(np.arange(len(v_pts)), (points,) * dim)[axis]
-        weights *= t_w[idx]
-    weights *= np.exp(pi * np.sum(v_pts * v_pts, axis=1))
+    pts, weights = _whitened_rule(points, whitening)
     return float(np.dot(weights, _integrand(spec)(pts)))
 
 
@@ -638,45 +652,18 @@ def delta_limit_check(d: SBLDatum, functions, widths=(0.25, 0.125, 0.0625),
 
     # whiten the kernel-subspace coordinates against the combined Gaussian
     # form, so one modest tensor rule resolves even scrambled data
-    q_u = np.zeros((b, b))
-    rhs = np.zeros(b)
-    for i in (1, 2, 3):
-        bmat = pis[i] @ kmat
-        f = functions[i - 1]
-        if f.dim == 0:
-            continue
-        q_u += bmat.T @ f.quad_form @ bmat
-        rhs += bmat.T @ f.quad_form @ f.center
-    eigval, eigvec = np.linalg.eigh(q_u)
-    if eigval.min() <= 1e-9:
+    whitening = _whitening([pis[i] @ kmat for i in (1, 2, 3)], functions)
+    if whitening is None:
         raise ValueError("test functions do not decay along the kernel of Pi_0")
-    whiten = eigvec @ np.diag(1.0 / np.sqrt(eigval))
-    center_u = np.linalg.solve(q_u, rhs)
-    vol = abs(float(np.linalg.det(whiten)))
-
     # Gauss-Hermite in the whitened coordinates: the combined Gaussian is the
     # weight, everything else is the smooth factor
-    t_nodes, t_w = roots_hermite(points)
-    v_nodes = t_nodes / np.sqrt(pi)
-    grids = np.meshgrid(*([v_nodes] * b), indexing="ij")
-    v_pts = np.stack([g.ravel() for g in grids], axis=1)
-    u_pts = center_u + v_pts @ whiten.T
-    u_weights = np.full(len(u_pts), vol * pi ** (-b / 2.0))
-    for axis in range(b):
-        idx = np.unravel_index(np.arange(len(v_pts)), (points,) * b)[axis]
-        u_weights *= t_w[idx]
-    u_weights *= np.exp(pi * np.sum(v_pts * v_pts, axis=1))
+    u_pts, u_weights = _whitened_rule(points, whitening)
 
     reference = jac * float(np.dot(u_weights, product_values(u_pts @ kmat.T)))
 
     # Gauss-Hermite for the scaled kernel directions as well; the factor
     # exp(-pi |t|^2) is the quadrature weight
-    zgrids = np.meshgrid(*([v_nodes] * a), indexing="ij")
-    z_pts = np.stack([g.ravel() for g in zgrids], axis=1)
-    z_weights = np.full(len(z_pts), pi ** (-a / 2.0))
-    for axis in range(a):
-        idx = np.unravel_index(np.arange(len(z_pts)), (points,) * a)[axis]
-        z_weights *= t_w[idx]
+    z_pts, z_weights = _hermite_grid(points, a)
 
     base_u = u_pts @ kmat.T
     residuals = []

@@ -17,11 +17,12 @@ the regular core.
 On the regular core, the smallest prime mu with mu*A2 + A3 invertible
 normalizes the pencil to the single operator S = (mu*A2 + A3)^{-1} A2.
 Generalized eigenvalues transform by the Moebius map lambda -> 1/(mu +
-lambda), so the structure at lambda in {0, 1, infinity} is read off from
-rank power sequences of S at 1/mu, 1/(mu+1) and 0; whatever remains is
-the regular remainder, recovered as the operator X = S^{-1} - mu on the
-complementary invariant subspace and reported through its invariant
-factors.
+lambda), so the structure at lambda in {0, 1, infinity} is that of S at
+1/mu, 1/(mu+1) and 0.  At each of them one image chain R <- (S - s0) R
+gives the Jordan block sizes from its dimensions and stops on the Fitting
+complement, where the chain for the next eigenvalue starts.  After the
+third, R is the regular remainder, recovered as the operator
+X = S^{-1} - mu on R and reported through its invariant factors.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from typing import Optional, Tuple
 
 from .linalg import (
     Matrix, Subspace, extend_to_basis, hstack, image_basis, inverse,
-    is_invertible, invariant_factors, jordan_block_sizes, kernel_basis, rank,
-    solve_right, subspace_intersect,
+    is_invertible, invariant_factors, kernel_basis, rank, solve_right,
+    subspace_intersect,
 )
 from .polynomials import Poly
 
@@ -138,16 +139,13 @@ def kronecker_blocks(a2: Matrix, a3: Matrix) -> PencilBlocks:
         return blocks
 
     mu = _normalizing_prime(core2, core3)
-    s = inverse(core2.scale(mu) + core3) @ core2
-    specials = [Fraction(1, mu), Fraction(1, mu + 1), Fraction(0)]
+    s = solve_right(core2.scale(mu) + core3, core2)
+    eye = Matrix.identity(r)
+    rest = Subspace._trusted(r, eye)
     jordans = []
-    killer = Matrix.identity(r)
-    for s0 in specials:
-        jordans.append(tuple(jordan_block_sizes(s, s0)))
-        shift = s - Matrix.identity(r).scale(s0)
-        for _ in range(r):
-            killer = killer @ shift
-    rest = image_basis(killer)
+    for s0 in (Fraction(1, mu), Fraction(1, mu + 1), Fraction(0)):
+        sizes, rest = _image_chain(s - eye.scale(s0), rest)
+        jordans.append(sizes)
     factors: Tuple[Poly, ...] = ()
     if rest.dim:
         coeff = solve_right(rest.basis, s @ rest.basis)
@@ -162,6 +160,27 @@ def kronecker_blocks(a2: Matrix, a3: Matrix) -> PencilBlocks:
     if not blocks.size_check():
         raise AssertionError("block sizes do not sum to the pencil shape")
     return blocks
+
+
+def _image_chain(shift: Matrix, rest: Subspace) -> Tuple[Tuple[int, ...], Subspace]:
+    """Jordan block sizes of S at s0, descending, and the Fitting complement.
+
+    `shift` is S - s0 and `rest` an S-invariant subspace that holds the whole
+    generalized eigenspace of S at s0.  The images R_k = shift^k rest have
+    dimensions d_k that differ from the ranks of shift^k by a constant, so
+    d_{k-1} - 2 d_k + d_{k+1} blocks have size k; once d_k stops falling,
+    R_k is the Fitting complement of the eigenspace within rest.
+    """
+    dims = [rest.dim]
+    while True:
+        nxt = image_basis(shift @ rest.basis)
+        dims.append(nxt.dim)
+        if nxt.dim == rest.dim:
+            break
+        rest = nxt
+    sizes = tuple(k for k in range(len(dims) - 2, 0, -1)
+                  for _ in range(dims[k - 1] - 2 * dims[k] + dims[k + 1]))
+    return sizes, rest
 
 
 def _normalizing_prime(a2: Matrix, a3: Matrix) -> int:

@@ -5,12 +5,16 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
+from contextlib import ExitStack
 from fractions import Fraction
+from operator import mul
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import sblq
+from sblq.classify import classify
 from sblq.core import (
     SBLDatum, apply_equivalence, certificate_valid, datum_to_module,
     direct_sum, direct_sum_all, module_hom_basis, module_to_datum,
@@ -18,6 +22,7 @@ from sblq.core import (
 )
 from sblq.decompose import (
     _CASE_FAMILIES, _case_counts_admissible, _case_feasible, _fixed_table,
+    _hom_combination,
     LatticeEntry, NecessityReport, canonical_multiset, decompose, expand_tags,
     holder_normal_form, kronecker_decompose, match_nonholder,
     necessary_conditions, pencil_datum, strip_c0,
@@ -232,6 +237,28 @@ def test_holder_normal_form_check_survives_optimize():
     assert proc.stdout.startswith("raised: pencil reconstruction failed")
 
 
+def test_base_change_is_inverted_only_when_read():
+    d = twisted_paraproduct()
+    assert d.dim_H > max(d.dims[0], d.dims[1])
+    shapes = []
+
+    def recording(m):
+        shapes.append((m.rows, m.cols))
+        return inverse(m)
+
+    with ExitStack() as stack:
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("sblq.") and getattr(mod, "inverse", None) is inverse:
+                stack.enter_context(mock.patch.object(mod, "inverse", recording))
+        pencil = classify(d).decomposition.pencil
+        assert pencil is not None
+        assert (d.dim_H, d.dim_H) not in shapes
+        phi = pencil.base_change.phi
+        assert (d.dim_H, d.dim_H) in shapes
+    assert pencil.base_change.phi is phi
+    assert phi @ pencil.frame == Matrix.identity(d.dim_H)
+
+
 def test_holder_normal_form_rejects_young():
     assert holder_normal_form(module_to_datum(build(FamilyTag("Y")))) is None
 
@@ -342,6 +369,29 @@ def test_hom_dimension_matcher_finds_the_generating_sum(drawn):
         fits = set(counts) <= set(families) and _case_counts_admissible(case_tag, counts)
         assert _proved(m, match_nonholder(m, case_tag)) == \
             (canonical_multiset(tags) if fits else None), case_tag
+
+
+def fraction_hom_combination(basis, rng):
+    """The entrywise Fraction sum of `_hom_combination`, kept as its reference."""
+    coeffs = [rng.randint(-9, 9) for _ in basis]
+    return Matrix(basis[0].rows, basis[0].cols,
+                  [sum(map(mul, coeffs, cell), Fraction(0))
+                   for cell in zip(*(b.data for b in basis))])
+
+
+def test_hom_combination_matches_fraction_sum():
+    yz = module_to_datum(direct_sum(build(FamilyTag("Y")), build(FamilyTag("Z"))))
+    target = datum_to_module(apply_equivalence(yz, random_equivalence(yz, 5)))
+    bases = [module_hom_basis(build(FamilyTag(f)), target) for f in ("Y", "Z")]
+    # different denominators across one basis
+    bases.append([Matrix(2, 2, [Fraction(1, 3), 0, 2, Fraction(-5, 6)]),
+                  Matrix(2, 2, [Fraction(7, 4), 1, 0, Fraction(1, 9)])])
+    for basis in bases:
+        assert basis
+        for seed in range(5):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            assert _hom_combination(basis, rng) == fraction_hom_combination(basis, ref_rng)
+            assert rng.getstate() == ref_rng.getstate()
 
 
 def fraction_case_feasible(case_tag, eqc):

@@ -16,8 +16,7 @@ from sblq.linalg import (
     Matrix, Subspace, _annihilator, _echelon, _echelon_key, _int_kernel,
     _modular_kernel, _rref_mod, block_diag,
     companion_matrix, det, hstack,
-    image_basis, inverse, invariant_factors, is_direct_complement,
-    jordan_block_sizes, kernel_basis, rank, rank_power_sequence, solve_right,
+    image_basis, inverse, invariant_factors, kernel_basis, rank, solve_right,
     subspace_intersect, subspace_sum, vstack,
 )
 from sblq.polynomials import Poly
@@ -75,14 +74,6 @@ def test_subspace_sum_examples():
     assert subspace_sum(u, u).same_span(u)
     diag = Subspace(2, Matrix.column([1, 1]))
     assert subspace_sum(Subspace.full(2), diag).dim == 2
-
-
-def test_is_direct_complement():
-    e1 = Subspace(2, Matrix.column([1, 0]))
-    e2 = Subspace(2, Matrix.column([0, 1]))
-    assert is_direct_complement(e1, e2)
-    assert not is_direct_complement(e1, e1)
-    assert is_direct_complement(Subspace.full(2), Subspace.zero(2))
 
 
 def test_ambient_mismatch_raises():
@@ -145,32 +136,6 @@ def test_det_matches_sympy():
     assert det(Matrix.from_rows([[1, 2], [0, 0]])) == 0
     assert det(Matrix.from_rows([[0, 1], [1, 0]])) == -1
     assert det(Matrix.zeros(0, 0)) == 1 == sympy.zeros(0, 0).det()
-
-
-def test_rank_power_sequence_examples():
-    assert rank_power_sequence(jordan0(2), 0, 2) == [2, 1, 0]
-    assert rank_power_sequence(Matrix.identity(2), 1, 2) == [2, 0, 0]
-    m = block_diag(jordan0(2), jordan0(1))
-    # oracle: sympy ranks of powers of the shifted matrix
-    sm = to_sympy(m)
-    expected = [3] + [(sm ** k).rank() for k in (1, 2)]
-    assert expected == [3, 1, 0]
-    assert rank_power_sequence(m, 0, 2) == expected
-    assert jordan_block_sizes(m, 0) == [2, 1]
-
-
-def test_rank_power_sequence_differences_nonincreasing():
-    rng = random.Random(5)
-    for _ in range(10):
-        n = rng.randint(2, 6)
-        m = random_matrix(rng, n, n, scale=2)
-        for lam in (0, 1):
-            seq = rank_power_sequence(m, lam, n)
-            drops = [seq[k] - seq[k + 1] for k in range(n)]
-            assert all(a >= b for a, b in zip(drops, drops[1:]))
-            # the early stop pads with the settled rank: sympy ranks of all powers
-            shifted = to_sympy(m) - lam * sympy.eye(n)
-            assert seq == [(shifted ** k).rank() for k in range(n + 1)]
 
 
 def _sympy_invariant_factors(m):

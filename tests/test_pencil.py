@@ -2,9 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from sblq.linalg import Matrix, block_diag, companion_matrix, is_invertible
-from sblq.pencil import kronecker_blocks
+from sblq.linalg import (
+    Matrix, Subspace, block_diag, companion_matrix, image_basis, inverse,
+    invariant_factors, is_invertible, rank, solve_right,
+)
+from sblq.pencil import (
+    PencilBlocks, _image_chain, _normalizing_prime, _split_off, _wide_part,
+    kronecker_blocks,
+)
 from sblq.polynomials import Poly
 from sblq.tables import arrow_down, arrow_left, arrow_right, arrow_up, eye, jordan, zeros
 
@@ -120,3 +127,146 @@ def test_normalizing_prime_skips_eigenvalues():
     blocks = kronecker_blocks(a2, a3)
     assert blocks.mu != 2
     assert blocks.regular_factors == (Poly.from_roots([-2, -2]),)
+
+
+# -- the regular-core reading before image chains, kept as the oracle --------
+
+
+def rank_power_sequence(m, lam, kmax):
+    """Ranks of (m - lam*I)^k for k = 0..kmax, padded once two agree."""
+    n = m.rows
+    shifted = m - Matrix.identity(n).scale(Fraction(lam))
+    out = [n]
+    power = Matrix.identity(n)
+    while len(out) <= kmax:
+        if len(out) > 1 and out[-1] == out[-2]:
+            return out + [out[-1]] * (kmax + 1 - len(out))
+        power = power @ shifted
+        out.append(rank(power))
+    return out
+
+
+def jordan_block_sizes(m, lam):
+    """Jordan block sizes at lam, descending, from second differences of ranks."""
+    n = m.rows
+    seq = rank_power_sequence(m, lam, n)
+    sizes = []
+    for k in range(1, n + 1):
+        nxt = seq[k + 1] if k + 1 <= n else seq[n]
+        sizes.extend([k] * (seq[k - 1] - 2 * seq[k] + nxt))
+    return sorted(sizes, reverse=True)
+
+
+def reference_kronecker_blocks(a2, a3):
+    """`kronecker_blocks` with the regular core read off rank power sequences
+    and the remainder taken as the image of the product of (S - s0)^r."""
+    a, b = a2.rows, a2.cols
+    wide, dom = _wide_part(a2, a3)
+    q2, q3 = _split_off(a2, a3, dom)
+    tall, dom_t = _wide_part(q2.transpose(), q3.transpose())
+    c2t, c3t = _split_off(q2.transpose(), q3.transpose(), dom_t)
+    core2, core3 = c2t.transpose(), c3t.transpose()
+    r = core2.rows
+    if r == 0:
+        return PencilBlocks((a, b), wide, tall, (), (), (), ())
+    mu = _normalizing_prime(core2, core3)
+    s = inverse(core2.scale(mu) + core3) @ core2
+    jordans = []
+    killer = Matrix.identity(r)
+    for s0 in (Fraction(1, mu), Fraction(1, mu + 1), Fraction(0)):
+        jordans.append(tuple(jordan_block_sizes(s, s0)))
+        shift = s - Matrix.identity(r).scale(s0)
+        for _ in range(r):
+            killer = killer @ shift
+    rest = image_basis(killer)
+    factors = ()
+    if rest.dim:
+        coeff = solve_right(rest.basis, s @ rest.basis)
+        x = inverse(coeff) - Matrix.identity(rest.dim).scale(mu)
+        factors = tuple(invariant_factors(x))
+    return PencilBlocks((a, b), wide, tall, jordans[0], jordans[1], jordans[2],
+                        factors, mu=mu)
+
+
+def jordan0(n):
+    return Matrix(n, n, [1 if j == i + 1 else 0 for i in range(n) for j in range(n)])
+
+
+def to_sympy(m):
+    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x) for x in m.data])
+
+
+def test_rank_power_sequence_examples():
+    assert rank_power_sequence(jordan0(2), 0, 2) == [2, 1, 0]
+    assert rank_power_sequence(Matrix.identity(2), 1, 2) == [2, 0, 0]
+    m = block_diag(jordan0(2), jordan0(1))
+    # oracle: sympy ranks of powers of the shifted matrix
+    sm = to_sympy(m)
+    expected = [3] + [(sm ** k).rank() for k in (1, 2)]
+    assert expected == [3, 1, 0]
+    assert rank_power_sequence(m, 0, 2) == expected
+    assert jordan_block_sizes(m, 0) == [2, 1]
+
+
+def test_rank_power_sequence_differences_nonincreasing():
+    rng = random.Random(5)
+    for _ in range(10):
+        n = rng.randint(2, 6)
+        m = Matrix(n, n, [Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                          for _ in range(n * n)])
+        for lam in (0, 1):
+            seq = rank_power_sequence(m, lam, n)
+            drops = [seq[k] - seq[k + 1] for k in range(n)]
+            assert all(a >= b for a, b in zip(drops, drops[1:]))
+            # the early stop pads with the settled rank: sympy ranks of all powers
+            shifted = to_sympy(m) - lam * sympy.eye(n)
+            assert seq == [(shifted ** k).rank() for k in range(n + 1)]
+
+
+def test_image_chain_matches_rank_powers():
+    # conjugated Jordan forms with repeated blocks at lam beside other eigenvalues
+    rng = random.Random(11)
+    for _ in range(20):
+        lam = Fraction(rng.choice([0, 1, -1, 2]), rng.randint(1, 3))
+        parts = [jordan(rng.randint(1, 3), lam) for _ in range(rng.randint(0, 4))]
+        parts += [jordan(rng.randint(1, 2), lam + rng.randint(1, 3))
+                  for _ in range(rng.randint(0, 2))]
+        if not parts:
+            continue
+        p = random_invertible(rng, sum(x.rows for x in parts))
+        m = p @ block_diag(*parts) @ inverse(p)
+        n = m.rows
+        sizes, rest = _image_chain(m - Matrix.identity(n).scale(lam),
+                                   Subspace.full(n))
+        assert list(sizes) == jordan_block_sizes(m, lam)
+        assert rest.dim == n - sum(sizes)
+
+
+def regular_heavy_pencil(rng, core):
+    """A canonical pencil with a regular core of at least `core` rows, blocks
+    repeated at 0, 1, infinity and elsewhere, and for small cores a few small
+    singular blocks."""
+    if core >= 20:
+        blocks = [(kind, rng.randint(1, 3), None) for kind in ("j0", "j1", "jinf")] * 2
+    else:
+        blocks = [(rng.choice(("wide", "tall")), rng.randint(0, 2), None)
+                  for _ in range(rng.randint(0, 2))]
+    total = sum(n for kind, n, _ in blocks if kind not in ("wide", "tall"))
+    while total < core:
+        kind = rng.choice(("j0", "j1", "jinf", "reg"))
+        n = rng.randint(1, 4 if core > 8 else 2)
+        copies = rng.randint(1, 3)
+        blocks += [(kind, n, rng.choice(REGULAR_ROOTS))] * copies
+        total += n * copies
+    return canonical_pencil(blocks)
+
+
+def test_kronecker_blocks_match_rank_power_reference():
+    rng = random.Random(8)
+    cores = [rng.randint(1, 10) for _ in range(196)] + [20, 21, 22, 24]
+    for core in cores:
+        a2, a3, expected = regular_heavy_pencil(rng, core)
+        if core >= 20:
+            assert all(len(expected[k]) >= 2 for k in ("j0", "j1", "jinf"))
+        pencil = scrambled(a2, a3, rng)
+        assert kronecker_blocks(*pencil) == reference_kronecker_blocks(*pencil)
