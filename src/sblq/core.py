@@ -19,7 +19,7 @@ from operator import mul
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .linalg import (
-    Matrix, Subspace, _int_kernel, _scaled, block_diag, image_basis, inverse,
+    Matrix, Subspace, _int_cols, _int_kernel, block_diag, image_basis, inverse,
     is_invertible, kernel_basis, rank,
 )
 
@@ -82,7 +82,7 @@ class FourModule:
     def _annihilators(self) -> Tuple[List[List[int]], ...]:
         """Per slot, integer rows whose common kernel is that subspace."""
         kers = [kernel_basis(s.basis.transpose()).basis for s in self.sub]
-        return tuple([_scaled(k.col(j))[0] for j in range(k.cols)] for k in kers)
+        return tuple(_int_cols(k) for k in kers)
 
 
 @dataclass(frozen=True)
@@ -200,13 +200,13 @@ def module_hom_basis(a: FourModule, b: FourModule) -> List[Matrix]:
         return [] if m or mp else [Matrix.zeros(0, 0)]
     rows: List[List[int]] = []
     for i in range(4):
-        B = a.sub[i].basis
-        cols = [_scaled(B.col(q))[0] for q in range(B.cols)]
+        cols = _int_cols(a.sub[i].basis)
         for nrow in b._annihilators[i]:
             for bcol in cols:
                 rows.append([x * y for x in nrow for y in bcol])
     ker = _int_kernel(rows, mp * m)
-    return [Matrix._trusted(mp, m, ker.basis.col(j)) for j in range(ker.dim)]
+    k = ker.basis
+    return [Matrix._ints(mp, m, k.num[j::k.cols], k.den) for j in range(k.cols)]
 
 
 def certificate_valid(psi: Matrix, a: FourModule, b: FourModule) -> bool:
@@ -219,12 +219,10 @@ def certificate_valid(psi: Matrix, a: FourModule, b: FourModule) -> bool:
     """
     if psi.rows != b.dim_M or psi.cols != a.dim_M or a.dim_vector != b.dim_vector:
         return False
-    ints, _ = _scaled(psi.data)
-    prows = [ints[r * psi.cols:(r + 1) * psi.cols] for r in range(psi.rows)]
+    c = psi.cols
+    prows = [psi.num[r * c:(r + 1) * c] for r in range(psi.rows)]
     for i in range(4):
-        B = a.sub[i].basis
-        for q in range(B.cols):
-            bcol = _scaled(B.col(q))[0]
+        for bcol in _int_cols(a.sub[i].basis):
             image = [sum(map(mul, prow, bcol)) for prow in prows]
             if any(sum(map(mul, nrow, image)) for nrow in b._annihilators[i]):
                 return False

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -23,7 +24,7 @@ from .core import (
     validate_datum,
 )
 from .linalg import (
-    Matrix, Subspace, _annihilator, _echelon, _echelon_key, _int_rows, _scaled,
+    Matrix, Subspace, _annihilator, _echelon, _echelon_key, _int_rows,
     block_diag, hstack, image_basis, inverse, invariant_factors, kernel_basis,
     rank, solve_right, subspace_intersect, subspace_sum,
 )
@@ -200,14 +201,16 @@ def holder_normal_form(d: SBLDatum) -> Optional[PencilForm]:
             return None
     u = kernels[0].basis               # complement basis, a columns
     v = k0.basis                       # kernel basis, b columns
-    phi0 = inverse(d.pi[0] @ u) if a else Matrix.zeros(0, 0)
-    phis = [phi0]
+    pu = d.pi[0] @ u
+    phis = [inverse(pu) if a else Matrix.zeros(0, 0)]
+    framed = [hstack(pu, d.pi[0] @ v)]  # pi_i frame = [pi_i u | pi_i v]
     gammas = []
     for i in (1, 2, 3):
-        pv = d.pi[i] @ v
+        pu, pv = d.pi[i] @ u, d.pi[i] @ v
         phii = inverse(pv) if b else Matrix.zeros(0, 0)
         phis.append(phii)
-        gammas.append(phii @ (d.pi[i] @ u))
+        gammas.append(phii @ pu)
+        framed.append(hstack(pu, pv))
     a2 = gammas[1].transpose()
     a3 = gammas[2].transpose()
     frame = hstack(u, v)
@@ -215,7 +218,7 @@ def holder_normal_form(d: SBLDatum) -> Optional[PencilForm]:
     # the rank check above makes frame invertible, so pi'_i = phi_i pi_i frame
     # is intertwining pi'_i phi = phi_i pi_i for the base change phi = frame^-1
     nf = form.normal_form_datum()
-    if any(nf.pi[i] != phis[i] @ d.pi[i] @ frame for i in range(4)):
+    if any(nf.pi[i] != phis[i] @ framed[i] for i in range(4)):
         raise AssertionError("pencil reconstruction failed")
     return form
 
@@ -341,9 +344,10 @@ def _fixed_table() -> Tuple[Dict[str, FourModule], Dict[str, List[List[int]]]]:
     for case_tag, families in _CASE_FAMILIES.items():
         block = Matrix.from_rows([[hom[x, y] for y in families] for x in families])
         hinv = inverse(block) if rank(block) == len(families) else None
-        if hinv is None or any(x.denominator != 1 for x in hinv.data):
+        if hinv is None or hinv.den != 1:
             raise AssertionError(f"the case {case_tag} Hom table has no integer inverse")
-        inverses[case_tag] = [[int(x) for x in hinv.row(i)] for i in range(hinv.rows)]
+        n = hinv.cols
+        inverses[case_tag] = [list(hinv.num[i * n:(i + 1) * n]) for i in range(hinv.rows)]
     return mods, inverses
 
 
@@ -387,11 +391,10 @@ def _hom_combination(basis: Sequence[Matrix], rng: random.Random) -> Matrix:
     """One seeded integer combination of a Hom-space basis, summed on the
     integer numerators over the basis's common denominator."""
     coeffs = [rng.randint(-9, 9) for _ in basis]
-    nums, den = _scaled([x for b in basis for x in b.data])
-    size = len(basis[0].data)
-    return Matrix._trusted(basis[0].rows, basis[0].cols,
-                           [Fraction(sum(map(mul, coeffs, nums[k::size])), den)
-                            for k in range(size)])
+    den = lcm(*[b.den for b in basis])
+    cells = zip(*[b._num_over(den) for b in basis])
+    return Matrix._ints(basis[0].rows, basis[0].cols,
+                        [sum(map(mul, coeffs, cell)) for cell in cells], den)
 
 
 def match_nonholder(m: FourModule, case_tag: str, trials: int = 32,

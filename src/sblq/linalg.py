@@ -2,18 +2,20 @@
 
 Everything rank- or kernel-shaped in the classifier runs through this
 module: rank decisions are discontinuous, so no floating point is allowed
-anywhere near them.  Entries are stored as `Fraction`s, but the inner loops
-run on Python ints: products clear denominators per row of the left and per
-column of the right operand, and the elimination core clears them row-wise
-and runs fraction-free (Bareiss) integer elimination, carried on to the
-fraction-free reduced form for kernels and solves.  Growth is bounded by
-minor sizes, which is plenty for the matrix sizes that occur here (a few
-hundred rows at most in homomorphism-space solves).  Each result entry
-becomes one `Fraction` at the end.  Callers that already hold integer rows
-use the private integer entry points directly: `_int_kernel` (the
-homomorphism-space solves), and `_echelon_key` and `_annihilator`
-(canonical keys of row spans and of their annihilators, for the necessity
-screen's subspace lattice).
+anywhere near them.  A `Matrix` stores integer numerators over one common
+denominator, in canonical form, so every operation runs on Python ints:
+products multiply the numerators and the denominators, sums and stacks
+bring their operands over the least common denominator, and `Fraction`s
+are built only when entries are read.  The elimination core takes the
+numerator rows, each divided by its gcd, and runs fraction-free (Bareiss)
+integer elimination, carried on to the fraction-free reduced form for
+kernels and solves, whose results are built straight from that form.
+Growth is bounded by minor sizes, which is plenty for the matrix sizes
+that occur here (a few hundred rows at most in homomorphism-space solves).
+Callers that already hold integer rows use the private integer entry
+points directly: `_int_kernel` (the homomorphism-space solves), and
+`_echelon_key` and `_annihilator` (canonical keys of row spans and of their
+annihilators, for the necessity screen's subspace lattice).
 
 Kernels and solves share one reduced-form entry point, `_rref`.  Integer
 systems with at least `_MODULAR_CELLS` cells are first reduced
@@ -26,7 +28,8 @@ an exact integer check that every kernel vector it gives lies in the kernel
 entry; when the primes run out without that proof, the Bareiss pass runs
 instead.  `solve_right` reads X off the reduced form of [a | b] and runs
 the same proof on the b columns, which is a @ X == b on integer rows, on
-either path.
+either path.  `is_invertible` on a matrix of that size first tries one
+prime: full rank modulo p proves full rank over Q.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import add, mul, sub
 from typing import List, Optional, Sequence, Tuple
 
 from .polynomials import Poly
@@ -48,37 +51,49 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _scaled(entries: Sequence[Fraction]) -> Tuple[List[int], int]:
-    """Integers n_k and the least common denominator den with entries = n_k / den."""
-    den = lcm(*[x.denominator for x in entries])
-    if den == 1:
-        return [x.numerator for x in entries], 1
-    return [x.numerator * (den // x.denominator) for x in entries], den
-
-
 class Matrix:
-    """Immutable dense matrix of Fractions, row-major."""
+    """Immutable dense rational matrix: integer numerators over one denominator.
 
-    __slots__ = ("rows", "cols", "data")
+    `num` is the row-major tuple of the rows * cols integer numerators and
+    `den` > 0 their common denominator, kept canonical: gcd(den, *num) is 1,
+    so a zero matrix has den 1.  Equal matrices therefore have equal
+    (rows, cols, num, den), which is what `==` and `hash` compare.  The
+    public reads `data`, `m[i, j]`, `row` and `col` give `Fraction`s, built
+    once, on the first read.
+    """
+
+    __slots__ = ("rows", "cols", "num", "den", "_data")
 
     def __init__(self, rows: int, cols: int, entries: Sequence):
         entries = tuple(_frac(x) for x in entries)
         if len(entries) != rows * cols:
             raise ValueError(f"need {rows * cols} entries, got {len(entries)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", entries)
+        # the least common denominator of entries in lowest terms is canonical
+        den = lcm(*[x.denominator for x in entries])
+        self._set(rows, cols, tuple(x.numerator * (den // x.denominator) for x in entries), den)
+        object.__setattr__(self, "_data", entries)
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
 
-    @classmethod
-    def _trusted(cls, rows: int, cols: int, entries: Sequence[Fraction]) -> "Matrix":
-        # Internal fast path for rows * cols entries that are all Fractions.
-        self = object.__new__(cls)
+    def _set(self, rows: int, cols: int, num: Tuple[int, ...], den: int) -> None:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", tuple(entries))
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _ints(cls, rows: int, cols: int, num: Sequence[int], den: int = 1) -> "Matrix":
+        # Internal constructor: rows * cols integer numerators over den != 0,
+        # brought to the canonical form.
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = [v // g for v in num]
+            den //= g
+        self = object.__new__(cls)
+        self._set(rows, cols, tuple(num), den)
         return self
 
     # -- constructors ---------------------------------------------------
@@ -96,11 +111,13 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [0] * (rows * cols))
+        return cls._ints(rows, cols, [0] * (rows * cols))
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        num = [0] * (n * n)
+        num[::n + 1] = [1] * n
+        return cls._ints(n, n, num)
 
     @classmethod
     def diag(cls, values: Sequence) -> "Matrix":
@@ -112,6 +129,21 @@ class Matrix:
         return cls(len(values), 1, list(values))
 
     # -- access ----------------------------------------------------------
+
+    @property
+    def data(self) -> Tuple[Fraction, ...]:
+        """The entries as `Fraction`s, row-major."""
+        try:
+            return self._data
+        except AttributeError:
+            pass
+        den = self.den
+        if den == 1:
+            data = tuple(map(Fraction, self.num))
+        else:
+            data = tuple(Fraction(v, den) if v else _ZERO for v in self.num)
+        object.__setattr__(self, "_data", data)
+        return data
 
     def __getitem__(self, ij: Tuple[int, int]) -> Fraction:
         i, j = ij
@@ -125,10 +157,11 @@ class Matrix:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
+                and self.cols == other.cols and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, self.num, self.den))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
@@ -136,50 +169,57 @@ class Matrix:
 
     @property
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.data)
+        return not any(self.num)
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
+    def _num_over(self, den: int) -> Sequence[int]:
+        """The numerators over den, a multiple of self.den."""
+        f = den // self.den
+        return self.num if f == 1 else [v * f for v in self.num]
+
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix._trusted(self.rows, self.cols, [a + b for a, b in zip(self.data, other.data)])
+        den = lcm(self.den, other.den)
+        return Matrix._ints(self.rows, self.cols,
+                            list(map(add, self._num_over(den), other._num_over(den))), den)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix._trusted(self.rows, self.cols, [a - b for a, b in zip(self.data, other.data)])
+        den = lcm(self.den, other.den)
+        return Matrix._ints(self.rows, self.cols,
+                            list(map(sub, self._num_over(den), other._num_over(den))), den)
 
     def __neg__(self) -> "Matrix":
-        return Matrix._trusted(self.rows, self.cols, [-a for a in self.data])
+        return Matrix._ints(self.rows, self.cols, [-v for v in self.num], self.den)
 
     def scale(self, c) -> "Matrix":
         c = _frac(c)
-        return Matrix._trusted(self.rows, self.cols, [c * a for a in self.data])
+        return Matrix._ints(self.rows, self.cols, [c.numerator * v for v in self.num],
+                            c.denominator * self.den)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        # integer rows over per-row denominators times integer columns over
-        # per-column denominators: one Fraction per output cell
-        left = [_scaled(self.row(i)) for i in range(self.rows)]
-        right = [_scaled(other.col(j)) for j in range(other.cols)]
-        out = []
-        for a, r in left:
-            for b, c in right:
-                s = sum(map(mul, a, b))
-                out.append(Fraction(s, r * c) if s else _ZERO)
-        return Matrix._trusted(self.rows, other.cols, out)
+        k, m = self.cols, other.cols
+        a, b = self.num, other.num
+        left = [a[i * k:(i + 1) * k] for i in range(self.rows)]
+        right = [b[j::m] for j in range(m)]
+        return Matrix._ints(self.rows, m, [sum(map(mul, r, c)) for r in left for c in right],
+                            self.den * other.den)
 
     def transpose(self) -> "Matrix":
-        return Matrix._trusted(self.cols, self.rows,
-                               [self.data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)])
+        c = self.cols
+        return Matrix._ints(c, self.rows, [v for j in range(c) for v in self.num[j::c]], self.den)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        return Matrix._trusted(len(row_idx), len(col_idx),
-                               [self[i, j] for i in row_idx for j in col_idx])
+        c, num = self.cols, self.num
+        return Matrix._ints(len(row_idx), len(col_idx),
+                            [num[i * c + j] for i in row_idx for j in col_idx], self.den)
 
     def _same_shape(self, other: "Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -187,50 +227,68 @@ class Matrix:
 
 
 def hstack(*ms: Matrix) -> Matrix:
-    ms = [m for m in ms]
     rows = ms[0].rows
     if any(m.rows != rows for m in ms):
         raise ValueError("row count mismatch in hstack")
-    data = []
+    den = lcm(*[m.den for m in ms])
+    parts = [(m.cols, m._num_over(den)) for m in ms]
+    num: List[int] = []
     for i in range(rows):
-        for m in ms:
-            data.extend(m.row(i))
-    return Matrix._trusted(rows, sum(m.cols for m in ms), data)
+        for c, part in parts:
+            num.extend(part[i * c:(i + 1) * c])
+    return Matrix._ints(rows, sum(m.cols for m in ms), num, den)
 
 
 def vstack(*ms: Matrix) -> Matrix:
     cols = ms[0].cols
     if any(m.cols != cols for m in ms):
         raise ValueError("column count mismatch in vstack")
-    data = []
+    den = lcm(*[m.den for m in ms])
+    num: List[int] = []
     for m in ms:
-        data.extend(m.data)
-    return Matrix._trusted(sum(m.rows for m in ms), cols, data)
+        num.extend(m._num_over(den))
+    return Matrix._ints(sum(m.rows for m in ms), cols, num, den)
 
 
 def block_diag(*ms: Matrix) -> Matrix:
     rows = sum(m.rows for m in ms)
     cols = sum(m.cols for m in ms)
-    out = [[Fraction(0)] * cols for _ in range(rows)]
+    den = lcm(*[m.den for m in ms])
+    num = [0] * (rows * cols)
     r0 = c0 = 0
     for m in ms:
+        part = m._num_over(den)
         for i in range(m.rows):
-            out[r0 + i][c0:c0 + m.cols] = list(m.row(i))
+            start = (r0 + i) * cols + c0
+            num[start:start + m.cols] = part[i * m.cols:(i + 1) * m.cols]
         r0 += m.rows
         c0 += m.cols
-    return Matrix.from_rows(out, cols=cols)
+    return Matrix._ints(rows, cols, num, den)
 
 
 # -- fraction-free elimination core ----------------------------------------
 
 
 def _int_rows(m: Matrix) -> List[List[int]]:
-    """Clear denominators row by row; preserves row space and kernel."""
+    """The numerator rows, each divided by its gcd; preserves row space and kernel."""
+    c, num = m.cols, m.num
     out = []
     for i in range(m.rows):
-        ints, _ = _scaled(m.row(i))
-        g = gcd(*ints)
-        out.append([v // g for v in ints] if g > 1 else ints)
+        row = num[i * c:(i + 1) * c]
+        g = gcd(*row)
+        out.append([v // g for v in row] if g > 1 else list(row))
+    return out
+
+
+def _int_cols(m: Matrix) -> List[List[int]]:
+    """Each column as integers over the least denominator of that column:
+    its numerators divided by their gcd with den."""
+    c, num, den = m.cols, m.num, m.den
+    out = []
+    for j in range(c):
+        col = num[j::c]
+        g = gcd(den, *col)
+        out.append([v // g for v in col] if g > 1 else list(col))
     return out
 
 
@@ -357,16 +415,15 @@ def _int_kernel(rows: List[List[int]], cols: int) -> "Subspace":
     """`kernel_basis` of the matrix with these integer rows (consumed) of
     length cols; scaling a row does not change the result."""
     pivots, free, nums, d = _rref(rows, cols)
-    out = [[_ZERO] * len(free) for _ in range(cols)]
-    for k, f in enumerate(free):
-        out[f][k] = Fraction(1)
+    k = len(free)
+    out = [0] * (cols * k)
+    for j, f in enumerate(free):
+        out[f * k + j] = d
         for r, pc in enumerate(pivots):
             if pc > f:
                 break
-            v = nums[r * len(free) + k]
-            if v:
-                out[pc][k] = Fraction(-v, d)
-    return Subspace._trusted(cols, Matrix._trusted(cols, len(free), [x for r in out for x in r]))
+            out[pc * k + j] = -nums[r * k + j]
+    return Subspace._trusted(cols, Matrix._ints(cols, k, out, d))
 
 
 def _rref(rows: List[List[int]], cols: int) -> Tuple[List[int], List[int], List[int], int]:
@@ -570,10 +627,10 @@ def solve_right(a: Matrix, b: Matrix) -> Optional[Matrix]:
     numb = [v for r in range(len(pivots)) for v in nums[(r + 1) * width - k:(r + 1) * width]]
     if not _kernel_proven(rows, pivots, free[width - k:], numb, d):
         return None
-    x = [[_ZERO] * k for _ in range(n)]
+    x = [0] * (n * k)
     for r, pc in enumerate(pivots):
-        x[pc] = [Fraction(v, d) if v else _ZERO for v in numb[r * k:(r + 1) * k]]
-    return Matrix._trusted(n, k, [v for r in x for v in r])
+        x[pc * k:(pc + 1) * k] = numb[r * k:(r + 1) * k]
+    return Matrix._ints(n, k, x, d)
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -586,31 +643,44 @@ def inverse(a: Matrix) -> Matrix:
 
 
 def is_invertible(a: Matrix) -> bool:
-    return a.is_square and rank(a) == a.rows
+    """Full rank over Q.  From `_MODULAR_CELLS` cells up, full rank modulo
+    the first of `_PRIMES` proves it (rank mod p <= rank over Q); any other
+    outcome is settled by the Bareiss rank."""
+    if not a.is_square:
+        return False
+    n = a.rows
+    if n * n >= _MODULAR_CELLS:
+        import numpy as np
+
+        p = _PRIMES[0]
+        residues = np.array([v % p for v in a.num], dtype=np.int64).reshape(n, n)
+        if len(_rref_mod(residues, p)) == n:
+            return True
+    return rank(a) == n
 
 
 def det(a: Matrix) -> Fraction:
-    """Determinant via fraction-free elimination of the cleared rows.
+    """Determinant via fraction-free elimination of the primitive rows.
 
-    The last Bareiss pivot is the determinant of the row-permuted integer
-    matrix; the swap sign and the row scale factors undo the rest.
+    Row i of a is g_i / den times the i-th row of `_int_rows`, g_i the gcd
+    of its numerators.  The last Bareiss pivot is the determinant of the
+    row-permuted integer matrix; the swap sign, the g_i and den^n undo the
+    rest.
     """
     if not a.is_square:
         raise ValueError("det of non-square matrix")
     n = a.rows
     if n == 0:
         return Fraction(1)
-    rows = _int_rows(a)
-    scale = Fraction(1)  # product of (entry of a) / (its cleared integer)
-    for i, row in enumerate(rows):
-        j = next((j for j, v in enumerate(row) if v), None)
-        if j is None:
-            return Fraction(0)
-        scale *= a[i, j] / row[j]
-    ech, pivots, sign = _echelon(rows)
+    scale = 1
+    for i in range(n):
+        scale *= gcd(*a.num[i * n:(i + 1) * n])
+    if not scale:
+        return Fraction(0)
+    ech, pivots, sign = _echelon(_int_rows(a))
     if len(pivots) < n:
         return Fraction(0)
-    return sign * ech[n - 1][n - 1] * scale
+    return Fraction(sign * ech[n - 1][n - 1] * scale, a.den ** n)
 
 
 # -- subspaces --------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -94,6 +95,36 @@ def test_every_shipped_fixture_classifies():
         blob = json.dumps(datum_to_dict(build_shipped(name)))
         proc = run_cli("classify", "-", "--report", "json", stdin=blob)
         assert proc.returncode == 0, name
+
+
+CERTIFIED_REPORTS = textwrap.dedent("""
+    import contextlib, io, json, sys
+    from importlib import resources
+    from sblq.cli import main
+    from sblq.fixtures import SHIPPED_FIXTURES
+
+    out = []
+    for name in SHIPPED_FIXTURES:
+        path = str(resources.files("sblq").joinpath(f"fixtures/{name}.json"))
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(["classify", path, "--report", "json", "--certificates"])
+        report = json.loads(buf.getvalue())
+        del report["timing"]
+        out.append([name, code, report])
+    print(json.dumps([sys.flags.optimize, out]))
+""")
+
+
+def test_certified_reports_identical_under_optimize():
+    # every rank decision and certificate check must survive `python -O`
+    runs = [json.loads(subprocess.run([sys.executable, *flags, "-c", CERTIFIED_REPORTS],
+                                      capture_output=True, text=True, check=True).stdout)
+            for flags in ((), ("-O",))]
+    assert [flag for flag, _ in runs] == [0, 1]
+    plain, optimized = (out for _, out in runs)
+    assert len(plain) == 11 and all(code == 0 for _, code, _ in plain)
+    assert optimized == plain
 
 
 def test_rotations_eigen_table():

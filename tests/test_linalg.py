@@ -382,6 +382,158 @@ def test_inverse_matches_reference(m):
                 assert inverse(m).data == want.data
 
 
+# -- integer storage ------------------------------------------------------------
+#
+# A Matrix holds integer numerators over one canonical denominator; every
+# operation must give the entries that plain Fraction arithmetic gives.
+
+
+def _ref_int_cols(m):
+    """Each column times the least common denominator of its entries."""
+    out = []
+    for j in range(m.cols):
+        col = m.col(j)
+        den = 1
+        for x in col:
+            den = den * x.denominator // gcd(den, x.denominator)
+        out.append([int(x * den) for x in col])
+    return out
+
+
+def _ref_block_diag(*ms):
+    cols = sum(m.cols for m in ms)
+    out, c0 = [], 0
+    for m in ms:
+        for i in range(m.rows):
+            out.extend([Fraction(0)] * c0 + list(m.row(i)) + [Fraction(0)] * (cols - c0 - m.cols))
+        c0 += m.cols
+    return out
+
+
+def _canonical(m):
+    return (len(m.num) == m.rows * m.cols and m.den > 0 and gcd(m.den, *m.num) == 1
+            and all(type(v) is int for v in m.num))
+
+
+@st.composite
+def operands(draw):
+    """A matrix a with one partner for each operation: b of its shape, a
+    right factor e, c with its rows, d with its columns, a scalar and row
+    and column index lists (repeats allowed)."""
+    a = draw(matrices())
+    b = draw(matrices(rows=a.rows, cols=a.cols))
+    e = draw(matrices(rows=a.cols))
+    c = draw(matrices(rows=a.rows))
+    d = draw(matrices(cols=a.cols))
+    s = draw(st.one_of(st.just(Fraction(0)), _entries, st.builds(lambda x: -x, _entries)))
+    ri = draw(st.lists(st.integers(0, a.rows - 1), max_size=6)) if a.rows else []
+    ci = draw(st.lists(st.integers(0, a.cols - 1), max_size=6)) if a.cols else []
+    return a, b, e, c, d, s, ri, ci
+
+
+@settings(max_examples=300, deadline=None)
+@given(operands())
+def test_storage_ops_match_fraction_reference(drawn):
+    a, b, e, c, d, s, ri, ci = drawn
+    n = a.cols
+    cases = [
+        (a @ e, ref_matmul(a, e).data),
+        (a + b, [x + y for x, y in zip(a.data, b.data)]),
+        (a - b, [x - y for x, y in zip(a.data, b.data)]),
+        (a.scale(s), [s * x for x in a.data]),
+        (-a, [-x for x in a.data]),
+        (a.transpose(), [a.data[i * n + j] for j in range(n) for i in range(a.rows)]),
+        (a.submatrix(ri, ci), [a.data[i * n + j] for i in ri for j in ci]),
+        (hstack(a, c), [x for i in range(a.rows) for x in a.row(i) + c.row(i)]),
+        (vstack(a, d), a.data + d.data),
+        (block_diag(a, d, c), _ref_block_diag(a, d, c)),
+    ]
+    for got, want in cases:
+        want = tuple(want)
+        assert got.data == want
+        assert _canonical(got)
+        # a matrix built from the same Fractions is the same matrix
+        fresh = Matrix(got.rows, got.cols, want)
+        assert (fresh.num, fresh.den) == (got.num, got.den)
+        assert fresh == got and hash(fresh) == hash(got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(), st.data())
+def test_equality_and_hash_follow_the_entries(m, data):
+    # a sparse partner of the same shape often shares entries, sometimes all
+    other = data.draw(st.sampled_from([m, m.scale(Fraction(2, 3)).scale(Fraction(3, 2)),
+                                       m + Matrix.zeros(m.rows, m.cols), -(-m),
+                                       m.transpose().transpose(), Matrix.zeros(m.rows, m.cols),
+                                       data.draw(matrices(rows=m.rows, cols=m.cols))]))
+    assert _canonical(m) and _canonical(other)
+    assert (m == other) == (m.data == other.data)
+    if m == other:
+        assert hash(m) == hash(other)
+    assert linalg._int_rows(m) == _ref_int_rows(m)
+    assert linalg._int_cols(m) == _ref_int_cols(m)
+
+
+def test_canonical_form_examples():
+    m = Matrix(1, 3, [Fraction(1, 2), Fraction(-1, 3), 2])
+    assert (m.num, m.den) == ((3, -2, 12), 6)
+    assert (m.scale(6).num, m.scale(6).den) == ((3, -2, 12), 1)
+    assert Matrix(1, 1, [Fraction(2, 4)]).num == (1,)
+    zero = m.scale(0)
+    assert (zero.num, zero.den) == ((0, 0, 0), 1) and zero == Matrix.zeros(1, 3)
+    assert m - m == Matrix.zeros(1, 3) and (m - m).den == 1
+    assert Matrix.zeros(0, 4).den == 1 and Matrix.identity(0) == Matrix.zeros(0, 0)
+    assert m != m.transpose() and Matrix.zeros(2, 3) != Matrix.zeros(3, 2)
+    with pytest.raises(AttributeError):
+        m.den = 2
+
+
+# [[1, 2], [3, 4]] is the smallest system whose last Bareiss pivot is
+# negative: (1 * 4 - 3 * 2) / 1 = -2.  Results are read off the reduced form
+# over that pivot, so their sign must be normalized.
+_NEGATIVE_PIVOT = Matrix.from_rows([[1, 2, 1], [3, 4, 1]])
+
+
+def test_negative_last_pivot():
+    with mock.patch.object(linalg, "_MODULAR_CELLS", float("inf")):
+        pivots, free, nums, d = linalg._rref(linalg._int_rows(_NEGATIVE_PIVOT), 3)
+        assert (pivots, free, d) == ([0, 1], [2], -2)
+        ker = kernel_basis(_NEGATIVE_PIVOT)
+        assert ker.basis == ref_kernel(_NEGATIVE_PIVOT) == Matrix.column([1, -1, 1])
+        a = _NEGATIVE_PIVOT.submatrix(range(2), range(2))
+        x = solve_right(a, Matrix.column([1, 1]))
+        assert x == Matrix.column([-1, 1]) and a @ x == Matrix.column([1, 1])
+        inv = inverse(a)
+        assert inv == Matrix.from_rows([[-2, 1], [Fraction(3, 2), Fraction(-1, 2)]])
+        assert (inv.num, inv.den) == ((-4, 2, 3, -1), 2)
+        assert det(a) == -2
+
+
+def test_is_invertible_modular_screen():
+    # from _MODULAR_CELLS cells, full rank modulo the first prime is a proof;
+    # a forced small prime makes a matrix of det 5 singular there, and the
+    # Bareiss rank must then decide
+    n = 16
+    assert n * n >= linalg._MODULAR_CELLS
+    twin = Matrix.identity(n).submatrix([0] + list(range(n - 1)), range(n))
+    fifth = Matrix.diag([Fraction(1, 5)] + [1] * (n - 1))  # numerators diag(1, 5, ..., 5)
+    real = rank
+    calls = []
+
+    def counting(m):
+        calls.append(m.rows)
+        return real(m)
+
+    with mock.patch.object(linalg, "_PRIMES", (5,) + linalg._PRIMES), \
+            mock.patch.object(linalg, "rank", counting):
+        assert linalg.is_invertible(Matrix.identity(n)) and calls == []
+        assert linalg.is_invertible(Matrix.diag([5] + [1] * (n - 1))) and calls == [n]
+        assert linalg.is_invertible(fifth) and calls == [n, n]
+        assert not linalg.is_invertible(twin) and calls == [n, n, n]
+        assert not linalg.is_invertible(Matrix.zeros(n, n + 1))
+        assert linalg.is_invertible(Matrix.diag([5, 1])) and calls[-1] == 2
+
+
 # -- canonical span keys -------------------------------------------------------
 
 
