@@ -186,39 +186,32 @@ def holder_normal_form(d: SBLDatum) -> Optional[PencilForm]:
     Returns None unless ker Pi_0 is a direct complement of each ker Pi_i
     and every H_i (i >= 1) has the kernel's dimension; those conditions
     already force the image condition and pin the exponent constraint to
-    the Hoelder line.
+    the Hoelder line.  With v a basis of ker Pi_0, the square Pi_i v is
+    invertible exactly when ker Pi_i meets ker Pi_0 only in 0, so the
+    complement conditions are read off the inverses phi_i the form needs.
     """
-    k0 = d.kernel0()
-    b = k0.dim
+    v = d.kernel0().basis              # kernel basis, b columns
+    b = v.cols
     a = d.dim_H - b
-    if a != d.dims[0]:
+    if a != d.dims[0] or any(d.dims[i] != b for i in (1, 2, 3)):
         return None
-    kernels = [kernel_basis(d.pi[i]) for i in (1, 2, 3)]
-    for i, ki in enumerate(kernels, start=1):
-        if d.dims[i] != b:
-            return None
-        if ki.dim + b != d.dim_H or rank(hstack(ki.basis, k0.basis)) != d.dim_H:
-            return None
-    u = kernels[0].basis               # complement basis, a columns
-    v = k0.basis                       # kernel basis, b columns
-    pu = d.pi[0] @ u
-    phis = [inverse(pu) if a else Matrix.zeros(0, 0)]
-    framed = [hstack(pu, d.pi[0] @ v)]  # pi_i frame = [pi_i u | pi_i v]
-    gammas = []
-    for i in (1, 2, 3):
-        pu, pv = d.pi[i] @ u, d.pi[i] @ v
-        phii = inverse(pv) if b else Matrix.zeros(0, 0)
-        phis.append(phii)
-        gammas.append(phii @ pu)
-        framed.append(hstack(pu, pv))
-    a2 = gammas[1].transpose()
-    a3 = gammas[2].transpose()
+    u = kernel_basis(d.pi[1]).basis    # complement basis, a columns
+    if u.cols != a:
+        return None
+    products = [(p @ u, p @ v) for p in d.pi]
+    phis = [solve_right(products[0][0], Matrix.identity(a))]
+    phis += [solve_right(pv, Matrix.identity(b)) for _, pv in products[1:]]
+    if any(phi is None for phi in phis):
+        return None
+    a2 = (phis[2] @ products[2][0]).transpose()
+    a3 = (phis[3] @ products[3][0]).transpose()
     frame = hstack(u, v)
     form = PencilForm(a, b, a2, a3, frame, tuple(phis))
-    # the rank check above makes frame invertible, so pi'_i = phi_i pi_i frame
-    # is intertwining pi'_i phi = phi_i pi_i for the base change phi = frame^-1
+    # u and v span complementary subspaces, so frame is invertible, and
+    # pi'_i = phi_i pi_i frame is intertwining pi'_i phi = phi_i pi_i for
+    # the base change phi = frame^-1
     nf = form.normal_form_datum()
-    if any(nf.pi[i] != phis[i] @ framed[i] for i in range(4)):
+    if any(nf.pi[i] != phis[i] @ hstack(*products[i]) for i in range(4)):
         raise AssertionError("pencil reconstruction failed")
     return form
 
@@ -430,12 +423,6 @@ class DecompositionResult:
     @property
     def classified(self) -> bool:
         return self.status == "classified"
-
-    def tag_multiset(self) -> Dict[FamilyTag, int]:
-        out: Dict[FamilyTag, int] = {}
-        for s in self.summands:
-            out[s.tag] = out.get(s.tag, 0) + s.multiplicity
-        return out
 
 
 def _case_feasible(case_tag: str, eqc: Tuple[int, int, int, int]) -> bool:

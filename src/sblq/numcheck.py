@@ -434,8 +434,6 @@ class QuadSpec:
     points: int = 48              # per axis (tensor)
     samples: int = 200_000        # total (mc)
     seed: int = 0
-    proposal_width: float = 2.0
-    box: Optional[float] = None
 
     def __post_init__(self):
         if self.mode not in ("tensor", "mc"):
@@ -443,6 +441,7 @@ class QuadSpec:
 
 
 _MC_CHUNK = 65_536
+_PROPOSAL_WIDTH = 2.0
 
 
 def _integrand(spec: FormSpec):
@@ -549,14 +548,13 @@ def _mc_value(spec: FormSpec, quad: QuadSpec) -> Tuple[float, float]:
         raise ValueError("Monte Carlo quadrature is limited to total dimension 6")
     f = _integrand(spec)
     whitening = _combined_form(spec)
-    sigma = quad.proposal_width
     if whitening is None:
         center = np.zeros(dim)
-        shape = sigma * np.eye(dim)
+        shape = _PROPOSAL_WIDTH * np.eye(dim)
     else:
         # proposal matched to the Gaussian part, widened a little
         center, whiten, _ = whitening
-        shape = (sigma / np.sqrt(2.0 * pi)) * whiten
+        shape = (_PROPOSAL_WIDTH / np.sqrt(2.0 * pi)) * whiten
     log_det = np.linalg.slogdet(shape)[1]
     total = 0.0
     total_sq = 0.0
@@ -593,8 +591,8 @@ def eval_form(spec: FormSpec, quad: QuadSpec) -> Tuple[float, float]:
     if spec.datum.dim_H == 0:
         return 0.0, 0.0
     if quad.mode == "tensor":
-        value = _tensor_value(spec, quad.points, quad.box)
-        coarse = _tensor_value(spec, max(quad.points // 2, 4), quad.box)
+        value = _tensor_value(spec, quad.points)
+        coarse = _tensor_value(spec, max(quad.points // 2, 4))
         return value, abs(value - coarse)
     return _mc_value(spec, quad)
 

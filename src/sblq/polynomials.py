@@ -159,14 +159,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
 
-    def compose_linear(self, a, b) -> "Poly":
-        """p(a*t + b), exact."""
-        lin = Poly((_frac(b), _frac(a)))
-        acc = Poly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * lin + Poly((c,))
-        return acc
-
     def reverse(self) -> "Poly":
         """Coefficient reversal t^deg * p(1/t)."""
         return Poly(tuple(reversed(self.coeffs)))

@@ -178,12 +178,6 @@ class SphereGrid:
     def integrate(self, values: np.ndarray) -> float:
         return float(np.dot(self.weights, values))
 
-    def analyze(self, values: np.ndarray, band: int) -> np.ndarray:
-        """Coefficients of a function sampled on the grid (exact when the
-        function is band-limited within the grid band)."""
-        basis = sph_basis(self.points, band)
-        return basis.T @ (self.weights * values)
-
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         band = degree_of_index(len(coeffs) - 1)
         return sph_basis(self.points, band) @ coeffs
@@ -250,13 +244,6 @@ class SliceDecomposition:
     f_coeffs: np.ndarray
     tf_coeffs: np.ndarray
     spectrum: FunkSpectrum
-    sobolev_index: float = 0.0
-
-    def gamma(self, nus: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        """Gamma evaluated on the product of the two point lists."""
-        f_theta = synthesize_at(thetas, self.f_coeffs)
-        tf_nu = synthesize_at(nus, self.tf_coeffs)
-        return f_theta[None, :] - tf_nu[:, None]
 
     def circle_mean(self, nu: np.ndarray, count: int = 64) -> float:
         pts = great_circle_points(nu, count)
@@ -265,8 +252,8 @@ class SliceDecomposition:
         return float(vals.mean())
 
 
-def neumann_solve(omega_coeffs: np.ndarray, spectrum: FunkSpectrum,
-                  sobolev_index: float = 0.0) -> SliceDecomposition:
+def neumann_solve(omega_coeffs: np.ndarray,
+                  spectrum: FunkSpectrum) -> SliceDecomposition:
     """Solve (1 - T^2) F = Omega by diagonal division, cross-checked against
     the truncated Neumann series sum F = sum_l T^{2l} Omega."""
     omega = np.asarray(omega_coeffs, dtype=float).copy()
@@ -289,7 +276,7 @@ def neumann_solve(omega_coeffs: np.ndarray, spectrum: FunkSpectrum,
     # remaining tail is below term/(1 - lam^2) <= 2e-14 in every entry
     if np.max(np.abs(series - f)) > 1e-12:
         raise ArithmeticError("Neumann series disagrees with diagonal inversion")
-    return SliceDecomposition(f, funk_apply(f, spectrum), spectrum, sobolev_index)
+    return SliceDecomposition(f, funk_apply(f, spectrum), spectrum)
 
 
 def sobolev_norm(coeffs: np.ndarray, s: float, d: int = 3) -> float:
@@ -377,31 +364,17 @@ def verify_superposition(omega_coeffs: np.ndarray, f: RadialTensorFunction,
     homogeneous kernel with spherical part Omega* = omega_coeffs (d = 3,
     no Dirac component).
 
-    The left side is polar quadrature of Omega* against the angular average
-    of f; the right side goes through the slice decomposition of Omega* and
-    radial/great-circle quadrature.  Both sides carry the common factor
-    omega_2 = 4*pi.
+    Both sides are linear in f = sum_t rho_t(r) Y_t(u) and integrate in r
+    with the same rule, so the radial integral factors out: the residual is
+    omega_2 = 4*pi times the `verify_repr` residual of the one angular
+    function A = sum_t (sum_k w_k rho_t(r_k)) Y_t.
     """
     lo, hi = f.support
     r_nodes, r_weights = radial_log_quadrature(lo, hi, radial_count)
-    omega_vals = grid.synthesize(omega_coeffs)
-    lhs = 0.0
-    for r, w in zip(r_nodes, r_weights):
-        fv = f(r * grid.points)
-        lhs += w * grid.integrate(fv * omega_vals)
-    lhs *= 4.0 * pi
-
+    band = max((degree_of_index(len(ang) - 1) for _, ang in f.terms), default=0)
+    angular = np.zeros(basis_size(band))
+    for rho, ang in f.terms:
+        angular[:len(ang)] += float(np.dot(r_weights, rho(r_nodes))) * ang
     spectrum = funk_spectrum(3, degree_of_index(len(omega_coeffs) - 1))
     dec = neumann_solve(omega_coeffs, spectrum)
-    nus = grid.points
-    tf_nu = synthesize_at(nus, dec.tf_coeffs)
-    rhs = 0.0
-    for i, nu in enumerate(nus):
-        circle = great_circle_points(nu, circle_count)
-        gamma_vals = synthesize_at(circle, dec.f_coeffs) - tf_nu[i]
-        inner = 0.0
-        for r, w in zip(r_nodes, r_weights):
-            inner += w * float(np.mean(f(r * circle) * gamma_vals))
-        rhs += grid.weights[i] * inner
-    rhs *= 4.0 * pi
-    return abs(lhs - rhs)
+    return 4.0 * pi * verify_repr(dec, omega_coeffs, [angular], grid, circle_count)[0]

@@ -263,6 +263,25 @@ def test_holder_normal_form_rejects_young():
     assert holder_normal_form(module_to_datum(build(FamilyTag("Y")))) is None
 
 
+@pytest.mark.parametrize("rows", [
+    ([1, 0], [0, 1], [1, 0], [1, 1]),    # ker Pi_2 = ker Pi_0
+    ([1, 0], [0, 0], [1, 1], [1, 2]),    # Pi_1 not surjective
+])
+def test_holder_normal_form_rejects_shared_kernels(rows):
+    d = SBLDatum(2, (1, 1, 1, 1), tuple(Matrix(1, 2, r) for r in rows))
+    assert holder_normal_form(d) is None
+
+
+def test_holder_normal_form_pinned_plane():
+    d = SBLDatum(2, (1, 1, 1, 1), tuple(
+        Matrix(1, 2, r) for r in ([1, 0], [0, 1], [1, 1], [1, 2])))
+    form = holder_normal_form(d)
+    assert (form.a, form.b) == (1, 1)
+    assert (form.a2, form.a3) == (Matrix(1, 1, [1]), Matrix(1, 1, [Fraction(1, 2)]))
+    assert form.frame == Matrix.identity(2)
+    assert form.phi_i == tuple(Matrix(1, 1, [x]) for x in (1, 1, 1, Fraction(1, 2)))
+
+
 def test_kronecker_decompose_examples():
     cases = [
         ([Fraction(1)], [Fraction(1, 3)], [("N", 1)]),

@@ -11,10 +11,10 @@ from scipy.special import eval_gegenbauer
 import sblq
 from sblq.rotations import (
     FunkSpectrum, RadialTensorFunction, SliceDecomposition, SphereGrid, TOLERANCES,
-    basis_index, basis_size, decay_exponent_fit, funk_apply,
+    basis_index, basis_size, decay_exponent_fit, degree_of_index, funk_apply,
     funk_apply_direct, funk_eigenvalue, funk_spectrum, gegenbauer,
-    great_circle_points, neumann_solve, sobolev_norm, sph_basis,
-    synthesize_at, verify_repr, verify_superposition,
+    great_circle_points, neumann_solve, radial_log_quadrature, sobolev_norm,
+    sph_basis, synthesize_at, verify_repr, verify_superposition,
 )
 
 
@@ -253,6 +253,55 @@ def test_superposition_purely_radial_test_function():
     ang[0] = 1.0   # constant angular part
     f = RadialTensorFunction(((_bump(0.5, 2.0), ang),), (0.5, 2.0))
     assert verify_superposition(omega, f, SphereGrid.build(12)) < 1e-10
+
+
+def reference_superposition(omega_coeffs, f, grid, radial_count=48, circle_count=64):
+    # oracle: both sides of the identity by polar quadrature, evaluating f
+    # at every radial node on every great circle
+    lo, hi = f.support
+    r_nodes, r_weights = radial_log_quadrature(lo, hi, radial_count)
+    omega_vals = grid.synthesize(omega_coeffs)
+    lhs = 0.0
+    for r, w in zip(r_nodes, r_weights):
+        fv = f(r * grid.points)
+        lhs += w * grid.integrate(fv * omega_vals)
+    lhs *= 4.0 * np.pi
+
+    spectrum = funk_spectrum(3, degree_of_index(len(omega_coeffs) - 1))
+    dec = neumann_solve(omega_coeffs, spectrum)
+    nus = grid.points
+    tf_nu = synthesize_at(nus, dec.tf_coeffs)
+    rhs = 0.0
+    for i, nu in enumerate(nus):
+        circle = great_circle_points(nu, circle_count)
+        gamma_vals = synthesize_at(circle, dec.f_coeffs) - tf_nu[i]
+        inner = 0.0
+        for r, w in zip(r_nodes, r_weights):
+            inner += w * float(np.mean(f(r * circle) * gamma_vals))
+        rhs += grid.weights[i] * inner
+    rhs *= 4.0 * np.pi
+    return abs(lhs - rhs)
+
+
+@pytest.mark.parametrize("grid_band,circle_count,radial_count,seed", [
+    (3, 6, 8, 0), (4, 8, 10, 1), (3, 10, 12, 2), (4, 6, 12, 3), (5, 8, 8, 4),
+])
+def test_superposition_matches_per_circle_reference(grid_band, circle_count,
+                                                    radial_count, seed):
+    # under-resolved rules keep the residual O(1), so agreement is not trivial
+    rng = np.random.default_rng(seed)
+    omega = rng.normal(size=basis_size(4))
+    omega[0] = 0.0
+    skewed = _bump(0.7, 1.6)
+    f = RadialTensorFunction(
+        ((_bump(0.5, 2.0), rng.normal(size=basis_size(2))),
+         (lambda r: np.asarray(r) * skewed(r), rng.normal(size=basis_size(5)))),
+        (0.5, 2.0))
+    grid = SphereGrid.build(grid_band)
+    new = verify_superposition(omega, f, grid, radial_count, circle_count)
+    old = reference_superposition(omega, f, grid, radial_count, circle_count)
+    assert old > 1e-3
+    assert abs(new - old) <= 1e-8 * old
 
 
 def test_radial_support_guard():
