@@ -58,6 +58,7 @@ class SBLDatum:
                 raise DatumFormatError(
                     f"pi[{i}] has shape {m.rows}x{m.cols}, expected {h}x{self.dim_H}")
 
+    @cached_property
     def kernel0(self) -> Subspace:
         return kernel_basis(self.pi[0])
 

@@ -24,7 +24,7 @@ from .core import (
     validate_datum,
 )
 from .linalg import (
-    Matrix, Subspace, _annihilator, _echelon, _echelon_key, _int_rows,
+    Matrix, Subspace, _annihilator, _echelon_key, _int_rank, _int_rows,
     block_diag, hstack, image_basis, inverse, invariant_factors, kernel_basis,
     rank, solve_right, subspace_intersect, subspace_sum,
 )
@@ -96,10 +96,10 @@ def necessary_conditions(d: SBLDatum, lattice_depth: int = 3,
     round adds anything either.  Descriptions and order are those of the
     full pairwise closure.
     """
-    k0 = d.kernel0()
+    k0 = d.kernel0
     b = k0.dim
     maps = [_int_rows(d.pi[i] @ k0.basis) for i in (1, 2, 3)]
-    surj = (True, *(_int_rank([list(row) for row in r]) == d.dims[i]
+    surj = (True, *(_int_rank([list(row) for row in r], b) == d.dims[i]
                     for i, r in zip((1, 2, 3), maps)))
     # (description, key, annihilator key with reversed coordinates)
     found = [("ker Pi_0", _annihilator((), b), ())]
@@ -130,15 +130,11 @@ def necessary_conditions(d: SBLDatum, lattice_depth: int = 3,
 
     entries = tuple(
         LatticeEntry(desc, len(key), tuple(
-            _int_rank([[sum(map(mul, k, r)) for r in rows] for k in key])
+            _int_rank([[sum(map(mul, k, r)) for r in rows] for k in key], len(rows))
             for rows in maps))
         for desc, key, _ in found)
     eq = entries[0]
     return NecessityReport(surj, entries, (*eq.image_dims, eq.dim))
-
-
-def _int_rank(rows: List[List[int]]) -> int:
-    return len(_echelon(rows)[1])
 
 
 # -- the Hoelder-case pencil reduction ---------------------------------------
@@ -190,7 +186,7 @@ def holder_normal_form(d: SBLDatum) -> Optional[PencilForm]:
     invertible exactly when ker Pi_i meets ker Pi_0 only in 0, so the
     complement conditions are read off the inverses phi_i the form needs.
     """
-    v = d.kernel0().basis              # kernel basis, b columns
+    v = d.kernel0.basis                # kernel basis, b columns
     b = v.cols
     a = d.dim_H - b
     if a != d.dims[0] or any(d.dims[i] != b for i in (1, 2, 3)):
@@ -473,8 +469,8 @@ def _decompose(d: SBLDatum, nec: NecessityReport, trials: int, seed: int,
         summands.append(IndecompSummand(FamilyTag("C", 0), c0_count, "kernel-only split"))
     if rest.dim_M == 0:
         return DecompositionResult(summands, "classified", "empty", nec)
-    d_rest = module_to_datum(rest)
-    form = holder_normal_form(d_rest)
+    # with nothing split off, rest is d's own module and d its datum
+    form = holder_normal_form(module_to_datum(rest) if c0_count else d)
     if form is not None:
         summands.extend(kronecker_decompose(form))
         result = DecompositionResult(summands, "classified", "pencil", nec, pencil=form)

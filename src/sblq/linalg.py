@@ -7,29 +7,33 @@ denominator, in canonical form, so every operation runs on Python ints:
 products multiply the numerators and the denominators, sums and stacks
 bring their operands over the least common denominator, and `Fraction`s
 are built only when entries are read.  The elimination core takes the
-numerator rows, each divided by its gcd, and runs fraction-free (Bareiss)
-integer elimination, carried on to the fraction-free reduced form for
-kernels and solves, whose results are built straight from that form.
-Growth is bounded by minor sizes, which is plenty for the matrix sizes
-that occur here (a few hundred rows at most in homomorphism-space solves).
-Callers that already hold integer rows use the private integer entry
-points directly: `_int_kernel` (the homomorphism-space solves), and
-`_echelon_key` and `_annihilator` (canonical keys of row spans and of their
+numerator rows, each divided by its gcd, and has two routes, chosen by
+size alone:
+- `_rref` gives the reduced row echelon form as (pivots, free columns,
+  numerators, d).  Kernels, solves, inverses and `_echelon_key` (the
+  canonical key of a row span: the reduced rows made primitive) read
+  their results off it.
+- `_pivots` gives only the pivot columns, for `rank`, `image_basis`,
+  `is_invertible` and `_int_rank`.
+Integer systems with at least `_MODULAR_CELLS` cells, the one switch, are
+reduced multi-modularly on both routes, since Bareiss pivots there grow far
+beyond the entries of the result: the reduced form modulo 31-bit primes
+(numpy int64, imported only then; residues, never floats), Chinese
+remaindering and rational reconstruction of its free-column entries.  A
+lift is returned only after an exact integer check that every kernel vector
+it gives lies in the kernel (`_kernel_proven`).  That makes it equal to the
+exact reduced form entry for entry, and its pivots the exact pivots; full
+column rank modulo a prime proves itself at once.  When the primes run out
+without a proof, the Bareiss pass runs instead.  Below the switch both
+routes run fraction-free (Bareiss) integer elimination: `_rref` carries it
+on to the fraction-free reduced form, `_pivots` stops at the echelon form.
+`solve_right` reads X off the reduced form of [a | b] and runs the same
+proof on the b columns, which is a @ X == b on integer rows, on either
+path.  `det` keeps its own Bareiss pass, whose last pivot is the
+determinant.  Callers that already hold integer rows use the private
+integer entry points directly: `_int_kernel` and `_int_rank`, and
+`_echelon_key` and `_annihilator` (keys of row spans and of their
 annihilators, for the necessity screen's subspace lattice).
-
-Kernels and solves share one reduced-form entry point, `_rref`.  Integer
-systems with at least `_MODULAR_CELLS` cells are first reduced
-multi-modularly, since Bareiss pivots there grow far beyond the entries of
-the result: the reduced form modulo 31-bit primes (numpy int64, imported
-only then; residues, never floats), Chinese remaindering and rational
-reconstruction of its free-column entries.  A lift is returned only after
-an exact integer check that every kernel vector it gives lies in the kernel
-(`_kernel_proven`), which makes it equal to the Bareiss form entry for
-entry; when the primes run out without that proof, the Bareiss pass runs
-instead.  `solve_right` reads X off the reduced form of [a | b] and runs
-the same proof on the b columns, which is a @ X == b on integer rows, on
-either path.  `is_invertible` on a matrix of that size first tries one
-prime: full rank modulo p proves full rank over Q.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -355,12 +359,19 @@ def _echelon_key(rows: List[List[int]]) -> Tuple[Tuple[int, ...], ...]:
     with a positive pivot.  The reduced form is unique per span, so two
     row sets have equal keys exactly when they span the same subspace.
     """
-    ech, pivots, _ = _echelon(rows, reduced=True)
+    cols = len(rows[0]) if rows else 0
+    pivots, free, nums, d = _rref(rows, cols)
+    k = len(free)
     out = []
-    for row, pc in zip(ech, pivots):
-        g = gcd(*row)
-        g = g if row[pc] > 0 else -g
-        out.append(tuple(v // g for v in row))
+    for r, pc in enumerate(pivots):
+        part = nums[r * k:(r + 1) * k]
+        g = gcd(d, *part)
+        g = g if d > 0 else -g
+        row = [0] * cols
+        row[pc] = d // g
+        for f, v in zip(free, part):
+            row[f] = v // g
+        out.append(tuple(row))
     return tuple(out)
 
 
@@ -395,11 +406,8 @@ def _annihilator(key: Tuple[Tuple[int, ...], ...], n: int) -> Tuple[Tuple[int, .
 
 
 def rank(m: Matrix) -> int:
-    """Rank over the rationals (fraction-free Gaussian elimination)."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    _, pivots, _ = _echelon(_int_rows(m))
-    return len(pivots)
+    """Rank over the rationals."""
+    return _int_rank(_int_rows(m), m.cols)
 
 
 def kernel_basis(m: Matrix) -> "Subspace":
@@ -424,6 +432,28 @@ def _int_kernel(rows: List[List[int]], cols: int) -> "Subspace":
                 break
             out[pc * k + j] = -nums[r * k + j]
     return Subspace._trusted(cols, Matrix._ints(cols, k, out, d))
+
+
+def _int_rank(rows: List[List[int]], cols: int) -> int:
+    """`rank` of the matrix with these integer rows (consumed) of length cols.
+
+    A wide matrix is ranked by its transpose: full column rank modulo a
+    prime then proves the rank without a lift.
+    """
+    if len(rows) < cols:
+        rows, cols = [list(c) for c in zip(*rows)], len(rows)
+    return len(_pivots(rows, cols))
+
+
+def _pivots(rows: List[List[int]], cols: int) -> List[int]:
+    """Pivot columns of the integer rows (consumed) of length cols.
+
+    From `_MODULAR_CELLS` cells up they are those of the proven `_rref`;
+    below, one non-reduced Bareiss pass is cheaper.
+    """
+    if rows and len(rows) * cols >= _MODULAR_CELLS:
+        return _rref(rows, cols)[0]
+    return _echelon(rows)[1]
 
 
 def _rref(rows: List[List[int]], cols: int) -> Tuple[List[int], List[int], List[int], int]:
@@ -601,7 +631,7 @@ def image_basis(m: Matrix) -> "Subspace":
     """Column-span basis: the original columns at the pivot positions."""
     if m.rows == 0 or m.cols == 0:
         return Subspace(m.rows, Matrix.zeros(m.rows, 0))
-    _, pivots, _ = _echelon(_int_rows(m))
+    pivots = _pivots(_int_rows(m), m.cols)
     return Subspace._trusted(m.rows, m.submatrix(range(m.rows), pivots))
 
 
@@ -643,20 +673,8 @@ def inverse(a: Matrix) -> Matrix:
 
 
 def is_invertible(a: Matrix) -> bool:
-    """Full rank over Q.  From `_MODULAR_CELLS` cells up, full rank modulo
-    the first of `_PRIMES` proves it (rank mod p <= rank over Q); any other
-    outcome is settled by the Bareiss rank."""
-    if not a.is_square:
-        return False
-    n = a.rows
-    if n * n >= _MODULAR_CELLS:
-        import numpy as np
-
-        p = _PRIMES[0]
-        residues = np.array([v % p for v in a.num], dtype=np.int64).reshape(n, n)
-        if len(_rref_mod(residues, p)) == n:
-            return True
-    return rank(a) == n
+    """Full rank over Q."""
+    return a.is_square and rank(a) == a.rows
 
 
 def det(a: Matrix) -> Fraction:

@@ -174,12 +174,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic() if not a.is_zero else a
 
 
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero or b.is_zero:
-        return Poly.zero()
-    return ((a * b) // poly_gcd(a, b)).monic()
-
-
 def squarefree_part(p: Poly) -> Poly:
     """p with repeated roots collapsed: p / gcd(p, p')."""
     if p.degree <= 0:
@@ -211,30 +205,6 @@ def format_poly(p: Poly, var: str = "t") -> str:
     for term in parts[1:]:
         out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
     return out
-
-
-def parse_poly(text: str) -> Poly:
-    """Inverse of :func:`format_poly` for the restricted shapes it emits."""
-    text = text.replace(" - ", " + -").replace("- ", "-")
-    coeffs: dict[int, Fraction] = {}
-    for raw in text.split(" + "):
-        term = raw.strip()
-        if not term:
-            continue
-        if "t" not in term:
-            coeffs[0] = coeffs.get(0, Fraction(0)) + Fraction(term)
-            continue
-        head, _, tail = term.partition("t")
-        k = int(tail[1:]) if tail.startswith("^") else 1
-        head = head.rstrip("*")
-        if head in ("", "+"):
-            c = Fraction(1)
-        elif head == "-":
-            c = Fraction(-1)
-        else:
-            c = Fraction(head)
-        coeffs[k] = coeffs.get(k, Fraction(0)) + c
-    return Poly([coeffs.get(k, Fraction(0)) for k in range(max(coeffs) + 1)])
 
 
 # -- Sturm isolation of real roots ---------------------------------------

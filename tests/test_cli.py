@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -125,6 +128,54 @@ def test_certified_reports_identical_under_optimize():
     plain, optimized = (out for _, out in runs)
     assert len(plain) == 11 and all(code == 0 for _, code, _ in plain)
     assert optimized == plain
+
+
+# sha256 of `classify <fixture> --report json`, without and with
+# `--certificates`, once "timing" and "command" are removed.  A change to the
+# exact core must leave every one of these reports byte for byte as it was.
+REPORT_SHA256 = {
+    "bht": ("ed280c53b91f42fac73f8e2c479a932978bfc34e92c3a630c1ab3a58b2f49bfa",
+           "36bd058df85321804ed4b9f094e9ad917ebfdb28f0c7ee991b80f25e8d789bb0"),
+    "coifman_meyer_1": ("bdf421f30a55461bf05de2d55ff57d65f5ae95beef7ba4600119a4835ed0f4e7",
+                       "5df2ea861d53bdb58d9bfa9a9db8b9a3f3c4242b639d1b9d9b3d47f0485ba1da"),
+    "coifman_meyer_2": ("4d02f3c12570cf3f3c68b1c30014179db540476b3069eaab1c65bfa822091d1b",
+                       "bbdcbb6b65bed6141bafb7c1f1abed378958bf3a8bad8765341e91fdfc1e87f2"),
+    "twisted_paraproduct": ("f87d0bf3374c01b917a1cb54352bfc455c96cce5b9d0f75dd7e76722b2718f1f",
+                           "33d8eee654d0960cbc2cb05a9307a1599f720ecfa2b423af8e0ffc4c0fc0af00"),
+    "j2": ("8d72f6c55215f37bd19c694ebf704784990868038bac91df8008f79166e23193",
+          "f7b0129b55cc619170d9784b72f6a946a57c52f59e3cd051e01124fe0e247271"),
+    "n1_j1": ("839967fcba1a01c548c2fb362fa19efbada4f2e5c75b4ce0566ae4ea1bd923b7",
+             "f825ebbc2def46691120a9c411b27c53dfdb293f130ac427433a07d9ac9d15af"),
+    "three_twisted": ("513cfd66e7ed041ca4fc49dd96dd05e57dd38279a028a3361cdbd5b4ff6ebc07",
+                     "cfacd897a9b5360e4993d1ca72b291b1c640e0327e54a31e3dacb1f5263f7a5c"),
+    "triangular_hilbert": ("286bc075d1959ff23c1c9aa967e9b6f36ecbf02154ab5aad2da9b64d581c5f7a",
+                          "e03a2af445555f3206e4e9bca0eba85e9db49090d98fa5b039eaad7ebaebb1cd"),
+    "young": ("b4504478627be29ceb49f8723d92e7fac77b10a1788bf1138d011ad2157b49a7",
+             "60d26f0fe111440683c5dc7465501b2a5273010351fff7bdcb23d851744e24b8"),
+    "loomis_whitney": ("dee5583a4a8221dc1b05f731fb956cca5a57e3cd33cd8519cbe55ac44468e1b2",
+                      "8ed0c1ff25045618b1a8b52cb928f3fd385819de54eba4c17226369a8b8a2f2f"),
+    "bilinear_holder_pk": ("ea500eb6bfc53777ce6f596ad1141387be65c1e76d9b6786d884b7ec1f272cac",
+                          "66ab036933ec986ace71b907b2eb047b6cc64118c854186d2e554a5e43228bd6"),
+}
+
+
+def test_fixture_reports_match_snapshot():
+    from importlib import resources
+
+    from sblq.cli import main
+    from sblq.fixtures import SHIPPED_FIXTURES
+
+    assert sorted(SHIPPED_FIXTURES) == sorted(REPORT_SHA256)
+    for name in SHIPPED_FIXTURES:
+        path = str(resources.files("sblq").joinpath(f"fixtures/{name}.json"))
+        for extra, want in zip(((), ("--certificates",)), REPORT_SHA256[name]):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main(["classify", path, "--report", "json", *extra]) == 0
+            report = json.loads(buf.getvalue())
+            del report["timing"], report["command"]
+            got = hashlib.sha256(json.dumps(report, indent=1).encode()).hexdigest()
+            assert got == want, (name, extra)
 
 
 def test_rotations_eigen_table():

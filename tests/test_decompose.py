@@ -93,7 +93,7 @@ def _reference_image_dims(d, sub):
 
 def reference_necessary_conditions(d, lattice_depth=3, max_lattice=64):
     """Every pair, every round, deduplicated by `same_span` against all."""
-    k0 = d.kernel0()
+    k0 = d.kernel0
     surj = [True]
     for i in (1, 2, 3):
         img = rank(d.pi[i] @ k0.basis) if k0.dim else 0

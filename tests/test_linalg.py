@@ -507,31 +507,35 @@ def test_negative_last_pivot():
         assert inv == Matrix.from_rows([[-2, 1], [Fraction(3, 2), Fraction(-1, 2)]])
         assert (inv.num, inv.den) == ((-4, 2, 3, -1), 2)
         assert det(a) == -2
+        rows = linalg._int_rows(_NEGATIVE_PIVOT)
+        assert _echelon_key(rows) == ((1, 0, -1), (0, 1, 1))
 
 
 def test_is_invertible_modular_screen():
-    # from _MODULAR_CELLS cells, full rank modulo the first prime is a proof;
-    # a forced small prime makes a matrix of det 5 singular there, and the
-    # Bareiss rank must then decide
+    # from _MODULAR_CELLS cells the rank is read off the proven modular form,
+    # which returns at the first prime of full rank; a forced small prime
+    # makes a matrix of det 5 singular there, and the next prime decides.
+    # No 16 x 16 case reaches the Bareiss pass, a 2 x 2 one does
     n = 16
     assert n * n >= linalg._MODULAR_CELLS
     twin = Matrix.identity(n).submatrix([0] + list(range(n - 1)), range(n))
     fifth = Matrix.diag([Fraction(1, 5)] + [1] * (n - 1))  # numerators diag(1, 5, ..., 5)
-    real = rank
+    real = _echelon
     calls = []
 
-    def counting(m):
-        calls.append(m.rows)
-        return real(m)
+    def counting(rows, reduced=False):
+        calls.append(len(rows))
+        return real(rows, reduced)
 
     with mock.patch.object(linalg, "_PRIMES", (5,) + linalg._PRIMES), \
-            mock.patch.object(linalg, "rank", counting):
-        assert linalg.is_invertible(Matrix.identity(n)) and calls == []
-        assert linalg.is_invertible(Matrix.diag([5] + [1] * (n - 1))) and calls == [n]
-        assert linalg.is_invertible(fifth) and calls == [n, n]
-        assert not linalg.is_invertible(twin) and calls == [n, n, n]
+            mock.patch.object(linalg, "_echelon", counting):
+        assert linalg.is_invertible(Matrix.identity(n))
+        assert linalg.is_invertible(Matrix.diag([5] + [1] * (n - 1)))
+        assert linalg.is_invertible(fifth)
+        assert not linalg.is_invertible(twin)
         assert not linalg.is_invertible(Matrix.zeros(n, n + 1))
-        assert linalg.is_invertible(Matrix.diag([5, 1])) and calls[-1] == 2
+        assert calls == []
+        assert linalg.is_invertible(Matrix.diag([5, 1])) and calls == [2]
 
 
 # -- canonical span keys -------------------------------------------------------
@@ -570,17 +574,19 @@ def _span_rank(rows, n):
 @given(row_spans())
 def test_echelon_key_is_canonical(drawn):
     rows, other, n, seed = drawn
-    key = _echelon_key([list(r) for r in rows])
-    assert _echelon_key(_mixed(rows, n, random.Random(seed))) == key
-    assert len(key) == _span_rank(rows, n)
-    # the key is the reduced row echelon form up to a positive scale per row
-    rref = to_sympy(Matrix.from_rows(rows, cols=n)).rref()[0] if key else None
-    for i, row in enumerate(key):
-        lead = next(v for v in row if v)
-        assert lead > 0 and gcd(*row) == 1
-        assert [sympy.Rational(v, lead) for v in row] == list(rref.row(i))
-    same = _span_rank(rows, n) == _span_rank(other, n) == _span_rank(rows + other, n)
-    assert (_echelon_key([list(r) for r in other]) == key) == same
+    for cells in _SWITCHES:
+        with mock.patch.object(linalg, "_MODULAR_CELLS", cells):
+            key = _echelon_key([list(r) for r in rows])
+            assert _echelon_key(_mixed(rows, n, random.Random(seed))) == key
+            assert len(key) == _span_rank(rows, n)
+            # the key is the reduced row echelon form up to a positive scale per row
+            rref = to_sympy(Matrix.from_rows(rows, cols=n)).rref()[0] if key else None
+            for i, row in enumerate(key):
+                lead = next(v for v in row if v)
+                assert lead > 0 and gcd(*row) == 1
+                assert [sympy.Rational(v, lead) for v in row] == list(rref.row(i))
+            same = _span_rank(rows, n) == _span_rank(other, n) == _span_rank(rows + other, n)
+            assert (_echelon_key([list(r) for r in other]) == key) == same
 
 
 @settings(max_examples=300, deadline=None)
@@ -653,6 +659,33 @@ def test_modular_kernel_matches_bareiss(drawn):
     rows, cols = drawn
     assert _modular_kernel(rows, cols) is not None  # proven, no fallback
     assert _same_kernel(_switched_kernel(rows, cols), _bareiss_kernel(rows, cols))
+
+
+def _bareiss_key(rows):
+    """The span key as the reduced Bareiss rows made primitive, pivots positive."""
+    ech, pivots, _ = _echelon([list(r) for r in rows], reduced=True)
+    out = []
+    for row, pc in zip(ech, pivots):
+        g = gcd(*row)
+        g = g if row[pc] > 0 else -g
+        out.append(tuple(v // g for v in row))
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_systems())
+def test_pivots_match_reference(drawn):
+    # rank, image_basis and _echelon_key read off `linalg._pivots` and
+    # `_rref`, on either side of the switch
+    rows, cols = drawn
+    m = Matrix.from_rows(rows)
+    ref, ref_pivots = to_sympy(m).rref()
+    want_key = _bareiss_key(rows)
+    for cells in _SWITCHES:
+        with mock.patch.object(linalg, "_MODULAR_CELLS", cells):
+            assert rank(m) == len(ref_pivots) == to_sympy(m).rank()
+            assert image_basis(m).basis == m.submatrix(range(m.rows), ref_pivots)
+            assert _echelon_key([list(r) for r in rows]) == want_key
 
 
 def test_modular_primes_are_distinct_31_bit_primes():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from sblq.polynomials import (
-    Poly, format_poly, parse_poly, poly_gcd, poly_lcm, squarefree_part,
+    Poly, format_poly, poly_gcd, squarefree_part,
     sturm_real_roots,
 )
 
@@ -29,7 +29,6 @@ def test_divmod_and_gcd():
     assert r.is_zero and q == P(-2, 0, 1)
     g = poly_gcd(a, P(-3, 1) * P(5, 1))
     assert g == P(-3, 1)
-    assert poly_lcm(P(-1, 1), P(-1, 1)) == P(-1, 1)
 
 
 def test_squarefree_part():
@@ -37,9 +36,10 @@ def test_squarefree_part():
     assert squarefree_part(p) == (P(-1, 1) * P(2, 1)).monic()
 
 
-def test_format_parse_round_trip():
-    for p in [P(0), P(5), P(-1, 1), P(Fraction(1, 3), 0, -2, 1), P(0, -1)]:
-        assert parse_poly(format_poly(p)) == p
+def test_format_poly_examples():
+    want = ["0", "5", "t - 1", "t^3 - 2*t^2 + 1/3", "-t"]
+    ps = [P(0), P(5), P(-1, 1), P(Fraction(1, 3), 0, -2, 1), P(0, -1)]
+    assert [format_poly(p) for p in ps] == want
 
 
 def _bisect_root(p, lo, hi, prec):
