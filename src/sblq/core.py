@@ -20,7 +20,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .linalg import (
     Matrix, Subspace, _int_cols, _int_kernel, block_diag, image_basis, inverse,
-    is_invertible, kernel_basis, rank,
+    is_invertible, kernel_basis,
 )
 
 
@@ -61,6 +61,11 @@ class SBLDatum:
     @cached_property
     def kernel0(self) -> Subspace:
         return kernel_basis(self.pi[0])
+
+    @cached_property
+    def module(self) -> "FourModule":
+        """The dual module, `datum_to_module(self)`, computed once."""
+        return datum_to_module(self)
 
 
 @dataclass(frozen=True)
@@ -134,8 +139,9 @@ class ValidationReport:
 
 
 def validate_datum(d: SBLDatum) -> ValidationReport:
-    """Check surjectivity of each map; zero-dimensional H_i (i>=1) only warns."""
-    surj = tuple(rank(d.pi[i]) == d.dims[i] for i in range(4))
+    """Check surjectivity of each map, its rank being the dimension of its
+    row span in `d.module`; zero-dimensional H_i (i>=1) only warns."""
+    surj = tuple(s.dim == h for s, h in zip(d.module.sub, d.dims))
     warnings = [f"H_{i} is zero-dimensional" for i in (1, 2, 3) if d.dims[i] == 0]
     return ValidationReport(surjective=surj, warnings=warnings)
 

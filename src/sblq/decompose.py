@@ -19,9 +19,8 @@ from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import (
-    EquivalenceMap, FourModule, SBLDatum, certificate_valid, datum_to_module,
-    direct_sum, direct_sum_all, module_hom_basis, module_to_datum,
-    validate_datum,
+    EquivalenceMap, FourModule, SBLDatum, certificate_valid, direct_sum,
+    direct_sum_all, module_hom_basis, module_to_datum, validate_datum,
 )
 from .linalg import (
     Matrix, Subspace, _annihilator, _echelon_key, _int_rank, _int_rows,
@@ -462,8 +461,7 @@ def decompose(d: SBLDatum, trials: int = 32, seed: int = 0,
 def _decompose(d: SBLDatum, nec: NecessityReport, trials: int, seed: int,
                refine_real: bool) -> DecompositionResult:
     """`decompose` of a validated datum whose necessity report is known."""
-    m = datum_to_module(d)
-    rest, c0_count = strip_c0(m)
+    rest, c0_count = strip_c0(d.module)
     summands: List[IndecompSummand] = []
     if c0_count:
         summands.append(IndecompSummand(FamilyTag("C", 0), c0_count, "kernel-only split"))

@@ -34,6 +34,9 @@ determinant.  Callers that already hold integer rows use the private
 integer entry points directly: `_int_kernel` and `_int_rank`, and
 `_echelon_key` and `_annihilator` (keys of row spans and of their
 annihilators, for the necessity screen's subspace lattice).
+`invariant_factors` reads the invariant factors of a square matrix off a
+cyclic decomposition built from `solve_right` and `kernel_basis` alone, so
+it is exact by the same proofs.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -45,7 +48,7 @@ from math import gcd, isqrt, lcm
 from operator import add, mul, sub
 from typing import List, Optional, Sequence, Tuple
 
-from .polynomials import Poly
+from .polynomials import Poly, poly_gcd
 
 
 _ZERO = Fraction(0)
@@ -803,79 +806,79 @@ def companion_matrix(p: Poly) -> Matrix:
     return Matrix.from_rows(m)
 
 
-# -- invariant factors (Smith form of tI - m over Q[t]) ----------------------
+# -- invariant factors (a cyclic decomposition) -----------------------------
 
 
 def invariant_factors(m: Matrix) -> List[Poly]:
-    """Nonconstant invariant factors d_1 | d_2 | ... of tI - m.
+    """Nonconstant invariant factors d_1 | d_2 | ... of tI - m, read off a
+    cyclic decomposition (Augot and Camion, Linear Algebra Appl. 260, 1997).
 
-    Computed by exact Smith reduction of the characteristic matrix over
-    Q[t]; their product is the characteristic polynomial.
+    A vector v whose minimal polynomial f is that of m gives the largest
+    factor f and the cyclic summand K = span(v, mv, ..., m^{d-1} v), d =
+    deg f.  With w^T m^i v = [i = d - 1] for i < d, the common kernel U of
+    the rows w^T m^i (i < d) is m-invariant, as f(m) = 0, and complements
+    K, as the Hankel matrix (w^T m^{i+j} v) is anti-triangular with unit
+    anti-diagonal; m on U has the other factors.
     """
     if not m.is_square:
         raise ValueError("square matrix required")
-    n = m.rows
-    if n == 0:
-        return []
-    t = Poly.x()
-    P: List[List[Poly]] = [[(t if i == j else Poly.zero()) - Poly((m[i, j],))
-                            for j in range(n)] for i in range(n)]
-    factors: List[Poly] = []
-    for k in range(n):
-        if not _smith_pivot(P, k, n):
+    chain: List[Poly] = []
+    while m.rows:
+        f, v = _maximal_vector(m)
+        chain.append(f)
+        d = f.degree
+        if d == m.rows:
             break
-        factors.append(P[k][k].monic())
-    factors = [f for f in factors if f.degree >= 1]
-    return factors
+        krylov = hstack(*_krylov(m, v, d))
+        w = solve_right(krylov.transpose(), Matrix._ints(d, 1, [0] * (d - 1) + [1]))
+        u = kernel_basis(hstack(*_krylov(m.transpose(), w, d)).transpose()).basis
+        m = solve_right(u, m @ u)
+    return chain[::-1]
 
 
-def _smith_pivot(P: List[List[Poly]], k: int, n: int) -> bool:
-    """Clear row/column k so P[k][k] divides the rest; False if submatrix is zero."""
-    while True:
-        # locate a minimal-degree nonzero entry in the trailing submatrix
-        best = None
-        for i in range(k, n):
-            for j in range(k, n):
-                if not P[i][j].is_zero and (best is None or P[i][j].degree < P[best[0]][best[1]].degree):
-                    best = (i, j)
-        if best is None:
-            return False
-        bi, bj = best
-        if bi != k:
-            P[k], P[bi] = P[bi], P[k]
-        if bj != k:
-            for row in P:
-                row[k], row[bj] = row[bj], row[k]
-        pivot = P[k][k]
-        dirty = False
-        for i in range(k + 1, n):
-            if not P[i][k].is_zero:
-                q = P[i][k] // pivot
-                for j in range(k, n):
-                    P[i][j] = P[i][j] - q * P[k][j]
-                if not P[i][k].is_zero:
-                    dirty = True  # remainder of lower degree surfaced
-        if dirty:
+def _maximal_vector(m: Matrix) -> Tuple[Poly, Matrix]:
+    """The minimal polynomial f of m and a vector v with that minimal
+    polynomial: each unit vector e with f(m) e != 0 is merged into v.  With
+    g its minimal polynomial, lcm(f, g) = a b with a | f, b | g coprime,
+    and (f/a)(m) v + (g/b)(m) e has minimal polynomial a b."""
+    n = m.rows
+    units = Matrix.identity(n)
+    v = units.submatrix(range(n), [0])
+    f = _min_poly(m, v)
+    for j in range(1, n):
+        e = units.submatrix(range(n), [j])
+        if f.degree == n or _poly_apply(f, m, e).is_zero:
             continue
-        for j in range(k + 1, n):
-            if not P[k][j].is_zero:
-                q = P[k][j] // pivot
-                for i in range(k, n):
-                    P[i][j] = P[i][j] - q * P[i][k]
-                if not P[k][j].is_zero:
-                    dirty = True
-        if dirty:
-            continue
-        # pivot must divide every remaining entry; if not, fold that row in
-        offender = None
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                if not (P[i][j] % pivot).is_zero:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is None:
-            return True
-        for j in range(k, n):
-            P[k][j] = P[k][j] + P[offender][j]
+        g = _min_poly(m, e)
+        a, b = f, g // poly_gcd(f, g)
+        while (h := poly_gcd(a, b)).degree > 0:
+            a, b = a // h, b * h
+        v = _poly_apply(f // a, m, v) + _poly_apply(g // b, m, e)
+        f = a * b
+    return f, v
+
+
+def _min_poly(m: Matrix, v: Matrix) -> Poly:
+    """The minimal polynomial of v under m: the first dependency among v,
+    mv, m^2 v, ..., the first kernel vector of their matrix, whose width
+    doubles until it has one."""
+    width = 2
+    while not (ker := kernel_basis(hstack(*_krylov(m, v, width)))).dim:
+        width = min(2 * width, m.rows + 1)
+    return Poly(ker.basis.col(0))
+
+
+def _krylov(m: Matrix, v: Matrix, k: int) -> List[Matrix]:
+    """The columns v, mv, ..., m^{k-1} v."""
+    out = [v]
+    while len(out) < k:
+        out.append(m @ out[-1])
+    return out
+
+
+def _poly_apply(p: Poly, m: Matrix, v: Matrix) -> Matrix:
+    """p(m) v by Horner's rule."""
+    acc = v.scale(p.leading())
+    for c in reversed(p.coeffs[:-1]):
+        acc = m @ acc + v.scale(c)
+    return acc

@@ -22,7 +22,8 @@ lambda), so the structure at lambda in {0, 1, infinity} is that of S at
 gives the Jordan block sizes from its dimensions and stops on the Fitting
 complement, where the chain for the next eigenvalue starts.  After the
 third, R is the regular remainder, recovered as the operator
-X = S^{-1} - mu on R and reported through its invariant factors.
+X = S^{-1} - mu on R and reported through its invariant factors, which
+`linalg.invariant_factors` reads off a cyclic decomposition of X.
 """
 
 from __future__ import annotations

@@ -40,10 +40,6 @@ class Poly:
         return cls((1,))
 
     @classmethod
-    def x(cls) -> "Poly":
-        return cls((0, 1))
-
-    @classmethod
     def from_roots(cls, roots: Sequence) -> "Poly":
         p = cls.one()
         for r in roots:
@@ -138,9 +134,6 @@ class Poly:
     def __mod__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[1]
 
-    def divides(self, other: "Poly") -> bool:
-        return (other % self).is_zero
-
     # -- analysis helpers -------------------------------------------------
 
     def __call__(self, x) -> Fraction:
@@ -158,10 +151,6 @@ class Poly:
 
     def derivative(self) -> "Poly":
         return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
-
-    def reverse(self) -> "Poly":
-        """Coefficient reversal t^deg * p(1/t)."""
-        return Poly(tuple(reversed(self.coeffs)))
 
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)})"

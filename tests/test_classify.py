@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,9 @@ from sblq.classify import (
     FACT_TABLE, StatusTag, case_detect, classify, status_lookup,
 )
 from sblq.core import (
-    SBLDatum, apply_equivalence, module_to_datum, random_equivalence,
+    SBLDatum, apply_equivalence, direct_sum_all, module_to_datum, random_equivalence,
 )
-from sblq.decompose import expand_tags
+from sblq.decompose import canonical_multiset, expand_tags
 from sblq.fixtures import bht, fixture_datum, triangular_hilbert
 from sblq.linalg import Matrix
 from sblq.polynomials import Poly
@@ -181,9 +182,27 @@ def test_classify_equivalence_invariance():
             v2 = classify(d2)
             assert [c.tag for c in v2.cases] == [c.tag for c in v.cases]
             assert v2.status.render() == v.status.render()
-            from sblq.decompose import canonical_multiset
             assert canonical_multiset(expand_tags(v2.summands)) == \
                 canonical_multiset(expand_tags(v.summands))
+
+
+def test_classify_scrambled_regular_bag():
+    # twelve alternating N_1 and N_2 summands (dim 36) at seeded parameters,
+    # scrambled: the regular remainder of the pencil has 18 rows
+    rng = random.Random(12)
+    tags = []
+    while len(tags) < 12:
+        lam = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        if lam not in (0, 1):
+            tags.append(mk("N", 1 + len(tags) % 2, lam))
+    order = tags[:]
+    rng.shuffle(order)
+    d = module_to_datum(direct_sum_all([build(t) for t in order]))
+    d = apply_equivalence(d, random_equivalence(d, 12))
+    assert d.dim_H == 36
+    v = classify(d)
+    assert v.decomposition.classified
+    assert canonical_multiset(expand_tags(v.summands)) == canonical_multiset(tags)
 
 
 def test_exponent_consistency_of_verdict_cases():

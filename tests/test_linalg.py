@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -8,7 +9,7 @@ from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sblq
 from sblq import linalg
@@ -146,8 +147,6 @@ def _sympy_invariant_factors(m):
     d_prev = sympy.Integer(1)
     out = []
     for k in range(1, n + 1):
-        minors = sympy.Matrix(sm).minor_submatrix  # noqa: just to assert api exists
-        import itertools
         g = sympy.Integer(0)
         for ris in itertools.combinations(range(n), k):
             for cis in itertools.combinations(range(n), k):
@@ -163,6 +162,76 @@ def _poly_to_sympy(p):
     return sympy.Poly(sum(sympy.Rational(c) * t ** k for k, c in enumerate(p.coeffs)), t)
 
 
+# -- the Smith reduction of tI - m over Q[t], kept as the oracle --------------
+
+
+def reference_invariant_factors(m):
+    """Nonconstant invariant factors d_1 | d_2 | ... of tI - m by exact
+    Smith reduction of the characteristic matrix over Q[t]."""
+    n = m.rows
+    t = Poly([0, 1])
+    P = [[(t if i == j else Poly.zero()) - Poly((m[i, j],)) for j in range(n)]
+         for i in range(n)]
+    factors = []
+    for k in range(n):
+        if not _smith_pivot(P, k, n):
+            break
+        factors.append(P[k][k].monic())
+    return [f for f in factors if f.degree >= 1]
+
+
+def _smith_pivot(P, k, n):
+    """Clear row/column k so P[k][k] divides the rest; False if submatrix is zero."""
+    while True:
+        # locate a minimal-degree nonzero entry in the trailing submatrix
+        best = None
+        for i in range(k, n):
+            for j in range(k, n):
+                if not P[i][j].is_zero and (best is None or P[i][j].degree < P[best[0]][best[1]].degree):
+                    best = (i, j)
+        if best is None:
+            return False
+        bi, bj = best
+        if bi != k:
+            P[k], P[bi] = P[bi], P[k]
+        if bj != k:
+            for row in P:
+                row[k], row[bj] = row[bj], row[k]
+        pivot = P[k][k]
+        dirty = False
+        for i in range(k + 1, n):
+            if not P[i][k].is_zero:
+                q = P[i][k] // pivot
+                for j in range(k, n):
+                    P[i][j] = P[i][j] - q * P[k][j]
+                if not P[i][k].is_zero:
+                    dirty = True  # remainder of lower degree surfaced
+        if dirty:
+            continue
+        for j in range(k + 1, n):
+            if not P[k][j].is_zero:
+                q = P[k][j] // pivot
+                for i in range(k, n):
+                    P[i][j] = P[i][j] - q * P[i][k]
+                if not P[k][j].is_zero:
+                    dirty = True
+        if dirty:
+            continue
+        # pivot must divide every remaining entry; if not, fold that row in
+        offender = None
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                if not (P[i][j] % pivot).is_zero:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is None:
+            return True
+        for j in range(k, n):
+            P[k][j] = P[k][j] + P[offender][j]
+
+
 def test_invariant_factors_examples():
     tm1 = Poly([-1, 1])
     assert invariant_factors(Matrix.identity(2)) == [tm1, tm1]
@@ -175,6 +244,22 @@ def test_invariant_factors_examples():
     assert [_poly_to_sympy(p) for p in got] == oracle
 
 
+def test_invariant_factors_pinned_cases():
+    t = Poly([0, 1])
+    assert invariant_factors(Matrix.zeros(0, 0)) == [] == reference_invariant_factors(Matrix.zeros(0, 0))
+    for m, want in ((Matrix.zeros(3, 3), [t] * 3), (Matrix.identity(3), [t - Poly.one()] * 3)):
+        assert invariant_factors(m) == want == reference_invariant_factors(m)
+        assert [_poly_to_sympy(p) for p in want] == _sympy_invariant_factors(m)
+    # e_1 has minimal polynomial t - 2 and e_2 is not killed by it: merged
+    m = Matrix.diag([2, 3])
+    with mock.patch.object(linalg, "poly_gcd", wraps=linalg.poly_gcd) as merge:
+        got = invariant_factors(m)
+    assert merge.called
+    assert got == [Poly.from_roots([2, 3])] == reference_invariant_factors(m)
+    with pytest.raises(ValueError):
+        invariant_factors(Matrix.zeros(2, 3))
+
+
 def test_invariant_factors_divisibility_and_charpoly():
     rng = random.Random(23)
     for _ in range(8):
@@ -182,13 +267,64 @@ def test_invariant_factors_divisibility_and_charpoly():
         m = random_matrix(rng, n, n, scale=2)
         fs = invariant_factors(m)
         for a, b in zip(fs, fs[1:]):
-            assert a.divides(b)
+            assert (b % a).is_zero
         prod = Poly([1])
         for f in fs:
             prod = prod * f
         assert prod.degree == n
         cp = sympy.Poly(to_sympy(m).charpoly().as_expr(), sympy.Symbol("lambda"))
         assert [sympy.Rational(c) for c in prod.coeffs] == list(reversed(cp.all_coeffs()))
+
+
+# t - 2, t + 1 and the irreducible quadratics t^2 + 1 and t^2 + t - 1
+_IRREDUCIBLES = (Poly([-2, 1]), Poly([1, 1]), Poly([1, 0, 1]), Poly([-1, 1, 1]))
+
+
+def _elementary(n, i, j, c):
+    """The identity plus c at (i, j), i != j."""
+    return Matrix(n, n, [int(r == s) + (c if (r, s) == (i, j) else 0)
+                         for r in range(n) for s in range(n)])
+
+
+@st.composite
+def companion_sums(draw):
+    """Block-diagonal companion matrices of products of powers of a few
+    irreducibles, each block drawing its own exponents, so repeated roots
+    and quadratics come with partitions that differ between factors; at
+    most 8 rows, under a random unimodular similarity."""
+    primes = draw(st.lists(st.sampled_from(_IRREDUCIBLES), min_size=1, max_size=3,
+                           unique=True))
+    blocks, n = [], 0
+    for _ in range(draw(st.integers(1, 4))):
+        p = Poly.one()
+        for q in primes:
+            p = p * q ** draw(st.integers(0, 2))
+        if 1 <= p.degree <= 8 - n:
+            blocks.append(companion_matrix(p))
+            n += p.degree
+    if not blocks:
+        blocks, n = [companion_matrix(primes[0])], primes[0].degree
+    u, v = Matrix.identity(n), Matrix.identity(n)
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(st.integers(-2, 2))
+        if i != j:
+            u, v = u @ _elementary(n, i, j, c), _elementary(n, i, j, -c) @ v
+    return u @ block_diag(*blocks) @ v
+
+
+@st.composite
+def int_matrices(draw):
+    n = draw(st.integers(1, 8))
+    return Matrix(n, n, draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(companion_sums(), int_matrices()))
+@example(block_diag(companion_matrix(Poly([1, 0, 1]) ** 2), companion_matrix(Poly([1, 0, 1])),
+                    companion_matrix(Poly([-2, 1]) ** 2)))
+def test_invariant_factors_match_smith_reference(m):
+    assert invariant_factors(m) == reference_invariant_factors(m)
 
 
 def test_rank_transpose_property():

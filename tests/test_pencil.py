@@ -6,7 +6,7 @@ import sympy
 
 from sblq.linalg import (
     Matrix, Subspace, block_diag, companion_matrix, image_basis, inverse,
-    invariant_factors, is_invertible, rank, solve_right,
+    is_invertible, rank, solve_right,
 )
 from sblq.pencil import (
     PencilBlocks, _image_chain, _normalizing_prime, _split_off, _wide_part,
@@ -14,6 +14,8 @@ from sblq.pencil import (
 )
 from sblq.polynomials import Poly
 from sblq.tables import arrow_down, arrow_left, arrow_right, arrow_up, eye, jordan, zeros
+
+from test_linalg import reference_invariant_factors
 
 
 def random_invertible(rng, n, spread=3):
@@ -158,8 +160,9 @@ def jordan_block_sizes(m, lam):
 
 
 def reference_kronecker_blocks(a2, a3):
-    """`kronecker_blocks` with the regular core read off rank power sequences
-    and the remainder taken as the image of the product of (S - s0)^r."""
+    """`kronecker_blocks` with the regular core read off rank power sequences,
+    the remainder taken as the image of the product of (S - s0)^r and its
+    invariant factors read off the Smith reduction."""
     a, b = a2.rows, a2.cols
     wide, dom = _wide_part(a2, a3)
     q2, q3 = _split_off(a2, a3, dom)
@@ -183,7 +186,7 @@ def reference_kronecker_blocks(a2, a3):
     if rest.dim:
         coeff = solve_right(rest.basis, s @ rest.basis)
         x = inverse(coeff) - Matrix.identity(rest.dim).scale(mu)
-        factors = tuple(invariant_factors(x))
+        factors = tuple(reference_invariant_factors(x))
     return PencilBlocks((a, b), wide, tall, jordans[0], jordans[1], jordans[2],
                         factors, mu=mu)
 
