@@ -7,6 +7,13 @@ transposes.  Equivalence of data corresponds to isomorphism of modules.
 The non-Hoelder matcher certifies an isomorphism by an explicit invertible
 matrix drawn from the Hom space; `certificate_valid` checks exactly, over
 the integers, that it maps each subspace span onto its counterpart.
+`module_hom_basis` solves the Hom space column by column: a source basis
+vector along a coordinate axis confines that column of psi to a target
+subspace, so only the remaining, coupled constraints go into one exact
+kernel, on the coordinates of those confined columns.  Its basis is the
+reduced one of the full system in the entries of psi, which depends on
+the space alone, so the certificates drawn from it do not depend on how
+it was solved.
 """
 
 from __future__ import annotations
@@ -15,12 +22,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from operator import mul
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .linalg import (
-    Matrix, Subspace, _int_cols, _int_kernel, block_diag, image_basis, inverse,
-    is_invertible, kernel_basis,
+    Matrix, Subspace, _echelon_key, _int_cols, _int_kernel, block_diag,
+    image_basis, inverse, is_invertible, kernel_basis,
 )
 
 
@@ -199,21 +207,72 @@ def direct_sum_all(mods: Sequence[FourModule]) -> FourModule:
 def module_hom_basis(a: FourModule, b: FourModule) -> List[Matrix]:
     """Basis of {psi : psi(sub_i(a)) contained in sub_i(b) for all i}.
 
-    Constraints are N_i psi B_i = 0 where the integer rows of N_i annihilate
-    the target span; the kernel is computed exactly.
+    The constraints are N_i psi x = 0 for the basis columns x of sub_i(a),
+    where the integer rows of N_i annihilate sub_i(b).  They are solved in
+    two stages.  A basis column that is a multiple of e_j pins column j of
+    psi into sub_i(b), so psi_j = P_j t_j with P_j a basis of the
+    intersection of the subspaces pinning j: that subspace's own basis for
+    one slot, the kernel of the stacked annihilator rows for several, and
+    all of Q^dim b for none (computed once per slot set).  The other basis
+    columns x give the rows N_i sum_j x_j P_j t_j = 0, solved by one exact
+    kernel on the sum of the dim P_j unknowns.
+
+    The result is the reduced kernel basis of the whole system in the
+    row-major entries of psi: one element per free entry f, equal to 1 at
+    f and 0 at the other free entries.  That basis depends on the space
+    alone: with the coordinates reversed it is the reduced row echelon
+    form of the space, read off `_echelon_key`.
     """
     m, mp = a.dim_M, b.dim_M
     if m == 0 or mp == 0:
         return [] if m or mp else [Matrix.zeros(0, 0)]
-    rows: List[List[int]] = []
+    pinning: List[List[int]] = [[] for _ in range(m)]
+    coupled: List[Tuple[int, List[int]]] = []
     for i in range(4):
-        cols = _int_cols(a.sub[i].basis)
-        for nrow in b._annihilators[i]:
-            for bcol in cols:
-                rows.append([x * y for x in nrow for y in bcol])
-    ker = _int_kernel(rows, mp * m)
-    k = ker.basis
-    return [Matrix._ints(mp, m, k.num[j::k.cols], k.den) for j in range(k.cols)]
+        for x in _int_cols(a.sub[i].basis):
+            support = [j for j, v in enumerate(x) if v]
+            if len(support) == 1:
+                pinning[support[0]].append(i)
+            else:
+                coupled.append((i, x))
+    spans: Dict[Tuple[int, ...], List[List[int]]] = {}
+    for slots in map(tuple, pinning):
+        if slots in spans:
+            continue
+        if not slots:
+            spans[slots] = [[int(r == c) for r in range(mp)] for c in range(mp)]
+        elif len(slots) == 1:
+            spans[slots] = _int_cols(b.sub[slots[0]].basis)
+        else:
+            rows = [list(n) for i in slots for n in b._annihilators[i]]
+            spans[slots] = _int_cols(_int_kernel(rows, mp).basis)
+    p = [spans[tuple(slots)] for slots in pinning]
+    start = [0, *accumulate(map(len, p))]
+    unknowns = start[-1]
+    if unknowns == 0:
+        return []
+    system: List[List[int]] = []
+    for i, x in coupled:
+        for n in b._annihilators[i]:
+            row = [0] * unknowns
+            for j, xj in enumerate(x):
+                if xj:
+                    row[start[j]:start[j + 1]] = [xj * sum(map(mul, n, col)) for col in p[j]]
+            system.append(row)
+    # psi entry (r, j) sits at reversed coordinate size - 1 - (r m + j)
+    size = mp * m
+    vecs = []
+    for t in _int_cols(_int_kernel(system, unknowns).basis):
+        vec = [0] * size
+        for j, pj in enumerate(p):
+            for c, col in zip(t[start[j]:start[j + 1]], pj):
+                if c:
+                    for r, v in enumerate(col):
+                        if v:
+                            vec[size - 1 - r * m - j] += c * v
+        vecs.append(vec)
+    return [Matrix._ints(mp, m, row[::-1], next(v for v in row if v))
+            for row in reversed(_echelon_key(vecs))]
 
 
 def certificate_valid(psi: Matrix, a: FourModule, b: FourModule) -> bool:

@@ -88,7 +88,9 @@ def necessary_conditions(d: SBLDatum, lattice_depth: int = 3,
     annihilator (`linalg._echelon_key`, `linalg._annihilator`): U + V is
     the key of the rows of both keys, U ∩ V the annihilator of the key of
     both annihilators, and a candidate is new exactly when its key is not
-    in the set of keys found so far.  Each round pairs only entries of
+    in the set of keys found so far.  A comparable pair needs neither
+    elimination (`_meet_join`): when U lies in V, U ∩ V and U + V are U
+    and V themselves, keys and all.  Each round pairs only entries of
     which at least one was added in the round before: an older pair was
     formed in an earlier round, so its sum and intersection are already
     known, unless `max_lattice` cut that round short, and then no later
@@ -114,11 +116,9 @@ def necessary_conditions(d: SBLDatum, lattice_depth: int = 3,
             for v in range(max(u + 1, start), total):
                 if total + len(new) >= max_lattice:
                     break
-                (du, ku, au), (dv, kv, av) = found[u], found[v]
-                cap_ann = _echelon_key([list(r) for r in au + av])
-                cup = _echelon_key([list(r) for r in ku + kv])
-                for op, key, ann in (("∩", _annihilator(cap_ann, b), cap_ann),
-                                     ("+", cup, _annihilator(cup, b))):
+                du, dv = found[u][0], found[v][0]
+                pair = _meet_join(found[u][1:], found[v][1:], b)
+                for op, (key, ann) in zip(("∩", "+"), pair):
                     if key not in seen:
                         seen.add(key)
                         new.append((f"({du}) {op} ({dv})", key, ann))
@@ -134,6 +134,30 @@ def necessary_conditions(d: SBLDatum, lattice_depth: int = 3,
         for desc, key, _ in found)
     eq = entries[0]
     return NecessityReport(surj, entries, (*eq.image_dims, eq.dim))
+
+
+_Keyed = Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]
+
+
+def _meet_join(u: _Keyed, v: _Keyed, b: int) -> Tuple[_Keyed, _Keyed]:
+    """(U ∩ V, U + V) for subspaces of Q^b, each given and returned as
+    (echelon key, annihilator key with reversed coordinates).
+
+    A comparable pair is returned as it is, without elimination: U lies in
+    V exactly when every key row of U is orthogonal to every annihilator
+    row of V read with its coordinates un-reversed.
+    """
+    def within(x: _Keyed, y: _Keyed) -> bool:
+        return not any(sum(map(mul, k, reversed(a))) for a in y[1] for k in x[0])
+
+    if within(u, v):
+        return u, v
+    if within(v, u):
+        return v, u
+    (ku, au), (kv, av) = u, v
+    cap_ann = _echelon_key([list(r) for r in au + av])
+    cup = _echelon_key([list(r) for r in ku + kv])
+    return (_annihilator(cap_ann, b), cap_ann), (cup, _annihilator(cup, b))
 
 
 # -- the Hoelder-case pencil reduction ---------------------------------------
@@ -272,13 +296,19 @@ def strip_c0(m: FourModule) -> Tuple[FourModule, int]:
 
     The split exists when the three function subspaces together with slot 0
     span the ambient space; the returned count is the codimension of the
-    function span, and the complementary module is certified by rebuilding
-    the direct sum and checking the basis-change certificate exactly.
+    function span, read off one rank before any basis is built, and the
+    complementary module is certified by rebuilding the direct sum and
+    checking the basis-change certificate exactly.  Its slots are the
+    coordinates of cap and the function subspaces in the function span's
+    basis, solved for together: that basis has full column rank, so the
+    solution is unique.
     """
-    span123 = subspace_sum(subspace_sum(m.sub[1], m.sub[2]), m.sub[3])
-    k = m.dim_M - span123.dim
+    funcs = [m.sub[i].basis for i in (1, 2, 3)]
+    stacked = hstack(*funcs)
+    k = m.dim_M - rank(stacked)
     if k == 0:
         return m, 0
+    span123 = image_basis(stacked)
     if subspace_sum(m.sub[0], span123).dim != m.dim_M:
         return m, 0
     cap = subspace_intersect(m.sub[0], span123)
@@ -287,13 +317,14 @@ def strip_c0(m: FourModule) -> Tuple[FourModule, int]:
     if w.cols != k:
         raise AssertionError("kernel-only complement has the wrong dimension")
     bs = span123.basis
-    new_subs = [Subspace._trusted(span123.dim, solve_right(bs, cap.basis)
-                                  if cap.dim else Matrix.zeros(span123.dim, 0))]
-    for i in (1, 2, 3):
-        coords = solve_right(bs, m.sub[i].basis) if m.sub[i].dim \
-            else Matrix.zeros(span123.dim, 0)
-        new_subs.append(Subspace._trusted(span123.dim, coords))
-    rest = FourModule(span123.dim, tuple(new_subs))
+    parts = [cap.basis] + funcs
+    coords = solve_right(bs, hstack(*parts))
+    new_subs, lo = [], 0
+    for part in parts:
+        new_subs.append(Subspace._trusted(
+            bs.cols, coords.submatrix(range(bs.cols), range(lo, lo + part.cols))))
+        lo += part.cols
+    rest = FourModule(bs.cols, tuple(new_subs))
     c0_power = direct_sum_all([build(FamilyTag("C", 0))] * k)
     rebuilt = direct_sum(rest, c0_power)
     psi = hstack(bs, w)

@@ -12,9 +12,12 @@ from sblq.core import (
     datum_to_module, direct_sum, direct_sum_all, module_hom_basis,
     module_to_datum, random_equivalence, validate_datum,
 )
-from sblq.linalg import Matrix, Subspace, block_diag, is_invertible, solve_right
+from sblq.decompose import _fixed_table
+from sblq.linalg import (
+    Matrix, Subspace, _int_cols, _int_kernel, block_diag, is_invertible, solve_right,
+)
 from sblq.polynomials import Poly
-from sblq.tables import FamilyTag, build
+from sblq.tables import FIXED_FAMILIES, FamilyTag, build
 
 from iso_oracle import isomorphism
 
@@ -191,6 +194,72 @@ def certificate_cases(draw):
 def test_certificate_valid_matches_span_check(case):
     psi, a, b = case
     assert certificate_valid(psi, a, b) == ref_certificate_valid(psi, a, b)
+
+
+# -- the one-system Hom kernel that the two-stage solve replaced, as the oracle
+
+
+def reference_module_hom_basis(a, b):
+    """The kernel basis of N_i psi B_i = 0 as one system in the dim a * dim b
+    row-major entries of psi."""
+    m, mp = a.dim_M, b.dim_M
+    if m == 0 or mp == 0:
+        return [] if m or mp else [Matrix.zeros(0, 0)]
+    rows = []
+    for i in range(4):
+        cols = _int_cols(a.sub[i].basis)
+        for nrow in b._annihilators[i]:
+            for bcol in cols:
+                rows.append([x * y for x in nrow for y in bcol])
+    k = _int_kernel(rows, mp * m).basis
+    return [Matrix._ints(mp, m, k.num[j::k.cols], k.den) for j in range(k.cols)]
+
+
+def scrambled_module(mod, seed):
+    d = module_to_datum(mod)
+    return datum_to_module(apply_equivalence(d, random_equivalence(d, seed)))
+
+
+def assert_hom_bases_agree(a, b):
+    assert module_hom_basis(a, b) == reference_module_hom_basis(a, b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from(FIXED_FAMILIES), min_size=1, max_size=3),
+       st.booleans(), st.integers(0, 2 ** 20))
+def test_module_hom_basis_matches_one_system(families, with_c0, seed):
+    tags = [FamilyTag(f) for f in families] + [FamilyTag("C", 0)] * with_c0
+    plain = direct_sum_all([build(t) for t in tags])
+    target = scrambled_module(plain, seed)
+    # every fixed family into the scrambled sum, as the matcher asks
+    for f in FIXED_FAMILIES:
+        assert_hom_bases_agree(build(FamilyTag(f)), target)
+    # scrambled sources (no column pinned, everything coupled) and the plain sum
+    other = scrambled_module(plain, seed + 1)
+    for a, b in ((target, other), (other, target), (target, plain), (plain, target)):
+        assert_hom_bases_agree(a, b)
+    # zero-dimensional modules on either side, or both
+    zero = direct_sum_all([])
+    for a, b in ((zero, target), (target, zero), (zero, zero)):
+        assert_hom_bases_agree(a, b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from(_POOL), min_size=1, max_size=3), st.integers(0, 2 ** 20))
+def test_module_hom_basis_matches_one_system_on_mixed_sums(tags, seed):
+    # unscrambled sums pin columns by one, several or no slots at once
+    plain = direct_sum_all([build(t) for t in tags])
+    target = scrambled_module(plain, seed)
+    for a, b in ((plain, target), (target, plain), (plain, plain)):
+        assert_hom_bases_agree(a, b)
+
+
+def test_module_hom_basis_matches_one_system_on_fixed_table():
+    mods = _fixed_table()[0]
+    assert len(mods) == 10
+    for a in mods.values():
+        for b in mods.values():
+            assert_hom_bases_agree(a, b)
 
 
 def test_serialization_round_trip():

@@ -22,7 +22,7 @@ from sblq.core import (
 )
 from sblq.decompose import (
     _CASE_FAMILIES, _case_counts_admissible, _case_feasible, _fixed_table,
-    _hom_combination,
+    _hom_combination, _meet_join,
     LatticeEntry, NecessityReport, canonical_multiset, decompose, expand_tags,
     holder_normal_form, kronecker_decompose, match_nonholder,
     necessary_conditions, pencil_datum, strip_c0,
@@ -31,12 +31,14 @@ from sblq.fixtures import (
     bht, coifman_meyer, fixture_datum, triangular_hilbert, twisted_paraproduct,
 )
 from sblq.linalg import (
-    Matrix, inverse, kernel_basis, rank, subspace_intersect, subspace_sum,
+    Matrix, _annihilator, _echelon_key, _int_rank, _int_rows, inverse,
+    kernel_basis, rank, subspace_intersect, subspace_sum,
 )
 from sblq.polynomials import Poly
 from sblq.tables import FIXED_FAMILIES, FamilyTag, build
 
 from iso_oracle import isomorphism
+from test_core import reference_module_hom_basis, scrambled_module
 
 
 def n_tag(lam, n=1):
@@ -179,6 +181,147 @@ def test_necessary_conditions_match_pairwise_closure_on_fixed_data(d):
     assert len(necessary_conditions(d).lattice_inequalities) > 6
     for limits in ((3, 64), (0, 64), (1, 64), (2, 6), (3, 5), (3, 7)):
         assert necessary_conditions(d, *limits) == reference_necessary_conditions(d, *limits)
+
+
+# -- comparable pairs of the lattice skip their eliminations
+
+
+def unconditional_meet_join(u, v, b):
+    """(U ∩ V, U + V) by the two eliminations, for every pair."""
+    (ku, au), (kv, av) = u, v
+    cap_ann = _echelon_key([list(r) for r in au + av])
+    cup = _echelon_key([list(r) for r in ku + kv])
+    return (_annihilator(cap_ann, b), cap_ann), (cup, _annihilator(cup, b))
+
+
+def keyed(rows, b):
+    key = _echelon_key([list(r) for r in rows])
+    return key, _annihilator(key, b)
+
+
+@st.composite
+def subspace_pairs(draw):
+    """(kind, U, V, b): subspaces of Q^b as (key, annihilator key), V nested
+    in or over U, equal to it, zero, full or drawn independently."""
+    b = draw(st.integers(0, 6))
+    vectors = st.lists(st.lists(st.integers(-3, 3), min_size=b, max_size=b), max_size=b + 1)
+    rows = draw(vectors)
+    kind = draw(st.sampled_from(("nested", "equal", "zero", "full", "generic")))
+    if kind == "nested":
+        other = rows + draw(vectors)
+    elif kind == "equal":
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+        # add a multiple of the other rows to the first: the span is unchanged
+        other = [[x + sum(c * r[j] for c, r in zip(coeffs[1:], rows[1:]))
+                  for j, x in enumerate(rows[0])]] + rows[1:] if rows else []
+    elif kind == "zero":
+        other = []
+    elif kind == "full":
+        other = [[int(i == j) for j in range(b)] for i in range(b)]
+    else:
+        other = draw(vectors)
+    u, v = keyed(rows, b), keyed(other, b)
+    return (kind, v, u, b) if draw(st.booleans()) else (kind, u, v, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(subspace_pairs())
+def test_meet_join_matches_the_eliminations(pair):
+    kind, u, v, b = pair
+    mod = sys.modules["sblq.decompose"]
+    with mock.patch.object(mod, "_echelon_key", wraps=_echelon_key) as eliminations:
+        got = _meet_join(u, v, b)
+    assert got == unconditional_meet_join(u, v, b)
+    if kind != "generic":
+        assert eliminations.call_count == 0
+
+
+def reference_key_closure(d, lattice_depth=3, max_lattice=64):
+    """`necessary_conditions` with both eliminations for every pair."""
+    k0 = d.kernel0
+    b = k0.dim
+    maps = [_int_rows(d.pi[i] @ k0.basis) for i in (1, 2, 3)]
+    surj = (True, *(_int_rank([list(row) for row in r], b) == d.dims[i]
+                    for i, r in zip((1, 2, 3), maps)))
+    found = [("ker Pi_0", _annihilator((), b), ())]
+    for i, r in zip((1, 2, 3), maps):
+        ann = _echelon_key([row[::-1] for row in r])
+        found.append((f"ker Pi_0 ∩ ker Pi_{i}", _annihilator(ann, b), ann))
+    seen = {key for _, key, _ in found}
+    start = 0
+    for _ in range(lattice_depth):
+        new = []
+        total = len(found)
+        for u in range(total):
+            for v in range(max(u + 1, start), total):
+                if total + len(new) >= max_lattice:
+                    break
+                (du, ku, au), (dv, kv, av) = found[u], found[v]
+                pair = unconditional_meet_join((ku, au), (kv, av), b)
+                for op, (key, ann) in zip(("∩", "+"), pair):
+                    if key not in seen:
+                        seen.add(key)
+                        new.append((f"({du}) {op} ({dv})", key, ann))
+        if not new:
+            break
+        start = total
+        found.extend(new)
+    entries = tuple(
+        LatticeEntry(desc, len(key), tuple(
+            _int_rank([[sum(map(mul, k, r)) for r in rows] for k in key], len(rows))
+            for rows in maps))
+        for desc, key, _ in found)
+    eq = entries[0]
+    return NecessityReport(surj, entries, (*eq.image_dims, eq.dim))
+
+
+def scrambled_datum(tags, seed):
+    return module_to_datum(scrambled_module(direct_sum_all([build(t) for t in tags]), seed))
+
+
+SCREENED_BAGS = [
+    [FamilyTag("Y"), FamilyTag("Z")] * 3,
+    [FamilyTag(f) for f in ("P1", "K2", "P2", "K1", "K1")],
+    [FamilyTag(f) for f in ("B", "L", "K1", "P2", "K3")] + [FamilyTag("C", 0)],
+    [FamilyTag("J1", 1), FamilyTag("J2", 1), FamilyTag("J3", 1), FamilyTag("C", 1)] * 2,
+    [n_tag(2), FamilyTag("J2", 2), FamilyTag("T", 1), FamilyTag("C", 2)],
+    [FamilyTag("V*", 1), FamilyTag("Y")],
+]
+
+
+def test_necessary_conditions_match_key_closure():
+    data = [triangular_hilbert(), LATTICE_FAILURE, SECOND_ROUND_SUM]
+    data += [scrambled_datum(tags, seed) for tags in SCREENED_BAGS for seed in (1, 2)]
+    data += [apply_equivalence(LATTICE_FAILURE, random_equivalence(LATTICE_FAILURE, 3))]
+    witnesses = 0
+    for d in data:
+        for limits in ((3, 64), (2, 6)):
+            assert necessary_conditions(d, *limits) == reference_key_closure(d, *limits)
+        failures = reference_key_closure(d).hard_failures()
+        if failures:
+            witnesses += 1
+            assert classify(d).status.render() == f"NotPBounded({failures[0]})"
+    assert witnesses >= 3
+
+
+# -- certificates do not depend on how the Hom spaces were solved
+
+
+@pytest.mark.parametrize("tags", SCREENED_BAGS[:3])
+def test_certificates_match_one_system_hom_kernel(tags):
+    d = scrambled_datum(tags, 7)
+    mod = sys.modules["sblq.decompose"]
+    mod._fixed_table.cache_clear()
+    try:
+        with mock.patch.object(mod, "module_hom_basis", reference_module_hom_basis):
+            want = classify(d).decomposition
+    finally:
+        mod._fixed_table.cache_clear()
+    got = classify(d).decomposition
+    assert got.path == want.path == "nonholder"
+    assert got.certificate is not None
+    assert got.certificate == want.certificate
+    assert got.summands == want.summands
 
 
 def test_holder_normal_form_bht():
