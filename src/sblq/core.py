@@ -6,7 +6,8 @@ with four distinguished subspaces, here the column spans of the Pi_i
 transposes.  Equivalence of data corresponds to isomorphism of modules.
 The non-Hoelder matcher certifies an isomorphism by an explicit invertible
 matrix drawn from the Hom space; `certificate_valid` checks exactly, over
-the integers, that it maps each subspace span onto its counterpart.
+the integers, that it maps each subspace span onto its counterpart.  The
+reported certificate, the inverse of that matrix, is built only when read.
 `module_hom_basis` solves the Hom space column by column: a source basis
 vector along a coordinate axis confines that column of psi to a target
 subspace, so only the remaining, coupled constraints go into one exact
@@ -212,10 +213,11 @@ def module_hom_basis(a: FourModule, b: FourModule) -> List[Matrix]:
     two stages.  A basis column that is a multiple of e_j pins column j of
     psi into sub_i(b), so psi_j = P_j t_j with P_j a basis of the
     intersection of the subspaces pinning j: that subspace's own basis for
-    one slot, the kernel of the stacked annihilator rows for several, and
-    all of Q^dim b for none (computed once per slot set).  The other basis
-    columns x give the rows N_i sum_j x_j P_j t_j = 0, solved by one exact
-    kernel on the sum of the dim P_j unknowns.
+    one slot; for several, B s for the kernel vectors s of the other slots'
+    annihilator rows times B, the first slot's basis; and all of Q^dim b
+    for none (computed once per slot set).  The other basis columns x give
+    the rows N_i sum_j x_j P_j t_j = 0, solved by one exact kernel on the
+    sum of the dim P_j unknowns.
 
     The result is the reduced kernel basis of the whole system in the
     row-major entries of psi: one element per free entry f, equal to 1 at
@@ -244,8 +246,12 @@ def module_hom_basis(a: FourModule, b: FourModule) -> List[Matrix]:
         elif len(slots) == 1:
             spans[slots] = _int_cols(b.sub[slots[0]].basis)
         else:
-            rows = [list(n) for i in slots for n in b._annihilators[i]]
-            spans[slots] = _int_cols(_int_kernel(rows, mp).basis)
+            first, *rest = slots
+            basis = _int_cols(b.sub[first].basis)
+            rows = [[sum(map(mul, n, col)) for col in basis]
+                    for i in rest for n in b._annihilators[i]]
+            spans[slots] = [[sum(map(mul, t, row)) for row in zip(*basis)]
+                            for t in _int_cols(_int_kernel(rows, len(basis)).basis)]
     p = [spans[tuple(slots)] for slots in pinning]
     start = [0, *accumulate(map(len, p))]
     unknowns = start[-1]

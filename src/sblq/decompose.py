@@ -371,8 +371,9 @@ def _fixed_table() -> Tuple[Dict[str, FourModule], Dict[str, List[List[int]]]]:
 
 
 def _fixed_matcher(m: FourModule, trials: int, seed: int):
-    """`match_nonholder` for one module as `match(case_tag)`; each Hom(X, m)
-    is solved once for all cases and each candidate multiset certified once."""
+    """`match_nonholder` for one module as `match(case_tag)`, returning the
+    proven psi: candidate -> m itself, not its inverse; each Hom(X, m) is
+    solved once for all cases and each candidate multiset certified once."""
     mods, inverses = _fixed_table()
     homs: Dict[str, List[Matrix]] = {}
     proved: Dict[Tuple, Optional[tuple]] = {}
@@ -384,7 +385,7 @@ def _fixed_matcher(m: FourModule, trials: int, seed: int):
             blocks = [_hom_combination(homs[tag.family], rng) for tag in tags]
             psi = hstack(*blocks) if blocks else Matrix.zeros(0, 0)
             if certificate_valid(psi, candidate, m):
-                return collect_summands(tags, "certified iso"), inverse(psi)
+                return collect_summands(tags, "certified iso"), psi
         return None
 
     def match(case_tag: str) -> Optional[tuple]:
@@ -429,7 +430,11 @@ def match_nonholder(m: FourModule, case_tag: str, trials: int = 32,
     candidate -> m, and the first that `certificate_valid` proves is
     inverted.  Returns (summands, certificate m -> candidate) or None.
     """
-    return _fixed_matcher(m, trials, seed)(case_tag)
+    found = _fixed_matcher(m, trials, seed)(case_tag)
+    if found is None:
+        return None
+    summands, psi = found
+    return summands, inverse(psi)
 
 
 # -- full decomposition --------------------------------------------------------
@@ -437,14 +442,25 @@ def match_nonholder(m: FourModule, case_tag: str, trials: int = 32,
 
 @dataclass
 class DecompositionResult:
+    """The summands and how they were found.
+
+    On the non-Hoelder path `psi` is the proven isomorphism candidate -> M
+    (after the C0 split); `certificate`, its inverse M -> candidate, is
+    computed only when read, as a plain verdict never reads it.
+    """
+
     summands: List[IndecompSummand]
     status: str                       # "classified" or "unclassified"
     path: str                         # "pencil", "nonholder", "empty"
     necessity: NecessityReport
     pencil: Optional[PencilForm] = None
-    certificate: Optional[Matrix] = None
+    psi: Optional[Matrix] = None
     diagnostics: List[str] = field(default_factory=list)
     real_root_refinements: Dict[str, List[Tuple[Fraction, Fraction]]] = field(default_factory=dict)
+
+    @cached_property
+    def certificate(self) -> Optional[Matrix]:
+        return None if self.psi is None else inverse(self.psi)
 
     @property
     def classified(self) -> bool:
@@ -514,10 +530,10 @@ def _decompose(d: SBLDatum, nec: NecessityReport, trials: int, seed: int,
             continue
         found = match(case_tag)
         if found:
-            tags, cert = found
+            tags, psi = found
             summands.extend(tags)
             return DecompositionResult(summands, "classified", "nonholder", nec,
-                                       certificate=cert, diagnostics=diags)
+                                       psi=psi, diagnostics=diags)
         diags.append(f"case {case_tag}: no certified candidate")
     return DecompositionResult(summands, "unclassified", "none", nec,
                                diagnostics=diags)

@@ -25,8 +25,10 @@ it gives lies in the kernel (`_kernel_proven`).  That makes it equal to the
 exact reduced form entry for entry, and its pivots the exact pivots; full
 column rank modulo a prime proves itself at once.  When the primes run out
 without a proof, the Bareiss pass runs instead.  Below the switch both
-routes run fraction-free (Bareiss) integer elimination: `_rref` carries it
-on to the fraction-free reduced form, `_pivots` stops at the echelon form.
+routes run one forward fraction-free (Bareiss) integer elimination:
+`_pivots` stops at its echelon form, and `_rref` reads the reduced form
+off the echelon rows by an exact fraction-free back-substitution on the
+free columns.
 `solve_right` reads X off the reduced form of [a | b] and runs the same
 proof on the b columns, which is a @ X == b on integer rows, on either
 path.  `det` keeps its own Bareiss pass, whose last pivot is the
@@ -43,6 +45,7 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import add, mul, sub
@@ -299,17 +302,14 @@ def _int_cols(m: Matrix) -> List[List[int]]:
     return out
 
 
-def _echelon(rows: List[List[int]],
-             reduced: bool = False) -> Tuple[List[List[int]], List[int], int]:
+def _echelon(rows: List[List[int]]) -> Tuple[List[List[int]], List[int], int]:
     """Fraction-free (Bareiss) row echelon, in place.
 
     Returns the echelon rows, the list of pivot columns and the sign of the
-    row permutation.  The update a_ij <- (p * a_ij - a_ic * a_rj) / prev is
-    exact by the Sylvester identity; every intermediate entry is a minor of
-    the input.  With `reduced` the update also runs on the rows above the
-    pivot (fraction-free Gauss-Jordan): every pivot row then has zeros in the
-    other pivot columns and the last pivot d in its own, so the reduced row
-    echelon form is the returned rows over d.
+    row permutation.  The update a_ij <- (p * a_ij - a_ic * a_rj) / prev on
+    the rows below the pivot is exact by the Sylvester identity; every
+    intermediate entry is a minor of the input, and the last pivot is the
+    rank-sized minor on the pivot rows and columns.
     """
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
@@ -336,23 +336,27 @@ def _echelon(rows: List[List[int]],
             rows[r], rows[piv] = rows[piv], rows[r]
             sign = -sign
         p = rows[r][c]
-        rrow = rows[r]
-        for i in range(0 if reduced else r + 1, nr):
-            if i == r:
-                continue
+        tail = rows[r][c + 1:]
+        for i in range(r + 1, nr):
             irow = rows[i]
-            # row r is zero left of c, so there the update only rescales;
-            # rows below are zero there too, rows above from their pivot on
-            lo = pivots[i] if i < r else c
+            # row r is zero left of c, and so are the rows below it
             f = irow[c]
             if f:
-                irow[lo:] = [(p * x - f * y) // prev for x, y in zip(irow[lo:], rrow[lo:])]
-            elif prev != 1 or p != 1:
-                irow[lo:] = [(p * x) // prev for x in irow[lo:]]
+                irow[c] = 0
+                if prev == 1:
+                    irow[c + 1:] = [p * x - f * y for x, y in zip(irow[c + 1:], tail)]
+                else:
+                    irow[c + 1:] = [(p * x - f * y) // prev for x, y in zip(irow[c + 1:], tail)]
+            elif p != prev:
+                if prev == 1:
+                    irow[c + 1:] = [p * x for x in irow[c + 1:]]
+                else:
+                    irow[c + 1:] = [p * x // prev for x in irow[c + 1:]]
         prev = p
         pivots.append(c)
         r += 1
-    return rows[:r] + [row for row in rows[r:] if any(row)], pivots, sign
+    # the rows below the last pivot row are zero
+    return rows[:r], pivots, sign
 
 
 def _echelon_key(rows: List[List[int]]) -> Tuple[Tuple[int, ...], ...]:
@@ -465,17 +469,36 @@ def _rref(rows: List[List[int]], cols: int) -> Tuple[List[int], List[int], List[
     at the k-th free column is nums[r * len(free) + k] / d.
 
     Systems of at least `_MODULAR_CELLS` cells try `_modular_kernel` first;
-    the others, and those it cannot prove, take the Bareiss pass, whose
-    fraction-free reduced rows have the last pivot d in every pivot column.
+    the others, and those it cannot prove, take one forward Bareiss pass and
+    back-substitution on the free columns.  With d the last pivot, p_i and
+    e_i the pivot and the row of echelon row i and pc_j the pivot columns,
+    the numerators x_i = d * (reduced entry of row i at f) satisfy
+
+        x_i = (d * e_i[f] - sum over j > i of e_i[pc_j] * x_j) / p_i,
+
+    as e_i is the combination of the reduced rows with the coefficients
+    e_i[pc_j].  The division is exact: by Cramer's rule x_i is a minor of
+    the input.  Rows whose pivot lies right of f have x_i = 0.
     """
     lift = _modular_kernel(rows, cols) if rows and len(rows) * cols >= _MODULAR_CELLS else None
     if lift is not None:
         return lift
-    ech, pivots, _ = _echelon(rows, reduced=True)
+    ech, pivots, _ = _echelon(rows)
     pivset = set(pivots)
     free = [c for c in range(cols) if c not in pivset]
-    d = ech[len(pivots) - 1][pivots[-1]] if pivots else 1
-    return pivots, free, [row[f] for row in ech[:len(pivots)] for f in free], d
+    d = ech[-1][pivots[-1]] if pivots else 1
+    k = len(free)
+    # each echelon row's entries at the pivot columns right of its own
+    right = [[row[pc] for pc in pivots[i + 1:]] for i, row in enumerate(ech)]
+    nums = [0] * (len(pivots) * k)
+    for j, f in enumerate(free):
+        xs: List[int] = []  # x_{i+1}, x_{i+2}, ... of the rows pivoting left of f
+        for i in range(bisect(pivots, f) - 1, -1, -1):
+            row = ech[i]
+            x = (d * row[f] - sum(map(mul, right[i], xs))) // row[pivots[i]]
+            xs.insert(0, x)
+            nums[i * k + j] = x
+    return pivots, free, nums, d
 
 
 # -- multi-modular kernel with an exact proof ---------------------------------
@@ -747,10 +770,6 @@ class Subspace:
         if other.dim == 0:
             return True
         return rank(hstack(self.basis, other.basis)) == self.dim
-
-    def same_span(self, other: "Subspace") -> bool:
-        return (self.ambient_dim == other.ambient_dim and self.dim == other.dim
-                and self.contains(other))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"

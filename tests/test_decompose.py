@@ -38,6 +38,7 @@ from sblq.polynomials import Poly
 from sblq.tables import FIXED_FAMILIES, FamilyTag, build
 
 from iso_oracle import isomorphism
+from spans import same_span
 from test_core import reference_module_hom_basis, scrambled_module
 
 
@@ -106,7 +107,7 @@ def reference_necessary_conditions(d, lattice_depth=3, max_lattice=64):
         found.append((f"ker Pi_0 ∩ ker Pi_{i}", cap))
 
     def known(sub):
-        return any(s.same_span(sub) for _, s in found)
+        return any(same_span(s, sub) for _, s in found)
 
     for _ in range(lattice_depth):
         new = []
@@ -117,7 +118,7 @@ def reference_necessary_conditions(d, lattice_depth=3, max_lattice=64):
                 (da, sa), (db, sb) = found[a], found[b]
                 for op, sub in (("∩", subspace_intersect(sa, sb)),
                                 ("+", subspace_sum(sa, sb))):
-                    if not known(sub) and not any(s.same_span(sub) for _, s in new):
+                    if not known(sub) and not any(same_span(s, sub) for _, s in new):
                         new.append((f"({da}) {op} ({db})", sub))
         if not new:
             break
@@ -322,6 +323,26 @@ def test_certificates_match_one_system_hom_kernel(tags):
     assert got.certificate is not None
     assert got.certificate == want.certificate
     assert got.summands == want.summands
+
+
+@pytest.mark.parametrize("name", ["young", "loomis_whitney", "bilinear_holder_pk", "(Y+Z)^3"])
+def test_nonholder_certificate_is_inverted_only_when_read(name):
+    d = scrambled_datum(SCREENED_BAGS[0], 7) if name == "(Y+Z)^3" else fixture_datum(name)
+    mod = sys.modules["sblq.decompose"]
+    _fixed_table()  # its Hom tables are inverted once per process
+    with mock.patch.object(mod, "inverse", wraps=inverse) as inverting:
+        dec = classify(d).decomposition
+        assert dec.path == "nonholder"
+        assert inverting.call_count == 0
+        cert = dec.certificate
+        assert inverting.call_count == 1
+        assert dec.certificate is cert
+        assert inverting.call_count == 1
+    assert cert @ dec.psi == Matrix.identity(cert.rows)
+    rest, _ = strip_c0(datum_to_module(d))
+    candidate = direct_sum_all([build(t) for t in expand_tags(dec.summands)
+                                if t.family in FIXED_FAMILIES])
+    assert certificate_valid(cert, rest, candidate)
 
 
 def test_holder_normal_form_bht():

@@ -22,6 +22,8 @@ from sblq.linalg import (
 )
 from sblq.polynomials import Poly
 
+from spans import same_span
+
 
 def jordan0(n):
     return Matrix(n, n, [1 if j == i + 1 else 0 for i in range(n) for j in range(n)])
@@ -46,7 +48,7 @@ def test_kernel_examples():
     assert kernel_basis(Matrix.identity(2)).dim == 0
     k = kernel_basis(Matrix(1, 2, [1, 1]))
     assert k.dim == 1
-    assert k.same_span(Subspace(2, Matrix.column([1, -1])))
+    assert same_span(k, Subspace(2, Matrix.column([1, -1])))
     assert kernel_basis(Matrix.zeros(2, 2)).dim == 2
 
 
@@ -61,10 +63,10 @@ def test_subspace_intersect_examples():
     e2 = Subspace(2, Matrix.column([0, 1]))
     assert subspace_intersect(e1, e2).dim == 0
     u = Subspace(3, Matrix.from_rows([[1, 0], [2, 1], [0, 3]]))
-    assert subspace_intersect(u, u).same_span(u)
+    assert same_span(subspace_intersect(u, u), u)
     full = Subspace.full(2)
     diag = Subspace(2, Matrix.column([1, 1]))
-    assert subspace_intersect(full, diag).same_span(diag)
+    assert same_span(subspace_intersect(full, diag), diag)
 
 
 def test_subspace_sum_examples():
@@ -72,7 +74,7 @@ def test_subspace_sum_examples():
     e2 = Subspace(2, Matrix.column([0, 1]))
     assert subspace_sum(e1, e2).dim == 2
     u = Subspace(3, Matrix.from_rows([[1, 0], [2, 1], [0, 3]]))
-    assert subspace_sum(u, u).same_span(u)
+    assert same_span(subspace_sum(u, u), u)
     diag = Subspace(2, Matrix.column([1, 1]))
     assert subspace_sum(Subspace.full(2), diag).dim == 2
 
@@ -659,9 +661,9 @@ def test_is_invertible_modular_screen():
     real = _echelon
     calls = []
 
-    def counting(rows, reduced=False):
+    def counting(rows):
         calls.append(len(rows))
-        return real(rows, reduced)
+        return real(rows)
 
     with mock.patch.object(linalg, "_PRIMES", (5,) + linalg._PRIMES), \
             mock.patch.object(linalg, "_echelon", counting):
@@ -797,9 +799,51 @@ def test_modular_kernel_matches_bareiss(drawn):
     assert _same_kernel(_switched_kernel(rows, cols), _bareiss_kernel(rows, cols))
 
 
+def reference_reduced_echelon(rows):
+    """Fraction-free Gauss-Jordan on integer rows (consumed): the Bareiss
+    update of `linalg._echelon` run on the rows above the pivot as well, so
+    every pivot row has zeros in the other pivot columns and the last pivot
+    d in its own, and the reduced row echelon form is the rows over d.
+    Returns the nonzero rows, the pivot columns and the row swap sign."""
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    pivots, sign, prev, r = [], 1, 1, 0
+    for c in range(nc):
+        if r >= nr:
+            break
+        hits = [i for i in range(r, nr) if rows[i][c]]
+        if not hits:
+            continue
+        piv = min(hits, key=lambda i: abs(rows[i][c]))  # the first of least size
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        p, rrow = rows[r][c], rows[r]
+        for i in range(nr):
+            if i == r:
+                continue
+            # rows above are zero left of their own pivot, rows below left of c
+            lo = pivots[i] if i < r else c
+            f = rows[i][c]
+            rows[i][lo:] = [(p * x - f * y) // prev for x, y in zip(rows[i][lo:], rrow[lo:])]
+        prev = p
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots, sign
+
+
+def reference_rref(rows, cols):
+    """`linalg._rref`'s (pivots, free columns, numerators, d), read off
+    `reference_reduced_echelon` of a copy of the rows."""
+    ech, pivots, _ = reference_reduced_echelon([list(r) for r in rows])
+    free = [c for c in range(cols) if c not in pivots]
+    d = ech[-1][pivots[-1]] if pivots else 1
+    return pivots, free, [row[f] for row in ech for f in free], d
+
+
 def _bareiss_key(rows):
     """The span key as the reduced Bareiss rows made primitive, pivots positive."""
-    ech, pivots, _ = _echelon([list(r) for r in rows], reduced=True)
+    ech, pivots, _ = reference_reduced_echelon([list(r) for r in rows])
     out = []
     for row, pc in zip(ech, pivots):
         g = gcd(*row)
@@ -824,6 +868,53 @@ def test_pivots_match_reference(drawn):
             assert _echelon_key([list(r) for r in rows]) == want_key
 
 
+# -- the reduced form by back-substitution ---------------------------------------
+#
+# Below the switch `_rref` back-substitutes the reduced form from one forward
+# Bareiss pass; the Gauss-Jordan pass it replaced is the oracle, entry for entry.
+
+
+def _bareiss_rref(rows, cols):
+    with mock.patch.object(linalg, "_MODULAR_CELLS", float("inf")):
+        return linalg._rref([list(r) for r in rows], cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_systems())
+def test_rref_matches_gauss_jordan_reference(drawn):
+    rows, cols = drawn
+    assert _bareiss_rref(rows, cols) == reference_rref(rows, cols)
+
+
+@pytest.mark.parametrize("rows, cols, want", [
+    # rank 0, with and without rows
+    ([[0, 0, 0], [0, 0, 0]], 3, ([], [0, 1, 2], [], 1)),
+    ([], 2, ([], [0, 1], [], 1)),
+    # zero and dependent rows below the rank
+    ([[1, 2, 3], [2, 4, 6], [0, 0, 0], [1, 0, 1]], 3, ([0, 1], [2], [-2, -2], -2)),
+    # the negative last pivot of [[1, 2], [3, 4]]
+    ([[1, 2, 1], [3, 4, 1]], 3, ([0, 1], [2], [2, -2], -2)),
+    # wide: free columns left of, between and right of the pivots
+    ([[0, 3, 1, 1, 2], [0, 6, 2, 5, 1]], 5, ([1, 3], [0, 2, 4], [0, 3, 9, 0, 0, -9], 9)),
+    # tall, of full column rank: no free column
+    ([[2, 1], [4, 3], [6, 5], [1, 1]], 2, ([0, 1], [], [], -1)),
+    # prev == 1 on the first step; p == prev on the later ones, with rows
+    # that are zero in the pivot column left as they are
+    ([[2, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]], 4, ([0, 1, 2], [3], [1, 2, 2], 2)),
+])
+def test_rref_pinned_cases(rows, cols, want):
+    assert _bareiss_rref(rows, cols) == reference_rref(rows, cols) == want
+
+
+def test_echelon_prev_and_equal_pivot_steps():
+    # the pivots 2, 2, 2: after the first step every update divides by 2 and
+    # a row with a zero in the pivot column is already scaled by p / prev = 1
+    assert _echelon([[2, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]) == \
+        ([[2, 0, 0, 1], [0, 2, 0, 2], [0, 0, 2, 2]], [0, 1, 2], 1)
+    # a pivot of 1 first: no division, and the eliminated entry set to 0
+    assert _echelon([[3, 4, 5], [1, 2, 3]]) == ([[1, 2, 3], [0, -2, -4]], [0, 1], -1)
+
+
 def test_modular_primes_are_distinct_31_bit_primes():
     assert len(set(linalg._PRIMES)) == len(linalg._PRIMES)
     assert all(p < 2 ** 31 and sympy.isprime(p) for p in linalg._PRIMES)
@@ -835,7 +926,7 @@ _BAD_PRIME_ROWS = [[3, -1, -4, -1], [-3, 1, -3, -4]]
 
 
 def test_modular_kernel_skips_bad_primes():
-    true = _echelon([list(r) for r in _BAD_PRIME_ROWS], reduced=True)[1]
+    true = reference_reduced_echelon([list(r) for r in _BAD_PRIME_ROWS])[1]
     assert true == [0, 2]
     seen = []
 

@@ -12,6 +12,7 @@ from sblq.tables import (
 )
 
 from iso_oracle import isomorphism
+from spans import same_span
 
 
 def tag_for(family, n):
@@ -40,7 +41,7 @@ def test_dim_vector_examples():
 def test_build_examples():
     n1 = build(FamilyTag("N", 1, regular_poly=Poly([-Fraction(1, 3), 1])))
     assert n1.dim_vector == DimVector(2, 1, 1, 1, 1)
-    assert n1.sub[3].same_span(Subspace(2, Matrix.column([Fraction(1, 3), 1])))
+    assert same_span(n1.sub[3], Subspace(2, Matrix.column([Fraction(1, 3), 1])))
     assert build(FamilyTag("T", 1)).dim_vector == DimVector(3, 1, 2, 2, 2)
     assert build(FamilyTag("L")).dim_vector == DimVector(4, 1, 2, 2, 2)
 
