@@ -23,9 +23,9 @@ from .core import (
     direct_sum_all, module_hom_basis, module_to_datum, validate_datum,
 )
 from .linalg import (
-    Matrix, Subspace, _annihilator, _echelon_key, _int_rank, _int_rows,
-    block_diag, hstack, image_basis, inverse, invariant_factors, kernel_basis,
-    rank, solve_right, subspace_intersect, subspace_sum,
+    Matrix, Subspace, _annihilator, _echelon_key, _int_rank, _int_rows, _pivots,
+    _rref, block_diag, hstack, inverse, invariant_factors, kernel_basis, rank,
+    solve_right,
 )
 from .pencil import kronecker_blocks
 from .polynomials import Poly
@@ -296,35 +296,47 @@ def strip_c0(m: FourModule) -> Tuple[FourModule, int]:
 
     The split exists when the three function subspaces together with slot 0
     span the ambient space; the returned count is the codimension of the
-    function span, read off one rank before any basis is built, and the
+    function span S, read off one rank before any basis is built, and the
     complementary module is certified by rebuilding the direct sum and
-    checking the basis-change certificate exactly.  Its slots are the
-    coordinates of cap and the function subspaces in the function span's
-    basis, solved for together: that basis has full column rank, so the
-    solution is unique.
+    checking the basis-change certificate exactly.  One reduced form of the
+    stacked function bases B1, B2, B3 gives the basis bs of S (their columns
+    at its pivots) and their coordinates in bs (its rows).  One kernel of
+    [B0 | -bs] gives cap = U0 cap S as B0 top with its coordinates in bs
+    below top, and dim(U0 + S).  B0 is injective, so the pivots of
+    [top | I] pick the columns of B0 that complete cap to U0.
     """
     funcs = [m.sub[i].basis for i in (1, 2, 3)]
     stacked = hstack(*funcs)
     k = m.dim_M - rank(stacked)
     if k == 0:
         return m, 0
-    span123 = image_basis(stacked)
-    if subspace_sum(m.sub[0], span123).dim != m.dim_M:
+    width = stacked.cols
+    pivots, free, nums, d = _rref(_int_rows(stacked), width)
+    r, nf = len(pivots), len(free)
+    reduced = [0] * (r * width)
+    for i, pc in enumerate(pivots):
+        reduced[i * width + pc] = d
+        for j, f in enumerate(free):
+            reduced[i * width + f] = nums[i * nf + j]
+    coords = Matrix._ints(r, width, reduced, d)
+    bs = stacked.submatrix(range(m.dim_M), pivots)
+    b0 = m.sub[0].basis
+    n0 = b0.cols
+    ker = kernel_basis(hstack(b0, -bs)).basis
+    c = ker.cols
+    if n0 + r - c != m.dim_M:
         return m, 0
-    cap = subspace_intersect(m.sub[0], span123)
-    ext = image_basis(hstack(cap.basis, m.sub[0].basis)).basis
-    w = ext.submatrix(range(m.dim_M), range(cap.dim, ext.cols))
+    top = ker.submatrix(range(n0), range(c))
+    ext = _pivots(_int_rows(hstack(top, Matrix.identity(n0))), c + n0)
+    w = b0.submatrix(range(m.dim_M), [j - c for j in ext if j >= c])
     if w.cols != k:
         raise AssertionError("kernel-only complement has the wrong dimension")
-    bs = span123.basis
-    parts = [cap.basis] + funcs
-    coords = solve_right(bs, hstack(*parts))
-    new_subs, lo = [], 0
-    for part in parts:
+    new_subs, lo = [Subspace._trusted(r, ker.submatrix(range(n0, n0 + r), range(c)))], 0
+    for part in funcs:
         new_subs.append(Subspace._trusted(
-            bs.cols, coords.submatrix(range(bs.cols), range(lo, lo + part.cols))))
+            r, coords.submatrix(range(r), range(lo, lo + part.cols))))
         lo += part.cols
-    rest = FourModule(bs.cols, tuple(new_subs))
+    rest = FourModule(r, tuple(new_subs))
     c0_power = direct_sum_all([build(FamilyTag("C", 0))] * k)
     rebuilt = direct_sum(rest, c0_power)
     psi = hstack(bs, w)

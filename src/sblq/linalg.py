@@ -33,9 +33,10 @@ free columns.
 proof on the b columns, which is a @ X == b on integer rows, on either
 path.  `det` keeps its own Bareiss pass, whose last pivot is the
 determinant.  Callers that already hold integer rows use the private
-integer entry points directly: `_int_kernel` and `_int_rank`, and
+integer entry points directly: `_int_kernel` and `_int_rank`,
 `_echelon_key` and `_annihilator` (keys of row spans and of their
-annihilators, for the necessity screen's subspace lattice).
+annihilators, for the necessity screen's subspace lattice), and `_rref`
+and `_pivots` (for the C_0 split and the pencil's deflation).
 `invariant_factors` reads the invariant factors of a square matrix off a
 cyclic decomposition built from `solve_right` and `kernel_basis` alone, so
 it is exact by the same proofs.
@@ -773,39 +774,6 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
-
-
-def _check_ambient(u: Subspace, v: Subspace) -> None:
-    if u.ambient_dim != v.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-
-
-def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
-    """u ∩ v via the null space of [B_u | -B_v]."""
-    _check_ambient(u, v)
-    if u.dim == 0 or v.dim == 0:
-        return Subspace.zero(u.ambient_dim)
-    ker = kernel_basis(hstack(u.basis, -v.basis))
-    if ker.dim == 0:
-        return Subspace.zero(u.ambient_dim)
-    top = ker.basis.submatrix(range(u.dim), range(ker.dim))
-    return image_basis(u.basis @ top)
-
-
-def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
-    _check_ambient(u, v)
-    return image_basis(hstack(u.basis, v.basis))
-
-
-def extend_to_basis(sub: Subspace) -> Matrix:
-    """An invertible matrix whose first dim(sub) columns are sub's basis."""
-    n = sub.ambient_dim
-    cols = sub.basis
-    ext = image_basis(hstack(cols, Matrix.identity(n))).basis
-    # image_basis keeps the original (independent) columns first
-    if ext.cols != n:
-        raise AssertionError("extension is not a basis")
-    return ext
 
 
 # -- operator-level utilities ------------------------------------------------

@@ -10,9 +10,12 @@ Trenn, "The quasi-Kronecker form for matrix pencils", SIAM J. Matrix Anal.
 Appl. 33, 2012), which need only preimages of subspaces of Q^b: their
 limits V* and W* meet in the domain of the wide blocks, and the growth of
 W_i cap V* counts the wide blocks by index (Berger and Trenn's 2013
-addendum on the minimal indices).  That domain is split off, the quotient
-pencil is transposed, and the same step yields the tall blocks and leaves
-the regular core.
+addendum on the minimal indices).  Each preimage is the kernel of the
+annihilator rows of the subspace times the map, and those rows keep V* as
+a kernel.  That domain is split off by annihilator rows of its image and
+unit columns off its pivots, which gives the quotient up to strict
+equivalence without a base change; the quotient pencil is transposed, and
+the same step yields the tall blocks and leaves the regular core.
 
 On the regular core, the smallest prime mu with mu*A2 + A3 invertible
 normalizes the pencil to the single operator S = (mu*A2 + A3)^{-1} A2.
@@ -33,9 +36,8 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .linalg import (
-    Matrix, Subspace, extend_to_basis, hstack, image_basis, inverse,
+    Matrix, Subspace, _int_rows, _pivots, hstack, image_basis, inverse,
     is_invertible, invariant_factors, kernel_basis, rank, solve_right,
-    subspace_intersect,
 )
 from .polynomials import Poly
 
@@ -62,17 +64,23 @@ class PencilBlocks:
         return (ra + reg, rb + reg) == (a, b)
 
 
-def _preimage(m: Matrix, s: Matrix) -> Subspace:
-    """{x : m x lies in the column span of s}."""
-    ker = kernel_basis(hstack(m, -s))
-    return image_basis(ker.basis.submatrix(range(m.cols), range(ker.dim)))
+def _preimage(m: Matrix, s: Matrix) -> Tuple[Subspace, Matrix]:
+    """{x : m x lies in the column span of s}, and rows whose kernel it is.
+
+    The rows of n = kernel_basis(s^T)^T span the annihilator of the column
+    span of s, so the preimage is the kernel of the rows n m, returned too.
+    """
+    rows = kernel_basis(s.transpose()).basis.transpose() @ m
+    return kernel_basis(rows), rows
 
 
 def _wide_part(a2: Matrix, a3: Matrix) -> Tuple[Tuple[int, ...], Subspace]:
     """Indices of the wide blocks, ascending, and the subspace they live on.
 
     Runs the Wong sequences V_0 = Q^b, V_{i+1} = {x : A3 x in A2 V_i} and
-    W_0 = 0, W_{i+1} = {x : A2 x in A3 W_i}.  The increment
+    W_0 = 0, W_{i+1} = {x : A2 x in A3 W_i}.  V* is kept as the rows `cut`
+    of the last preimage that shrank V (none while V is Q^b), so
+    W_i cap V* = W_i ker(cut W_i).  The increment
     g_i = dim(W_i cap V*) - dim(W_{i-1} cap V*) counts the wide blocks with
     epsilon >= i-1, and V* cap W* is their domain.  Since g_i never grows,
     W_i cap V* is final once it stops growing, before W_i itself may be.
@@ -81,39 +89,42 @@ def _wide_part(a2: Matrix, a3: Matrix) -> Tuple[Tuple[int, ...], Subspace]:
     if w.dim == 0:                             # g_1 = 0: no wide blocks
         return (), w
     b = a2.cols
-    v = Subspace._trusted(b, Matrix.identity(b))
+    v, cut = Matrix.identity(b), Matrix.zeros(0, b)
     while True:
-        nxt = _preimage(a3, a2 @ v.basis)
-        if nxt.dim == v.dim:
+        nxt, rows = _preimage(a3, a2 @ v)
+        if nxt.dim == v.cols:
             break
-        v = nxt
-    full = v.dim == b                          # then every W_i lies in V*
+        v, cut = nxt.basis, rows
     caps = [0]
     while True:
-        caps.append(w.dim if full else w.dim + v.dim - rank(hstack(w.basis, v.basis)))
+        cw = cut @ w.basis
+        caps.append(w.dim - rank(cw))
         if caps[-1] == caps[-2]:
             break
-        w = _preimage(a2, a3 @ w.basis)
+        w = _preimage(a2, a3 @ w.basis)[0]
     g = [caps[i] - caps[i - 1] for i in range(1, len(caps))]
     wide = tuple(e for e in range(len(g) - 1) for _ in range(g[e] - g[e + 1]))
-    return wide, w if full else subspace_intersect(v, w)
+    return wide, Subspace._trusted(b, w.basis @ kernel_basis(cw).basis)
 
 
 def _split_off(a2: Matrix, a3: Matrix, dom: Subspace):
-    """Quotient pencil on complements of dom and of A2 dom + A3 dom."""
-    a, b = a2.rows, a2.cols
-    cod = image_basis(hstack(a2 @ dom.basis, a3 @ dom.basis)) if dom.dim else Subspace.zero(a)
-    dom_full = extend_to_basis(dom)
-    inv_cod = inverse(extend_to_basis(cod))
-    q2 = inv_cod @ a2 @ dom_full
-    q3 = inv_cod @ a3 @ dom_full
-    rd, rc = dom.dim, cod.dim
-    sub2 = q2.submatrix(range(rc, a), range(rd, b))
-    sub3 = q3.submatrix(range(rc, a), range(rd, b))
-    for m in (q2, q3):
-        if not m.submatrix(range(rc, a), range(rd)).is_zero:
-            raise AssertionError("deflation subspace is not invariant")
-    return sub2, sub3
+    """The pencil induced on Q^b / dom and Q^a / (A2 dom + A3 dom).
+
+    The rows n annihilate A2 dom + A3 dom, and the unit columns c off the
+    pivots of dom^T complete dom to a basis of Q^b.  (n A2 c, n A3 c) is
+    the pencil read in complements of dom and of A2 dom + A3 dom, up to
+    invertible factors on either side, so its Kronecker data are those of
+    the quotient.
+    """
+    if dom.dim == 0:
+        return a2, a3
+    images = hstack(a2 @ dom.basis, a3 @ dom.basis)
+    n = kernel_basis(images.transpose()).basis.transpose()
+    if not (n @ images).is_zero:
+        raise AssertionError("deflation subspace is not invariant")
+    pivots = set(_pivots(_int_rows(dom.basis.transpose()), a2.cols))
+    c = [j for j in range(a2.cols) if j not in pivots]
+    return n @ a2.submatrix(range(a2.rows), c), n @ a3.submatrix(range(a2.rows), c)
 
 
 def kronecker_blocks(a2: Matrix, a3: Matrix) -> PencilBlocks:

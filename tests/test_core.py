@@ -295,7 +295,6 @@ def test_staircase_form_is_the_staircase_family():
 
 def test_jordan_superscript_marks_the_odd_slot_out():
     # at size one, the two subspaces NOT named by the superscript coincide
-    from sblq.linalg import subspace_intersect
     pairs = {"J1": (2, 3), "J2": (1, 3), "J3": (1, 2)}
     for fam, (i, j) in pairs.items():
         m = build(FamilyTag(fam, 1))

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 import sblq
 from sblq.classify import classify
 from sblq.core import (
-    SBLDatum, apply_equivalence, certificate_valid, datum_to_module,
+    FourModule, SBLDatum, apply_equivalence, certificate_valid, datum_to_module,
     direct_sum, direct_sum_all, module_hom_basis, module_to_datum,
     random_equivalence,
 )
@@ -31,14 +31,14 @@ from sblq.fixtures import (
     bht, coifman_meyer, fixture_datum, triangular_hilbert, twisted_paraproduct,
 )
 from sblq.linalg import (
-    Matrix, _annihilator, _echelon_key, _int_rank, _int_rows, inverse,
-    kernel_basis, rank, subspace_intersect, subspace_sum,
+    Matrix, Subspace, _annihilator, _echelon_key, _int_rank, _int_rows, hstack,
+    image_basis, inverse, kernel_basis, rank, solve_right,
 )
 from sblq.polynomials import Poly
 from sblq.tables import FIXED_FAMILIES, FamilyTag, build
 
 from iso_oracle import isomorphism
-from spans import same_span
+from spans import same_span, subspace_intersect, subspace_sum
 from test_core import reference_module_hom_basis, scrambled_module
 
 
@@ -480,6 +480,87 @@ def test_strip_c0_examples():
     mixed, k = strip_c0(direct_sum(build(FamilyTag("C", 0)), n1))
     assert k == 1
     assert isomorphism(mixed, n1).verdict == "isomorphic"
+
+
+# -- the C_0 split by subspace intersections and a coordinate solve, as the oracle
+
+
+def reference_strip_c0(m):
+    """`strip_c0` with the function span, its sum and intersection with
+    slot 0 and the complement of cap in slot 0 each from its own
+    elimination, and the slot coordinates from one solve."""
+    funcs = [m.sub[i].basis for i in (1, 2, 3)]
+    stacked = hstack(*funcs)
+    k = m.dim_M - rank(stacked)
+    if k == 0:
+        return m, 0
+    span123 = image_basis(stacked)
+    if subspace_sum(m.sub[0], span123).dim != m.dim_M:
+        return m, 0
+    cap = subspace_intersect(m.sub[0], span123)
+    ext = image_basis(hstack(cap.basis, m.sub[0].basis)).basis
+    w = ext.submatrix(range(m.dim_M), range(cap.dim, ext.cols))
+    assert w.cols == k
+    bs = span123.basis
+    parts = [cap.basis] + funcs
+    coords = solve_right(bs, hstack(*parts))
+    new_subs, lo = [], 0
+    for part in parts:
+        new_subs.append(Subspace(bs.cols, coords.submatrix(range(bs.cols),
+                                                           range(lo, lo + part.cols))))
+        lo += part.cols
+    rest = FourModule(bs.cols, tuple(new_subs))
+    rebuilt = direct_sum(rest, direct_sum_all([build(FamilyTag("C", 0))] * k))
+    if not certificate_valid(hstack(bs, w), rebuilt, m):
+        return m, 0
+    return rest, k
+
+
+def module_entries(m):
+    return m.dim_M, tuple((s.basis.rows, s.basis.cols, s.basis.num, s.basis.den)
+                          for s in m.sub)
+
+
+C0 = FamilyTag("C", 0)
+C0_BAGS = [
+    [C0], [C0] * 2, [C0] * 3,
+    [C0, FamilyTag("T", 1)],
+    [C0, C0, FamilyTag("J1", 1), FamilyTag("J2", 1), FamilyTag("C", 1)],
+    [n_tag(2), C0, FamilyTag("J3", 2), C0, C0],
+    [C0, FamilyTag("Y"), FamilyTag("Z")],
+    [FamilyTag("L"), C0, FamilyTag("P1"), C0],
+    [C0] * 3 + [FamilyTag("B"), FamilyTag("K2"), FamilyTag("T", 1)],
+]
+
+
+@pytest.mark.parametrize("tags", C0_BAGS)
+def test_strip_c0_matches_reference_on_scrambled_bags(tags):
+    for seed in (1, 2):
+        m = scrambled_module(direct_sum_all([build(t) for t in tags]), seed)
+        rest, k = strip_c0(m)
+        want, want_k = reference_strip_c0(m)
+        assert k == want_k == tags.count(C0)
+        assert module_entries(rest) == module_entries(want)
+
+
+def test_strip_c0_matches_reference_without_a_split():
+    # S = span(e1) has codimension 1, but slot 0 is zero, so U0 + S is not M
+    e1 = Subspace(2, Matrix.column([1, 0]))
+    alone = FourModule(2, (Subspace.zero(2), e1, e1, e1))
+    beside = direct_sum(alone, scrambled_module(build(FamilyTag("T", 1)), 3))
+    for m in (alone, beside, scrambled_module(beside, 4)):
+        assert reference_strip_c0(m) == (m, 0)
+        rest, k = strip_c0(m)
+        assert rest is m and k == 0
+
+
+@pytest.mark.parametrize("name", ["young", "loomis_whitney", "bilinear_holder_pk"])
+def test_strip_c0_matches_reference_on_nonholder_fixtures(name):
+    m = datum_to_module(fixture_datum(name))
+    rest, k = strip_c0(m)
+    want, want_k = reference_strip_c0(m)
+    assert k == want_k
+    assert module_entries(rest) == module_entries(want)
 
 
 def test_match_nonholder_examples():

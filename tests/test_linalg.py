@@ -18,11 +18,11 @@ from sblq.linalg import (
     _modular_kernel, _rref_mod, block_diag,
     companion_matrix, det, hstack,
     image_basis, inverse, invariant_factors, kernel_basis, rank, solve_right,
-    subspace_intersect, subspace_sum, vstack,
+    vstack,
 )
 from sblq.polynomials import Poly
 
-from spans import same_span
+from spans import same_span, subspace_intersect, subspace_sum
 
 
 def jordan0(n):

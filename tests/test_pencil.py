@@ -3,18 +3,17 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from sblq.linalg import (
-    Matrix, Subspace, block_diag, companion_matrix, image_basis, inverse,
-    is_invertible, rank, solve_right,
+    Matrix, Subspace, block_diag, companion_matrix, hstack, image_basis, inverse,
+    is_invertible, kernel_basis, rank, solve_right,
 )
-from sblq.pencil import (
-    PencilBlocks, _image_chain, _normalizing_prime, _split_off, _wide_part,
-    kronecker_blocks,
-)
+from sblq.pencil import PencilBlocks, _image_chain, _normalizing_prime, kronecker_blocks
 from sblq.polynomials import Poly
 from sblq.tables import arrow_down, arrow_left, arrow_right, arrow_up, eye, jordan, zeros
 
+from spans import subspace_intersect
 from test_linalg import reference_invariant_factors
 
 
@@ -159,15 +158,67 @@ def jordan_block_sizes(m, lam):
     return sorted(sizes, reverse=True)
 
 
-def reference_kronecker_blocks(a2, a3):
-    """`kronecker_blocks` with the regular core read off rank power sequences,
-    the remainder taken as the image of the product of (S - s0)^r and its
-    invariant factors read off the Smith reduction."""
+# -- the singular part by base changes, before annihilator rows, kept as the oracle
+
+
+def reference_preimage(m, s):
+    """{x : m x lies in the column span of s}, from the kernel of [m | -s]."""
+    ker = kernel_basis(hstack(m, -s))
+    return image_basis(ker.basis.submatrix(range(m.cols), range(ker.dim)))
+
+
+def reference_wide_part(a2, a3):
+    """Wide block indices and their domain V* cap W*, with V* as a basis."""
+    w = kernel_basis(a2)
+    if w.dim == 0:
+        return (), w
+    b = a2.cols
+    v = Subspace.full(b)
+    while True:
+        nxt = reference_preimage(a3, a2 @ v.basis)
+        if nxt.dim == v.dim:
+            break
+        v = nxt
+    full = v.dim == b                          # then every W_i lies in V*
+    caps = [0]
+    while True:
+        caps.append(w.dim if full else w.dim + v.dim - rank(hstack(w.basis, v.basis)))
+        if caps[-1] == caps[-2]:
+            break
+        w = reference_preimage(a2, a3 @ w.basis)
+    g = [caps[i] - caps[i - 1] for i in range(1, len(caps))]
+    wide = tuple(e for e in range(len(g) - 1) for _ in range(g[e] - g[e + 1]))
+    return wide, w if full else subspace_intersect(v, w)
+
+
+def extend_to_basis(sub):
+    """An invertible matrix whose first dim(sub) columns are sub's basis."""
+    return image_basis(hstack(sub.basis, Matrix.identity(sub.ambient_dim))).basis
+
+
+def reference_split_off(a2, a3, dom):
+    """Quotient pencil read in the bases [dom | complement] and [cod | complement]."""
     a, b = a2.rows, a2.cols
-    wide, dom = _wide_part(a2, a3)
-    q2, q3 = _split_off(a2, a3, dom)
-    tall, dom_t = _wide_part(q2.transpose(), q3.transpose())
-    c2t, c3t = _split_off(q2.transpose(), q3.transpose(), dom_t)
+    cod = image_basis(hstack(a2 @ dom.basis, a3 @ dom.basis)) if dom.dim else Subspace.zero(a)
+    inv_cod = inverse(extend_to_basis(cod))
+    dom_full = extend_to_basis(dom)
+    q2, q3 = inv_cod @ a2 @ dom_full, inv_cod @ a3 @ dom_full
+    for q in (q2, q3):
+        assert q.submatrix(range(cod.dim, a), range(dom.dim)).is_zero
+    rows, cols = range(cod.dim, a), range(dom.dim, b)
+    return q2.submatrix(rows, cols), q3.submatrix(rows, cols)
+
+
+def reference_kronecker_blocks(a2, a3):
+    """`kronecker_blocks` with the singular part split off by base changes,
+    the regular core read off rank power sequences, the remainder taken as
+    the image of the product of (S - s0)^r and its invariant factors read
+    off the Smith reduction."""
+    a, b = a2.rows, a2.cols
+    wide, dom = reference_wide_part(a2, a3)
+    q2, q3 = reference_split_off(a2, a3, dom)
+    tall, dom_t = reference_wide_part(q2.transpose(), q3.transpose())
+    c2t, c3t = reference_split_off(q2.transpose(), q3.transpose(), dom_t)
     core2, core3 = c2t.transpose(), c3t.transpose()
     r = core2.rows
     if r == 0:
@@ -273,3 +324,31 @@ def test_kronecker_blocks_match_rank_power_reference():
             assert all(len(expected[k]) >= 2 for k in ("j0", "j1", "jinf"))
         pencil = scrambled(a2, a3, rng)
         assert kronecker_blocks(*pencil) == reference_kronecker_blocks(*pencil)
+
+
+@st.composite
+def singular_heavy_pencils(draw):
+    """A scrambled canonical pencil with two to four wide and tall blocks
+    each, zero-size ones among them, beside a few small regular blocks."""
+    sizes = st.lists(st.integers(0, 3), min_size=2, max_size=4)
+    blocks = [("wide", n, None) for n in draw(sizes)]
+    blocks += [("tall", n, None) for n in draw(sizes)]
+    blocks += draw(st.lists(st.tuples(st.sampled_from(("j0", "j1", "jinf", "reg")),
+                                      st.integers(1, 2), st.sampled_from(REGULAR_ROOTS)),
+                            max_size=3))
+    a2, a3, expected = canonical_pencil(draw(st.permutations(blocks)))
+    return scrambled(a2, a3, random.Random(draw(st.integers(0, 2 ** 20)))), expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(singular_heavy_pencils())
+@example(((zeros(2, 2), zeros(2, 2)), {"wide": [0, 0], "tall": [0, 0]}))
+@example((canonical_pencil([("wide", 0, None), ("tall", 0, None), ("wide", 2, None),
+                            ("tall", 3, None), ("wide", 0, None), ("tall", 1, None)])[:2],
+          {"wide": [0, 0, 2], "tall": [0, 1, 3]}))
+def test_kronecker_blocks_match_base_change_reference(drawn):
+    pencil, expected = drawn
+    blocks = kronecker_blocks(*pencil)
+    assert blocks == reference_kronecker_blocks(*pencil)
+    assert sorted(blocks.wide) == sorted(expected["wide"])
+    assert sorted(blocks.tall) == sorted(expected["tall"])

@@ -12,7 +12,7 @@ from sblq.tables import (
 )
 
 from iso_oracle import isomorphism
-from spans import same_span
+from spans import same_span, subspace_intersect
 
 
 def tag_for(family, n):
@@ -95,7 +95,6 @@ def test_typeII_orbits_are_singletons():
     # slot: no two permutations of II_1 are isomorphic
     orbits = permutation_orbits("II")
     assert len(orbits) == 24
-    from sblq.linalg import subspace_intersect
     a = build(FamilyTag("II", 1))
     b = build(FamilyTag("II", 1, permutation=(1, 0, 3, 2)))
     assert a.dim_vector == b.dim_vector
