@@ -115,22 +115,6 @@ class EquivalenceMap:
                 raise ValueError(f"phi_{i} is singular")
 
 
-@dataclass(frozen=True)
-class ExponentTriple:
-    """Reciprocal exponents q_i = 1/p_i, each in (0, 1]."""
-
-    q: Tuple[Fraction, Fraction, Fraction]
-
-    def __post_init__(self):
-        for qi in self.q:
-            if not (0 < qi <= 1):
-                raise ValueError("each 1/p_i must lie in (0, 1]")
-
-    @property
-    def sigma(self) -> Fraction:
-        return sum(self.q, Fraction(0))
-
-
 # -- validation ---------------------------------------------------------------
 
 

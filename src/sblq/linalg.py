@@ -37,9 +37,9 @@ integer entry points directly: `_int_kernel` and `_int_rank`,
 `_echelon_key` and `_annihilator` (keys of row spans and of their
 annihilators, for the necessity screen's subspace lattice), and `_rref`
 and `_pivots` (for the C_0 split and the pencil's deflation).
-`invariant_factors` reads the invariant factors of a square matrix off a
-cyclic decomposition built from `solve_right` and `kernel_basis` alone, so
-it is exact by the same proofs.
+`invariant_factors` reads the invariant factors of a square matrix off
+quotients by cyclic subspaces, in the matrix's own coordinates, with
+`kernel_basis` alone, so it is exact by the same proofs.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -793,50 +793,53 @@ def companion_matrix(p: Poly) -> Matrix:
     return Matrix.from_rows(m)
 
 
-# -- invariant factors (a cyclic decomposition) -----------------------------
+# -- invariant factors (quotients by cyclic subspaces) ----------------------
 
 
 def invariant_factors(m: Matrix) -> List[Poly]:
-    """Nonconstant invariant factors d_1 | d_2 | ... of tI - m, read off a
-    cyclic decomposition (Augot and Camion, Linear Algebra Appl. 260, 1997).
+    """Nonconstant invariant factors d_1 | d_2 | ... of tI - m, read off
+    quotients of Q^n by sums of cyclic subspaces, all in m's own coordinates
+    (Giesbrecht, SIAM J. Comput. 24, 1995; Storjohann, ISSAC 1998).
 
-    A vector v whose minimal polynomial f is that of m gives the largest
-    factor f and the cyclic summand K = span(v, mv, ..., m^{d-1} v), d =
-    deg f.  With w^T m^i v = [i = d - 1] for i < d, the common kernel U of
-    the rows w^T m^i (i < d) is m-invariant, as f(m) = 0, and complements
-    K, as the Hankel matrix (w^T m^{i+j} v) is anti-triangular with unit
-    anti-diagonal; m on U has the other factors.
+    W, the span of the cyclic summands found so far, is m-invariant, and x
+    lies in W exactly when ann @ x = 0 for its annihilator rows ann.  Over
+    the PID Q[t], a vector v whose minimal polynomial f modulo W is the
+    exponent of Q^n / W generates a direct summand of that quotient, so f
+    is the largest invariant factor left and the quotient by W + span(v,
+    mv, ..., m^{d-1} v), d = deg f, has the others.  That sum is again
+    m-invariant, as f(m) v lies in W.
     """
     if not m.is_square:
         raise ValueError("square matrix required")
     chain: List[Poly] = []
-    while m.rows:
-        f, v = _maximal_vector(m)
+    w, ann = Matrix.zeros(m.rows, 0), Matrix.identity(m.rows)
+    while ann.rows:
+        f, v = _maximal_vector(m, ann)
         chain.append(f)
-        d = f.degree
-        if d == m.rows:
+        if f.degree == ann.rows:
             break
-        krylov = hstack(*_krylov(m, v, d))
-        w = solve_right(krylov.transpose(), Matrix._ints(d, 1, [0] * (d - 1) + [1]))
-        u = kernel_basis(hstack(*_krylov(m.transpose(), w, d)).transpose()).basis
-        m = solve_right(u, m @ u)
+        w = hstack(w, *_krylov(m, v, f.degree))
+        ann = kernel_basis(w.transpose()).basis.transpose()
     return chain[::-1]
 
 
-def _maximal_vector(m: Matrix) -> Tuple[Poly, Matrix]:
-    """The minimal polynomial f of m and a vector v with that minimal
-    polynomial: each unit vector e with f(m) e != 0 is merged into v.  With
-    g its minimal polynomial, lcm(f, g) = a b with a | f, b | g coprime,
-    and (f/a)(m) v + (g/b)(m) e has minimal polynomial a b."""
+def _maximal_vector(m: Matrix, ann: Matrix) -> Tuple[Poly, Matrix]:
+    """The exponent f of Q^n / W and a vector v with minimal polynomial f
+    modulo W, x in W exactly when ann @ x = 0: each unit vector e with
+    f(m) e not in W is merged into v.  With g its minimal polynomial modulo
+    W, lcm(f, g) = a b with a | f, b | g coprime, and (f/a)(m) v +
+    (g/b)(m) e has minimal polynomial a b modulo W."""
     n = m.rows
     units = Matrix.identity(n)
     v = units.submatrix(range(n), [0])
-    f = _min_poly(m, v)
+    f = _min_poly(m, v, ann)
     for j in range(1, n):
+        if f.degree == ann.rows:
+            break
         e = units.submatrix(range(n), [j])
-        if f.degree == n or _poly_apply(f, m, e).is_zero:
+        if (ann @ _poly_apply(f, m, e)).is_zero:
             continue
-        g = _min_poly(m, e)
+        g = _min_poly(m, e, ann)
         a, b = f, g // poly_gcd(f, g)
         while (h := poly_gcd(a, b)).degree > 0:
             a, b = a // h, b * h
@@ -845,13 +848,14 @@ def _maximal_vector(m: Matrix) -> Tuple[Poly, Matrix]:
     return f, v
 
 
-def _min_poly(m: Matrix, v: Matrix) -> Poly:
-    """The minimal polynomial of v under m: the first dependency among v,
-    mv, m^2 v, ..., the first kernel vector of their matrix, whose width
-    doubles until it has one."""
+def _min_poly(m: Matrix, v: Matrix, ann: Matrix) -> Poly:
+    """The minimal polynomial of v under m modulo W, x in W exactly when
+    ann @ x = 0: the first dependency among v, mv, m^2 v, ... modulo W, the
+    first kernel vector of ann times their matrix, whose width doubles
+    until it has one."""
     width = 2
-    while not (ker := kernel_basis(hstack(*_krylov(m, v, width)))).dim:
-        width = min(2 * width, m.rows + 1)
+    while not (ker := kernel_basis(ann @ hstack(*_krylov(m, v, width)))).dim:
+        width = min(2 * width, ann.rows + 1)
     return Poly(ker.basis.col(0))
 
 

@@ -26,7 +26,8 @@ gives the Jordan block sizes from its dimensions and stops on the Fitting
 complement, where the chain for the next eigenvalue starts.  After the
 third, R is the regular remainder, recovered as the operator
 X = S^{-1} - mu on R and reported through its invariant factors, which
-`linalg.invariant_factors` reads off a cyclic decomposition of X.
+`linalg.invariant_factors` reads off quotients by cyclic subspaces of X,
+without a base change.
 """
 
 from __future__ import annotations

@@ -279,19 +279,6 @@ def neumann_solve(omega_coeffs: np.ndarray,
     return SliceDecomposition(f, funk_apply(f, spectrum), spectrum)
 
 
-def sobolev_norm(coeffs: np.ndarray, s: float, d: int = 3) -> float:
-    """Weighted coefficient norm with weight |n(n+d-2)|^s; the degree-0 term
-    carries weight zero (mean-zero convention)."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    total = 0.0
-    for idx, c in enumerate(coeffs):
-        n = degree_of_index(idx)
-        if n == 0:
-            continue
-        total += abs(n * (n + d - 2)) ** s * c * c
-    return float(np.sqrt(total))
-
-
 # -- verification drivers ---------------------------------------------------------
 
 

@@ -205,6 +205,20 @@ def test_classify_scrambled_regular_bag():
     assert canonical_multiset(expand_tags(v.summands)) == canonical_multiset(tags)
 
 
+def test_classify_scrambled_repeated_regular_bag():
+    # seven N_1 at 2 and seven N_2 at 3 (dim 42), scrambled: the regular
+    # remainder has seven equal invariant factors (t - 2)(t - 3)^2
+    tags = [mk("N", 1, 2), mk("N", 2, 3)] * 7
+    order = tags[:]
+    random.Random(7).shuffle(order)
+    d = module_to_datum(direct_sum_all([build(t) for t in order]))
+    d = apply_equivalence(d, random_equivalence(d, 7))
+    assert d.dim_H == 42
+    v = classify(d)
+    assert v.decomposition.classified
+    assert canonical_multiset(expand_tags(v.summands)) == canonical_multiset(tags)
+
+
 def test_exponent_consistency_of_verdict_cases():
     from sblq.decompose import _case_feasible, necessary_conditions
     for name in ("bht", "young", "loomis_whitney", "bilinear_holder_pk"):

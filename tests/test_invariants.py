@@ -2,14 +2,10 @@
 
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
-from sblq.core import (
-    ExponentTriple, datum_to_module, direct_sum, module_to_datum,
-    validate_datum,
-)
+from sblq.core import datum_to_module, direct_sum, module_to_datum, validate_datum
 from sblq.polynomials import Poly
 from sblq.tables import (
     ALL_FAMILIES, FIXED_FAMILIES, RAW_FAMILIES, FamilyTag, build, dim_vector,
@@ -52,15 +48,6 @@ def test_every_constructor_datum_validates():
         assert rep.valid, tag
         zero_slots = [i for i in (1, 2, 3) if d.dims[i] == 0]
         assert len(rep.warnings) == len(zero_slots)
-
-
-def test_exponent_triple_contract():
-    t = ExponentTriple((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
-    assert t.sigma == 1
-    with pytest.raises(ValueError):
-        ExponentTriple((Fraction(0), Fraction(1, 2), Fraction(1, 2)))
-    with pytest.raises(ValueError):
-        ExponentTriple((Fraction(3, 2), Fraction(1, 2), Fraction(1, 2)))
 
 
 @pytest.mark.parametrize("family", [f for f in RAW_FAMILIES if f != "0"])

@@ -10,6 +10,7 @@ from unittest import mock
 import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
+from sympy.matrices.normalforms import invariant_factors as smith_invariant_factors
 
 import sblq
 from sblq import linalg
@@ -327,6 +328,66 @@ def int_matrices(draw):
                     companion_matrix(Poly([-2, 1]) ** 2)))
 def test_invariant_factors_match_smith_reference(m):
     assert invariant_factors(m) == reference_invariant_factors(m)
+
+
+def _similar(blocks, seed, dense):
+    """block_diag of the companion matrices of blocks under a seeded
+    similarity u: dense, u = L U with L unit lower and U upper triangular,
+    entries in [-2, 2] and diagonal entries +-1, +-2; otherwise a
+    permutation, which keeps unit vectors inside single blocks, so the
+    maximal vector is merged from several of them."""
+    b = block_diag(*[companion_matrix(p) for p in blocks])
+    n, rng = b.rows, random.Random(seed)
+    if not dense:
+        order = list(range(n))
+        rng.shuffle(order)
+        u = Matrix(n, n, [int(j == order[i]) for i in range(n) for j in range(n)])
+        return u @ b @ u.transpose()
+    lower = Matrix(n, n, [1 if i == j else (rng.randint(-2, 2) if i > j else 0)
+                          for i in range(n) for j in range(n)])
+    upper = Matrix(n, n, [rng.choice((-2, -1, 1, 2)) if i == j else
+                          (rng.randint(-2, 2) if i < j else 0)
+                          for i in range(n) for j in range(n)])
+    u = lower @ upper
+    return u @ b @ inverse(u)
+
+
+@st.composite
+def repeated_companion_sums(draw):
+    """2-6 copies each of one to three of the blocks (t-a)(t-b)^2, t^2 + 1
+    and (t-a)^2, at most 18 rows, under a dense or a permutation similarity:
+    many equal invariant factors, each with a repeated root or no rational
+    one."""
+    a, b = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2, unique=True))
+    kinds = (Poly.from_roots([a, b, b]), Poly([1, 0, 1]), Poly.from_roots([a, a]))
+    blocks = []
+    for k in draw(st.lists(st.sampled_from(range(3)), min_size=1, max_size=3, unique=True)):
+        room = (18 - sum(p.degree for p in blocks)) // kinds[k].degree
+        if room >= 2:
+            blocks += [kinds[k]] * draw(st.integers(2, min(6, room)))
+    return _similar(blocks, draw(st.integers(0, 2 ** 32)), draw(st.booleans()))
+
+
+def _sympy_smith_invariant_factors(m):
+    # sympy's own Smith form of tI - m over Q[t]; the minors oracle above
+    # takes seconds per 8 x 8 input with four equal factors
+    t = sympy.Symbol("t")
+    sm = t * sympy.eye(m.rows) - to_sympy(m)
+    return [sympy.Poly(f, t).monic().as_expr()
+            for f in smith_invariant_factors(sm, domain=sympy.QQ[t])
+            if sympy.Poly(f, t).degree() >= 1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(repeated_companion_sums())
+@example(_similar([Poly.from_roots([2, 3, 3])] * 6, 0, True))
+def test_invariant_factors_with_many_equal_factors(m):
+    got = invariant_factors(m)
+    assert got == reference_invariant_factors(m)
+    if m.rows <= 8:
+        assert [_poly_to_sympy(p).as_expr() for p in got] == _sympy_smith_invariant_factors(m)
+    if m.rows <= 4:
+        assert [_poly_to_sympy(p) for p in got] == _sympy_invariant_factors(m)
 
 
 def test_rank_transpose_property():

@@ -13,7 +13,7 @@ from sblq.rotations import (
     FunkSpectrum, RadialTensorFunction, SliceDecomposition, SphereGrid, TOLERANCES,
     basis_index, basis_size, decay_exponent_fit, degree_of_index, funk_apply,
     funk_apply_direct, funk_eigenvalue, funk_spectrum, gegenbauer,
-    great_circle_points, neumann_solve, radial_log_quadrature, sobolev_norm,
+    great_circle_points, neumann_solve, radial_log_quadrature,
     sph_basis, synthesize_at, verify_repr, verify_superposition,
 )
 
@@ -207,16 +207,6 @@ def test_verify_repr_degree_two():
     grid = SphereGrid.build(16)
     residuals = verify_repr(dec, omega, [omega], grid)
     assert residuals[0] < 1e-6
-
-
-def test_sobolev_norm_examples():
-    const = np.zeros(basis_size(2))
-    const[0] = 2.0
-    assert sobolev_norm(const, 1.0) == 0.0
-    deg2 = np.zeros(basis_size(2))
-    deg2[basis_index(2, 1)] = 1.0
-    assert abs(sobolev_norm(deg2, 0.0) - 1.0) < 1e-14
-    assert abs(sobolev_norm(deg2, 1.0) - np.sqrt(6.0)) < 1e-12
 
 
 def _bump(lo, hi):
