@@ -2,8 +2,9 @@
 
 Builds J^(2)_2 + C_1 + a regular summand with parameter 1/3, hides the
 block structure behind a random rational equivalence, and then shows each
-stage: the necessity screen, the kernel-complement normal form, the pencil,
-its Kronecker block data, and the identified summands.
+stage: the necessity screen, the normal form (the pencil read off one
+solve in the row spaces of the maps), its Kronecker block data, and the
+identified summands.
 
 Run:  python demos/02_pencil_walkthrough.py
 """

@@ -96,11 +96,11 @@ def _certificates(dec, with_pencil: bool) -> Dict:
     if dec.certificate is not None:
         out["module_isomorphism"] = _matrix_rows(dec.certificate)
     if dec.pencil is not None:
-        phi = _matrix_rows(dec.pencil.base_change.phi)
+        a2, a3, base_change = dec.pencil.certificate
+        phi = _matrix_rows(base_change.phi)
         if with_pencil:
             out["pencil"] = {"a": dec.pencil.a, "b": dec.pencil.b,
-                             "a2": _matrix_rows(dec.pencil.a2),
-                             "a3": _matrix_rows(dec.pencil.a3),
+                             "a2": _matrix_rows(a2), "a3": _matrix_rows(a3),
                              "base_change_phi": phi}
         else:
             out["pencil_base_change_phi"] = phi

@@ -2,8 +2,9 @@
 
 The dispatch runs: split off the maximal trivial kernel-only power
 (family C at size 0), then try the pencil reduction that is available
-exactly when the kernel of the distribution map is a common complement
-of the other three kernels; otherwise, for each case whose exponent
+exactly when the row space of the distribution map is a common
+complement of the other three row spaces, reading the pencil off one
+solve in those row spaces; otherwise, for each case whose exponent
 constraint is feasible, solve for the summands from Hom dimensions and
 certify them with an isomorphism.  All decisions are exact.
 """
@@ -24,11 +25,11 @@ from .core import (
 )
 from .linalg import (
     Matrix, Subspace, _annihilator, _echelon_key, _int_rank, _int_rows, _pivots,
-    _rref, block_diag, hstack, inverse, invariant_factors, kernel_basis, rank,
-    solve_right,
+    _rref, _solve_invertible, block_diag, companion_matrix, hstack, inverse,
+    invariant_factors, kernel_basis, rank, vstack,
 )
 from .pencil import kronecker_blocks
-from .polynomials import Poly
+from .polynomials import Poly, sturm_real_roots
 from .tables import FIXED_FAMILIES, FamilyTag, build
 
 
@@ -83,8 +84,10 @@ def necessary_conditions(d: SBLDatum, lattice_depth: int = 3,
     The lattice lives in ker Pi_0, so it is computed in the coordinates of
     a basis B of ker Pi_0 (b columns): with R_i the integer rows of
     Pi_i B, ker Pi_0 ∩ ker Pi_i is ker R_i and the image dimension of a
-    subspace X of Q^b is the rank of R_i X, as B is injective.  Each
-    subspace is kept as its canonical echelon key and the key of its
+    subspace X of Q^b is the rank of R_i X, as B is injective.  The rank
+    of R_i, which gives the surjectivity flag and the image dimension of
+    ker Pi_0, is the number of rows of the annihilator key of ker R_i.
+    Each subspace is kept as its canonical echelon key and the key of its
     annihilator (`linalg._echelon_key`, `linalg._annihilator`): U + V is
     the key of the rows of both keys, U ∩ V the annihilator of the key of
     both annihilators, and a candidate is new exactly when its key is not
@@ -100,13 +103,12 @@ def necessary_conditions(d: SBLDatum, lattice_depth: int = 3,
     k0 = d.kernel0
     b = k0.dim
     maps = [_int_rows(d.pi[i] @ k0.basis) for i in (1, 2, 3)]
-    surj = (True, *(_int_rank([list(row) for row in r], b) == d.dims[i]
-                    for i, r in zip((1, 2, 3), maps)))
+    anns = [_echelon_key([row[::-1] for row in r]) for r in maps]
+    ranks = tuple(map(len, anns))
+    surj = (True, *(r == h for r, h in zip(ranks, d.dims[1:])))
     # (description, key, annihilator key with reversed coordinates)
-    found = [("ker Pi_0", _annihilator((), b), ())]
-    for i, r in zip((1, 2, 3), maps):
-        ann = _echelon_key([row[::-1] for row in r])
-        found.append((f"ker Pi_0 ∩ ker Pi_{i}", _annihilator(ann, b), ann))
+    found = [("ker Pi_0", _annihilator((), b), ())] + [
+        (f"ker Pi_0 ∩ ker Pi_{i}", _annihilator(ann, b), ann) for i, ann in enumerate(anns, 1)]
     seen = {key for _, key, _ in found}
     start = 0
     for _ in range(lattice_depth):
@@ -127,11 +129,13 @@ def necessary_conditions(d: SBLDatum, lattice_depth: int = 3,
         start = total
         found.extend(new)
 
+    # entry 0 is Q^b itself, and entry i, ker R_i, has image 0 under R_i
     entries = tuple(
-        LatticeEntry(desc, len(key), tuple(
+        LatticeEntry(desc, len(key), ranks if n == 0 else tuple(
+            0 if i == n else
             _int_rank([[sum(map(mul, k, r)) for r in rows] for k in key], len(rows))
-            for rows in maps))
-        for desc, key, _ in found)
+            for i, rows in enumerate(maps, 1)))
+        for n, (desc, key, _) in enumerate(found))
     eq = entries[0]
     return NecessityReport(surj, entries, (*eq.image_dims, eq.dim))
 
@@ -167,72 +171,80 @@ def _meet_join(u: _Keyed, v: _Keyed, b: int) -> Tuple[_Keyed, _Keyed]:
 class PencilForm:
     """Normal form of a Hoelder-type datum: the pair of a x b pencil matrices.
 
-    `frame` is the inverse of the base change on H and `phi_i` its maps on
-    the H_i.  The reconstruction of the normal-form datum from (a, b, A2, A3)
-    is verified at construction time; the base change itself, an
-    equivalence carrying the input datum exactly onto that normal form, is
-    built only when read.
-    """
+    vstack(Pi_0, Pi_1) on H and (I, I, C1_2^-T, C1_3^-T) on the H_i carry
+    the datum onto `pencil_datum(a, b, A2, A3)`; `certificate`, the form in
+    the kernel frame, is built only when read."""
 
     a: int
     b: int
     a2: Matrix
     a3: Matrix
-    frame: Matrix
-    phi_i: Tuple[Matrix, Matrix, Matrix, Matrix]
+    datum: SBLDatum
+    c1t: Tuple[Matrix, Matrix]         # C1_2^T, C1_3^T
 
     @cached_property
+    def certificate(self) -> Tuple[Matrix, Matrix, EquivalenceMap]:
+        """(A2, A3, base change) under the frame change diag(P0, P1), P0 =
+        Pi_0 u and P1 = Pi_1 v for bases u of ker Pi_1 and v of ker Pi_0:
+        A_i^T becomes P1^-1 A_i^T P0, phi = vstack(P0^-1 Pi_0, P1^-1 Pi_1)
+        is hstack(u, v)^-1, and phi_i = (P0^-1, P1^-1, (C1_2^T P1)^-1,
+        (C1_3^T P1)^-1)."""
+        pi = self.datum.pi
+        p0, p1 = pi[0] @ kernel_basis(pi[1]).basis, pi[1] @ self.datum.kernel0.basis
+        q0, q1 = inverse(p0), inverse(p1)
+        a2, a3 = ((q1 @ m.transpose() @ p0).transpose() for m in (self.a2, self.a3))
+        phi_i = (q0, q1, *(inverse(c @ p1) for c in self.c1t))
+        return a2, a3, EquivalenceMap(vstack(q0 @ pi[0], q1 @ pi[1]), phi_i)
+
+    @property
     def base_change(self) -> EquivalenceMap:
-        return EquivalenceMap(inverse(self.frame), self.phi_i)
+        return self.certificate[2]
 
     def normal_form_datum(self) -> SBLDatum:
-        return pencil_datum(self.a, self.b, self.a2, self.a3)
+        return pencil_datum(self.a, self.b, *self.certificate[:2])
 
 
 def pencil_datum(a: int, b: int, a2: Matrix, a3: Matrix) -> SBLDatum:
     """Datum with maps [I_a | 0], [0 | I_b], [A2^T | I_b], [A3^T | I_b]."""
-    eye_a, eye_b = Matrix.identity(a), Matrix.identity(b)
-    pi0 = hstack(eye_a, Matrix.zeros(a, b))
-    pi1 = hstack(Matrix.zeros(b, a), eye_b)
-    pi2 = hstack(a2.transpose(), eye_b)
-    pi3 = hstack(a3.transpose(), eye_b)
-    return SBLDatum(a + b, (a, b, b, b), (pi0, pi1, pi2, pi3))
+    eye, eye_b = Matrix.identity(a + b), Matrix.identity(b)
+    return SBLDatum(a + b, (a, b, b, b), (
+        eye.submatrix(range(a), range(a + b)), eye.submatrix(range(a, a + b), range(a + b)),
+        hstack(a2.transpose(), eye_b), hstack(a3.transpose(), eye_b)))
 
 
 def holder_normal_form(d: SBLDatum) -> Optional[PencilForm]:
     """Pencil form of a Hoelder-type datum, or None.
 
-    Returns None unless ker Pi_0 is a direct complement of each ker Pi_i
-    and every H_i (i >= 1) has the kernel's dimension; those conditions
-    already force the image condition and pin the exponent constraint to
-    the Hoelder line.  With v a basis of ker Pi_0, the square Pi_i v is
-    invertible exactly when ker Pi_i meets ker Pi_0 only in 0, so the
-    complement conditions are read off the inverses phi_i the form needs.
+    The rows of Pi_i span S_i.  None unless S_0 + S_i = Q^n is direct for
+    i = 1, 2, 3, which forces dim H_i = n - dim H_0 = b, the image
+    condition and the Hoelder line.  [Pi_0^T | Pi_1^T] C = [Pi_2^T | Pi_3^T]
+    then has one solution; with C0_i the top a and C1_i the bottom b rows
+    of the Pi_i block, Pi_i = C0_i^T Pi_0 + C1_i^T Pi_1, and S_0 + S_i =
+    Q^n exactly when C1_i is invertible.  A_i^T = C1_i^-T C0_i^T.  Both
+    invertibilities are read off pivots, as a consistent singular system
+    has solutions too.
     """
-    v = d.kernel0.basis                # kernel basis, b columns
-    b = v.cols
-    a = d.dim_H - b
-    if a != d.dims[0] or any(d.dims[i] != b for i in (1, 2, 3)):
+    n, a = d.dim_H, d.dims[0]
+    b = n - a
+    if any(d.dims[i] != b for i in (1, 2, 3)):
         return None
-    u = kernel_basis(d.pi[1]).basis    # complement basis, a columns
-    if u.cols != a:
+    left, right = (hstack(p.transpose(), q.transpose()) for p, q in (d.pi[:2], d.pi[2:]))
+    c = _solve_invertible(left, right)
+    if c is None:
         return None
-    products = [(p @ u, p @ v) for p in d.pi]
-    phis = [solve_right(products[0][0], Matrix.identity(a))]
-    phis += [solve_right(pv, Matrix.identity(b)) for _, pv in products[1:]]
-    if any(phi is None for phi in phis):
+    cts = [c.submatrix(range(n), range(lo, lo + b)).transpose() for lo in (0, b)]
+    c1ts = [ct.submatrix(range(b), range(a, n)) for ct in cts]
+    pencil = [_solve_invertible(c1t, ct.submatrix(range(b), range(a)))
+              for c1t, ct in zip(c1ts, cts)]
+    if None in pencil:
         return None
-    a2 = (phis[2] @ products[2][0]).transpose()
-    a3 = (phis[3] @ products[3][0]).transpose()
-    frame = hstack(u, v)
-    form = PencilForm(a, b, a2, a3, frame, tuple(phis))
-    # u and v span complementary subspaces, so frame is invertible, and
-    # pi'_i = phi_i pi_i frame is intertwining pi'_i phi = phi_i pi_i for
-    # the base change phi = frame^-1
-    nf = form.normal_form_datum()
-    if any(nf.pi[i] != phis[i] @ hstack(*products[i]) for i in range(4)):
+    # intertwining with vstack(Pi_0, Pi_1) in the solved coordinates: pi'_0 and
+    # pi'_1 stack to I_n and C1_i^T pi'_i = C_i^T; the first solve is exact
+    nf = pencil_datum(a, b, *(x.transpose() for x in pencil))
+    if vstack(*nf.pi[:2]) != Matrix.identity(n) \
+            or any(c1t @ nf.pi[i] != ct for i, c1t, ct in zip((2, 3), c1ts, cts)):
         raise AssertionError("pencil reconstruction failed")
-    return form
+    return PencilForm(a, b, *(x.transpose() for x in pencil), d, tuple(c1ts))
 
 
 # -- summands -----------------------------------------------------------------
@@ -270,21 +282,14 @@ def collect_summands(tags: Sequence[FamilyTag], note: str) -> List[IndecompSumma
 def kronecker_decompose(p: PencilForm) -> List[IndecompSummand]:
     """Identified summands of a pencil-form datum, by exact block extraction."""
     blocks = kronecker_blocks(p.a2, p.a3)
-    tags: List[Tuple[FamilyTag, str]] = []
-    for eps in blocks.wide:
-        tags.append((FamilyTag("T", eps), "pencil block"))
-    for eta in blocks.tall:
-        tags.append((FamilyTag("C", eta), "pencil block"))
+    tags = [FamilyTag("T", eps) for eps in blocks.wide]
+    tags += [FamilyTag("C", eta) for eta in blocks.tall]
     for fam, sizes in (("J2", blocks.jordan_at_0), ("J1", blocks.jordan_at_1),
                        ("J3", blocks.jordan_at_inf)):
-        for n in sizes:
-            tags.append((FamilyTag(fam, n), "pencil block"))
-    for f in blocks.regular_factors:
-        tags.append((FamilyTag("N", f.degree, regular_poly=f),
-                     "invariant-factor granularity"))
-    out: List[IndecompSummand] = []
-    for note in ("pencil block", "invariant-factor granularity"):
-        out.extend(collect_summands([t for t, nt in tags if nt == note], note))
+        tags += [FamilyTag(fam, n) for n in sizes]
+    regular = [FamilyTag("N", f.degree, regular_poly=f) for f in blocks.regular_factors]
+    out = collect_summands(tags, "pencil block") + \
+        collect_summands(regular, "invariant-factor granularity")
     return sorted(out, key=lambda s: _tag_sort_key(s.tag))
 
 
@@ -552,7 +557,6 @@ def _decompose(d: SBLDatum, nec: NecessityReport, trials: int, seed: int,
 
 
 def _attach_real_roots(result: DecompositionResult) -> None:
-    from .polynomials import sturm_real_roots
     for s in result.summands:
         p = s.tag.regular_poly
         if p is not None and p.degree >= 1:
@@ -570,7 +574,6 @@ def canonical_multiset(tags: Sequence[FamilyTag]) -> Tuple:
     the block-diagonal companion operator, so two multisets describing the
     same module compare equal regardless of how the regular part was cut.
     """
-    from .linalg import companion_matrix
     plain = []
     npolys: List[Poly] = []
     for t in tags:

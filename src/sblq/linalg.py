@@ -690,6 +690,15 @@ def solve_right(a: Matrix, b: Matrix) -> Optional[Matrix]:
     return Matrix._ints(n, k, x, d)
 
 
+def _solve_invertible(a: Matrix, b: Matrix) -> Optional[Matrix]:
+    """a^-1 b for a square a, or None unless a is invertible: the reduced
+    form of [a | b] is [I | a^-1 b] exactly when its first a.cols columns
+    all pivot.  Unlike `solve_right`, a consistent singular system gives None."""
+    n, k = a.cols, b.cols
+    pivots, _, nums, d = _rref(_int_rows(hstack(a, b)), n + k)
+    return Matrix._ints(n, k, nums, d) if pivots == list(range(n)) else None
+
+
 def inverse(a: Matrix) -> Matrix:
     if not a.is_square:
         raise ValueError("inverse of non-square matrix")
@@ -825,26 +834,29 @@ def invariant_factors(m: Matrix) -> List[Poly]:
 
 def _maximal_vector(m: Matrix, ann: Matrix) -> Tuple[Poly, Matrix]:
     """The exponent f of Q^n / W and a vector v with minimal polynomial f
-    modulo W, x in W exactly when ann @ x = 0: each unit vector e with
-    f(m) e not in W is merged into v.  With g its minimal polynomial modulo
-    W, lcm(f, g) = a b with a | f, b | g coprime, and (f/a)(m) v +
-    (g/b)(m) e has minimal polynomial a b modulo W."""
-    n = m.rows
+    modulo W, x in W exactly when ann @ x = 0: each unit vector e_j with
+    f(m) e_j not in W is merged into v.  With g its minimal polynomial
+    modulo W, lcm(f, g) = a b with a | f, b | g coprime, and (f/a)(m) v +
+    (g/b)(m) e_j has minimal polynomial a b modulo W.  The test reads
+    column j of ann @ f(m), built once per f by Horner's rule on the rows
+    (as f(m^T) ann^T, whose row j it is)."""
+    n, k = m.rows, ann.rows
     units = Matrix.identity(n)
     v = units.submatrix(range(n), [0])
-    f = _min_poly(m, v, ann)
+    f, mt, annt, rows = _min_poly(m, v, ann), m.transpose(), ann.transpose(), None
     for j in range(1, n):
-        if f.degree == ann.rows:
+        if f.degree == k:
             break
-        e = units.submatrix(range(n), [j])
-        if (ann @ _poly_apply(f, m, e)).is_zero:
+        rows = rows or _poly_apply(f, mt, annt).num
+        if not any(rows[j * k:(j + 1) * k]):
             continue
+        e = units.submatrix(range(n), [j])
         g = _min_poly(m, e, ann)
         a, b = f, g // poly_gcd(f, g)
         while (h := poly_gcd(a, b)).degree > 0:
             a, b = a // h, b * h
         v = _poly_apply(f // a, m, v) + _poly_apply(g // b, m, e)
-        f = a * b
+        f, rows = a * b, None
     return f, v
 
 

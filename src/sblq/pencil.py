@@ -34,6 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
+from math import isqrt
 from typing import Optional, Tuple
 
 from .linalg import (
@@ -145,31 +147,23 @@ def kronecker_blocks(a2: Matrix, a3: Matrix) -> PencilBlocks:
     r = core2.rows
     if core2.cols != r:
         raise AssertionError("regular core is not square")
-    if r == 0:
-        blocks = PencilBlocks((a, b), wide, tall, (), (), (), ())
-        if not blocks.size_check():
-            raise AssertionError("block sizes do not sum to the pencil shape")
-        return blocks
-
-    mu = _normalizing_prime(core2, core3)
-    s = solve_right(core2.scale(mu) + core3, core2)
-    eye = Matrix.identity(r)
-    rest = Subspace._trusted(r, eye)
-    jordans = []
-    for s0 in (Fraction(1, mu), Fraction(1, mu + 1), Fraction(0)):
-        sizes, rest = _image_chain(s - eye.scale(s0), rest)
-        jordans.append(sizes)
-    factors: Tuple[Poly, ...] = ()
-    if rest.dim:
-        coeff = solve_right(rest.basis, s @ rest.basis)
-        if coeff is None:
-            raise AssertionError("remainder subspace is not invariant")
-        x = inverse(coeff) - Matrix.identity(rest.dim).scale(mu)
-        factors = tuple(invariant_factors(x))
-        if any(f(0) == 0 or f(1) == 0 for f in factors):
-            raise AssertionError("remainder touches a special eigenvalue")
-    blocks = PencilBlocks((a, b), wide, tall, jordans[0], jordans[1], jordans[2],
-                          factors, mu=mu)
+    mu, jordans, factors = None, [(), (), ()], ()
+    if r:
+        mu = _normalizing_prime(core2, core3)
+        s = solve_right(core2.scale(mu) + core3, core2)
+        eye = Matrix.identity(r)
+        rest = Subspace._trusted(r, eye)
+        for k, s0 in enumerate((Fraction(1, mu), Fraction(1, mu + 1), Fraction(0))):
+            jordans[k], rest = _image_chain(s - eye.scale(s0), rest)
+        if rest.dim:
+            coeff = solve_right(rest.basis, s @ rest.basis)
+            if coeff is None:
+                raise AssertionError("remainder subspace is not invariant")
+            x = inverse(coeff) - Matrix.identity(rest.dim).scale(mu)
+            factors = tuple(invariant_factors(x))
+            if any(f(0) == 0 or f(1) == 0 for f in factors):
+                raise AssertionError("remainder touches a special eigenvalue")
+    blocks = PencilBlocks((a, b), wide, tall, *jordans, factors, mu=mu)
     if not blocks.size_check():
         raise AssertionError("block sizes do not sum to the pencil shape")
     return blocks
@@ -198,17 +192,8 @@ def _image_chain(shift: Matrix, rest: Subspace) -> Tuple[Tuple[int, ...], Subspa
 
 def _normalizing_prime(a2: Matrix, a3: Matrix) -> int:
     """Smallest prime mu with mu*A2 + A3 invertible."""
-    mu = 2
-    for _ in range(2 * a2.rows + 8):
+    primes = (q for q in count(2) if all(q % d for d in range(2, isqrt(q) + 1)))
+    for mu in islice(primes, 2 * a2.rows + 8):
         if is_invertible(a2.scale(mu) + a3):
             return mu
-        mu = _next_prime(mu)
     raise ValueError("pencil core is singular: no normalizing prime found")
-
-
-def _next_prime(p: int) -> int:
-    q = p + 1
-    while True:
-        if all(q % d for d in range(2, int(q ** 0.5) + 1)):
-            return q
-        q += 1

@@ -16,8 +16,8 @@ from hypothesis import assume, given, settings, strategies as st
 import sblq
 from sblq.classify import classify
 from sblq.core import (
-    FourModule, SBLDatum, apply_equivalence, certificate_valid, datum_to_module,
-    direct_sum, direct_sum_all, module_hom_basis, module_to_datum,
+    EquivalenceMap, FourModule, SBLDatum, apply_equivalence, certificate_valid,
+    datum_to_module, direct_sum, direct_sum_all, module_hom_basis, module_to_datum,
     random_equivalence,
 )
 from sblq.decompose import (
@@ -28,13 +28,16 @@ from sblq.decompose import (
     necessary_conditions, pencil_datum, strip_c0,
 )
 from sblq.fixtures import (
-    bht, coifman_meyer, fixture_datum, triangular_hilbert, twisted_paraproduct,
+    SHIPPED_FIXTURES, bht, coifman_meyer, fixture_datum, shipped_fixture,
+    three_twisted, triangular_hilbert, twisted_paraproduct,
 )
 from sblq.linalg import (
-    Matrix, Subspace, _annihilator, _echelon_key, _int_rank, _int_rows, hstack,
+    Matrix, Subspace, _annihilator, _echelon_key, _int_rows, hstack,
     image_basis, inverse, kernel_basis, rank, solve_right,
 )
+from sblq.pencil import kronecker_blocks
 from sblq.polynomials import Poly
+from sblq.randomized import random_case
 from sblq.tables import FIXED_FAMILIES, FamilyTag, build
 
 from iso_oracle import isomorphism
@@ -238,12 +241,12 @@ def test_meet_join_matches_the_eliminations(pair):
 
 
 def reference_key_closure(d, lattice_depth=3, max_lattice=64):
-    """`necessary_conditions` with both eliminations for every pair."""
+    """`necessary_conditions` with both eliminations for every pair, and
+    every rank taken by `rank` in Q^dim_H, each R_i once per entry."""
     k0 = d.kernel0
     b = k0.dim
     maps = [_int_rows(d.pi[i] @ k0.basis) for i in (1, 2, 3)]
-    surj = (True, *(_int_rank([list(row) for row in r], b) == d.dims[i]
-                    for i, r in zip((1, 2, 3), maps)))
+    surj = (True, *(rank(d.pi[i] @ k0.basis) == d.dims[i] for i in (1, 2, 3)))
     found = [("ker Pi_0", _annihilator((), b), ())]
     for i, r in zip((1, 2, 3), maps):
         ann = _echelon_key([row[::-1] for row in r])
@@ -269,8 +272,8 @@ def reference_key_closure(d, lattice_depth=3, max_lattice=64):
         found.extend(new)
     entries = tuple(
         LatticeEntry(desc, len(key), tuple(
-            _int_rank([[sum(map(mul, k, r)) for r in rows] for k in key], len(rows))
-            for rows in maps))
+            rank(d.pi[i] @ k0.basis @ Matrix.from_rows(key, b).transpose())
+            for i in (1, 2, 3)))
         for desc, key, _ in found)
     eq = entries[0]
     return NecessityReport(surj, entries, (*eq.image_dims, eq.dim))
@@ -288,6 +291,13 @@ SCREENED_BAGS = [
     [n_tag(2), FamilyTag("J2", 2), FamilyTag("T", 1), FamilyTag("C", 2)],
     [FamilyTag("V*", 1), FamilyTag("Y")],
 ]
+
+
+def test_necessary_conditions_match_ranked_closure_on_fixtures_and_random_cases():
+    data = [shipped_fixture(name) for name in SHIPPED_FIXTURES]
+    data += [random_case(seed)[1] for seed in range(150)]
+    for d in data:
+        assert necessary_conditions(d) == reference_key_closure(d)
 
 
 def test_necessary_conditions_match_key_closure():
@@ -402,6 +412,7 @@ def test_holder_normal_form_check_survives_optimize():
 
 
 def test_base_change_is_inverted_only_when_read():
+    # no dim_H x dim_H inverse runs, neither for the form nor for its base change
     d = twisted_paraproduct()
     assert d.dim_H > max(d.dims[0], d.dims[1])
     shapes = []
@@ -416,11 +427,29 @@ def test_base_change_is_inverted_only_when_read():
                 stack.enter_context(mock.patch.object(mod, "inverse", recording))
         pencil = classify(d).decomposition.pencil
         assert pencil is not None
-        assert (d.dim_H, d.dim_H) not in shapes
+        assert shapes == []
         phi = pencil.base_change.phi
-        assert (d.dim_H, d.dim_H) in shapes
-    assert pencil.base_change.phi is phi
-    assert phi @ pencil.frame == Matrix.identity(d.dim_H)
+        assert shapes and (d.dim_H, d.dim_H) not in shapes
+        count = len(shapes)
+        assert pencil.base_change.phi is phi
+        assert len(shapes) == count
+    frame = hstack(kernel_basis(d.pi[1]).basis, d.kernel0.basis)
+    assert phi @ frame == Matrix.identity(d.dim_H)
+
+
+def test_holder_normal_form_plain_path_skips_kernels_and_inverses():
+    d = three_twisted()
+    mod = sys.modules["sblq.decompose"]
+    core = sys.modules["sblq.core"]
+    with mock.patch.object(mod, "kernel_basis", wraps=kernel_basis) as kernels, \
+            mock.patch.object(core, "kernel_basis", wraps=kernel_basis) as kernel0, \
+            mock.patch.object(mod, "inverse", wraps=inverse) as inverting:
+        form = holder_normal_form(d)
+        assert form is not None
+        assert (kernels.call_count, kernel0.call_count, inverting.call_count) == (0, 0, 0)
+        form.certificate
+        assert kernels.call_count == 1 and kernel0.call_count == 1
+        assert inverting.call_count == 4
 
 
 def test_holder_normal_form_rejects_young():
@@ -442,8 +471,128 @@ def test_holder_normal_form_pinned_plane():
     form = holder_normal_form(d)
     assert (form.a, form.b) == (1, 1)
     assert (form.a2, form.a3) == (Matrix(1, 1, [1]), Matrix(1, 1, [Fraction(1, 2)]))
-    assert form.frame == Matrix.identity(2)
-    assert form.phi_i == tuple(Matrix(1, 1, [x]) for x in (1, 1, 1, Fraction(1, 2)))
+    assert form.base_change.phi == Matrix.identity(2)
+    assert form.base_change.phi_i == tuple(Matrix(1, 1, [x]) for x in (1, 1, 1, Fraction(1, 2)))
+
+
+# -- the normal form from kernel bases, before the row-space solve, kept as the oracle
+
+
+def reference_holder_normal_form(d):
+    """(A2, A3, base change) from u of ker Pi_1 and v of ker Pi_0, or None.
+
+    The base change is inverse(hstack(u, v)) with phi_0 = (Pi_0 u)^-1 and
+    phi_i = (Pi_i v)^-1; A_i^T = phi_i Pi_i u.
+    """
+    v = d.kernel0.basis
+    b = v.cols
+    a = d.dim_H - b
+    if a != d.dims[0] or any(d.dims[i] != b for i in (1, 2, 3)):
+        return None
+    u = kernel_basis(d.pi[1]).basis
+    if u.cols != a:
+        return None
+    products = [(p @ u, p @ v) for p in d.pi]
+    phis = [solve_right(products[0][0], Matrix.identity(a))]
+    phis += [solve_right(pv, Matrix.identity(b)) for _, pv in products[1:]]
+    if any(phi is None for phi in phis):
+        return None
+    a2 = (phis[2] @ products[2][0]).transpose()
+    a3 = (phis[3] @ products[3][0]).transpose()
+    nf = pencil_datum(a, b, a2, a3)
+    assert all(nf.pi[i] == phis[i] @ hstack(*products[i]) for i in range(4))
+    return a2, a3, EquivalenceMap(inverse(hstack(u, v)), tuple(phis))
+
+
+def _regular_tag(draw):
+    lam = draw(st.sampled_from([Fraction(-1), Fraction(2), Fraction(1, 3), Fraction(-3, 2)]))
+    poly = draw(st.sampled_from([Poly.from_roots([lam]), Poly.from_roots([lam, lam]),
+                                 Poly([1, 0, 1])]))
+    return FamilyTag("N", poly.degree, regular_poly=poly)
+
+
+@st.composite
+def normal_form_inputs(draw):
+    """A scrambled bag of 1-4 N/J/C/T summands (C_0 included, parameters
+    may repeat) or a `random_case` datum."""
+    if draw(st.booleans()):
+        return random_case(draw(st.integers(0, 149)))[1]
+    tags = []
+    for _ in range(draw(st.integers(1, 4))):
+        family = draw(st.sampled_from(("N", "J1", "J2", "J3", "C", "T")))
+        if family == "N":
+            tags.append(_regular_tag(draw))
+        elif family == "C":
+            tags.append(FamilyTag("C", draw(st.integers(0, 2))))
+        else:
+            tags.append(FamilyTag(family, draw(st.integers(1, 2))))
+    return scrambled_datum(tags, draw(st.integers(0, 2 ** 20)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(normal_form_inputs())
+def test_holder_normal_form_matches_kernel_frame_oracle(d):
+    rest, _ = strip_c0(d.module)
+    for datum in (d, module_to_datum(rest)):
+        form, want = holder_normal_form(datum), reference_holder_normal_form(datum)
+        assert (form is None) == (want is None)
+        if form is None:
+            continue
+        assert kronecker_blocks(form.a2, form.a3) == kronecker_blocks(*want[:2])
+        a2, a3, base_change = form.certificate
+        assert (a2, a3, base_change.phi, base_change.phi_i) == \
+            (want[0], want[1], want[2].phi, want[2].phi_i)
+        assert form.normal_form_datum() == apply_equivalence(datum, base_change)
+
+
+# [Pi_0^T | Pi_1^T] singular, with [Pi_2^T | Pi_3^T] in its column span
+SINGULAR_FRAME = SBLDatum(2, (1, 1, 1, 1), tuple(
+    Matrix(1, 2, r) for r in ([1, 0], [1, 0], [2, 0], [3, 0])))
+
+# S_0 + S_1 = Q^4, and Pi_2 = C0_2^T Pi_0 + C1_2^T Pi_1 with C1_2 singular:
+# C1_2^T X = C0_2^T is consistent (X = I)
+SINGULAR_C1 = SBLDatum(4, (2, 2, 2, 2), tuple(Matrix(2, 4, r) for r in (
+    [1, 0, 0, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0, 0, 1],
+    [1, 0, 1, 0, 2, 0, 2, 0], [1, 2, 0, 1, 0, 1, 3, 0])))
+
+
+@pytest.mark.parametrize("d", [SINGULAR_FRAME, SINGULAR_C1])
+@pytest.mark.parametrize("seed", [None, 5])
+def test_holder_normal_form_reads_complements_off_pivots(d, seed):
+    if seed is not None:
+        d = apply_equivalence(d, random_equivalence(d, seed))
+    frame = hstack(d.pi[0].transpose(), d.pi[1].transpose())
+    coords = solve_right(frame, hstack(d.pi[2].transpose(), d.pi[3].transpose()))
+    assert coords is not None   # the system is consistent all the same
+    if d.dims[0] == 2:
+        c1t = coords.submatrix(range(2, 4), range(2)).transpose()
+        c0t = coords.submatrix(range(2), range(2)).transpose()
+        assert rank(c1t) < 2 and solve_right(c1t, c0t) is not None
+    assert holder_normal_form(d) is None
+    assert reference_holder_normal_form(d) is None
+
+
+SINGULAR_C1_UNDER_OPTIMIZE = textwrap.dedent("""
+    import sys
+    import sblq.decompose
+    from sblq.core import SBLDatum
+    from sblq.linalg import Matrix
+
+    if not sys.flags.optimize:
+        sys.exit("not running under -O")
+    mod = sys.modules["sblq.decompose"]
+    d = SBLDatum(4, (2, 2, 2, 2), tuple(Matrix(2, 4, r) for r in %r))
+    print("returned:", mod.holder_normal_form(d))
+""" % ([[1, 0, 0, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0, 0, 1],
+        [1, 0, 1, 0, 2, 0, 2, 0], [1, 2, 0, 1, 0, 1, 3, 0]],))
+
+
+def test_holder_normal_form_complement_check_survives_optimize():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sblq.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", SINGULAR_C1_UNDER_OPTIMIZE],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "returned: None\n"
 
 
 def test_kronecker_decompose_examples():
@@ -791,7 +940,6 @@ def test_invariant_factor_granularity():
 
 def test_pencil_block_sizes_sum():
     form = holder_normal_form(twisted_paraproduct())
-    from sblq.pencil import kronecker_blocks
     blocks = kronecker_blocks(form.a2, form.a3)
     assert blocks.size_check()
 
