@@ -58,7 +58,7 @@ class GaussianFunction:
         if self.dim == 0:
             return np.full(len(np.atleast_2d(u)), self.amplitude)
         u = np.atleast_2d(u) - self.center
-        return self.amplitude * np.exp(-pi * np.einsum("ij,jk,ik->i", u, self.quad_form, u))
+        return self.amplitude * np.exp(-pi * np.einsum("ij,ij->i", u @ self.quad_form, u))
 
     def pullback(self, m: np.ndarray) -> "GaussianFunction":
         """The function u -> f(m u) for invertible m."""
@@ -494,18 +494,22 @@ def _whitening(maps, functions, extra=None):
     return center, whiten, abs(float(np.linalg.det(whiten)))
 
 
+def _tensor_rule(nodes: np.ndarray, w: np.ndarray, dim: int, scale: float = 1.0):
+    """Tensor product of a one-dimensional rule on R^dim: nodes in C order,
+    weights scale * w[i_0] * ... * w[i_{dim-1}] multiplied in axis order."""
+    grids = np.meshgrid(*([nodes] * dim), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    weights = np.full((len(nodes),) * dim, scale)
+    for axis in range(dim):
+        weights = weights * w.reshape((-1,) + (1,) * (dim - 1 - axis))
+    return pts, weights.ravel()
+
+
 def _hermite_grid(points: int, dim: int, scale: float = 1.0):
     """Tensor Gauss-Hermite nodes for the weight exp(-pi |v|^2) on R^dim,
     and their weights times `scale`."""
     t_nodes, t_w = roots_hermite(points)
-    v_nodes = t_nodes / np.sqrt(pi)
-    grids = np.meshgrid(*([v_nodes] * dim), indexing="ij")
-    v_pts = np.stack([g.ravel() for g in grids], axis=1)
-    weights = np.full(len(v_pts), scale * pi ** (-dim / 2.0))
-    for axis in range(dim):
-        idx = np.unravel_index(np.arange(len(v_pts)), (points,) * dim)[axis]
-        weights *= t_w[idx]
-    return v_pts, weights
+    return _tensor_rule(t_nodes / np.sqrt(pi), t_w, dim, scale * pi ** (-dim / 2.0))
 
 
 def _whitened_rule(points: int, whitening):
@@ -529,16 +533,9 @@ def _tensor_value(spec: FormSpec, points: int, box: Optional[float] = None) -> f
     if whitening is None:
         half = box if box is not None else _auto_box(spec)
         nodes, w = roots_legendre(points)
-        nodes = half * nodes
-        w = half * w
-        grids = np.meshgrid(*([nodes] * dim), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        weights = np.ones(len(pts))
-        for axis in range(dim):
-            weights = weights * w[np.unravel_index(np.arange(len(pts)),
-                                                   (points,) * dim)[axis]]
-        return float(np.dot(weights, _integrand(spec)(pts)))
-    pts, weights = _whitened_rule(points, whitening)
+        pts, weights = _tensor_rule(half * nodes, half * w, dim)
+    else:
+        pts, weights = _whitened_rule(points, whitening)
     return float(np.dot(weights, _integrand(spec)(pts)))
 
 

@@ -9,16 +9,19 @@ identity for homogeneous kernels at d = 3 by quadrature.
 
 General d is exposed at the eigenvalue level; the full slice machinery
 (real spherical harmonics, explicit circle quadrature) is d = 3 only.
+The harmonics come from (x + iy)^m and the normalized Legendre recurrence
+in z (Holmes and Featherstone, J. Geodesy 76, 2002): no angle or
+sqrt(1 - z^2) is formed, so points next to a pole keep full precision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lgamma, pi
+from math import isqrt, lgamma, pi, sqrt
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import lpmv, roots_legendre
+from scipy.special import roots_legendre
 
 #: central tolerance configuration; all verification entry points read these
 TOLERANCES = {
@@ -131,25 +134,38 @@ def basis_index(l: int, m: int) -> int:
 
 
 def degree_of_index(idx: int) -> int:
-    return int(np.floor(np.sqrt(idx)))
+    return isqrt(idx)
 
 
 def sph_basis(points: np.ndarray, band: int) -> np.ndarray:
     """Matrix of real spherical harmonics, orthonormal for the probability
-    measure, evaluated at unit vectors (rows of `points`)."""
+    measure, evaluated at unit vectors (rows of `points`).
+
+    Column basis_index(l, +-m) is N_l^m Q_l^m(z) times the real or imaginary
+    part of (x + iy)^m = sin^m(theta) e^{im phi}, where Q_l^m = P_l^m / sin^m
+    (Condon-Shortley sign) is a polynomial in z, from the three-term
+    recurrence in l at fixed m.  It starts at the constant Q_m^m; the factor
+    2 of the m > 0 normalization enters at m = 1, Q_1^1 = -sqrt(3).
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    x, y, z = points[:, 0], points[:, 1], points[:, 2]
-    ct = np.clip(z, -1.0, 1.0)
-    phi = np.arctan2(y, x)
-    out = np.empty((points.shape[0], basis_size(band)))
-    for l in range(band + 1):
-        out[:, basis_index(l, 0)] = np.sqrt(2 * l + 1.0) * lpmv(0, l, ct)
-        for m in range(1, l + 1):
-            norm = np.sqrt(2 * (2 * l + 1.0)) * np.exp(
-                0.5 * (lgamma(l - m + 1) - lgamma(l + m + 1)))
-            plm = lpmv(m, l, ct)
-            out[:, basis_index(l, m)] = norm * plm * np.cos(m * phi)
-            out[:, basis_index(l, -m)] = norm * plm * np.sin(m * phi)
+    x, y, z = points.T
+    out = np.empty((len(points), basis_size(band)))
+    power = np.ones(len(points), dtype=complex)
+    q_mm = 1.0
+    for m in range(band + 1):
+        if m:
+            power = power * (x + 1j * y)
+            q_mm *= -sqrt((2 * m + 1) / (2 * m if m > 1 else 1))
+        q_prev, q = 0.0, np.full(len(points), q_mm)
+        for l in range(m, band + 1):
+            if l > m:
+                a = sqrt((2 * l - 1) * (2 * l + 1) / ((l - m) * (l + m)))
+                b = sqrt((2 * l + 1) * (l + m - 1) * (l - m - 1)
+                         / ((l - m) * (l + m) * (2 * l - 3))) if l > m + 1 else 0.0
+                q_prev, q = q, a * z * q - b * q_prev
+            out[:, basis_index(l, m)] = q * power.real
+            if m:
+                out[:, basis_index(l, -m)] = q * power.imag
     return out
 
 
@@ -191,34 +207,40 @@ def synthesize_at(points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 # -- the transform, its inverse problem, and slice functions --------------------
 
 
-def funk_apply(coeffs: np.ndarray, spectrum: FunkSpectrum) -> np.ndarray:
-    """Multiply each degree block by its eigenvalue."""
-    band = degree_of_index(len(coeffs) - 1)
+def _degree_lam(spectrum: FunkSpectrum, size: int) -> np.ndarray:
+    """lam_l repeated over the 2l + 1 coefficients of each degree l."""
+    band = degree_of_index(size - 1)
     if band > spectrum.max_degree:
         raise ValueError("band limit exceeds the tabulated spectrum")
-    out = np.array(coeffs, dtype=float)
-    for idx in range(len(out)):
-        out[idx] *= spectrum.lam[degree_of_index(idx)]
-    return out
+    return np.repeat(spectrum.lam[:band + 1], 2 * np.arange(band + 1) + 1)[:size]
 
 
-def great_circle_frame(nu: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Deterministic orthonormal frame spanning the plane orthogonal to nu."""
-    nu = np.asarray(nu, dtype=float)
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(nu)))] = 1.0
-    e1 = np.cross(axis, nu)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(nu, e1)
+def funk_apply(coeffs: np.ndarray, spectrum: FunkSpectrum) -> np.ndarray:
+    """Multiply each degree block by its eigenvalue."""
+    return np.asarray(coeffs, dtype=float) * _degree_lam(spectrum, len(coeffs))
+
+
+def great_circle_frame(nus: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Deterministic orthonormal frames (rows of e1, e2) spanning the planes
+    orthogonal to the rows of nus."""
+    nus = np.atleast_2d(np.asarray(nus, dtype=float))
+    axis = np.zeros_like(nus)
+    axis[np.arange(len(nus)), np.argmin(np.abs(nus), axis=1)] = 1.0
+    e1 = np.cross(axis, nus)
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    e2 = np.cross(nus, e1)
     return e1, e2
 
 
-def great_circle_points(nu: np.ndarray, count: int) -> np.ndarray:
-    """count uniform points on the great circle orthogonal to nu; the uniform
-    rule is exact for band limit count/2 - 1."""
-    e1, e2 = great_circle_frame(nu)
+def great_circle_points(nus: np.ndarray, count: int) -> np.ndarray:
+    """count uniform points on the great circle orthogonal to each row of nus,
+    circle after circle; the uniform rule is exact for band limit
+    count/2 - 1.  A single nu gives shape (count, 3)."""
+    e1, e2 = great_circle_frame(nus)
     t = 2.0 * pi * np.arange(count) / count
-    return np.outer(np.cos(t), e1) + np.outer(np.sin(t), e2)
+    pts = (np.cos(t)[None, :, None] * e1[:, None, :]
+           + np.sin(t)[None, :, None] * e2[:, None, :])
+    return pts.reshape(-1, 3)
 
 
 def circle_quadrature_count(band: int) -> int:
@@ -231,8 +253,7 @@ def funk_apply_direct(coeffs: np.ndarray, nus: np.ndarray,
     band = degree_of_index(len(coeffs) - 1)
     count = count or circle_quadrature_count(band)
     nus = np.atleast_2d(nus)
-    circles = np.concatenate([great_circle_points(nu, count) for nu in nus])
-    vals = synthesize_at(circles, coeffs).reshape(len(nus), count)
+    vals = synthesize_at(great_circle_points(nus, count), coeffs).reshape(len(nus), count)
     return vals.mean(axis=1)
 
 
@@ -260,10 +281,7 @@ def neumann_solve(omega_coeffs: np.ndarray,
     if abs(omega[0]) > TOLERANCES["mean_zero"]:
         raise ValueError("input must have zero mean")
     omega[0] = 0.0  # below the mean-zero tolerance; 1 - lam_0^2 is singular there
-    band = degree_of_index(len(omega) - 1)
-    if band > spectrum.max_degree:
-        raise ValueError("band limit exceeds the tabulated spectrum")
-    lam = np.array([spectrum.lam[degree_of_index(i)] for i in range(len(omega))])
+    lam = _degree_lam(spectrum, len(omega))
     f = np.zeros_like(omega)
     f[1:] = omega[1:] / (1.0 - lam[1:] ** 2)
     series = np.zeros_like(omega)
@@ -293,7 +311,7 @@ def verify_repr(dec: SliceDecomposition, omega_coeffs: np.ndarray,
     """
     omega_vals = grid.synthesize(omega_coeffs)
     nus = grid.points
-    circles = np.concatenate([great_circle_points(nu, circle_count) for nu in nus])
+    circles = great_circle_points(nus, circle_count)
     max_band = max([degree_of_index(len(omega_coeffs) - 1)]
                    + [degree_of_index(len(fc) - 1) for fc in test_coeffs])
     circle_basis = sph_basis(circles, max_band)

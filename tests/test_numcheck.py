@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import roots_hermite, roots_legendre
 
 from sblq.core import SBLDatum, random_equivalence
 from sblq.fixtures import bht, fixture_datum
@@ -13,6 +14,7 @@ from sblq.numcheck import (
     delta_limit_check, eval_form, extend_kernel, normalized_kernel,
     verify_mikhlin,
 )
+from sblq.numcheck import _hermite_grid, _tensor_rule
 
 
 def identity_datum_1d():
@@ -224,3 +226,44 @@ def test_extended_kernel_mikhlin_pass_and_scaling():
     assert report.passed
     worst100 = verify_mikhlin(ext.scaled(100.0)).worst_constant
     assert abs(worst100 - 100.0) / 100.0 < 0.05
+
+
+def reference_hermite_grid(points, dim, scale=1.0):
+    # the former construction: one unravel_index over all nodes per axis
+    t_nodes, t_w = roots_hermite(points)
+    v_nodes = t_nodes / np.sqrt(math.pi)
+    grids = np.meshgrid(*([v_nodes] * dim), indexing="ij")
+    v_pts = np.stack([g.ravel() for g in grids], axis=1)
+    weights = np.full(len(v_pts), scale * math.pi ** (-dim / 2.0))
+    for axis in range(dim):
+        idx = np.unravel_index(np.arange(len(v_pts)), (points,) * dim)[axis]
+        weights *= t_w[idx]
+    return v_pts, weights
+
+
+@pytest.mark.parametrize("points,dim", [(16, 4), (8, 4), (5, 3), (7, 2), (6, 1)])
+def test_tensor_rules_match_unravel_reference(points, dim):
+    for scale in (1.0, 0.37):
+        new, old = _hermite_grid(points, dim, scale), reference_hermite_grid(points, dim, scale)
+        assert np.array_equal(new[0], old[0]) and np.array_equal(new[1], old[1])
+    # the Legendre rule of the box fallback, weights from ones
+    nodes, w = roots_legendre(points)
+    pts, weights = _tensor_rule(3.0 * nodes, 3.0 * w, dim)
+    old = np.ones(len(pts))
+    for axis in range(dim):
+        old = old * (3.0 * w)[np.unravel_index(np.arange(len(pts)), (points,) * dim)[axis]]
+    assert np.array_equal(weights, old)
+    assert np.array_equal(pts[:, -1], np.tile(3.0 * nodes, points ** (dim - 1)))
+
+
+def test_gaussian_function_matches_three_operand_einsum():
+    rng = np.random.default_rng(4)
+    for dim in (1, 3, 5):
+        a = rng.normal(size=(dim, dim))
+        f = GaussianFunction(dim, rng.normal(size=dim), a @ a.T + np.eye(dim), 1.5)
+        u = rng.normal(size=(50, dim))
+        d = u - f.center
+        q = np.einsum("ij,jk,ik->i", d, f.quad_form, d)
+        old = 1.5 * np.exp(-math.pi * q)
+        # rounding in q moves the value by about pi * q ulps
+        assert np.all(np.abs(f(u) - old) <= 1e-14 * (1.0 + math.pi * q) * old)

@@ -2,18 +2,20 @@ import os
 import subprocess
 import sys
 import textwrap
+from math import comb, factorial, lgamma
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
-from scipy.special import eval_gegenbauer
+from scipy.special import eval_gegenbauer, lpmv
 
 import sblq
 from sblq.rotations import (
     FunkSpectrum, RadialTensorFunction, SliceDecomposition, SphereGrid, TOLERANCES,
     basis_index, basis_size, decay_exponent_fit, degree_of_index, funk_apply,
     funk_apply_direct, funk_eigenvalue, funk_spectrum, gegenbauer,
-    great_circle_points, neumann_solve, radial_log_quadrature,
+    great_circle_frame, great_circle_points, neumann_solve, radial_log_quadrature,
     sph_basis, synthesize_at, verify_repr, verify_superposition,
 )
 
@@ -113,6 +115,133 @@ def test_grid_integrates_band_limited_products():
     basis = sph_basis(grid.points, 8)
     gram = basis.T @ (grid.weights[:, None] * basis)
     assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-12
+
+
+def reference_sph_basis(points, band):
+    # the former implementation: scipy lpmv at cos(theta) = z, azimuth from arctan2
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    x, y, z = points[:, 0], points[:, 1], points[:, 2]
+    ct = np.clip(z, -1.0, 1.0)
+    phi = np.arctan2(y, x)
+    out = np.empty((points.shape[0], basis_size(band)))
+    for l in range(band + 1):
+        out[:, basis_index(l, 0)] = np.sqrt(2 * l + 1.0) * lpmv(0, l, ct)
+        for m in range(1, l + 1):
+            norm = np.sqrt(2 * (2 * l + 1.0)) * np.exp(
+                0.5 * (lgamma(l - m + 1) - lgamma(l + m + 1)))
+            plm = lpmv(m, l, ct)
+            out[:, basis_index(l, m)] = norm * plm * np.cos(m * phi)
+            out[:, basis_index(l, -m)] = norm * plm * np.sin(m * phi)
+    return out
+
+
+def mpmath_sph_basis(points, band, digits=40):
+    # oracle: each point's own angles at `digits` digits, and P_l^m from the
+    # explicit derivative of P_l(t) = 2^-l sum_k (-1)^k C(l,k) C(2l-2k,l) t^(l-2k)
+    out = np.empty((len(points), basis_size(band)))
+    with mpmath.workdps(digits):
+        for i, (x, y, z) in enumerate(points):
+            x, y, z = mpmath.mpf(x), mpmath.mpf(y), mpmath.mpf(z)
+            r = mpmath.sqrt(x * x + y * y + z * z)
+            st, ct, phi = mpmath.hypot(x, y) / r, z / r, mpmath.atan2(y, x)
+            for l in range(band + 1):
+                for m in range(l + 1):
+                    deriv = sum((-1) ** k * comb(l, k) * comb(2 * l - 2 * k, l)
+                                * factorial(l - 2 * k) // factorial(l - 2 * k - m)
+                                * ct ** (l - 2 * k - m)
+                                for k in range((l - m) // 2 + 1)) / 2 ** l
+                    norm = mpmath.sqrt((2 if m else 1) * (2 * l + 1)
+                                       * mpmath.mpf(factorial(l - m)) / factorial(l + m))
+                    value = (-1) ** m * norm * deriv * st ** m
+                    out[i, basis_index(l, m)] = float(value * mpmath.cos(m * phi))
+                    if m:
+                        out[i, basis_index(l, -m)] = float(value * mpmath.sin(m * phi))
+    return out
+
+
+def reference_great_circle_points(nu, count):
+    # the former per-normal construction, one frame at a time
+    nu = np.asarray(nu, dtype=float)
+    axis = np.zeros(3)
+    axis[int(np.argmin(np.abs(nu)))] = 1.0
+    e1 = np.cross(axis, nu)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(nu, e1)
+    t = 2.0 * np.pi * np.arange(count) / count
+    return np.outer(np.cos(t), e1) + np.outer(np.sin(t), e2)
+
+
+def _unit_points(count, seed, max_abs_z=1.0):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(count, 3))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    return pts[np.abs(pts[:, 2]) <= max_abs_z]
+
+
+def test_sph_basis_matches_lpmv_reference_away_from_poles():
+    pts = _unit_points(2000, 11, max_abs_z=0.99)
+    for band in range(17):
+        assert np.max(np.abs(sph_basis(pts, band) - reference_sph_basis(pts, band))) < 1e-12
+    # the oracle agrees with both away from the poles
+    few = pts[:12]
+    assert np.max(np.abs(mpmath_sph_basis(few, 16) - reference_sph_basis(few, 16))) < 1e-12
+
+
+def _near_pole_circle_points():
+    # great circles through a pole, from the grids of bands 4 and 16: here
+    # z rounds to within 4e-16 of +-1 while x and y are about 1e-16
+    chunks = []
+    for grid_band in (4, 16):
+        circles = np.concatenate([reference_great_circle_points(nu, 64)
+                                  for nu in SphereGrid.build(grid_band).points])
+        az = np.abs(circles[:, 2])
+        chunks.append(circles[(az > 1.0 - 4e-16) & (az < 1.0)])
+    assert all(len(c) >= 2 for c in chunks)
+    return np.concatenate(chunks)
+
+
+@pytest.mark.parametrize("band", [4, 16])
+def test_sph_basis_near_poles_matches_mpmath(band):
+    pts = _near_pole_circle_points()
+    exact = mpmath_sph_basis(pts, band)
+    assert np.max(np.abs(sph_basis(pts, band) - exact)) <= 1e-12
+    # arccos-style evaluation loses half the digits at these points
+    assert np.max(np.abs(reference_sph_basis(pts, band) - exact)) > 1e-8
+
+
+def test_great_circles_match_per_circle_loop():
+    for grid_band in (4, 8, 16):
+        nus = SphereGrid.build(grid_band).points
+        for count in (8, 64):
+            loop = np.concatenate([reference_great_circle_points(nu, count) for nu in nus])
+            assert np.max(np.abs(great_circle_points(nus, count) - loop)) <= 1e-15
+        e1, e2 = great_circle_frame(nus)
+        for a, b in ((e1, e1), (e2, e2), (e1, e2), (e1, nus), (e2, nus)):
+            expected = 1.0 if a is b else 0.0
+            assert np.max(np.abs(np.sum(a * b, axis=1) - expected)) < 1e-15
+    nu = np.array([0.3, -0.4, np.sqrt(0.75)])
+    assert great_circle_points(nu, 10).shape == (10, 3)
+    assert great_circle_points(nu[None, :], 10).shape == (10, 3)
+
+
+def test_degree_of_index_is_exact():
+    assert [degree_of_index(i) for i in range(10)] == [0, 1, 1, 1, 2, 2, 2, 2, 2, 3]
+    for k in (1, 7, 94_906_267, 10 ** 9, 2 ** 40 + 3):
+        assert degree_of_index(k * k - 1) == k - 1
+        assert degree_of_index(k * k) == k
+
+
+def test_diagonal_eigenvalues_match_degree_loop():
+    sp = funk_spectrum(3, 10)
+    rng = np.random.default_rng(9)
+    for band in (0, 1, 4, 10):
+        coeffs = rng.normal(size=basis_size(band))
+        coeffs[0] = 0.0
+        lam = np.array([sp.lam[degree_of_index(i)] for i in range(len(coeffs))])
+        assert np.array_equal(funk_apply(coeffs, sp), coeffs * lam)
+        f = np.zeros_like(coeffs)
+        f[1:] = coeffs[1:] / (1.0 - lam[1:] ** 2)
+        assert np.array_equal(neumann_solve(coeffs, sp).f_coeffs, f)
 
 
 def test_funk_apply_examples():
@@ -292,6 +421,25 @@ def test_superposition_matches_per_circle_reference(grid_band, circle_count,
     old = reference_superposition(omega, f, grid, radial_count, circle_count)
     assert old > 1e-3
     assert abs(new - old) <= 1e-8 * old
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_residual_floors(seed):
+    # the small checks the benchmark runs: with exact rules both residuals
+    # sit at rounding level
+    rng = np.random.default_rng(seed)
+    omega4 = rng.normal(size=basis_size(4))
+    omega4[0] = 0.0
+    tests = [rng.normal(size=basis_size(4)) for _ in range(5)]
+    dec = neumann_solve(omega4, funk_spectrum(3, 4))
+    assert max(verify_repr(dec, omega4, tests, SphereGrid.build(8))) < 1e-12
+    omega2 = rng.normal(size=basis_size(2))
+    omega2[0] = 0.0
+    f = RadialTensorFunction(((_bump(0.5, 2.0), rng.normal(size=basis_size(2))),),
+                             (0.5, 2.0))
+    residual = verify_superposition(omega2, f, SphereGrid.build(4),
+                                    radial_count=8, circle_count=8)
+    assert residual < 1e-12
 
 
 def test_radial_support_guard():
