@@ -10,11 +10,10 @@ the integers, that it maps each subspace span onto its counterpart.  The
 reported certificate, the inverse of that matrix, is built only when read.
 `module_hom_basis` solves the Hom space column by column: a source basis
 vector along a coordinate axis confines that column of psi to a target
-subspace, so only the remaining, coupled constraints go into one exact
-kernel, on the coordinates of those confined columns.  Its basis is the
-reduced one of the full system in the entries of psi, which depends on
-the space alone, so the certificates drawn from it do not depend on how
-it was solved.
+subspace, and one exact kernel on the coordinates of the confined columns,
+ordered by the entries of psi they pin, gives the reduced basis of the full
+system in the entries of psi.  It depends on the space alone, so the
+certificates drawn from it do not depend on how it was solved.
 """
 
 from __future__ import annotations
@@ -22,10 +21,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import accumulate
+from functools import cached_property, lru_cache
 from operator import mul
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from .linalg import (
     Matrix, Subspace, _echelon_key, _int_cols, _int_kernel, block_diag,
@@ -172,97 +170,108 @@ def apply_equivalence(d: SBLDatum, e: EquivalenceMap) -> SBLDatum:
 
 def direct_sum(a: FourModule, b: FourModule) -> FourModule:
     """Block-diagonal bases; the dimension vector adds componentwise."""
-    subs = []
-    for i in range(4):
-        ba, bb = a.sub[i].basis, b.sub[i].basis
-        subs.append(Subspace._trusted(a.dim_M + b.dim_M, block_diag(ba, bb)))
-    return FourModule(a.dim_M + b.dim_M, tuple(subs))
+    return direct_sum_all([a, b])
 
 
 def direct_sum_all(mods: Sequence[FourModule]) -> FourModule:
-    out = FourModule(0, tuple(Subspace.zero(0) for _ in range(4)))
-    for m in mods:
-        out = direct_sum(out, m)
-    return out
+    """`direct_sum` of all of mods, each slot one `block_diag`."""
+    n = sum(m.dim_M for m in mods)
+    return FourModule(n, tuple(Subspace._trusted(n, block_diag(*[m.sub[i].basis for m in mods]))
+                               for i in range(4)))
 
 
 # -- isomorphism certificates -------------------------------------------------
+
+
+def hom_solver(b: FourModule) -> Callable[[FourModule], List[Matrix]]:
+    """`module_hom_basis(a, b)` as a function of a; the slot spans of b and
+    their products with its annihilator rows live as long as it does."""
+    mp, anns = b.dim_M, b._annihilators
+
+    @lru_cache(maxsize=None)
+    def span(slots: Tuple[int, ...]) -> List[Tuple[List[int], List[Tuple[int, int]]]]:
+        # the reduced columns of P_slots, each with its nonzero (row, value) pairs
+        first, *rest = slots or (None,)
+        basis = _int_cols(b.sub[first].basis if slots else Matrix.identity(mp))
+        if rest:  # B s for the kernel vectors s of the other slots' rows times B
+            rows = [[sum(map(mul, n, col)) for col in basis] for i in rest for n in anns[i]]
+            basis = [[sum(map(mul, t, row)) for row in zip(*basis)]
+                     for t in _int_cols(_int_kernel(rows, len(basis)).basis)]
+        if slots:  # by increasing pivot row
+            basis = [c[::-1] for c in reversed(_echelon_key([c[::-1] for c in basis]))]
+        return [(c, [(r, v) for r, v in enumerate(c) if v]) for c in basis]
+
+    @lru_cache(maxsize=None)
+    def product(i: int, slots: Tuple[int, ...]) -> List[List[int]]:
+        return [[sum(map(mul, n, c)) for c, _ in span(slots)] for n in anns[i]]
+
+    def solve(a: FourModule) -> List[Matrix]:
+        m = a.dim_M
+        if m == 0 or mp == 0:
+            return [] if m or mp else [Matrix.zeros(0, 0)]
+        pinning: List[List[int]] = [[] for _ in range(m)]
+        coupled: List[Tuple[int, List[int]]] = []
+        for i in range(4):
+            for x in _int_cols(a.sub[i].basis):
+                support = [j for j, v in enumerate(x) if v]
+                if len(support) == 1:
+                    pinning[support[0]].append(i)
+                else:
+                    coupled.append((i, x))
+        slots = [tuple(s) for s in pinning]
+        # unknown u = (j, k) scales column k of P_j in psi, ordered by the
+        # position (pivot row) m + j it pins; P_j's pivots increase with k
+        order = sorted((nz[-1][0] * m + j, j, k) for j, s in enumerate(slots)
+                       for k, (_, nz) in enumerate(span(s)))
+        index: List[List[int]] = [[] for _ in range(m)]
+        for u, (_, j, _) in enumerate(order):
+            index[j].append(u)
+        system: List[List[int]] = []
+        for i, x in coupled:
+            parts = [(index[j], xj, product(i, slots[j])) for j, xj in enumerate(x) if xj]
+            for q in range(len(anns[i])):
+                row = [0] * len(order)
+                for idx, xj, prod in parts:
+                    for u, v in zip(idx, prod[q]):
+                        row[u] = xj * v
+                system.append(row)
+        out = []
+        for t in _int_cols(_int_kernel(system, len(order)).basis):
+            psi = [0] * (mp * m)
+            for u, c in enumerate(t):
+                if c:
+                    pos, j, k = order[u]
+                    for r, v in span(slots[j])[k][1]:
+                        psi[r * m + j] += c * v
+            out.append(Matrix._ints(mp, m, psi, psi[pos]))  # pos: the free unknown's
+        return out
+
+    return solve
 
 
 def module_hom_basis(a: FourModule, b: FourModule) -> List[Matrix]:
     """Basis of {psi : psi(sub_i(a)) contained in sub_i(b) for all i}.
 
     The constraints are N_i psi x = 0 for the basis columns x of sub_i(a),
-    where the integer rows of N_i annihilate sub_i(b).  They are solved in
-    two stages.  A basis column that is a multiple of e_j pins column j of
-    psi into sub_i(b), so psi_j = P_j t_j with P_j a basis of the
-    intersection of the subspaces pinning j: that subspace's own basis for
-    one slot; for several, B s for the kernel vectors s of the other slots'
-    annihilator rows times B, the first slot's basis; and all of Q^dim b
-    for none (computed once per slot set).  The other basis columns x give
-    the rows N_i sum_j x_j P_j t_j = 0, solved by one exact kernel on the
-    sum of the dim P_j unknowns.
+    where the integer rows of N_i annihilate sub_i(b).  A basis column that
+    is a multiple of e_j pins column j of psi: psi_j = P_j t_j, P_j a basis
+    of the intersection of the slots pinning j (Q^dim b for none).  The
+    other columns x give the rows N_i sum_j x_j P_j t_j = 0 of one exact
+    kernel on all the t_j.
 
     The result is the reduced kernel basis of the whole system in the
-    row-major entries of psi: one element per free entry f, equal to 1 at
-    f and 0 at the other free entries.  That basis depends on the space
-    alone: with the coordinates reversed it is the reduced row echelon
-    form of the space, read off `_echelon_key`.
+    row-major entries of psi: one element per free entry f, 1 at f, 0 at
+    the other free entries and nonzero only before f.  It depends on the
+    space alone and is read off the second kernel as it stands.  Column k
+    of P_j, in reduced form, ends at its pivot row r_k, where the other
+    columns are 0, so t_jk alone reaches entry (r_k, j) and every entry it
+    reaches comes no later.  With the unknowns in the order of these
+    entries, each kernel vector (its free unknown set, the other free
+    unknowns 0, nonzero otherwise only before it) gives a psi that ends at
+    its free unknown's entry and is 0 at every other one's: scaled to 1
+    there, it is the reduced element.
     """
-    m, mp = a.dim_M, b.dim_M
-    if m == 0 or mp == 0:
-        return [] if m or mp else [Matrix.zeros(0, 0)]
-    pinning: List[List[int]] = [[] for _ in range(m)]
-    coupled: List[Tuple[int, List[int]]] = []
-    for i in range(4):
-        for x in _int_cols(a.sub[i].basis):
-            support = [j for j, v in enumerate(x) if v]
-            if len(support) == 1:
-                pinning[support[0]].append(i)
-            else:
-                coupled.append((i, x))
-    spans: Dict[Tuple[int, ...], List[List[int]]] = {}
-    for slots in map(tuple, pinning):
-        if slots in spans:
-            continue
-        if not slots:
-            spans[slots] = [[int(r == c) for r in range(mp)] for c in range(mp)]
-        elif len(slots) == 1:
-            spans[slots] = _int_cols(b.sub[slots[0]].basis)
-        else:
-            first, *rest = slots
-            basis = _int_cols(b.sub[first].basis)
-            rows = [[sum(map(mul, n, col)) for col in basis]
-                    for i in rest for n in b._annihilators[i]]
-            spans[slots] = [[sum(map(mul, t, row)) for row in zip(*basis)]
-                            for t in _int_cols(_int_kernel(rows, len(basis)).basis)]
-    p = [spans[tuple(slots)] for slots in pinning]
-    start = [0, *accumulate(map(len, p))]
-    unknowns = start[-1]
-    if unknowns == 0:
-        return []
-    system: List[List[int]] = []
-    for i, x in coupled:
-        for n in b._annihilators[i]:
-            row = [0] * unknowns
-            for j, xj in enumerate(x):
-                if xj:
-                    row[start[j]:start[j + 1]] = [xj * sum(map(mul, n, col)) for col in p[j]]
-            system.append(row)
-    # psi entry (r, j) sits at reversed coordinate size - 1 - (r m + j)
-    size = mp * m
-    vecs = []
-    for t in _int_cols(_int_kernel(system, unknowns).basis):
-        vec = [0] * size
-        for j, pj in enumerate(p):
-            for c, col in zip(t[start[j]:start[j + 1]], pj):
-                if c:
-                    for r, v in enumerate(col):
-                        if v:
-                            vec[size - 1 - r * m - j] += c * v
-        vecs.append(vec)
-    return [Matrix._ints(mp, m, row[::-1], next(v for v in row if v))
-            for row in reversed(_echelon_key(vecs))]
+    return hom_solver(b)(a)
 
 
 def certificate_valid(psi: Matrix, a: FourModule, b: FourModule) -> bool:

@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import (
     EquivalenceMap, FourModule, SBLDatum, certificate_valid, direct_sum,
-    direct_sum_all, module_hom_basis, module_to_datum, validate_datum,
+    direct_sum_all, hom_solver, module_to_datum, validate_datum,
 )
 from .linalg import (
     Matrix, Subspace, _annihilator, _echelon_key, _int_rank, _int_rows, _pivots,
@@ -374,8 +374,8 @@ def _fixed_table() -> Tuple[Dict[str, FourModule], Dict[str, List[List[int]]]]:
     """The ten fixed family modules and, per case, the integer inverse of
     H[X][Y] = dim Hom(X, Y) over the case's families."""
     mods = {f: build(FamilyTag(f)) for f in FIXED_FAMILIES}
-    hom = {(x, y): len(module_hom_basis(mods[x], mods[y]))
-           for x in FIXED_FAMILIES for y in FIXED_FAMILIES}
+    solvers = {y: hom_solver(mods[y]) for y in FIXED_FAMILIES}
+    hom = {(x, y): len(solvers[y](mods[x])) for x in FIXED_FAMILIES for y in FIXED_FAMILIES}
     inverses = {}
     for case_tag, families in _CASE_FAMILIES.items():
         block = Matrix.from_rows([[hom[x, y] for y in families] for x in families])
@@ -390,8 +390,9 @@ def _fixed_table() -> Tuple[Dict[str, FourModule], Dict[str, List[List[int]]]]:
 def _fixed_matcher(m: FourModule, trials: int, seed: int):
     """`match_nonholder` for one module as `match(case_tag)`, returning the
     proven psi: candidate -> m itself, not its inverse; each Hom(X, m) is
-    solved once for all cases and each candidate multiset certified once."""
+    solved once, by one `hom_solver(m)`, and each multiset certified once."""
     mods, inverses = _fixed_table()
+    solve = hom_solver(m)
     homs: Dict[str, List[Matrix]] = {}
     proved: Dict[Tuple, Optional[tuple]] = {}
 
@@ -407,7 +408,7 @@ def _fixed_matcher(m: FourModule, trials: int, seed: int):
 
     def match(case_tag: str) -> Optional[tuple]:
         families = _CASE_FAMILIES[case_tag]
-        homs.update({f: module_hom_basis(mods[f], m) for f in families if f not in homs})
+        homs.update({f: solve(mods[f]) for f in families if f not in homs})
         h = [len(homs[f]) for f in families]
         mult = [sum(map(mul, row, h)) for row in inverses[case_tag]]
         counts = {f: c for f, c in zip(families, mult) if c}

@@ -307,20 +307,20 @@ def verify_repr(dec: SliceDecomposition, omega_coeffs: np.ndarray,
 
     For each f the residual is |<f, Omega> - int int f(theta)
     Gamma(nu, theta) dsigma_nu(theta) dsigma(nu)| with the outer integral on
-    the grid and the inner one on explicit great circles.
+    the grid and the inner one on explicit great circles, each from one basis.
     """
-    omega_vals = grid.synthesize(omega_coeffs)
     nus = grid.points
     circles = great_circle_points(nus, circle_count)
-    max_band = max([degree_of_index(len(omega_coeffs) - 1)]
-                   + [degree_of_index(len(fc) - 1) for fc in test_coeffs])
-    circle_basis = sph_basis(circles, max_band)
+    max_band = max(degree_of_index(len(c) - 1)
+                   for c in (omega_coeffs, dec.f_coeffs, dec.tf_coeffs, *test_coeffs))
+    grid_basis, circle_basis = sph_basis(nus, max_band), sph_basis(circles, max_band)
+    omega_vals = grid_basis[:, :len(omega_coeffs)] @ omega_coeffs
     gamma_f = circle_basis[:, :len(dec.f_coeffs)] @ dec.f_coeffs
-    tf_nu = synthesize_at(nus, dec.tf_coeffs)
+    tf_nu = grid_basis[:, :len(dec.tf_coeffs)] @ dec.tf_coeffs
     gamma_vals = gamma_f.reshape(len(nus), circle_count) - tf_nu[:, None]
     residuals = []
     for fc in test_coeffs:
-        lhs = grid.integrate(grid.synthesize(fc) * omega_vals)
+        lhs = grid.integrate((grid_basis[:, :len(fc)] @ fc) * omega_vals)
         f_vals = (circle_basis[:, :len(fc)] @ fc).reshape(len(nus), circle_count)
         inner = (f_vals * gamma_vals).mean(axis=1)
         rhs = grid.integrate(inner)

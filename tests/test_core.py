@@ -2,19 +2,26 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sblq.core as core_module
+import sblq.linalg as linalg_module
+
 from sblq.core import (
     DatumFormatError, DimVector, EquivalenceMap, FourModule, SBLDatum,
     apply_equivalence, certificate_valid, datum_from_dict, datum_to_dict,
-    datum_to_module, direct_sum, direct_sum_all, module_hom_basis,
+    datum_to_module, direct_sum, direct_sum_all, hom_solver, module_hom_basis,
     module_to_datum, random_equivalence, validate_datum,
 )
 from sblq.decompose import _fixed_table
 from sblq.linalg import (
-    Matrix, Subspace, _int_cols, _int_kernel, block_diag, is_invertible, solve_right,
+    Matrix, Subspace, _echelon_key, _int_cols, _int_kernel, block_diag, is_invertible,
+    solve_right,
 )
 from sblq.polynomials import Poly
 from sblq.tables import FIXED_FAMILIES, FamilyTag, build
@@ -78,6 +85,29 @@ def test_direct_sum_datum_blockwise():
     assert s.dim_vector == DimVector(*(x + y for x, y in zip(a.dim_vector, b.dim_vector)))
     for i in range(4):
         assert s.sub[i].basis == block_diag(a.sub[i].basis, b.sub[i].basis)
+
+
+def reference_direct_sum_all(mods):
+    """The pairwise fold `direct_sum_all` replaced."""
+    out = FourModule(0, tuple(Subspace.zero(0) for _ in range(4)))
+    for m in mods:
+        out = direct_sum(out, m)
+    return out
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.sampled_from([FamilyTag(f) for f in FIXED_FAMILIES]
+                                + [FamilyTag("C", 0), FamilyTag("T", 2), FamilyTag("J1", 1)]),
+                max_size=5), st.integers(0, 2 ** 16))
+def test_direct_sum_all_matches_pairwise_fold(tags, seed):
+    # zero summands included; every other draw scrambles the summands
+    mods = [build(t) for t in tags]
+    if seed % 2 and mods:
+        mods = [scrambled_module(m, seed + k) for k, m in enumerate(mods)]
+    got, want = direct_sum_all(mods), reference_direct_sum_all(mods)
+    assert got.dim_M == want.dim_M == sum(m.dim_M for m in mods)
+    assert [s.basis for s in got.sub] == [s.basis for s in want.sub]
+    assert all(s.ambient_dim == got.dim_M for s in got.sub)
 
 
 def test_module_datum_round_trip():
@@ -216,13 +246,79 @@ def reference_module_hom_basis(a, b):
     return [Matrix._ints(mp, m, k.num[j::k.cols], k.den) for j in range(k.cols)]
 
 
+def reference_two_stage_hom_basis(a, b):
+    """The two-stage solve that read its basis off a full-width `_echelon_key`:
+    pinned columns of psi in a basis of their slot intersection, one kernel
+    of the coupled rows, then the reduced form of the expanded vectors in
+    the dim a * dim b row-major entries of psi, with reversed coordinates."""
+    m, mp = a.dim_M, b.dim_M
+    if m == 0 or mp == 0:
+        return [] if m or mp else [Matrix.zeros(0, 0)]
+    pinning = [[] for _ in range(m)]
+    coupled = []
+    for i in range(4):
+        for x in _int_cols(a.sub[i].basis):
+            support = [j for j, v in enumerate(x) if v]
+            if len(support) == 1:
+                pinning[support[0]].append(i)
+            else:
+                coupled.append((i, x))
+    spans = {}
+    for slots in map(tuple, pinning):
+        if slots in spans:
+            continue
+        if not slots:
+            spans[slots] = [[int(r == c) for r in range(mp)] for c in range(mp)]
+        elif len(slots) == 1:
+            spans[slots] = _int_cols(b.sub[slots[0]].basis)
+        else:
+            first, *rest = slots
+            basis = _int_cols(b.sub[first].basis)
+            rows = [[sum(map(mul, n, col)) for col in basis]
+                    for i in rest for n in b._annihilators[i]]
+            spans[slots] = [[sum(map(mul, t, row)) for row in zip(*basis)]
+                            for t in _int_cols(_int_kernel(rows, len(basis)).basis)]
+    p = [spans[tuple(slots)] for slots in pinning]
+    start = [0, *accumulate(map(len, p))]
+    unknowns = start[-1]
+    if unknowns == 0:
+        return []
+    system = []
+    for i, x in coupled:
+        for n in b._annihilators[i]:
+            row = [0] * unknowns
+            for j, xj in enumerate(x):
+                if xj:
+                    row[start[j]:start[j + 1]] = [xj * sum(map(mul, n, col)) for col in p[j]]
+            system.append(row)
+    # psi entry (r, j) sits at reversed coordinate size - 1 - (r m + j)
+    size = mp * m
+    vecs = []
+    for t in _int_cols(_int_kernel(system, unknowns).basis):
+        vec = [0] * size
+        for j, pj in enumerate(p):
+            for c, col in zip(t[start[j]:start[j + 1]], pj):
+                if c:
+                    for r, v in enumerate(col):
+                        if v:
+                            vec[size - 1 - r * m - j] += c * v
+        vecs.append(vec)
+    return [Matrix._ints(mp, m, row[::-1], next(v for v in row if v))
+            for row in reversed(_echelon_key(vecs))]
+
+
 def scrambled_module(mod, seed):
     d = module_to_datum(mod)
     return datum_to_module(apply_equivalence(d, random_equivalence(d, seed)))
 
 
-def assert_hom_bases_agree(a, b):
-    assert module_hom_basis(a, b) == reference_module_hom_basis(a, b)
+def assert_hom_bases_agree(a, b, got=None):
+    got = module_hom_basis(a, b) if got is None else got
+    assert got == reference_module_hom_basis(a, b) == reference_two_stage_hom_basis(a, b)
+
+
+def pins_a_column(a):
+    return any(sum(1 for v in x if v) == 1 for i in range(4) for x in _int_cols(a.sub[i].basis))
 
 
 @settings(max_examples=25, deadline=None)
@@ -232,9 +328,12 @@ def test_module_hom_basis_matches_one_system(families, with_c0, seed):
     tags = [FamilyTag(f) for f in families] + [FamilyTag("C", 0)] * with_c0
     plain = direct_sum_all([build(t) for t in tags])
     target = scrambled_module(plain, seed)
-    # every fixed family into the scrambled sum, as the matcher asks
-    for f in FIXED_FAMILIES:
-        assert_hom_bases_agree(build(FamilyTag(f)), target)
+    # every fixed family into the scrambled sum through one shared solver,
+    # as the matcher asks, twice over so that the second pass reuses spans
+    solve = hom_solver(target)
+    for f in FIXED_FAMILIES * 2:
+        a = build(FamilyTag(f))
+        assert_hom_bases_agree(a, target, solve(a))
     # scrambled sources (no column pinned, everything coupled) and the plain sum
     other = scrambled_module(plain, seed + 1)
     for a, b in ((target, other), (other, target), (target, plain), (plain, target)):
@@ -261,6 +360,27 @@ def test_module_hom_basis_matches_one_system_on_fixed_table():
     for a in mods.values():
         for b in mods.values():
             assert_hom_bases_agree(a, b)
+
+
+def test_module_hom_basis_canonicalizes_in_target_coordinates():
+    # the two-stage routine ran `_echelon_key` on rows of all dim a * dim b
+    # entries of psi; no row handed to it now is longer than dim b
+    plain = direct_sum_all([build(FamilyTag(f)) for f in ("Y", "Z", "P1", "K2")])
+    target = scrambled_module(plain, 3)
+    sources = [build(FamilyTag(f)) for f in FIXED_FAMILIES] + [scrambled_module(plain, 4)]
+    assert not pins_a_column(sources[-1])
+    widths = []
+
+    def recording(rows):
+        widths.extend(len(r) for r in rows)
+        return _echelon_key(rows)
+
+    with mock.patch.object(core_module, "_echelon_key", recording, create=True), \
+            mock.patch.object(linalg_module, "_echelon_key", recording):
+        got = [module_hom_basis(a, target) for a in sources]
+    assert all(w <= target.dim_M for w in widths), max(widths)
+    for a, basis in zip(sources, got):
+        assert_hom_bases_agree(a, target, basis)
 
 
 def test_serialization_round_trip():

@@ -322,17 +322,34 @@ def test_necessary_conditions_match_key_closure():
 def test_certificates_match_one_system_hom_kernel(tags):
     d = scrambled_datum(tags, 7)
     mod = sys.modules["sblq.decompose"]
+    reference = mock.Mock(wraps=reference_module_hom_basis)
     mod._fixed_table.cache_clear()
     try:
-        with mock.patch.object(mod, "module_hom_basis", reference_module_hom_basis):
+        with mock.patch.object(mod, "hom_solver", lambda b: lambda a: reference(a, b)):
             want = classify(d).decomposition
     finally:
         mod._fixed_table.cache_clear()
+    # the Hom table's 100 pairs, then the matcher's families into d's module
+    rest, _ = strip_c0(d.module)
+    assert reference.call_count > 100
+    assert any(b.dim_vector == rest.dim_vector for (_, b), _ in reference.call_args_list)
     got = classify(d).decomposition
     assert got.path == want.path == "nonholder"
     assert got.certificate is not None
     assert got.certificate == want.certificate
     assert got.summands == want.summands
+
+
+def test_classify_leaves_no_new_attribute_on_modules():
+    # the matcher's slot spans live for one call: no module or datum keeps
+    # more than its fields and the cached properties its class declares
+    mods = _fixed_table()[0]
+    for tags in SCREENED_BAGS[:3]:
+        d = scrambled_datum(tags, 11)
+        assert classify(d).decomposition.path == "nonholder"
+        for m in (d.module, *mods.values()):
+            assert set(vars(m)) <= {"dim_M", "sub", "_annihilators"}
+        assert set(vars(d)) <= {"dim_H", "dims", "pi", "kernel0", "module"}
 
 
 @pytest.mark.parametrize("name", ["young", "loomis_whitney", "bilinear_holder_pk", "(Y+Z)^3"])
@@ -869,13 +886,13 @@ NONHOLDER_UNDER_OPTIMIZE = textwrap.dedent("""
               certificate_valid(dec.certificate, rest, candidate))
 
     # a Hom-dimension table without an integer inverse must still be caught
-    real = mod.module_hom_basis
-    mod.module_hom_basis = lambda a, b: 2 * real(a, b)
+    real, doubled = mod.hom_solver, []
+    mod.hom_solver = lambda b: lambda a: doubled.append(a) or 2 * real(b)(a)
     mod._fixed_table.cache_clear()
     try:
         mod.match_nonholder(rest, "i")
     except AssertionError as exc:
-        print("raised:", exc)
+        print("raised:", exc, len(doubled))
 """)
 
 
@@ -888,7 +905,7 @@ def test_nonholder_matching_survives_optimize():
         "young Bounded(thm-i-ii-iii) ii Y Z True",
         "loomis_whitney Bounded(thm-i-ii-iii) iii L True",
         "bilinear_holder_pk Bounded(thm-i-ii-iii) i,i,ii,iii P^(1) K^(1) True",
-        "raised: the case i Hom table has no integer inverse",
+        "raised: the case i Hom table has no integer inverse 100",
     ]
 
 

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import textwrap
 from math import comb, factorial, lgamma
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -11,6 +12,7 @@ import sympy
 from scipy.special import eval_gegenbauer, lpmv
 
 import sblq
+import sblq.rotations as rotations
 from sblq.rotations import (
     FunkSpectrum, RadialTensorFunction, SliceDecomposition, SphereGrid, TOLERANCES,
     basis_index, basis_size, decay_exponent_fit, degree_of_index, funk_apply,
@@ -336,6 +338,47 @@ def test_verify_repr_degree_two():
     grid = SphereGrid.build(16)
     residuals = verify_repr(dec, omega, [omega], grid)
     assert residuals[0] < 1e-6
+
+
+def reference_verify_repr(dec, omega_coeffs, test_coeffs, grid, circle_count=64):
+    """`verify_repr` as it was, with one grid basis per synthesized function."""
+    omega_vals = grid.synthesize(omega_coeffs)
+    nus = grid.points
+    circles = great_circle_points(nus, circle_count)
+    max_band = max([degree_of_index(len(omega_coeffs) - 1)]
+                   + [degree_of_index(len(fc) - 1) for fc in test_coeffs])
+    circle_basis = sph_basis(circles, max_band)
+    gamma_f = circle_basis[:, :len(dec.f_coeffs)] @ dec.f_coeffs
+    tf_nu = synthesize_at(nus, dec.tf_coeffs)
+    gamma_vals = gamma_f.reshape(len(nus), circle_count) - tf_nu[:, None]
+    residuals = []
+    for fc in test_coeffs:
+        lhs = grid.integrate(grid.synthesize(fc) * omega_vals)
+        f_vals = (circle_basis[:, :len(fc)] @ fc).reshape(len(nus), circle_count)
+        rhs = grid.integrate((f_vals * gamma_vals).mean(axis=1))
+        residuals.append(abs(lhs - rhs))
+    return residuals
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("band, test_bands, grid_band, circle_count", [
+    (4, (4, 4, 4), 8, 64), (4, (2, 6, 1), 8, 6), (6, (3, 6), 5, 8), (2, (0, 5), 4, 4)])
+def test_verify_repr_matches_one_basis_per_function(seed, band, test_bands, grid_band,
+                                                    circle_count):
+    # coarse grids and circles leave residuals well above rounding, so the
+    # comparison sees the sums and not only their floors
+    rng = np.random.default_rng(seed)
+    omega = rng.normal(size=basis_size(band))
+    omega[0] = 0.0
+    tests = [rng.normal(size=basis_size(b)) for b in test_bands]
+    dec = neumann_solve(omega, funk_spectrum(3, 8))
+    grid = SphereGrid.build(grid_band)
+    with mock.patch.object(rotations, "sph_basis", wraps=rotations.sph_basis) as evaluating:
+        new = verify_repr(dec, omega, tests, grid, circle_count)
+    assert evaluating.call_count == 2
+    old = reference_verify_repr(dec, omega, tests, grid, circle_count)
+    assert max(old) > 1e-3 or circle_count == 64
+    assert all(abs(a - b) <= 1e-14 * max(1.0, b) for a, b in zip(new, old)), (new, old)
 
 
 def _bump(lo, hi):
