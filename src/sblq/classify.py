@@ -260,8 +260,7 @@ def status_lookup(tags: Sequence[FamilyTag]) -> StatusTag:
 # -- the full pipeline ------------------------------------------------------------
 
 
-def classify(d: SBLDatum, trials: int = 32, seed: int = 0,
-             refine_real: bool = False) -> Verdict:
+def classify(d: SBLDatum, trials: int = 32, seed: int = 0) -> Verdict:
     """validate -> necessity screen -> decompose -> case detection -> status.
 
     A hard necessity failure short-circuits to NotPBounded with the failing
@@ -276,7 +275,7 @@ def classify(d: SBLDatum, trials: int = 32, seed: int = 0,
     if failures:
         return Verdict([], [], StatusTag("NotPBounded", witness=failures[0]),
                        witnesses=failures, warnings=report.warnings)
-    dec = _decompose(d, nec, trials, seed, refine_real)
+    dec = _decompose(d, nec, trials, seed)
     if not dec.classified:
         status = StatusTag("Unclassified",
                            witness="; ".join(dec.diagnostics[-2:]))

@@ -156,8 +156,7 @@ def cmd_classify(args) -> int:
     started = time.perf_counter()
     d = _read_datum(args.file)
     try:
-        verdict = classify(d, trials=args.trials, seed=args.seed,
-                           refine_real=args.refine_real)
+        verdict = classify(d, trials=args.trials, seed=args.seed)
     except ValueError as exc:
         print(f"invalid datum: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -173,8 +172,7 @@ def cmd_decompose(args) -> int:
     started = time.perf_counter()
     d = _read_datum(args.file)
     try:
-        dec = decompose(d, trials=args.trials, seed=args.seed,
-                        refine_real=args.refine_real)
+        dec = decompose(d, trials=args.trials, seed=args.seed)
     except ValueError as exc:
         print(f"invalid datum: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -349,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "trilinear singular Brascamp-Lieb data")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_search=True):
+    def common(p, with_search=False):
         p.add_argument("--report", choices=("text", "json"), default="text")
         if with_search:
             p.add_argument("--seed", type=int, default=0)
@@ -362,16 +360,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="full verdict for a datum")
     p.add_argument("file")
-    common(p)
+    common(p, with_search=True)
     p.add_argument("--certificates", action="store_true")
-    p.add_argument("--refine-real", action="store_true")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("decompose", help="summand decomposition only")
     p.add_argument("file")
-    common(p)
+    common(p, with_search=True)
     p.add_argument("--certificates", action="store_true")
-    p.add_argument("--refine-real", action="store_true")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("fixtures", help="emit a canonical datum")
@@ -387,13 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
     pe = rsub.add_parser("eigen", help="eigenvalue table")
     pe.add_argument("--dim", type=int, default=3)
     pe.add_argument("--max-degree", type=int, default=16)
-    common(pe, with_search=False)
-    pe.add_argument("--seed", type=int, default=0)
+    common(pe)
     pe.set_defaults(func=cmd_rotations_eigen)
     pv = rsub.add_parser("verify", help="slice decomposition residuals")
     pv.add_argument("--band", type=int, default=8)
     pv.add_argument("--grid", type=int, default=32)
-    common(pv, with_search=False)
+    common(pv)
     pv.add_argument("--seed", type=int, default=0)
     pv.set_defaults(func=cmd_rotations_verify)
 
@@ -406,6 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=2)
     p.add_argument("--delta-points", type=int, default=24)
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_numcheck)
 
     return parser

@@ -1,11 +1,12 @@
 """Decomposition of a datum's module into identified indecomposable summands.
 
-The dispatch runs: split off the maximal trivial kernel-only power
-(family C at size 0), then try the pencil reduction that is available
-exactly when the row space of the distribution map is a common
-complement of the other three row spaces, reading the pencil off one
-solve in those row spaces; otherwise, for each case whose exponent
-constraint is feasible, solve for the summands from Hom dimensions and
+The dispatch runs: try the pencil reduction that is available exactly
+when the row space of the distribution map is a common complement of the
+other three row spaces, reading the pencil off one solve in those row
+spaces; its Kronecker blocks name every summand, the kernel-only ones
+(family C at size 0) as tall blocks of index 0.  Otherwise split off the
+maximal kernel-only power and, for each case whose exponent constraint
+is feasible, solve for the remaining summands from Hom dimensions and
 certify them with an isomorphism.  All decisions are exact.
 """
 
@@ -21,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import (
     EquivalenceMap, FourModule, SBLDatum, certificate_valid, direct_sum,
-    direct_sum_all, hom_solver, module_to_datum, validate_datum,
+    direct_sum_all, hom_solver, validate_datum,
 )
 from .linalg import (
     Matrix, Subspace, _annihilator, _echelon_key, _int_rank, _int_rows, _pivots,
@@ -296,25 +297,27 @@ def kronecker_decompose(p: PencilForm) -> List[IndecompSummand]:
 # -- trivial kernel-only split -----------------------------------------------
 
 
-def strip_c0(m: FourModule) -> Tuple[FourModule, int]:
+def strip_c0(m: FourModule) -> Tuple[FourModule, int, Optional[Tuple[Matrix, Matrix]]]:
     """Split off the maximal power of the kernel-only one-dimensional module.
 
-    The split exists when the three function subspaces together with slot 0
-    span the ambient space; the returned count is the codimension of the
-    function span S, read off one rank before any basis is built, and the
-    complementary module is certified by rebuilding the direct sum and
-    checking the basis-change certificate exactly.  One reduced form of the
+    Only the non-Hoelder route splits: the pencil names kernel-only
+    summands as tall blocks of index 0.  The split exists when the three
+    function subspaces together with slot 0 span the ambient space; the
+    count k is the codimension of the function span S, read off one rank
+    before any basis is built.  Returns (rest, k, (bs, w)), where
+    hstack(bs, w) maps rest + C0^k onto m, checked exactly as a
+    certificate; (m, 0, None) without a split.  One reduced form of the
     stacked function bases B1, B2, B3 gives the basis bs of S (their columns
     at its pivots) and their coordinates in bs (its rows).  One kernel of
     [B0 | -bs] gives cap = U0 cap S as B0 top with its coordinates in bs
     below top, and dim(U0 + S).  B0 is injective, so the pivots of
-    [top | I] pick the columns of B0 that complete cap to U0.
+    [top | I] pick the columns w of B0 that complete cap to U0.
     """
     funcs = [m.sub[i].basis for i in (1, 2, 3)]
     stacked = hstack(*funcs)
     k = m.dim_M - rank(stacked)
     if k == 0:
-        return m, 0
+        return m, 0, None
     width = stacked.cols
     pivots, free, nums, d = _rref(_int_rows(stacked), width)
     r, nf = len(pivots), len(free)
@@ -330,7 +333,7 @@ def strip_c0(m: FourModule) -> Tuple[FourModule, int]:
     ker = kernel_basis(hstack(b0, -bs)).basis
     c = ker.cols
     if n0 + r - c != m.dim_M:
-        return m, 0
+        return m, 0, None
     top = ker.submatrix(range(n0), range(c))
     ext = _pivots(_int_rows(hstack(top, Matrix.identity(n0))), c + n0)
     w = b0.submatrix(range(m.dim_M), [j - c for j in ext if j >= c])
@@ -343,11 +346,9 @@ def strip_c0(m: FourModule) -> Tuple[FourModule, int]:
         lo += part.cols
     rest = FourModule(r, tuple(new_subs))
     c0_power = direct_sum_all([build(FamilyTag("C", 0))] * k)
-    rebuilt = direct_sum(rest, c0_power)
-    psi = hstack(bs, w)
-    if not certificate_valid(psi, rebuilt, m):
-        return m, 0
-    return rest, k
+    if not certificate_valid(hstack(bs, w), direct_sum(rest, c0_power), m):
+        return m, 0, None
+    return rest, k, (bs, w)
 
 
 # -- non-Hoelder matching ------------------------------------------------------
@@ -462,23 +463,38 @@ def match_nonholder(m: FourModule, case_tag: str, trials: int = 32,
 class DecompositionResult:
     """The summands and how they were found.
 
-    On the non-Hoelder path `psi` is the proven isomorphism candidate -> M
-    (after the C0 split); `certificate`, its inverse M -> candidate, is
-    computed only when read, as a plain verdict never reads it.
+    On the non-Hoelder path `psi` is the proven isomorphism candidate -> rest,
+    the module the C0 split leaves, and `split` holds that split's columns
+    (bs, w).  `certificate` maps the user's M onto C0^k + candidate, the
+    listed summands in order, as the inverse of hstack(w, bs psi).  It and
+    the real-root intervals of the regular summands are computed only when
+    read, as a plain verdict reads neither.
     """
 
     summands: List[IndecompSummand]
     status: str                       # "classified" or "unclassified"
-    path: str                         # "pencil", "nonholder", "empty"
+    path: str                         # "pencil", "nonholder" or "none"
     necessity: NecessityReport
     pencil: Optional[PencilForm] = None
     psi: Optional[Matrix] = None
+    split: Optional[Tuple[Matrix, Matrix]] = None
     diagnostics: List[str] = field(default_factory=list)
-    real_root_refinements: Dict[str, List[Tuple[Fraction, Fraction]]] = field(default_factory=dict)
 
     @cached_property
     def certificate(self) -> Optional[Matrix]:
-        return None if self.psi is None else inverse(self.psi)
+        if self.psi is None:
+            return None
+        if self.split is None:
+            return inverse(self.psi)
+        bs, w = self.split
+        return inverse(hstack(w, bs @ self.psi))
+
+    @cached_property
+    def real_root_refinements(self) -> Dict[str, List[Tuple[Fraction, Fraction]]]:
+        """Certified isolating intervals of the real roots of each regular
+        summand's polynomial, keyed by the summand's display tag."""
+        return {s.tag.render(): sturm_real_roots(s.tag.regular_poly, Fraction(1, 10 ** 6))
+                for s in self.summands if s.tag.regular_poly is not None}
 
     @property
     def classified(self) -> bool:
@@ -508,39 +524,35 @@ def _case_feasible(case_tag: str, eqc: Tuple[int, int, int, int]) -> bool:
                for g in ((ds[ex] - k, sum(ds) - ds[ex] - k) for ex in range(3)))
 
 
-def decompose(d: SBLDatum, trials: int = 32, seed: int = 0,
-              refine_real: bool = False) -> DecompositionResult:
+def decompose(d: SBLDatum, trials: int = 32, seed: int = 0) -> DecompositionResult:
     """Decompose a datum's module into identified indecomposable summands.
 
-    Dispatch: split off kernel-only summands, then the pencil path when the
-    Hoelder normal form exists, otherwise the non-Hoelder matchers whose
-    exponent constraint is feasible.  Inputs outside the bounded taxonomy
-    come back unclassified.
+    Dispatch: the pencil path when the Hoelder normal form exists,
+    otherwise split off kernel-only summands and try the non-Hoelder
+    matchers whose exponent constraint is feasible.  Inputs outside the
+    bounded taxonomy come back unclassified.
     """
     report = validate_datum(d)
     if not report.valid:
         raise ValueError(f"datum maps not surjective at {report.failures()}")
-    return _decompose(d, necessary_conditions(d), trials, seed, refine_real)
+    return _decompose(d, necessary_conditions(d), trials, seed)
 
 
-def _decompose(d: SBLDatum, nec: NecessityReport, trials: int, seed: int,
-               refine_real: bool) -> DecompositionResult:
-    """`decompose` of a validated datum whose necessity report is known."""
-    rest, c0_count = strip_c0(d.module)
-    summands: List[IndecompSummand] = []
-    if c0_count:
-        summands.append(IndecompSummand(FamilyTag("C", 0), c0_count, "kernel-only split"))
-    if rest.dim_M == 0:
-        return DecompositionResult(summands, "classified", "empty", nec)
-    # with nothing split off, rest is d's own module and d its datum
-    form = holder_normal_form(module_to_datum(rest) if c0_count else d)
+def _decompose(d: SBLDatum, nec: NecessityReport, trials: int,
+               seed: int) -> DecompositionResult:
+    """`decompose` of a validated datum whose necessity report is known.
+
+    The pencil form of d itself comes first; the zero datum and pure
+    kernel-only data have one too, with b = 0.  Only without it is C0
+    split off, and the matcher runs on the rest."""
+    form = holder_normal_form(d)
     if form is not None:
-        summands.extend(kronecker_decompose(form))
-        result = DecompositionResult(summands, "classified", "pencil", nec, pencil=form)
-        if refine_real:
-            _attach_real_roots(result)
-        return result
+        return DecompositionResult(kronecker_decompose(form), "classified", "pencil",
+                                   nec, pencil=form)
     diags = ["no Hoelder normal form (kernel complement conditions failed)"]
+    rest, c0_count, split = strip_c0(d.module)
+    summands = [IndecompSummand(FamilyTag("C", 0), c0_count, "kernel-only split")] \
+        if c0_count else []
     match = _fixed_matcher(rest, trials, seed)
     for case_tag in ("ii", "iii", "i"):
         if not _case_feasible(case_tag, nec.equality_constraint):
@@ -549,20 +561,11 @@ def _decompose(d: SBLDatum, nec: NecessityReport, trials: int, seed: int,
         found = match(case_tag)
         if found:
             tags, psi = found
-            summands.extend(tags)
-            return DecompositionResult(summands, "classified", "nonholder", nec,
-                                       psi=psi, diagnostics=diags)
+            return DecompositionResult(summands + tags, "classified", "nonholder", nec,
+                                       psi=psi, split=split, diagnostics=diags)
         diags.append(f"case {case_tag}: no certified candidate")
     return DecompositionResult(summands, "unclassified", "none", nec,
                                diagnostics=diags)
-
-
-def _attach_real_roots(result: DecompositionResult) -> None:
-    for s in result.summands:
-        p = s.tag.regular_poly
-        if p is not None and p.degree >= 1:
-            result.real_root_refinements[s.tag.render()] = \
-                sturm_real_roots(p, Fraction(1, 10 ** 6))
 
 
 # -- canonical comparison of summand multisets ---------------------------------

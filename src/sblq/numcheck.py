@@ -231,26 +231,17 @@ class _PullbackKernel:
         return self.matrix.T @ inner() @ self.matrix
 
 
-def normalized_kernel(kernel, max_order: int = 2, grid=None):
+def normalized_kernel(kernel):
     """Rescale a kernel so its sampled Mikhlin constant is exactly one."""
-    report = verify_mikhlin(kernel, max_order=max_order, grid=grid)
-    return kernel.scaled(1.0 / report.worst_constant)
+    return kernel.scaled(1.0 / verify_mikhlin(kernel).worst_constant)
 
 
-def extend_kernel(kernel, extra: int, normalize: bool = True,
-                  max_order: int = 2) -> ExtendedKernel:
-    """Extend a spatially evaluable kernel by Gaussian directions.
-
-    When normalize is set, the returned kernel is rescaled so that the
-    sampled Mikhlin constant of the extension equals one.
-    """
+def extend_kernel(kernel, extra: int) -> ExtendedKernel:
+    """Extend a spatially evaluable kernel by Gaussian directions, rescaled
+    so that the sampled Mikhlin constant of the extension equals one."""
     if getattr(kernel, "spatial", None) is None:
         raise ValueError("extension needs a spatially evaluable kernel")
-    out = ExtendedKernel(kernel, extra)
-    if normalize:
-        report = verify_mikhlin(out, max_order=max_order)
-        out = out.scaled(1.0 / report.worst_constant)
-    return out
+    return normalized_kernel(ExtendedKernel(kernel, extra))
 
 
 # -- Mikhlin symbol sampling ------------------------------------------------------

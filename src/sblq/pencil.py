@@ -18,7 +18,8 @@ equivalence without a base change; the quotient pencil is transposed, and
 the same step yields the tall blocks and leaves the regular core.
 
 On the regular core, the smallest prime mu with mu*A2 + A3 invertible
-normalizes the pencil to the single operator S = (mu*A2 + A3)^{-1} A2.
+normalizes the pencil to the single operator S = (mu*A2 + A3)^{-1} A2;
+one elimination per prime tries mu and yields S.
 Generalized eigenvalues transform by the Moebius map lambda -> 1/(mu +
 lambda), so the structure at lambda in {0, 1, infinity} is that of S at
 1/mu, 1/(mu+1) and 0.  At each of them one image chain R <- (S - s0) R
@@ -39,8 +40,8 @@ from math import isqrt
 from typing import Optional, Tuple
 
 from .linalg import (
-    Matrix, Subspace, _int_rows, _pivots, hstack, image_basis, inverse,
-    is_invertible, invariant_factors, kernel_basis, rank, solve_right,
+    Matrix, Subspace, _int_rows, _pivots, _solve_invertible, hstack, image_basis,
+    inverse, invariant_factors, kernel_basis, rank, solve_right,
 )
 from .polynomials import Poly
 
@@ -149,8 +150,7 @@ def kronecker_blocks(a2: Matrix, a3: Matrix) -> PencilBlocks:
         raise AssertionError("regular core is not square")
     mu, jordans, factors = None, [(), (), ()], ()
     if r:
-        mu = _normalizing_prime(core2, core3)
-        s = solve_right(core2.scale(mu) + core3, core2)
+        mu, s = _normalizing_prime(core2, core3)
         eye = Matrix.identity(r)
         rest = Subspace._trusted(r, eye)
         for k, s0 in enumerate((Fraction(1, mu), Fraction(1, mu + 1), Fraction(0))):
@@ -190,10 +190,12 @@ def _image_chain(shift: Matrix, rest: Subspace) -> Tuple[Tuple[int, ...], Subspa
     return sizes, rest
 
 
-def _normalizing_prime(a2: Matrix, a3: Matrix) -> int:
-    """Smallest prime mu with mu*A2 + A3 invertible."""
+def _normalizing_prime(a2: Matrix, a3: Matrix) -> Tuple[int, Matrix]:
+    """Smallest prime mu with mu*A2 + A3 invertible, and S = (mu*A2 + A3)^-1 A2
+    from the same elimination."""
     primes = (q for q in count(2) if all(q % d for d in range(2, isqrt(q) + 1)))
     for mu in islice(primes, 2 * a2.rows + 8):
-        if is_invertible(a2.scale(mu) + a3):
-            return mu
+        s = _solve_invertible(a2.scale(mu) + a3, a2)
+        if s is not None:
+            return mu, s
     raise ValueError("pencil core is singular: no normalizing prime found")

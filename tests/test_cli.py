@@ -82,6 +82,45 @@ def test_validate_subcommand(bht_file):
     assert json.loads(proc.stdout)["result"]["valid"] is True
 
 
+def test_settings_nothing_reads_are_gone(bht_file):
+    # validate, fixtures and `rotations eigen` draw nothing at random, and
+    # numcheck searches for no certificate
+    for argv in (("validate", bht_file), ("fixtures", "--list"),
+                 ("rotations", "eigen", "--max-degree", "2")):
+        for flag in ("--seed", "--trials"):
+            assert run_cli(*argv, flag, "1").returncode == 1, (argv, flag)
+        report = json.loads(run_cli(*argv, "--report", "json").stdout)
+        assert report["seeds"] == {"seed": None, "trials": None}
+    proc = run_cli("numcheck", "delta", bht_file, "--trials", "1")
+    assert proc.returncode == 1
+
+
+def _scrambled_file(tmp_path, tags, name):
+    from sblq.core import apply_equivalence, direct_sum_all, module_to_datum, random_equivalence
+    from sblq.tables import build
+    d = module_to_datum(direct_sum_all([build(t) for t in tags]))
+    d = apply_equivalence(d, random_equivalence(d, 4))
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(datum_to_dict(d)))
+    return str(path)
+
+
+def test_certificates_act_on_the_users_datum(tmp_path):
+    # a kernel-only summand no longer shrinks the printed matrices: on both
+    # routes they have dim_H rows
+    from sblq.tables import FamilyTag
+    c0 = FamilyTag("C", 0)
+    for tags, key, dim_h in (([c0, FamilyTag("C", 1)], "pencil_base_change_phi", 4),
+                             ([FamilyTag("Y"), FamilyTag("Z"), c0], "module_isomorphism", 6)):
+        path = _scrambled_file(tmp_path, tags, key)
+        proc = run_cli("decompose", path, "--certificates", "--report", "json")
+        assert proc.returncode == 0
+        report = json.loads(proc.stdout)
+        assert report["result"]["summands"][0]["display"] == "C_0"
+        (matrix,) = report["certificates"].values()
+        assert len(matrix) == len(matrix[0]) == dim_h
+
+
 def test_decompose_certificates(tmp_path):
     path = tmp_path / "tw.json"
     path.write_text(json.dumps(shipped_fixture_dict("twisted_paraproduct")))
@@ -230,11 +269,11 @@ def test_fixture_list_contains_all_names():
 
 
 def test_refine_real_flag(tmp_path):
-    # a rootless quadratic regular parameter has no real refinement; a split
-    # one gets certified isolating intervals
+    # `decompose` reports certified isolating intervals of every regular
+    # summand's real roots, with no flag asked for; the flag itself is gone
     fixture = run_cli("fixtures", "N_2", "--alpha", "3/2")
-    proc = run_cli("decompose", "-", "--refine-real", "--report", "json",
-                   stdin=fixture.stdout)
+    assert run_cli("decompose", "-", "--refine-real", stdin=fixture.stdout).returncode == 1
+    proc = run_cli("decompose", "-", "--report", "json", stdin=fixture.stdout)
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     roots = report["result"]["real_roots"]

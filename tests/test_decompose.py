@@ -330,7 +330,7 @@ def test_certificates_match_one_system_hom_kernel(tags):
     finally:
         mod._fixed_table.cache_clear()
     # the Hom table's 100 pairs, then the matcher's families into d's module
-    rest, _ = strip_c0(d.module)
+    rest, _, _ = strip_c0(d.module)
     assert reference.call_count > 100
     assert any(b.dim_vector == rest.dim_vector for (_, b), _ in reference.call_args_list)
     got = classify(d).decomposition
@@ -366,10 +366,8 @@ def test_nonholder_certificate_is_inverted_only_when_read(name):
         assert dec.certificate is cert
         assert inverting.call_count == 1
     assert cert @ dec.psi == Matrix.identity(cert.rows)
-    rest, _ = strip_c0(datum_to_module(d))
-    candidate = direct_sum_all([build(t) for t in expand_tags(dec.summands)
-                                if t.family in FIXED_FAMILIES])
-    assert certificate_valid(cert, rest, candidate)
+    candidate = direct_sum_all([build(t) for t in expand_tags(dec.summands)])
+    assert certificate_valid(cert, d.module, candidate)
 
 
 def test_holder_normal_form_bht():
@@ -549,7 +547,7 @@ def normal_form_inputs(draw):
 @settings(max_examples=60, deadline=None)
 @given(normal_form_inputs())
 def test_holder_normal_form_matches_kernel_frame_oracle(d):
-    rest, _ = strip_c0(d.module)
+    rest, _, _ = strip_c0(d.module)
     for datum in (d, module_to_datum(rest)):
         form, want = holder_normal_form(datum), reference_holder_normal_form(datum)
         assert (form is None) == (want is None)
@@ -638,12 +636,12 @@ def test_kronecker_regular_summand_certified_against_constructor():
 
 
 def test_strip_c0_examples():
-    zero_mod, k = strip_c0(build(FamilyTag("C", 0)))
+    zero_mod, k, _ = strip_c0(build(FamilyTag("C", 0)))
     assert k == 1 and zero_mod.dim_M == 0
     n1 = build(n_tag(Fraction(1, 2)))
-    same, k = strip_c0(n1)
-    assert k == 0 and same is n1
-    mixed, k = strip_c0(direct_sum(build(FamilyTag("C", 0)), n1))
+    same, k, split = strip_c0(n1)
+    assert k == 0 and same is n1 and split is None
+    mixed, k, _ = strip_c0(direct_sum(build(FamilyTag("C", 0)), n1))
     assert k == 1
     assert isomorphism(mixed, n1).verdict == "isomorphic"
 
@@ -703,10 +701,12 @@ C0_BAGS = [
 def test_strip_c0_matches_reference_on_scrambled_bags(tags):
     for seed in (1, 2):
         m = scrambled_module(direct_sum_all([build(t) for t in tags]), seed)
-        rest, k = strip_c0(m)
+        rest, k, (bs, w) = strip_c0(m)
         want, want_k = reference_strip_c0(m)
         assert k == want_k == tags.count(C0)
         assert module_entries(rest) == module_entries(want)
+        c0_power = direct_sum_all([build(C0)] * k)
+        assert certificate_valid(hstack(bs, w), direct_sum(rest, c0_power), m)
 
 
 def test_strip_c0_matches_reference_without_a_split():
@@ -716,17 +716,63 @@ def test_strip_c0_matches_reference_without_a_split():
     beside = direct_sum(alone, scrambled_module(build(FamilyTag("T", 1)), 3))
     for m in (alone, beside, scrambled_module(beside, 4)):
         assert reference_strip_c0(m) == (m, 0)
-        rest, k = strip_c0(m)
-        assert rest is m and k == 0
+        rest, k, split = strip_c0(m)
+        assert rest is m and k == 0 and split is None
 
 
 @pytest.mark.parametrize("name", ["young", "loomis_whitney", "bilinear_holder_pk"])
 def test_strip_c0_matches_reference_on_nonholder_fixtures(name):
     m = datum_to_module(fixture_datum(name))
-    rest, k = strip_c0(m)
+    rest, k, _ = strip_c0(m)
     want, want_k = reference_strip_c0(m)
     assert k == want_k
     assert module_entries(rest) == module_entries(want)
+
+
+HOLDER_C0_BAGS = [tags for tags in C0_BAGS
+                  if all(t.family in ("N", "J1", "J2", "J3", "C", "T") for t in tags)]
+NONHOLDER_C0_BAGS = [tags for tags in C0_BAGS if tags not in HOLDER_C0_BAGS]
+
+
+@pytest.mark.parametrize("tags", HOLDER_C0_BAGS)
+def test_holder_c0_bags_take_the_pencil_with_a_base_change_of_the_users_datum(tags):
+    for seed in (1, 2):
+        d = scrambled_datum(tags, seed)
+        dec = decompose(d)
+        assert dec.path == "pencil"
+        assert canonical_multiset(expand_tags(dec.summands)) == canonical_multiset(tags)
+        (c0,) = [s for s in dec.summands if s.tag == C0]
+        assert (c0.multiplicity, c0.note) == (tags.count(C0), "pencil block")
+        form = dec.pencil
+        assert form.base_change.phi.rows == form.base_change.phi.cols == d.dim_H
+        assert apply_equivalence(d, form.base_change) == form.normal_form_datum()
+
+
+def test_zero_and_kernel_only_data_classify_through_the_pencil():
+    zero = module_to_datum(direct_sum_all([]))
+    for d, summands in ((zero, []), (scrambled_datum([C0] * 3, 5), ["C_0 x3"])):
+        v = classify(d)
+        assert v.status.render() == "Bounded(holder)"
+        assert v.decomposition.path == "pencil"
+        assert [s.render() for s in v.summands] == summands
+        assert v.decomposition.pencil.b == 0
+
+
+@pytest.mark.parametrize("tags", NONHOLDER_C0_BAGS)
+def test_nonholder_c0_bags_certify_the_users_module(tags):
+    for seed in (1, 2):
+        d = scrambled_datum(tags, seed)
+        dec = decompose(d)
+        assert dec.summands[0].tag == C0
+        assert dec.summands[0].multiplicity == tags.count(C0)
+        if not dec.classified:   # T_1 beside non-Hoelder families fits no case
+            assert dec.certificate is None
+            continue
+        assert dec.path == "nonholder"
+        cert = dec.certificate
+        assert cert.rows == cert.cols == d.dim_H
+        candidate = direct_sum_all([build(t) for t in expand_tags(dec.summands)])
+        assert certificate_valid(cert, d.module, candidate)
 
 
 def test_match_nonholder_examples():
@@ -870,7 +916,7 @@ NONHOLDER_UNDER_OPTIMIZE = textwrap.dedent("""
     from sblq.classify import classify
     from sblq.core import certificate_valid, datum_to_module, direct_sum_all
     from sblq.fixtures import fixture_datum
-    from sblq.tables import FIXED_FAMILIES, build
+    from sblq.tables import build
 
     if not sys.flags.optimize:
         sys.exit("not running under -O")
@@ -878,19 +924,18 @@ NONHOLDER_UNDER_OPTIMIZE = textwrap.dedent("""
     for name in ("young", "loomis_whitney", "bilinear_holder_pk"):
         v = classify(fixture_datum(name))
         dec = v.decomposition
-        rest, _ = mod.strip_c0(datum_to_module(fixture_datum(name)))
-        candidate = direct_sum_all([build(t) for t in mod.expand_tags(dec.summands)
-                                    if t.family in FIXED_FAMILIES])
+        m = datum_to_module(fixture_datum(name))
+        candidate = direct_sum_all([build(t) for t in mod.expand_tags(dec.summands)])
         print(name, v.status.render(), ",".join(c.tag for c in v.cases),
               " ".join(s.render() for s in v.summands),
-              certificate_valid(dec.certificate, rest, candidate))
+              certificate_valid(dec.certificate, m, candidate))
 
     # a Hom-dimension table without an integer inverse must still be caught
     real, doubled = mod.hom_solver, []
     mod.hom_solver = lambda b: lambda a: doubled.append(a) or 2 * real(b)(a)
     mod._fixed_table.cache_clear()
     try:
-        mod.match_nonholder(rest, "i")
+        mod.match_nonholder(m, "i")
     except AssertionError as exc:
         print("raised:", exc, len(doubled))
 """)
@@ -963,7 +1008,7 @@ def test_pencil_block_sizes_sum():
 
 def test_refine_real_attaches_intervals():
     d = module_to_datum(build(FamilyTag("N", 2, regular_poly=Poly([-2, 0, 1]))))
-    r = decompose(d, refine_real=True)
+    r = decompose(d)
     (key,) = r.real_root_refinements
     ivs = r.real_root_refinements[key]
     assert len(ivs) == 2   # +sqrt(2) and -sqrt(2)

@@ -128,6 +128,10 @@ def test_normalizing_prime_skips_eigenvalues():
     blocks = kronecker_blocks(a2, a3)
     assert blocks.mu != 2
     assert blocks.regular_factors == (Poly.from_roots([-2, -2]),)
+    # the same elimination that finds mu yields S = (mu*A2 + A3)^-1 A2
+    mu, s = _normalizing_prime(a2, a3)
+    assert mu == blocks.mu == min(q for q in (2, 3, 5) if is_invertible(a2.scale(q) + a3))
+    assert s == solve_right(a2.scale(mu) + a3, a2)
 
 
 # -- the regular-core reading before image chains, kept as the oracle --------
@@ -223,7 +227,7 @@ def reference_kronecker_blocks(a2, a3):
     r = core2.rows
     if r == 0:
         return PencilBlocks((a, b), wide, tall, (), (), (), ())
-    mu = _normalizing_prime(core2, core3)
+    mu, _ = _normalizing_prime(core2, core3)
     s = inverse(core2.scale(mu) + core3) @ core2
     jordans = []
     killer = Matrix.identity(r)
