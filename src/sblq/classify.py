@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .core import SBLDatum, validate_datum
 from .decompose import (
     DecompositionResult, IndecompSummand, _case_feasible, _decompose,
-    _superscripts, expand_tags, necessary_conditions,
+    _superscripts, expand_tags,
 )
 from .tables import FamilyTag
 
@@ -261,28 +261,31 @@ def status_lookup(tags: Sequence[FamilyTag]) -> StatusTag:
 
 
 def classify(d: SBLDatum, trials: int = 32, seed: int = 0) -> Verdict:
-    """validate -> necessity screen -> decompose -> case detection -> status.
+    """validate -> decompose -> necessity screen if unclassified -> case
+    detection -> status.
 
-    A hard necessity failure short-circuits to NotPBounded with the failing
-    condition as witness.  An unclassified decomposition yields empty cases
-    and an Unclassified status carrying diagnostics.
+    A classified datum passes the necessity screen (see `_decompose`), so
+    the screen runs only when the decomposition fails.  A hard necessity
+    failure then gives NotPBounded with the failing conditions as
+    witnesses, in the screen's order.  Otherwise an unclassified
+    decomposition yields empty cases and an Unclassified status carrying
+    diagnostics.
     """
     report = validate_datum(d)
     if not report.valid:
         raise ValueError(f"datum maps not surjective at indices {report.failures()}")
-    nec = necessary_conditions(d)
-    failures = nec.hard_failures()
-    if failures:
-        return Verdict([], [], StatusTag("NotPBounded", witness=failures[0]),
-                       witnesses=failures, warnings=report.warnings)
-    dec = _decompose(d, nec, trials, seed)
+    dec = _decompose(d, trials, seed)
     if not dec.classified:
+        failures = dec.necessity.hard_failures()
+        if failures:
+            return Verdict([], [], StatusTag("NotPBounded", witness=failures[0]),
+                           witnesses=failures, warnings=report.warnings)
         status = StatusTag("Unclassified",
                            witness="; ".join(dec.diagnostics[-2:]))
         return Verdict([], dec.summands, status, decomposition=dec,
                        warnings=report.warnings)
     tags = expand_tags(dec.summands)
-    cases = case_detect(tags, nec.equality_constraint)
+    cases = case_detect(tags, dec.equality_constraint)
     if not cases:
         status = StatusTag(
             "NotPBounded",

@@ -176,14 +176,14 @@ def cmd_decompose(args) -> int:
     except ValueError as exc:
         print(f"invalid datum: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    nec = dec.necessity
+    eqc = dec.equality_constraint
     payload = {
         "status": dec.status,
         "path": dec.path,
         "summands": [_summand_payload(s) for s in dec.summands],
         "equality_constraint": {
-            "coefficients": list(nec.equality_constraint[:3]),
-            "rhs": nec.equality_constraint[3],
+            "coefficients": list(eqc[:3]),
+            "rhs": eqc[3],
         },
         "diagnostics": dec.diagnostics,
     }

@@ -4,10 +4,13 @@ The dispatch runs: try the pencil reduction that is available exactly
 when the row space of the distribution map is a common complement of the
 other three row spaces, reading the pencil off one solve in those row
 spaces; its Kronecker blocks name every summand, the kernel-only ones
-(family C at size 0) as tall blocks of index 0.  Otherwise split off the
-maximal kernel-only power and, for each case whose exponent constraint
-is feasible, solve for the remaining summands from Hom dimensions and
-certify them with an isomorphism.  All decisions are exact.
+(family C at size 0) as tall blocks of index 0.  Otherwise check the
+image condition on ker Pi_0, split off the maximal kernel-only power and,
+for each case whose exponent constraint is feasible, solve for the
+remaining summands from Hom dimensions and certify them with an
+isomorphism.  A classified datum passes the necessity screen, so its
+lattice is built only for data that neither route classifies.  All
+decisions are exact.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import (
     EquivalenceMap, FourModule, SBLDatum, certificate_valid, direct_sum,
-    direct_sum_all, hom_solver, validate_datum,
+    direct_sum_all, hom_solver, module_to_datum, validate_datum,
 )
 from .linalg import (
     Matrix, Subspace, _annihilator, _echelon_key, _int_rank, _int_rows, _pivots,
@@ -80,7 +83,8 @@ def necessary_conditions(d: SBLDatum, lattice_depth: int = 3,
     are evaluated on the finite lattice generated from ker Pi_0 and its
     intersections with the other kernels, closed under pairwise sum and
     intersection to the given nesting depth; the screen is sound but not
-    claimed complete.
+    claimed complete.  `classify` runs it only for data that `_decompose`
+    leaves unclassified: every datum either route classifies passes it.
 
     The lattice lives in ker Pi_0, so it is computed in the coordinates of
     a basis B of ker Pi_0 (b columns): with R_i the integer rows of
@@ -101,12 +105,9 @@ def necessary_conditions(d: SBLDatum, lattice_depth: int = 3,
     round adds anything either.  Descriptions and order are those of the
     full pairwise closure.
     """
-    k0 = d.kernel0
-    b = k0.dim
-    maps = [_int_rows(d.pi[i] @ k0.basis) for i in (1, 2, 3)]
-    anns = [_echelon_key([row[::-1] for row in r]) for r in maps]
-    ranks = tuple(map(len, anns))
-    surj = (True, *(r == h for r, h in zip(ranks, d.dims[1:])))
+    maps, anns = _kernel_images(d)
+    surj, eqc = _image_condition(d, anns)
+    ranks, b = eqc[:3], eqc[3]
     # (description, key, annihilator key with reversed coordinates)
     found = [("ker Pi_0", _annihilator((), b), ())] + [
         (f"ker Pi_0 ∩ ker Pi_{i}", _annihilator(ann, b), ann) for i, ann in enumerate(anns, 1)]
@@ -137,8 +138,22 @@ def necessary_conditions(d: SBLDatum, lattice_depth: int = 3,
             _int_rank([[sum(map(mul, k, r)) for r in rows] for k in key], len(rows))
             for i, rows in enumerate(maps, 1)))
         for n, (desc, key, _) in enumerate(found))
-    eq = entries[0]
-    return NecessityReport(surj, entries, (*eq.image_dims, eq.dim))
+    return NecessityReport(surj, entries, eqc)
+
+
+def _kernel_images(d: SBLDatum) -> Tuple[List[List[List[int]]], List[tuple]]:
+    """The integer rows R_i of Pi_i B for the basis B of ker Pi_0, and the
+    annihilator key of each ker R_i, with reversed coordinates."""
+    maps = [_int_rows(d.pi[i] @ d.kernel0.basis) for i in (1, 2, 3)]
+    return maps, [_echelon_key([row[::-1] for row in r]) for r in maps]
+
+
+def _image_condition(d: SBLDatum, anns: Sequence[tuple]
+                     ) -> Tuple[Tuple[bool, bool, bool, bool], Tuple[int, int, int, int]]:
+    """(surjectivity flags, equality constraint) of `necessary_conditions`,
+    read off the row counts of the annihilator keys, which are rank R_i."""
+    ranks = tuple(map(len, anns))
+    return (True, *(r == h for r, h in zip(ranks, d.dims[1:]))), (*ranks, d.kernel0.dim)
 
 
 _Keyed = Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]
@@ -370,11 +385,34 @@ def _case_counts_admissible(case_tag: str, counts: Dict[str, int]) -> bool:
     return len(_superscripts(f for f, c in counts.items() if c)) <= limit
 
 
+# a lattice cap no family datum comes near: each closes within eight entries
+_CLOSED_LATTICE = 10_000
+
+
+def _check_family_lattices(mods: Iterable[FourModule]) -> None:
+    """Raise unless each module's datum passes the necessity screen on its
+    fully closed lattice.
+
+    This is why a datum the non-Hoelder route certifies needs no lattice
+    screen.  It is C0^k plus fixed family summands X_j, and kernels, sums
+    and intersections of split subspaces split: each lattice entry is the
+    sum of the same word w(X_j) in every summand, and its dimension and
+    image dimensions add over the summands, as do the images of ker Pi_0.
+    So the datum passes whenever every element of each summand's closed
+    lattice does, and every image condition holds on each summand."""
+    for m in mods:
+        nec = necessary_conditions(module_to_datum(m), _CLOSED_LATTICE, _CLOSED_LATTICE)
+        if len(nec.lattice_inequalities) >= _CLOSED_LATTICE or not nec.passed:
+            raise AssertionError("a family datum fails its closed necessity lattice")
+
+
 @lru_cache(maxsize=None)
 def _fixed_table() -> Tuple[Dict[str, FourModule], Dict[str, List[List[int]]]]:
     """The ten fixed family modules and, per case, the integer inverse of
-    H[X][Y] = dim Hom(X, Y) over the case's families."""
+    H[X][Y] = dim Hom(X, Y) over the case's families; first it checks that
+    these families and C0 pass their closed necessity lattices."""
     mods = {f: build(FamilyTag(f)) for f in FIXED_FAMILIES}
+    _check_family_lattices([*mods.values(), build(FamilyTag("C", 0))])
     solvers = {y: hom_solver(mods[y]) for y in FIXED_FAMILIES}
     hom = {(x, y): len(solvers[y](mods[x])) for x in FIXED_FAMILIES for y in FIXED_FAMILIES}
     inverses = {}
@@ -463,7 +501,10 @@ def match_nonholder(m: FourModule, case_tag: str, trials: int = 32,
 class DecompositionResult:
     """The summands and how they were found.
 
-    On the non-Hoelder path `psi` is the proven isomorphism candidate -> rest,
+    `equality_constraint` is that of `necessary_conditions(datum)`; the
+    full report, `necessity`, is built only when read: a classified datum
+    passes it, so only an unclassified one needs its lattice.  On the
+    non-Hoelder path `psi` is the proven isomorphism candidate -> rest,
     the module the C0 split leaves, and `split` holds that split's columns
     (bs, w).  `certificate` maps the user's M onto C0^k + candidate, the
     listed summands in order, as the inverse of hstack(w, bs psi).  It and
@@ -474,11 +515,16 @@ class DecompositionResult:
     summands: List[IndecompSummand]
     status: str                       # "classified" or "unclassified"
     path: str                         # "pencil", "nonholder" or "none"
-    necessity: NecessityReport
+    datum: SBLDatum
+    equality_constraint: Tuple[int, int, int, int]
     pencil: Optional[PencilForm] = None
     psi: Optional[Matrix] = None
     split: Optional[Tuple[Matrix, Matrix]] = None
     diagnostics: List[str] = field(default_factory=list)
+
+    @cached_property
+    def necessity(self) -> NecessityReport:
+        return necessary_conditions(self.datum)
 
     @cached_property
     def certificate(self) -> Optional[Matrix]:
@@ -528,43 +574,53 @@ def decompose(d: SBLDatum, trials: int = 32, seed: int = 0) -> DecompositionResu
     """Decompose a datum's module into identified indecomposable summands.
 
     Dispatch: the pencil path when the Hoelder normal form exists,
-    otherwise split off kernel-only summands and try the non-Hoelder
-    matchers whose exponent constraint is feasible.  Inputs outside the
-    bounded taxonomy come back unclassified.
+    otherwise the image condition on ker Pi_0, then split off kernel-only
+    summands and try the non-Hoelder matchers whose exponent constraint is
+    feasible.  Inputs outside the bounded taxonomy come back unclassified.
     """
     report = validate_datum(d)
     if not report.valid:
         raise ValueError(f"datum maps not surjective at {report.failures()}")
-    return _decompose(d, necessary_conditions(d), trials, seed)
+    return _decompose(d, trials, seed)
 
 
-def _decompose(d: SBLDatum, nec: NecessityReport, trials: int,
-               seed: int) -> DecompositionResult:
-    """`decompose` of a validated datum whose necessity report is known.
+def _decompose(d: SBLDatum, trials: int, seed: int) -> DecompositionResult:
+    """`decompose` of a validated datum.
 
     The pencil form of d itself comes first; the zero datum and pure
-    kernel-only data have one too, with b = 0.  Only without it is C0
-    split off, and the matcher runs on the rest."""
+    kernel-only data have one too, with b = 0.  S_0 + S_i = Q^n is then
+    direct, so each Pi_i is injective on ker Pi_0, of dimension b = d_i:
+    every image condition holds and the equality constraint is (b, b, b, b),
+    read without ker Pi_0.  Without a pencil form the three annihilator
+    keys of ker Pi_0 give the image condition and the equality constraint.
+    A failed image condition ends the route, since every datum the matcher
+    can certify meets it (`_check_family_lattices`); otherwise C0 is split
+    off, and the matcher runs on the rest."""
     form = holder_normal_form(d)
     if form is not None:
         return DecompositionResult(kronecker_decompose(form), "classified", "pencil",
-                                   nec, pencil=form)
+                                   d, (form.b,) * 4, pencil=form)
     diags = ["no Hoelder normal form (kernel complement conditions failed)"]
+    surj, eqc = _image_condition(d, _kernel_images(d)[1])
+    if not all(surj):
+        diags += [f"image condition fails: Pi_{i} ker Pi_0 != Pi_{i} H"
+                  for i in (1, 2, 3) if not surj[i]]
+        return DecompositionResult([], "unclassified", "none", d, eqc, diagnostics=diags)
     rest, c0_count, split = strip_c0(d.module)
     summands = [IndecompSummand(FamilyTag("C", 0), c0_count, "kernel-only split")] \
         if c0_count else []
     match = _fixed_matcher(rest, trials, seed)
     for case_tag in ("ii", "iii", "i"):
-        if not _case_feasible(case_tag, nec.equality_constraint):
+        if not _case_feasible(case_tag, eqc):
             diags.append(f"case {case_tag}: exponent constraint infeasible")
             continue
         found = match(case_tag)
         if found:
             tags, psi = found
-            return DecompositionResult(summands + tags, "classified", "nonholder", nec,
+            return DecompositionResult(summands + tags, "classified", "nonholder", d, eqc,
                                        psi=psi, split=split, diagnostics=diags)
         diags.append(f"case {case_tag}: no certified candidate")
-    return DecompositionResult(summands, "unclassified", "none", nec,
+    return DecompositionResult(summands, "unclassified", "none", d, eqc,
                                diagnostics=diags)
 
 

@@ -627,12 +627,11 @@ def _modular_kernel(rows: List[List[int]], cols: int):
 
     try:
         a = np.array(rows, dtype=np.int64)
-    except OverflowError:  # entries beyond int64 are reduced in Python
-        a = None
+    except OverflowError:  # entries beyond int64 stay Python ints in one object array
+        a = np.array(rows, dtype=object)
     best = None
     for p in _PRIMES:
-        m = a % p if a is not None else np.array([[v % p for v in row] for row in rows],
-                                                 dtype=np.int64)
+        m = (a % p).astype(np.int64, copy=False)
         pivots = _rref_mod(m, p)
         if len(pivots) == cols:
             return pivots, [], [], 1

@@ -1,20 +1,30 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sblq.classify import (
-    FACT_TABLE, StatusTag, case_detect, classify, status_lookup,
+    FACT_TABLE, HOLDER_LINE, StatusTag, Verdict, case_detect, classify, status_lookup,
 )
 from sblq.core import (
     SBLDatum, apply_equivalence, direct_sum_all, module_to_datum, random_equivalence,
+    validate_datum,
 )
-from sblq.decompose import canonical_multiset, expand_tags
-from sblq.fixtures import bht, fixture_datum, triangular_hilbert
+from sblq.decompose import canonical_multiset, decompose, expand_tags, necessary_conditions
+from sblq.fixtures import (
+    SHIPPED_FIXTURES, bht, fixture_datum, shipped_fixture, triangular_hilbert,
+)
 from sblq.linalg import Matrix
 from sblq.polynomials import Poly
+from sblq.randomized import random_case
 from sblq.tables import FamilyTag, build
+
+from test_decompose import (
+    LATTICE_FAILURE, SCREENED_BAGS, SECOND_ROUND_SUM, scrambled_datum, screen_data,
+)
 
 
 def mk(family, n=0, lam=None):
@@ -116,11 +126,14 @@ def test_classify_fixture_verdicts():
     assert v.status.render() == "Bounded(thm-i-ii-iii)"
 
 
+# ker Pi_0 = 0, so no Pi_i maps it onto H_i
+BIJECTIVE_KERNEL = SBLDatum(2, (2, 1, 1, 1),
+                            (Matrix.identity(2), Matrix(1, 2, [1, 0]),
+                             Matrix(1, 2, [0, 1]), Matrix(1, 2, [1, 1])))
+
+
 def test_classify_not_p_bounded_witness():
-    d = SBLDatum(2, (2, 1, 1, 1),
-                 (Matrix.identity(2), Matrix(1, 2, [1, 0]),
-                  Matrix(1, 2, [0, 1]), Matrix(1, 2, [1, 1])))
-    v = classify(d)
+    v = classify(BIJECTIVE_KERNEL)
     assert v.status.kind == "NotPBounded"
     assert "Pi_1" in v.status.witness
     assert v.cases == []
@@ -220,7 +233,7 @@ def test_classify_scrambled_repeated_regular_bag():
 
 
 def test_exponent_consistency_of_verdict_cases():
-    from sblq.decompose import _case_feasible, necessary_conditions
+    from sblq.decompose import _case_feasible
     for name in ("bht", "young", "loomis_whitney", "bilinear_holder_pk"):
         d = fixture_datum(name)
         v = classify(d)
@@ -232,3 +245,80 @@ def test_exponent_consistency_of_verdict_cases():
 def test_every_bounded_status_has_unique_citation():
     keys = [f.key for f in FACT_TABLE]
     assert len(keys) == len(set(keys))
+
+
+# -- the screen-first order, kept as an oracle for the order classify runs
+
+
+def screen_first_classify(d):
+    """`classify` with the full necessity screen before the decomposition
+    and the screen's own equality constraint for the cases; returns the
+    verdict and the screen's report."""
+    nec = necessary_conditions(d)
+    failures = nec.hard_failures()
+    if failures:
+        return Verdict([], [], StatusTag("NotPBounded", witness=failures[0]),
+                       witnesses=failures), nec
+    dec = decompose(d)
+    if not dec.classified:
+        status = StatusTag("Unclassified", witness="; ".join(dec.diagnostics[-2:]))
+        return Verdict([], dec.summands, status, decomposition=dec), nec
+    assert dec.equality_constraint == nec.equality_constraint
+    tags = expand_tags(dec.summands)
+    cases = case_detect(tags, nec.equality_constraint)
+    non_holder = [c for c in cases if c.tag in ("i", "ii", "iii")]
+    if not cases:
+        status = StatusTag("NotPBounded",
+                           witness="certified summand multiset fits no admissible case shape")
+    elif not tags:
+        status = StatusTag("Bounded", "holder", HOLDER_LINE)
+    elif non_holder:
+        status = StatusTag("Bounded", "thm-i-ii-iii",
+                           "; ".join(c.constraint for c in non_holder))
+    else:
+        status = status_lookup(tags)
+    return Verdict(cases, dec.summands, status, decomposition=dec), nec
+
+
+def assert_matches_screen_first(d):
+    got = classify(d)
+    want, nec = screen_first_classify(d)
+    assert got.status == want.status
+    assert got.witnesses == want.witnesses
+    assert got.cases == want.cases
+    assert got.summands == want.summands
+    assert (got.decomposition is None) == (want.decomposition is None)
+    if got.decomposition is not None:
+        assert got.decomposition.equality_constraint == nec.equality_constraint
+        assert got.decomposition.necessity == nec
+    return got
+
+
+# one extra summand or none: V* fails the image condition, IV passes the
+# screen outside the taxonomy, Y mixes cases, and C0 can leave a bag that
+# fits no case shape
+FOREIGN = [None, FamilyTag("V*", 1), FamilyTag("IV", 1), FamilyTag("Y"), FamilyTag("C", 0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(0, 2 ** 31), st.sampled_from(FOREIGN))
+def test_classify_matches_screen_first_on_scrambled_bags(case_seed, seed, extra):
+    tags = random_case(case_seed, max_total=10)[0] + ([extra] if extra else [])
+    assert_matches_screen_first(scrambled_datum(tags, seed))
+
+
+@settings(max_examples=80, deadline=None)
+@given(screen_data())
+def test_classify_matches_screen_first_on_random_data(d):
+    assume(validate_datum(d).valid)
+    assert_matches_screen_first(d)
+
+
+def test_classify_matches_screen_first_on_fixed_data():
+    data = [shipped_fixture(name) for name in SHIPPED_FIXTURES]
+    data += [LATTICE_FAILURE, SECOND_ROUND_SUM, BIJECTIVE_KERNEL,
+             module_to_datum(build(FamilyTag("V*", 1)))]
+    data += [scrambled_datum(tags, seed) for tags in SCREENED_BAGS for seed in (1, 2)]
+    data += [apply_equivalence(LATTICE_FAILURE, random_equivalence(LATTICE_FAILURE, 3))]
+    kinds = Counter(assert_matches_screen_first(d).status.kind for d in data)
+    assert kinds["NotPBounded"] >= 4 and kinds["Bounded"] >= 10

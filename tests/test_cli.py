@@ -198,23 +198,77 @@ REPORT_SHA256 = {
 }
 
 
-def test_fixture_reports_match_snapshot():
-    from importlib import resources
+# sha256 of `decompose <fixture> --report json`, without and with
+# `--certificates`, once "timing" and "command" are removed.  These reports
+# print the kernel equality constraint, which the classify reports do not.
+DECOMPOSE_SHA256 = {
+    "bht": ("4311880b954e1fddfd6ed9712f214e52a60e126add3792b5a70de68d62156fd2",
+        "0dcfc568e19c346ac59d8f288c98942ffabc98b87e00f4b113da44c346407b95"),
+    "coifman_meyer_1": ("3983eec09c3c69522613ac476e2d459aae2553a445e861fe6ace54d5400ff574",
+        "f9676e5ae03261c9d94df078fb17d4bae62d5cfd9d4f5802732aef1b033911bd"),
+    "coifman_meyer_2": ("8e6008fffb66513a3cd180c47f04fbe26a7ac8885c23acad4e5d5142d91fa2b0",
+        "2ea99ffe68d020cc9580e623491d9108bf6b1fce38a057e1876764b1b6a2f117"),
+    "twisted_paraproduct": ("b050f6a7fe275a33bad1c8c824c9d29a1006ffd9726f860391277f241b4e8323",
+        "4c474f2a88a3cd1053877484d7b52bce35f11c7873ba2b602d6d88245111bce7"),
+    "j2": ("9bcd19f7aa8a66ef6b89b0891e8ed83a4bbb5c1ba6a671bee5a213cd4cf289f2",
+        "8e003e5ea5121d7d0d740ccf811ce81ed618d4c03f677d3f1a9e5d8687f5005d"),
+    "n1_j1": ("67b3b61ff2a6c0d7fd395c82d10ea6134601356eb25ffc6d18531de9a4ac9bf5",
+        "014ae946ebfe13e49afce9607a4a258abd807791311f576dc5cf1a183b179cdc"),
+    "three_twisted": ("e5fca27597dbff02e9e18827367d7dbe8730c651e4846be4dde9767193758446",
+        "0767c690be3aea7c7685d48f890ae03761bc14e53a280a4dcc410172c2251ecb"),
+    "triangular_hilbert": ("dcf371c902f43c69c0ca9dbee1f025177c5239c705bd9e886c71a35937ff038a",
+        "5b37747c783c126b5f365c9958cbbd3fca0d9a0b1d0c00fc045be7d5b639e6d0"),
+    "young": ("be741f6e954a5cc1da5995e3b2132abad606fb894a642ba401f44c15df3ef0dc",
+        "2d36fd8edd0a62c8dddcaf4dfd6df25b3bd77ad3378d701da209628448a73c8f"),
+    "loomis_whitney": ("93dd932bde8cab9616b06f16b3a810ba4fd70e2ad18f59b0643ec9d0506ed904",
+        "57fe362927300ccd63ca7386102212216b6fa56139d7cd3a109206d33bed4264"),
+    "bilinear_holder_pk": ("2491127808c58784acb719c7af0e9d9b7e6328d6f55fd8b3cc8ade1df3f81aa6",
+        "d8aeb79044c1321ac51db92962f55f237cb71d045c02e26c317a7032501e97d0"),
+}
 
+FIXTURE_HASHES = textwrap.dedent("""
+    import contextlib, hashlib, io, json, sys
+    from importlib import resources
     from sblq.cli import main
     from sblq.fixtures import SHIPPED_FIXTURES
 
-    assert sorted(SHIPPED_FIXTURES) == sorted(REPORT_SHA256)
-    for name in SHIPPED_FIXTURES:
-        path = str(resources.files("sblq").joinpath(f"fixtures/{name}.json"))
-        for extra, want in zip(((), ("--certificates",)), REPORT_SHA256[name]):
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                assert main(["classify", path, "--report", "json", *extra]) == 0
-            report = json.loads(buf.getvalue())
-            del report["timing"], report["command"]
-            got = hashlib.sha256(json.dumps(report, indent=1).encode()).hexdigest()
-            assert got == want, (name, extra)
+    out = {}
+    for command in ("classify", "decompose"):
+        for name in SHIPPED_FIXTURES:
+            path = str(resources.files("sblq").joinpath(f"fixtures/{name}.json"))
+            for extra in ((), ("--certificates",)):
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    code = main([command, path, "--report", "json", *extra])
+                report = json.loads(buf.getvalue())
+                del report["timing"], report["command"]
+                digest = hashlib.sha256(json.dumps(report, indent=1).encode()).hexdigest()
+                out.setdefault(command, {}).setdefault(name, []).append([code, digest])
+    print(json.dumps([sys.flags.optimize, out]))
+""")
+
+
+def _check_fixture_pins(*flags):
+    from sblq.fixtures import SHIPPED_FIXTURES
+
+    assert sorted(SHIPPED_FIXTURES) == sorted(REPORT_SHA256) == sorted(DECOMPOSE_SHA256)
+    proc = subprocess.run([sys.executable, *flags, "-c", FIXTURE_HASHES],
+                          capture_output=True, text=True, check=True)
+    optimize, out = json.loads(proc.stdout)
+    assert optimize == len(flags)
+    for command, pins in (("classify", REPORT_SHA256), ("decompose", DECOMPOSE_SHA256)):
+        for name in SHIPPED_FIXTURES:
+            got = out[command][name]
+            assert [code for code, _ in got] == [0, 0], (command, name)
+            assert tuple(digest for _, digest in got) == pins[name], (command, name)
+
+
+def test_fixture_reports_match_snapshot():
+    _check_fixture_pins()
+
+
+def test_fixture_reports_match_snapshot_under_optimize():
+    _check_fixture_pins("-O")
 
 
 def test_rotations_eigen_table():

@@ -21,7 +21,8 @@ from sblq.core import (
     random_equivalence,
 )
 from sblq.decompose import (
-    _CASE_FAMILIES, _case_counts_admissible, _case_feasible, _fixed_table,
+    _CASE_FAMILIES, _case_counts_admissible, _case_feasible, _check_family_lattices,
+    _fixed_table,
     _hom_combination, _meet_join,
     LatticeEntry, NecessityReport, canonical_multiset, decompose, expand_tags,
     holder_normal_form, kronecker_decompose, match_nonholder,
@@ -37,7 +38,7 @@ from sblq.linalg import (
 )
 from sblq.pencil import kronecker_blocks
 from sblq.polynomials import Poly
-from sblq.randomized import random_case
+from sblq.randomized import _holder_bag, random_case
 from sblq.tables import FIXED_FAMILIES, FamilyTag, build
 
 from iso_oracle import isomorphism
@@ -804,6 +805,77 @@ def test_hom_dimension_table_has_an_integer_inverse():
             Matrix.identity(len(families))
 
 
+# -- a certified match passes the necessity screen: each family's closed lattice does
+
+
+def test_family_lattices_close_and_pass():
+    mods = [build(FamilyTag(f)) for f in FIXED_FAMILIES] + [build(FamilyTag("C", 0))]
+    for m in mods:
+        nec = necessary_conditions(module_to_datum(m), 100, 100)
+        assert len(nec.lattice_inequalities) <= 8
+        assert nec.passed and max(e.dim - sum(e.image_dims)
+                                  for e in nec.lattice_inequalities) == 0
+    _check_family_lattices(mods)
+    # L's lattice has eight entries: a cap below that is not a closed lattice
+    with mock.patch.object(sys.modules["sblq.decompose"], "_CLOSED_LATTICE", 8), \
+            pytest.raises(AssertionError, match="closed necessity lattice"):
+        _check_family_lattices(mods)
+    with pytest.raises(AssertionError, match="closed necessity lattice"):
+        _check_family_lattices([*mods, datum_to_module(LATTICE_FAILURE)])
+
+
+PERTURBED_FAMILY = textwrap.dedent("""
+    import sys
+    import sblq.decompose
+    from sblq.core import SBLDatum, datum_to_module
+    from sblq.linalg import Matrix
+    from sblq.tables import build
+
+    if not sys.flags.optimize:
+        sys.exit("not running under -O")
+    mod = sys.modules["sblq.decompose"]
+    # a datum that fails eight lattice inequalities stands in for Y
+    failing = datum_to_module(SBLDatum(5, (1, 1, 1, 1), (
+        Matrix(1, 5, [0, -1, 2, -1, 2]), Matrix(1, 5, [2, 0, 0, 0, 0]),
+        Matrix(1, 5, [0, 2, -1, -1, 2]), Matrix(1, 5, [2, 2, 0, 0, 0]))))
+    mod.build = lambda tag: failing if tag.family == "Y" else build(tag)
+    try:
+        mod._fixed_table()
+    except AssertionError as exc:
+        print("raised:", exc)
+    else:
+        print("returned")
+""")
+
+
+def test_family_lattice_check_survives_optimize():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sblq.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", PERTURBED_FAMILY],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: a family datum fails its closed necessity lattice")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 14))
+def test_holder_bags_pass_the_screen_with_the_pencil_constraint(seed, budget):
+    # a pencil form makes each Pi_i injective on ker Pi_0: the closed
+    # lattice is ker Pi_0 and its three zero intersections, and each image
+    # keeps its dimension
+    tags = _holder_bag(random.Random(seed), budget)
+    d = scrambled_datum(tags, seed)
+    b = d.dims[1]
+    form = holder_normal_form(d)
+    assert form is not None and form.b == b
+    nec = necessary_conditions(d, 100, 100)
+    assert nec.passed and nec.equality_constraint == (b, b, b, b)
+    assert [e.dim for e in nec.lattice_inequalities] == [b, 0, 0, 0]
+    assert all(e.image_dims == (e.dim,) * 3 for e in nec.lattice_inequalities)
+    assert necessary_conditions(d) == nec
+    dec = decompose(d)
+    assert dec.path == "pencil" and dec.equality_constraint == (b, b, b, b)
+
+
 @st.composite
 def fixed_family_modules(draw):
     """A scrambled sum of fixed families, sometimes with a summand none of
@@ -986,6 +1058,22 @@ def test_decompose_unclassified_outside_taxonomy():
     d = module_to_datum(build(FamilyTag("IV*", 0)))
     r = decompose(d)
     assert not r.classified and r.summands == []
+
+
+def test_image_condition_failure_ends_the_route_before_matching():
+    # V*_1 fails the image condition; no certified sum does, so neither the
+    # C0 split nor the matcher runs, and classify reads the screen's witnesses
+    d = scrambled_datum([FamilyTag("V*", 1), FamilyTag("C", 0)], 5)
+    mod = sys.modules["sblq.decompose"]
+    with mock.patch.object(mod, "strip_c0", side_effect=AssertionError("matched")):
+        r = decompose(d)
+        v = classify(d)
+    assert not r.classified and r.summands == [] and r.path == "none"
+    surj = r.necessity.surjectivity_on_kernel
+    assert not all(surj)
+    assert r.diagnostics[1:] == [f"image condition fails: Pi_{i} ker Pi_0 != Pi_{i} H"
+                                 for i in (1, 2, 3) if not surj[i]]
+    assert v.status.kind == "NotPBounded" and v.witnesses == r.necessity.hard_failures()
 
 
 def test_invariant_factor_granularity():
