@@ -427,9 +427,17 @@ def _fixed_table() -> Tuple[Dict[str, FourModule], Dict[str, List[List[int]]]]:
 
 
 def _fixed_matcher(m: FourModule, trials: int, seed: int):
-    """`match_nonholder` for one module as `match(case_tag)`, returning the
-    proven psi: candidate -> m itself, not its inverse; each Hom(X, m) is
-    solved once, by one `hom_solver(m)`, and each multiset certified once."""
+    """Non-Hoelder matching for one module: `match(case_tag)` gives the
+    certified summand multiset for one case shape and the proven psi:
+    candidate -> m, or None.  A module is fixed by its Hom dimensions from
+    the indecomposables (Auslander), so the multiplicities of the case's
+    families are exactly H^-1 h, with H[X][Y] = dim Hom(X, Y) and h_X =
+    dim Hom(X, m); a negative entry, a wrong dimension vector or an
+    inadmissible superscript set is a definite negative.  Otherwise
+    `trials` seeded draws stack one element of Hom(X, m) per summand copy
+    into psi, and the first that `certificate_valid` proves is returned.
+    Each Hom(X, m) is solved once, by one `hom_solver(m)`, and each
+    multiset certified once."""
     mods, inverses = _fixed_table()
     solve = hom_solver(m)
     homs: Dict[str, List[Matrix]] = {}
@@ -472,26 +480,6 @@ def _hom_combination(basis: Sequence[Matrix], rng: random.Random) -> Matrix:
     cells = zip(*[b._num_over(den) for b in basis])
     return Matrix._ints(basis[0].rows, basis[0].cols,
                         [sum(map(mul, coeffs, cell)) for cell in cells], den)
-
-
-def match_nonholder(m: FourModule, case_tag: str, trials: int = 32,
-                    seed: int = 0):
-    """Certified summand multiset for one non-Hoelder case shape, or None.
-
-    A module is fixed by its Hom dimensions from the indecomposables
-    (Auslander), so the multiplicities of the case's families are exactly
-    H^-1 h, with H[X][Y] = dim Hom(X, Y) and h_X = dim Hom(X, m); a
-    negative entry, a wrong dimension vector or an inadmissible
-    superscript set is a definite negative.  Otherwise `trials` seeded
-    draws stack one element of Hom(X, m) per summand copy into a map
-    candidate -> m, and the first that `certificate_valid` proves is
-    inverted.  Returns (summands, certificate m -> candidate) or None.
-    """
-    found = _fixed_matcher(m, trials, seed)(case_tag)
-    if found is None:
-        return None
-    summands, psi = found
-    return summands, inverse(psi)
 
 
 # -- full decomposition --------------------------------------------------------

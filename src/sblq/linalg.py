@@ -23,12 +23,12 @@ remaindering and rational reconstruction of its free-column entries.  A
 lift is returned only after an exact integer check that every kernel vector
 it gives lies in the kernel (`_kernel_proven`).  That makes it equal to the
 exact reduced form entry for entry, and its pivots the exact pivots; full
-column rank modulo a prime proves itself at once.  When the primes run out
-without a proof, the Bareiss pass runs instead.  Below the switch both
-routes run one forward fraction-free (Bareiss) integer elimination:
-`_pivots` stops at its echelon form, and `_rref` reads the reduced form
-off the echelon rows by an exact fraction-free back-substitution on the
-free columns.
+column rank modulo a prime proves itself at once.  Primes are drawn as
+the proof needs them (`_prime`); only finitely many are bad, so the proof
+always comes.  Below the switch both routes run one forward fraction-free
+(Bareiss) integer elimination: `_pivots` stops at its echelon form, and
+`_rref` reads the reduced form off the echelon rows by an exact
+fraction-free back-substitution on the free columns.
 `solve_right` reads X off the reduced form of [a | b] and runs the same
 proof on the b columns, which is a @ X == b on integer rows, on either
 path.  `det` keeps its own Bareiss pass, whose last pivot is the
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
+from itertools import count
 from math import gcd, isqrt, lcm
 from operator import add, mul, sub
 from typing import List, Optional, Sequence, Tuple
@@ -454,11 +455,9 @@ def _int_rank(rows: List[List[int]], cols: int) -> int:
 
 
 def _pivots(rows: List[List[int]], cols: int) -> List[int]:
-    """Pivot columns of the integer rows (consumed) of length cols.
-
-    From `_MODULAR_CELLS` cells up they are those of the proven `_rref`;
-    below, one non-reduced Bareiss pass is cheaper.
-    """
+    """Pivot columns of the integer rows (consumed) of length cols: from
+    `_MODULAR_CELLS` cells up those of the proven `_rref`, below those of
+    one non-reduced Bareiss pass, which is cheaper."""
     if rows and len(rows) * cols >= _MODULAR_CELLS:
         return _rref(rows, cols)[0]
     return _echelon(rows)[1]
@@ -469,8 +468,8 @@ def _rref(rows: List[List[int]], cols: int) -> Tuple[List[int], List[int], List[
     of the integer rows (consumed) of length cols: the entry of pivot row r
     at the k-th free column is nums[r * len(free) + k] / d.
 
-    Systems of at least `_MODULAR_CELLS` cells try `_modular_kernel` first;
-    the others, and those it cannot prove, take one forward Bareiss pass and
+    Systems of at least `_MODULAR_CELLS` cells take the proven
+    `_modular_kernel`; the others take one forward Bareiss pass and
     back-substitution on the free columns.  With d the last pivot, p_i and
     e_i the pivot and the row of echelon row i and pc_j the pivot columns,
     the numerators x_i = d * (reduced entry of row i at f) satisfy
@@ -481,9 +480,8 @@ def _rref(rows: List[List[int]], cols: int) -> Tuple[List[int], List[int], List[
     e_i[pc_j].  The division is exact: by Cramer's rule x_i is a minor of
     the input.  Rows whose pivot lies right of f have x_i = 0.
     """
-    lift = _modular_kernel(rows, cols) if rows and len(rows) * cols >= _MODULAR_CELLS else None
-    if lift is not None:
-        return lift
+    if rows and len(rows) * cols >= _MODULAR_CELLS:
+        return _modular_kernel(rows, cols)
     ech, pivots, _ = _echelon(rows)
     pivset = set(pivots)
     free = [c for c in range(cols) if c not in pivset]
@@ -509,23 +507,33 @@ def _rref(rows: List[List[int]], cols: int) -> Tuple[List[int], List[int], List[
 # proof (measured crossover between 200 and 300 cells).
 _MODULAR_CELLS = 256
 
-# The 64 largest primes below 2**31: products of two residues stay below
-# 2**62, so a row update never leaves int64.  Their product (about 1980
-# bits) bounds what `_modular_kernel` can lift: numerators and common
-# denominator of about 990 bits each; past that it gives up.
-_PRIMES = (
-    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
-    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
-    2147483353, 2147483323, 2147483269, 2147483249, 2147483237, 2147483179,
-    2147483171, 2147483137, 2147483123, 2147483077, 2147483069, 2147483059,
-    2147483053, 2147483033, 2147483029, 2147482951, 2147482949, 2147482943,
-    2147482937, 2147482921, 2147482877, 2147482873, 2147482867, 2147482859,
-    2147482819, 2147482817, 2147482811, 2147482801, 2147482763, 2147482739,
-    2147482697, 2147482693, 2147482681, 2147482663, 2147482661, 2147482621,
-    2147482591, 2147482583, 2147482577, 2147482507, 2147482501, 2147482481,
-    2147482417, 2147482409, 2147482367, 2147482361, 2147482349, 2147482343,
-    2147482327, 2147482291, 2147482273, 2147482237,
-)
+def _is_prime(n: int) -> bool:
+    """Primality of n < 3215031751: no composite below that bound is a strong
+    probable prime to the bases 2, 3, 5 and 7 (Pomerance, Selfridge and
+    Wagstaff, Math. Comp. 35, 1980; Jaeschke, Math. Comp. 61, 1993)."""
+    if n < 11:
+        return n in (2, 3, 5, 7)
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    d = (n - 1) >> s
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 1 << k, n) != n - 1 for k in range(s)):
+            return False
+    return True
+
+
+_primes: List[int] = []  # the primes drawn so far, largest first
+
+
+def _prime(i: int) -> int:
+    """The i-th largest prime below 2**31, counting from 0, drawn once:
+    products of two residues stay below 2**62, so row updates stay in int64."""
+    while len(_primes) <= i:
+        n = _primes[-1] - 2 if _primes else 2 ** 31 - 1
+        while not _is_prime(n):
+            n -= 2
+        _primes.append(n)
+    return _primes[i]
 
 
 def _rref_mod(a, p: int) -> List[int]:
@@ -582,8 +590,7 @@ def _lift(residues: List[int], m: int) -> Optional[Tuple[List[int], int]]:
         if -bound <= y <= bound:
             nums.append(y)
             continue
-        nd = _ratrecon(y, m, bound)
-        if nd is None:
+        if (nd := _ratrecon(y, m, bound)) is None:
             return None
         n, e = nd
         nums = [v * e for v in nums]
@@ -610,18 +617,22 @@ def _kernel_proven(rows: List[List[int]], pivots: List[int], free: List[int],
 def _modular_kernel(rows: List[List[int]], cols: int):
     """(pivots, free columns, numerators, d) of the reduced row echelon form
     of the integer rows (read, not consumed), with the entry of pivot row r
-    at the k-th free column equal to nums[r * len(free) + k] / d; or None.
+    at the k-th free column equal to nums[r * len(free) + k] / d.
 
-    Each prime gives the reduced form modulo p.  A bad prime can only lower
-    the rank or move a pivot right, so the primes kept are those with the
-    largest rank and, among them, the earliest pivot columns; a better
-    prime restarts the Chinese remaindering.  After each prime the
-    free-column entries are read back by rational reconstruction, and a
-    candidate is returned only if `_kernel_proven` holds: its cols - rank_p
-    vectors then lie in the kernel, are independent, and rank_p <= rank, so
-    they are the kernel basis, each free column is a true free column, and
-    the entries are those of the exact reduced form.  rank_p = cols proves
-    a zero kernel at once.  None when the primes run out without a proof.
+    Each prime `_prime(i)` gives the reduced form modulo p.  A bad prime
+    can only lower the rank or move a pivot right, so the primes kept are
+    those with the largest rank and, among them, the earliest pivot
+    columns; a better prime restarts the Chinese remaindering.  After each
+    prime the free-column entries are read back by rational reconstruction,
+    and a candidate is returned only if `_kernel_proven` holds: its
+    cols - rank_p vectors then lie in the kernel, are independent, and
+    rank_p <= rank, so they are the kernel basis, each free column is a
+    true free column, and the entries are those of the exact reduced form.
+    rank_p = cols proves a zero kernel at once.  The loop ends: every bad
+    prime divides one nonzero minor of the rows (on the true pivot
+    columns), so the kept primes are soon all good, and once their product
+    m has isqrt(m // 2) >= d and every |numerator| of the exact form, the
+    reconstruction is that form and the proof holds.
     """
     import numpy as np
 
@@ -630,7 +641,8 @@ def _modular_kernel(rows: List[List[int]], cols: int):
     except OverflowError:  # entries beyond int64 stay Python ints in one object array
         a = np.array(rows, dtype=object)
     best = None
-    for p in _PRIMES:
+    for i in count():
+        p = _prime(i)
         m = (a % p).astype(np.int64, copy=False)
         pivots = _rref_mod(m, p)
         if len(pivots) == cols:
@@ -650,7 +662,6 @@ def _modular_kernel(rows: List[List[int]], cols: int):
         lifted = _lift(res, modulus)
         if lifted is not None and _kernel_proven(rows, pivots, free, *lifted):
             return (pivots, free) + lifted
-    return None
 
 
 def image_basis(m: Matrix) -> "Subspace":

@@ -265,7 +265,7 @@ def test_criterion_9_equivalence_invariance():
 
 def _run_cli(*argv: str) -> str:
     proc = subprocess.run([sys.executable, "-m", "sblq.cli", *argv],
-                          capture_output=True, text=True, check=False)
+                          capture_output=True, text=True, check=False, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     report.pop("timing", None)

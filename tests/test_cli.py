@@ -14,7 +14,7 @@ from sblq.fixtures import build_shipped, shipped_fixture_dict
 
 def run_cli(*argv, stdin=None):
     return subprocess.run([sys.executable, "-m", "sblq.cli", *argv],
-                          capture_output=True, text=True, input=stdin)
+                          capture_output=True, text=True, input=stdin, timeout=120)
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +161,8 @@ CERTIFIED_REPORTS = textwrap.dedent("""
 def test_certified_reports_identical_under_optimize():
     # every rank decision and certificate check must survive `python -O`
     runs = [json.loads(subprocess.run([sys.executable, *flags, "-c", CERTIFIED_REPORTS],
-                                      capture_output=True, text=True, check=True).stdout)
+                                      capture_output=True, text=True, check=True,
+                                      timeout=120).stdout)
             for flags in ((), ("-O",))]
     assert [flag for flag, _ in runs] == [0, 1]
     plain, optimized = (out for _, out in runs)
@@ -253,7 +254,7 @@ def _check_fixture_pins(*flags):
 
     assert sorted(SHIPPED_FIXTURES) == sorted(REPORT_SHA256) == sorted(DECOMPOSE_SHA256)
     proc = subprocess.run([sys.executable, *flags, "-c", FIXTURE_HASHES],
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True, check=True, timeout=120)
     optimize, out = json.loads(proc.stdout)
     assert optimize == len(flags)
     for command, pins in (("classify", REPORT_SHA256), ("decompose", DECOMPOSE_SHA256)):

@@ -22,10 +22,10 @@ from sblq.core import (
 )
 from sblq.decompose import (
     _CASE_FAMILIES, _case_counts_admissible, _case_feasible, _check_family_lattices,
-    _fixed_table,
+    _fixed_matcher, _fixed_table,
     _hom_combination, _meet_join,
     LatticeEntry, NecessityReport, canonical_multiset, decompose, expand_tags,
-    holder_normal_form, kronecker_decompose, match_nonholder,
+    holder_normal_form, kronecker_decompose,
     necessary_conditions, pencil_datum, strip_c0,
 )
 from sblq.fixtures import (
@@ -422,7 +422,7 @@ def test_holder_normal_form_check_survives_optimize():
     # `python -O` strips assert statements; the reconstruction check must stay
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sblq.__file__)))
     proc = subprocess.run([sys.executable, "-O", "-c", PERTURBED_RECONSTRUCTION],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised: pencil reconstruction failed")
 
@@ -606,7 +606,7 @@ SINGULAR_C1_UNDER_OPTIMIZE = textwrap.dedent("""
 def test_holder_normal_form_complement_check_survives_optimize():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sblq.__file__)))
     proc = subprocess.run([sys.executable, "-O", "-c", SINGULAR_C1_UNDER_OPTIMIZE],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "returned: None\n"
 
@@ -776,19 +776,24 @@ def test_nonholder_c0_bags_certify_the_users_module(tags):
         assert certificate_valid(cert, d.module, candidate)
 
 
+def _match(m, case_tag):
+    return _fixed_matcher(m, 32, 0)(case_tag)
+
+
 def test_match_nonholder_examples():
     yz = direct_sum(build(FamilyTag("Y")), build(FamilyTag("Z")))
-    got = match_nonholder(yz, "ii")
-    assert got is not None
+    got = _match(yz, "ii")
+    assert _proved(yz, got) is not None
     assert [(s.tag.family, s.multiplicity) for s in got[0]] == [("Y", 1), ("Z", 1)]
 
-    got = match_nonholder(build(FamilyTag("L")), "iii")
-    assert got is not None
+    ell = build(FamilyTag("L"))
+    got = _match(ell, "iii")
+    assert _proved(ell, got) is not None
     assert [(s.tag.family, s.multiplicity) for s in got[0]] == [("L", 1)]
 
     pk = direct_sum(build(FamilyTag("P1")), build(FamilyTag("K1")))
-    got = match_nonholder(pk, "i")
-    assert got is not None
+    got = _match(pk, "i")
+    assert _proved(pk, got) is not None
     assert [(s.tag.family, s.multiplicity) for s in got[0]] == [("P1", 1), ("K1", 1)]
 
 
@@ -851,7 +856,7 @@ PERTURBED_FAMILY = textwrap.dedent("""
 def test_family_lattice_check_survives_optimize():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sblq.__file__)))
     proc = subprocess.run([sys.executable, "-O", "-c", PERTURBED_FAMILY],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised: a family datum fails its closed necessity lattice")
 
@@ -898,11 +903,12 @@ def fixed_family_modules(draw):
 
 
 def _proved(m, found):
+    """The multiset of a match, after checking its psi: candidate -> m."""
     if found is None:
         return None
-    summands, cert = found
+    summands, psi = found
     candidate = direct_sum_all([build(t) for t in expand_tags(summands)])
-    assert certificate_valid(cert, m, candidate)
+    assert certificate_valid(psi, candidate, m)
     return canonical_multiset(expand_tags(summands))
 
 
@@ -915,7 +921,7 @@ def test_hom_dimension_matcher_finds_the_generating_sum(drawn):
     counts = Counter(t.family for t in tags)
     for case_tag, families in _CASE_FAMILIES.items():
         fits = set(counts) <= set(families) and _case_counts_admissible(case_tag, counts)
-        assert _proved(m, match_nonholder(m, case_tag)) == \
+        assert _proved(m, _match(m, case_tag)) == \
             (canonical_multiset(tags) if fits else None), case_tag
 
 
@@ -1007,7 +1013,7 @@ NONHOLDER_UNDER_OPTIMIZE = textwrap.dedent("""
     mod.hom_solver = lambda b: lambda a: doubled.append(a) or 2 * real(b)(a)
     mod._fixed_table.cache_clear()
     try:
-        mod.match_nonholder(m, "i")
+        mod._fixed_matcher(m, 32, 0)("i")
     except AssertionError as exc:
         print("raised:", exc, len(doubled))
 """)
@@ -1016,7 +1022,7 @@ NONHOLDER_UNDER_OPTIMIZE = textwrap.dedent("""
 def test_nonholder_matching_survives_optimize():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sblq.__file__)))
     proc = subprocess.run([sys.executable, "-O", "-c", NONHOLDER_UNDER_OPTIMIZE],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "young Bounded(thm-i-ii-iii) ii Y Z True",

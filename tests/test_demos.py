@@ -19,5 +19,5 @@ def test_demos_found():
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                          text=True, env=env, cwd=ROOT)
+                          text=True, env=env, cwd=ROOT, timeout=300)
     assert proc.returncode == 0, proc.stderr

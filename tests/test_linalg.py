@@ -11,6 +11,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 from sympy.matrices.normalforms import invariant_factors as smith_invariant_factors
+from sympy.ntheory.primetest import mr
 
 import sblq
 from sblq import linalg
@@ -726,8 +727,7 @@ def test_is_invertible_modular_screen():
         calls.append(len(rows))
         return real(rows)
 
-    with mock.patch.object(linalg, "_PRIMES", (5,) + linalg._PRIMES), \
-            mock.patch.object(linalg, "_echelon", counting):
+    with _drawn_first(5), mock.patch.object(linalg, "_echelon", counting):
         assert linalg.is_invertible(Matrix.identity(n))
         assert linalg.is_invertible(Matrix.diag([5] + [1] * (n - 1)))
         assert linalg.is_invertible(fifth)
@@ -976,9 +976,64 @@ def test_echelon_prev_and_equal_pivot_steps():
     assert _echelon([[3, 4, 5], [1, 2, 3]]) == ([[1, 2, 3], [0, -2, -4]], [0, 1], -1)
 
 
+# The 64 largest primes below 2**31, the modular core's fixed table before
+# primes were drawn on demand: every system it lifted keeps its primes.
+_OLD_TABLE = (
+    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
+    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
+    2147483353, 2147483323, 2147483269, 2147483249, 2147483237, 2147483179,
+    2147483171, 2147483137, 2147483123, 2147483077, 2147483069, 2147483059,
+    2147483053, 2147483033, 2147483029, 2147482951, 2147482949, 2147482943,
+    2147482937, 2147482921, 2147482877, 2147482873, 2147482867, 2147482859,
+    2147482819, 2147482817, 2147482811, 2147482801, 2147482763, 2147482739,
+    2147482697, 2147482693, 2147482681, 2147482663, 2147482661, 2147482621,
+    2147482591, 2147482583, 2147482577, 2147482507, 2147482501, 2147482481,
+    2147482417, 2147482409, 2147482367, 2147482361, 2147482349, 2147482343,
+    2147482327, 2147482291, 2147482273, 2147482237,
+)
+
+
+def _drawn_first(*small):
+    """Patch the prime source to draw `small` first and then the real
+    primes; the real source's cache never sees the small ones."""
+    real = linalg._prime
+    return mock.patch.object(
+        linalg, "_prime", lambda i: small[i] if i < len(small) else real(i - len(small)))
+
+
 def test_modular_primes_are_distinct_31_bit_primes():
-    assert len(set(linalg._PRIMES)) == len(linalg._PRIMES)
-    assert all(p < 2 ** 31 and sympy.isprime(p) for p in linalg._PRIMES)
+    drawn = [linalg._prime(i) for i in range(64)]
+    assert tuple(drawn) == _OLD_TABLE
+    assert len(set(drawn)) == len(drawn)
+    assert all(p < 2 ** 31 and sympy.isprime(p) for p in drawn)
+
+
+def test_is_prime_matches_sympy():
+    for n in itertools.chain(range(2000), range(2 ** 31 - 20000, 2 ** 31)):
+        assert linalg._is_prime(n) == sympy.isprime(n), n
+    # a strong pseudoprime to the bases 2, 3 and 5: base 7 rejects it
+    assert mr(25326001, [2, 3, 5]) and not sympy.isprime(25326001)
+    assert not linalg._is_prime(25326001)
+
+
+def test_prime_source_is_the_prevprime_chain():
+    p = 2 ** 31
+    for i in range(2000):
+        p = sympy.prevprime(p)
+        assert linalg._prime(i) == p, i
+
+
+def _primes_seen(seen):
+    """Patch `_rref_mod` to record the prime of each call in `seen`."""
+    real = _rref_mod
+    return mock.patch.object(linalg, "_rref_mod", lambda a, p: seen.append(p) or real(a, p))
+
+
+def _reduced(rref):
+    """Pivots, free columns and the reduced form's entries as Fractions: the
+    modular d and the Bareiss d may differ in sign."""
+    pivots, free, nums, d = rref
+    return pivots, free, [Fraction(v, d) for v in nums]
 
 
 # 3 divides the leading entries, so modulo 3 the first pivot moves right;
@@ -997,9 +1052,9 @@ def test_modular_kernel_skips_bad_primes():
         return pivots
 
     real = _rref_mod
-    with mock.patch.object(linalg, "_PRIMES", (3, 5, 7, 11, 13)), \
-            mock.patch.object(linalg, "_rref_mod", recording):
-        assert _modular_kernel(_BAD_PRIME_ROWS, 4) is not None
+    with _drawn_first(3, 5, 7, 11, 13), mock.patch.object(linalg, "_rref_mod", recording):
+        assert _reduced(_modular_kernel(_BAD_PRIME_ROWS, 4)) == \
+            _reduced(reference_rref(_BAD_PRIME_ROWS, 4))
         got = _switched_kernel(_BAD_PRIME_ROWS, 4)
     # 3 is kept until 5 restarts the remaindering; 7 is skipped
     assert seen[:5] == [(3, [1, 2]), (5, true), (7, [0, 3]), (11, true), (13, true)]
@@ -1007,12 +1062,31 @@ def test_modular_kernel_skips_bad_primes():
     assert got.basis.col(0)[2] == 0 and Fraction(-13, 21) in got.basis.data
 
 
-def test_modular_kernel_falls_back_when_the_primes_run_out():
-    # 5 * 11 cannot reconstruct -13/21, so no candidate is ever proven
-    with mock.patch.object(linalg, "_PRIMES", (3, 5, 7, 11)):
-        assert _modular_kernel(_BAD_PRIME_ROWS, 4) is None
+def test_modular_kernel_draws_past_bad_primes():
+    # 5 * 11 cannot reconstruct -13/21, so the lift goes on to the 31-bit
+    # primes and proves the reduced form there
+    seen = []
+    with _drawn_first(3, 5, 7, 11), _primes_seen(seen):
+        assert _reduced(_modular_kernel(_BAD_PRIME_ROWS, 4)) == \
+            _reduced(reference_rref(_BAD_PRIME_ROWS, 4))
         got = _switched_kernel(_BAD_PRIME_ROWS, 4)
+    assert seen[:5] == [3, 5, 7, 11, 2 ** 31 - 1]
     assert _same_kernel(got, _bareiss_kernel(_BAD_PRIME_ROWS, 4))
+    # the patched source left the real one's cache alone
+    assert linalg._prime(0) == 2 ** 31 - 1 and min(linalg._primes) > 2 ** 30
+
+
+def test_modular_kernel_lifts_past_the_old_table():
+    # a 24 x 25 system with 60-bit entries: the reduced form has a 1459-bit
+    # d, which takes 95 primes, more than the 64 of the old table
+    rng = random.Random(0)
+    rows = [[rng.randrange(-2 ** 60, 2 ** 60) for _ in range(25)] for _ in range(24)]
+    seen = []
+    with _primes_seen(seen):
+        got = _modular_kernel(rows, 25)
+    assert len(seen) > len(_OLD_TABLE) and got[3].bit_length() == 1459
+    assert _reduced(got) == _reduced(_bareiss_rref(rows, 25))
+    assert _same_kernel(_int_kernel([list(r) for r in rows], 25), _bareiss_kernel(rows, 25))
 
 
 PERTURBED_LIFT = """
@@ -1021,12 +1095,14 @@ from sblq import linalg
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-real = linalg._lift
+real, perturbed = linalg._lift, []
 
-def perturbed(residues, m):
+def perturbing(residues, m):
+    # the first three candidates come back one entry off
     out = real(residues, m)
-    if out is None:
-        return None
+    if out is None or len(perturbed) == 3:
+        return out
+    perturbed.append(m)
     nums, d = out
     return [nums[0] + 1] + nums[1:], d
 
@@ -1036,27 +1112,28 @@ square = linalg.Matrix(9, 9, [v for r in rows for v in r[:9]])
 linalg._MODULAR_CELLS = float("inf")
 want = linalg._int_kernel([list(r) for r in rows], 12)
 want_inv = linalg.inverse(square)
-linalg._lift = perturbed
+linalg._lift = perturbing
 linalg._MODULAR_CELLS = 0
-print("proof failed:", linalg._modular_kernel(rows, 12) is None)
 got = linalg._int_kernel([list(r) for r in rows], 12)
-print("bareiss basis:", got.basis.data == want.basis.data and got.dim == want.dim == 3)
-print("bareiss inverse:", linalg.inverse(square).data == want_inv.data)
+print("basis:", len(perturbed), got.basis.data == want.basis.data and got.dim == want.dim == 3)
+perturbed.clear()
+inv = linalg.inverse(square)
+print("inverse:", len(perturbed), inv.data == want_inv.data)
 """
 
 
 def _run(*args):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sblq.__file__)))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
 
 
 def test_modular_kernel_proof_survives_optimize():
-    # a lift one entry off must be caught by the proof and fall back to Bareiss,
-    # for a kernel and for an inverse
+    # lifts one entry off must be caught by the proof, and the lift must go on
+    # to the exact answer, for a kernel and for an inverse
     proc = _run("-O", "-c", PERTURBED_LIFT)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["proof failed: True", "bareiss basis: True",
-                                        "bareiss inverse: True"]
+    assert proc.stdout.splitlines() == ["basis: 3 True", "inverse: 3 True"]
 
 
 def test_import_does_not_load_numpy():

@@ -100,7 +100,7 @@ def test_funk_spectrum_checks_survive_optimize():
     FunkSpectrum(3, 4, funk_spectrum(3, 4).lam)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sblq.__file__)))
     proc = subprocess.run([sys.executable, "-O", "-c", BAD_SPECTRA],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 4 and all(" raised: " in line for line in lines), proc.stdout
