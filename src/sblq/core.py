@@ -298,15 +298,15 @@ def certificate_valid(psi: Matrix, a: FourModule, b: FourModule) -> bool:
 
 
 def _unimodular(n: int, rng: random.Random, spread: int = 2) -> Matrix:
-    if n == 0:
-        return Matrix.zeros(0, 0)
-    lo = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    up = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    """Unit lower times unit upper triangular, with integer entries in
+    [-spread, spread] below and above the diagonal."""
+    lo = [int(i == j) for i in range(n) for j in range(n)]
+    up = lo[:]
     for i in range(n):
         for j in range(i):
-            lo[i][j] = Fraction(rng.randint(-spread, spread))
-            up[j][i] = Fraction(rng.randint(-spread, spread))
-    return Matrix.from_rows(lo) @ Matrix.from_rows(up)
+            lo[i * n + j] = rng.randint(-spread, spread)
+            up[j * n + i] = rng.randint(-spread, spread)
+    return Matrix._ints(n, n, lo) @ Matrix._ints(n, n, up)
 
 
 def random_equivalence(d: SBLDatum, seed: int) -> EquivalenceMap:

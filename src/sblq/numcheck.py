@@ -6,6 +6,10 @@ extends kernels to more variables through the Gaussian-in-new-directions
 formula, and samples Mikhlin symbol bounds on a logarithmic grid by central
 finite differences.  Everything here is floating point; nothing feeds back
 into the exact classification path.
+
+Importing this module loads numpy; scipy (`scipy.special`: j0 and the
+Gauss-Legendre and Gauss-Hermite rules) loads only when the first
+quadrature rule is built.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from math import pi
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import j0, roots_hermite, roots_legendre
 
 from .core import EquivalenceMap, SBLDatum, apply_equivalence
 from .linalg import Matrix, det, inverse, kernel_basis
@@ -135,6 +138,8 @@ class MultiplierBump:
 
     def spatial(self, x: np.ndarray) -> np.ndarray:
         # radial inverse transform by quadrature (dimensions 1 and 2)
+        from scipy.special import j0, roots_legendre
+
         x = np.atleast_2d(x)
         nodes, w = roots_legendre(256)
         rho = 0.5 * (self.r_hi - self.r_lo) * nodes + 0.5 * (self.r_hi + self.r_lo)
@@ -319,6 +324,8 @@ def _numeric_symbol_factory(kernel, max_freq: float):
     at roughly ten nodes per oscillation.  Symbols are complex valued (odd
     kernels have purely imaginary symbols).
     """
+    from scipy.special import roots_legendre
+
     if isinstance(kernel, ExtendedKernel) and kernel.base.dim == 1 and kernel.extra == 1:
         base = kernel.base
         r_out = getattr(base, "r_out", 4.0)
@@ -499,6 +506,8 @@ def _tensor_rule(nodes: np.ndarray, w: np.ndarray, dim: int, scale: float = 1.0)
 def _hermite_grid(points: int, dim: int, scale: float = 1.0):
     """Tensor Gauss-Hermite nodes for the weight exp(-pi |v|^2) on R^dim,
     and their weights times `scale`."""
+    from scipy.special import roots_hermite
+
     t_nodes, t_w = roots_hermite(points)
     return _tensor_rule(t_nodes / np.sqrt(pi), t_w, dim, scale * pi ** (-dim / 2.0))
 
@@ -522,6 +531,8 @@ def _tensor_value(spec: FormSpec, points: int, box: Optional[float] = None) -> f
         raise ValueError("tensor quadrature is limited to total dimension 4")
     whitening = None if box is not None else _combined_form(spec)
     if whitening is None:
+        from scipy.special import roots_legendre
+
         half = box if box is not None else _auto_box(spec)
         nodes, w = roots_legendre(points)
         pts, weights = _tensor_rule(half * nodes, half * w, dim)

@@ -12,6 +12,11 @@ General d is exposed at the eigenvalue level; the full slice machinery
 The harmonics come from (x + iy)^m and the normalized Legendre recurrence
 in z (Holmes and Featherstone, J. Geodesy 76, 2002): no angle or
 sqrt(1 - z^2) is formed, so points next to a pole keep full precision.
+
+Importing this module loads numpy; scipy (`scipy.special.roots_legendre`)
+loads only when the first quadrature rule is built (`SphereGrid.build`,
+`radial_log_quadrature`).  TOLERANCES lives in `sblq.tolerances`, which
+needs neither, and is re-exported here.
 """
 
 from __future__ import annotations
@@ -21,16 +26,8 @@ from math import isqrt, lgamma, pi, sqrt
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import roots_legendre
 
-#: central tolerance configuration; all verification entry points read these
-TOLERANCES = {
-    "spectral": 1e-10,
-    "quadrature": 1e-6,
-    "superposition": 1e-5,
-    "mean_zero": 1e-12,
-    "neumann": 1e-14,
-}
+from .tolerances import TOLERANCES
 
 
 # -- Gegenbauer values and transform eigenvalues --------------------------------
@@ -181,6 +178,8 @@ class SphereGrid:
 
     @classmethod
     def build(cls, band: int) -> "SphereGrid":
+        from scipy.special import roots_legendre
+
         nodes, glw = roots_legendre(band + 1)
         naz = 2 * band + 1
         phis = 2.0 * pi * np.arange(naz) / naz
@@ -330,6 +329,8 @@ def verify_repr(dec: SliceDecomposition, omega_coeffs: np.ndarray,
 
 def radial_log_quadrature(lo: float, hi: float, count: int = 48):
     """Nodes and weights for int_lo^hi g(r) dr/r by Gauss-Legendre in log r."""
+    from scipy.special import roots_legendre
+
     nodes, w = roots_legendre(count)
     a, b = np.log(lo), np.log(hi)
     r = np.exp(0.5 * (b - a) * nodes + 0.5 * (a + b))

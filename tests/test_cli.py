@@ -272,6 +272,41 @@ def test_fixture_reports_match_snapshot_under_optimize():
     _check_fixture_pins("-O")
 
 
+# sha256 of three numeric reports (exit code first), once "timing" and
+# "command" are removed.  Moving an import of numpy or scipy must not move a
+# float in them.
+NUMERIC_SHA256 = {
+    "eigen": [0, "7c406ecf9c4cf305fa4e2518b623697ee5fd11b41a04b4b4b935ae5cbd3815a1"],
+    "mikhlin": [3, "64f258185fdd1e68f00230f7e02d92ad21eadb19faa11bdc315536855278d878"],
+    "eval": [0, "11ee93d457aa9e736e4b26b81820868fd71ab3f406e15031f377d202e0bbb1ec"],
+}
+
+NUMERIC_HASHES = textwrap.dedent("""
+    import contextlib, hashlib, io, json
+    from importlib import resources
+    from sblq.cli import main
+
+    path = str(resources.files("sblq").joinpath("fixtures/bht.json"))
+    out = {}
+    for key, argv in (("eigen", ["rotations", "eigen", "--dim", "3", "--max-degree", "8"]),
+                      ("mikhlin", ["numcheck", "mikhlin", "bump"]),
+                      ("eval", ["numcheck", "eval", path, "--quad", "tensor:8"])):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main([*argv, "--report", "json"])
+        report = json.loads(buf.getvalue())
+        del report["timing"], report["command"]
+        out[key] = [code, hashlib.sha256(json.dumps(report, indent=1).encode()).hexdigest()]
+    print(json.dumps(out))
+""")
+
+
+def test_numeric_reports_match_snapshot():
+    proc = subprocess.run([sys.executable, "-c", NUMERIC_HASHES],
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert json.loads(proc.stdout) == NUMERIC_SHA256
+
+
 def test_rotations_eigen_table():
     proc = run_cli("rotations", "eigen", "--dim", "3", "--max-degree", "6",
                    "--report", "json")

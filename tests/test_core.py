@@ -19,6 +19,7 @@ from sblq.core import (
     module_to_datum, random_equivalence, validate_datum,
 )
 from sblq.decompose import _fixed_table
+from sblq.fixtures import SHIPPED_FIXTURES, shipped_fixture
 from sblq.linalg import (
     Matrix, Subspace, _echelon_key, _int_cols, _int_kernel, block_diag, is_invertible,
     solve_right,
@@ -148,6 +149,39 @@ def test_random_equivalence_yields_certificate():
         res = isomorphism(datum_to_module(d), datum_to_module(d2), trials=32, seed=0)
         assert res.verdict == "isomorphic"
         assert certificate_valid(res.certificate, datum_to_module(d), datum_to_module(d2))
+
+
+def _fraction_unimodular(n, rng, spread=2):
+    # the former construction: Fraction rows through Matrix.from_rows
+    if n == 0:
+        return Matrix.zeros(0, 0)
+    lo = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    up = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            lo[i][j] = Fraction(rng.randint(-spread, spread))
+            up[j][i] = Fraction(rng.randint(-spread, spread))
+    return Matrix.from_rows(lo) @ Matrix.from_rows(up)
+
+
+def _exact(m):
+    return m.rows, m.cols, m.num, m.den
+
+
+def test_unimodular_matches_fraction_reference():
+    # same draws in the same order, same matrix, same rng state afterwards
+    for n in range(25):
+        for seed in range(4):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            assert _exact(core_module._unimodular(n, rng)) == \
+                _exact(_fraction_unimodular(n, ref_rng))
+            assert rng.getstate() == ref_rng.getstate()
+    for name in SHIPPED_FIXTURES:
+        d = shipped_fixture(name)
+        for seed in range(3):
+            e, rng = random_equivalence(d, seed), random.Random(seed)
+            want = [_fraction_unimodular(n, rng) for n in (d.dim_H, *d.dims)]
+            assert [_exact(m) for m in (e.phi, *e.phi_i)] == [_exact(m) for m in want]
 
 
 def test_module_isomorphic_self_is_identity():

@@ -1139,3 +1139,62 @@ def test_modular_kernel_proof_survives_optimize():
 def test_import_does_not_load_numpy():
     proc = _run("-c", "import sblq, sys; assert 'numpy' not in sys.modules")
     assert proc.returncode == 0, proc.stderr
+
+
+NUMERIC_STACK = """
+import sys
+
+def numeric_stack():
+    return sorted(m for m in ("numpy", "scipy") if sys.modules.get(m) is not None)
+"""
+
+EXACT_COMMANDS = NUMERIC_STACK + """
+import contextlib, io
+from importlib import resources
+
+if sys.argv[1:] == ["blocked"]:
+    sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import sblq.cli
+from sblq.fixtures import FIXTURE_NAMES, SHIPPED_FIXTURES
+
+print("import:", numeric_stack())
+runs = [["fixtures", "--list"]] + [["fixtures", name] for name in FIXTURE_NAMES]
+for name in SHIPPED_FIXTURES:
+    path = str(resources.files("sblq").joinpath(f"fixtures/{name}.json"))
+    runs += [["validate", path, "--report", "json"]]
+    runs += [[command, path, "--report", "json", *extra]
+             for command in ("classify", "decompose")
+             for extra in ((), ("--certificates",))]
+failed = []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        if sblq.cli.main(argv) != 0:
+            failed.append(argv)
+print("runs:", len(runs), "failed:", failed)
+print("after:", numeric_stack())
+"""
+
+
+@pytest.mark.parametrize("scipy", ["importable", "blocked"])
+def test_exact_commands_leave_the_numeric_stack_unloaded(scipy):
+    # importing the CLI and running every exact command on every shipped
+    # fixture needs neither numpy nor scipy, and works without scipy at all
+    proc = _run("-c", EXACT_COMMANDS, scipy)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "import: []", "runs: 66 failed: []", "after: []"]
+
+
+NUMERIC_IMPORTS = NUMERIC_STACK + """
+import sblq.numcheck, sblq.rotations
+
+print(numeric_stack())
+sblq.rotations.SphereGrid.build(2)
+print(numeric_stack())
+"""
+
+
+def test_numeric_modules_load_scipy_with_the_first_quadrature_rule():
+    proc = _run("-c", NUMERIC_IMPORTS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["['numpy']", "['numpy', 'scipy']"]
