@@ -304,7 +304,7 @@ def cmd_numcheck(args) -> int:
     if args.mode == "mikhlin":
         kinds = {
             "gaussian": lambda: numcheck.normalized_kernel(numcheck.NarrowGaussian(1, 1.0)),
-            "bump": lambda: numcheck.MultiplierBump(1, 0.5, 2.0),
+            "bump": lambda: numcheck.normalized_kernel(numcheck.MultiplierBump(1, 0.5, 2.0)),
             "odd": lambda: numcheck.normalized_kernel(numcheck.TruncatedOdd()),
             "extended": lambda: numcheck.extend_kernel(numcheck.TruncatedOdd(), 1),
         }

@@ -5,12 +5,11 @@ when the row space of the distribution map is a common complement of the
 other three row spaces, reading the pencil off one solve in those row
 spaces; its Kronecker blocks name every summand, the kernel-only ones
 (family C at size 0) as tall blocks of index 0.  Otherwise check the
-image condition on ker Pi_0, split off the maximal kernel-only power and,
-for each case whose exponent constraint is feasible, solve for the
-remaining summands from Hom dimensions and certify them with an
-isomorphism.  A classified datum passes the necessity screen, so its
-lattice is built only for data that neither route classifies.  All
-decisions are exact.
+image condition on ker Pi_0 and, for each case whose exponent constraint
+is feasible, solve for the summands, C_0 among them, from Hom dimensions
+and certify them with an isomorphism.  A classified datum passes the
+necessity screen, so its lattice is built only for data that neither
+route classifies.  All decisions are exact.
 """
 
 from __future__ import annotations
@@ -24,13 +23,13 @@ from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import (
-    EquivalenceMap, FourModule, SBLDatum, certificate_valid, direct_sum,
-    direct_sum_all, hom_solver, module_to_datum, validate_datum,
+    EquivalenceMap, FourModule, SBLDatum, certificate_valid, direct_sum_all,
+    hom_solver, module_to_datum, validate_datum,
 )
 from .linalg import (
-    Matrix, Subspace, _annihilator, _echelon_key, _int_rank, _int_rows, _pivots,
-    _rref, _solve_invertible, block_diag, companion_matrix, hstack, inverse,
-    invariant_factors, kernel_basis, rank, vstack,
+    Matrix, _annihilator, _echelon_key, _int_rank, _int_rows, _solve_invertible,
+    block_diag, companion_matrix, hstack, inverse, invariant_factors, kernel_basis,
+    rank, vstack,
 )
 from .pencil import kronecker_blocks
 from .polynomials import Poly, sturm_real_roots
@@ -309,70 +308,17 @@ def kronecker_decompose(p: PencilForm) -> List[IndecompSummand]:
     return sorted(out, key=lambda s: _tag_sort_key(s.tag))
 
 
-# -- trivial kernel-only split -----------------------------------------------
-
-
-def strip_c0(m: FourModule) -> Tuple[FourModule, int, Optional[Tuple[Matrix, Matrix]]]:
-    """Split off the maximal power of the kernel-only one-dimensional module.
-
-    Only the non-Hoelder route splits: the pencil names kernel-only
-    summands as tall blocks of index 0.  The split exists when the three
-    function subspaces together with slot 0 span the ambient space; the
-    count k is the codimension of the function span S, read off one rank
-    before any basis is built.  Returns (rest, k, (bs, w)), where
-    hstack(bs, w) maps rest + C0^k onto m, checked exactly as a
-    certificate; (m, 0, None) without a split.  One reduced form of the
-    stacked function bases B1, B2, B3 gives the basis bs of S (their columns
-    at its pivots) and their coordinates in bs (its rows).  One kernel of
-    [B0 | -bs] gives cap = U0 cap S as B0 top with its coordinates in bs
-    below top, and dim(U0 + S).  B0 is injective, so the pivots of
-    [top | I] pick the columns w of B0 that complete cap to U0.
-    """
-    funcs = [m.sub[i].basis for i in (1, 2, 3)]
-    stacked = hstack(*funcs)
-    k = m.dim_M - rank(stacked)
-    if k == 0:
-        return m, 0, None
-    width = stacked.cols
-    pivots, free, nums, d = _rref(_int_rows(stacked), width)
-    r, nf = len(pivots), len(free)
-    reduced = [0] * (r * width)
-    for i, pc in enumerate(pivots):
-        reduced[i * width + pc] = d
-        for j, f in enumerate(free):
-            reduced[i * width + f] = nums[i * nf + j]
-    coords = Matrix._ints(r, width, reduced, d)
-    bs = stacked.submatrix(range(m.dim_M), pivots)
-    b0 = m.sub[0].basis
-    n0 = b0.cols
-    ker = kernel_basis(hstack(b0, -bs)).basis
-    c = ker.cols
-    if n0 + r - c != m.dim_M:
-        return m, 0, None
-    top = ker.submatrix(range(n0), range(c))
-    ext = _pivots(_int_rows(hstack(top, Matrix.identity(n0))), c + n0)
-    w = b0.submatrix(range(m.dim_M), [j - c for j in ext if j >= c])
-    if w.cols != k:
-        raise AssertionError("kernel-only complement has the wrong dimension")
-    new_subs, lo = [Subspace._trusted(r, ker.submatrix(range(n0, n0 + r), range(c)))], 0
-    for part in funcs:
-        new_subs.append(Subspace._trusted(
-            r, coords.submatrix(range(r), range(lo, lo + part.cols))))
-        lo += part.cols
-    rest = FourModule(r, tuple(new_subs))
-    c0_power = direct_sum_all([build(FamilyTag("C", 0))] * k)
-    if not certificate_valid(hstack(bs, w), direct_sum(rest, c0_power), m):
-        return m, 0, None
-    return rest, k, (bs, w)
-
-
 # -- non-Hoelder matching ------------------------------------------------------
 
 
+# the families of the Hom table by name: C0, the kernel-only summand
+# (family C at size 0), and the ten fixed families
+_TABLE_TAGS = {"C0": FamilyTag("C", 0), **{f: FamilyTag(f) for f in FIXED_FAMILIES}}
+
 _CASE_FAMILIES = {
-    "i": ("P1", "P2", "P3", "K1", "K2", "K3"),
-    "ii": ("Y", "Z", "P1", "P2", "P3", "K1", "K2", "K3"),
-    "iii": ("L", "B", "P1", "P2", "P3", "K1", "K2", "K3"),
+    "i": ("C0", "P1", "P2", "P3", "K1", "K2", "K3"),
+    "ii": ("C0", "Y", "Z", "P1", "P2", "P3", "K1", "K2", "K3"),
+    "iii": ("C0", "L", "B", "P1", "P2", "P3", "K1", "K2", "K3"),
 }
 
 
@@ -408,13 +354,16 @@ def _check_family_lattices(mods: Iterable[FourModule]) -> None:
 
 @lru_cache(maxsize=None)
 def _fixed_table() -> Tuple[Dict[str, FourModule], Dict[str, List[List[int]]]]:
-    """The ten fixed family modules and, per case, the integer inverse of
-    H[X][Y] = dim Hom(X, Y) over the case's families; first it checks that
-    these families and C0 pass their closed necessity lattices."""
-    mods = {f: build(FamilyTag(f)) for f in FIXED_FAMILIES}
-    _check_family_lattices([*mods.values(), build(FamilyTag("C", 0))])
-    solvers = {y: hom_solver(mods[y]) for y in FIXED_FAMILIES}
-    hom = {(x, y): len(solvers[y](mods[x])) for x in FIXED_FAMILIES for y in FIXED_FAMILIES}
+    """The modules of C0 and the ten fixed families and, per case, the
+    integer inverse of H[X][Y] = dim Hom(X, Y) over the case's families;
+    first it checks that these modules pass their closed necessity
+    lattices.  Hom(X, C0) = 0 for every fixed family X, so each H is block
+    triangular with dim Hom(C0, C0) = 1 in its corner and keeps the integer
+    inverse of its fixed-family block."""
+    mods = {f: build(t) for f, t in _TABLE_TAGS.items()}
+    _check_family_lattices(mods.values())
+    solvers = {y: hom_solver(b) for y, b in mods.items()}
+    hom = {(x, y): len(solvers[y](mods[x])) for x in mods for y in mods}
     inverses = {}
     for case_tag, families in _CASE_FAMILIES.items():
         block = Matrix.from_rows([[hom[x, y] for y in families] for x in families])
@@ -443,14 +392,14 @@ def _fixed_matcher(m: FourModule, trials: int, seed: int):
     homs: Dict[str, List[Matrix]] = {}
     proved: Dict[Tuple, Optional[tuple]] = {}
 
-    def certify(tags: List[FamilyTag]) -> Optional[tuple]:
-        candidate = direct_sum_all([mods[t.family] for t in tags])
+    def certify(names: List[str]) -> Optional[tuple]:
+        candidate = direct_sum_all([mods[f] for f in names])
         for t in range(trials):
             rng = random.Random((seed << 24) ^ (t + 1))
-            blocks = [_hom_combination(homs[tag.family], rng) for tag in tags]
+            blocks = [_hom_combination(homs[f], rng) for f in names]
             psi = hstack(*blocks) if blocks else Matrix.zeros(0, 0)
             if certificate_valid(psi, candidate, m):
-                return collect_summands(tags, "certified iso"), psi
+                return collect_summands([_TABLE_TAGS[f] for f in names], "certified iso"), psi
         return None
 
     def match(case_tag: str) -> Optional[tuple]:
@@ -466,7 +415,7 @@ def _fixed_matcher(m: FourModule, trials: int, seed: int):
             return None
         key = tuple(counts.items())
         if key not in proved:
-            proved[key] = certify([FamilyTag(f) for f, c in counts.items() for _ in range(c)])
+            proved[key] = certify([f for f, c in counts.items() for _ in range(c)])
         return proved[key]
 
     return match
@@ -492,10 +441,9 @@ class DecompositionResult:
     `equality_constraint` is that of `necessary_conditions(datum)`; the
     full report, `necessity`, is built only when read: a classified datum
     passes it, so only an unclassified one needs its lattice.  On the
-    non-Hoelder path `psi` is the proven isomorphism candidate -> rest,
-    the module the C0 split leaves, and `split` holds that split's columns
-    (bs, w).  `certificate` maps the user's M onto C0^k + candidate, the
-    listed summands in order, as the inverse of hstack(w, bs psi).  It and
+    non-Hoelder path `psi` is the proven isomorphism candidate -> M, the
+    candidate the direct sum of the listed summands in order, C0 copies
+    first.  `certificate`, its inverse, maps the user's M onto it.  It and
     the real-root intervals of the regular summands are computed only when
     read, as a plain verdict reads neither.
     """
@@ -507,7 +455,6 @@ class DecompositionResult:
     equality_constraint: Tuple[int, int, int, int]
     pencil: Optional[PencilForm] = None
     psi: Optional[Matrix] = None
-    split: Optional[Tuple[Matrix, Matrix]] = None
     diagnostics: List[str] = field(default_factory=list)
 
     @cached_property
@@ -516,12 +463,7 @@ class DecompositionResult:
 
     @cached_property
     def certificate(self) -> Optional[Matrix]:
-        if self.psi is None:
-            return None
-        if self.split is None:
-            return inverse(self.psi)
-        bs, w = self.split
-        return inverse(hstack(w, bs @ self.psi))
+        return None if self.psi is None else inverse(self.psi)
 
     @cached_property
     def real_root_refinements(self) -> Dict[str, List[Tuple[Fraction, Fraction]]]:
@@ -562,9 +504,9 @@ def decompose(d: SBLDatum, trials: int = 32, seed: int = 0) -> DecompositionResu
     """Decompose a datum's module into identified indecomposable summands.
 
     Dispatch: the pencil path when the Hoelder normal form exists,
-    otherwise the image condition on ker Pi_0, then split off kernel-only
-    summands and try the non-Hoelder matchers whose exponent constraint is
-    feasible.  Inputs outside the bounded taxonomy come back unclassified.
+    otherwise the image condition on ker Pi_0, then the non-Hoelder
+    matchers whose exponent constraint is feasible.  Inputs outside the
+    bounded taxonomy come back unclassified.
     """
     report = validate_datum(d)
     if not report.valid:
@@ -582,8 +524,8 @@ def _decompose(d: SBLDatum, trials: int, seed: int) -> DecompositionResult:
     read without ker Pi_0.  Without a pencil form the three annihilator
     keys of ker Pi_0 give the image condition and the equality constraint.
     A failed image condition ends the route, since every datum the matcher
-    can certify meets it (`_check_family_lattices`); otherwise C0 is split
-    off, and the matcher runs on the rest."""
+    can certify meets it (`_check_family_lattices`); otherwise the matcher
+    runs on d's module, C0 among its families."""
     form = holder_normal_form(d)
     if form is not None:
         return DecompositionResult(kronecker_decompose(form), "classified", "pencil",
@@ -594,10 +536,7 @@ def _decompose(d: SBLDatum, trials: int, seed: int) -> DecompositionResult:
         diags += [f"image condition fails: Pi_{i} ker Pi_0 != Pi_{i} H"
                   for i in (1, 2, 3) if not surj[i]]
         return DecompositionResult([], "unclassified", "none", d, eqc, diagnostics=diags)
-    rest, c0_count, split = strip_c0(d.module)
-    summands = [IndecompSummand(FamilyTag("C", 0), c0_count, "kernel-only split")] \
-        if c0_count else []
-    match = _fixed_matcher(rest, trials, seed)
+    match = _fixed_matcher(d.module, trials, seed)
     for case_tag in ("ii", "iii", "i"):
         if not _case_feasible(case_tag, eqc):
             diags.append(f"case {case_tag}: exponent constraint infeasible")
@@ -605,10 +544,10 @@ def _decompose(d: SBLDatum, trials: int, seed: int) -> DecompositionResult:
         found = match(case_tag)
         if found:
             tags, psi = found
-            return DecompositionResult(summands + tags, "classified", "nonholder", d, eqc,
-                                       psi=psi, split=split, diagnostics=diags)
+            return DecompositionResult(tags, "classified", "nonholder", d, eqc,
+                                       psi=psi, diagnostics=diags)
         diags.append(f"case {case_tag}: no certified candidate")
-    return DecompositionResult(summands, "unclassified", "none", d, eqc,
+    return DecompositionResult([], "unclassified", "none", d, eqc,
                                diagnostics=diags)
 
 

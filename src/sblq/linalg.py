@@ -35,8 +35,8 @@ path.  `det` keeps its own Bareiss pass, whose last pivot is the
 determinant.  Callers that already hold integer rows use the private
 integer entry points directly: `_int_kernel` and `_int_rank`,
 `_echelon_key` and `_annihilator` (keys of row spans and of their
-annihilators, for the necessity screen's subspace lattice), and `_rref`
-and `_pivots` (for the C_0 split and the pencil's deflation).
+annihilators, for the necessity screen's subspace lattice), and
+`_pivots` (for the pencil's deflation).
 `invariant_factors` reads the invariant factors of a square matrix off
 quotients by cyclic subspaces, in the matrix's own coordinates, with
 `kernel_basis` alone, so it is exact by the same proofs.

@@ -24,8 +24,6 @@ import numpy as np
 from .core import EquivalenceMap, SBLDatum, apply_equivalence
 from .linalg import Matrix, det, inverse, kernel_basis
 
-QUAD_TOLERANCE = 1e-6
-
 
 def _np(m: Matrix) -> np.ndarray:
     return np.array([float(x) for x in m.data],

@@ -277,7 +277,7 @@ def test_fixture_reports_match_snapshot_under_optimize():
 # float in them.
 NUMERIC_SHA256 = {
     "eigen": [0, "7c406ecf9c4cf305fa4e2518b623697ee5fd11b41a04b4b4b935ae5cbd3815a1"],
-    "mikhlin": [3, "64f258185fdd1e68f00230f7e02d92ad21eadb19faa11bdc315536855278d878"],
+    "mikhlin": [0, "5475b715633b6aedc38db96fe396e6b23a1a4445fbebe9fcf897b41233018f92"],
     "eval": [0, "11ee93d457aa9e736e4b26b81820868fd71ab3f406e15031f377d202e0bbb1ec"],
 }
 
@@ -342,6 +342,16 @@ def test_numcheck_mikhlin_pass_and_tolerance_failure():
     proc = run_cli("numcheck", "mikhlin", "gaussian", "--kernel-scale", "100",
                    "--report", "json")
     assert proc.returncode == 3
+
+
+@pytest.mark.parametrize("target", ["gaussian", "bump", "odd", "extended"])
+def test_numcheck_mikhlin_targets_pass_at_the_default_scale(target):
+    # every shipped target is normalized to a sampled Mikhlin constant of one
+    proc = run_cli("numcheck", "mikhlin", target, "--report", "json")
+    assert proc.returncode == 0, proc.stdout
+    result = json.loads(proc.stdout)["result"]
+    assert result["pass"] is True
+    assert abs(result["worst_constant"] - 1.0) < 1e-9
 
 
 def test_numcheck_delta(bht_file):

@@ -390,7 +390,7 @@ def test_module_hom_basis_matches_one_system_on_mixed_sums(tags, seed):
 
 def test_module_hom_basis_matches_one_system_on_fixed_table():
     mods = _fixed_table()[0]
-    assert len(mods) == 10
+    assert len(mods) == 11
     for a in mods.values():
         for b in mods.values():
             assert_hom_bases_agree(a, b)

@@ -22,11 +22,11 @@ from sblq.core import (
 )
 from sblq.decompose import (
     _CASE_FAMILIES, _case_counts_admissible, _case_feasible, _check_family_lattices,
-    _fixed_matcher, _fixed_table,
+    _TABLE_TAGS, _fixed_matcher, _fixed_table,
     _hom_combination, _meet_join,
     LatticeEntry, NecessityReport, canonical_multiset, decompose, expand_tags,
     holder_normal_form, kronecker_decompose,
-    necessary_conditions, pencil_datum, strip_c0,
+    necessary_conditions, pencil_datum,
 )
 from sblq.fixtures import (
     SHIPPED_FIXTURES, bht, coifman_meyer, fixture_datum, shipped_fixture,
@@ -330,10 +330,9 @@ def test_certificates_match_one_system_hom_kernel(tags):
             want = classify(d).decomposition
     finally:
         mod._fixed_table.cache_clear()
-    # the Hom table's 100 pairs, then the matcher's families into d's module
-    rest, _, _ = strip_c0(d.module)
-    assert reference.call_count > 100
-    assert any(b.dim_vector == rest.dim_vector for (_, b), _ in reference.call_args_list)
+    # the Hom table's 121 pairs, then the matcher's families into d's module
+    assert reference.call_count > 121
+    assert any(b is d.module for (_, b), _ in reference.call_args_list)
     got = classify(d).decomposition
     assert got.path == want.path == "nonholder"
     assert got.certificate is not None
@@ -548,7 +547,7 @@ def normal_form_inputs(draw):
 @settings(max_examples=60, deadline=None)
 @given(normal_form_inputs())
 def test_holder_normal_form_matches_kernel_frame_oracle(d):
-    rest, _, _ = strip_c0(d.module)
+    rest, _ = reference_strip_c0(d.module)
     for datum in (d, module_to_datum(rest)):
         form, want = holder_normal_form(datum), reference_holder_normal_form(datum)
         assert (form is None) == (want is None)
@@ -636,24 +635,15 @@ def test_kronecker_regular_summand_certified_against_constructor():
     assert isomorphism(original, rebuilt).verdict == "isomorphic"
 
 
-def test_strip_c0_examples():
-    zero_mod, k, _ = strip_c0(build(FamilyTag("C", 0)))
-    assert k == 1 and zero_mod.dim_M == 0
-    n1 = build(n_tag(Fraction(1, 2)))
-    same, k, split = strip_c0(n1)
-    assert k == 0 and same is n1 and split is None
-    mixed, k, _ = strip_c0(direct_sum(build(FamilyTag("C", 0)), n1))
-    assert k == 1
-    assert isomorphism(mixed, n1).verdict == "isomorphic"
-
-
-# -- the C_0 split by subspace intersections and a coordinate solve, as the oracle
+# -- C_0 counts against a split by subspace intersections and a coordinate solve
 
 
 def reference_strip_c0(m):
-    """`strip_c0` with the function span, its sum and intersection with
-    slot 0 and the complement of cap in slot 0 each from its own
-    elimination, and the slot coordinates from one solve."""
+    """(rest, k) with m = rest + C0^k and k maximal, or (m, 0) without a
+    split: the function span, its sum and intersection with slot 0 and the
+    complement of cap in slot 0 each from its own elimination, and the
+    slot coordinates from one solve.  The oracle for the C0 multiplicity
+    that both routes report."""
     funcs = [m.sub[i].basis for i in (1, 2, 3)]
     stacked = hstack(*funcs)
     k = m.dim_M - rank(stacked)
@@ -681,11 +671,6 @@ def reference_strip_c0(m):
     return rest, k
 
 
-def module_entries(m):
-    return m.dim_M, tuple((s.basis.rows, s.basis.cols, s.basis.num, s.basis.den)
-                          for s in m.sub)
-
-
 C0 = FamilyTag("C", 0)
 C0_BAGS = [
     [C0], [C0] * 2, [C0] * 3,
@@ -698,16 +683,48 @@ C0_BAGS = [
 ]
 
 
+def c0_count(dec):
+    return sum(s.multiplicity for s in dec.summands if s.tag == C0)
+
+
+def test_strip_c0_examples():
+    # the matcher counts C0 as one more family of the Hom table
+    n1 = build(n_tag(Fraction(1, 2)))
+    yz = direct_sum(build(FamilyTag("Y")), build(FamilyTag("Z")))
+    cases = ((build(C0), "i", [C0]),
+             (direct_sum(build(C0), yz), "ii", [C0, FamilyTag("Y"), FamilyTag("Z")]),
+             (direct_sum(build(C0), n1), "i", None),
+             (n1, "i", None))
+    for m, case_tag, want in cases:
+        found = _match(m, case_tag)
+        assert _proved(m, found) == (want and canonical_multiset(want))
+        if want:
+            assert [(s.tag, s.multiplicity, s.note) for s in found[0]] == \
+                [(t, 1, "certified iso") for t in want]
+            assert reference_strip_c0(m)[1] == 1
+    assert reference_strip_c0(n1) == (n1, 0)
+    mixed, k = reference_strip_c0(direct_sum(build(C0), n1))
+    assert k == 1 and isomorphism(mixed, n1).verdict == "isomorphic"
+
+
 @pytest.mark.parametrize("tags", C0_BAGS)
 def test_strip_c0_matches_reference_on_scrambled_bags(tags):
+    # either route reports the reference split's C0 count
     for seed in (1, 2):
-        m = scrambled_module(direct_sum_all([build(t) for t in tags]), seed)
-        rest, k, (bs, w) = strip_c0(m)
-        want, want_k = reference_strip_c0(m)
-        assert k == want_k == tags.count(C0)
-        assert module_entries(rest) == module_entries(want)
-        c0_power = direct_sum_all([build(C0)] * k)
-        assert certificate_valid(hstack(bs, w), direct_sum(rest, c0_power), m)
+        d = scrambled_datum(tags, seed)
+        dec = decompose(d)
+        k = reference_strip_c0(d.module)[1]
+        assert k == tags.count(C0)
+        # T_1 beside non-Hoelder families fits no case
+        assert dec.classified != (FamilyTag("T", 1) in tags
+                                  and any(t.family in FIXED_FAMILIES for t in tags))
+        if not dec.classified:
+            assert dec.summands == []
+            continue
+        assert c0_count(dec) == k
+        if dec.path == "nonholder":
+            candidate = direct_sum_all([build(t) for t in expand_tags(dec.summands)])
+            assert certificate_valid(dec.certificate, d.module, candidate)
 
 
 def test_strip_c0_matches_reference_without_a_split():
@@ -717,17 +734,17 @@ def test_strip_c0_matches_reference_without_a_split():
     beside = direct_sum(alone, scrambled_module(build(FamilyTag("T", 1)), 3))
     for m in (alone, beside, scrambled_module(beside, 4)):
         assert reference_strip_c0(m) == (m, 0)
-        rest, k, split = strip_c0(m)
-        assert rest is m and k == 0 and split is None
+        assert all(_match(m, case_tag) is None for case_tag in _CASE_FAMILIES)
+        dec = decompose(module_to_datum(m))
+        assert not dec.classified and dec.summands == []
 
 
 @pytest.mark.parametrize("name", ["young", "loomis_whitney", "bilinear_holder_pk"])
 def test_strip_c0_matches_reference_on_nonholder_fixtures(name):
-    m = datum_to_module(fixture_datum(name))
-    rest, k, _ = strip_c0(m)
-    want, want_k = reference_strip_c0(m)
-    assert k == want_k
-    assert module_entries(rest) == module_entries(want)
+    d = fixture_datum(name)
+    dec = decompose(d)
+    assert dec.path == "nonholder"
+    assert c0_count(dec) == reference_strip_c0(d.module)[1]
 
 
 HOLDER_C0_BAGS = [tags for tags in C0_BAGS
@@ -764,12 +781,13 @@ def test_nonholder_c0_bags_certify_the_users_module(tags):
     for seed in (1, 2):
         d = scrambled_datum(tags, seed)
         dec = decompose(d)
-        assert dec.summands[0].tag == C0
-        assert dec.summands[0].multiplicity == tags.count(C0)
         if not dec.classified:   # T_1 beside non-Hoelder families fits no case
-            assert dec.certificate is None
+            assert FamilyTag("T", 1) in tags
+            assert dec.summands == [] and dec.certificate is None
             continue
         assert dec.path == "nonholder"
+        assert (dec.summands[0].tag, dec.summands[0].multiplicity, dec.summands[0].note) == \
+            (C0, tags.count(C0), "certified iso")
         cert = dec.certificate
         assert cert.rows == cert.cols == d.dim_H
         candidate = direct_sum_all([build(t) for t in expand_tags(dec.summands)])
@@ -798,13 +816,21 @@ def test_match_nonholder_examples():
 
 
 def test_hom_dimension_table_has_an_integer_inverse():
-    mods = {f: build(FamilyTag(f)) for f in FIXED_FAMILIES}
+    names = list(_TABLE_TAGS)
+    assert names == ["C0", *FIXED_FAMILIES] and _TABLE_TAGS["C0"] == FamilyTag("C", 0)
+    mods = {f: build(t) for f, t in _TABLE_TAGS.items()}
     hom = Matrix.from_rows([[len(module_hom_basis(mods[x], mods[y]))
-                             for y in FIXED_FAMILIES] for x in FIXED_FAMILIES])
-    assert rank(hom) == len(FIXED_FAMILIES)
+                             for y in names] for x in names])
+    # Hom(X, C0) = 0 and dim Hom(C0, X) = n_0(X): block triangular, 1 in the corner
+    assert hom.data[0] == 1
+    for j, f in enumerate(FIXED_FAMILIES, 1):
+        assert hom.data[j * len(names)] == 0
+        assert hom.data[j] == mods[f].dim_vector.n0
+    assert rank(hom) == len(names)
     assert all(x.denominator == 1 for x in inverse(hom).data)
     for case_tag, families in _CASE_FAMILIES.items():
-        idx = [FIXED_FAMILIES.index(f) for f in families]
+        assert families[0] == "C0"
+        idx = [names.index(f) for f in families]
         block = hom.submatrix(idx, idx)
         assert Matrix.from_rows(_fixed_table()[1][case_tag]) @ block == \
             Matrix.identity(len(families))
@@ -918,7 +944,7 @@ def test_hom_dimension_matcher_finds_the_generating_sum(drawn):
     # Krull-Schmidt: a certified answer is the generating multiset, so a
     # case must answer exactly when that multiset is one of its shapes
     m, tags = drawn
-    counts = Counter(t.family for t in tags)
+    counts = Counter("C0" if t.family == "C" else t.family for t in tags)
     for case_tag, families in _CASE_FAMILIES.items():
         fits = set(counts) <= set(families) and _case_counts_admissible(case_tag, counts)
         assert _proved(m, _match(m, case_tag)) == \
@@ -1028,7 +1054,7 @@ def test_nonholder_matching_survives_optimize():
         "young Bounded(thm-i-ii-iii) ii Y Z True",
         "loomis_whitney Bounded(thm-i-ii-iii) iii L True",
         "bilinear_holder_pk Bounded(thm-i-ii-iii) i,i,ii,iii P^(1) K^(1) True",
-        "raised: the case i Hom table has no integer inverse 100",
+        "raised: the case i Hom table has no integer inverse 121",
     ]
 
 
@@ -1067,11 +1093,11 @@ def test_decompose_unclassified_outside_taxonomy():
 
 
 def test_image_condition_failure_ends_the_route_before_matching():
-    # V*_1 fails the image condition; no certified sum does, so neither the
-    # C0 split nor the matcher runs, and classify reads the screen's witnesses
+    # V*_1 fails the image condition; no certified sum does, so the matcher
+    # does not run, and classify reads the screen's witnesses
     d = scrambled_datum([FamilyTag("V*", 1), FamilyTag("C", 0)], 5)
     mod = sys.modules["sblq.decompose"]
-    with mock.patch.object(mod, "strip_c0", side_effect=AssertionError("matched")):
+    with mock.patch.object(mod, "_fixed_matcher", side_effect=AssertionError("matched")):
         r = decompose(d)
         v = classify(d)
     assert not r.classified and r.summands == [] and r.path == "none"
