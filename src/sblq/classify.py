@@ -260,9 +260,9 @@ def status_lookup(tags: Sequence[FamilyTag]) -> StatusTag:
 # -- the full pipeline ------------------------------------------------------------
 
 
-def classify(d: SBLDatum, trials: int = 32, seed: int = 0) -> Verdict:
+def classify(d: SBLDatum) -> Verdict:
     """validate -> decompose -> necessity screen if unclassified -> case
-    detection -> status.
+    detection -> status, from the datum alone (see `_fixed_matcher`).
 
     A classified datum passes the necessity screen (see `_decompose`), so
     the screen runs only when the decomposition fails.  A hard necessity
@@ -274,7 +274,7 @@ def classify(d: SBLDatum, trials: int = 32, seed: int = 0) -> Verdict:
     report = validate_datum(d)
     if not report.valid:
         raise ValueError(f"datum maps not surjective at indices {report.failures()}")
-    dec = _decompose(d, trials, seed)
+    dec = _decompose(d)
     if not dec.classified:
         failures = dec.necessity.hard_failures()
         if failures:

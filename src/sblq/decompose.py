@@ -375,18 +375,25 @@ def _fixed_table() -> Tuple[Dict[str, FourModule], Dict[str, List[List[int]]]]:
     return mods, inverses
 
 
-def _fixed_matcher(m: FourModule, trials: int, seed: int):
+_DRAWS = 32  # draw t seeds random.Random(t + 1); reports print this stream as seed 0
+
+
+def _fixed_matcher(m: FourModule, trials: int = _DRAWS):
     """Non-Hoelder matching for one module: `match(case_tag)` gives the
     certified summand multiset for one case shape and the proven psi:
     candidate -> m, or None.  A module is fixed by its Hom dimensions from
     the indecomposables (Auslander), so the multiplicities of the case's
     families are exactly H^-1 h, with H[X][Y] = dim Hom(X, Y) and h_X =
     dim Hom(X, m); a negative entry, a wrong dimension vector or an
-    inadmissible superscript set is a definite negative.  Otherwise
-    `trials` seeded draws stack one element of Hom(X, m) per summand copy
-    into psi, and the first that `certificate_valid` proves is returned.
-    Each Hom(X, m) is solved once, by one `hom_solver(m)`, and each
-    multiset certified once."""
+    inadmissible superscript set is a definite negative.  Otherwise each
+    of up to `trials` draws stacks one element of Hom(X, m) per summand
+    copy into psi, and the first that `certificate_valid` proves is
+    returned.  Each Hom(X, m) is solved once, by one `hom_solver(m)`, and
+    each multiset certified once.  det psi is a polynomial of degree dim M
+    in a draw's coefficients, not identically zero when m is isomorphic to
+    the candidate, and each coefficient is uniform on 64 dim M + 1
+    integers: by Schwartz-Zippel one draw fails with probability at most
+    dim M / (64 dim M + 1) < 1/64, and all 32 below 2^-192."""
     mods, inverses = _fixed_table()
     solve = hom_solver(m)
     homs: Dict[str, List[Matrix]] = {}
@@ -395,7 +402,7 @@ def _fixed_matcher(m: FourModule, trials: int, seed: int):
     def certify(names: List[str]) -> Optional[tuple]:
         candidate = direct_sum_all([mods[f] for f in names])
         for t in range(trials):
-            rng = random.Random((seed << 24) ^ (t + 1))
+            rng = random.Random(t + 1)
             blocks = [_hom_combination(homs[f], rng) for f in names]
             psi = hstack(*blocks) if blocks else Matrix.zeros(0, 0)
             if certificate_valid(psi, candidate, m):
@@ -422,9 +429,11 @@ def _fixed_matcher(m: FourModule, trials: int, seed: int):
 
 
 def _hom_combination(basis: Sequence[Matrix], rng: random.Random) -> Matrix:
-    """One seeded integer combination of a Hom-space basis, summed on the
-    integer numerators over the basis's common denominator."""
-    coeffs = [rng.randint(-9, 9) for _ in basis]
+    """One seeded combination of a basis of Hom(X, M), its coefficients
+    uniform on [-32 dim M, 32 dim M], summed on the integer numerators
+    over the basis's common denominator."""
+    bound = 32 * basis[0].rows
+    coeffs = [rng.randint(-bound, bound) for _ in basis]
     den = lcm(*[b.den for b in basis])
     cells = zip(*[b._num_over(den) for b in basis])
     return Matrix._ints(basis[0].rows, basis[0].cols,
@@ -500,21 +509,22 @@ def _case_feasible(case_tag: str, eqc: Tuple[int, int, int, int]) -> bool:
                for g in ((ds[ex] - k, sum(ds) - ds[ex] - k) for ex in range(3)))
 
 
-def decompose(d: SBLDatum, trials: int = 32, seed: int = 0) -> DecompositionResult:
+def decompose(d: SBLDatum) -> DecompositionResult:
     """Decompose a datum's module into identified indecomposable summands.
 
     Dispatch: the pencil path when the Hoelder normal form exists,
     otherwise the image condition on ker Pi_0, then the non-Hoelder
     matchers whose exponent constraint is feasible.  Inputs outside the
-    bounded taxonomy come back unclassified.
+    bounded taxonomy come back unclassified, in-taxonomy ones only with
+    probability below 2^-192 (`_fixed_matcher`).
     """
     report = validate_datum(d)
     if not report.valid:
         raise ValueError(f"datum maps not surjective at {report.failures()}")
-    return _decompose(d, trials, seed)
+    return _decompose(d)
 
 
-def _decompose(d: SBLDatum, trials: int, seed: int) -> DecompositionResult:
+def _decompose(d: SBLDatum) -> DecompositionResult:
     """`decompose` of a validated datum.
 
     The pencil form of d itself comes first; the zero datum and pure
@@ -536,7 +546,7 @@ def _decompose(d: SBLDatum, trials: int, seed: int) -> DecompositionResult:
         diags += [f"image condition fails: Pi_{i} ker Pi_0 != Pi_{i} H"
                   for i in (1, 2, 3) if not surj[i]]
         return DecompositionResult([], "unclassified", "none", d, eqc, diagnostics=diags)
-    match = _fixed_matcher(d.module, trials, seed)
+    match = _fixed_matcher(d.module)
     for case_tag in ("ii", "iii", "i"):
         if not _case_feasible(case_tag, eqc):
             diags.append(f"case {case_tag}: exponent constraint infeasible")

@@ -1,10 +1,11 @@
 """Seeded random inputs for round-trip audits.
 
-Generates direct sums from the named-family constructors, always inside a
-single admissible case shape (a cross-case mix is not p-bounded for any
-exponent and is outside the certified taxonomy), then scrambles the datum
-with a seeded rational equivalence.  Everything derives deterministically
-from the seed.
+Generates direct sums from the named-family constructors, each drawn from
+one case's families (a cross-case mix is not p-bounded for any exponent and
+is outside the certified taxonomy), then scrambles the datum with a seeded
+rational equivalence.  Non-Hoelder bags may hold C_0 copies, which no case
+shape lists: `classify` reports those NotPBounded.  Everything derives
+deterministically from the seed.
 """
 
 from __future__ import annotations
