@@ -6,7 +6,10 @@ with four distinguished subspaces, here the column spans of the Pi_i
 transposes.  Equivalence of data corresponds to isomorphism of modules.
 The non-Hoelder matcher certifies an isomorphism by an explicit invertible
 matrix drawn from the Hom space; `certificate_valid` checks exactly, over
-the integers, that it maps each subspace span onto its counterpart.  The
+the integers, that it maps each subspace span onto its counterpart.  It
+works in `FourModule.reduced`, the module rewritten in the coordinates of
+one reduced row echelon form of its stacked slot bases, cached on the
+module, where slot columns are mostly unit columns with small entries.  The
 reported certificate, the inverse of that matrix, is built only when read.
 `module_hom_basis` solves the Hom space column by column: a source basis
 vector along a coordinate axis confines that column of psi to a target
@@ -26,8 +29,8 @@ from operator import mul
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from .linalg import (
-    Matrix, Subspace, _echelon_key, _int_cols, _int_kernel, block_diag,
-    image_basis, inverse, is_invertible, kernel_basis,
+    Matrix, Subspace, _echelon_key, _int_cols, _int_kernel, _int_rows, _pivots, _rref,
+    block_diag, hstack, image_basis, inverse, is_invertible, kernel_basis,
 )
 
 
@@ -90,6 +93,45 @@ class FourModule:
     @property
     def dim_vector(self) -> DimVector:
         return DimVector(self.dim_M, *(s.dim for s in self.sub))
+
+    @cached_property
+    def reduced(self) -> Tuple[Matrix, "FourModule"]:
+        """(g, M'): an invertible g and this module M in the coordinates of
+        the reduced row echelon form R of its stacked slot bases
+        [B0 | B1 | B2 | B3] (`linalg._rref`), with g M' = M.
+
+        g is the stack's pivot columns, so the stack is g R and B_i = g R_i
+        for R's block-i columns R_i, which are slot i of M'.  When the slots
+        span less than Q^n, R has fewer than n rows: its columns are padded
+        with zero rows, and g is completed by the unit columns off the
+        pivots of g^T.  No inverse is needed, and as R is exact, g maps each
+        slot of M' onto that of M.  Pivot columns of R are unit columns, so
+        slot 0 of M' is [I; 0] and most other slot columns are unit columns
+        too."""
+        n = self.dim_M
+        stack = hstack(*(s.basis for s in self.sub))
+        width = stack.cols
+        pivots, free, nums, d = _rref(_int_rows(stack), width)
+        g = stack.submatrix(range(n), pivots)
+        if len(pivots) < n:
+            taken = set(_pivots(_int_rows(g.transpose()), n))
+            g = hstack(g, Matrix.identity(n).submatrix(
+                range(n), [j for j in range(n) if j not in taken]))
+        k, rows = len(free), []
+        for i, pc in enumerate(pivots):
+            row = [0] * width
+            row[pc] = d
+            for f, v in zip(free, nums[i * k:(i + 1) * k]):
+                row[f] = v
+            rows.append(row)
+        rows += [[0] * width] * (n - len(pivots))
+        subs, lo = [], 0
+        for s in self.sub:
+            hi = lo + s.dim
+            basis = Matrix._ints(n, s.dim, [v for row in rows for v in row[lo:hi]], d)
+            subs.append(Subspace._trusted(n, basis))
+            lo = hi
+        return g, FourModule(n, tuple(subs))
 
     @cached_property
     def _annihilators(self) -> Tuple[List[List[int]], ...]:

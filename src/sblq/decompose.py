@@ -7,7 +7,13 @@ spaces; its Kronecker blocks name every summand, the kernel-only ones
 (family C at size 0) as tall blocks of index 0.  Otherwise check the
 image condition on ker Pi_0 and, for each case whose exponent constraint
 is feasible, solve for the summands, C_0 among them, from Hom dimensions
-and certify them with an isomorphism.  A classified datum passes the
+and certify them with an isomorphism.  Both routes read one reduced row
+echelon form R of the stacked slot bases [B0 | B1 | B2 | B3], cached on
+the module (`FourModule.reduced`): the pencil exists when R's pivots are
+its first n columns, and reads its solve off R's B2 and B3 columns; the
+matcher runs on the module M' whose slots are R's column blocks, where
+the Hom systems keep small entries, and its proven psi': candidate -> M'
+becomes psi = g psi' with g M' = M.  A classified datum passes the
 necessity screen, so its lattice is built only for data that neither
 route classifies.  All decisions are exact.
 """
@@ -238,15 +244,24 @@ def holder_normal_form(d: SBLDatum) -> Optional[PencilForm]:
     Q^n exactly when C1_i is invertible.  A_i^T = C1_i^-T C0_i^T.  Both
     invertibilities are read off pivots, as a consistent singular system
     has solutions too.
+
+    C is read off the module's cached reduced form R of [B0 | B1 | B2 | B3]
+    (`FourModule.reduced`), the one the non-Hoelder matcher runs in.  With
+    every map surjective, B_i = Pi_i^T, so [Pi_0^T | Pi_1^T] is invertible
+    exactly when R's pivots are its first n columns, that is when slots 0
+    and 1 of the reduced module stack to I_n, and R is then [I_n | C]: C
+    is its slot 2 and slot 3 columns.  A map that is not surjective leaves
+    one of S_0 + S_i short of Q^n, so such a datum has no form either.
     """
     n, a = d.dim_H, d.dims[0]
     b = n - a
-    if any(d.dims[i] != b for i in (1, 2, 3)):
+    if any(d.dims[i] != b for i in (1, 2, 3)) or \
+            any(s.dim != h for s, h in zip(d.module.sub, d.dims)):
         return None
-    left, right = (hstack(p.transpose(), q.transpose()) for p, q in (d.pi[:2], d.pi[2:]))
-    c = _solve_invertible(left, right)
-    if c is None:
+    sub = [s.basis for s in d.module.reduced[1].sub]
+    if hstack(*sub[:2]) != Matrix.identity(n):
         return None
+    c = hstack(*sub[2:])
     cts = [c.submatrix(range(n), range(lo, lo + b)).transpose() for lo in (0, b)]
     c1ts = [ct.submatrix(range(b), range(a, n)) for ct in cts]
     pencil = [_solve_invertible(c1t, ct.submatrix(range(b), range(a)))
@@ -254,7 +269,7 @@ def holder_normal_form(d: SBLDatum) -> Optional[PencilForm]:
     if None in pencil:
         return None
     # intertwining with vstack(Pi_0, Pi_1) in the solved coordinates: pi'_0 and
-    # pi'_1 stack to I_n and C1_i^T pi'_i = C_i^T; the first solve is exact
+    # pi'_1 stack to I_n and C1_i^T pi'_i = C_i^T; R is exact
     nf = pencil_datum(a, b, *(x.transpose() for x in pencil))
     if vstack(*nf.pi[:2]) != Matrix.identity(n) \
             or any(c1t @ nf.pi[i] != ct for i, c1t, ct in zip((2, 3), c1ts, cts)):
@@ -389,10 +404,14 @@ def _fixed_matcher(m: FourModule, trials: int = _DRAWS):
     of up to `trials` draws stacks one element of Hom(X, m) per summand
     copy into psi, and the first that `certificate_valid` proves is
     returned.  Each Hom(X, m) is solved once, by one `hom_solver(m)`, and
-    each multiset certified once.  det psi is a polynomial of degree dim M
-    in a draw's coefficients, not identically zero when m is isomorphic to
-    the candidate, and each coefficient is uniform on 64 dim M + 1
-    integers: by Schwartz-Zippel one draw fails with probability at most
+    each multiset certified once.  `_decompose` passes M' of the reduced
+    form (g, M') of the datum's module, whose slot columns are mostly unit
+    columns with small entries, and maps the proven psi' back as g psi';
+    an isomorphic module gives the same multisets, since they are read off
+    Hom dimensions.  det psi is a polynomial of degree dim M in a draw's
+    coefficients, not identically zero when m is isomorphic to the
+    candidate, and each coefficient is uniform on 64 dim M + 1 integers:
+    by Schwartz-Zippel one draw fails with probability at most
     dim M / (64 dim M + 1) < 1/64, and all 32 below 2^-192."""
     mods, inverses = _fixed_table()
     solve = hom_solver(m)
@@ -452,9 +471,11 @@ class DecompositionResult:
     passes it, so only an unclassified one needs its lattice.  On the
     non-Hoelder path `psi` is the proven isomorphism candidate -> M, the
     candidate the direct sum of the listed summands in order, C0 copies
-    first.  `certificate`, its inverse, maps the user's M onto it.  It and
-    the real-root intervals of the regular summands are computed only when
-    read, as a plain verdict reads neither.
+    first: psi = g psi' for the matcher's psi': candidate -> M' in the
+    reduced coordinates (g, M') of M, kept as `frame` = (g, psi')
+    (`_decompose`).  `certificate`, its inverse, maps the user's M onto it.
+    They and the real-root intervals of the regular summands are computed
+    only when read, as a plain verdict reads none of them.
     """
 
     summands: List[IndecompSummand]
@@ -463,12 +484,16 @@ class DecompositionResult:
     datum: SBLDatum
     equality_constraint: Tuple[int, int, int, int]
     pencil: Optional[PencilForm] = None
-    psi: Optional[Matrix] = None
+    frame: Optional[Tuple[Matrix, Matrix]] = None
     diagnostics: List[str] = field(default_factory=list)
 
     @cached_property
     def necessity(self) -> NecessityReport:
         return necessary_conditions(self.datum)
+
+    @cached_property
+    def psi(self) -> Optional[Matrix]:
+        return None if self.frame is None else self.frame[0] @ self.frame[1]
 
     @cached_property
     def certificate(self) -> Optional[Matrix]:
@@ -535,7 +560,12 @@ def _decompose(d: SBLDatum) -> DecompositionResult:
     keys of ker Pi_0 give the image condition and the equality constraint.
     A failed image condition ends the route, since every datum the matcher
     can certify meets it (`_check_family_lattices`); otherwise the matcher
-    runs on d's module, C0 among its families."""
+    runs, C0 among its families, on M' of d's module's cached reduced form
+    (g, M') (`FourModule.reduced`), the form `holder_normal_form` reads.
+    Its psi': candidate -> M' is proven by `certificate_valid`, and
+    psi = g psi' is then proven for M itself: g is invertible and maps
+    each slot of M' onto that of M (g R_i = B_i, R exact), so psi is
+    invertible and maps each slot of the candidate onto that of M."""
     form = holder_normal_form(d)
     if form is not None:
         return DecompositionResult(kronecker_decompose(form), "classified", "pencil",
@@ -546,7 +576,8 @@ def _decompose(d: SBLDatum) -> DecompositionResult:
         diags += [f"image condition fails: Pi_{i} ker Pi_0 != Pi_{i} H"
                   for i in (1, 2, 3) if not surj[i]]
         return DecompositionResult([], "unclassified", "none", d, eqc, diagnostics=diags)
-    match = _fixed_matcher(d.module)
+    g, reduced = d.module.reduced
+    match = _fixed_matcher(reduced)
     for case_tag in ("ii", "iii", "i"):
         if not _case_feasible(case_tag, eqc):
             diags.append(f"case {case_tag}: exponent constraint infeasible")
@@ -555,7 +586,7 @@ def _decompose(d: SBLDatum) -> DecompositionResult:
         if found:
             tags, psi = found
             return DecompositionResult(tags, "classified", "nonholder", d, eqc,
-                                       psi=psi, diagnostics=diags)
+                                       frame=(g, psi), diagnostics=diags)
         diags.append(f"case {case_tag}: no certified candidate")
     return DecompositionResult([], "unclassified", "none", d, eqc,
                                diagnostics=diags)

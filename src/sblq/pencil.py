@@ -36,11 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from math import isqrt
 from typing import Optional, Tuple
 
 from .linalg import (
-    Matrix, Subspace, _int_rows, _pivots, _solve_invertible, hstack, image_basis,
+    Matrix, Subspace, _int_rows, _is_prime, _pivots, _solve_invertible, hstack, image_basis,
     inverse, invariant_factors, kernel_basis, rank, solve_right,
 )
 from .polynomials import Poly
@@ -193,8 +192,7 @@ def _image_chain(shift: Matrix, rest: Subspace) -> Tuple[Tuple[int, ...], Subspa
 def _normalizing_prime(a2: Matrix, a3: Matrix) -> Tuple[int, Matrix]:
     """Smallest prime mu with mu*A2 + A3 invertible, and S = (mu*A2 + A3)^-1 A2
     from the same elimination."""
-    primes = (q for q in count(2) if all(q % d for d in range(2, isqrt(q) + 1)))
-    for mu in islice(primes, 2 * a2.rows + 8):
+    for mu in islice(filter(_is_prime, count(2)), 2 * a2.rows + 8):
         s = _solve_invertible(a2.scale(mu) + a3, a2)
         if s is not None:
             return mu, s

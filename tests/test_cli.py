@@ -197,9 +197,9 @@ REPORT_SHA256 = {
     "triangular_hilbert": ("286bc075d1959ff23c1c9aa967e9b6f36ecbf02154ab5aad2da9b64d581c5f7a",
                           "e03a2af445555f3206e4e9bca0eba85e9db49090d98fa5b039eaad7ebaebb1cd"),
     "young": ("b4504478627be29ceb49f8723d92e7fac77b10a1788bf1138d011ad2157b49a7",
-             "013f08825bbb0ee3ddd7f2d173fe955797853b5610024d6a9dadf3af333b5a3d"),
+             "d274c38f93f04be9aafd9649e950db10ccaa33a31de57f5206e53ae7d13fa330"),
     "loomis_whitney": ("dee5583a4a8221dc1b05f731fb956cca5a57e3cd33cd8519cbe55ac44468e1b2",
-                      "5314b5037d0787f37bc2d73a07d02a6438fcbe40832af6815d9ca9ad94a43a2f"),
+                      "301e701bd613867367dbdea17a25764f72154821bb9c0142fe27c6191f9e5389"),
     "bilinear_holder_pk": ("ea500eb6bfc53777ce6f596ad1141387be65c1e76d9b6786d884b7ec1f272cac",
                           "253783df2419f93b6ff3d6e30c0a9292ef32a9d3b710dec6a6199e0281407642"),
 }
@@ -226,9 +226,9 @@ DECOMPOSE_SHA256 = {
     "triangular_hilbert": ("dcf371c902f43c69c0ca9dbee1f025177c5239c705bd9e886c71a35937ff038a",
         "5b37747c783c126b5f365c9958cbbd3fca0d9a0b1d0c00fc045be7d5b639e6d0"),
     "young": ("be741f6e954a5cc1da5995e3b2132abad606fb894a642ba401f44c15df3ef0dc",
-        "bd19909d05985cc292c9077e10b14b8fefd0820ef3a31f878b2e727c51f17ccd"),
+        "c574d62e29519a25681d443bc0dbe7a33f3f295d7392459f00e1a38719fd918a"),
     "loomis_whitney": ("93dd932bde8cab9616b06f16b3a810ba4fd70e2ad18f59b0643ec9d0506ed904",
-        "3805a0420ccdae1bc2b3741439aa76268215a0a007a484d9babdc152254bcbf6"),
+        "bd5f29848f00072d1ed68c84c96e4626405d80cd08d078b13cdd12953937f31e"),
     "bilinear_holder_pk": ("2491127808c58784acb719c7af0e9d9b7e6328d6f55fd8b3cc8ade1df3f81aa6",
         "6f93aef515ffd9dc337514a02609fd291a9456bf7a413a2f5fbfcab6f8dbd82c"),
 }

@@ -17,13 +17,13 @@ import sblq
 from sblq.classify import classify
 from sblq.core import (
     EquivalenceMap, FourModule, SBLDatum, apply_equivalence, certificate_valid,
-    datum_to_module, direct_sum, direct_sum_all, module_hom_basis, module_to_datum,
-    random_equivalence,
+    datum_to_module, direct_sum, direct_sum_all, hom_solver, module_hom_basis,
+    module_to_datum, random_equivalence,
 )
 from sblq.decompose import (
     _CASE_FAMILIES, _case_counts_admissible, _case_feasible, _check_family_lattices,
     _TABLE_TAGS, _fixed_matcher, _fixed_table,
-    _hom_combination, _meet_join,
+    _hom_combination, _image_condition, _kernel_images, _meet_join,
     LatticeEntry, NecessityReport, canonical_multiset, decompose, expand_tags,
     holder_normal_form, kronecker_decompose,
     necessary_conditions, pencil_datum,
@@ -330,9 +330,10 @@ def test_certificates_match_one_system_hom_kernel(tags):
             want = classify(d).decomposition
     finally:
         mod._fixed_table.cache_clear()
-    # the Hom table's 121 pairs, then the matcher's families into d's module
+    # the Hom table's 121 pairs, then the matcher's families into the
+    # reduced form of d's module
     assert reference.call_count > 121
-    assert any(b is d.module for (_, b), _ in reference.call_args_list)
+    assert any(b is d.module.reduced[1] for (_, b), _ in reference.call_args_list)
     got = classify(d).decomposition
     assert got.path == want.path == "nonholder"
     assert got.certificate is not None
@@ -347,9 +348,115 @@ def test_classify_leaves_no_new_attribute_on_modules():
     for tags in SCREENED_BAGS[:3]:
         d = scrambled_datum(tags, 11)
         assert classify(d).decomposition.path == "nonholder"
-        for m in (d.module, *mods.values()):
-            assert set(vars(m)) <= {"dim_M", "sub", "_annihilators"}
+        for m in (d.module, d.module.reduced[1], *mods.values()):
+            assert set(vars(m)) <= {"dim_M", "sub", "_annihilators", "reduced"}
         assert set(vars(d)) <= {"dim_H", "dims", "pi", "kernel0", "module"}
+
+
+# -- the matcher runs in the coordinates of one reduced form of the slot bases
+
+
+def test_classify_matches_in_the_reduced_module_only():
+    # on a fresh datum the user's module gets no annihilators: every Hom
+    # system is solved and every draw proven against the reduced module
+    _fixed_table()
+    mod = sys.modules["sblq.decompose"]
+    for tags in SCREENED_BAGS[:3]:
+        d = scrambled_datum(tags, 13)
+        with mock.patch.object(mod, "hom_solver", wraps=hom_solver) as solvers, \
+                mock.patch.object(mod, "certificate_valid", wraps=certificate_valid) as proofs:
+            assert classify(d).decomposition.path == "nonholder"
+        assert "_annihilators" not in vars(d.module)
+        reduced = d.module.reduced[1]
+        assert [c.args for c in solvers.call_args_list] == [(reduced,)]
+        assert proofs.call_count and all(c.args[2] is reduced for c in proofs.call_args_list)
+
+
+def reference_matcher_route(d):
+    """(summands, path) of the non-Hoelder route run by `_fixed_matcher` on
+    the user's module in its own coordinates."""
+    surj, eqc = _image_condition(d, _kernel_images(d)[1])
+    if all(surj):
+        match = _fixed_matcher(d.module)
+        for case_tag in ("ii", "iii", "i"):
+            found = _case_feasible(case_tag, eqc) and match(case_tag)
+            if found:
+                return found[0], "nonholder"
+    return [], "none"
+
+
+def test_reduced_coordinates_match_the_user_coordinate_matcher():
+    data = [random_case(seed)[1] for seed in range(150)]
+    data += [scrambled_datum(tags, seed) for tags in SCREENED_BAGS for seed in (1, 2)]
+    proved = 0
+    for d in data:
+        dec = decompose(d)
+        if dec.path == "pencil":
+            continue
+        assert (dec.summands, dec.path) == reference_matcher_route(d)
+        if dec.psi is not None:
+            candidate = direct_sum_all([build(t) for t in expand_tags(dec.summands)])
+            assert certificate_valid(dec.psi, candidate, d.module)
+            proved += 1
+    assert proved >= 50
+
+
+V0 = FamilyTag("V", 0)   # Q^1 with four zero slots
+
+
+@pytest.mark.parametrize("tags", [
+    [FamilyTag("L"), FamilyTag("B"), FamilyTag("K3"), FamilyTag("P1"), FamilyTag("C", 0)] * 2
+    + [V0],
+    [V0, FamilyTag("Y"), V0, FamilyTag("T", 1)],
+    [V0] * 2,
+])
+def test_reduced_form_completes_the_frame_when_the_slots_do_not_span(tags):
+    d = scrambled_datum(tags, 3)
+    m = d.module
+    g, reduced = m.reduced
+    k = tags.count(V0)
+    assert rank(hstack(*(s.basis for s in m.sub))) == m.dim_M - k
+    assert certificate_valid(g, reduced, m)
+    assert all(s.basis.submatrix(range(m.dim_M - k, m.dim_M), range(s.dim)).is_zero
+               for s in reduced.sub)
+    dec = decompose(d)   # no family of the Hom table has four zero slots
+    assert not dec.classified and reference_matcher_route(d) == ([], "none")
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_reduced_form_is_an_isomorphism_onto_the_users_module(seed):
+    for tags in [*SCREENED_BAGS, *C0_BAGS]:
+        m = scrambled_datum(tags, seed).module
+        g, reduced = m.reduced
+        assert certificate_valid(g, reduced, m)
+        # slot 0 is unit columns, in order
+        s0 = reduced.sub[0].basis
+        assert s0 == Matrix.identity(m.dim_M).submatrix(range(m.dim_M), range(s0.cols))
+
+
+@pytest.mark.parametrize("rows", [
+    ([1, 0], [1, 0], [0, 1], [1, 1]),    # S_0 = S_1: the pivots are not the first n
+    ([1, 0], [0, 1], [1, 0], [1, 1]),    # S_2 = S_0: C1_2 is singular
+])
+@pytest.mark.parametrize("seed", [None, 5])
+def test_hoelder_dimensions_without_a_pencil_read_the_reduced_form_once(rows, seed):
+    # Hoelder dimensions with the image condition give a pencil form (each
+    # Pi_i is then bijective on ker Pi_0), so a datum without one stops at
+    # the image condition and the matcher does not run; the reduced form the
+    # pencil test reads is the module's cached one
+    d = SBLDatum(2, (1, 1, 1, 1), tuple(Matrix(1, 2, r) for r in rows))
+    if seed is not None:
+        d = apply_equivalence(d, random_equivalence(d, seed))
+    core = sys.modules["sblq.core"]
+    mod = sys.modules["sblq.decompose"]
+    with mock.patch.object(core, "_rref", wraps=core._rref) as eliminations, \
+            mock.patch.object(mod, "_fixed_matcher", side_effect=AssertionError("matched")):
+        dec = decompose(d)
+        assert eliminations.call_count == 1
+        reduced = d.module.reduced
+        assert holder_normal_form(d) is None and d.module.reduced is reduced
+        assert eliminations.call_count == 1
+    assert dec.path == "none" and "image condition fails" in dec.diagnostics[1]
 
 
 @pytest.mark.parametrize("name", ["young", "loomis_whitney", "bilinear_holder_pk", "(Y+Z)^3"])
@@ -361,6 +468,7 @@ def test_nonholder_certificate_is_inverted_only_when_read(name):
         dec = classify(d).decomposition
         assert dec.path == "nonholder"
         assert inverting.call_count == 0
+        assert "psi" not in vars(dec)   # g psi' too is formed only when read
         cert = dec.certificate
         assert inverting.call_count == 1
         assert dec.certificate is cert
@@ -680,6 +788,7 @@ C0_BAGS = [
     [C0, FamilyTag("Y"), FamilyTag("Z")],
     [FamilyTag("L"), C0, FamilyTag("P1"), C0],
     [C0] * 3 + [FamilyTag("B"), FamilyTag("K2"), FamilyTag("T", 1)],
+    [FamilyTag("L"), FamilyTag("B"), FamilyTag("K3"), FamilyTag("P1"), C0] * 3,
 ]
 
 
