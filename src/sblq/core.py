@@ -322,15 +322,20 @@ def certificate_valid(psi: Matrix, a: FourModule, b: FourModule) -> bool:
     Containment is N_i psi B_i = 0 over the integers, with psi over one
     common denominator and the same annihilator rows N_i as
     `module_hom_basis`; with equal slot dimensions and psi invertible it is
-    equality.
+    equality.  psi x is summed over the nonzero entries of each basis
+    column x only: the candidates of the non-Hoelder matcher have unit or
+    two-term slot columns.
     """
     if psi.rows != b.dim_M or psi.cols != a.dim_M or a.dim_vector != b.dim_vector:
         return False
     c = psi.cols
-    prows = [psi.num[r * c:(r + 1) * c] for r in range(psi.rows)]
+    pcols = [psi.num[j::c] for j in range(c)]
     for i in range(4):
         for bcol in _int_cols(a.sub[i].basis):
-            image = [sum(map(mul, prow, bcol)) for prow in prows]
+            support = [j for j, v in enumerate(bcol) if v]
+            coeffs = [bcol[j] for j in support]
+            image = [sum(map(mul, coeffs, entries))
+                     for entries in zip(*[pcols[j] for j in support])]
             if any(sum(map(mul, nrow, image)) for nrow in b._annihilators[i]):
                 return False
     return is_invertible(psi)

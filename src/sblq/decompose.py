@@ -6,14 +6,17 @@ other three row spaces, reading the pencil off one solve in those row
 spaces; its Kronecker blocks name every summand, the kernel-only ones
 (family C at size 0) as tall blocks of index 0.  Otherwise check the
 image condition on ker Pi_0 and, for each case whose exponent constraint
-is feasible, solve for the summands, C_0 among them, from Hom dimensions
-and certify them with an isomorphism.  Both routes read one reduced row
-echelon form R of the stacked slot bases [B0 | B1 | B2 | B3], cached on
-the module (`FourModule.reduced`): the pencil exists when R's pivots are
-its first n columns, and reads its solve off R's B2 and B3 columns; the
-matcher runs on the module M' whose slots are R's column blocks, where
-the Hom systems keep small entries, and its proven psi': candidate -> M'
-becomes psi = g psi' with g M' = M.  A classified datum passes the
+is feasible, read the summands, C_0 among them, off Hom dimensions and
+certify them with an isomorphism; by Krull-Schmidt the first multiset
+certified is the module's only one, and it decides every later case
+without another Hom solve.  Both routes read one reduced row echelon
+form R of the stacked slot bases [B0 | B1 | B2 | B3], cached on the
+module (`FourModule.reduced`): the pencil exists when R's pivots are its
+first n columns, and reads its solve off R's B2 and B3 columns; the
+image condition is a rank of R's blocks below slot 0; the matcher runs
+on the module M' whose slots are R's column blocks, where the Hom
+systems keep small entries, and its proven psi': candidate -> M' becomes
+psi = g psi' with g M' = M.  A classified datum passes the
 necessity screen, so its lattice is built only for data that neither
 route classifies.  All decisions are exact.
 """
@@ -29,7 +32,7 @@ from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import (
-    EquivalenceMap, FourModule, SBLDatum, certificate_valid, direct_sum_all,
+    DimVector, EquivalenceMap, FourModule, SBLDatum, certificate_valid, direct_sum_all,
     hom_solver, module_to_datum, validate_datum,
 )
 from .linalg import (
@@ -91,17 +94,18 @@ def necessary_conditions(d: SBLDatum, lattice_depth: int = 3,
     claimed complete.  `classify` runs it only for data that `_decompose`
     leaves unclassified: every datum either route classifies passes it.
 
-    The lattice lives in ker Pi_0, so it is computed in the coordinates of
-    a basis B of ker Pi_0 (b columns): with R_i the integer rows of
-    Pi_i B, ker Pi_0 ∩ ker Pi_i is ker R_i and the image dimension of a
-    subspace X of Q^b is the rank of R_i X, as B is injective.  The rank
-    of R_i, which gives the surjectivity flag and the image dimension of
-    ker Pi_0, is the number of rows of the annihilator key of ker R_i.
-    Each subspace is kept as its canonical echelon key and the key of its
-    annihilator (`linalg._echelon_key`, `linalg._annihilator`): U + V is
-    the key of the rows of both keys, U ∩ V the annihilator of the key of
-    both annihilators, and a candidate is new exactly when its key is not
-    in the set of keys found so far.  A comparable pair needs neither
+    The surjectivity flags, the equality constraint and the image
+    dimensions of ker Pi_0 itself are read off the module's cached reduced
+    form (`_reduced_image_condition`), as on the non-Hoelder route.  The
+    lattice lives in ker Pi_0, so it is computed in the coordinates of a
+    basis B of ker Pi_0 (b columns): with R_i the integer rows of Pi_i B
+    (`_kernel_images`), ker Pi_0 ∩ ker Pi_i is ker R_i and the image
+    dimension of a subspace X of Q^b is the rank of R_i X, as B is
+    injective.  Each subspace is kept as its canonical echelon key and the
+    key of its annihilator (`linalg._echelon_key`, `linalg._annihilator`):
+    U + V is the key of the rows of both keys, U ∩ V the annihilator of the
+    key of both annihilators, and a candidate is new exactly when its key
+    is not in the set of keys found so far.  A comparable pair needs neither
     elimination (`_meet_join`): when U lies in V, U ∩ V and U + V are U
     and V themselves, keys and all.  Each round pairs only entries of
     which at least one was added in the round before: an older pair was
@@ -111,7 +115,7 @@ def necessary_conditions(d: SBLDatum, lattice_depth: int = 3,
     full pairwise closure.
     """
     maps, anns = _kernel_images(d)
-    surj, eqc = _image_condition(d, anns)
+    surj, eqc = _reduced_image_condition(d)
     ranks, b = eqc[:3], eqc[3]
     # (description, key, annihilator key with reversed coordinates)
     found = [("ker Pi_0", _annihilator((), b), ())] + [
@@ -153,12 +157,22 @@ def _kernel_images(d: SBLDatum) -> Tuple[List[List[List[int]]], List[tuple]]:
     return maps, [_echelon_key([row[::-1] for row in r]) for r in maps]
 
 
-def _image_condition(d: SBLDatum, anns: Sequence[tuple]
-                     ) -> Tuple[Tuple[bool, bool, bool, bool], Tuple[int, int, int, int]]:
+def _reduced_image_condition(d: SBLDatum
+                             ) -> Tuple[Tuple[bool, bool, bool, bool], Tuple[int, int, int, int]]:
     """(surjectivity flags, equality constraint) of `necessary_conditions`,
-    read off the row counts of the annihilator keys, which are rank R_i."""
-    ranks = tuple(map(len, anns))
-    return (True, *(r == h for r, h in zip(ranks, d.dims[1:]))), (*ranks, d.kernel0.dim)
+    read off the reduced form R of the stacked slot bases that the module
+    caches (`FourModule.reduced`), without ker Pi_0.
+
+    ker Pi_0 is S_0^perp and Pi_i vanishes on it exactly on (S_0 + S_i)^perp,
+    so rank(Pi_i on ker Pi_0) = dim(S_0 + S_i) - dim S_0 and dim ker Pi_0 =
+    n - dim S_0.  Dimensions of sums do not depend on coordinates, and in
+    those of R slot 0 is [I; 0]: dim(S_0 + S_i) - dim S_0 is the rank of
+    the rows of R's block i below row dim S_0.  For i = 1 it is R's pivot
+    count in block 1."""
+    reduced = d.module.reduced[1]
+    a = reduced.sub[0].dim
+    ranks = tuple(_int_rank(_int_rows(s.basis)[a:], s.dim) for s in reduced.sub[1:])
+    return (True, *(r == h for r, h in zip(ranks, d.dims[1:]))), (*ranks, d.dim_H - a)
 
 
 _Keyed = Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]
@@ -368,13 +382,14 @@ def _check_family_lattices(mods: Iterable[FourModule]) -> None:
 
 
 @lru_cache(maxsize=None)
-def _fixed_table() -> Tuple[Dict[str, FourModule], Dict[str, List[List[int]]]]:
-    """The modules of C0 and the ten fixed families and, per case, the
-    integer inverse of H[X][Y] = dim Hom(X, Y) over the case's families;
-    first it checks that these modules pass their closed necessity
-    lattices.  Hom(X, C0) = 0 for every fixed family X, so each H is block
-    triangular with dim Hom(C0, C0) = 1 in its corner and keeps the integer
-    inverse of its fixed-family block."""
+def _fixed_table() -> Tuple[Dict[str, FourModule], Dict[str, List[List[int]]],
+                            Dict[str, DimVector]]:
+    """The modules of C0 and the ten fixed families, per case the integer
+    inverse of H[X][Y] = dim Hom(X, Y) over the case's families, and each
+    module's dimension vector; first it checks that these modules pass
+    their closed necessity lattices.  Hom(X, C0) = 0 for every fixed family
+    X, so each H is block triangular with dim Hom(C0, C0) = 1 in its corner
+    and keeps the integer inverse of its fixed-family block."""
     mods = {f: build(t) for f, t in _TABLE_TAGS.items()}
     _check_family_lattices(mods.values())
     solvers = {y: hom_solver(b) for y, b in mods.items()}
@@ -387,7 +402,7 @@ def _fixed_table() -> Tuple[Dict[str, FourModule], Dict[str, List[List[int]]]]:
             raise AssertionError(f"the case {case_tag} Hom table has no integer inverse")
         n = hinv.cols
         inverses[case_tag] = [list(hinv.num[i * n:(i + 1) * n]) for i in range(hinv.rows)]
-    return mods, inverses
+    return mods, inverses, {f: m.dim_vector for f, m in mods.items()}
 
 
 _DRAWS = 32  # draw t seeds random.Random(t + 1); reports print this stream as seed 0
@@ -399,24 +414,36 @@ def _fixed_matcher(m: FourModule, trials: int = _DRAWS):
     candidate -> m, or None.  A module is fixed by its Hom dimensions from
     the indecomposables (Auslander), so the multiplicities of the case's
     families are exactly H^-1 h, with H[X][Y] = dim Hom(X, Y) and h_X =
-    dim Hom(X, m); a negative entry, a wrong dimension vector or an
-    inadmissible superscript set is a definite negative.  Otherwise each
+    dim Hom(X, m); a negative entry, a wrong dimension vector or an empty
+    Hom space of a counted family is a definite negative.  Otherwise each
     of up to `trials` draws stacks one element of Hom(X, m) per summand
-    copy into psi, and the first that `certificate_valid` proves is
-    returned.  Each Hom(X, m) is solved once, by one `hom_solver(m)`, and
-    each multiset certified once.  `_decompose` passes M' of the reduced
-    form (g, M') of the datum's module, whose slot columns are mostly unit
-    columns with small entries, and maps the proven psi' back as g psi';
-    an isomorphic module gives the same multisets, since they are read off
-    Hom dimensions.  det psi is a polynomial of degree dim M in a draw's
-    coefficients, not identically zero when m is isomorphic to the
-    candidate, and each coefficient is uniform on 64 dim M + 1 integers:
-    by Schwartz-Zippel one draw fails with probability at most
-    dim M / (64 dim M + 1) < 1/64, and all 32 below 2^-192."""
-    mods, inverses = _fixed_table()
+    copy into psi, and the first that `certificate_valid` proves is kept,
+    whether or not the case's superscript rule admits the multiset.
+
+    By Krull-Schmidt m has exactly one multiset of indecomposables, so
+    every later case is decided from the proven one without a Hom solve: it
+    matches exactly when it lists all the multiset's families and its
+    superscript rule admits them.  A case that lists them all computes the
+    same multiplicities, as h = H x for the proven x; one that does not
+    has no certified candidate, which would be a second multiset.  The
+    proven psi serves every case: C0, P and K keep their relative order in
+    all three family lists, so the candidate is the same direct sum in the
+    same order.  Until then each Hom(X, m) is solved once, by one
+    `hom_solver(m)`.
+
+    `_decompose` passes M' of the reduced form (g, M') of the datum's
+    module, whose slot columns are mostly unit columns with small entries,
+    and maps the proven psi' back as g psi'; an isomorphic module gives the
+    same multisets, since they are read off Hom dimensions.  det psi is a
+    polynomial of degree dim M in a draw's coefficients, not identically
+    zero when m is isomorphic to the candidate, and each coefficient is
+    uniform on 64 dim M + 1 integers: by Schwartz-Zippel one draw fails
+    with probability at most dim M / (64 dim M + 1) < 1/64, and all 32
+    below 2^-192."""
+    mods, inverses, dims = _fixed_table()
     solve = hom_solver(m)
     homs: Dict[str, List[Matrix]] = {}
-    proved: Dict[Tuple, Optional[tuple]] = {}
+    proven: Optional[Tuple[Dict[str, int], tuple]] = None
 
     def certify(names: List[str]) -> Optional[tuple]:
         candidate = direct_sum_all([mods[f] for f in names])
@@ -429,20 +456,24 @@ def _fixed_matcher(m: FourModule, trials: int = _DRAWS):
         return None
 
     def match(case_tag: str) -> Optional[tuple]:
+        nonlocal proven
         families = _CASE_FAMILIES[case_tag]
-        homs.update({f: solve(mods[f]) for f in families if f not in homs})
-        h = [len(homs[f]) for f in families]
-        mult = [sum(map(mul, row, h)) for row in inverses[case_tag]]
-        counts = {f: c for f, c in zip(families, mult) if c}
-        total = tuple(sum(c * mods[f].dim_vector[k] for f, c in counts.items())
-                      for k in range(5))
-        if min(mult) < 0 or total != m.dim_vector or not all(homs[f] for f in counts) \
-                or not _case_counts_admissible(case_tag, counts):
-            return None
-        key = tuple(counts.items())
-        if key not in proved:
-            proved[key] = certify([f for f, c in counts.items() for _ in range(c)])
-        return proved[key]
+        if proven is None:
+            homs.update({f: solve(mods[f]) for f in families if f not in homs})
+            h = [len(homs[f]) for f in families]
+            mult = [sum(map(mul, row, h)) for row in inverses[case_tag]]
+            counts = {f: c for f, c in zip(families, mult) if c}
+            total = tuple(sum(c * dims[f][k] for f, c in counts.items()) for k in range(5))
+            if min(mult) < 0 or total != m.dim_vector or not all(homs[f] for f in counts):
+                return None
+            found = certify([f for f, c in counts.items() for _ in range(c)])
+            if found is None:
+                return None
+            proven = counts, found
+        counts, found = proven
+        if set(counts) <= set(families) and _case_counts_admissible(case_tag, counts):
+            return found
+        return None
 
     return match
 
@@ -473,9 +504,11 @@ class DecompositionResult:
     candidate the direct sum of the listed summands in order, C0 copies
     first: psi = g psi' for the matcher's psi': candidate -> M' in the
     reduced coordinates (g, M') of M, kept as `frame` = (g, psi')
-    (`_decompose`).  `certificate`, its inverse, maps the user's M onto it.
-    They and the real-root intervals of the regular summands are computed
-    only when read, as a plain verdict reads none of them.
+    (`_decompose`).  `certificate`, its inverse psi'^-1 g^-1, maps the
+    user's M onto it: both factors have smaller entries than g psi', so
+    they are inverted apart.  They and the real-root intervals of the
+    regular summands are computed only when read, as a plain verdict reads
+    none of them.
     """
 
     summands: List[IndecompSummand]
@@ -497,7 +530,10 @@ class DecompositionResult:
 
     @cached_property
     def certificate(self) -> Optional[Matrix]:
-        return None if self.psi is None else inverse(self.psi)
+        if self.frame is None:
+            return None
+        g, psi = self.frame
+        return inverse(psi) @ inverse(g)
 
     @cached_property
     def real_root_refinements(self) -> Dict[str, List[Tuple[Fraction, Fraction]]]:
@@ -556,12 +592,15 @@ def _decompose(d: SBLDatum) -> DecompositionResult:
     kernel-only data have one too, with b = 0.  S_0 + S_i = Q^n is then
     direct, so each Pi_i is injective on ker Pi_0, of dimension b = d_i:
     every image condition holds and the equality constraint is (b, b, b, b),
-    read without ker Pi_0.  Without a pencil form the three annihilator
-    keys of ker Pi_0 give the image condition and the equality constraint.
-    A failed image condition ends the route, since every datum the matcher
-    can certify meets it (`_check_family_lattices`); otherwise the matcher
+    read without ker Pi_0.  Without a pencil form the image condition and
+    the equality constraint are read off the same reduced form, still
+    without ker Pi_0 (`_reduced_image_condition`).  A failed image
+    condition ends the route, since every datum the matcher can certify
+    meets it (`_check_family_lattices`); otherwise the matcher
     runs, C0 among its families, on M' of d's module's cached reduced form
-    (g, M') (`FourModule.reduced`), the form `holder_normal_form` reads.
+    (g, M') (`FourModule.reduced`), the form `holder_normal_form` reads; the
+    cases are tried in the order ii, iii, i, and once one multiset is
+    certified the later ones are decided from it (`_fixed_matcher`).
     Its psi': candidate -> M' is proven by `certificate_valid`, and
     psi = g psi' is then proven for M itself: g is invertible and maps
     each slot of M' onto that of M (g R_i = B_i, R exact), so psi is
@@ -571,7 +610,7 @@ def _decompose(d: SBLDatum) -> DecompositionResult:
         return DecompositionResult(kronecker_decompose(form), "classified", "pencil",
                                    d, (form.b,) * 4, pencil=form)
     diags = ["no Hoelder normal form (kernel complement conditions failed)"]
-    surj, eqc = _image_condition(d, _kernel_images(d)[1])
+    surj, eqc = _reduced_image_condition(d)
     if not all(surj):
         diags += [f"image condition fails: Pi_{i} ker Pi_0 != Pi_{i} H"
                   for i in (1, 2, 3) if not surj[i]]

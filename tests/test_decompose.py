@@ -18,13 +18,14 @@ from sblq.classify import classify
 from sblq.core import (
     EquivalenceMap, FourModule, SBLDatum, apply_equivalence, certificate_valid,
     datum_to_module, direct_sum, direct_sum_all, hom_solver, module_hom_basis,
-    module_to_datum, random_equivalence,
+    module_to_datum, random_equivalence, validate_datum,
 )
 from sblq.decompose import (
     _CASE_FAMILIES, _case_counts_admissible, _case_feasible, _check_family_lattices,
     _TABLE_TAGS, _fixed_matcher, _fixed_table,
-    _hom_combination, _image_condition, _kernel_images, _meet_join,
-    LatticeEntry, NecessityReport, canonical_multiset, decompose, expand_tags,
+    _hom_combination, _kernel_images, _meet_join, _reduced_image_condition,
+    LatticeEntry, NecessityReport, canonical_multiset, collect_summands, decompose,
+    expand_tags,
     holder_normal_form, kronecker_decompose,
     necessary_conditions, pencil_datum,
 )
@@ -350,7 +351,7 @@ def test_classify_leaves_no_new_attribute_on_modules():
         assert classify(d).decomposition.path == "nonholder"
         for m in (d.module, d.module.reduced[1], *mods.values()):
             assert set(vars(m)) <= {"dim_M", "sub", "_annihilators", "reduced"}
-        assert set(vars(d)) <= {"dim_H", "dims", "pi", "kernel0", "module"}
+        assert set(vars(d)) <= {"dim_H", "dims", "pi", "module"}
 
 
 # -- the matcher runs in the coordinates of one reduced form of the slot bases
@@ -372,10 +373,18 @@ def test_classify_matches_in_the_reduced_module_only():
         assert proofs.call_count and all(c.args[2] is reduced for c in proofs.call_args_list)
 
 
+def user_coordinate_image_condition(d):
+    """(surjectivity flags, equality constraint) in the user's coordinates:
+    rank(Pi_i B) for a basis B of ker Pi_0 is the row count of the
+    annihilator key of ker Pi_i B (`_kernel_images`), and k = dim ker Pi_0."""
+    ranks = tuple(map(len, _kernel_images(d)[1]))
+    return (True, *(r == h for r, h in zip(ranks, d.dims[1:]))), (*ranks, d.kernel0.dim)
+
+
 def reference_matcher_route(d):
     """(summands, path) of the non-Hoelder route run by `_fixed_matcher` on
     the user's module in its own coordinates."""
-    surj, eqc = _image_condition(d, _kernel_images(d)[1])
+    surj, eqc = user_coordinate_image_condition(d)
     if all(surj):
         match = _fixed_matcher(d.module)
         for case_tag in ("ii", "iii", "i"):
@@ -399,6 +408,164 @@ def test_reduced_coordinates_match_the_user_coordinate_matcher():
             assert certificate_valid(dec.psi, candidate, d.module)
             proved += 1
     assert proved >= 50
+
+
+# -- the image condition is read off the reduced form, not off ker Pi_0
+
+
+NOT_SURJECTIVE = [
+    SBLDatum(2, (1, 1, 1, 1), tuple(Matrix(1, 2, r) for r in rows)) for rows in (
+        ([1, 0], [0, 1], [1, 0], [1, 1]),    # Pi_2 vanishes on ker Pi_0
+        ([1, 0], [0, 0], [1, 1], [1, 2]),    # Pi_1 not surjective
+        ([0, 0], [0, 1], [1, 1], [1, 2]),    # Pi_0 not surjective
+        ([1, 0], [1, 0], [1, 0], [1, 0]))    # every Pi_i vanishes on ker Pi_0
+]
+
+
+def image_condition_data():
+    data = [random_case(seed)[1] for seed in range(150)]
+    data += [scrambled_datum(tags, seed) for tags in SCREENED_BAGS for seed in (1, 2)]
+    data += [LATTICE_FAILURE, scrambled_datum([FamilyTag("V*", 1), C0], 5)]
+    data += [shipped_fixture(name) for name in SHIPPED_FIXTURES]
+    return data + NOT_SURJECTIVE + [apply_equivalence(d, random_equivalence(d, 3))
+                                    for d in NOT_SURJECTIVE]
+
+
+def test_image_condition_from_the_reduced_form_matches_user_coordinates():
+    failed = 0
+    for d in image_condition_data():
+        got = _reduced_image_condition(d)
+        assert got == user_coordinate_image_condition(d)
+        failed += not all(got[0])
+    assert failed >= 6
+
+
+def test_nonholder_route_does_not_compute_ker_pi0():
+    # fresh data only: a datum keeps the kernel an earlier screen computed
+    data = [scrambled_datum(tags, 17) for tags in (*SCREENED_BAGS, *NONHOLDER_C0_BAGS)]
+    data += [SBLDatum(LATTICE_FAILURE.dim_H, LATTICE_FAILURE.dims, LATTICE_FAILURE.pi),
+             scrambled_datum([FamilyTag("V*", 1), C0], 5)]
+    paths = Counter()
+    for d in data:
+        dec = decompose(d)
+        paths[dec.path] += 1
+        assert dec.path == "pencil" or "kernel0" not in vars(d)
+    assert paths["nonholder"] >= 5 and paths["none"] >= 3
+
+
+# -- one certified multiset decides every case: the per-case matcher as oracle
+
+
+def reference_fixed_matcher(m, trials=32):
+    """The matcher that solved and certified each case on its own: a case's
+    multiplicities H^-1 h are certified only when its superscript rule
+    admits them, and each multiset at most once.  It solves through the
+    module's `hom_solver`, as `_fixed_matcher` does, so a patch sees both."""
+    mods, inverses = _fixed_table()[:2]
+    solve = sys.modules["sblq.decompose"].hom_solver(m)
+    homs, proved = {}, {}
+
+    def certify(names):
+        candidate = direct_sum_all([mods[f] for f in names])
+        for t in range(trials):
+            rng = random.Random(t + 1)
+            blocks = [_hom_combination(homs[f], rng) for f in names]
+            psi = hstack(*blocks) if blocks else Matrix.zeros(0, 0)
+            if certificate_valid(psi, candidate, m):
+                return collect_summands([_TABLE_TAGS[f] for f in names], "certified iso"), psi
+        return None
+
+    def match(case_tag):
+        families = _CASE_FAMILIES[case_tag]
+        homs.update({f: solve(mods[f]) for f in families if f not in homs})
+        h = [len(homs[f]) for f in families]
+        mult = [sum(map(mul, row, h)) for row in inverses[case_tag]]
+        counts = {f: c for f, c in zip(families, mult) if c}
+        total = tuple(sum(c * mods[f].dim_vector[k] for f, c in counts.items())
+                      for k in range(5))
+        if min(mult) < 0 or total != m.dim_vector or not all(homs[f] for f in counts) \
+                or not _case_counts_admissible(case_tag, counts):
+            return None
+        key = tuple(counts.items())
+        if key not in proved:
+            proved[key] = certify([f for f, c in counts.items() for _ in range(c)])
+        return proved[key]
+
+    return match
+
+
+CASE_I_BAGS = [
+    [FamilyTag(f) for f in ("P1", "K2", "K2", "P1")],
+    [FamilyTag(f) for f in ("P3", "K1", "P1")] + [FamilyTag("C", 0)],
+    [FamilyTag(f) for f in ("K2", "P3", "K3", "P2")] + [FamilyTag("C", 0)] * 2,
+]
+# proven in case ii, which refuses their superscripts, and listed by no other case
+NO_CASE_BAGS = [
+    [FamilyTag(f) for f in ("Y", "P1", "K2")],
+    [FamilyTag(f) for f in ("Z", "Y", "K3", "P1")] + [FamilyTag("C", 0)],
+]
+
+
+def matcher_oracle_data():
+    data = image_condition_data()
+    data += [scrambled_datum(tags, seed) for tags in CASE_I_BAGS + NO_CASE_BAGS
+             for seed in (1, 2)]
+    data += [d for _, case, _, d in nonholder_ladder_bags(9, copies=1) if case == "i"]
+    data += [scrambled_datum(tags + [C0], 4)
+             for _, case, tags, _ in nonholder_ladder_bags(9, copies=1) if case == "i"]
+    return [d for d in data if validate_datum(d).valid]
+
+
+def _route(d):
+    v, dec = classify(d), decompose(d)
+    return v.status, v.summands, v.cases, dec.path, dec.diagnostics, dec.psi
+
+
+def test_one_certified_multiset_matches_the_per_case_matcher():
+    mod = sys.modules["sblq.decompose"]
+    data = matcher_oracle_data()
+    with mock.patch.object(mod, "_fixed_matcher", reference_fixed_matcher):
+        want = [_route(d) for d in data]
+    got = [_route(d) for d in data]
+    assert got == want
+    paths = Counter(r[3] for r in got)
+    assert paths["nonholder"] >= 40 and paths["none"] >= 6
+    # case i bags that case ii refuses only for their superscripts
+    assert sum(r[2][0].tag == "i" and "case ii: no certified candidate" in r[4]
+               for r in got if r[2]) >= 5
+
+
+def _solved_families(d, matcher):
+    """The Hom-table families whose Hom space into d's module `classify` solves."""
+    mod = sys.modules["sblq.decompose"]
+    names = {id(m): f for f, m in _fixed_table()[0].items()}
+    solved = []
+
+    def recording(b):
+        solve = hom_solver(b)
+        return lambda a: solved.append(names[id(a)]) or solve(a)
+
+    with mock.patch.object(mod, "hom_solver", recording), \
+            mock.patch.object(mod, "_fixed_matcher", matcher):
+        assert classify(d).decomposition.path == "nonholder"
+    return solved
+
+
+def test_case_i_bags_solve_no_hom_from_l_or_b():
+    # each case i bag of the ladder at seed 1 has two or three superscripts:
+    # case ii proves its multiset but refuses it for them, and case iii takes
+    # that multiset with no Hom solve, where the per-case matcher solved
+    # Hom(L, M') and Hom(B, M') (on a second, equal datum)
+    _fixed_table()
+    pairs = [(d, ref) for (_, case, _, d), (*_, ref)
+             in zip(nonholder_ladder_bags(1), nonholder_ladder_bags(1)) if case == "i"]
+    assert len(pairs) == 8
+    for d, ref in pairs:
+        solved = _solved_families(d, _fixed_matcher)
+        assert not {"L", "B"} & set(solved) and len(solved) == len(set(solved))
+        assert "kernel0" not in vars(d)
+        assert {"L", "B"} <= set(_solved_families(ref, reference_fixed_matcher))
+        assert decompose(d).diagnostics[1:] == ["case ii: no certified candidate"]
 
 
 V0 = FamilyTag("V", 0)   # Q^1 with four zero slots
@@ -469,10 +636,10 @@ def test_nonholder_certificate_is_inverted_only_when_read(name):
         assert dec.path == "nonholder"
         assert inverting.call_count == 0
         assert "psi" not in vars(dec)   # g psi' too is formed only when read
-        cert = dec.certificate
-        assert inverting.call_count == 1
+        cert = dec.certificate   # psi'^-1 g^-1: one inverse of each factor
+        assert inverting.call_count == 2
         assert dec.certificate is cert
-        assert inverting.call_count == 1
+        assert inverting.call_count == 2
     assert cert @ dec.psi == Matrix.identity(cert.rows)
     candidate = direct_sum_all([build(t) for t in expand_tags(dec.summands)])
     assert certificate_valid(cert, d.module, candidate)
@@ -1058,6 +1225,28 @@ def test_hom_dimension_matcher_finds_the_generating_sum(drawn):
         fits = set(counts) <= set(families) and _case_counts_admissible(case_tag, counts)
         assert _proved(m, _match(m, case_tag)) == \
             (canonical_multiset(tags) if fits else None), case_tag
+
+
+@settings(max_examples=40, deadline=None)
+@given(fixed_family_modules(), st.sampled_from([("ii", "iii", "i"), ("i", "ii", "iii")]))
+def test_one_matcher_answers_every_case_like_a_fresh_one(drawn, order):
+    # later cases are decided from the first multiset proven, which by
+    # Krull-Schmidt is the generating one
+    m, tags = drawn
+    counts = Counter("C0" if t.family == "C" else t.family for t in tags)
+    match = _fixed_matcher(m)
+    for case_tag in order:
+        fits = set(counts) <= set(_CASE_FAMILIES[case_tag]) and \
+            _case_counts_admissible(case_tag, counts)
+        assert _proved(m, match(case_tag)) == \
+            (canonical_multiset(tags) if fits else None), case_tag
+
+
+def test_one_matcher_refuses_a_proven_multiset_no_case_lists():
+    for tags in NO_CASE_BAGS:
+        m = scrambled_datum(tags, 6).module.reduced[1]
+        match = _fixed_matcher(m)
+        assert [match(case_tag) for case_tag in ("ii", "iii", "i")] == [None] * 3
 
 
 def fraction_hom_combination(basis, rng):
