@@ -29,7 +29,7 @@ from operator import mul
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from .linalg import (
-    Matrix, Subspace, _echelon_key, _int_cols, _int_kernel, _int_rows, _pivots, _rref,
+    Matrix, Subspace, _echelon_key, _int_cols, _int_rows, _kernel_vectors, _pivots, _rref,
     block_diag, hstack, image_basis, inverse, is_invertible, kernel_basis,
 )
 
@@ -136,8 +136,8 @@ class FourModule:
     @cached_property
     def _annihilators(self) -> Tuple[List[List[int]], ...]:
         """Per slot, integer rows whose common kernel is that subspace."""
-        kers = [kernel_basis(s.basis.transpose()).basis for s in self.sub]
-        return tuple(_int_cols(k) for k in kers)
+        return tuple(_kernel_vectors(_int_rows(s.basis.transpose()), self.dim_M)
+                     for s in self.sub)
 
 
 @dataclass(frozen=True)
@@ -238,7 +238,7 @@ def hom_solver(b: FourModule) -> Callable[[FourModule], List[Matrix]]:
         if rest:  # B s for the kernel vectors s of the other slots' rows times B
             rows = [[sum(map(mul, n, col)) for col in basis] for i in rest for n in anns[i]]
             basis = [[sum(map(mul, t, row)) for row in zip(*basis)]
-                     for t in _int_cols(_int_kernel(rows, len(basis)).basis)]
+                     for t in _kernel_vectors(rows, len(basis))]
         if slots:  # by increasing pivot row
             basis = [c[::-1] for c in reversed(_echelon_key([c[::-1] for c in basis]))]
         return [(c, [(r, v) for r, v in enumerate(c) if v]) for c in basis]
@@ -278,7 +278,7 @@ def hom_solver(b: FourModule) -> Callable[[FourModule], List[Matrix]]:
                         row[u] = xj * v
                 system.append(row)
         out = []
-        for t in _int_cols(_int_kernel(system, len(order)).basis):
+        for t in _kernel_vectors(system, len(order)):
             psi = [0] * (mp * m)
             for u, c in enumerate(t):
                 if c:

@@ -33,10 +33,11 @@ fraction-free back-substitution on the free columns.
 proof on the b columns, which is a @ X == b on integer rows, on either
 path.  `det` keeps its own Bareiss pass, whose last pivot is the
 determinant.  Callers that already hold integer rows use the private
-integer entry points directly: `_int_kernel` and `_int_rank`,
-`_echelon_key` and `_annihilator` (keys of row spans and of their
-annihilators, for the necessity screen's subspace lattice), and
-`_pivots` (for the pencil's deflation).
+integer entry points directly: `_int_kernel`, `_kernel_vectors` (the
+kernel as primitive integer vectors, for the pencil and the Hom solver)
+and `_int_rank`, `_echelon_key` and `_annihilator` (keys of row spans and
+of their annihilators, for the necessity screen's subspace lattice), and
+`_pivots` (for the pencil's subquotient and core rows).
 `invariant_factors` reads the invariant factors of a square matrix off
 quotients by cyclic subspaces, in the matrix's own coordinates, with
 `kernel_basis` alone, so it is exact by the same proofs.
@@ -51,7 +52,7 @@ from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt, lcm
 from operator import add, mul, sub
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .polynomials import Poly, poly_gcd
 
@@ -281,15 +282,20 @@ def block_diag(*ms: Matrix) -> Matrix:
 # -- fraction-free elimination core ----------------------------------------
 
 
-def _int_rows(m: Matrix) -> List[List[int]]:
-    """The numerator rows, each divided by its gcd; preserves row space and kernel."""
-    c, num = m.cols, m.num
+def _primitive(rows: Iterable[Sequence[int]]) -> List[List[int]]:
+    """New integer rows, each divided by the gcd of its entries; preserves
+    row space and kernel."""
     out = []
-    for i in range(m.rows):
-        row = num[i * c:(i + 1) * c]
+    for row in rows:
         g = gcd(*row)
         out.append([v // g for v in row] if g > 1 else list(row))
     return out
+
+
+def _int_rows(m: Matrix) -> List[List[int]]:
+    """The numerator rows, each divided by its gcd; preserves row space and kernel."""
+    c, num = m.cols, m.num
+    return _primitive(num[i * c:(i + 1) * c] for i in range(m.rows))
 
 
 def _int_cols(m: Matrix) -> List[List[int]]:
@@ -441,6 +447,28 @@ def _int_kernel(rows: List[List[int]], cols: int) -> "Subspace":
                 break
             out[pc * k + j] = -nums[r * k + j]
     return Subspace._trusted(cols, Matrix._ints(cols, k, out, d))
+
+
+def _kernel_vectors(rows: List[List[int]], cols: int) -> List[List[int]]:
+    """The kernel of these integer rows (consumed) of length cols as
+    primitive integer vectors, one per free column f, each positive at f:
+    the columns of `_int_kernel`'s basis, each over its least denominator.
+    The vector of f is d at f and minus the numerators of column f on the
+    pivot columns; d, the last Bareiss pivot, can be negative, so the gcd
+    taken out carries its sign."""
+    pivots, free, nums, d = _rref(rows, cols)
+    k = len(free)
+    out = []
+    for j, f in enumerate(free):
+        x = [0] * cols
+        x[f] = d
+        for r, pc in enumerate(pivots):
+            if pc > f:
+                break
+            x[pc] = -nums[r * k + j]
+        g = gcd(*x) if d > 0 else -gcd(*x)
+        out.append([v // g for v in x])
+    return out
 
 
 def _int_rank(rows: List[List[int]], cols: int) -> int:

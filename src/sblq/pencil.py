@@ -4,18 +4,28 @@ A pencil here is an ordered pair (A2, A3) of a x b rational matrices,
 regarded as the family A3 - lambda*A2.  Its strict-equivalence invariants
 are the wide singular blocks (epsilon x (epsilon+1), one polynomial right
 kernel generator of degree epsilon each), the tall singular blocks
-((eta+1) x eta, the transposed story), and a regular square core.  The
-singular structure is read off the Wong sequences (Berger, Ilchmann and
-Trenn, "The quasi-Kronecker form for matrix pencils", SIAM J. Matrix Anal.
-Appl. 33, 2012), which need only preimages of subspaces of Q^b: their
-limits V* and W* meet in the domain of the wide blocks, and the growth of
-W_i cap V* counts the wide blocks by index (Berger and Trenn's 2013
-addendum on the minimal indices).  Each preimage is the kernel of the
-annihilator rows of the subspace times the map, and those rows keep V* as
-a kernel.  That domain is split off by annihilator rows of its image and
-unit columns off its pivots, which gives the quotient up to strict
-equivalence without a base change; the quotient pencil is transposed, and
-the same step yields the tall blocks and leaves the regular core.
+((eta+1) x eta, the transposed story), and a regular square core.  All of
+them come out of one run of the Wong sequences V_0 = Q^b,
+V_{i+1} = {x : A3 x in A2 V_i} and W_0 = 0, W_{i+1} = {x : A2 x in A3 W_i}
+(Berger, Ilchmann and Trenn, "The quasi-Kronecker form for matrix pencils",
+SIAM J. Matrix Anal. Appl. 33, 2012), with limits V* and W*:
+- the growth of W_i cap V* counts the wide blocks by index, and V* cap W*
+  is their domain;
+- dim(V_{i-1} + W*) - dim(V_i + W*) tall blocks have eta >= i, and the
+  rows no other block takes are tall blocks of index 0 (Berger and Trenn's
+  2013 addendum on the minimal indices gives both rules);
+- the regular core is the pencil induced on the subquotient
+  (V* + W*) / (V* cap W*), in rows that annihilate A2 (V* cap W*) +
+  A3 (V* cap W*).
+Each preimage is the kernel of the annihilator rows of the subspace times
+the map, and those rows keep V* as a kernel.  So no base change is made
+and no Wong step runs on a transposed or quotient pencil.  Only spans
+matter in the singular part, so it runs on primitive integer vectors, with
+A2 and A3 brought over one common denominator.  The core is defined up to
+strict equivalence, P (A2, A3) Q with P and Q invertible: scaling a row of
+the annihilator (the same row of both core matrices), a basis vector of
+the subquotient, or both matrices by one number, is one, so these
+scalings leave every invariant below unchanged.
 
 On the regular core, the smallest prime mu with mu*A2 + A3 invertible
 normalizes the pencil to the single operator S = (mu*A2 + A3)^{-1} A2;
@@ -36,11 +46,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from typing import Optional, Tuple
+from math import lcm
+from operator import mul
+from typing import List, Optional, Sequence, Tuple
 
 from .linalg import (
-    Matrix, Subspace, _int_rows, _is_prime, _pivots, _solve_invertible, hstack, image_basis,
-    inverse, invariant_factors, kernel_basis, rank, solve_right,
+    Matrix, Subspace, _int_rank, _is_prime, _kernel_vectors, _pivots, _primitive,
+    _solve_invertible, image_basis, inverse, invariant_factors, solve_right,
 )
 from .polynomials import Poly
 
@@ -67,67 +79,31 @@ class PencilBlocks:
         return (ra + reg, rb + reg) == (a, b)
 
 
-def _preimage(m: Matrix, s: Matrix) -> Tuple[Subspace, Matrix]:
-    """{x : m x lies in the column span of s}, and rows whose kernel it is.
+def _dots(xs: Sequence[Sequence[int]], ys: Sequence[Sequence[int]]) -> List[List[int]]:
+    """The products x . y, one row per x and one entry per y."""
+    return [[sum(map(mul, x, y)) for y in ys] for x in xs]
 
-    The rows of n = kernel_basis(s^T)^T span the annihilator of the column
-    span of s, so the preimage is the kernel of the rows n m, returned too.
+
+def _preimage(m: List[List[int]],
+              s: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[List[int]]]:
+    """{x : m x lies in the span of the vectors s}, and rows whose kernel it is.
+
+    `m` is a map Q^b -> Q^a given by its b >= 1 integer columns.  The kernel
+    vectors n of the vectors s, stacked as rows, span the annihilator of
+    their span, so the preimage is the kernel of the rows n m, returned too.
     """
-    rows = kernel_basis(s.transpose()).basis.transpose() @ m
-    return kernel_basis(rows), rows
+    n = _kernel_vectors(_primitive(s), len(m[0]))
+    rows = _primitive(_dots(n, m))
+    return _kernel_vectors([list(r) for r in rows], len(m)), rows
 
 
-def _wide_part(a2: Matrix, a3: Matrix) -> Tuple[Tuple[int, ...], Subspace]:
-    """Indices of the wide blocks, ascending, and the subspace they live on.
-
-    Runs the Wong sequences V_0 = Q^b, V_{i+1} = {x : A3 x in A2 V_i} and
-    W_0 = 0, W_{i+1} = {x : A2 x in A3 W_i}.  V* is kept as the rows `cut`
-    of the last preimage that shrank V (none while V is Q^b), so
-    W_i cap V* = W_i ker(cut W_i).  The increment
-    g_i = dim(W_i cap V*) - dim(W_{i-1} cap V*) counts the wide blocks with
-    epsilon >= i-1, and V* cap W* is their domain.  Since g_i never grows,
-    W_i cap V* is final once it stops growing, before W_i itself may be.
-    """
-    w = kernel_basis(a2)                       # W_1
-    if w.dim == 0:                             # g_1 = 0: no wide blocks
-        return (), w
-    b = a2.cols
-    v, cut = Matrix.identity(b), Matrix.zeros(0, b)
-    while True:
-        nxt, rows = _preimage(a3, a2 @ v)
-        if nxt.dim == v.cols:
-            break
-        v, cut = nxt.basis, rows
-    caps = [0]
-    while True:
-        cw = cut @ w.basis
-        caps.append(w.dim - rank(cw))
-        if caps[-1] == caps[-2]:
-            break
-        w = _preimage(a2, a3 @ w.basis)[0]
-    g = [caps[i] - caps[i - 1] for i in range(1, len(caps))]
-    wide = tuple(e for e in range(len(g) - 1) for _ in range(g[e] - g[e + 1]))
-    return wide, Subspace._trusted(b, w.basis @ kernel_basis(cw).basis)
-
-
-def _split_off(a2: Matrix, a3: Matrix, dom: Subspace):
-    """The pencil induced on Q^b / dom and Q^a / (A2 dom + A3 dom).
-
-    The rows n annihilate A2 dom + A3 dom, and the unit columns c off the
-    pivots of dom^T complete dom to a basis of Q^b.  (n A2 c, n A3 c) is
-    the pencil read in complements of dom and of A2 dom + A3 dom, up to
-    invertible factors on either side, so its Kronecker data are those of
-    the quotient.
-    """
-    if dom.dim == 0:
-        return a2, a3
-    images = hstack(a2 @ dom.basis, a3 @ dom.basis)
-    n = kernel_basis(images.transpose()).basis.transpose()
-    if not (n @ images).is_zero:
-        raise AssertionError("deflation subspace is not invariant")
-    pivots = set(_pivots(_int_rows(dom.basis.transpose()), a2.cols))
-    c = [j for j in range(a2.cols) if j not in pivots]
-    return n @ a2.submatrix(range(a2.rows), c), n @ a3.submatrix(range(a2.rows), c)
+def _meet(cut: List[List[int]], w: List[List[int]]) -> List[List[int]]:
+    """The span of the vectors w intersected with the kernel of the rows cut
+    (all of it for no rows): the combinations of w by the kernel of cut w."""
+    if not cut or not w:
+        return w
+    t = _kernel_vectors(_primitive(_dots(cut, w)), len(w))
+    return _primitive(_dots(t, list(zip(*w))))
 
 
 def kronecker_blocks(a2: Matrix, a3: Matrix) -> PencilBlocks:
@@ -135,18 +111,80 @@ def kronecker_blocks(a2: Matrix, a3: Matrix) -> PencilBlocks:
     if a2.rows != a3.rows or a2.cols != a3.cols:
         raise ValueError("pencil matrices must share a shape")
     a, b = a2.rows, a2.cols
+    den = lcm(a2.den, a3.den)
+    nums = [m._num_over(den) for m in (a2, a3)]
+    rows2, rows3 = ([list(num[i * b:(i + 1) * b]) for i in range(a)] for num in nums)
+    cols2, cols3 = ([list(num[j::b]) for j in range(b)] for num in nums)
 
-    wide, dom = _wide_part(a2, a3)
-    q2, q3 = _split_off(a2, a3, dom)
+    # V_0 = Q^b, V_{i+1} = {x : A3 x in A2 V_i}, down to V*, whose rows
+    # `cut` are those of the last preimage that shrank V (none for V* = Q^b)
+    vs, image, cut = [[[int(i == j) for i in range(b)] for j in range(b)]], cols2, []
+    while vs[-1]:
+        nxt, rows = _preimage(cols3, image)
+        if len(nxt) == len(vs[-1]):
+            break
+        vs.append(nxt)
+        image, cut = _dots(nxt, rows2), rows
+    # W_1 = ker A2, W_{i+1} = {x : A2 x in A3 W_i}, up to W*
+    ws = [_kernel_vectors([list(r) for r in rows2], b)]
+    while ws[-1]:
+        nxt = _preimage(cols2, _dots(ws[-1], rows3))[0]
+        if len(nxt) == len(ws[-1]):
+            break
+        ws.append(nxt)
+    wstar = ws[-1]
 
-    # the quotient holds the tall blocks: they are wide for the transpose
-    tall, dom_t = _wide_part(q2.transpose(), q3.transpose())
-    c2t, c3t = _split_off(q2.transpose(), q3.transpose(), dom_t)
-    core2, core3 = c2t.transpose(), c3t.transpose()
+    # wide: g_i = dim(W_i cap V*) - dim(W_{i-1} cap V*) blocks have
+    # epsilon >= i-1; g_i never grows, so W_i cap V* is final, and equal to
+    # V* cap W*, once it stops growing
+    caps = [0]
+    for w in ws:
+        dom = _meet(cut, w)
+        caps.append(len(dom))
+        if caps[-1] == caps[-2]:
+            break
+    else:
+        caps.append(caps[-1])
+    g = [caps[i] - caps[i - 1] for i in range(1, len(caps))]
+    wide = tuple(e for e in range(len(g) - 1) for _ in range(g[e] - g[e + 1]))
 
-    r = core2.rows
-    if core2.cols != r:
+    # the regular core lives on (V* + W*) / (V* cap W*): the vectors of
+    # V* and W* at the pivots of [dom | V* | W*] after dom
+    stack = dom + vs[-1] + wstar
+    pivots = _pivots([list(row) for row in zip(*stack)], len(stack))
+    basis = [stack[j] for j in pivots[len(dom):]]
+    r = len(basis)
+
+    # tall: dim(V_{i-1} + W*) - dim(V_i + W*) blocks have eta >= i
+    sums = [b] + [_int_rank([list(x) for x in v + wstar], b) if wstar else len(v)
+                  for v in vs[1:-1]]
+    if len(vs) > 1:
+        sums.append(len(pivots))
+    at_least = [x - y for x, y in zip(sums, sums[1:])] + [0]
+    tall = tuple(i for i in range(1, len(at_least))
+                 for _ in range(at_least[i - 1] - at_least[i]))
+    zeros = a - sum(wide) - sum(e + 1 for e in tall) - r
+    if zeros < 0:
+        raise AssertionError("more block rows than pencil rows")
+    tall = (0,) * zeros + tall
+
+    # the core rows: annihilator rows n of A2 dom + A3 dom, on the r rows of
+    # (n A2 B, n A3 B) that span its row space
+    n2, n3 = rows2, rows3
+    if dom:
+        images = _dots(dom, rows2) + _dots(dom, rows3)
+        n = _kernel_vectors(_primitive(images), a)
+        if any(any(row) for row in _dots(n, images)):
+            raise AssertionError("deflation subspace is not invariant")
+        n2, n3 = _dots(n, cols2), _dots(n, cols3)
+    core2, core3 = _dots(n2, basis), _dots(n3, basis)
+    stacked = [x + y for x, y in zip(core2, core3)]
+    keep = _pivots([list(c) for c in zip(*stacked)], len(stacked)) if r else []
+    if len(keep) != r:
         raise AssertionError("regular core is not square")
+    core2 = Matrix._ints(r, r, [v for i in keep for v in core2[i]])
+    core3 = Matrix._ints(r, r, [v for i in keep for v in core3[i]])
+
     mu, jordans, factors = None, [(), (), ()], ()
     if r:
         mu, s = _normalizing_prime(core2, core3)

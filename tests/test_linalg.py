@@ -709,6 +709,7 @@ def test_negative_last_pivot():
         assert det(a) == -2
         rows = linalg._int_rows(_NEGATIVE_PIVOT)
         assert _echelon_key(rows) == ((1, 0, -1), (0, 1, 1))
+        assert linalg._kernel_vectors(linalg._int_rows(_NEGATIVE_PIVOT), 3) == [[1, -1, 1]]
 
 
 def test_is_invertible_modular_screen():
@@ -858,6 +859,40 @@ def test_modular_kernel_matches_bareiss(drawn):
     rows, cols = drawn
     assert _modular_kernel(rows, cols) is not None  # proven, no fallback
     assert _same_kernel(_switched_kernel(rows, cols), _bareiss_kernel(rows, cols))
+
+
+@st.composite
+def kernel_systems(draw):
+    """Integer rows and a column count: `int_systems`, no rows or rows of
+    width 0, rows led by [[1, 2], [3, 4]] (a last Bareiss pivot of -2)
+    beside zero rows, and wide systems, some of low rank, of at least
+    `_MODULAR_CELLS` cells."""
+    kind = draw(st.sampled_from(("drawn", "empty", "negative", "large")))
+    if kind == "drawn":
+        return draw(int_systems())
+    if kind == "empty":
+        c = draw(st.integers(0, 4))
+        return [[0] * c for _ in range(draw(st.integers(0, 3)))], c
+    if kind == "negative":
+        c = draw(st.integers(2, 6))
+        rows = [[1, 2] + draw(st.lists(_small, min_size=c - 2, max_size=c - 2)),
+                [3, 4] + draw(st.lists(_small, min_size=c - 2, max_size=c - 2))]
+        return rows + [[0] * c for _ in range(draw(st.integers(0, 2)))], c
+    c = draw(st.integers(17, 22))
+    r = draw(st.integers(-(-linalg._MODULAR_CELLS // c), c - 1))
+    k = draw(st.integers(1, r))
+    left = [draw(st.lists(_small, min_size=k, max_size=k)) for _ in range(r)]
+    right = [draw(st.lists(_small, min_size=c, max_size=c)) for _ in range(k)]
+    return [[sum(x * right[t][j] for t, x in enumerate(row)) for j in range(c)]
+            for row in left], c
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_systems())
+def test_kernel_vectors_are_the_kernel_basis_columns_over_their_denominators(drawn):
+    rows, cols = drawn
+    want = linalg._int_cols(_int_kernel([list(r) for r in rows], cols).basis)
+    assert linalg._kernel_vectors([list(r) for r in rows], cols) == want
 
 
 def reference_reduced_echelon(rows):

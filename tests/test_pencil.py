@@ -9,6 +9,7 @@ from sblq.linalg import (
     Matrix, Subspace, block_diag, companion_matrix, hstack, image_basis, inverse,
     is_invertible, kernel_basis, rank, solve_right,
 )
+from sblq import pencil
 from sblq.pencil import PencilBlocks, _image_chain, _normalizing_prime, kronecker_blocks
 from sblq.polynomials import Poly
 from sblq.tables import arrow_down, arrow_left, arrow_right, arrow_up, eye, jordan, zeros
@@ -114,6 +115,27 @@ def test_empty_pencil():
     assert not any((blocks.wide, blocks.tall, blocks.jordan_at_0,
                     blocks.jordan_at_1, blocks.jordan_at_inf,
                     blocks.regular_factors))
+
+
+def test_every_preimage_is_taken_under_the_pencil_itself(monkeypatch):
+    """The Wong steps run on A2 and A3 alone, a x b, given by their integer
+    columns: no step runs on a transposed or a quotient pencil."""
+    a2, a3, _ = canonical_pencil([("wide", 1, None), ("tall", 2, None), ("tall", 0, None),
+                                  ("j0", 1, None), ("jinf", 2, None)])
+    rng = random.Random(4)
+    p, q = (Matrix.from_rows([[int(i == j) + (rng.randint(-2, 2) if i < j else 0)
+                               for j in range(n)] for i in range(n)])
+            @ Matrix.from_rows([[int(i == j) + (rng.randint(-2, 2) if i > j else 0)
+                                 for j in range(n)] for i in range(n)])
+            for n in (a2.rows, a2.cols))
+    a2, a3 = p @ a2 @ q, p @ a3 @ q
+    own = [[list(m.col(j)) for j in range(m.cols)] for m in (a2, a3)]
+    seen = []
+    real = pencil._preimage
+    monkeypatch.setattr(pencil, "_preimage", lambda m, s: seen.append(m) or real(m, s))
+    blocks = kronecker_blocks(a2, a3)
+    assert (blocks.wide, blocks.tall) == ((1,), (0, 2))
+    assert seen and all(m in own for m in seen)
 
 
 def test_shape_mismatch_rejected():
@@ -344,9 +366,19 @@ def singular_heavy_pencils(draw):
     return scrambled(a2, a3, random.Random(draw(st.integers(0, 2 ** 20)))), expected
 
 
+# wide, tall and nilpotent blocks large enough that the stacks [V_i | W*]
+# (26 x 18 and 23 x 18) and [dom | V* | W*] (18 x 29) are ranked modularly
+LARGE_SINGULAR = canonical_pencil([("wide", 3, None), ("wide", 2, None), ("wide", 0, None),
+                                   ("tall", 3, None), ("tall", 2, None), ("tall", 0, None),
+                                   ("jinf", 3, None), ("j0", 2, None)])
+
+
 @settings(max_examples=60, deadline=None)
 @given(singular_heavy_pencils())
 @example(((zeros(2, 2), zeros(2, 2)), {"wide": [0, 0], "tall": [0, 0]}))
+@example(((zeros(0, 3), zeros(0, 3)), {"wide": [0, 0, 0], "tall": []}))
+@example(((zeros(3, 0), zeros(3, 0)), {"wide": [], "tall": [0, 0, 0]}))  # C_0^3
+@example((scrambled(*LARGE_SINGULAR[:2], random.Random(7)), LARGE_SINGULAR[2]))
 @example((canonical_pencil([("wide", 0, None), ("tall", 0, None), ("wide", 2, None),
                             ("tall", 3, None), ("wide", 0, None), ("tall", 1, None)])[:2],
           {"wide": [0, 0, 2], "tall": [0, 1, 3]}))
