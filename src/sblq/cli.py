@@ -98,16 +98,17 @@ def _matrix_rows(m) -> list:
 
 def _certificates(dec, with_pencil: bool) -> Dict:
     """The module isomorphism and the pencil base change of a decomposition;
-    with_pencil nests the base change with the pencil itself under "pencil"."""
+    with_pencil nests the base change with the pencil it maps the datum
+    onto, the one the Kronecker blocks were read from, under "pencil"."""
     out = {}
     if dec.certificate is not None:
         out["module_isomorphism"] = _matrix_rows(dec.certificate)
-    if dec.pencil is not None:
-        a2, a3, base_change = dec.pencil.certificate
-        phi = _matrix_rows(base_change.phi)
+    form = dec.pencil
+    if form is not None:
+        phi = _matrix_rows(form.base_change.phi)
         if with_pencil:
-            out["pencil"] = {"a": dec.pencil.a, "b": dec.pencil.b,
-                             "a2": _matrix_rows(a2), "a3": _matrix_rows(a3),
+            out["pencil"] = {"a": form.a, "b": form.b,
+                             "a2": _matrix_rows(form.a2), "a3": _matrix_rows(form.a3),
                              "base_change_phi": phi}
         else:
             out["pencil_base_change_phi"] = phi

@@ -9,8 +9,10 @@ matrix drawn from the Hom space; `certificate_valid` checks exactly, over
 the integers, that it maps each subspace span onto its counterpart.  It
 works in `FourModule.reduced`, the module rewritten in the coordinates of
 one reduced row echelon form of its stacked slot bases, cached on the
-module, where slot columns are mostly unit columns with small entries.  The
-reported certificate, the inverse of that matrix, is built only when read.
+module, where slot columns are mostly unit columns with small entries.
+Every exact read of `decompose` goes through that one frame, so a datum
+caches its module and no kernel of its maps.  The reported certificate,
+the inverse of that matrix, is built only when read.
 `module_hom_basis` solves the Hom space column by column: a source basis
 vector along a coordinate axis confines that column of psi to a target
 subspace, and one exact kernel on the coordinates of the confined columns,
@@ -30,7 +32,7 @@ from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from .linalg import (
     Matrix, Subspace, _echelon_key, _int_cols, _int_rows, _kernel_vectors, _pivots, _rref,
-    block_diag, hstack, image_basis, inverse, is_invertible, kernel_basis,
+    block_diag, hstack, image_basis, inverse, is_invertible,
 )
 
 
@@ -67,10 +69,6 @@ class SBLDatum:
             if m.rows != h or m.cols != self.dim_H:
                 raise DatumFormatError(
                     f"pi[{i}] has shape {m.rows}x{m.cols}, expected {h}x{self.dim_H}")
-
-    @cached_property
-    def kernel0(self) -> Subspace:
-        return kernel_basis(self.pi[0])
 
     @cached_property
     def module(self) -> "FourModule":

@@ -9,14 +9,16 @@ image condition on ker Pi_0 and, for each case whose exponent constraint
 is feasible, read the summands, C_0 among them, off Hom dimensions and
 certify them with an isomorphism; by Krull-Schmidt the first multiset
 certified is the module's only one, and it decides every later case
-without another Hom solve.  Both routes read one reduced row echelon
-form R of the stacked slot bases [B0 | B1 | B2 | B3], cached on the
-module (`FourModule.reduced`): the pencil exists when R's pivots are its
-first n columns, and reads its solve off R's B2 and B3 columns; the
-image condition is a rank of R's blocks below slot 0; the matcher runs
-on the module M' whose slots are R's column blocks, where the Hom
-systems keep small entries, and its proven psi': candidate -> M' becomes
-psi = g psi' with g M' = M.  A classified datum passes the
+without another Hom solve.  Every exact read goes through one reduced
+row echelon form R of the stacked slot bases [B0 | B1 | B2 | B3], cached
+on the module (`FourModule.reduced`), and no kernel basis is computed:
+the pencil exists when R's pivots are its first n columns, reads its
+solve off R's B2 and B3 columns, and its base change is the frame of
+that solve; Pi_i on ker Pi_0 is the transpose of R's block i below slot
+0, which gives the image condition and the necessity lattice; the
+matcher runs on the module M' whose slots are R's column blocks, where
+the Hom systems keep small entries, and its proven psi': candidate -> M'
+becomes psi = g psi' with g M' = M.  A classified datum passes the
 necessity screen, so its lattice is built only for data that neither
 route classifies.  All decisions are exact.
 """
@@ -36,9 +38,8 @@ from .core import (
     hom_solver, module_to_datum, validate_datum,
 )
 from .linalg import (
-    Matrix, _annihilator, _echelon_key, _int_rank, _int_rows, _solve_invertible,
-    block_diag, companion_matrix, hstack, inverse, invariant_factors, kernel_basis,
-    rank, vstack,
+    Matrix, _annihilator, _echelon_key, _int_rank, _primitive, _solve_invertible,
+    block_diag, companion_matrix, hstack, inverse, invariant_factors, rank, vstack,
 )
 from .pencil import kronecker_blocks
 from .polynomials import Poly, sturm_real_roots
@@ -94,29 +95,32 @@ def necessary_conditions(d: SBLDatum, lattice_depth: int = 3,
     claimed complete.  `classify` runs it only for data that `_decompose`
     leaves unclassified: every datum either route classifies passes it.
 
-    The surjectivity flags, the equality constraint and the image
-    dimensions of ker Pi_0 itself are read off the module's cached reduced
-    form (`_reduced_image_condition`), as on the non-Hoelder route.  The
-    lattice lives in ker Pi_0, so it is computed in the coordinates of a
-    basis B of ker Pi_0 (b columns): with R_i the integer rows of Pi_i B
-    (`_kernel_images`), ker Pi_0 ∩ ker Pi_i is ker R_i and the image
-    dimension of a subspace X of Q^b is the rank of R_i X, as B is
-    injective.  Each subspace is kept as its canonical echelon key and the
-    key of its annihilator (`linalg._echelon_key`, `linalg._annihilator`):
-    U + V is the key of the rows of both keys, U ∩ V the annihilator of the
-    key of both annihilators, and a candidate is new exactly when its key
-    is not in the set of keys found so far.  A comparable pair needs neither
-    elimination (`_meet_join`): when U lies in V, U ∩ V and U + V are U
-    and V themselves, keys and all.  Each round pairs only entries of
-    which at least one was added in the round before: an older pair was
-    formed in an earlier round, so its sum and intersection are already
-    known, unless `max_lattice` cut that round short, and then no later
-    round adds anything either.  Descriptions and order are those of the
-    full pairwise closure.
+    Everything is read off the module's cached reduced form R of the
+    stacked slot bases (`FourModule.reduced`), as on both routes, and no
+    kernel is computed.  The lattice lives in ker Pi_0, which in R's frame
+    is spanned by unit vectors, so it is computed in their coordinates, on
+    Q^b with b = dim ker Pi_0: with K_i the integer rows of Pi_i on it,
+    the transposed blocks of `_kernel_maps` made primitive row by row (not
+    before transposing, which would rescale the shared coordinates), ker
+    Pi_0 ∩ ker Pi_i is ker K_i and the image dimension of a subspace X of
+    Q^b is the rank of K_i X.  Each subspace is
+    kept as its canonical echelon key and the key of its annihilator
+    (`linalg._echelon_key`, `linalg._annihilator`): U + V is the key of the
+    rows of both keys, U ∩ V the annihilator of the key of both
+    annihilators, and a candidate is new exactly when its key is not in the
+    set of keys found so far.  A comparable pair needs neither elimination
+    (`_meet_join`): when U lies in V, U ∩ V and U + V are U and V
+    themselves, keys and all.  Each round pairs only entries of which at
+    least one was added in the round before: an older pair was formed in an
+    earlier round, so its sum and intersection are already known, unless
+    `max_lattice` cut that round short, and then no later round adds
+    anything either.  Descriptions and order are those of the full pairwise
+    closure.
     """
-    maps, anns = _kernel_images(d)
-    surj, eqc = _reduced_image_condition(d)
+    blocks, surj, eqc = _kernel_maps(d)
     ranks, b = eqc[:3], eqc[3]
+    maps = [_primitive(zip(*rows)) for rows in blocks]
+    anns = [_echelon_key([row[::-1] for row in rows]) for rows in maps]
     # (description, key, annihilator key with reversed coordinates)
     found = [("ker Pi_0", _annihilator((), b), ())] + [
         (f"ker Pi_0 ∩ ker Pi_{i}", _annihilator(ann, b), ann) for i, ann in enumerate(anns, 1)]
@@ -140,7 +144,7 @@ def necessary_conditions(d: SBLDatum, lattice_depth: int = 3,
         start = total
         found.extend(new)
 
-    # entry 0 is Q^b itself, and entry i, ker R_i, has image 0 under R_i
+    # entry 0 is Q^b itself, and entry i, ker K_i, has image 0 under K_i
     entries = tuple(
         LatticeEntry(desc, len(key), ranks if n == 0 else tuple(
             0 if i == n else
@@ -150,29 +154,26 @@ def necessary_conditions(d: SBLDatum, lattice_depth: int = 3,
     return NecessityReport(surj, entries, eqc)
 
 
-def _kernel_images(d: SBLDatum) -> Tuple[List[List[List[int]]], List[tuple]]:
-    """The integer rows R_i of Pi_i B for the basis B of ker Pi_0, and the
-    annihilator key of each ker R_i, with reversed coordinates."""
-    maps = [_int_rows(d.pi[i] @ d.kernel0.basis) for i in (1, 2, 3)]
-    return maps, [_echelon_key([row[::-1] for row in r]) for r in maps]
+def _kernel_maps(d: SBLDatum) -> Tuple[List[List[Sequence[int]]], Tuple[bool, bool, bool, bool],
+                                       Tuple[int, int, int, int]]:
+    """([T_1, T_2, T_3], surjectivity flags, equality constraint) of
+    `necessary_conditions`, read off the reduced form R of the stacked slot
+    bases that the module caches (`FourModule.reduced`), with no kernel
+    computed: T_i^T over a common denominator is Pi_i on ker Pi_0.
 
-
-def _reduced_image_condition(d: SBLDatum
-                             ) -> Tuple[Tuple[bool, bool, bool, bool], Tuple[int, int, int, int]]:
-    """(surjectivity flags, equality constraint) of `necessary_conditions`,
-    read off the reduced form R of the stacked slot bases that the module
-    caches (`FourModule.reduced`), without ker Pi_0.
-
-    ker Pi_0 is S_0^perp and Pi_i vanishes on it exactly on (S_0 + S_i)^perp,
-    so rank(Pi_i on ker Pi_0) = dim(S_0 + S_i) - dim S_0 and dim ker Pi_0 =
-    n - dim S_0.  Dimensions of sums do not depend on coordinates, and in
-    those of R slot 0 is [I; 0]: dim(S_0 + S_i) - dim S_0 is the rank of
-    the rows of R's block i below row dim S_0.  For i = 1 it is R's pivot
-    count in block 1."""
+    In the coordinates y = g^T x of R's frame, with g M' = M, the datum's
+    maps are the transposes of the slots of M', up to an injective map on
+    each H_i, which changes no kernel or image dimension.  Slot 0 of M' is
+    [I_a; 0], a = dim S_0, so ker Pi_0 is y[:a] = 0, and Pi_i on it is the
+    transpose of the rows of R's block i below row a: T_i is their
+    numerators.  Pi_i ker Pi_0 = H_i exactly when rank T_i = dim H_i, and
+    the constraint is (rank T_1, rank T_2, rank T_3, n - a)."""
     reduced = d.module.reduced[1]
-    a = reduced.sub[0].dim
-    ranks = tuple(_int_rank(_int_rows(s.basis)[a:], s.dim) for s in reduced.sub[1:])
-    return (True, *(r == h for r, h in zip(ranks, d.dims[1:]))), (*ranks, d.dim_H - a)
+    n, a = d.dim_H, reduced.sub[0].dim
+    blocks = [[s.basis.num[r * s.dim:(r + 1) * s.dim] for r in range(a, n)]
+              for s in reduced.sub[1:]]
+    ranks = tuple(_int_rank(_primitive(rows), s.dim) for rows, s in zip(blocks, reduced.sub[1:]))
+    return blocks, (True, *(r == h for r, h in zip(ranks, d.dims[1:]))), (*ranks, n - a)
 
 
 _Keyed = Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]
@@ -204,11 +205,11 @@ def _meet_join(u: _Keyed, v: _Keyed, b: int) -> Tuple[_Keyed, _Keyed]:
 
 @dataclass(frozen=True)
 class PencilForm:
-    """Normal form of a Hoelder-type datum: the pair of a x b pencil matrices.
-
-    vstack(Pi_0, Pi_1) on H and (I, I, C1_2^-T, C1_3^-T) on the H_i carry
-    the datum onto `pencil_datum(a, b, A2, A3)`; `certificate`, the form in
-    the kernel frame, is built only when read."""
+    """Normal form of a Hoelder-type datum: the a x b pencil the Kronecker
+    blocks are read off.  `base_change`, vstack(Pi_0, Pi_1) on H and (I, I,
+    C1_2^-T, C1_3^-T) on the H_i, carries the datum onto the `pencil_datum`
+    of (A2, A3), as `holder_normal_form` checks; its two b x b inverses are
+    formed only when read."""
 
     a: int
     b: int
@@ -218,25 +219,10 @@ class PencilForm:
     c1t: Tuple[Matrix, Matrix]         # C1_2^T, C1_3^T
 
     @cached_property
-    def certificate(self) -> Tuple[Matrix, Matrix, EquivalenceMap]:
-        """(A2, A3, base change) under the frame change diag(P0, P1), P0 =
-        Pi_0 u and P1 = Pi_1 v for bases u of ker Pi_1 and v of ker Pi_0:
-        A_i^T becomes P1^-1 A_i^T P0, phi = vstack(P0^-1 Pi_0, P1^-1 Pi_1)
-        is hstack(u, v)^-1, and phi_i = (P0^-1, P1^-1, (C1_2^T P1)^-1,
-        (C1_3^T P1)^-1)."""
-        pi = self.datum.pi
-        p0, p1 = pi[0] @ kernel_basis(pi[1]).basis, pi[1] @ self.datum.kernel0.basis
-        q0, q1 = inverse(p0), inverse(p1)
-        a2, a3 = ((q1 @ m.transpose() @ p0).transpose() for m in (self.a2, self.a3))
-        phi_i = (q0, q1, *(inverse(c @ p1) for c in self.c1t))
-        return a2, a3, EquivalenceMap(vstack(q0 @ pi[0], q1 @ pi[1]), phi_i)
-
-    @property
     def base_change(self) -> EquivalenceMap:
-        return self.certificate[2]
-
-    def normal_form_datum(self) -> SBLDatum:
-        return pencil_datum(self.a, self.b, *self.certificate[:2])
+        pi = self.datum.pi
+        return EquivalenceMap(vstack(pi[0], pi[1]), (
+            Matrix.identity(self.a), Matrix.identity(self.b), *map(inverse, self.c1t)))
 
 
 def pencil_datum(a: int, b: int, a2: Matrix, a3: Matrix) -> SBLDatum:
@@ -266,6 +252,10 @@ def holder_normal_form(d: SBLDatum) -> Optional[PencilForm]:
     and 1 of the reduced module stack to I_n, and R is then [I_n | C]: C
     is its slot 2 and slot 3 columns.  A map that is not surjective leaves
     one of S_0 + S_i short of Q^n, so such a datum has no form either.
+
+    R's frame is phi = vstack(Pi_0, Pi_1) = g^T, so Pi_i phi^-1 is slot i
+    of the reduced module transposed, and the check below proves that
+    `PencilForm.base_change` carries the datum onto the pencil datum.
     """
     n, a = d.dim_H, d.dims[0]
     b = n - a
@@ -356,8 +346,10 @@ def _superscripts(families: Iterable[str]) -> set:
 
 
 def _case_counts_admissible(case_tag: str, counts: Dict[str, int]) -> bool:
+    """Does the case list every counted family and admit their superscripts?"""
+    counted = [f for f, c in counts.items() if c]
     limit = {"i": 2, "ii": 1}.get(case_tag, 3)
-    return len(_superscripts(f for f, c in counts.items() if c)) <= limit
+    return set(counted) <= set(_CASE_FAMILIES[case_tag]) and len(_superscripts(counted)) <= limit
 
 
 # a lattice cap no family datum comes near: each closes within eight entries
@@ -406,30 +398,32 @@ def _fixed_table() -> Tuple[Dict[str, FourModule], Dict[str, List[List[int]]],
 
 
 _DRAWS = 32  # draw t seeds random.Random(t + 1); reports print this stream as seed 0
+_CASE_ORDER = ("ii", "iii", "i")
 
 
-def _fixed_matcher(m: FourModule, trials: int = _DRAWS):
+def _fixed_matcher(m: FourModule, trials: int = _DRAWS, cases: Sequence[str] = _CASE_ORDER):
     """Non-Hoelder matching for one module: `match(case_tag)` gives the
     certified summand multiset for one case shape and the proven psi:
     candidate -> m, or None.  A module is fixed by its Hom dimensions from
     the indecomposables (Auslander), so the multiplicities of the case's
     families are exactly H^-1 h, with H[X][Y] = dim Hom(X, Y) and h_X =
     dim Hom(X, m); a negative entry, a wrong dimension vector or an empty
-    Hom space of a counted family is a definite negative.  Otherwise each
-    of up to `trials` draws stacks one element of Hom(X, m) per summand
-    copy into psi, and the first that `certificate_valid` proves is kept,
-    whether or not the case's superscript rule admits the multiset.
+    Hom space of a counted family is a definite negative, and so is a
+    multiset that neither this case nor a later one of `cases`, those still
+    to be asked, admits (`_case_counts_admissible`): proven, it would match
+    none of them.  Otherwise each of up to `trials` draws stacks one
+    element of Hom(X, m) per summand copy into psi, and the first that
+    `certificate_valid` proves is kept, even when this case refuses it.
 
     By Krull-Schmidt m has exactly one multiset of indecomposables, so
     every later case is decided from the proven one without a Hom solve: it
-    matches exactly when it lists all the multiset's families and its
-    superscript rule admits them.  A case that lists them all computes the
-    same multiplicities, as h = H x for the proven x; one that does not
-    has no certified candidate, which would be a second multiset.  The
-    proven psi serves every case: C0, P and K keep their relative order in
-    all three family lists, so the candidate is the same direct sum in the
-    same order.  Until then each Hom(X, m) is solved once, by one
-    `hom_solver(m)`.
+    matches exactly when it admits the multiset.  A case that lists all
+    its families computes the same multiplicities, as h = H x for the
+    proven x; one that does not has no certified candidate, which would be
+    a second multiset.  The proven psi serves every case: C0, P and K keep
+    their relative order in all three family lists, so the candidate is the
+    same direct sum in the same order.  Until then each Hom(X, m) is solved
+    once, by one `hom_solver(m)`.
 
     `_decompose` passes M' of the reduced form (g, M') of the datum's
     module, whose slot columns are mostly unit columns with small entries,
@@ -464,16 +458,16 @@ def _fixed_matcher(m: FourModule, trials: int = _DRAWS):
             mult = [sum(map(mul, row, h)) for row in inverses[case_tag]]
             counts = {f: c for f, c in zip(families, mult) if c}
             total = tuple(sum(c * dims[f][k] for f, c in counts.items()) for k in range(5))
-            if min(mult) < 0 or total != m.dim_vector or not all(homs[f] for f in counts):
+            to_ask = cases[cases.index(case_tag):]
+            if min(mult) < 0 or total != m.dim_vector or not all(homs[f] for f in counts) or \
+                    not any(_case_counts_admissible(c, counts) for c in to_ask):
                 return None
             found = certify([f for f, c in counts.items() for _ in range(c)])
             if found is None:
                 return None
             proven = counts, found
         counts, found = proven
-        if set(counts) <= set(families) and _case_counts_admissible(case_tag, counts):
-            return found
-        return None
+        return found if _case_counts_admissible(case_tag, counts) else None
 
     return match
 
@@ -594,13 +588,15 @@ def _decompose(d: SBLDatum) -> DecompositionResult:
     every image condition holds and the equality constraint is (b, b, b, b),
     read without ker Pi_0.  Without a pencil form the image condition and
     the equality constraint are read off the same reduced form, still
-    without ker Pi_0 (`_reduced_image_condition`).  A failed image
-    condition ends the route, since every datum the matcher can certify
-    meets it (`_check_family_lattices`); otherwise the matcher
-    runs, C0 among its families, on M' of d's module's cached reduced form
-    (g, M') (`FourModule.reduced`), the form `holder_normal_form` reads; the
-    cases are tried in the order ii, iii, i, and once one multiset is
-    certified the later ones are decided from it (`_fixed_matcher`).
+    without a kernel (`_kernel_maps`).  A failed image condition ends the
+    route, since every datum the matcher can certify meets it
+    (`_check_family_lattices`); otherwise the matcher runs, C0 among its
+    families, on M' of d's module's cached reduced form (g, M')
+    (`FourModule.reduced`), the form `holder_normal_form` reads.  The cases
+    whose exponent constraint is feasible are tried in the order ii, iii,
+    i; the matcher is handed that list, draws only for a multiset one of
+    them still accepts, and once one multiset is certified decides the
+    later ones from it (`_fixed_matcher`).
     Its psi': candidate -> M' is proven by `certificate_valid`, and
     psi = g psi' is then proven for M itself: g is invertible and maps
     each slot of M' onto that of M (g R_i = B_i, R exact), so psi is
@@ -610,15 +606,16 @@ def _decompose(d: SBLDatum) -> DecompositionResult:
         return DecompositionResult(kronecker_decompose(form), "classified", "pencil",
                                    d, (form.b,) * 4, pencil=form)
     diags = ["no Hoelder normal form (kernel complement conditions failed)"]
-    surj, eqc = _reduced_image_condition(d)
+    _, surj, eqc = _kernel_maps(d)
     if not all(surj):
         diags += [f"image condition fails: Pi_{i} ker Pi_0 != Pi_{i} H"
                   for i in (1, 2, 3) if not surj[i]]
         return DecompositionResult([], "unclassified", "none", d, eqc, diagnostics=diags)
     g, reduced = d.module.reduced
-    match = _fixed_matcher(reduced)
-    for case_tag in ("ii", "iii", "i"):
-        if not _case_feasible(case_tag, eqc):
+    feasible = [c for c in _CASE_ORDER if _case_feasible(c, eqc)]
+    match = _fixed_matcher(reduced, cases=feasible)
+    for case_tag in _CASE_ORDER:
+        if case_tag not in feasible:
             diags.append(f"case {case_tag}: exponent constraint infeasible")
             continue
         found = match(case_tag)

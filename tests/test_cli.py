@@ -125,6 +125,47 @@ def test_certificates_act_on_the_users_datum(tmp_path):
         assert len(matrix) == len(matrix[0]) == dim_h
 
 
+PENCIL_FIXTURES = ("bht", "coifman_meyer_1", "coifman_meyer_2", "twisted_paraproduct",
+                   "j2", "n1_j1", "three_twisted", "triangular_hilbert")
+
+
+def test_printed_pencil_certificate_checks_from_the_report_alone(tmp_path):
+    # phi carries Pi_0 and Pi_1 onto [I_a | 0] and [0 | I_b] and Pi_2, Pi_3
+    # onto maps with the row spaces of [A2^T | I_b] and [A3^T | I_b]
+    from fractions import Fraction
+    from pathlib import Path
+    from sblq.core import datum_from_dict
+    from sblq.linalg import Matrix, hstack, inverse, rank, vstack
+    from sblq.tables import FamilyTag
+
+    paths = []
+    for name in PENCIL_FIXTURES:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(shipped_fixture_dict(name)))
+        paths.append(str(path))
+    c0 = FamilyTag("C", 0)
+    paths.append(_scrambled_file(tmp_path, [c0, c0, FamilyTag("J1", 1), FamilyTag("J2", 1),
+                                            FamilyTag("C", 1)], "holder_c0"))
+    for path in paths:
+        proc = run_cli("classify", path, "--certificates", "--report", "json")
+        assert proc.returncode == 0, path
+        pencil = json.loads(proc.stdout)["certificates"]["pencil"]
+        a, b = pencil["a"], pencil["b"]
+
+        def read(rows, r, c):
+            return Matrix(r, c, [Fraction(x) for row in rows for x in row])
+
+        phi_inv = inverse(read(pencil["base_change_phi"], a + b, a + b))
+        pi = datum_from_dict(json.loads(Path(path).read_text())).pi
+        eye = Matrix.identity(a + b)
+        assert pi[0] @ phi_inv == eye.submatrix(range(a), range(a + b))
+        assert pi[1] @ phi_inv == eye.submatrix(range(a, a + b), range(a + b))
+        for i, key in ((2, "a2"), (3, "a3")):
+            want = hstack(read(pencil[key], a, b).transpose(), Matrix.identity(b))
+            got = pi[i] @ phi_inv
+            assert rank(got) == rank(want) == rank(vstack(got, want)) == b, (path, key)
+
+
 def test_decompose_certificates(tmp_path):
     path = tmp_path / "tw.json"
     path.write_text(json.dumps(shipped_fixture_dict("twisted_paraproduct")))
@@ -178,22 +219,24 @@ def test_certified_reports_identical_under_optimize():
 # `--certificates`, once "timing" and "command" are removed.  A change to the
 # exact core must leave every one of these reports byte for byte as it was;
 # only a new certificate draw may move the `--certificates` digests of the
-# three non-Hoelder fixtures (young, loomis_whitney, bilinear_holder_pk).
+# three non-Hoelder fixtures (young, loomis_whitney, bilinear_holder_pk), and
+# only a new frame for the printed pencil and its base change those of the
+# eight Hoelder fixtures.
 REPORT_SHA256 = {
     "bht": ("ed280c53b91f42fac73f8e2c479a932978bfc34e92c3a630c1ab3a58b2f49bfa",
            "36bd058df85321804ed4b9f094e9ad917ebfdb28f0c7ee991b80f25e8d789bb0"),
     "coifman_meyer_1": ("bdf421f30a55461bf05de2d55ff57d65f5ae95beef7ba4600119a4835ed0f4e7",
                        "5df2ea861d53bdb58d9bfa9a9db8b9a3f3c4242b639d1b9d9b3d47f0485ba1da"),
     "coifman_meyer_2": ("4d02f3c12570cf3f3c68b1c30014179db540476b3069eaab1c65bfa822091d1b",
-                       "bbdcbb6b65bed6141bafb7c1f1abed378958bf3a8bad8765341e91fdfc1e87f2"),
+                       "eb22fa2fe4c45d3fc324102e419f59d59f3856160a014fc4c51d1a2dfc188076"),
     "twisted_paraproduct": ("f87d0bf3374c01b917a1cb54352bfc455c96cce5b9d0f75dd7e76722b2718f1f",
                            "33d8eee654d0960cbc2cb05a9307a1599f720ecfa2b423af8e0ffc4c0fc0af00"),
     "j2": ("8d72f6c55215f37bd19c694ebf704784990868038bac91df8008f79166e23193",
-          "f7b0129b55cc619170d9784b72f6a946a57c52f59e3cd051e01124fe0e247271"),
+          "acd78e196baaf60a061acd25b34666e00b923ac91a10c9024a88185039a35cd5"),
     "n1_j1": ("839967fcba1a01c548c2fb362fa19efbada4f2e5c75b4ce0566ae4ea1bd923b7",
-             "f825ebbc2def46691120a9c411b27c53dfdb293f130ac427433a07d9ac9d15af"),
+             "fb22866eace85c90e5986ed4dca02e30acaeab8cea22315f4e338addfb0e7f1d"),
     "three_twisted": ("513cfd66e7ed041ca4fc49dd96dd05e57dd38279a028a3361cdbd5b4ff6ebc07",
-                     "cfacd897a9b5360e4993d1ca72b291b1c640e0327e54a31e3dacb1f5263f7a5c"),
+                     "aaf152bfdcdb65ca8bfa51627e39a5678f9addd67f7df7908b24e31ae51875e4"),
     "triangular_hilbert": ("286bc075d1959ff23c1c9aa967e9b6f36ecbf02154ab5aad2da9b64d581c5f7a",
                           "e03a2af445555f3206e4e9bca0eba85e9db49090d98fa5b039eaad7ebaebb1cd"),
     "young": ("b4504478627be29ceb49f8723d92e7fac77b10a1788bf1138d011ad2157b49a7",
@@ -214,15 +257,15 @@ DECOMPOSE_SHA256 = {
     "coifman_meyer_1": ("3983eec09c3c69522613ac476e2d459aae2553a445e861fe6ace54d5400ff574",
         "f9676e5ae03261c9d94df078fb17d4bae62d5cfd9d4f5802732aef1b033911bd"),
     "coifman_meyer_2": ("8e6008fffb66513a3cd180c47f04fbe26a7ac8885c23acad4e5d5142d91fa2b0",
-        "2ea99ffe68d020cc9580e623491d9108bf6b1fce38a057e1876764b1b6a2f117"),
+        "975a92e8d5f3c1d54fb4a3503cf0cec906a3eed95bc5836122129f7dde9075f3"),
     "twisted_paraproduct": ("b050f6a7fe275a33bad1c8c824c9d29a1006ffd9726f860391277f241b4e8323",
         "4c474f2a88a3cd1053877484d7b52bce35f11c7873ba2b602d6d88245111bce7"),
     "j2": ("9bcd19f7aa8a66ef6b89b0891e8ed83a4bbb5c1ba6a671bee5a213cd4cf289f2",
-        "8e003e5ea5121d7d0d740ccf811ce81ed618d4c03f677d3f1a9e5d8687f5005d"),
+        "407e3dea9352ae029be35944525a6b357d36466664e8f9033aef8d883a63f8a2"),
     "n1_j1": ("67b3b61ff2a6c0d7fd395c82d10ea6134601356eb25ffc6d18531de9a4ac9bf5",
-        "014ae946ebfe13e49afce9607a4a258abd807791311f576dc5cf1a183b179cdc"),
+        "12f25e8788af38592e702cf8b553b3b649f7e631785131fc0aa5dc822e72230e"),
     "three_twisted": ("e5fca27597dbff02e9e18827367d7dbe8730c651e4846be4dde9767193758446",
-        "0767c690be3aea7c7685d48f890ae03761bc14e53a280a4dcc410172c2251ecb"),
+        "bc519b29825c441f32a02275a334e2f58ff7fc570dd79bfb6cb42237a54187d0"),
     "triangular_hilbert": ("dcf371c902f43c69c0ca9dbee1f025177c5239c705bd9e886c71a35937ff038a",
         "5b37747c783c126b5f365c9958cbbd3fca0d9a0b1d0c00fc045be7d5b639e6d0"),
     "young": ("be741f6e954a5cc1da5995e3b2132abad606fb894a642ba401f44c15df3ef0dc",

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 from operator import mul
 from unittest import mock
@@ -23,7 +23,7 @@ from sblq.core import (
 from sblq.decompose import (
     _CASE_FAMILIES, _case_counts_admissible, _case_feasible, _check_family_lattices,
     _TABLE_TAGS, _fixed_matcher, _fixed_table,
-    _hom_combination, _kernel_images, _meet_join, _reduced_image_condition,
+    _hom_combination, _kernel_maps, _meet_join,
     LatticeEntry, NecessityReport, canonical_multiset, collect_summands, decompose,
     expand_tags,
     holder_normal_form, kronecker_decompose,
@@ -35,12 +35,12 @@ from sblq.fixtures import (
 )
 from sblq.linalg import (
     Matrix, Subspace, _annihilator, _echelon_key, _int_rows, hstack,
-    image_basis, inverse, kernel_basis, rank, solve_right,
+    image_basis, inverse, kernel_basis, rank, solve_right, vstack,
 )
 from sblq.pencil import kronecker_blocks
 from sblq.polynomials import Poly
 from sblq.randomized import _holder_bag, random_case
-from sblq.tables import FIXED_FAMILIES, FamilyTag, build
+from sblq.tables import FIXED_FAMILIES, RAW_FAMILIES, FamilyTag, build
 
 from iso_oracle import isomorphism
 from spans import same_span, subspace_intersect, subspace_sum
@@ -101,7 +101,7 @@ def _reference_image_dims(d, sub):
 
 def reference_necessary_conditions(d, lattice_depth=3, max_lattice=64):
     """Every pair, every round, deduplicated by `same_span` against all."""
-    k0 = d.kernel0
+    k0 = kernel_basis(d.pi[0])
     surj = [True]
     for i in (1, 2, 3):
         img = rank(d.pi[i] @ k0.basis) if k0.dim else 0
@@ -245,7 +245,7 @@ def test_meet_join_matches_the_eliminations(pair):
 def reference_key_closure(d, lattice_depth=3, max_lattice=64):
     """`necessary_conditions` with both eliminations for every pair, and
     every rank taken by `rank` in Q^dim_H, each R_i once per entry."""
-    k0 = d.kernel0
+    k0 = kernel_basis(d.pi[0])
     b = k0.dim
     maps = [_int_rows(d.pi[i] @ k0.basis) for i in (1, 2, 3)]
     surj = (True, *(rank(d.pi[i] @ k0.basis) == d.dims[i] for i in (1, 2, 3)))
@@ -295,9 +295,36 @@ SCREENED_BAGS = [
 ]
 
 
+def raw_family_data():
+    """Every raw family I-V* at n <= 3 under all 24 slot permutations."""
+    return [module_to_datum(build(FamilyTag(f, n, permutation=p)))
+            for f in RAW_FAMILIES if f != "0" for n in range(1 if f == "I" else 0, 4)
+            for p in itertools.permutations(range(4))]
+
+
+def small_screen_datum(seed):
+    """A seeded datum with dim_H <= 5 and every dim H_i <= 3, often with a
+    map that is not surjective; Pi_0 is the identity (ker Pi_0 = 0) one
+    time in six."""
+    rng = random.Random(seed)
+    n = rng.randint(0, 5)
+    dims = [rng.randint(0, 3) for _ in range(4)]
+    cells = (lambda: rng.choice((0, 0, 1, -1, 2))) if rng.random() < 0.3 else \
+        (lambda: rng.randint(-4, 4))
+    pis = [Matrix(h, n, [cells() for _ in range(h * n)]) for h in dims]
+    if rng.randint(0, 5) == 0:
+        dims[0], pis[0] = n, Matrix.identity(n)
+    return SBLDatum(n, tuple(dims), tuple(pis))
+
+
 def test_necessary_conditions_match_ranked_closure_on_fixtures_and_random_cases():
+    small = [small_screen_datum(seed) for seed in range(400)]
+    assert sum(not validate_datum(d).valid for d in small) >= 200
+    assert any(d.dim_H == 0 for d in small)
+    assert any(d.dim_H and not kernel_basis(d.pi[0]).dim for d in small)
     data = [shipped_fixture(name) for name in SHIPPED_FIXTURES]
     data += [random_case(seed)[1] for seed in range(150)]
+    data += raw_family_data() + small
     for d in data:
         assert necessary_conditions(d) == reference_key_closure(d)
 
@@ -375,10 +402,10 @@ def test_classify_matches_in_the_reduced_module_only():
 
 def user_coordinate_image_condition(d):
     """(surjectivity flags, equality constraint) in the user's coordinates:
-    rank(Pi_i B) for a basis B of ker Pi_0 is the row count of the
-    annihilator key of ker Pi_i B (`_kernel_images`), and k = dim ker Pi_0."""
-    ranks = tuple(map(len, _kernel_images(d)[1]))
-    return (True, *(r == h for r, h in zip(ranks, d.dims[1:]))), (*ranks, d.kernel0.dim)
+    rank(Pi_i B) for a basis B of ker Pi_0, and k = dim ker Pi_0."""
+    k0 = kernel_basis(d.pi[0])
+    ranks = tuple(rank(d.pi[i] @ k0.basis) if k0.dim else 0 for i in (1, 2, 3))
+    return (True, *(r == h for r, h in zip(ranks, d.dims[1:]))), (*ranks, k0.dim)
 
 
 def reference_matcher_route(d):
@@ -434,33 +461,55 @@ def image_condition_data():
 def test_image_condition_from_the_reduced_form_matches_user_coordinates():
     failed = 0
     for d in image_condition_data():
-        got = _reduced_image_condition(d)
+        got = _kernel_maps(d)[1:]
         assert got == user_coordinate_image_condition(d)
         failed += not all(got[0])
     assert failed >= 6
 
 
+@contextmanager
+def kernel_basis_args():
+    """The arguments of every `kernel_basis` call, through any sblq module."""
+    args = []
+
+    def recording(m):
+        args.append(m)
+        return kernel_basis(m)
+
+    with ExitStack() as stack:
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("sblq.") and getattr(mod, "kernel_basis", None) is kernel_basis:
+                stack.enter_context(mock.patch.object(mod, "kernel_basis", recording))
+        yield args
+
+
 def test_nonholder_route_does_not_compute_ker_pi0():
-    # fresh data only: a datum keeps the kernel an earlier screen computed
+    # neither route, nor the certificates, nor the lattice of an
+    # unclassified datum takes a kernel of Pi_0
     data = [scrambled_datum(tags, 17) for tags in (*SCREENED_BAGS, *NONHOLDER_C0_BAGS)]
-    data += [SBLDatum(LATTICE_FAILURE.dim_H, LATTICE_FAILURE.dims, LATTICE_FAILURE.pi),
-             scrambled_datum([FamilyTag("V*", 1), C0], 5)]
+    data += [LATTICE_FAILURE, scrambled_datum([FamilyTag("V*", 1), C0], 5)]
+    data += [shipped_fixture(name) for name in SHIPPED_FIXTURES]
     paths = Counter()
     for d in data:
-        dec = decompose(d)
+        with kernel_basis_args() as kernels:
+            dec = decompose(d)
+            dec.certificate, dec.necessity
+            if dec.pencil is not None:
+                dec.pencil.base_change
         paths[dec.path] += 1
-        assert dec.path == "pencil" or "kernel0" not in vars(d)
-    assert paths["nonholder"] >= 5 and paths["none"] >= 3
+        assert not any(m == d.pi[0] for m in kernels)
+    assert paths["nonholder"] >= 8 and paths["none"] >= 3 and paths["pencil"] >= 10
 
 
 # -- one certified multiset decides every case: the per-case matcher as oracle
 
 
-def reference_fixed_matcher(m, trials=32):
+def reference_fixed_matcher(m, trials=32, cases=None):
     """The matcher that solved and certified each case on its own: a case's
     multiplicities H^-1 h are certified only when its superscript rule
     admits them, and each multiset at most once.  It solves through the
-    module's `hom_solver`, as `_fixed_matcher` does, so a patch sees both."""
+    module's `hom_solver`, as `_fixed_matcher` does, so a patch sees both.
+    It needs no list of the cases still to be asked, and ignores `cases`."""
     mods, inverses = _fixed_table()[:2]
     solve = sys.modules["sblq.decompose"].hom_solver(m)
     homs, proved = {}, {}
@@ -561,9 +610,10 @@ def test_case_i_bags_solve_no_hom_from_l_or_b():
              in zip(nonholder_ladder_bags(1), nonholder_ladder_bags(1)) if case == "i"]
     assert len(pairs) == 8
     for d, ref in pairs:
-        solved = _solved_families(d, _fixed_matcher)
+        with kernel_basis_args() as kernels:
+            solved = _solved_families(d, _fixed_matcher)
         assert not {"L", "B"} & set(solved) and len(solved) == len(set(solved))
-        assert "kernel0" not in vars(d)
+        assert not any(m == d.pi[0] for m in kernels)
         assert {"L", "B"} <= set(_solved_families(ref, reference_fixed_matcher))
         assert decompose(d).diagnostics[1:] == ["case ii: no certified candidate"]
 
@@ -653,7 +703,7 @@ def test_holder_normal_form_bht():
     # with the deterministic basis choice the parameter comes out on the nose
     assert form.a3 == Matrix(1, 1, [Fraction(1, 3)])
     # reconstruction is asserted at construction; double-check the datum shape
-    nf = form.normal_form_datum()
+    nf = pencil_datum(form.a, form.b, form.a2, form.a3)
     assert nf == apply_equivalence(bht(Fraction(1, 3)), form.base_change)
 
 
@@ -702,7 +752,8 @@ def test_holder_normal_form_check_survives_optimize():
 
 
 def test_base_change_is_inverted_only_when_read():
-    # no dim_H x dim_H inverse runs, neither for the form nor for its base change
+    # no dim_H x dim_H inverse runs, neither for the form nor for its base
+    # change: reading it inverts C1_2^T and C1_3^T only
     d = twisted_paraproduct()
     assert d.dim_H > max(d.dims[0], d.dims[1])
     shapes = []
@@ -719,27 +770,25 @@ def test_base_change_is_inverted_only_when_read():
         assert pencil is not None
         assert shapes == []
         phi = pencil.base_change.phi
-        assert shapes and (d.dim_H, d.dim_H) not in shapes
-        count = len(shapes)
+        assert shapes == [(pencil.b, pencil.b)] * 2
         assert pencil.base_change.phi is phi
-        assert len(shapes) == count
-    frame = hstack(kernel_basis(d.pi[1]).basis, d.kernel0.basis)
-    assert phi @ frame == Matrix.identity(d.dim_H)
+        assert len(shapes) == 2
+    assert phi == vstack(d.pi[0], d.pi[1])
+    assert apply_equivalence(d, pencil.base_change) == \
+        pencil_datum(pencil.a, pencil.b, pencil.a2, pencil.a3)
 
 
 def test_holder_normal_form_plain_path_skips_kernels_and_inverses():
+    # the base change too takes no kernel, and its inverses are C1_i^-T only
     d = three_twisted()
     mod = sys.modules["sblq.decompose"]
-    core = sys.modules["sblq.core"]
-    with mock.patch.object(mod, "kernel_basis", wraps=kernel_basis) as kernels, \
-            mock.patch.object(core, "kernel_basis", wraps=kernel_basis) as kernel0, \
+    with kernel_basis_args() as kernels, \
             mock.patch.object(mod, "inverse", wraps=inverse) as inverting:
         form = holder_normal_form(d)
         assert form is not None
-        assert (kernels.call_count, kernel0.call_count, inverting.call_count) == (0, 0, 0)
-        form.certificate
-        assert kernels.call_count == 1 and kernel0.call_count == 1
-        assert inverting.call_count == 4
+        assert (len(kernels), inverting.call_count) == (0, 0)
+        form.base_change
+        assert (len(kernels), inverting.call_count) == (0, 2)
 
 
 def test_holder_normal_form_rejects_young():
@@ -774,7 +823,7 @@ def reference_holder_normal_form(d):
     The base change is inverse(hstack(u, v)) with phi_0 = (Pi_0 u)^-1 and
     phi_i = (Pi_i v)^-1; A_i^T = phi_i Pi_i u.
     """
-    v = d.kernel0.basis
+    v = kernel_basis(d.pi[0]).basis
     b = v.cols
     a = d.dim_H - b
     if a != d.dims[0] or any(d.dims[i] != b for i in (1, 2, 3)):
@@ -829,10 +878,8 @@ def test_holder_normal_form_matches_kernel_frame_oracle(d):
         if form is None:
             continue
         assert kronecker_blocks(form.a2, form.a3) == kronecker_blocks(*want[:2])
-        a2, a3, base_change = form.certificate
-        assert (a2, a3, base_change.phi, base_change.phi_i) == \
-            (want[0], want[1], want[2].phi, want[2].phi_i)
-        assert form.normal_form_datum() == apply_equivalence(datum, base_change)
+        assert apply_equivalence(datum, form.base_change) == \
+            pencil_datum(form.a, form.b, form.a2, form.a3)
 
 
 # [Pi_0^T | Pi_1^T] singular, with [Pi_2^T | Pi_3^T] in its column span
@@ -906,7 +953,7 @@ def test_kronecker_regular_summand_certified_against_constructor():
         1, 1, Matrix(1, 1, [1]), Matrix(1, 1, [Fraction(1, 3)])))
     (summand,) = kronecker_decompose(form)
     rebuilt = build(summand.tag)
-    original = datum_to_module(form.normal_form_datum())
+    original = datum_to_module(pencil_datum(form.a, form.b, form.a2, form.a3))
     assert isomorphism(original, rebuilt).verdict == "isomorphic"
 
 
@@ -1039,7 +1086,8 @@ def test_holder_c0_bags_take_the_pencil_with_a_base_change_of_the_users_datum(ta
         assert (c0.multiplicity, c0.note) == (tags.count(C0), "pencil block")
         form = dec.pencil
         assert form.base_change.phi.rows == form.base_change.phi.cols == d.dim_H
-        assert apply_equivalence(d, form.base_change) == form.normal_form_datum()
+        assert apply_equivalence(d, form.base_change) == \
+            pencil_datum(form.a, form.b, form.a2, form.a3)
 
 
 def test_zero_and_kernel_only_data_classify_through_the_pencil():
@@ -1247,6 +1295,30 @@ def test_one_matcher_refuses_a_proven_multiset_no_case_lists():
         m = scrambled_datum(tags, 6).module.reduced[1]
         match = _fixed_matcher(m)
         assert [match(case_tag) for case_tag in ("ii", "iii", "i")] == [None] * 3
+
+
+def test_no_draw_for_a_multiset_no_case_still_to_be_asked_accepts():
+    # Z + III_1 lies outside the taxonomy: case ii reads Y + K1 + K2 off its
+    # Hom dimensions and refuses it for two superscripts, case iii is
+    # infeasible and case i lists no Y, so no draw could give a match
+    mod = sys.modules["sblq.decompose"]
+    d = scrambled_datum([FamilyTag("Z"), FamilyTag("III", 1)], 1)
+    with mock.patch.object(mod, "certificate_valid", wraps=certificate_valid) as proofs:
+        dec = decompose(d)
+    assert proofs.call_count == 0
+    assert dec.diagnostics[1:] == ["case ii: no certified candidate",
+                                   "case iii: exponent constraint infeasible",
+                                   "case i: no certified candidate"]
+    # P1 + K2 + P3: case ii refuses three superscripts, case iii would take
+    # them; handed only ii and i, the matcher draws for it in neither
+    m = scrambled_datum([FamilyTag(f) for f in ("P1", "K2", "P3")], 1).module.reduced[1]
+    with mock.patch.object(mod, "certificate_valid", wraps=certificate_valid) as proofs:
+        match = _fixed_matcher(m, cases=("ii", "i"))
+        assert (match("ii"), match("i"), proofs.call_count) == (None, None, 0)
+        match = _fixed_matcher(m)
+        assert match("ii") is None and proofs.call_count > 0
+        assert _proved(m, match("iii")) == canonical_multiset(
+            [FamilyTag(f) for f in ("P1", "K2", "P3")])
 
 
 def fraction_hom_combination(basis, rng):
