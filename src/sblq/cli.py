@@ -241,6 +241,8 @@ def cmd_rotations_verify(args) -> int:
 
     started = time.perf_counter()
     band, grid_band = args.band, args.grid
+    if band < 0:
+        raise ValueError(f"band must be >= 0, got {band}")
     rng = np.random.default_rng(args.seed)
     spectrum = rotations.funk_spectrum(3, max(band, 2))
     omega = rng.normal(size=rotations.basis_size(band))

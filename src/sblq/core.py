@@ -370,7 +370,7 @@ def _scalar_to_str(x: Fraction) -> str:
 
 
 def _parse_scalar(text, where: str) -> Fraction:
-    if isinstance(text, int):
+    if type(text) is int:
         return Fraction(text)
     if not isinstance(text, str):
         raise DatumFormatError(f"{where}: expected a rational string, got {type(text).__name__}")
@@ -395,13 +395,15 @@ def datum_from_dict(data: Dict) -> SBLDatum:
     if not isinstance(data, dict):
         raise DatumFormatError("datum: expected an object")
     try:
-        dim_H = int(data["dim_H"])
-        dims = [int(x) for x in data["dims"]]
-        pis_raw = data["pi"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DatumFormatError(f"datum: missing or malformed field ({exc})") from None
-    if len(dims) != 4 or not isinstance(pis_raw, list) or len(pis_raw) != 4:
+        dim_H, dims, pis_raw = data["dim_H"], data["dims"], data["pi"]
+    except KeyError as exc:
+        raise DatumFormatError(f"datum: missing field {exc}") from None
+    if not (isinstance(dims, list) and isinstance(pis_raw, list)
+            and len(dims) == len(pis_raw) == 4):
         raise DatumFormatError("datum: dims and pi must each have four entries")
+    for where, n in [("dim_H", dim_H), *((f"dims[{i}]", x) for i, x in enumerate(dims))]:
+        if type(n) is not int or n < 0:
+            raise DatumFormatError(f"{where}: expected an integer >= 0, got {n!r}")
     pis = []
     for i, rows in enumerate(pis_raw):
         if not isinstance(rows, list):

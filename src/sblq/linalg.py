@@ -37,7 +37,7 @@ integer entry points directly: `_int_kernel`, `_kernel_vectors` (the
 kernel as primitive integer vectors, for the pencil and the Hom solver)
 and `_int_rank`, `_echelon_key` and `_annihilator` (keys of row spans and
 of their annihilators, for the necessity screen's subspace lattice), and
-`_pivots` (for the pencil's subquotient and core rows).
+`_pivots` (for the basis and rows of the pencil's finite core).
 `invariant_factors` reads the invariant factors of a square matrix off
 quotients by cyclic subspaces, in the matrix's own coordinates, with
 `kernel_basis` alone, so it is exact by the same proofs.

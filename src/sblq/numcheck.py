@@ -93,6 +93,10 @@ class NarrowGaussian:
     width: float
     scale: float = 1.0
 
+    def __post_init__(self):
+        if not self.width > 0:
+            raise ValueError(f"kernel width must be positive, got {self.width}")
+
     def spatial(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
         r2 = np.sum(x * x, axis=1)
@@ -371,8 +375,8 @@ def verify_mikhlin(kernel, max_order: int = 2,
     passes iff the worst sampled constant is at most 1 (after whatever
     normalization the kernel carries).
     """
-    if max_order > 2:
-        raise ValueError("sampled orders are limited to |alpha| <= 2")
+    if not 0 <= max_order <= 2:
+        raise ValueError(f"sampled orders are limited to 0 <= |alpha| <= 2, got {max_order}")
     grid = grid or MikhlinGrid()
     if grid.step_rel >= 0.25:
         raise ValueError(f"grid too coarse: relative step {grid.step_rel} "
@@ -434,6 +438,8 @@ class QuadSpec:
     def __post_init__(self):
         if self.mode not in ("tensor", "mc"):
             raise ValueError("quadrature mode must be 'tensor' or 'mc'")
+        if min(self.points, self.samples) < 1:
+            raise ValueError(f"quadrature needs points and samples >= 1, got {self}")
 
 
 _MC_CHUNK = 65_536

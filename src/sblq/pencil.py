@@ -4,19 +4,23 @@ A pencil here is an ordered pair (A2, A3) of a x b rational matrices,
 regarded as the family A3 - lambda*A2.  Its strict-equivalence invariants
 are the wide singular blocks (epsilon x (epsilon+1), one polynomial right
 kernel generator of degree epsilon each), the tall singular blocks
-((eta+1) x eta, the transposed story), and a regular square core.  All of
-them come out of one run of the Wong sequences V_0 = Q^b,
-V_{i+1} = {x : A3 x in A2 V_i} and W_0 = 0, W_{i+1} = {x : A2 x in A3 W_i}
-(Berger, Ilchmann and Trenn, "The quasi-Kronecker form for matrix pencils",
-SIAM J. Matrix Anal. Appl. 33, 2012), with limits V* and W*:
-- the growth of W_i cap V* counts the wide blocks by index, and V* cap W*
-  is their domain;
-- dim(V_{i-1} + W*) - dim(V_i + W*) tall blocks have eta >= i, and the
-  rows no other block takes are tall blocks of index 0 (Berger and Trenn's
-  2013 addendum on the minimal indices gives both rules);
-- the regular core is the pencil induced on the subquotient
-  (V* + W*) / (V* cap W*), in rows that annihilate A2 (V* cap W*) +
-  A3 (V* cap W*).
+((eta+1) x eta, the transposed story), the infinite Jordan blocks and a
+finite regular core.  All of them come out of the dimensions of one run of
+the Wong sequences V_0 = Q^b, V_{i+1} = {x : A3 x in A2 V_i} and W_0 = 0,
+W_{i+1} = {x : A2 x in A3 W_i} (Berger, Ilchmann and Trenn, "The
+quasi-Kronecker form for matrix pencils", SIAM J. Matrix Anal. Appl. 33,
+2012), with limits V* and W*.  Both are additive over the blocks: W grows
+by one per step for epsilon + 1 steps in a wide block and for k steps in
+an infinite block of size k, V falls by one per step for eta steps in a
+tall block and for k steps in that infinite block, and finite blocks lie
+in V* and meet no W_i.  So:
+- the growth g_i of W_i cap V* counts the wide blocks with
+  epsilon >= i - 1, and V* cap W* is their domain;
+- the rest of the growth of W counts the infinite blocks of size >= i,
+  and the rest of the fall of V the tall blocks with eta >= i; the rows
+  no other block takes are tall blocks of index 0;
+- the finite core is the pencil induced on V* / (V* cap W*), in rows that
+  annihilate A2 (V* cap W*) + A3 (V* cap W*).
 Each preimage is the kernel of the annihilator rows of the subspace times
 the map, and those rows keep V* as a kernel.  So no base change is made
 and no Wong step runs on a transposed or quotient pencil.  Only spans
@@ -27,32 +31,24 @@ the annihilator (the same row of both core matrices), a basis vector of
 the subquotient, or both matrices by one number, is one, so these
 scalings leave every invariant below unchanged.
 
-On the regular core, the smallest prime mu with mu*A2 + A3 invertible
-normalizes the pencil to the single operator S = (mu*A2 + A3)^{-1} A2;
-one elimination per prime tries mu and yields S.
-Generalized eigenvalues transform by the Moebius map lambda -> 1/(mu +
-lambda), so the structure at lambda in {0, 1, infinity} is that of S at
-1/mu, 1/(mu+1) and 0.  At each of them one image chain R <- (S - s0) R
-gives the Jordan block sizes from its dimensions and stops on the Fitting
-complement, where the chain for the next eigenvalue starts.  After the
-third, R is the regular remainder, recovered as the operator
-X = S^{-1} - mu on R and reported through its invariant factors, which
-`linalg.invariant_factors` reads off quotients by cyclic subspaces of X,
-without a base change.
+A2 is invertible on the finite core, so one elimination gives X = A2^-1 A3
+there.  At lambda = 0 and 1 an image chain R <- (X - lambda) R gives the
+Jordan block sizes and stops on the Fitting complement, where the next
+chain starts.  The last R is the regular remainder, reported through the
+invariant factors of X on R (`linalg.invariant_factors`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import count, islice
+from itertools import zip_longest
 from math import lcm
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .linalg import (
-    Matrix, Subspace, _int_rank, _is_prime, _kernel_vectors, _pivots, _primitive,
-    _solve_invertible, image_basis, inverse, invariant_factors, solve_right,
+    Matrix, Subspace, _kernel_vectors, _pivots, _primitive, _solve_invertible,
+    image_basis, invariant_factors, solve_right,
 )
 from .polynomials import Poly
 
@@ -68,7 +64,6 @@ class PencilBlocks:
     jordan_at_1: Tuple[int, ...]       # block sizes at lambda = 1
     jordan_at_inf: Tuple[int, ...]     # block sizes at lambda = infinity
     regular_factors: Tuple[Poly, ...]  # invariant factor chain of the remainder
-    mu: Optional[int] = None           # normalization prime used on the core
 
     def size_check(self) -> bool:
         a, b = self.shape
@@ -106,6 +101,14 @@ def _meet(cut: List[List[int]], w: List[List[int]]) -> List[List[int]]:
     return _primitive(_dots(t, list(zip(*w))))
 
 
+def _sizes(at_least: Sequence[int], first: int) -> Tuple[int, ...]:
+    """Block sizes, ascending, from at_least[j] = #{blocks of size >= first + j}."""
+    drops = [x - y for x, y in zip(at_least, [*at_least[1:], 0])]
+    if any(d < 0 for d in drops):
+        raise AssertionError("block counts do not fall with the size")
+    return tuple(first + j for j, d in enumerate(drops) for _ in range(d))
+
+
 def kronecker_blocks(a2: Matrix, a3: Matrix) -> PencilBlocks:
     """Full Kronecker block data of the pencil (A2, A3), exactly."""
     if a2.rows != a3.rows or a2.cols != a3.cols:
@@ -132,7 +135,6 @@ def kronecker_blocks(a2: Matrix, a3: Matrix) -> PencilBlocks:
         if len(nxt) == len(ws[-1]):
             break
         ws.append(nxt)
-    wstar = ws[-1]
 
     # wide: g_i = dim(W_i cap V*) - dim(W_{i-1} cap V*) blocks have
     # epsilon >= i-1; g_i never grows, so W_i cap V* is final, and equal to
@@ -143,27 +145,23 @@ def kronecker_blocks(a2: Matrix, a3: Matrix) -> PencilBlocks:
         caps.append(len(dom))
         if caps[-1] == caps[-2]:
             break
-    else:
-        caps.append(caps[-1])
-    g = [caps[i] - caps[i - 1] for i in range(1, len(caps))]
-    wide = tuple(e for e in range(len(g) - 1) for _ in range(g[e] - g[e + 1]))
+    g = [y - x for x, y in zip(caps, caps[1:])]
+    wide = _sizes(g, 0)
+    # the rest of the growth of W counts the infinite blocks of size >= i,
+    # and the rest of the fall of V, past them, the tall ones with eta >= i
+    dims = [0] + [len(w) for w in ws]
+    inf = [y - x - gi for x, y, gi in zip(dims, dims[1:], g + [0] * len(ws))]
+    falls = [len(x) - len(y) for x, y in zip(vs, vs[1:])]
+    jordan_inf = _sizes(inf, 1)[::-1]
+    tall = _sizes([f - k for f, k in zip_longest(falls, inf, fillvalue=0)], 1)
 
-    # the regular core lives on (V* + W*) / (V* cap W*): the vectors of
-    # V* and W* at the pivots of [dom | V* | W*] after dom
-    stack = dom + vs[-1] + wstar
+    # the regular core is finite and lives on V* / (V* cap W*): the vectors
+    # of V* at the pivots of [dom | V*] after dom
+    stack = dom + vs[-1]
     pivots = _pivots([list(row) for row in zip(*stack)], len(stack))
     basis = [stack[j] for j in pivots[len(dom):]]
     r = len(basis)
-
-    # tall: dim(V_{i-1} + W*) - dim(V_i + W*) blocks have eta >= i
-    sums = [b] + [_int_rank([list(x) for x in v + wstar], b) if wstar else len(v)
-                  for v in vs[1:-1]]
-    if len(vs) > 1:
-        sums.append(len(pivots))
-    at_least = [x - y for x, y in zip(sums, sums[1:])] + [0]
-    tall = tuple(i for i in range(1, len(at_least))
-                 for _ in range(at_least[i - 1] - at_least[i]))
-    zeros = a - sum(wide) - sum(e + 1 for e in tall) - r
+    zeros = a - sum(wide) - sum(e + 1 for e in tall) - sum(jordan_inf) - r
     if zeros < 0:
         raise AssertionError("more block rows than pencil rows")
     tall = (0,) * zeros + tall
@@ -178,39 +176,37 @@ def kronecker_blocks(a2: Matrix, a3: Matrix) -> PencilBlocks:
             raise AssertionError("deflation subspace is not invariant")
         n2, n3 = _dots(n, cols2), _dots(n, cols3)
     core2, core3 = _dots(n2, basis), _dots(n3, basis)
-    stacked = [x + y for x, y in zip(core2, core3)]
-    keep = _pivots([list(c) for c in zip(*stacked)], len(stacked)) if r else []
+    keep = _pivots([list(c) for c in (*zip(*core2), *zip(*core3))], len(core2))
     if len(keep) != r:
         raise AssertionError("regular core is not square")
-    core2 = Matrix._ints(r, r, [v for i in keep for v in core2[i]])
-    core3 = Matrix._ints(r, r, [v for i in keep for v in core3[i]])
+    core2, core3 = (Matrix._ints(r, r, [v for i in keep for v in m[i]]) for m in (core2, core3))
 
-    mu, jordans, factors = None, [(), (), ()], ()
+    # X = core2^-1 core3 exists, as A2 is invertible on the finite core
+    jordan_0 = jordan_1 = factors = ()
     if r:
-        mu, s = _normalizing_prime(core2, core3)
+        x = _solve_invertible(core2, core3)
+        if x is None:
+            raise AssertionError("finite core is singular")
         eye = Matrix.identity(r)
-        rest = Subspace._trusted(r, eye)
-        for k, s0 in enumerate((Fraction(1, mu), Fraction(1, mu + 1), Fraction(0))):
-            jordans[k], rest = _image_chain(s - eye.scale(s0), rest)
-        if rest.dim:
-            coeff = solve_right(rest.basis, s @ rest.basis)
-            if coeff is None:
-                raise AssertionError("remainder subspace is not invariant")
-            x = inverse(coeff) - Matrix.identity(rest.dim).scale(mu)
-            factors = tuple(invariant_factors(x))
-            if any(f(0) == 0 or f(1) == 0 for f in factors):
-                raise AssertionError("remainder touches a special eigenvalue")
-    blocks = PencilBlocks((a, b), wide, tall, *jordans, factors, mu=mu)
+        jordan_0, rest = _image_chain(x, Subspace._trusted(r, eye))
+        jordan_1, rest = _image_chain(x - eye, rest)
+        coeff = solve_right(rest.basis, x @ rest.basis)
+        if coeff is None:
+            raise AssertionError("remainder subspace is not invariant")
+        factors = tuple(invariant_factors(coeff))
+        if any(f(0) == 0 or f(1) == 0 for f in factors):
+            raise AssertionError("remainder touches a special eigenvalue")
+    blocks = PencilBlocks((a, b), wide, tall, jordan_0, jordan_1, jordan_inf, factors)
     if not blocks.size_check():
         raise AssertionError("block sizes do not sum to the pencil shape")
     return blocks
 
 
 def _image_chain(shift: Matrix, rest: Subspace) -> Tuple[Tuple[int, ...], Subspace]:
-    """Jordan block sizes of S at s0, descending, and the Fitting complement.
+    """Jordan block sizes of X at lambda, descending, and the Fitting complement.
 
-    `shift` is S - s0 and `rest` an S-invariant subspace that holds the whole
-    generalized eigenspace of S at s0.  The images R_k = shift^k rest have
+    `shift` is X - lambda and `rest` an X-invariant subspace that holds the
+    whole generalized eigenspace of X at lambda.  The images R_k = shift^k rest have
     dimensions d_k that differ from the ranks of shift^k by a constant, so
     d_{k-1} - 2 d_k + d_{k+1} blocks have size k; once d_k stops falling,
     R_k is the Fitting complement of the eigenspace within rest.
@@ -226,12 +222,3 @@ def _image_chain(shift: Matrix, rest: Subspace) -> Tuple[Tuple[int, ...], Subspa
                   for _ in range(dims[k - 1] - 2 * dims[k] + dims[k + 1]))
     return sizes, rest
 
-
-def _normalizing_prime(a2: Matrix, a3: Matrix) -> Tuple[int, Matrix]:
-    """Smallest prime mu with mu*A2 + A3 invertible, and S = (mu*A2 + A3)^-1 A2
-    from the same elimination."""
-    for mu in islice(filter(_is_prime, count(2)), 2 * a2.rows + 8):
-        s = _solve_invertible(a2.scale(mu) + a3, a2)
-        if s is not None:
-            return mu, s
-    raise ValueError("pencil core is singular: no normalizing prime found")

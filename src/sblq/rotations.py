@@ -107,6 +107,8 @@ class FunkSpectrum:
 
 
 def funk_spectrum(d: int, max_degree: int) -> FunkSpectrum:
+    if max_degree < 0:
+        raise ValueError(f"max degree must be >= 0, got {max_degree}")
     lam = np.array([funk_eigenvalue(n, d) for n in range(max_degree + 1)])
     return FunkSpectrum(d, max_degree, lam)
 

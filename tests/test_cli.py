@@ -59,6 +59,16 @@ def test_malformed_rational_exit_one():
     assert "pi[3][0][1]" in proc.stderr
 
 
+@pytest.mark.parametrize("dim_H, dims", [(-1, [0, 0, 0, 0]), (1.5, [1, 1, 1, 1]),
+                                         (True, [1, 1, 1, 1])])
+def test_bad_dimensions_exit_one(dim_H, dims):
+    blob = json.dumps({"dim_H": dim_H, "dims": dims,
+                       "pi": [[["1"]] * n for n in dims]})
+    proc = run_cli("classify", "-", stdin=blob)
+    assert proc.returncode == 1
+    assert "datum error: dim_H" in proc.stderr
+
+
 def test_unknown_flag_exit_one(bht_file):
     proc = run_cli("classify", bht_file, "--nonsense")
     assert proc.returncode == 1
@@ -401,6 +411,24 @@ def test_numcheck_mikhlin_targets_pass_at_the_default_scale(target):
     result = json.loads(proc.stdout)["result"]
     assert result["pass"] is True
     assert abs(result["worst_constant"] - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["numcheck", "eval", "{bht}", "--quad", "mc:0"], "points and samples"),
+    (["numcheck", "eval", "{bht}", "--quad", "mc:-5"], "points and samples"),
+    (["numcheck", "eval", "{bht}", "--quad", "tensor:0"], "points and samples"),
+    (["numcheck", "eval", "{bht}", "--kernel-width", "0"], "kernel width"),
+    (["numcheck", "eval", "{bht}", "--kernel-width", "-1"], "kernel width"),
+    (["rotations", "eigen", "--max-degree", "-1"], "max degree"),
+    (["rotations", "verify", "--band", "-2"], "band"),
+    (["numcheck", "mikhlin", "gaussian", "--order", "-1"], "sampled orders"),
+])
+def test_out_of_range_numeric_requests_exit_one(bht_file, capsys, argv, message):
+    from sblq.cli import main
+    code = main([arg.format(bht=bht_file) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("invalid request:") and message in err
 
 
 def test_numcheck_delta(bht_file):

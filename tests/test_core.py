@@ -432,6 +432,27 @@ def test_serialization_rejects_zero_denominator():
     assert "pi[2][0][1]" in str(err.value)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("dim_H", -1), ("dim_H", 1.5), ("dim_H", True), ("dim_H", "2"),
+    ("dims", [1, 1, -1, 1]), ("dims", [1, 1, 1.0, 1]), ("dims", [1, False, 1, 1]),
+])
+def test_serialization_rejects_dimensions_that_are_not_counts(field, value):
+    # dimensions are read as JSON integers >= 0, never cast with int()
+    data = datum_to_dict(bht_datum())
+    data[field] = value
+    with pytest.raises(DatumFormatError) as err:
+        datum_from_dict(data)
+    assert field in str(err.value)
+
+
+def test_serialization_rejects_a_bool_entry():
+    data = datum_to_dict(bht_datum())
+    data["pi"][1][0][0] = True
+    with pytest.raises(DatumFormatError) as err:
+        datum_from_dict(data)
+    assert "pi[1][0][0]" in str(err.value)
+
+
 def test_triangular_hilbert_form_is_the_triangular_family():
     # the explicit two-variable form with a one-dimensional modulation slot
     from sblq.fixtures import triangular_hilbert

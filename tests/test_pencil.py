@@ -1,5 +1,10 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from itertools import count
 
 import pytest
 import sympy
@@ -10,7 +15,7 @@ from sblq.linalg import (
     is_invertible, kernel_basis, rank, solve_right,
 )
 from sblq import pencil
-from sblq.pencil import PencilBlocks, _image_chain, _normalizing_prime, kronecker_blocks
+from sblq.pencil import PencilBlocks, _image_chain, kronecker_blocks
 from sblq.polynomials import Poly
 from sblq.tables import arrow_down, arrow_left, arrow_right, arrow_up, eye, jordan, zeros
 
@@ -138,22 +143,54 @@ def test_every_preimage_is_taken_under_the_pencil_itself(monkeypatch):
     assert seen and all(m in own for m in seen)
 
 
+DROPPED_WONG_VECTOR = textwrap.dedent("""
+    import sys
+    from sblq import pencil
+    from sblq.core import direct_sum_all, module_to_datum
+    from sblq.decompose import holder_normal_form
+    from sblq.tables import FamilyTag, build
+
+    if not sys.flags.optimize:
+        sys.exit("not running under -O")
+    form = holder_normal_form(module_to_datum(direct_sum_all(
+        [build(FamilyTag(f, n)) for f, n in (("T", 2), ("C", 2), ("J3", 2), ("J1", 1))])))
+    pencil.kronecker_blocks(form.a2, form.a3)  # passes unperturbed
+    real = getattr(pencil, sys.argv[1])
+    if sys.argv[1] == "_meet":
+        pencil._meet = lambda cut, w: real(cut, w)[1:]
+    else:
+        pencil._preimage = lambda m, s: (lambda x, rows: (x[1:], rows))(*real(m, s))
+    try:
+        blocks = pencil.kronecker_blocks(form.a2, form.a3)
+    except AssertionError as exc:
+        print("raised:", exc)
+    else:
+        print("returned:", blocks)
+""")
+
+
+@pytest.mark.parametrize("step", ["_meet", "_preimage"])
+def test_pencil_checks_survive_optimize(step):
+    # `python -O` strips assert statements; a Wong step that loses one
+    # vector of T_2 + C_2 + J3_2 + J1_1 must still be caught by an explicit check
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pencil.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", DROPPED_WONG_VECTOR, step],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: "), proc.stdout
+
+
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         kronecker_blocks(zeros(1, 2), zeros(2, 1))
 
 
-def test_normalizing_prime_skips_eigenvalues():
-    # lambda = -2 makes mu = 2 singular: mu*I + J(-2) at mu = 2 is nilpotent
-    a2 = eye(2)
-    a3 = jordan(2, -2)
-    blocks = kronecker_blocks(a2, a3)
-    assert blocks.mu != 2
+def test_remainder_keeps_a_jordan_block_off_0_and_1():
+    # a finite block at lambda = -2: no block at 0, 1 or infinity, and the
+    # remainder's one invariant factor is (t + 2)^2
+    blocks = kronecker_blocks(eye(2), jordan(2, -2))
+    assert not (blocks.jordan_at_0 or blocks.jordan_at_1 or blocks.jordan_at_inf)
     assert blocks.regular_factors == (Poly.from_roots([-2, -2]),)
-    # the same elimination that finds mu yields S = (mu*A2 + A3)^-1 A2
-    mu, s = _normalizing_prime(a2, a3)
-    assert mu == blocks.mu == min(q for q in (2, 3, 5) if is_invertible(a2.scale(q) + a3))
-    assert s == solve_right(a2.scale(mu) + a3, a2)
 
 
 # -- the regular-core reading before image chains, kept as the oracle --------
@@ -235,11 +272,20 @@ def reference_split_off(a2, a3, dom):
     return q2.submatrix(rows, cols), q3.submatrix(rows, cols)
 
 
+def reference_normalizing_prime(a2, a3):
+    """Smallest prime mu with mu*A2 + A3 invertible; det(mu*A2 + A3) is a
+    nonzero polynomial in mu on a regular pencil, so the search ends."""
+    return next(mu for mu in count(2)
+                if sympy.isprime(mu) and is_invertible(a2.scale(mu) + a3))
+
+
 def reference_kronecker_blocks(a2, a3):
     """`kronecker_blocks` with the singular part split off by base changes,
-    the regular core read off rank power sequences, the remainder taken as
-    the image of the product of (S - s0)^r and its invariant factors read
-    off the Smith reduction."""
+    the regular core normalized to S = (mu*A2 + A3)^-1 A2 and read off rank
+    power sequences at the images 1/mu, 1/(mu+1) and 0 of lambda = 0, 1 and
+    infinity under lambda -> 1/(mu + lambda), the remainder taken as the
+    image of the product of (S - s0)^r and its invariant factors read off
+    the Smith reduction."""
     a, b = a2.rows, a2.cols
     wide, dom = reference_wide_part(a2, a3)
     q2, q3 = reference_split_off(a2, a3, dom)
@@ -249,7 +295,7 @@ def reference_kronecker_blocks(a2, a3):
     r = core2.rows
     if r == 0:
         return PencilBlocks((a, b), wide, tall, (), (), (), ())
-    mu, _ = _normalizing_prime(core2, core3)
+    mu = reference_normalizing_prime(core2, core3)
     s = inverse(core2.scale(mu) + core3) @ core2
     jordans = []
     killer = Matrix.identity(r)
@@ -264,8 +310,7 @@ def reference_kronecker_blocks(a2, a3):
         coeff = solve_right(rest.basis, s @ rest.basis)
         x = inverse(coeff) - Matrix.identity(rest.dim).scale(mu)
         factors = tuple(reference_invariant_factors(x))
-    return PencilBlocks((a, b), wide, tall, jordans[0], jordans[1], jordans[2],
-                        factors, mu=mu)
+    return PencilBlocks((a, b), wide, tall, jordans[0], jordans[1], jordans[2], factors)
 
 
 def jordan0(n):
@@ -355,10 +400,13 @@ def test_kronecker_blocks_match_rank_power_reference():
 @st.composite
 def singular_heavy_pencils(draw):
     """A scrambled canonical pencil with two to four wide and tall blocks
-    each, zero-size ones among them, beside a few small regular blocks."""
+    each, zero-size ones among them, beside up to two infinite blocks of
+    size up to 4 and a few small regular blocks: the infinite blocks share
+    the growth of W with the wide ones and the fall of V with the tall ones."""
     sizes = st.lists(st.integers(0, 3), min_size=2, max_size=4)
     blocks = [("wide", n, None) for n in draw(sizes)]
     blocks += [("tall", n, None) for n in draw(sizes)]
+    blocks += [("jinf", n, None) for n in draw(st.lists(st.integers(1, 4), max_size=2))]
     blocks += draw(st.lists(st.tuples(st.sampled_from(("j0", "j1", "jinf", "reg")),
                                       st.integers(1, 2), st.sampled_from(REGULAR_ROOTS)),
                             max_size=3))
@@ -366,11 +414,19 @@ def singular_heavy_pencils(draw):
     return scrambled(a2, a3, random.Random(draw(st.integers(0, 2 ** 20)))), expected
 
 
-# wide, tall and nilpotent blocks large enough that the stacks [V_i | W*]
-# (26 x 18 and 23 x 18) and [dom | V* | W*] (18 x 29) are ranked modularly
+# wide, tall and nilpotent blocks large enough that, in the scramble by
+# random.Random(7), the annihilator of A2's columns in the first Wong step
+# (18 x 18), ker A2 (18 x 18), the pivots of [dom | V*] (18 x 18) and the
+# annihilator of A2 dom + A3 dom (16 x 18) are all taken modularly
 LARGE_SINGULAR = canonical_pencil([("wide", 3, None), ("wide", 2, None), ("wide", 0, None),
                                    ("tall", 3, None), ("tall", 2, None), ("tall", 0, None),
                                    ("jinf", 3, None), ("j0", 2, None)])
+# infinite blocks of sizes 3 and 4 beside wide blocks of index 2 and 3 and a
+# tall block of index 3: W grows by blocks of both kinds for four steps and V
+# falls by blocks of both kinds for three
+LONG_INFINITE = canonical_pencil([("jinf", 4, None), ("wide", 2, None), ("tall", 3, None),
+                                  ("jinf", 3, None), ("wide", 3, None), ("tall", 1, None),
+                                  ("j1", 2, None)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -379,6 +435,7 @@ LARGE_SINGULAR = canonical_pencil([("wide", 3, None), ("wide", 2, None), ("wide"
 @example(((zeros(0, 3), zeros(0, 3)), {"wide": [0, 0, 0], "tall": []}))
 @example(((zeros(3, 0), zeros(3, 0)), {"wide": [], "tall": [0, 0, 0]}))  # C_0^3
 @example((scrambled(*LARGE_SINGULAR[:2], random.Random(7)), LARGE_SINGULAR[2]))
+@example((scrambled(*LONG_INFINITE[:2], random.Random(3)), LONG_INFINITE[2]))
 @example((canonical_pencil([("wide", 0, None), ("tall", 0, None), ("wide", 2, None),
                             ("tall", 3, None), ("wide", 0, None), ("tall", 1, None)])[:2],
           {"wide": [0, 0, 2], "tall": [0, 1, 3]}))
@@ -388,3 +445,4 @@ def test_kronecker_blocks_match_base_change_reference(drawn):
     assert blocks == reference_kronecker_blocks(*pencil)
     assert sorted(blocks.wide) == sorted(expected["wide"])
     assert sorted(blocks.tall) == sorted(expected["tall"])
+    assert sorted(blocks.jordan_at_inf) == sorted(expected.get("jinf", []))
