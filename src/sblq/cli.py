@@ -326,6 +326,8 @@ def cmd_numcheck(args) -> int:
     try:
         quad = _parse_quad(args.quad)
         spec = _default_form(d, args.kernel_width)
+        if args.mode == "delta" and args.delta_points < 12:
+            raise ValueError(f"delta points must be >= 12, got {args.delta_points}")
     except ValueError as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -343,10 +345,10 @@ def cmd_numcheck(args) -> int:
         _emit(args, _report(args, payload, started))
         return EXIT_OK if payload["pass"] else EXIT_TOLERANCE
     residuals, reference = numcheck.delta_limit_check(
-        d, spec.functions, points=max(12, args.delta_points))
+        d, spec.functions, points=args.delta_points)
     decreasing = all(a > b for a, b in zip(residuals, residuals[1:]))
     payload = {"residuals": residuals, "reference": reference,
-               "points": max(12, args.delta_points),
+               "points": args.delta_points,
                "pass": bool(decreasing or all(r == 0 for r in residuals))}
     _emit(args, _report(args, payload, started))
     return EXIT_OK if payload["pass"] else EXIT_TOLERANCE
@@ -429,14 +431,14 @@ def main(argv=None) -> int:
     except DatumFormatError as exc:
         print(f"datum error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except json.JSONDecodeError as exc:   # a ValueError too
+        print(f"not valid JSON: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     except ValueError as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except FileNotFoundError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except json.JSONDecodeError as exc:
-        print(f"not valid JSON: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -2,8 +2,8 @@
 
 The dispatch runs: try the pencil reduction that is available exactly
 when the row space of the distribution map is a common complement of the
-other three row spaces, reading the pencil off one solve in those row
-spaces; its Kronecker blocks name every summand, the kernel-only ones
+other three row spaces, reading the pencil off one b x b solve in those
+row spaces; its Kronecker blocks name every summand, the kernel-only ones
 (family C at size 0) as tall blocks of index 0.  Otherwise check the
 image condition on ker Pi_0 and, for each case whose exponent constraint
 is feasible, read the summands, C_0 among them, off Hom dimensions and
@@ -12,13 +12,15 @@ certified is the module's only one, and it decides every later case
 without another Hom solve.  Every exact read goes through one reduced
 row echelon form R of the stacked slot bases [B0 | B1 | B2 | B3], cached
 on the module (`FourModule.reduced`), and no kernel basis is computed:
-the pencil exists when R's pivots are its first n columns, reads its
-solve off R's B2 and B3 columns, and its base change is the frame of
-that solve; Pi_i on ker Pi_0 is the transpose of R's block i below slot
-0, which gives the image condition and the necessity lattice; the
-matcher runs on the module M' whose slots are R's column blocks, where
-the Hom systems keep small entries, and its proven psi': candidate -> M'
-becomes psi = g psi' with g M' = M.  A classified datum passes the
+the pencil exists when R's pivots are its first n columns, and is read
+off the integer numerators of R's B2 and B3 columns with one solve,
+C1_3^-1 C1_2, and no inverse, its base change too; Pi_i on ker Pi_0 is
+the transpose of R's block i below slot 0, which gives the image
+condition and the necessity lattice; the matcher runs on the module M'
+whose slots are R's column blocks, where the Hom systems keep small
+entries, solving from the families in coordinates where every axis is a
+slot column, and its proven psi': candidate -> M' becomes psi = g psi'
+with g M' = M.  A classified datum passes the
 necessity screen, so its lattice is built only for data that neither
 route classifies.  All decisions are exact.
 """
@@ -38,10 +40,10 @@ from .core import (
     hom_solver, module_to_datum, validate_datum,
 )
 from .linalg import (
-    Matrix, _annihilator, _echelon_key, _int_rank, _primitive, _solve_invertible,
+    Matrix, Subspace, _annihilator, _echelon_key, _int_rank, _pivots, _primitive, _rref,
     block_diag, companion_matrix, hstack, inverse, invariant_factors, rank, vstack,
 )
-from .pencil import kronecker_blocks
+from .pencil import _dots, kronecker_blocks
 from .polynomials import Poly, sturm_real_roots
 from .tables import FIXED_FAMILIES, FamilyTag, build
 
@@ -205,24 +207,29 @@ def _meet_join(u: _Keyed, v: _Keyed, b: int) -> Tuple[_Keyed, _Keyed]:
 
 @dataclass(frozen=True)
 class PencilForm:
-    """Normal form of a Hoelder-type datum: the a x b pencil the Kronecker
-    blocks are read off.  `base_change`, vstack(Pi_0, Pi_1) on H and (I, I,
-    C1_2^-T, C1_3^-T) on the H_i, carries the datum onto the `pencil_datum`
-    of (A2, A3), as `holder_normal_form` checks; its two b x b inverses are
-    formed only when read."""
+    """Normal form of a Hoelder-type datum: the a x b pencil (A2, A3) the
+    Kronecker blocks are read off, A2 = C0_2 and A3 = C0_3 Y with Y =
+    C1_3^-1 C1_2, both times d2 (`holder_normal_form`).  `base_change`,
+    vstack(Pi_0, C1_2^T Pi_1) on H and (I, C1_2^T, I, Y^T) on the H_i, with
+    C1_2 and the last two maps times d2, carries the datum onto the
+    `pencil_datum` of (A2, A3); it is built only when read, with no
+    inverse."""
 
     a: int
     b: int
     a2: Matrix
     a3: Matrix
     datum: SBLDatum
-    c1t: Tuple[Matrix, Matrix]         # C1_2^T, C1_3^T
+    c12: Matrix      # d2 C1_2, the numerators of R's slot 2 below row a
+    y: Matrix        # d2 Y
+    d2: int
 
     @cached_property
     def base_change(self) -> EquivalenceMap:
-        pi = self.datum.pi
-        return EquivalenceMap(vstack(pi[0], pi[1]), (
-            Matrix.identity(self.a), Matrix.identity(self.b), *map(inverse, self.c1t)))
+        pi, c12t = self.datum.pi, self.c12.transpose()
+        return EquivalenceMap(vstack(pi[0], c12t @ pi[1]), (
+            Matrix.identity(self.a), c12t, Matrix.identity(self.b).scale(self.d2),
+            self.y.transpose()))
 
 
 def pencil_datum(a: int, b: int, a2: Matrix, a3: Matrix) -> SBLDatum:
@@ -233,6 +240,12 @@ def pencil_datum(a: int, b: int, a2: Matrix, a3: Matrix) -> SBLDatum:
         hstack(a2.transpose(), eye_b), hstack(a3.transpose(), eye_b)))
 
 
+@lru_cache(maxsize=64)
+def _unit_columns(n: int, lo: int, k: int) -> Tuple[int, ...]:
+    """Row-major entries of the n x k matrix with columns e_lo, ..., e_(lo+k-1)."""
+    return tuple(int(r == lo + c) for r in range(n) for c in range(k))
+
+
 def holder_normal_form(d: SBLDatum) -> Optional[PencilForm]:
     """Pencil form of a Hoelder-type datum, or None.
 
@@ -241,21 +254,26 @@ def holder_normal_form(d: SBLDatum) -> Optional[PencilForm]:
     condition and the Hoelder line.  [Pi_0^T | Pi_1^T] C = [Pi_2^T | Pi_3^T]
     then has one solution; with C0_i the top a and C1_i the bottom b rows
     of the Pi_i block, Pi_i = C0_i^T Pi_0 + C1_i^T Pi_1, and S_0 + S_i =
-    Q^n exactly when C1_i is invertible.  A_i^T = C1_i^-T C0_i^T.  Both
-    invertibilities are read off pivots, as a consistent singular system
-    has solutions too.
+    Q^n exactly when C1_i is invertible.
 
     C is read off the module's cached reduced form R of [B0 | B1 | B2 | B3]
     (`FourModule.reduced`), the one the non-Hoelder matcher runs in.  With
     every map surjective, B_i = Pi_i^T, so [Pi_0^T | Pi_1^T] is invertible
     exactly when R's pivots are its first n columns, that is when slots 0
-    and 1 of the reduced module stack to I_n, and R is then [I_n | C]: C
-    is its slot 2 and slot 3 columns.  A map that is not surjective leaves
-    one of S_0 + S_i short of Q^n, so such a datum has no form either.
+    and 1 of the reduced module are [I_a; 0] and [0; I_b], and R is then
+    [I_n | C]: C is its slot 2 and slot 3 columns, the integer numerators
+    [top_i; bot_i] over d_i.  A map that is not surjective leaves one of
+    S_0 + S_i short of Q^n, so such a datum has no form either.
 
-    R's frame is phi = vstack(Pi_0, Pi_1) = g^T, so Pi_i phi^-1 is slot i
-    of the reduced module transposed, and the check below proves that
-    `PencilForm.base_change` carries the datum onto the pencil datum.
+    The pencil of the two solves, (C0_2 C1_2^-1, C0_3 C1_3^-1), times the
+    invertible right factor d2 C1_2 is (top_2, top_3 Z) with Z = bot_3^-1
+    bot_2 = (d2 / d3) Y; a right factor and a scalar change no Kronecker
+    invariant.  One pivot pass proves bot_2 invertible, and [bot_3 | bot_2]
+    reduces to [I | Z] exactly when bot_3 is (pivots, as a consistent
+    singular system has solutions too).  The integer check bot_3 Z = bot_2,
+    which survives `python -O`, proves the solve and with it
+    `PencilForm.base_change`: [A3^T | I] phi = d2 Y^T Pi_3 as C1_3 Y = C1_2,
+    and slots 0 to 2 read off phi directly.
     """
     n, a = d.dim_H, d.dims[0]
     b = n - a
@@ -263,22 +281,25 @@ def holder_normal_form(d: SBLDatum) -> Optional[PencilForm]:
             any(s.dim != h for s, h in zip(d.module.sub, d.dims)):
         return None
     sub = [s.basis for s in d.module.reduced[1].sub]
-    if hstack(*sub[:2]) != Matrix.identity(n):
+    if sub[0].den != 1 or sub[1].den != 1 or sub[0].num != _unit_columns(n, 0, a) \
+            or sub[1].num != _unit_columns(n, a, b):
         return None
-    c = hstack(*sub[2:])
-    cts = [c.submatrix(range(n), range(lo, lo + b)).transpose() for lo in (0, b)]
-    c1ts = [ct.submatrix(range(b), range(a, n)) for ct in cts]
-    pencil = [_solve_invertible(c1t, ct.submatrix(range(b), range(a)))
-              for c1t, ct in zip(c1ts, cts)]
-    if None in pencil:
+    num2, num3 = sub[2].num, sub[3].num
+    bot2 = [list(num2[r * b:(r + 1) * b]) for r in range(a, n)]
+    top3, bot3 = ([list(num3[r * b:(r + 1) * b]) for r in rows] for rows in (range(a), range(a, n)))
+    if len(_pivots([row[:] for row in bot2], b)) < b:
         return None
-    # intertwining with vstack(Pi_0, Pi_1) in the solved coordinates: pi'_0 and
-    # pi'_1 stack to I_n and C1_i^T pi'_i = C_i^T; R is exact
-    nf = pencil_datum(a, b, *(x.transpose() for x in pencil))
-    if vstack(*nf.pi[:2]) != Matrix.identity(n) \
-            or any(c1t @ nf.pi[i] != ct for i, c1t, ct in zip((2, 3), c1ts, cts)):
+    pivots, _, z, dz = _rref(_primitive(r3 + r2 for r3, r2 in zip(bot3, bot2)), 2 * b)
+    if pivots != list(range(b)):
+        return None
+    zcols = [z[j::b] for j in range(b)]
+    if _dots(bot3, zcols) != [[dz * v for v in row] for row in bot2]:
         raise AssertionError("pencil reconstruction failed")
-    return PencilForm(a, b, *(x.transpose() for x in pencil), d, tuple(c1ts))
+    a2 = Matrix._ints(a, b, num2[:a * b])
+    a3 = Matrix._ints(a, b, [v for row in _dots(top3, zcols) for v in row], dz)
+    c12 = Matrix._ints(b, b, num2[a * b:])
+    y = Matrix._ints(b, b, [sub[3].den * v for v in z], dz)   # d3 Z = d2 Y
+    return PencilForm(a, b, a2, a3, d, c12, y, sub[2].den)
 
 
 # -- summands -----------------------------------------------------------------
@@ -373,17 +394,37 @@ def _check_family_lattices(mods: Iterable[FourModule]) -> None:
             raise AssertionError("a family datum fails its closed necessity lattice")
 
 
+# Z and B in coordinates where every ambient axis is a slot column, so that
+# `hom_solver` confines every column of psi to a slot: X' = T X slot by slot,
+# T the identity with -1 at (row, col).  Z' has slots e1, e2, e3 and
+# e1 - e2 + e3; B' takes the axis f5 = e3 + e5 in place of e5.
+_SHEARS = {"Z": (1, 2), "B": (2, 4)}
+
+
+def _sheared(m: FourModule, row: int, col: int) -> Tuple[FourModule, Matrix]:
+    """(T m, T) for T the identity with -1 at (row, col)."""
+    num = list(Matrix.identity(m.dim_M).num)
+    num[row * m.dim_M + col] = -1
+    t = Matrix._ints(m.dim_M, m.dim_M, num)
+    return FourModule(m.dim_M, tuple(Subspace._trusted(m.dim_M, t @ s.basis)
+                                     for s in m.sub)), t
+
+
 @lru_cache(maxsize=None)
 def _fixed_table() -> Tuple[Dict[str, FourModule], Dict[str, List[List[int]]],
-                            Dict[str, DimVector]]:
-    """The modules of C0 and the ten fixed families, per case the integer
-    inverse of H[X][Y] = dim Hom(X, Y) over the case's families, and each
-    module's dimension vector; first it checks that these modules pass
-    their closed necessity lattices.  Hom(X, C0) = 0 for every fixed family
-    X, so each H is block triangular with dim Hom(C0, C0) = 1 in its corner
-    and keeps the integer inverse of its fixed-family block."""
-    mods = {f: build(t) for f, t in _TABLE_TAGS.items()}
-    _check_family_lattices(mods.values())
+                            Dict[str, DimVector], Dict[str, Tuple[FourModule, Matrix]]]:
+    """The modules of C0 and the ten fixed families, Z and B among them as
+    Z' and B' (`_SHEARS`), per case the integer inverse of H[X][Y] = dim
+    Hom(X, Y) over the case's families, each module's dimension vector, and
+    for Z and B (build(X), T) with T: build(X) -> X' the isomorphism that
+    carries each slot onto that of X'; first it checks that the built
+    modules pass their closed necessity lattices.  Hom(X, C0) = 0 for every
+    fixed family X, so each H is block triangular with dim Hom(C0, C0) = 1
+    in its corner and keeps the integer inverse of its fixed-family block."""
+    built = {f: build(t) for f, t in _TABLE_TAGS.items()}
+    _check_family_lattices(built.values())
+    sheared = {f: _sheared(built[f], *at) for f, at in _SHEARS.items()}
+    mods = {f: sheared[f][0] if f in sheared else m for f, m in built.items()}
     solvers = {y: hom_solver(b) for y, b in mods.items()}
     hom = {(x, y): len(solvers[y](mods[x])) for x in mods for y in mods}
     inverses = {}
@@ -394,7 +435,8 @@ def _fixed_table() -> Tuple[Dict[str, FourModule], Dict[str, List[List[int]]],
             raise AssertionError(f"the case {case_tag} Hom table has no integer inverse")
         n = hinv.cols
         inverses[case_tag] = [list(hinv.num[i * n:(i + 1) * n]) for i in range(hinv.rows)]
-    return mods, inverses, {f: m.dim_vector for f, m in mods.items()}
+    return mods, inverses, {f: m.dim_vector for f, m in mods.items()}, \
+        {f: (built[f], t) for f, (_, t) in sheared.items()}
 
 
 _DRAWS = 32  # draw t seeds random.Random(t + 1); reports print this stream as seed 0
@@ -423,7 +465,9 @@ def _fixed_matcher(m: FourModule, trials: int = _DRAWS, cases: Sequence[str] = _
     a second multiset.  The proven psi serves every case: C0, P and K keep
     their relative order in all three family lists, so the candidate is the
     same direct sum in the same order.  Until then each Hom(X, m) is solved
-    once, by one `hom_solver(m)`.
+    once, by one `hom_solver(m)`; for Z and B it is Hom(X', m) times T
+    (`_fixed_table`), where every column of psi is confined to a slot, so
+    the candidate is the direct sum of the built families all the same.
 
     `_decompose` passes M' of the reduced form (g, M') of the datum's
     module, whose slot columns are mostly unit columns with small entries,
@@ -434,13 +478,18 @@ def _fixed_matcher(m: FourModule, trials: int = _DRAWS, cases: Sequence[str] = _
     uniform on 64 dim M + 1 integers: by Schwartz-Zippel one draw fails
     with probability at most dim M / (64 dim M + 1) < 1/64, and all 32
     below 2^-192."""
-    mods, inverses, dims = _fixed_table()
+    mods, inverses, dims, frames = _fixed_table()
     solve = hom_solver(m)
     homs: Dict[str, List[Matrix]] = {}
     proven: Optional[Tuple[Dict[str, int], tuple]] = None
 
+    def hom(f: str) -> List[Matrix]:
+        # a basis of Hom(build(X), m): Hom(X', m) times T for Z and B
+        basis = solve(mods[f])
+        return [h @ frames[f][1] for h in basis] if f in frames else basis
+
     def certify(names: List[str]) -> Optional[tuple]:
-        candidate = direct_sum_all([mods[f] for f in names])
+        candidate = direct_sum_all([frames[f][0] if f in frames else mods[f] for f in names])
         for t in range(trials):
             rng = random.Random(t + 1)
             blocks = [_hom_combination(homs[f], rng) for f in names]
@@ -453,7 +502,7 @@ def _fixed_matcher(m: FourModule, trials: int = _DRAWS, cases: Sequence[str] = _
         nonlocal proven
         families = _CASE_FAMILIES[case_tag]
         if proven is None:
-            homs.update({f: solve(mods[f]) for f in families if f not in homs})
+            homs.update({f: hom(f) for f in families if f not in homs})
             h = [len(homs[f]) for f in families]
             mult = [sum(map(mul, row, h)) for row in inverses[case_tag]]
             counts = {f: c for f, c in zip(families, mult) if c}

@@ -79,16 +79,21 @@ def _dots(xs: Sequence[Sequence[int]], ys: Sequence[Sequence[int]]) -> List[List
     return [[sum(map(mul, x, y)) for y in ys] for x in xs]
 
 
-def _preimage(m: List[List[int]],
-              s: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[List[int]]]:
+def _preimage(m: List[List[int]], s: Sequence[Sequence[int]],
+              within: Sequence[Sequence[int]] = ()) -> Tuple[List[List[int]], List[List[int]]]:
     """{x : m x lies in the span of the vectors s}, and rows whose kernel it is.
 
     `m` is a map Q^b -> Q^a given by its b >= 1 integer columns.  The kernel
     vectors n of the vectors s, stacked as rows, span the annihilator of
     their span, so the preimage is the kernel of the rows n m, returned too.
+    Independent vectors `within` that span a space known to hold the
+    preimage are returned as they are when the rows vanish on them: they
+    span the preimage then, and no kernel is taken.
     """
     n = _kernel_vectors(_primitive(s), len(m[0]))
     rows = _primitive(_dots(n, m))
+    if within and not any(map(any, _dots(rows, within))):
+        return list(within), rows
     return _kernel_vectors([list(r) for r in rows], len(m)), rows
 
 
@@ -120,10 +125,11 @@ def kronecker_blocks(a2: Matrix, a3: Matrix) -> PencilBlocks:
     cols2, cols3 = ([list(num[j::b]) for j in range(b)] for num in nums)
 
     # V_0 = Q^b, V_{i+1} = {x : A3 x in A2 V_i}, down to V*, whose rows
-    # `cut` are those of the last preimage that shrank V (none for V* = Q^b)
+    # `cut` are those of the last preimage that shrank V (none for V* = Q^b);
+    # V_{i+1} lies in V_i, so the step that finds V* takes no kernel
     vs, image, cut = [[[int(i == j) for i in range(b)] for j in range(b)]], cols2, []
     while vs[-1]:
-        nxt, rows = _preimage(cols3, image)
+        nxt, rows = _preimage(cols3, image, vs[-1])
         if len(nxt) == len(vs[-1]):
             break
         vs.append(nxt)
@@ -156,10 +162,13 @@ def kronecker_blocks(a2: Matrix, a3: Matrix) -> PencilBlocks:
     tall = _sizes([f - k for f, k in zip_longest(falls, inf, fillvalue=0)], 1)
 
     # the regular core is finite and lives on V* / (V* cap W*): the vectors
-    # of V* at the pivots of [dom | V*] after dom
-    stack = dom + vs[-1]
-    pivots = _pivots([list(row) for row in zip(*stack)], len(stack))
-    basis = [stack[j] for j in pivots[len(dom):]]
+    # of V* at the pivots of [dom | V*] after dom, all of V*'s independent
+    # vectors when there is no wide block
+    basis = vs[-1]
+    if dom:
+        stack = dom + basis
+        pivots = _pivots([list(row) for row in zip(*stack)], len(stack))
+        basis = [stack[j] for j in pivots[len(dom):]]
     r = len(basis)
     zeros = a - sum(wide) - sum(e + 1 for e in tall) - sum(jordan_inf) - r
     if zeros < 0:

@@ -140,8 +140,9 @@ PENCIL_FIXTURES = ("bht", "coifman_meyer_1", "coifman_meyer_2", "twisted_parapro
 
 
 def test_printed_pencil_certificate_checks_from_the_report_alone(tmp_path):
-    # phi carries Pi_0 and Pi_1 onto [I_a | 0] and [0 | I_b] and Pi_2, Pi_3
-    # onto maps with the row spaces of [A2^T | I_b] and [A3^T | I_b]
+    # phi carries Pi_0 onto [I_a | 0], and Pi_1, Pi_2, Pi_3 onto maps with
+    # the row spaces of [0 | I_b], [A2^T | I_b] and [A3^T | I_b]: the pencil
+    # read off one solve frames H_1 by C1_2^T
     from fractions import Fraction
     from pathlib import Path
     from sblq.core import datum_from_dict
@@ -169,11 +170,11 @@ def test_printed_pencil_certificate_checks_from_the_report_alone(tmp_path):
         pi = datum_from_dict(json.loads(Path(path).read_text())).pi
         eye = Matrix.identity(a + b)
         assert pi[0] @ phi_inv == eye.submatrix(range(a), range(a + b))
-        assert pi[1] @ phi_inv == eye.submatrix(range(a, a + b), range(a + b))
-        for i, key in ((2, "a2"), (3, "a3")):
-            want = hstack(read(pencil[key], a, b).transpose(), Matrix.identity(b))
+        wants = [eye.submatrix(range(a, a + b), range(a + b))] + [
+            hstack(read(pencil[key], a, b).transpose(), Matrix.identity(b)) for key in ("a2", "a3")]
+        for i, want in enumerate(wants, 1):
             got = pi[i] @ phi_inv
-            assert rank(got) == rank(want) == rank(vstack(got, want)) == b, (path, key)
+            assert rank(got) == rank(want) == rank(vstack(got, want)) == b, (path, i)
 
 
 def test_decompose_certificates(tmp_path):
@@ -238,15 +239,15 @@ REPORT_SHA256 = {
     "coifman_meyer_1": ("bdf421f30a55461bf05de2d55ff57d65f5ae95beef7ba4600119a4835ed0f4e7",
                        "5df2ea861d53bdb58d9bfa9a9db8b9a3f3c4242b639d1b9d9b3d47f0485ba1da"),
     "coifman_meyer_2": ("4d02f3c12570cf3f3c68b1c30014179db540476b3069eaab1c65bfa822091d1b",
-                       "eb22fa2fe4c45d3fc324102e419f59d59f3856160a014fc4c51d1a2dfc188076"),
+                       "161c1c43c334fbf2a5ea14de3d2d31ea733b333ba7337a92dc1e9e2c67ae5dd4"),
     "twisted_paraproduct": ("f87d0bf3374c01b917a1cb54352bfc455c96cce5b9d0f75dd7e76722b2718f1f",
                            "33d8eee654d0960cbc2cb05a9307a1599f720ecfa2b423af8e0ffc4c0fc0af00"),
     "j2": ("8d72f6c55215f37bd19c694ebf704784990868038bac91df8008f79166e23193",
-          "acd78e196baaf60a061acd25b34666e00b923ac91a10c9024a88185039a35cd5"),
+          "51f5ee83aace0d84c41d1c06f5a1a376e423b64c75f13011d66b56881d7dc7a4"),
     "n1_j1": ("839967fcba1a01c548c2fb362fa19efbada4f2e5c75b4ce0566ae4ea1bd923b7",
-             "fb22866eace85c90e5986ed4dca02e30acaeab8cea22315f4e338addfb0e7f1d"),
+             "15006660a0a30f4368c82e2977d48b50e2485108102945e6aabce56cedad2af8"),
     "three_twisted": ("513cfd66e7ed041ca4fc49dd96dd05e57dd38279a028a3361cdbd5b4ff6ebc07",
-                     "aaf152bfdcdb65ca8bfa51627e39a5678f9addd67f7df7908b24e31ae51875e4"),
+                     "31f53a1d7e0230ed562c626ed5df653e39c6ac2bfe151844831ac6d22e289f4b"),
     "triangular_hilbert": ("286bc075d1959ff23c1c9aa967e9b6f36ecbf02154ab5aad2da9b64d581c5f7a",
                           "e03a2af445555f3206e4e9bca0eba85e9db49090d98fa5b039eaad7ebaebb1cd"),
     "young": ("b4504478627be29ceb49f8723d92e7fac77b10a1788bf1138d011ad2157b49a7",
@@ -267,15 +268,15 @@ DECOMPOSE_SHA256 = {
     "coifman_meyer_1": ("3983eec09c3c69522613ac476e2d459aae2553a445e861fe6ace54d5400ff574",
         "f9676e5ae03261c9d94df078fb17d4bae62d5cfd9d4f5802732aef1b033911bd"),
     "coifman_meyer_2": ("8e6008fffb66513a3cd180c47f04fbe26a7ac8885c23acad4e5d5142d91fa2b0",
-        "975a92e8d5f3c1d54fb4a3503cf0cec906a3eed95bc5836122129f7dde9075f3"),
+        "990aad6affc7c4e1bdefdd608db61345df31c230c91ead68743ace3d009a3dc9"),
     "twisted_paraproduct": ("b050f6a7fe275a33bad1c8c824c9d29a1006ffd9726f860391277f241b4e8323",
         "4c474f2a88a3cd1053877484d7b52bce35f11c7873ba2b602d6d88245111bce7"),
     "j2": ("9bcd19f7aa8a66ef6b89b0891e8ed83a4bbb5c1ba6a671bee5a213cd4cf289f2",
-        "407e3dea9352ae029be35944525a6b357d36466664e8f9033aef8d883a63f8a2"),
+        "b3a2bfa819cead86501a57f243f371827e7dabb658c5526532eb85b1c9665305"),
     "n1_j1": ("67b3b61ff2a6c0d7fd395c82d10ea6134601356eb25ffc6d18531de9a4ac9bf5",
-        "12f25e8788af38592e702cf8b553b3b649f7e631785131fc0aa5dc822e72230e"),
+        "020a012c49192a8fbe6cbaa4afd26883234dce4c297c06fea4c9b94a6fc77eae"),
     "three_twisted": ("e5fca27597dbff02e9e18827367d7dbe8730c651e4846be4dde9767193758446",
-        "bc519b29825c441f32a02275a334e2f58ff7fc570dd79bfb6cb42237a54187d0"),
+        "aa8df13add3c4d71bf85e8db650795ea50bf4d232525a566c9daa52e6606a83d"),
     "triangular_hilbert": ("dcf371c902f43c69c0ca9dbee1f025177c5239c705bd9e886c71a35937ff038a",
         "5b37747c783c126b5f365c9958cbbd3fca0d9a0b1d0c00fc045be7d5b639e6d0"),
     "young": ("be741f6e954a5cc1da5995e3b2132abad606fb894a642ba401f44c15df3ef0dc",
@@ -422,6 +423,8 @@ def test_numcheck_mikhlin_targets_pass_at_the_default_scale(target):
     (["rotations", "eigen", "--max-degree", "-1"], "max degree"),
     (["rotations", "verify", "--band", "-2"], "band"),
     (["numcheck", "mikhlin", "gaussian", "--order", "-1"], "sampled orders"),
+    (["numcheck", "delta", "{bht}", "--delta-points", "0"], "delta points"),
+    (["numcheck", "delta", "{bht}", "--delta-points", "11"], "delta points"),
 ])
 def test_out_of_range_numeric_requests_exit_one(bht_file, capsys, argv, message):
     from sblq.cli import main
@@ -429,6 +432,13 @@ def test_out_of_range_numeric_requests_exit_one(bht_file, capsys, argv, message)
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("invalid request:") and message in err
+
+
+@pytest.mark.parametrize("command", ["classify", "decompose", "validate"])
+def test_malformed_json_exit_one(command):
+    proc = run_cli(command, "-", stdin="{")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("not valid JSON:")
 
 
 def test_numcheck_delta(bht_file):

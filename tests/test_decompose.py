@@ -11,7 +11,7 @@ from operator import mul
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import sblq
 from sblq.classify import classify
@@ -34,7 +34,7 @@ from sblq.fixtures import (
     three_twisted, triangular_hilbert, twisted_paraproduct,
 )
 from sblq.linalg import (
-    Matrix, Subspace, _annihilator, _echelon_key, _int_rows, hstack,
+    Matrix, Subspace, _annihilator, _echelon_key, _int_rows, _solve_invertible, hstack,
     image_basis, inverse, kernel_basis, rank, solve_right, vstack,
 )
 from sblq.pencil import kronecker_blocks
@@ -508,14 +508,19 @@ def reference_fixed_matcher(m, trials=32, cases=None):
     """The matcher that solved and certified each case on its own: a case's
     multiplicities H^-1 h are certified only when its superscript rule
     admits them, and each multiset at most once.  It solves through the
-    module's `hom_solver`, as `_fixed_matcher` does, so a patch sees both.
+    module's `hom_solver`, as `_fixed_matcher` does, so a patch sees both,
+    on the same modules, Z' and B' mapped back to build(Z) and build(B).
     It needs no list of the cases still to be asked, and ignores `cases`."""
-    mods, inverses = _fixed_table()[:2]
+    mods, inverses, _, frames = _fixed_table()
     solve = sys.modules["sblq.decompose"].hom_solver(m)
     homs, proved = {}, {}
 
+    def hom(f):
+        basis = solve(mods[f])
+        return [h @ frames[f][1] for h in basis] if f in frames else basis
+
     def certify(names):
-        candidate = direct_sum_all([mods[f] for f in names])
+        candidate = direct_sum_all([frames[f][0] if f in frames else mods[f] for f in names])
         for t in range(trials):
             rng = random.Random(t + 1)
             blocks = [_hom_combination(homs[f], rng) for f in names]
@@ -526,7 +531,7 @@ def reference_fixed_matcher(m, trials=32, cases=None):
 
     def match(case_tag):
         families = _CASE_FAMILIES[case_tag]
-        homs.update({f: solve(mods[f]) for f in families if f not in homs})
+        homs.update({f: hom(f) for f in families if f not in homs})
         h = [len(homs[f]) for f in families]
         mult = [sum(map(mul, row, h)) for row in inverses[case_tag]]
         counts = {f: c for f, c in zip(families, mult) if c}
@@ -695,6 +700,37 @@ def test_nonholder_certificate_is_inverted_only_when_read(name):
     assert certificate_valid(cert, d.module, candidate)
 
 
+def test_matcher_families_have_every_axis_pinned():
+    # Z' and B' are build(Z) and build(B) moved by T, each ambient axis a
+    # slot column; the other families are solved as built
+    mods, _, _, frames = _fixed_table()
+    assert sorted(frames) == ["B", "Z"]
+    for f, m in mods.items():
+        pinned = {x.index(1) for s in m.sub for x in _int_rows(s.basis.transpose())
+                  if sum(map(abs, x)) == 1}
+        assert pinned == set(range(m.dim_M)), f
+        built, t = frames.get(f, (build(_TABLE_TAGS[f]), Matrix.identity(m.dim_M)))
+        assert built.dim_vector == m.dim_vector and rank(t) == m.dim_M
+        assert all(t @ a.basis == b.basis for a, b in zip(built.sub, m.sub)), f
+    assert [list(s.basis.col(0)) for s in mods["Z"].sub] == \
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, -1, 1]]
+
+
+def test_psi_maps_the_built_families_in_report_order():
+    data = [fixture_datum(name) for name in ("young", "loomis_whitney")]
+    data += [scrambled_datum([FamilyTag("Y"), FamilyTag("Z")] * k, k) for k in (1, 2, 3)]
+    data += [d for _, case, _, d in nonholder_ladder_bags(2, copies=1) if case == "iii"]
+    data += [scrambled_datum([FamilyTag(f) for f in ("B", "L", "B", "K3", "P1")] + [C0], 3)]
+    sheared = 0
+    for d in data:
+        dec = decompose(d)
+        assert dec.path == "nonholder"
+        sheared += any(s.tag.family in ("Z", "B") for s in dec.summands)
+        candidate = direct_sum_all([build(t) for t in expand_tags(dec.summands)])
+        assert certificate_valid(dec.psi, candidate, d.module)
+    assert sheared >= 6
+
+
 def test_holder_normal_form_bht():
     form = holder_normal_form(bht(Fraction(1, 3)))
     assert form is not None
@@ -702,6 +738,10 @@ def test_holder_normal_form_bht():
     assert form.a2 == Matrix(1, 1, [1])
     # with the deterministic basis choice the parameter comes out on the nose
     assert form.a3 == Matrix(1, 1, [Fraction(1, 3)])
+    # C1_2 = C1_3 = 1, so the one-solve frame is the two-solve one
+    assert (form.c12, form.y, form.d2) == (Matrix(1, 1, [1]), Matrix(1, 1, [1]), 1)
+    assert form.base_change.phi == Matrix(2, 2, [0, 1, 1, 0])
+    assert form.base_change.phi_i == (Matrix(1, 1, [1]),) * 4
     # reconstruction is asserted at construction; double-check the datum shape
     nf = pencil_datum(form.a, form.b, form.a2, form.a3)
     assert nf == apply_equivalence(bht(Fraction(1, 3)), form.base_change)
@@ -715,24 +755,21 @@ def test_holder_normal_form_twisted_pencil():
     assert all(t.n == 1 for t in tags)
 
 
-PERTURBED_RECONSTRUCTION = textwrap.dedent("""
+PERTURBED_SOLVE = textwrap.dedent("""
     import sys
     import sblq.decompose
-    from sblq.core import SBLDatum
     from sblq.fixtures import twisted_paraproduct
-    from sblq.linalg import Matrix
 
     if not sys.flags.optimize:
         sys.exit("not running under -O")
     mod = sys.modules["sblq.decompose"]
-    real = mod.pencil_datum
+    real = mod._rref
 
-    def perturbed(*args):
-        out = real(*args)
-        bump = Matrix(out.pi[1].rows, out.pi[1].cols, [1] + [0] * (len(out.pi[1].data) - 1))
-        return SBLDatum(out.dim_H, out.dims, (out.pi[0], out.pi[1] + bump) + out.pi[2:])
+    def perturbed(rows, cols):
+        pivots, free, nums, d = real(rows, cols)
+        return pivots, free, [nums[0] + 1, *nums[1:]], d
 
-    mod.pencil_datum = perturbed
+    mod._rref = perturbed
     try:
         form = mod.holder_normal_form(twisted_paraproduct())
     except AssertionError as exc:
@@ -743,52 +780,58 @@ PERTURBED_RECONSTRUCTION = textwrap.dedent("""
 
 
 def test_holder_normal_form_check_survives_optimize():
-    # `python -O` strips assert statements; the reconstruction check must stay
+    # `python -O` strips assert statements; the check of the one solve,
+    # C1_3 Y = C1_2 in integers, must stay
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sblq.__file__)))
-    proc = subprocess.run([sys.executable, "-O", "-c", PERTURBED_RECONSTRUCTION],
+    proc = subprocess.run([sys.executable, "-O", "-c", PERTURBED_SOLVE],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised: pencil reconstruction failed")
 
 
-def test_base_change_is_inverted_only_when_read():
-    # no dim_H x dim_H inverse runs, neither for the form nor for its base
-    # change: reading it inverts C1_2^T and C1_3^T only
+def _no_inverses_or_kernels():
+    """A context that records every `inverse` and `kernel_basis` call of
+    any sblq module, as (name, shape) pairs."""
+    calls = []
+    stack = ExitStack()
+    for fn in (inverse, kernel_basis):
+        def recording(m, fn=fn):
+            calls.append((fn.__name__, (m.rows, m.cols)))
+            return fn(m)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("sblq.") and getattr(mod, fn.__name__, None) is fn:
+                stack.enter_context(mock.patch.object(mod, fn.__name__, recording))
+    return stack, calls
+
+
+def test_base_change_is_built_only_when_read():
+    # no inverse runs, neither for the form nor for its base change, which
+    # is built on the first read and kept
     d = twisted_paraproduct()
     assert d.dim_H > max(d.dims[0], d.dims[1])
-    shapes = []
-
-    def recording(m):
-        shapes.append((m.rows, m.cols))
-        return inverse(m)
-
-    with ExitStack() as stack:
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("sblq.") and getattr(mod, "inverse", None) is inverse:
-                stack.enter_context(mock.patch.object(mod, "inverse", recording))
+    stack, calls = _no_inverses_or_kernels()
+    with stack:
         pencil = classify(d).decomposition.pencil
         assert pencil is not None
-        assert shapes == []
+        assert "base_change" not in vars(pencil)
         phi = pencil.base_change.phi
-        assert shapes == [(pencil.b, pencil.b)] * 2
         assert pencil.base_change.phi is phi
-        assert len(shapes) == 2
-    assert phi == vstack(d.pi[0], d.pi[1])
+        assert calls == []
+    assert phi == vstack(d.pi[0], pencil.c12.transpose() @ d.pi[1])
     assert apply_equivalence(d, pencil.base_change) == \
         pencil_datum(pencil.a, pencil.b, pencil.a2, pencil.a3)
 
 
 def test_holder_normal_form_plain_path_skips_kernels_and_inverses():
-    # the base change too takes no kernel, and its inverses are C1_i^-T only
-    d = three_twisted()
-    mod = sys.modules["sblq.decompose"]
-    with kernel_basis_args() as kernels, \
-            mock.patch.object(mod, "inverse", wraps=inverse) as inverting:
-        form = holder_normal_form(d)
-        assert form is not None
-        assert (len(kernels), inverting.call_count) == (0, 0)
-        form.base_change
-        assert (len(kernels), inverting.call_count) == (0, 2)
+    # the form and its base change take no kernel and no inverse
+    for d in (three_twisted(), scrambled_datum([FamilyTag("J1", 2), FamilyTag("T", 1), C0], 3)):
+        stack, calls = _no_inverses_or_kernels()
+        with stack:
+            form = holder_normal_form(d)
+            assert form is not None
+            assert calls == []
+            form.base_change
+            assert calls == []
 
 
 def test_holder_normal_form_rejects_young():
@@ -805,13 +848,22 @@ def test_holder_normal_form_rejects_shared_kernels(rows):
 
 
 def test_holder_normal_form_pinned_plane():
-    d = SBLDatum(2, (1, 1, 1, 1), tuple(
-        Matrix(1, 2, r) for r in ([1, 0], [0, 1], [1, 1], [1, 2])))
-    form = holder_normal_form(d)
-    assert (form.a, form.b) == (1, 1)
-    assert (form.a2, form.a3) == (Matrix(1, 1, [1]), Matrix(1, 1, [Fraction(1, 2)]))
-    assert form.base_change.phi == Matrix.identity(2)
-    assert form.base_change.phi_i == tuple(Matrix(1, 1, [x]) for x in (1, 1, 1, Fraction(1, 2)))
+    for rows, pencil, phi, phis in (
+            # R = [I | C] with C_2 = (1, 1) and C_3 = (1, 2): C1_2 = 1, d2 = 1
+            (([1, 0], [0, 1], [1, 1], [1, 2]), (1, Fraction(1, 2)), [1, 0, 0, 1],
+             (1, 1, 1, Fraction(1, 2))),
+            # C_2 = (1/2, 2) and C_3 = (1/2, 3): d2 = d3 = 2, C1_2 numerators 4,
+            # Z = 4/6; the two-solve pencil (1/4, 1/6) times d2 C1_2 = 4
+            (([2, 0], [0, 1], [1, 2], [1, 3]), (1, Fraction(2, 3)), [2, 0, 0, 4],
+             (1, 4, 2, Fraction(4, 3)))):
+        d = SBLDatum(2, (1, 1, 1, 1), tuple(Matrix(1, 2, r) for r in rows))
+        form = holder_normal_form(d)
+        assert (form.a, form.b) == (1, 1)
+        assert (form.a2, form.a3) == tuple(Matrix(1, 1, [x]) for x in pencil)
+        assert form.base_change.phi == Matrix(2, 2, phi)
+        assert form.base_change.phi_i == tuple(Matrix(1, 1, [x]) for x in phis)
+        assert apply_equivalence(d, form.base_change) == \
+            pencil_datum(form.a, form.b, form.a2, form.a3)
 
 
 # -- the normal form from kernel bases, before the row-space solve, kept as the oracle
@@ -887,7 +939,9 @@ SINGULAR_FRAME = SBLDatum(2, (1, 1, 1, 1), tuple(
     Matrix(1, 2, r) for r in ([1, 0], [1, 0], [2, 0], [3, 0])))
 
 # S_0 + S_1 = Q^4, and Pi_2 = C0_2^T Pi_0 + C1_2^T Pi_1 with C1_2 singular:
-# C1_2^T X = C0_2^T is consistent (X = I)
+# C1_2^T X = C0_2^T is consistent (X = I).  Then Pi_2 = C1_2^T [X^T | I] Pi'
+# has rank below 2, so this datum fails the surjectivity screen before any
+# pivot is read; the SURJECTIVE_ data below reach the pivots
 SINGULAR_C1 = SBLDatum(4, (2, 2, 2, 2), tuple(Matrix(2, 4, r) for r in (
     [1, 0, 0, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0, 0, 1],
     [1, 0, 1, 0, 2, 0, 2, 0], [1, 2, 0, 1, 0, 1, 3, 0])))
@@ -930,6 +984,81 @@ def test_holder_normal_form_complement_check_survives_optimize():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "returned: None\n"
+
+
+# -- the pencil of one solve per slot, before the one-solve form, kept as the oracle
+
+
+def two_solve_pencil(d):
+    """(C0_2 C1_2^-1, C0_3 C1_3^-1) off the module's reduced form [I_n | C],
+    one solve per slot, or None."""
+    n, a = d.dim_H, d.dims[0]
+    b = n - a
+    if any(d.dims[i] != b for i in (1, 2, 3)) or \
+            any(s.dim != h for s, h in zip(d.module.sub, d.dims)):
+        return None
+    sub = [s.basis for s in d.module.reduced[1].sub]
+    if hstack(*sub[:2]) != Matrix.identity(n):
+        return None
+    pencil = []
+    for c in sub[2:]:
+        ct = c.transpose()
+        x = _solve_invertible(ct.submatrix(range(b), range(a, n)), ct.submatrix(range(b), range(a)))
+        if x is None:
+            return None
+        pencil.append(x.transpose())
+    return pencil
+
+
+# SINGULAR_C1 with slots 2 and 3 swapped: C1_3 singular, C1_2 invertible
+SINGULAR_C1_3 = SBLDatum(4, (2, 2, 2, 2), SINGULAR_C1.pi[:2] + SINGULAR_C1.pi[2:][::-1])
+# every map surjective and C1_2 = I, but C1_3 singular: S_0 and S_3 share e_2
+SURJECTIVE_SINGULAR_C1_3 = SBLDatum(4, (2, 2, 2, 2), tuple(Matrix(2, 4, r) for r in (
+    [1, 0, 0, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0, 0, 1],
+    [1, 0, 1, 0, 0, 1, 0, 1], [0, 0, 1, 0, 0, 1, 0, 0])))
+# the same with slots 2 and 3 swapped: C1_2 singular, C1_3 = I
+SURJECTIVE_SINGULAR_C1_2 = SBLDatum(
+    4, (2, 2, 2, 2), SURJECTIVE_SINGULAR_C1_3.pi[:2] + SURJECTIVE_SINGULAR_C1_3.pi[2:][::-1])
+
+
+@st.composite
+def holder_bags_with_c0(draw):
+    """A scrambled bag of 0-4 N/J/C/T summands beside 0-3 copies of C_0;
+    with no other summand it has b = 0."""
+    tags = [FamilyTag("C", 0)] * draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(0 if tags else 1, 4))):
+        family = draw(st.sampled_from(("N", "J1", "J2", "J3", "C", "T")))
+        if family == "N":
+            tags.append(_regular_tag(draw))
+        else:
+            tags.append(FamilyTag(family, draw(st.integers(1 if family != "C" else 0, 2))))
+    return scrambled_datum(draw(st.permutations(tags)), draw(st.integers(0, 2 ** 20)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(holder_bags_with_c0())
+@example(module_to_datum(direct_sum_all([])))
+@example(scrambled_datum([FamilyTag("C", 0)] * 3, 5))
+@example(SINGULAR_C1)
+@example(SINGULAR_C1_3)
+@example(SURJECTIVE_SINGULAR_C1_3)
+@example(SURJECTIVE_SINGULAR_C1_2)
+@example(apply_equivalence(SURJECTIVE_SINGULAR_C1_3, random_equivalence(SURJECTIVE_SINGULAR_C1_3, 5)))
+def test_one_solve_pencil_has_the_blocks_of_the_two_solve_pencil(d):
+    form, want = holder_normal_form(d), two_solve_pencil(d)
+    assert (form is None) == (want is None)
+    if form is None:
+        return
+    assert kronecker_blocks(form.a2, form.a3) == kronecker_blocks(*want)
+    assert apply_equivalence(d, form.base_change) == \
+        pencil_datum(form.a, form.b, form.a2, form.a3)
+
+
+@pytest.mark.parametrize("d", [SINGULAR_C1_3, SURJECTIVE_SINGULAR_C1_3, SURJECTIVE_SINGULAR_C1_2])
+def test_holder_normal_form_refuses_a_singular_c1(d):
+    assert validate_datum(d).valid == (d is not SINGULAR_C1_3)
+    assert d.module.reduced[1].sub[0].basis == Matrix.identity(4).submatrix(range(4), range(2))
+    assert holder_normal_form(d) is None and two_solve_pencil(d) is None
 
 
 def test_kronecker_decompose_examples():

@@ -137,7 +137,8 @@ def test_every_preimage_is_taken_under_the_pencil_itself(monkeypatch):
     own = [[list(m.col(j)) for j in range(m.cols)] for m in (a2, a3)]
     seen = []
     real = pencil._preimage
-    monkeypatch.setattr(pencil, "_preimage", lambda m, s: seen.append(m) or real(m, s))
+    monkeypatch.setattr(pencil, "_preimage",
+                        lambda m, s, *within: seen.append(m) or real(m, s, *within))
     blocks = kronecker_blocks(a2, a3)
     assert (blocks.wide, blocks.tall) == ((1,), (0, 2))
     assert seen and all(m in own for m in seen)
@@ -159,7 +160,8 @@ DROPPED_WONG_VECTOR = textwrap.dedent("""
     if sys.argv[1] == "_meet":
         pencil._meet = lambda cut, w: real(cut, w)[1:]
     else:
-        pencil._preimage = lambda m, s: (lambda x, rows: (x[1:], rows))(*real(m, s))
+        pencil._preimage = lambda m, s, *within: (lambda x, rows: (x[1:], rows))(
+            *real(m, s, *within))
     try:
         blocks = pencil.kronecker_blocks(form.a2, form.a3)
     except AssertionError as exc:
