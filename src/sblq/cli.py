@@ -205,13 +205,13 @@ def cmd_fixtures(args) -> int:
         print("fixture name required (or --list)", file=sys.stderr)
         return EXIT_INVALID
     params = {}
-    if args.alpha is not None:
-        params["alpha"] = Fraction(args.alpha)
     if args.n is not None:
         params["n"] = args.n
     try:
+        if args.alpha is not None:
+            params["alpha"] = Fraction(args.alpha)
         d = fixture_datum(args.name, **params)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         print(f"cannot build fixture: {exc}", file=sys.stderr)
         return EXIT_INVALID
     json.dump(datum_to_dict(d), sys.stdout, indent=1)

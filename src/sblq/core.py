@@ -9,10 +9,12 @@ matrix drawn from the Hom space; `certificate_valid` checks exactly, over
 the integers, that it maps each subspace span onto its counterpart.  It
 works in `FourModule.reduced`, the module rewritten in the coordinates of
 one reduced row echelon form of its stacked slot bases, cached on the
-module, where slot columns are mostly unit columns with small entries.
-Every exact read of `decompose` goes through that one frame, so a datum
-caches its module and no kernel of its maps.  The reported certificate,
-the inverse of that matrix, is built only when read.
+module, where slot columns are mostly unit columns with small entries, on
+both sides of every Hom solve: the datum's module and each family it is
+matched against.  Every exact read of `decompose` goes through that one
+frame, so a datum caches its module and no kernel of its maps.  The
+reported certificate, the inverse of that matrix carried back through both
+frames, is built only when read.
 `module_hom_basis` solves the Hom space column by column: a source basis
 vector along a coordinate axis confines that column of psi to a target
 subspace, and one exact kernel on the coordinates of the confined columns,
@@ -31,7 +33,7 @@ from operator import mul
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from .linalg import (
-    Matrix, Subspace, _echelon_key, _int_cols, _int_rows, _kernel_vectors, _pivots, _rref,
+    Matrix, Subspace, _dots, _echelon_key, _int_cols, _int_rows, _kernel_vectors, _pivots, _rref,
     block_diag, hstack, image_basis, inverse, is_invertible,
 )
 
@@ -234,16 +236,15 @@ def hom_solver(b: FourModule) -> Callable[[FourModule], List[Matrix]]:
         first, *rest = slots or (None,)
         basis = _int_cols(b.sub[first].basis if slots else Matrix.identity(mp))
         if rest:  # B s for the kernel vectors s of the other slots' rows times B
-            rows = [[sum(map(mul, n, col)) for col in basis] for i in rest for n in anns[i]]
-            basis = [[sum(map(mul, t, row)) for row in zip(*basis)]
-                     for t in _kernel_vectors(rows, len(basis))]
+            rows = _dots([n for i in rest for n in anns[i]], basis)
+            basis = _dots(_kernel_vectors(rows, len(basis)), list(zip(*basis)))
         if slots:  # by increasing pivot row
             basis = [c[::-1] for c in reversed(_echelon_key([c[::-1] for c in basis]))]
         return [(c, [(r, v) for r, v in enumerate(c) if v]) for c in basis]
 
     @lru_cache(maxsize=None)
     def product(i: int, slots: Tuple[int, ...]) -> List[List[int]]:
-        return [[sum(map(mul, n, c)) for c, _ in span(slots)] for n in anns[i]]
+        return _dots(anns[i], [c for c, _ in span(slots)])
 
     def solve(a: FourModule) -> List[Matrix]:
         m = a.dim_M

@@ -18,11 +18,12 @@ C1_3^-1 C1_2, and no inverse, its base change too; Pi_i on ker Pi_0 is
 the transpose of R's block i below slot 0, which gives the image
 condition and the necessity lattice; the matcher runs on the module M'
 whose slots are R's column blocks, where the Hom systems keep small
-entries, solving from the families in coordinates where every axis is a
-slot column, and its proven psi': candidate -> M' becomes psi = g psi'
-with g M' = M.  A classified datum passes the
-necessity screen, so its lattice is built only for data that neither
-route classifies.  All decisions are exact.
+entries, and solves from each family in its own reduced frame, (g_X, X')
+= build(X).reduced, where every axis is a slot column.  Its proven psi':
+(+ X') -> M' becomes psi = g psi' (+ g_X^-1) with g M' = M, only when
+read.  A classified datum passes the necessity screen, so its lattice is
+built only for data that neither route classifies.  All decisions are
+exact.
 """
 
 from __future__ import annotations
@@ -36,14 +37,14 @@ from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import (
-    DimVector, EquivalenceMap, FourModule, SBLDatum, certificate_valid, direct_sum_all,
+    EquivalenceMap, FourModule, SBLDatum, certificate_valid, direct_sum_all,
     hom_solver, module_to_datum, validate_datum,
 )
 from .linalg import (
-    Matrix, Subspace, _annihilator, _echelon_key, _int_rank, _pivots, _primitive, _rref,
+    Matrix, _annihilator, _dots, _echelon_key, _int_rank, _pivots, _primitive, _rref,
     block_diag, companion_matrix, hstack, inverse, invariant_factors, rank, vstack,
 )
-from .pencil import _dots, kronecker_blocks
+from .pencil import kronecker_blocks
 from .polynomials import Poly, sturm_real_roots
 from .tables import FIXED_FAMILIES, FamilyTag, build
 
@@ -150,7 +151,7 @@ def necessary_conditions(d: SBLDatum, lattice_depth: int = 3,
     entries = tuple(
         LatticeEntry(desc, len(key), ranks if n == 0 else tuple(
             0 if i == n else
-            _int_rank([[sum(map(mul, k, r)) for r in rows] for k in key], len(rows))
+            _int_rank(_dots(key, rows), len(rows))
             for i, rows in enumerate(maps, 1)))
         for n, (desc, key, _) in enumerate(found))
     return NecessityReport(surj, entries, eqc)
@@ -394,37 +395,22 @@ def _check_family_lattices(mods: Iterable[FourModule]) -> None:
             raise AssertionError("a family datum fails its closed necessity lattice")
 
 
-# Z and B in coordinates where every ambient axis is a slot column, so that
-# `hom_solver` confines every column of psi to a slot: X' = T X slot by slot,
-# T the identity with -1 at (row, col).  Z' has slots e1, e2, e3 and
-# e1 - e2 + e3; B' takes the axis f5 = e3 + e5 in place of e5.
-_SHEARS = {"Z": (1, 2), "B": (2, 4)}
-
-
-def _sheared(m: FourModule, row: int, col: int) -> Tuple[FourModule, Matrix]:
-    """(T m, T) for T the identity with -1 at (row, col)."""
-    num = list(Matrix.identity(m.dim_M).num)
-    num[row * m.dim_M + col] = -1
-    t = Matrix._ints(m.dim_M, m.dim_M, num)
-    return FourModule(m.dim_M, tuple(Subspace._trusted(m.dim_M, t @ s.basis)
-                                     for s in m.sub)), t
-
-
 @lru_cache(maxsize=None)
 def _fixed_table() -> Tuple[Dict[str, FourModule], Dict[str, List[List[int]]],
-                            Dict[str, DimVector], Dict[str, Tuple[FourModule, Matrix]]]:
-    """The modules of C0 and the ten fixed families, Z and B among them as
-    Z' and B' (`_SHEARS`), per case the integer inverse of H[X][Y] = dim
-    Hom(X, Y) over the case's families, each module's dimension vector, and
-    for Z and B (build(X), T) with T: build(X) -> X' the isomorphism that
-    carries each slot onto that of X'; first it checks that the built
-    modules pass their closed necessity lattices.  Hom(X, C0) = 0 for every
+                            Dict[FamilyTag, Tuple[Matrix, Matrix]]]:
+    """The modules X' of C0 and the ten fixed families, per case the
+    integer inverse of H[X][Y] = dim Hom(X, Y) over the case's families,
+    and per family tag (g_X, g_X^-1); first it checks that the built
+    modules pass their closed necessity lattices.
+    X' is build(X) in its own reduced frame, (g_X, X') = build(X).reduced
+    with g_X X' = build(X): R's pivot columns are unit columns, one per
+    ambient axis, so every axis is a slot column of X' and `hom_solver`
+    confines every column of psi' to a slot.  Hom(X, C0) = 0 for every
     fixed family X, so each H is block triangular with dim Hom(C0, C0) = 1
     in its corner and keeps the integer inverse of its fixed-family block."""
     built = {f: build(t) for f, t in _TABLE_TAGS.items()}
     _check_family_lattices(built.values())
-    sheared = {f: _sheared(built[f], *at) for f, at in _SHEARS.items()}
-    mods = {f: sheared[f][0] if f in sheared else m for f, m in built.items()}
+    mods = {f: m.reduced[1] for f, m in built.items()}
     solvers = {y: hom_solver(b) for y, b in mods.items()}
     hom = {(x, y): len(solvers[y](mods[x])) for x in mods for y in mods}
     inverses = {}
@@ -435,8 +421,8 @@ def _fixed_table() -> Tuple[Dict[str, FourModule], Dict[str, List[List[int]]],
             raise AssertionError(f"the case {case_tag} Hom table has no integer inverse")
         n = hinv.cols
         inverses[case_tag] = [list(hinv.num[i * n:(i + 1) * n]) for i in range(hinv.rows)]
-    return mods, inverses, {f: m.dim_vector for f, m in mods.items()}, \
-        {f: (built[f], t) for f, (_, t) in sheared.items()}
+    frames = {_TABLE_TAGS[f]: (m.reduced[0], inverse(m.reduced[0])) for f, m in built.items()}
+    return mods, inverses, frames
 
 
 _DRAWS = 32  # draw t seeds random.Random(t + 1); reports print this stream as seed 0
@@ -445,51 +431,46 @@ _CASE_ORDER = ("ii", "iii", "i")
 
 def _fixed_matcher(m: FourModule, trials: int = _DRAWS, cases: Sequence[str] = _CASE_ORDER):
     """Non-Hoelder matching for one module: `match(case_tag)` gives the
-    certified summand multiset for one case shape and the proven psi:
-    candidate -> m, or None.  A module is fixed by its Hom dimensions from
-    the indecomposables (Auslander), so the multiplicities of the case's
-    families are exactly H^-1 h, with H[X][Y] = dim Hom(X, Y) and h_X =
-    dim Hom(X, m); a negative entry, a wrong dimension vector or an empty
-    Hom space of a counted family is a definite negative, and so is a
-    multiset that neither this case nor a later one of `cases`, those still
-    to be asked, admits (`_case_counts_admissible`): proven, it would match
-    none of them.  Otherwise each of up to `trials` draws stacks one
-    element of Hom(X, m) per summand copy into psi, and the first that
-    `certificate_valid` proves is kept, even when this case refuses it.
+    certified summand multiset for one case shape and the proven psi':
+    candidate -> m, the candidate the direct sum of the families' modules
+    X' of `_fixed_table` in report order, or None.  A module is fixed by
+    its Hom dimensions from the indecomposables (Auslander), so the
+    multiplicities of the case's families are exactly H^-1 h, with H[X][Y]
+    = dim Hom(X, Y) and h_X = dim Hom(X, m); a negative entry, a wrong
+    dimension vector or an empty Hom space of a counted family is a
+    definite negative, and so is a multiset that neither this case nor a
+    later one of `cases`, those still to be asked, admits
+    (`_case_counts_admissible`): proven, it would match none of them.
+    Otherwise each of up to `trials` draws stacks one element of Hom(X', m)
+    per summand copy into psi', and the first that `certificate_valid`
+    proves is kept, even when this case refuses it.
 
     By Krull-Schmidt m has exactly one multiset of indecomposables, so
     every later case is decided from the proven one without a Hom solve: it
     matches exactly when it admits the multiset.  A case that lists all
     its families computes the same multiplicities, as h = H x for the
     proven x; one that does not has no certified candidate, which would be
-    a second multiset.  The proven psi serves every case: C0, P and K keep
+    a second multiset.  The proven psi' serves every case: C0, P and K keep
     their relative order in all three family lists, so the candidate is the
-    same direct sum in the same order.  Until then each Hom(X, m) is solved
-    once, by one `hom_solver(m)`; for Z and B it is Hom(X', m) times T
-    (`_fixed_table`), where every column of psi is confined to a slot, so
-    the candidate is the direct sum of the built families all the same.
+    same direct sum in the same order.  Until then each Hom(X', m) is
+    solved once, by one `hom_solver(m)`, and nothing is mapped back to
+    build(X): `DecompositionResult` does that once, when psi is read.
 
     `_decompose` passes M' of the reduced form (g, M') of the datum's
-    module, whose slot columns are mostly unit columns with small entries,
-    and maps the proven psi' back as g psi'; an isomorphic module gives the
-    same multisets, since they are read off Hom dimensions.  det psi is a
-    polynomial of degree dim M in a draw's coefficients, not identically
-    zero when m is isomorphic to the candidate, and each coefficient is
-    uniform on 64 dim M + 1 integers: by Schwartz-Zippel one draw fails
-    with probability at most dim M / (64 dim M + 1) < 1/64, and all 32
-    below 2^-192."""
-    mods, inverses, dims, frames = _fixed_table()
+    module, whose slot columns are mostly unit columns with small entries;
+    an isomorphic module gives the same multisets, since they are read off
+    Hom dimensions.  det psi' is a polynomial of degree dim M in a draw's
+    coefficients, not identically zero when m is isomorphic to the
+    candidate, and each coefficient is uniform on 64 dim M + 1 integers: by
+    Schwartz-Zippel one draw fails with probability at most
+    dim M / (64 dim M + 1) < 1/64, and all 32 below 2^-192."""
+    mods, inverses, _ = _fixed_table()
     solve = hom_solver(m)
     homs: Dict[str, List[Matrix]] = {}
     proven: Optional[Tuple[Dict[str, int], tuple]] = None
 
-    def hom(f: str) -> List[Matrix]:
-        # a basis of Hom(build(X), m): Hom(X', m) times T for Z and B
-        basis = solve(mods[f])
-        return [h @ frames[f][1] for h in basis] if f in frames else basis
-
     def certify(names: List[str]) -> Optional[tuple]:
-        candidate = direct_sum_all([frames[f][0] if f in frames else mods[f] for f in names])
+        candidate = direct_sum_all([mods[f] for f in names])
         for t in range(trials):
             rng = random.Random(t + 1)
             blocks = [_hom_combination(homs[f], rng) for f in names]
@@ -502,11 +483,12 @@ def _fixed_matcher(m: FourModule, trials: int = _DRAWS, cases: Sequence[str] = _
         nonlocal proven
         families = _CASE_FAMILIES[case_tag]
         if proven is None:
-            homs.update({f: hom(f) for f in families if f not in homs})
+            homs.update({f: solve(mods[f]) for f in families if f not in homs})
             h = [len(homs[f]) for f in families]
             mult = [sum(map(mul, row, h)) for row in inverses[case_tag]]
             counts = {f: c for f, c in zip(families, mult) if c}
-            total = tuple(sum(c * dims[f][k] for f, c in counts.items()) for k in range(5))
+            total = tuple(sum(c * mods[f].dim_vector[k] for f, c in counts.items())
+                          for k in range(5))
             to_ask = cases[cases.index(case_tag):]
             if min(mult) < 0 or total != m.dim_vector or not all(homs[f] for f in counts) or \
                     not any(_case_counts_admissible(c, counts) for c in to_ask):
@@ -544,14 +526,15 @@ class DecompositionResult:
     full report, `necessity`, is built only when read: a classified datum
     passes it, so only an unclassified one needs its lattice.  On the
     non-Hoelder path `psi` is the proven isomorphism candidate -> M, the
-    candidate the direct sum of the listed summands in order, C0 copies
-    first: psi = g psi' for the matcher's psi': candidate -> M' in the
-    reduced coordinates (g, M') of M, kept as `frame` = (g, psi')
-    (`_decompose`).  `certificate`, its inverse psi'^-1 g^-1, maps the
-    user's M onto it: both factors have smaller entries than g psi', so
-    they are inverted apart.  They and the real-root intervals of the
-    regular summands are computed only when read, as a plain verdict reads
-    none of them.
+    candidate the direct sum of build(tag) over the listed summands in
+    order, C0 copies first.  The matcher proves psi': (+ X') -> M' in the
+    reduced frames g M' = M and g_X X' = build(X) (`_fixed_table`), kept as
+    `frame` = (g, psi'), so psi = g psi' (+ g_X^-1), and `certificate`,
+    its inverse (+ g_X) psi'^-1 g^-1, maps the user's M onto the candidate:
+    each factor has smaller entries than psi, and no inverse larger than
+    one family's g_X, at most 5 x 5, enters psi.  They and the real-root
+    intervals of the regular summands are computed only when read, as a
+    plain verdict reads none of them.
     """
 
     summands: List[IndecompSummand]
@@ -567,16 +550,23 @@ class DecompositionResult:
     def necessity(self) -> NecessityReport:
         return necessary_conditions(self.datum)
 
+    def _family_frames(self) -> List[Tuple[Matrix, Matrix]]:
+        """(g_X, g_X^-1) of each summand copy, in report order."""
+        return [_fixed_table()[2][t] for t in expand_tags(self.summands)]
+
     @cached_property
     def psi(self) -> Optional[Matrix]:
-        return None if self.frame is None else self.frame[0] @ self.frame[1]
+        if self.frame is None:
+            return None
+        g, psi = self.frame
+        return g @ psi @ block_diag(*[inv for _, inv in self._family_frames()])
 
     @cached_property
     def certificate(self) -> Optional[Matrix]:
         if self.frame is None:
             return None
         g, psi = self.frame
-        return inverse(psi) @ inverse(g)
+        return block_diag(*[gx for gx, _ in self._family_frames()]) @ inverse(psi) @ inverse(g)
 
     @cached_property
     def real_root_refinements(self) -> Dict[str, List[Tuple[Fraction, Fraction]]]:
@@ -646,10 +636,12 @@ def _decompose(d: SBLDatum) -> DecompositionResult:
     i; the matcher is handed that list, draws only for a multiset one of
     them still accepts, and once one multiset is certified decides the
     later ones from it (`_fixed_matcher`).
-    Its psi': candidate -> M' is proven by `certificate_valid`, and
-    psi = g psi' is then proven for M itself: g is invertible and maps
-    each slot of M' onto that of M (g R_i = B_i, R exact), so psi is
-    invertible and maps each slot of the candidate onto that of M."""
+    Its psi': (+ X') -> M' is proven by `certificate_valid`, and
+    psi = g psi' (+ g_X^-1) is then proven for M and the candidate (+
+    build(X)) themselves: g and each g_X are invertible and map each slot
+    of M' onto that of M and of X' onto that of build(X) (g R_i = B_i, R
+    exact), so psi is invertible and maps each slot of the candidate onto
+    that of M."""
     form = holder_normal_form(d)
     if form is not None:
         return DecompositionResult(kronecker_decompose(form), "classified", "pencil",

@@ -31,13 +31,13 @@ always comes.  Below the switch both routes run one forward fraction-free
 fraction-free back-substitution on the free columns.
 `solve_right` reads X off the reduced form of [a | b] and runs the same
 proof on the b columns, which is a @ X == b on integer rows, on either
-path.  `det` keeps its own Bareiss pass, whose last pivot is the
-determinant.  Callers that already hold integer rows use the private
+path.  Callers that already hold integer rows use the private
 integer entry points directly: `_int_kernel`, `_kernel_vectors` (the
 kernel as primitive integer vectors, for the pencil and the Hom solver)
 and `_int_rank`, `_echelon_key` and `_annihilator` (keys of row spans and
-of their annihilators, for the necessity screen's subspace lattice), and
-`_pivots` (for the basis and rows of the pencil's finite core).
+of their annihilators, for the necessity screen's subspace lattice),
+`_pivots` (for the basis and rows of the pencil's finite core) and
+`_dots`, the one product of integer rows with integer rows.
 `invariant_factors` reads the invariant factors of a square matrix off
 quotients by cyclic subspaces, in the matrix's own coordinates, with
 `kernel_basis` alone, so it is exact by the same proofs.
@@ -292,6 +292,11 @@ def _primitive(rows: Iterable[Sequence[int]]) -> List[List[int]]:
     return out
 
 
+def _dots(xs: Sequence[Sequence[int]], ys: Sequence[Sequence[int]]) -> List[List[int]]:
+    """The integer products x . y, one row per x and one entry per y."""
+    return [[sum(map(mul, x, y)) for y in ys] for x in xs]
+
+
 def _int_rows(m: Matrix) -> List[List[int]]:
     """The numerator rows, each divided by its gcd; preserves row space and kernel."""
     c, num = m.cols, m.num
@@ -310,19 +315,18 @@ def _int_cols(m: Matrix) -> List[List[int]]:
     return out
 
 
-def _echelon(rows: List[List[int]]) -> Tuple[List[List[int]], List[int], int]:
+def _echelon(rows: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
     """Fraction-free (Bareiss) row echelon, in place.
 
-    Returns the echelon rows, the list of pivot columns and the sign of the
-    row permutation.  The update a_ij <- (p * a_ij - a_ic * a_rj) / prev on
-    the rows below the pivot is exact by the Sylvester identity; every
-    intermediate entry is a minor of the input, and the last pivot is the
-    rank-sized minor on the pivot rows and columns.
+    Returns the echelon rows and the list of pivot columns.  The update
+    a_ij <- (p * a_ij - a_ic * a_rj) / prev on the rows below the pivot is
+    exact by the Sylvester identity; every intermediate entry is a minor of
+    the input, and the last pivot is the rank-sized minor on the pivot rows
+    and columns, up to sign.
     """
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
     pivots: List[int] = []
-    sign = 1
     prev = 1
     r = 0
     for c in range(nc):
@@ -342,7 +346,6 @@ def _echelon(rows: List[List[int]]) -> Tuple[List[List[int]], List[int], int]:
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
-            sign = -sign
         p = rows[r][c]
         tail = rows[r][c + 1:]
         for i in range(r + 1, nr):
@@ -364,7 +367,7 @@ def _echelon(rows: List[List[int]]) -> Tuple[List[List[int]], List[int], int]:
         pivots.append(c)
         r += 1
     # the rows below the last pivot row are zero
-    return rows[:r], pivots, sign
+    return rows[:r], pivots
 
 
 def _echelon_key(rows: List[List[int]]) -> Tuple[Tuple[int, ...], ...]:
@@ -510,7 +513,7 @@ def _rref(rows: List[List[int]], cols: int) -> Tuple[List[int], List[int], List[
     """
     if rows and len(rows) * cols >= _MODULAR_CELLS:
         return _modular_kernel(rows, cols)
-    ech, pivots, _ = _echelon(rows)
+    ech, pivots = _echelon(rows)
     pivset = set(pivots)
     free = [c for c in range(cols) if c not in pivset]
     d = ech[-1][pivots[-1]] if pivots else 1
@@ -749,30 +752,6 @@ def inverse(a: Matrix) -> Matrix:
 def is_invertible(a: Matrix) -> bool:
     """Full rank over Q."""
     return a.is_square and rank(a) == a.rows
-
-
-def det(a: Matrix) -> Fraction:
-    """Determinant via fraction-free elimination of the primitive rows.
-
-    Row i of a is g_i / den times the i-th row of `_int_rows`, g_i the gcd
-    of its numerators.  The last Bareiss pivot is the determinant of the
-    row-permuted integer matrix; the swap sign, the g_i and den^n undo the
-    rest.
-    """
-    if not a.is_square:
-        raise ValueError("det of non-square matrix")
-    n = a.rows
-    if n == 0:
-        return Fraction(1)
-    scale = 1
-    for i in range(n):
-        scale *= gcd(*a.num[i * n:(i + 1) * n])
-    if not scale:
-        return Fraction(0)
-    ech, pivots, sign = _echelon(_int_rows(a))
-    if len(pivots) < n:
-        return Fraction(0)
-    return Fraction(sign * ech[n - 1][n - 1] * scale, a.den ** n)
 
 
 # -- subspaces --------------------------------------------------------------

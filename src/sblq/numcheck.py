@@ -1,7 +1,7 @@
 """Desk-scale numerical verification of the trilinear forms.
 
 Evaluates a form against explicit test functions and kernels, checks that
-equivalent data produce the same value after the exact Jacobian factor,
+equivalent data produce the same value after the Jacobian factor |det phi|,
 extends kernels to more variables through the Gaussian-in-new-directions
 formula, and samples Mikhlin symbol bounds on a logarithmic grid by central
 finite differences.  Everything here is floating point; nothing feeds back
@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import EquivalenceMap, SBLDatum, apply_equivalence
-from .linalg import Matrix, det, inverse, kernel_basis
+from .linalg import Matrix, inverse, kernel_basis
 
 
 def _np(m: Matrix) -> np.ndarray:
@@ -605,12 +605,12 @@ def check_equivalence_invariance(spec: FormSpec, e: EquivalenceMap,
     """Residual of the change-of-variables identity under an equivalence.
 
     Evaluates the transformed datum against pulled-back functions and
-    kernel, multiplies by the exact rational Jacobian factor of phi, and
-    returns (residual, tolerance) with tolerance three times the summed
-    quadrature error estimates.
+    kernel, multiplies by the Jacobian factor |det phi|, taken in floating
+    point like every value here, and returns (residual, tolerance) with
+    tolerance three times the summed quadrature error estimates.
     """
     d2 = apply_equivalence(spec.datum, e)
-    jac = abs(float(det(e.phi)))
+    jac = abs(float(np.linalg.det(_np(e.phi))))
     phi_inv = [_np(inverse(e.phi_i[i])) for i in range(4)]
     funcs2 = tuple(spec.functions[i - 1].pullback(phi_inv[i]) for i in (1, 2, 3))
     kernel2 = spec.kernel.pullback(phi_inv[0]) if spec.datum.dims[0] else spec.kernel
@@ -626,7 +626,7 @@ def delta_limit_check(d: SBLDatum, functions, widths=(0.25, 0.125, 0.0625),
 
     Splits coordinates along ker Pi_0 and a complement, integrates the
     Gaussian directions on their own scaled rule, and reports the residual
-    sequence against the exact-limit value (times the exact volume factor);
+    sequence against the exact-limit value (times the volume factor);
     the residuals must decrease as the width shrinks.
     """
     k0 = kernel_basis(d.pi[0])

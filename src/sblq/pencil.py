@@ -43,11 +43,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import zip_longest
 from math import lcm
-from operator import mul
 from typing import List, Sequence, Tuple
 
 from .linalg import (
-    Matrix, Subspace, _kernel_vectors, _pivots, _primitive, _solve_invertible,
+    Matrix, Subspace, _dots, _kernel_vectors, _pivots, _primitive, _solve_invertible,
     image_basis, invariant_factors, solve_right,
 )
 from .polynomials import Poly
@@ -72,11 +71,6 @@ class PencilBlocks:
         reg = (sum(self.jordan_at_0) + sum(self.jordan_at_1)
                + sum(self.jordan_at_inf) + sum(f.degree for f in self.regular_factors))
         return (ra + reg, rb + reg) == (a, b)
-
-
-def _dots(xs: Sequence[Sequence[int]], ys: Sequence[Sequence[int]]) -> List[List[int]]:
-    """The products x . y, one row per x and one entry per y."""
-    return [[sum(map(mul, x, y)) for y in ys] for x in xs]
 
 
 def _preimage(m: List[List[int]], s: Sequence[Sequence[int]],

@@ -474,3 +474,12 @@ def test_refine_real_flag(tmp_path):
 def test_fixtures_family_spec_errors():
     proc = run_cli("fixtures", "QQ_3")
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("name", ["bht", "N_2"])
+@pytest.mark.parametrize("alpha", ["1/0", "abc"])
+def test_fixture_alpha_that_is_no_rational_exits_one(name, alpha):
+    proc = run_cli("fixtures", name, "--alpha", alpha)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("cannot build fixture:")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""

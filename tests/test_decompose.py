@@ -509,18 +509,14 @@ def reference_fixed_matcher(m, trials=32, cases=None):
     multiplicities H^-1 h are certified only when its superscript rule
     admits them, and each multiset at most once.  It solves through the
     module's `hom_solver`, as `_fixed_matcher` does, so a patch sees both,
-    on the same modules, Z' and B' mapped back to build(Z) and build(B).
-    It needs no list of the cases still to be asked, and ignores `cases`."""
-    mods, inverses, _, frames = _fixed_table()
+    on the same modules X', and proves psi' on their direct sum.  It needs
+    no list of the cases still to be asked, and ignores `cases`."""
+    mods, inverses, _ = _fixed_table()
     solve = sys.modules["sblq.decompose"].hom_solver(m)
     homs, proved = {}, {}
 
-    def hom(f):
-        basis = solve(mods[f])
-        return [h @ frames[f][1] for h in basis] if f in frames else basis
-
     def certify(names):
-        candidate = direct_sum_all([frames[f][0] if f in frames else mods[f] for f in names])
+        candidate = direct_sum_all([mods[f] for f in names])
         for t in range(trials):
             rng = random.Random(t + 1)
             blocks = [_hom_combination(homs[f], rng) for f in names]
@@ -531,7 +527,7 @@ def reference_fixed_matcher(m, trials=32, cases=None):
 
     def match(case_tag):
         families = _CASE_FAMILIES[case_tag]
-        homs.update({f: hom(f) for f in families if f not in homs})
+        homs.update({f: solve(mods[f]) for f in families if f not in homs})
         h = [len(homs[f]) for f in families]
         mult = [sum(map(mul, row, h)) for row in inverses[case_tag]]
         counts = {f: c for f, c in zip(families, mult) if c}
@@ -701,17 +697,25 @@ def test_nonholder_certificate_is_inverted_only_when_read(name):
 
 
 def test_matcher_families_have_every_axis_pinned():
-    # Z' and B' are build(Z) and build(B) moved by T, each ambient axis a
-    # slot column; the other families are solved as built
-    mods, _, _, frames = _fixed_table()
-    assert sorted(frames) == ["B", "Z"]
+    # every family is solved as X' of (g_X, X') = build(X).reduced, each
+    # ambient axis a slot column; g_X carries each slot of X' onto that of
+    # build(X), and g_X = I for all but Z, L and B
+    mods, _, frames = _fixed_table()
+    assert list(mods) == list(_TABLE_TAGS) and list(frames) == list(_TABLE_TAGS.values())
+    moved = []
     for f, m in mods.items():
+        built = build(_TABLE_TAGS[f])
+        assert m.dim_vector == built.dim_vector
+        assert [s.basis for s in m.sub] == [s.basis for s in built.reduced[1].sub], f
         pinned = {x.index(1) for s in m.sub for x in _int_rows(s.basis.transpose())
                   if sum(map(abs, x)) == 1}
         assert pinned == set(range(m.dim_M)), f
-        built, t = frames.get(f, (build(_TABLE_TAGS[f]), Matrix.identity(m.dim_M)))
-        assert built.dim_vector == m.dim_vector and rank(t) == m.dim_M
-        assert all(t @ a.basis == b.basis for a, b in zip(built.sub, m.sub)), f
+        g, g_inv = frames[_TABLE_TAGS[f]]
+        assert g @ g_inv == Matrix.identity(m.dim_M)
+        assert all(g @ a.basis == b.basis for a, b in zip(m.sub, built.sub)), f
+        if g != Matrix.identity(m.dim_M):
+            moved.append(f)
+    assert moved == ["Z", "L", "B"]
     assert [list(s.basis.col(0)) for s in mods["Z"].sub] == \
         [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, -1, 1]]
 
@@ -721,14 +725,16 @@ def test_psi_maps_the_built_families_in_report_order():
     data += [scrambled_datum([FamilyTag("Y"), FamilyTag("Z")] * k, k) for k in (1, 2, 3)]
     data += [d for _, case, _, d in nonholder_ladder_bags(2, copies=1) if case == "iii"]
     data += [scrambled_datum([FamilyTag(f) for f in ("B", "L", "B", "K3", "P1")] + [C0], 3)]
-    sheared = 0
+    moved = 0
     for d in data:
         dec = decompose(d)
         assert dec.path == "nonholder"
-        sheared += any(s.tag.family in ("Z", "B") for s in dec.summands)
+        moved += any(s.tag.family in ("Z", "L", "B") for s in dec.summands)
         candidate = direct_sum_all([build(t) for t in expand_tags(dec.summands)])
         assert certificate_valid(dec.psi, candidate, d.module)
-    assert sheared >= 6
+        assert dec.certificate @ dec.psi == Matrix.identity(d.dim_H)
+        assert certificate_valid(dec.certificate, d.module, candidate)
+    assert moved == len(data) == 8
 
 
 def test_holder_normal_form_bht():
@@ -1382,11 +1388,12 @@ def fixed_family_modules(draw):
 
 
 def _proved(m, found):
-    """The multiset of a match, after checking its psi: candidate -> m."""
+    """The multiset of a match, after checking its psi': candidate -> m,
+    the candidate the direct sum of the summands' X' = build(X).reduced[1]."""
     if found is None:
         return None
     summands, psi = found
-    candidate = direct_sum_all([build(t) for t in expand_tags(summands)])
+    candidate = direct_sum_all([build(t).reduced[1] for t in expand_tags(summands)])
     assert certificate_valid(psi, candidate, m)
     return canonical_multiset(expand_tags(summands))
 

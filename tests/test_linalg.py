@@ -18,7 +18,7 @@ from sblq import linalg
 from sblq.linalg import (
     Matrix, Subspace, _annihilator, _echelon, _echelon_key, _int_kernel,
     _modular_kernel, _rref_mod, block_diag,
-    companion_matrix, det, hstack,
+    companion_matrix, hstack,
     image_basis, inverse, invariant_factors, kernel_basis, rank, solve_right,
     vstack,
 )
@@ -126,21 +126,6 @@ def test_inverse_round_trip():
         if rank(m) < n:
             continue
         assert m @ inverse(m) == Matrix.identity(n)
-
-
-def test_det_matches_sympy():
-    rng = random.Random(3)
-    for _ in range(20):
-        n = rng.randint(1, 5)
-        m = random_matrix(rng, n, n)
-        assert sympy.Rational(det(m)) == to_sympy(m).det()
-    for _ in range(10):  # singular: rank-deficient products
-        n = rng.randint(2, 5)
-        m = random_matrix(rng, n, n - 1) @ random_matrix(rng, n - 1, n)
-        assert det(m) == 0 == to_sympy(m).det()
-    assert det(Matrix.from_rows([[1, 2], [0, 0]])) == 0
-    assert det(Matrix.from_rows([[0, 1], [1, 0]])) == -1
-    assert det(Matrix.zeros(0, 0)) == 1 == sympy.zeros(0, 0).det()
 
 
 def _sympy_invariant_factors(m):
@@ -465,7 +450,7 @@ def ref_kernel(m):
         return Matrix.zeros(0, 0)
     if m.rows == 0:
         return Matrix.identity(m.cols)
-    ech, pivots, _ = _echelon(_ref_int_rows(m))
+    ech, pivots = _echelon(_ref_int_rows(m))
     ncols = m.cols
     free = [c for c in range(ncols) if c not in set(pivots)]
     cols = []
@@ -487,7 +472,7 @@ def ref_solve(a, b):
     """Solution with free variables 0, or None when inconsistent."""
     if a.cols == 0:
         return Matrix.zeros(0, b.cols) if b.is_zero else None
-    ech, pivots, _ = _echelon(_ref_int_rows(hstack(a, b)))
+    ech, pivots = _echelon(_ref_int_rows(hstack(a, b)))
     n = a.cols
     if any(c >= n for c in pivots):
         return None
@@ -706,7 +691,6 @@ def test_negative_last_pivot():
         inv = inverse(a)
         assert inv == Matrix.from_rows([[-2, 1], [Fraction(3, 2), Fraction(-1, 2)]])
         assert (inv.num, inv.den) == ((-4, 2, 3, -1), 2)
-        assert det(a) == -2
         rows = linalg._int_rows(_NEGATIVE_PIVOT)
         assert _echelon_key(rows) == ((1, 0, -1), (0, 1, 1))
         assert linalg._kernel_vectors(linalg._int_rows(_NEGATIVE_PIVOT), 3) == [[1, -1, 1]]
@@ -1006,9 +990,9 @@ def test_echelon_prev_and_equal_pivot_steps():
     # the pivots 2, 2, 2: after the first step every update divides by 2 and
     # a row with a zero in the pivot column is already scaled by p / prev = 1
     assert _echelon([[2, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]) == \
-        ([[2, 0, 0, 1], [0, 2, 0, 2], [0, 0, 2, 2]], [0, 1, 2], 1)
+        ([[2, 0, 0, 1], [0, 2, 0, 2], [0, 0, 2, 2]], [0, 1, 2])
     # a pivot of 1 first: no division, and the eliminated entry set to 0
-    assert _echelon([[3, 4, 5], [1, 2, 3]]) == ([[1, 2, 3], [0, -2, -4]], [0, 1], -1)
+    assert _echelon([[3, 4, 5], [1, 2, 3]]) == ([[1, 2, 3], [0, -2, -4]], [0, 1])
 
 
 # The 64 largest primes below 2**31, the modular core's fixed table before
