@@ -10,8 +10,9 @@ datum, with probability below 2^-192), 3 numeric tolerance failure.
 
 The exact commands (validate, classify, decompose, fixtures) need only the
 standard library; numpy loads on demand for integer systems of 256 cells
-or more.  numpy, scipy and the `rotations` and `numcheck` modules load only
-inside the handlers of the numeric commands.
+or more.  numpy and the `rotations` and `numcheck` modules load only inside
+the handlers of the numeric commands, and none of them loads scipy: scipy
+serves only J0 in `numcheck.MultiplierBump.spatial`, which no command reaches.
 """
 
 from __future__ import annotations

@@ -202,10 +202,10 @@ def apply_equivalence(d: SBLDatum, e: EquivalenceMap) -> SBLDatum:
         if e.phi_i[i].rows != d.dims[i]:
             raise ValueError(f"phi_{i} acts on the wrong space")
     phi_inv = inverse(e.phi)
-    new_pi = tuple(e.phi_i[i] @ d.pi[i] @ phi_inv for i in range(4))
-    out = SBLDatum(d.dim_H, d.dims, new_pi)
+    moved = [e.phi_i[i] @ d.pi[i] for i in range(4)]
+    out = SBLDatum(d.dim_H, d.dims, tuple(m @ phi_inv for m in moved))
     for i in range(4):
-        if out.pi[i] @ e.phi != e.phi_i[i] @ d.pi[i]:
+        if out.pi[i] @ e.phi != moved[i]:
             raise AssertionError(f"map {i} does not intertwine")
     return out
 

@@ -7,15 +7,17 @@ formula, and samples Mikhlin symbol bounds on a logarithmic grid by central
 finite differences.  Everything here is floating point; nothing feeds back
 into the exact classification path.
 
-Importing this module loads numpy; scipy (`scipy.special`: j0 and the
-Gauss-Legendre and Gauss-Hermite rules) loads only when the first
-quadrature rule is built.
+Importing this module loads numpy.  The Gauss-Legendre rule comes from
+`rotations._gauss_legendre` and the Gauss-Hermite rule from numpy's
+`hermgauss`, both cached; scipy (`scipy.special.j0`) loads only in
+`MultiplierBump.spatial` in dimension 2, which no command reaches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import pi
 from typing import List, Optional, Sequence, Tuple
 
@@ -23,6 +25,7 @@ import numpy as np
 
 from .core import EquivalenceMap, SBLDatum, apply_equivalence
 from .linalg import Matrix, inverse, kernel_basis
+from .rotations import _gauss_legendre
 
 
 def _np(m: Matrix) -> np.ndarray:
@@ -140,15 +143,15 @@ class MultiplierBump:
 
     def spatial(self, x: np.ndarray) -> np.ndarray:
         # radial inverse transform by quadrature (dimensions 1 and 2)
-        from scipy.special import j0, roots_legendre
-
         x = np.atleast_2d(x)
-        nodes, w = roots_legendre(256)
+        nodes, w = _gauss_legendre(256)
         rho = 0.5 * (self.r_hi - self.r_lo) * nodes + 0.5 * (self.r_hi + self.r_lo)
         w = 0.5 * (self.r_hi - self.r_lo) * w * self._profile(rho)
         if self.dim == 1:
             return self.scale * 2.0 * (np.cos(2.0 * pi * np.outer(x[:, 0], rho)) @ w)
         if self.dim == 2:
+            from scipy.special import j0
+
             r = np.linalg.norm(x, axis=1)
             return self.scale * 2.0 * pi * (j0(2.0 * pi * np.outer(r, rho)) @ (w * rho))
         raise NotImplementedError("spatial profile implemented for dim <= 2")
@@ -326,18 +329,16 @@ def _numeric_symbol_factory(kernel, max_freq: float):
     at roughly ten nodes per oscillation.  Symbols are complex valued (odd
     kernels have purely imaginary symbols).
     """
-    from scipy.special import roots_legendre
-
     if isinstance(kernel, ExtendedKernel) and kernel.base.dim == 1 and kernel.extra == 1:
         base = kernel.base
         r_out = getattr(base, "r_out", 4.0)
         y_win = 4.5 * r_out
         npts_x = max(600, int(10 * max_freq * 2 * r_out))
         npts_y = max(900, int(8 * max_freq * 2 * y_win))
-        nx, wx = roots_legendre(npts_x)
+        nx, wx = _gauss_legendre(npts_x)
         xs = r_out * nx               # symmetric window [-r_out, r_out]
         wx = r_out * wx
-        ny, wy = roots_legendre(npts_y)
+        ny, wy = _gauss_legendre(npts_y)
         ys = y_win * ny
         wy = y_win * wy
         grid_x, grid_y = np.meshgrid(xs, ys, indexing="ij")
@@ -354,7 +355,7 @@ def _numeric_symbol_factory(kernel, max_freq: float):
     if kernel.dim == 1:
         r_out = getattr(kernel, "r_out", 4.0)
         npts = max(800, int(10 * max_freq * 2 * r_out))
-        nx, wx = roots_legendre(npts)
+        nx, wx = _gauss_legendre(npts)
         xs = r_out * nx
         wx = r_out * wx
         vals = kernel.spatial(xs[:, None]) * wx
@@ -507,20 +508,42 @@ def _tensor_rule(nodes: np.ndarray, w: np.ndarray, dim: int, scale: float = 1.0)
     return pts, weights.ravel()
 
 
-def _hermite_grid(points: int, dim: int, scale: float = 1.0):
-    """Tensor Gauss-Hermite nodes for the weight exp(-pi |v|^2) on R^dim,
-    and their weights times `scale`."""
-    from scipy.special import roots_hermite
+_HERMITE_MAX_POINTS = 370
 
-    t_nodes, t_w = roots_hermite(points)
-    return _tensor_rule(t_nodes / np.sqrt(pi), t_w, dim, scale * pi ** (-dim / 2.0))
+
+@lru_cache(maxsize=None)
+def _gauss_hermite(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the n-point Gauss-Hermite rule for
+    the weight exp(-t^2), as read-only arrays, from numpy's `hermgauss`.
+
+    Its weights are sound up to 370 points.  At 371 their normalising sum
+    overflows and every weight comes out 0; from 372 on they are NaN and
+    e^{t^2} overflows at the outer nodes.  Larger counts are refused.
+    """
+    if n < 1:
+        raise ValueError(f"a Gauss rule needs at least one point, got {n}")
+    if n > _HERMITE_MAX_POINTS:
+        raise ValueError(f"Gauss-Hermite quadrature is limited to "
+                         f"{_HERMITE_MAX_POINTS} points per axis, got {n}")
+    nodes, weights = np.polynomial.hermite.hermgauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _hermite_grid(points: int, dim: int, scale: float = 1.0, weighted: bool = True):
+    """Tensor Gauss-Hermite nodes for the weight exp(-pi |v|^2) on R^dim,
+    and their weights times `scale`.  With weighted=False the weight is
+    divided out on each axis, as w e^{t^2}, and the rule integrates g dv."""
+    t, w = _gauss_hermite(points)
+    if not weighted:
+        w = w * np.exp(t * t)
+    return _tensor_rule(t / np.sqrt(pi), w, dim, scale * pi ** (-dim / 2.0))
 
 
 def _whitened_rule(points: int, whitening):
     """The Hermite rule through a whitening, weight divided out: it integrates f dx."""
     center, whiten, vol = whitening
-    v_pts, weights = _hermite_grid(points, whiten.shape[1], vol)
-    weights *= np.exp(pi * np.sum(v_pts * v_pts, axis=1))
+    v_pts, weights = _hermite_grid(points, whiten.shape[1], vol, weighted=False)
     return center + v_pts @ whiten.T, weights
 
 
@@ -535,10 +558,8 @@ def _tensor_value(spec: FormSpec, points: int, box: Optional[float] = None) -> f
         raise ValueError("tensor quadrature is limited to total dimension 4")
     whitening = None if box is not None else _combined_form(spec)
     if whitening is None:
-        from scipy.special import roots_legendre
-
         half = box if box is not None else _auto_box(spec)
-        nodes, w = roots_legendre(points)
+        nodes, w = _gauss_legendre(points)
         pts, weights = _tensor_rule(half * nodes, half * w, dim)
     else:
         pts, weights = _whitened_rule(points, whitening)

@@ -13,15 +13,16 @@ The harmonics come from (x + iy)^m and the normalized Legendre recurrence
 in z (Holmes and Featherstone, J. Geodesy 76, 2002): no angle or
 sqrt(1 - z^2) is formed, so points next to a pole keep full precision.
 
-Importing this module loads numpy; scipy (`scipy.special.roots_legendre`)
-loads only when the first quadrature rule is built (`SphereGrid.build`,
-`radial_log_quadrature`).  TOLERANCES lives in `sblq.tolerances`, which
-needs neither, and is re-exported here.
+Importing this module loads numpy and nothing of scipy: the Gauss-Legendre
+rule (`_gauss_legendre`, shared with `numcheck`) is built here by Newton's
+method.  TOLERANCES lives in `sblq.tolerances`, which needs no numpy, and
+is re-exported here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import isqrt, lgamma, pi, sqrt
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -121,6 +122,52 @@ def decay_exponent_fit(d: int, n_lo: int = 20, n_hi: int = 40) -> float:
     return float(slope)
 
 
+# -- Gauss-Legendre rule -----------------------------------------------------------
+
+
+def _legendre_and_slope(n: int, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1."""
+    p_prev, p = np.ones_like(x), x
+    for k in range(2, n + 1):
+        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+    return p, n * (x * p - p_prev) / ((x - 1.0) * (x + 1.0))
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
+    [-1, 1], as read-only arrays.
+
+    Newton's method on the recurrence, vectorised over the nonnegative
+    nodes from cos(pi (i + 3/4) / (n + 1/2)), is O(n^2) (Hale and Townsend,
+    SIAM J. Sci. Comput. 35, 2013); the negative half is the mirror image,
+    so the rule is exactly symmetric.  One step after the steps fall below
+    1e-10 polishes the nodes, and the weights 2 / ((1 - x^2) P_n'(x)^2) are
+    read at the returned nodes.
+    """
+    if n < 1:
+        raise ValueError(f"a Gauss rule needs at least one point, got {n}")
+    x = np.cos(pi * (np.arange((n + 1) // 2) + 0.75) / (n + 0.5))
+    if n % 2:
+        x[-1] = 0.0                  # P_n(0) = 0 exactly for odd n
+    for _ in range(100):
+        p, slope = _legendre_and_slope(n, x)
+        step = p / slope
+        x = x - step
+        if np.max(np.abs(step)) < 1e-10:
+            break
+    else:
+        raise ArithmeticError(f"Gauss-Legendre nodes for n={n} did not converge")
+    p, slope = _legendre_and_slope(n, x)
+    x = x - p / slope
+    _, slope = _legendre_and_slope(n, x)
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * slope * slope)
+    nodes = np.concatenate([-x[:n // 2], x[::-1]])
+    weights = np.concatenate([w[:n // 2], w[::-1]])
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 # -- real spherical harmonics on S^2 ---------------------------------------------
 
 
@@ -180,9 +227,7 @@ class SphereGrid:
 
     @classmethod
     def build(cls, band: int) -> "SphereGrid":
-        from scipy.special import roots_legendre
-
-        nodes, glw = roots_legendre(band + 1)
+        nodes, glw = _gauss_legendre(band + 1)
         naz = 2 * band + 1
         phis = 2.0 * pi * np.arange(naz) / naz
         ct = np.repeat(nodes, naz)
@@ -331,9 +376,7 @@ def verify_repr(dec: SliceDecomposition, omega_coeffs: np.ndarray,
 
 def radial_log_quadrature(lo: float, hi: float, count: int = 48):
     """Nodes and weights for int_lo^hi g(r) dr/r by Gauss-Legendre in log r."""
-    from scipy.special import roots_legendre
-
-    nodes, w = roots_legendre(count)
+    nodes, w = _gauss_legendre(count)
     a, b = np.log(lo), np.log(hi)
     r = np.exp(0.5 * (b - a) * nodes + 0.5 * (a + b))
     return r, 0.5 * (b - a) * w

@@ -338,7 +338,7 @@ def test_fixture_reports_match_snapshot_under_optimize():
 NUMERIC_SHA256 = {
     "eigen": [0, "7c406ecf9c4cf305fa4e2518b623697ee5fd11b41a04b4b4b935ae5cbd3815a1"],
     "mikhlin": [0, "5475b715633b6aedc38db96fe396e6b23a1a4445fbebe9fcf897b41233018f92"],
-    "eval": [0, "11ee93d457aa9e736e4b26b81820868fd71ab3f406e15031f377d202e0bbb1ec"],
+    "eval": [0, "ae0a0a0167b235ac32b87cc2ea16cf5dd31b9261aeb73a7396b5cab0b520b6d3"],
 }
 
 NUMERIC_HASHES = textwrap.dedent("""
@@ -365,6 +365,21 @@ def test_numeric_reports_match_snapshot():
     proc = subprocess.run([sys.executable, "-c", NUMERIC_HASHES],
                           capture_output=True, text=True, check=True, timeout=120)
     assert json.loads(proc.stdout) == NUMERIC_SHA256
+
+
+def test_numcheck_eval_hermite_points_up_to_the_cap(bht_file):
+    # the weight is divided out per axis, so 300 points stay finite (the
+    # closed form is 0.50027800947380254697); above the cap of the
+    # Gauss-Hermite rule the request is refused
+    proc = run_cli("numcheck", "eval", bht_file, "--quad", "tensor:300",
+                   "--report", "json")
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert abs(result["value"] - 0.50027800947380255) < 1e-15
+    assert 0 <= result["error_estimate"] < 1e-15
+    proc = run_cli("numcheck", "eval", bht_file, "--quad", "tensor:400")
+    assert proc.returncode == 1
+    assert "limited to 370 points" in proc.stderr
 
 
 def test_rotations_eigen_table():

@@ -1204,16 +1204,38 @@ def test_exact_commands_leave_the_numeric_stack_unloaded(scipy):
         "import: []", "runs: 66 failed: []", "after: []"]
 
 
-NUMERIC_IMPORTS = NUMERIC_STACK + """
-import sblq.numcheck, sblq.rotations
+NUMERIC_COMMANDS = NUMERIC_STACK + """
+import contextlib, io
+from importlib import resources
 
-print(numeric_stack())
-sblq.rotations.SphereGrid.build(2)
-print(numeric_stack())
+sys.modules["scipy.special"] = None  # any import of scipy.special now raises ImportError
+import sblq.cli
+
+path = str(resources.files("sblq").joinpath("fixtures/bht.json"))
+codes = []
+for argv in (["rotations", "verify"], ["numcheck", "eval", path],
+             ["numcheck", "equiv", path], ["numcheck", "mikhlin", "bump"],
+             ["numcheck", "mikhlin", "extended"], ["numcheck", "delta", path]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(sblq.cli.main(argv))
+print("codes:", codes)
+print("after:", numeric_stack())
+
+from sblq.numcheck import MultiplierBump
+
+del sys.modules["scipy.special"]
+MultiplierBump(1, 0.5, 2.0).spatial([[0.3]])
+print("bump 1:", "scipy.special" in sys.modules)
+MultiplierBump(2, 0.5, 2.0).spatial([[0.3, 0.4]])
+print("bump 2:", "scipy.special" in sys.modules)
 """
 
 
-def test_numeric_modules_load_scipy_with_the_first_quadrature_rule():
-    proc = _run("-c", NUMERIC_IMPORTS)
+def test_numeric_commands_never_load_scipy_special():
+    # every numeric command runs on numpy alone; the one use of scipy left is
+    # J0 in the spatial profile of a two-dimensional multiplier bump
+    proc = _run("-c", NUMERIC_COMMANDS)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["['numpy']", "['numpy', 'scipy']"]
+    assert proc.stdout.splitlines() == [
+        "codes: [0, 0, 0, 0, 0, 0]", "after: ['numpy']",
+        "bump 1: False", "bump 2: True"]

@@ -1,9 +1,10 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import roots_hermite, roots_legendre
+from sympy.integrals.quadrature import gauss_hermite, gauss_legendre
 
 from sblq.core import SBLDatum, random_equivalence
 from sblq.fixtures import bht, fixture_datum
@@ -14,7 +15,8 @@ from sblq.numcheck import (
     delta_limit_check, eval_form, extend_kernel, normalized_kernel,
     verify_mikhlin,
 )
-from sblq.numcheck import _hermite_grid, _tensor_rule
+from sblq.numcheck import _HERMITE_MAX_POINTS, _gauss_hermite, _hermite_grid, _tensor_rule
+from sblq.rotations import _gauss_legendre
 
 
 def identity_datum_1d():
@@ -228,9 +230,11 @@ def test_extended_kernel_mikhlin_pass_and_scaling():
     assert abs(worst100 - 100.0) / 100.0 < 0.05
 
 
-def reference_hermite_grid(points, dim, scale=1.0):
+def reference_hermite_grid(points, dim, scale=1.0, weighted=True):
     # the former construction: one unravel_index over all nodes per axis
-    t_nodes, t_w = roots_hermite(points)
+    t_nodes, t_w = _gauss_hermite(points)
+    if not weighted:
+        t_w = t_w * np.exp(t_nodes * t_nodes)
     v_nodes = t_nodes / np.sqrt(math.pi)
     grids = np.meshgrid(*([v_nodes] * dim), indexing="ij")
     v_pts = np.stack([g.ravel() for g in grids], axis=1)
@@ -244,16 +248,88 @@ def reference_hermite_grid(points, dim, scale=1.0):
 @pytest.mark.parametrize("points,dim", [(16, 4), (8, 4), (5, 3), (7, 2), (6, 1)])
 def test_tensor_rules_match_unravel_reference(points, dim):
     for scale in (1.0, 0.37):
-        new, old = _hermite_grid(points, dim, scale), reference_hermite_grid(points, dim, scale)
-        assert np.array_equal(new[0], old[0]) and np.array_equal(new[1], old[1])
+        for weighted in (True, False):
+            new = _hermite_grid(points, dim, scale, weighted)
+            old = reference_hermite_grid(points, dim, scale, weighted)
+            assert np.array_equal(new[0], old[0]) and np.array_equal(new[1], old[1])
     # the Legendre rule of the box fallback, weights from ones
-    nodes, w = roots_legendre(points)
+    nodes, w = _gauss_legendre(points)
     pts, weights = _tensor_rule(3.0 * nodes, 3.0 * w, dim)
     old = np.ones(len(pts))
     for axis in range(dim):
         old = old * (3.0 * w)[np.unravel_index(np.arange(len(pts)), (points,) * dim)[axis]]
     assert np.array_equal(weights, old)
     assert np.array_equal(pts[:, -1], np.tile(3.0 * nodes, points ** (dim - 1)))
+
+
+GAUSS_RULES = {"legendre": (_gauss_legendre, gauss_legendre, 2.0),
+               "hermite": (_gauss_hermite, gauss_hermite, math.sqrt(math.pi))}
+
+
+@pytest.mark.parametrize("kind", sorted(GAUSS_RULES))
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 24])
+def test_gauss_rules_match_sympy(kind, n):
+    rule, exact, total = GAUSS_RULES[kind]
+    nodes, weights = rule(n)
+    ref_nodes, ref_weights = exact(n, 30)
+    order = sorted(range(n), key=lambda i: ref_nodes[i])
+    ref_nodes = np.array([float(ref_nodes[i]) for i in order])
+    ref_weights = np.array([float(ref_weights[i]) for i in order])
+    assert np.max(np.abs(nodes - ref_nodes)) <= 2e-15
+    assert np.max(np.abs(weights / ref_weights - 1.0)) <= 1e-13
+    # exactly symmetric, with the mass of the weight function
+    assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+    assert abs(weights.sum() - total) <= 1e-14
+
+
+def mp_legendre_rule(n, x):
+    # Newton's method on the recurrence at 40 digits, from a double node
+    def value_and_slope(x):
+        p_prev, p = mpmath.mpf(1), x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        return p, n * (x * p - p_prev) / (x * x - 1)
+
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        for _ in range(3):
+            p, slope = value_and_slope(x)
+            x -= p / slope
+        _, slope = value_and_slope(x)
+        return x, 2 / ((1 - x * x) * slope * slope)
+
+
+@pytest.mark.parametrize("n", [665, 2396])
+def test_gauss_legendre_matches_mpmath_at_the_mikhlin_sizes(n):
+    # `numcheck mikhlin extended` builds these two rules.  A node has an
+    # error of about one ulp; the weight moves with it by about
+    # 2 |dx| / (1 - x^2), which is largest at the ends
+    nodes, weights = _gauss_legendre(n)
+    for i in (0, 1, 2, n // 2 - 1, n // 2, n - 1):
+        x, w = mp_legendre_rule(n, nodes[i])
+        assert abs(nodes[i] - x) <= 1.2e-16
+        assert abs(weights[i] / w - 1) <= 1e-13 + 4e-16 / (1.0 - nodes[i] ** 2)
+
+
+@pytest.mark.parametrize("rule", [_gauss_legendre, _gauss_hermite])
+def test_gauss_rules_are_cached_read_only(rule):
+    nodes, weights = rule(6)
+    assert rule(6)[0] is nodes
+    for a in (nodes, weights):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            rule(n)
+
+
+def test_hermite_rule_is_sound_up_to_its_cap():
+    nodes, weights = _gauss_hermite(_HERMITE_MAX_POINTS)
+    assert abs(weights.sum() - math.sqrt(math.pi)) <= 1e-14
+    divided = weights * np.exp(nodes * nodes)
+    assert np.all(np.isfinite(divided)) and np.all(divided > 0)
+    with pytest.raises(ValueError, match=f"limited to {_HERMITE_MAX_POINTS} points"):
+        _gauss_hermite(_HERMITE_MAX_POINTS + 1)
 
 
 def test_gaussian_function_matches_three_operand_einsum():
