@@ -11,8 +11,10 @@ datum, with probability below 2^-192), 3 numeric tolerance failure.
 The exact commands (validate, classify, decompose, fixtures) need only the
 standard library; numpy loads on demand for integer systems of 256 cells
 or more.  numpy and the `rotations` and `numcheck` modules load only inside
-the handlers of the numeric commands, and none of them loads scipy: scipy
-serves only J0 in `numcheck.MultiplierBump.spatial`, which no command reaches.
+the handlers of the numeric commands, and nothing loads scipy.  A numeric
+check passes only on finite values: `numcheck eval` exits 3 on a value or
+error estimate that is not finite, and a kernel scale or width that is not
+finite, or a width whose normalization overflows, exits 1.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from math import isfinite
 from typing import TYPE_CHECKING, Dict, Optional
 
 from .classify import FACT_DESCRIPTIONS, classify
@@ -308,6 +311,8 @@ def cmd_numcheck(args) -> int:
         if args.file not in kinds:
             print(f"mikhlin target must be one of {sorted(kinds)}", file=sys.stderr)
             return EXIT_INVALID
+        if not isfinite(args.kernel_scale):
+            raise ValueError(f"kernel scale must be finite, got {args.kernel_scale}")
         kernel = kinds[args.file]()
         if args.kernel_scale != 1.0:
             kernel = kernel.scaled(args.kernel_scale)
@@ -335,9 +340,9 @@ def cmd_numcheck(args) -> int:
     if args.mode == "eval":
         value, err = numcheck.eval_form(spec, quad)
         payload = {"value": value, "error_estimate": err,
-                   "quad": args.quad, "pass": True}
+                   "quad": args.quad, "pass": isfinite(value) and isfinite(err)}
         _emit(args, _report(args, payload, started))
-        return EXIT_OK
+        return EXIT_OK if payload["pass"] else EXIT_TOLERANCE
     if args.mode == "equiv":
         e = random_equivalence(d, args.seed)
         residual, tol = numcheck.check_equivalence_invariance(spec, e, quad)

@@ -17,10 +17,12 @@ reported certificate, the inverse of that matrix carried back through both
 frames, is built only when read.
 `module_hom_basis` solves the Hom space column by column: a source basis
 vector along a coordinate axis confines that column of psi to a target
-subspace, and one exact kernel on the coordinates of the confined columns,
-ordered by the entries of psi they pin, gives the reduced basis of the full
-system in the entries of psi.  It depends on the space alone, so the
-certificates drawn from it do not depend on how it was solved.
+subspace, the meet of the target slots that pin it (`linalg._meet`), and
+one exact kernel on the coordinates of the confined columns, ordered by the
+entries of psi they pin, gives the reduced basis of the full system in the
+entries of psi.  It depends on the space alone, so the certificates drawn
+from it do not depend on how it was solved.  Every integer product here,
+in the solve and in `certificate_valid`, is `linalg._dots`.
 """
 
 from __future__ import annotations
@@ -29,12 +31,11 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import mul
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from .linalg import (
-    Matrix, Subspace, _dots, _echelon_key, _int_cols, _int_rows, _kernel_vectors, _pivots, _rref,
-    block_diag, hstack, image_basis, inverse, is_invertible,
+    Matrix, Subspace, _dots, _echelon_key, _int_cols, _int_rows, _kernel_vectors, _meet, _pivots,
+    _rref, block_diag, hstack, image_basis, inverse, is_invertible,
 )
 
 
@@ -235,9 +236,7 @@ def hom_solver(b: FourModule) -> Callable[[FourModule], List[Matrix]]:
         # the reduced columns of P_slots, each with its nonzero (row, value) pairs
         first, *rest = slots or (None,)
         basis = _int_cols(b.sub[first].basis if slots else Matrix.identity(mp))
-        if rest:  # B s for the kernel vectors s of the other slots' rows times B
-            rows = _dots([n for i in rest for n in anns[i]], basis)
-            basis = _dots(_kernel_vectors(rows, len(basis)), list(zip(*basis)))
+        basis = _meet([n for i in rest for n in anns[i]], basis)
         if slots:  # by increasing pivot row
             basis = [c[::-1] for c in reversed(_echelon_key([c[::-1] for c in basis]))]
         return [(c, [(r, v) for r, v in enumerate(c) if v]) for c in basis]
@@ -332,10 +331,8 @@ def certificate_valid(psi: Matrix, a: FourModule, b: FourModule) -> bool:
     for i in range(4):
         for bcol in _int_cols(a.sub[i].basis):
             support = [j for j, v in enumerate(bcol) if v]
-            coeffs = [bcol[j] for j in support]
-            image = [sum(map(mul, coeffs, entries))
-                     for entries in zip(*[pcols[j] for j in support])]
-            if any(sum(map(mul, nrow, image)) for nrow in b._annihilators[i]):
+            image = _dots([[bcol[j] for j in support]], list(zip(*[pcols[j] for j in support])))
+            if any(_dots(image, b._annihilators[i])[0]):
                 return False
     return is_invertible(psi)
 

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
-from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -191,7 +190,7 @@ def _meet_join(u: _Keyed, v: _Keyed, b: int) -> Tuple[_Keyed, _Keyed]:
     row of V read with its coordinates un-reversed.
     """
     def within(x: _Keyed, y: _Keyed) -> bool:
-        return not any(sum(map(mul, k, reversed(a))) for a in y[1] for k in x[0])
+        return not any(map(any, _dots(x[0], [a[::-1] for a in y[1]])))
 
     if within(u, v):
         return u, v
@@ -485,7 +484,7 @@ def _fixed_matcher(m: FourModule, trials: int = _DRAWS, cases: Sequence[str] = _
         if proven is None:
             homs.update({f: solve(mods[f]) for f in families if f not in homs})
             h = [len(homs[f]) for f in families]
-            mult = [sum(map(mul, row, h)) for row in inverses[case_tag]]
+            mult = _dots([h], inverses[case_tag])[0]
             counts = {f: c for f, c in zip(families, mult) if c}
             total = tuple(sum(c * mods[f].dim_vector[k] for f, c in counts.items())
                           for k in range(5))
@@ -510,9 +509,8 @@ def _hom_combination(basis: Sequence[Matrix], rng: random.Random) -> Matrix:
     bound = 32 * basis[0].rows
     coeffs = [rng.randint(-bound, bound) for _ in basis]
     den = lcm(*[b.den for b in basis])
-    cells = zip(*[b._num_over(den) for b in basis])
-    return Matrix._ints(basis[0].rows, basis[0].cols,
-                        [sum(map(mul, coeffs, cell)) for cell in cells], den)
+    cells = list(zip(*[b._num_over(den) for b in basis]))
+    return Matrix._ints(basis[0].rows, basis[0].cols, _dots([coeffs], cells)[0], den)
 
 
 # -- full decomposition --------------------------------------------------------

@@ -36,8 +36,9 @@ integer entry points directly: `_int_kernel`, `_kernel_vectors` (the
 kernel as primitive integer vectors, for the pencil and the Hom solver)
 and `_int_rank`, `_echelon_key` and `_annihilator` (keys of row spans and
 of their annihilators, for the necessity screen's subspace lattice),
-`_pivots` (for the basis and rows of the pencil's finite core) and
-`_dots`, the one product of integer rows with integer rows.
+`_pivots` (for the basis and rows of the pencil's finite core).  Only this
+module multiplies integer rows: `_dots` is the one product of integer rows,
+and `_meet` the one meet of a span with the kernel of some rows.
 `invariant_factors` reads the invariant factors of a square matrix off
 quotients by cyclic subspaces, in the matrix's own coordinates, with
 `kernel_basis` alone, so it is exact by the same proofs.
@@ -222,7 +223,7 @@ class Matrix:
         a, b = self.num, other.num
         left = [a[i * k:(i + 1) * k] for i in range(self.rows)]
         right = [b[j::m] for j in range(m)]
-        return Matrix._ints(self.rows, m, [sum(map(mul, r, c)) for r in left for c in right],
+        return Matrix._ints(self.rows, m, [v for row in _dots(left, right) for v in row],
                             self.den * other.den)
 
     def transpose(self) -> "Matrix":
@@ -295,6 +296,15 @@ def _primitive(rows: Iterable[Sequence[int]]) -> List[List[int]]:
 def _dots(xs: Sequence[Sequence[int]], ys: Sequence[Sequence[int]]) -> List[List[int]]:
     """The integer products x . y, one row per x and one entry per y."""
     return [[sum(map(mul, x, y)) for y in ys] for x in xs]
+
+
+def _meet(cut: List[List[int]], w: List[List[int]]) -> List[List[int]]:
+    """The span of the vectors w intersected with the kernel of the rows cut
+    (all of it for no rows): the combinations of w by the kernel of cut w."""
+    if not cut or not w:
+        return w
+    t = _kernel_vectors(_primitive(_dots(cut, w)), len(w))
+    return _primitive(_dots(t, list(zip(*w))))
 
 
 def _int_rows(m: Matrix) -> List[List[int]]:
@@ -636,13 +646,8 @@ def _kernel_proven(rows: List[List[int]], pivots: List[int], free: List[int],
     x_f = d, and x_pc = -(numerator of pivot row r at f) on the pivot
     column pc of each pivot row r, zero elsewhere."""
     k = len(free)
-    numcols = [nums[j::k] for j in range(k)]
-    for row in rows:
-        left = [row[pc] for pc in pivots]
-        for f, numcol in zip(free, numcols):
-            if sum(map(mul, left, numcol)) != d * row[f]:
-                return False
-    return True
+    return (_dots([[row[pc] for pc in pivots] for row in rows], [nums[j::k] for j in range(k)])
+            == [[d * row[f] for f in free] for row in rows])
 
 
 def _modular_kernel(rows: List[List[int]], cols: int):

@@ -23,13 +23,14 @@ in V* and meet no W_i.  So:
   annihilate A2 (V* cap W*) + A3 (V* cap W*).
 Each preimage is the kernel of the annihilator rows of the subspace times
 the map, and those rows keep V* as a kernel.  So no base change is made
-and no Wong step runs on a transposed or quotient pencil.  Only spans
-matter in the singular part, so it runs on primitive integer vectors, with
-A2 and A3 brought over one common denominator.  The core is defined up to
-strict equivalence, P (A2, A3) Q with P and Q invertible: scaling a row of
-the annihilator (the same row of both core matrices), a basis vector of
-the subquotient, or both matrices by one number, is one, so these
-scalings leave every invariant below unchanged.
+and no Wong step runs on a transposed or quotient pencil.  Every integer
+product is `linalg._dots`, and W_i cap V* is `linalg._meet`, the one span
+meet.  Only spans matter in the singular part, so it runs on primitive
+integer vectors, with A2 and A3 brought over one common denominator.  The
+core is defined up to strict equivalence, P (A2, A3) Q with P and Q
+invertible: scaling a row of the annihilator (the same row of both core
+matrices), a basis vector of the subquotient, or both matrices by one
+number, is one, so these scalings leave every invariant below unchanged.
 
 A2 is invertible on the finite core, so one elimination gives X = A2^-1 A3
 there.  At lambda = 0 and 1 an image chain R <- (X - lambda) R gives the
@@ -46,7 +47,7 @@ from math import lcm
 from typing import List, Sequence, Tuple
 
 from .linalg import (
-    Matrix, Subspace, _dots, _kernel_vectors, _pivots, _primitive, _solve_invertible,
+    Matrix, Subspace, _dots, _kernel_vectors, _meet, _pivots, _primitive, _solve_invertible,
     image_basis, invariant_factors, solve_right,
 )
 from .polynomials import Poly
@@ -89,15 +90,6 @@ def _preimage(m: List[List[int]], s: Sequence[Sequence[int]],
     if within and not any(map(any, _dots(rows, within))):
         return list(within), rows
     return _kernel_vectors([list(r) for r in rows], len(m)), rows
-
-
-def _meet(cut: List[List[int]], w: List[List[int]]) -> List[List[int]]:
-    """The span of the vectors w intersected with the kernel of the rows cut
-    (all of it for no rows): the combinations of w by the kernel of cut w."""
-    if not cut or not w:
-        return w
-    t = _kernel_vectors(_primitive(_dots(cut, w)), len(w))
-    return _primitive(_dots(t, list(zip(*w))))
 
 
 def _sizes(at_least: Sequence[int], first: int) -> Tuple[int, ...]:

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 import textwrap
@@ -447,6 +448,29 @@ def test_out_of_range_numeric_requests_exit_one(bht_file, capsys, argv, message)
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("invalid request:") and message in err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["numcheck", "mikhlin", "gaussian", "--kernel-scale", "nan"], 1, "kernel scale"),
+    (["numcheck", "mikhlin", "bump", "--kernel-scale=-inf"], 1, "kernel scale"),
+    (["numcheck", "eval", "{bht}", "--kernel-width", "inf"], 1, "kernel width"),
+    (["numcheck", "eval", "{bht}", "--kernel-width", "nan"], 1, "kernel width"),
+    (["numcheck", "eval", "{bht}", "--kernel-width", "1e-320"], 1, "overflows"),
+    (["numcheck", "delta", "{bht}", "--kernel-width", "1e-320"], 1, "overflows"),
+    # w^-1 = 1e200 is finite, but w^2 underflows and the value is NaN
+    (["numcheck", "eval", "{bht}", "--kernel-width", "1e-200"], 3, None),
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on the NaN case
+def test_non_finite_numeric_results_fail(bht_file, capsys, argv, code, message):
+    from sblq.cli import main
+    got = main([arg.format(bht=bht_file) for arg in argv] + ["--report", "json"])
+    out, err = capsys.readouterr()
+    assert got == code
+    if message is None:
+        result = json.loads(out)["result"]
+        assert result["pass"] is False and math.isnan(result["value"])
+    else:
+        assert err.startswith("invalid request:") and message in err
 
 
 @pytest.mark.parametrize("command", ["classify", "decompose", "validate"])

@@ -15,7 +15,9 @@ from sblq.numcheck import (
     delta_limit_check, eval_form, extend_kernel, normalized_kernel,
     verify_mikhlin,
 )
-from sblq.numcheck import _HERMITE_MAX_POINTS, _gauss_hermite, _hermite_grid, _tensor_rule
+from sblq.numcheck import (
+    _HERMITE_MAX_POINTS, _gauss_hermite, _hermite_grid, _j0, _tensor_rule,
+)
 from sblq.rotations import _gauss_legendre
 
 
@@ -187,6 +189,13 @@ def test_mikhlin_scaling_is_linear():
         assert abs(worst - c * base) < 1e-9 * c
 
 
+def test_mikhlin_nan_bound_fails():
+    # a NaN bound fails the check instead of reading as constant 0
+    report = verify_mikhlin(NarrowGaussian(1, 1.0, float("nan")))
+    assert not report.passed and math.isnan(report.worst_constant)
+    assert all(math.isnan(bound) for _, bound in report.table)
+
+
 def test_mikhlin_rejects_coarse_grid():
     with pytest.raises(ValueError):
         verify_mikhlin(NarrowGaussian(1, 1.0), grid=MikhlinGrid(step_rel=0.5))
@@ -343,3 +352,22 @@ def test_gaussian_function_matches_three_operand_einsum():
         old = 1.5 * np.exp(-math.pi * q)
         # rounding in q moves the value by about pi * q ulps
         assert np.all(np.abs(f(u) - old) <= 1e-14 * (1.0 + math.pi * q) * old)
+
+
+def test_j0_matches_scipy():
+    # scipy, a test-only dependency, is the oracle for J0 and the 2-d bump profile
+    from scipy.special import j0
+
+    z = np.linspace(0.0, 300.0, 30_001)
+    assert np.max(np.abs(_j0(z) - j0(z))) <= 1e-14
+    small = np.array([[0.0, 1e-8], [2.404825557695773, 5.0]])
+    assert _j0(small).shape == (2, 2)
+    assert np.max(np.abs(_j0(small) - j0(small))) <= 1e-15
+    bump = MultiplierBump(2, 0.5, 2.0)
+    x = np.random.default_rng(3).normal(scale=4.0, size=(40, 2))
+    nodes, w = _gauss_legendre(256)
+    rho = 1.25 + 0.75 * nodes
+    w = 0.75 * w * bump._profile(rho)
+    r = np.linalg.norm(x, axis=1)
+    want = 2.0 * math.pi * (j0(2.0 * math.pi * np.outer(r, rho)) @ (w * rho))
+    assert np.max(np.abs(bump.spatial(x) - want)) <= 1e-15
