@@ -14,7 +14,8 @@ or more.  numpy and the `rotations` and `numcheck` modules load only inside
 the handlers of the numeric commands, and nothing loads scipy.  A numeric
 check passes only on finite values: `numcheck eval` exits 3 on a value or
 error estimate that is not finite, and a kernel scale or width that is not
-finite, or a width whose normalization overflows, exits 1.
+finite, or a width whose normalization or decay form overflows, exits 1.
+So do a divergent form and a quadrature grid above 2^24 nodes.
 """
 
 from __future__ import annotations

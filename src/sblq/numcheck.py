@@ -7,6 +7,11 @@ formula, and samples Mikhlin symbol bounds on a logarithmic grid by central
 finite differences.  Everything here is floating point; nothing feeds back
 into the exact classification path.
 
+Forms are integrated only against their Gaussian weight (the test
+functions and the kernel's decay form), whitened; a form without a
+nondegenerate one diverges and is refused.  Tensor grids hold at most 2^24
+nodes.
+
 Importing this module loads numpy and nothing else: the Gauss-Legendre
 rule comes from `rotations._gauss_legendre` and the Gauss-Hermite rule
 from numpy's `hermgauss`, both cached, and J0 for `MultiplierBump.spatial`
@@ -18,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, inf, pi
+from math import ceil, inf, pi, prod
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -72,25 +77,27 @@ class GaussianFunction:
         return GaussianFunction(self.dim, new_center, m.T @ self.quad_form @ m,
                                 self.amplitude)
 
-    def scale_bound(self) -> float:
-        """Rough support radius for quadrature boxes."""
-        if self.dim == 0:
-            return 1.0
-        eigs = np.linalg.eigvalsh(self.quad_form)
-        width = 1.0 / np.sqrt(max(eigs.min(), 1e-12))
-        return float(np.max(np.abs(self.center)) + 5.0 * width)
-
 
 # -- kernels ---------------------------------------------------------------------
 
 
+class _Kernel:
+    """Rescaling and linear pullback, shared by the kernels with a `scale`."""
+
+    def scaled(self, c: float):
+        return replace(self, scale=self.scale * c)
+
+    def pullback(self, m: np.ndarray) -> "_PullbackKernel":
+        return _PullbackKernel(self.dim, self, m)
+
+
 @dataclass(frozen=True)
-class NarrowGaussian:
+class NarrowGaussian(_Kernel):
     """K(u) = scale * w^{-dim} exp(-pi |u|^2 / w^2); symbol exp(-pi w^2 |xi|^2).
 
     Integrates to `scale`; the Mikhlin bounds hold with constant 1 for
     orders up to 2 at scale 1.  The width must be finite and positive, with
-    w^{-dim} a finite float.
+    w^{-dim} and the decay form's w^{-2} finite floats.
     """
 
     dim: int
@@ -100,11 +107,12 @@ class NarrowGaussian:
     def __post_init__(self):
         if not 0 < self.width < inf:
             raise ValueError(f"kernel width must be positive and finite, got {self.width}")
+        power = max(self.dim, 2)
         try:
-            float(self.width) ** -self.dim
+            float(self.width) ** -power
         except OverflowError:
             raise ValueError(f"kernel width {self.width} is too small: "
-                             f"its normalization width^-{self.dim} overflows") from None
+                             f"width^-{power} overflows") from None
 
     def spatial(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
@@ -115,19 +123,14 @@ class NarrowGaussian:
         xi = np.atleast_2d(xi)
         return self.scale * np.exp(-pi * self.width ** 2 * np.sum(xi * xi, axis=1))
 
-    def scaled(self, c: float) -> "NarrowGaussian":
-        return replace(self, scale=self.scale * c)
-
-    def pullback(self, m: np.ndarray) -> "_PullbackKernel":
-        return _PullbackKernel(self.dim, self, m)
-
     def decay_form(self) -> np.ndarray:
-        """Quadratic form A with |K(u)| ~ exp(-pi u^T A u); box selection hint."""
+        """Quadratic form A with |K(u)| ~ exp(-pi u^T A u), a part of the
+        Gaussian weight of every form with this kernel."""
         return np.eye(self.dim) / self.width ** 2
 
 
 @dataclass(frozen=True)
-class MultiplierBump:
+class MultiplierBump(_Kernel):
     """Kernel given by a smooth radial symbol bump supported on an annulus."""
 
     dim: int
@@ -160,12 +163,6 @@ class MultiplierBump:
             return self.scale * 2.0 * pi * (_j0(2.0 * pi * np.outer(r, rho)) @ (w * rho))
         raise NotImplementedError("spatial profile implemented for dim <= 2")
 
-    def scaled(self, c: float) -> "MultiplierBump":
-        return replace(self, scale=self.scale * c)
-
-    def pullback(self, m: np.ndarray) -> "_PullbackKernel":
-        return _PullbackKernel(self.dim, self, m)
-
 
 def _j0(z: np.ndarray) -> np.ndarray:
     """The Bessel function J0 at the entries z >= 0: the mean of
@@ -179,7 +176,7 @@ def _j0(z: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TruncatedOdd:
+class TruncatedOdd(_Kernel):
     """The odd homogeneous profile 1/t on r_in <= |t| <= r_out (dimension 1)."""
 
     r_in: float = 0.25
@@ -194,14 +191,9 @@ class TruncatedOdd:
         out[mask] = self.scale / x[mask]
         return out
 
-    symbol = None  # sampled through the windowed transform
-
-    def scaled(self, c: float) -> "TruncatedOdd":
-        return replace(self, scale=self.scale * c)
-
 
 @dataclass(frozen=True)
-class ExtendedKernel:
+class ExtendedKernel(_Kernel):
     """K'(x, y) = scale * |x|^{-extra} exp(-pi |y|^2/|x|^2) K(x).
 
     Extends a spatially evaluable kernel on R^base_dim by `extra` Gaussian
@@ -228,11 +220,6 @@ class ExtendedKernel:
         out[mask] = (self.scale * rx[mask] ** (-self.extra)
                      * np.exp(-pi * ratio) * self.base.spatial(x[mask]))
         return out
-
-    symbol = None
-
-    def scaled(self, c: float) -> "ExtendedKernel":
-        return replace(self, scale=self.scale * c)
 
 
 @dataclass(frozen=True)
@@ -338,49 +325,37 @@ def _stencil_offsets(alpha: Tuple[int, ...]):
 
 
 def _numeric_symbol_factory(kernel, max_freq: float):
-    """Windowed discrete transform of a spatial sample, for 1- and 2-d kernels.
+    """Windowed discrete transform of a spatial sample, for 1-d kernels and
+    their extension by one Gaussian direction.
 
-    Quadrature sizes follow the largest frequency the caller will sample,
-    at roughly ten nodes per oscillation.  Symbols are complex valued (odd
-    kernels have purely imaginary symbols).
+    Each axis gets a Gauss-Legendre rule sized to the largest frequency the
+    caller will sample: ten nodes per oscillation (at least 800) on the base
+    window [-r_out, r_out], eight (at least 900) on the Gaussian one, 4.5
+    times as wide.  One contraction of the weighted sample with the per-axis
+    phases gives the symbol, complex valued (odd kernels have purely
+    imaginary symbols).
     """
-    if isinstance(kernel, ExtendedKernel) and kernel.base.dim == 1 and kernel.extra == 1:
-        base = kernel.base
-        r_out = getattr(base, "r_out", 4.0)
-        y_win = 4.5 * r_out
-        npts_x = max(600, int(10 * max_freq * 2 * r_out))
-        npts_y = max(900, int(8 * max_freq * 2 * y_win))
-        nx, wx = _gauss_legendre(npts_x)
-        xs = r_out * nx               # symmetric window [-r_out, r_out]
-        wx = r_out * wx
-        ny, wy = _gauss_legendre(npts_y)
-        ys = y_win * ny
-        wy = y_win * wy
-        grid_x, grid_y = np.meshgrid(xs, ys, indexing="ij")
-        samples = kernel.spatial(
-            np.stack([grid_x.ravel(), grid_y.ravel()], axis=1)).reshape(len(xs), len(ys))
+    base = getattr(kernel, "base", kernel)
+    if base.dim != 1 or kernel.dim > 2:
+        raise NotImplementedError("numeric symbols implemented for the shipped kernel kinds")
+    r_out = getattr(base, "r_out", 4.0)
+    rules = []
+    for stretch, per_wave, least in ((1.0, 10, 800), (4.5, 8, 900))[:kernel.dim]:
+        half = stretch * r_out
+        nodes, w = _gauss_legendre(max(least, int(per_wave * max_freq * 2 * half)))
+        rules.append((half * nodes, half * w))
+    pts, weights = _tensor_rule(rules)
+    samples = (kernel.spatial(pts) * weights).reshape([len(n) for n, _ in rules])
+    axes = list(range(1, kernel.dim + 1))
 
-        def symbol(xi: np.ndarray) -> np.ndarray:
-            xi = np.atleast_2d(xi)
-            inner = np.exp(-2j * pi * np.outer(xi[:, 1], ys)) @ (samples * wy).T
-            phases = np.exp(-2j * pi * np.outer(xi[:, 0], xs)) * wx
-            return np.einsum("px,px->p", inner, phases)
+    def symbol(xi: np.ndarray) -> np.ndarray:
+        xi = np.atleast_2d(xi)
+        phases = []
+        for k, (nodes, _) in enumerate(rules):
+            phases += [np.exp(-2j * pi * np.outer(xi[:, k], nodes)), [0, k + 1]]
+        return np.einsum(*phases, samples, axes, [0], optimize=True)
 
-        return symbol
-    if kernel.dim == 1:
-        r_out = getattr(kernel, "r_out", 4.0)
-        npts = max(800, int(10 * max_freq * 2 * r_out))
-        nx, wx = _gauss_legendre(npts)
-        xs = r_out * nx
-        wx = r_out * wx
-        vals = kernel.spatial(xs[:, None]) * wx
-
-        def symbol1(xi: np.ndarray) -> np.ndarray:
-            xi = np.atleast_2d(xi)
-            return np.exp(-2j * pi * np.outer(xi[:, 0], xs)) @ vals
-
-        return symbol1
-    raise NotImplementedError("numeric symbols implemented for the shipped kernel kinds")
+    return symbol
 
 
 def verify_mikhlin(kernel, max_order: int = 2,
@@ -460,15 +435,26 @@ class QuadSpec:
 
 _MC_CHUNK = 65_536
 _PROPOSAL_WIDTH = 2.0
+_MAX_NODES = 2 ** 24
+
+
+def _check_nodes(count: int) -> None:
+    if count > _MAX_NODES:
+        raise ValueError(f"a quadrature grid of {count} nodes exceeds the limit of 2^24")
+
+
+def _product(maps, functions, x: np.ndarray) -> np.ndarray:
+    vals = np.ones(len(x))
+    for p, f in zip(maps, functions):
+        vals = vals * f(x @ p.T)
+    return vals
 
 
 def _integrand(spec: FormSpec):
     pis = [_np(p) for p in spec.datum.pi]
 
     def f(x: np.ndarray) -> np.ndarray:
-        vals = np.ones(len(x))
-        for i in (1, 2, 3):
-            vals = vals * spec.functions[i - 1](x @ pis[i].T)
+        vals = _product(pis[1:], spec.functions, x)
         if spec.datum.dims[0] > 0:
             vals = vals * spec.kernel.spatial(x @ pis[0].T)
         elif spec.kernel is not None:
@@ -480,7 +466,8 @@ def _integrand(spec: FormSpec):
 
 def _combined_form(spec: FormSpec):
     """`_whitening` of the integrand: the pulled-back test functions and the
-    kernel, when it advertises a Gaussian decay form."""
+    kernel, when it advertises a Gaussian decay form.  Every rule's nodes
+    come from it."""
     extra = None
     decay = getattr(spec.kernel, "decay_form", None)
     a_kernel = decay() if decay is not None and spec.datum.dims[0] else None
@@ -493,7 +480,8 @@ def _combined_form(spec: FormSpec):
 def _whitening(maps, functions, extra=None):
     """(x0, W, |det W|) with W^T Q W = I for the Gaussian product
     prod_i f_i(P_i x) = c exp(-pi (x-x0)^T Q (x-x0)), Q being the sum of the
-    P_i^T A_i P_i and `extra`; None when Q is degenerate."""
+    P_i^T A_i P_i and `extra`.  A degenerate Q leaves the form divergent
+    and is refused."""
     dim = maps[0].shape[1]
     q = np.zeros((dim, dim))
     lin = np.zeros(dim)
@@ -506,20 +494,24 @@ def _whitening(maps, functions, extra=None):
         q += extra
     eigval, eigvec = np.linalg.eigh(q)
     if eigval.min() <= 1e-9:
-        return None
+        raise ValueError("the form has no nondegenerate Gaussian weight: the test "
+                         "functions and the kernel's decay form leave a direction unbounded")
     whiten = eigvec @ np.diag(1.0 / np.sqrt(eigval))
     center = np.linalg.solve(q, lin)
     return center, whiten, abs(float(np.linalg.det(whiten)))
 
 
-def _tensor_rule(nodes: np.ndarray, w: np.ndarray, dim: int, scale: float = 1.0):
-    """Tensor product of a one-dimensional rule on R^dim: nodes in C order,
-    weights scale * w[i_0] * ... * w[i_{dim-1}] multiplied in axis order."""
-    grids = np.meshgrid(*([nodes] * dim), indexing="ij")
+def _tensor_rule(rules, scale: float = 1.0):
+    """Tensor product of one-dimensional rules, one (nodes, weights) pair per
+    axis: nodes in C order, weights scale * w_0[i_0] * ... * w_{d-1}[i_{d-1}]
+    multiplied in axis order.  Grids above `_MAX_NODES` nodes are refused."""
+    shape = tuple(len(nodes) for nodes, _ in rules)
+    _check_nodes(prod(shape))
+    grids = np.meshgrid(*(nodes for nodes, _ in rules), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
-    weights = np.full((len(nodes),) * dim, scale)
-    for axis in range(dim):
-        weights = weights * w.reshape((-1,) + (1,) * (dim - 1 - axis))
+    weights = np.full(shape, scale)
+    for axis, (_, w) in enumerate(rules):
+        weights = weights * w.reshape((-1,) + (1,) * (len(rules) - 1 - axis))
     return pts, weights.ravel()
 
 
@@ -552,7 +544,7 @@ def _hermite_grid(points: int, dim: int, scale: float = 1.0, weighted: bool = Tr
     t, w = _gauss_hermite(points)
     if not weighted:
         w = w * np.exp(t * t)
-    return _tensor_rule(t / np.sqrt(pi), w, dim, scale * pi ** (-dim / 2.0))
+    return _tensor_rule([(t / np.sqrt(pi), w)] * dim, scale * pi ** (-dim / 2.0))
 
 
 def _whitened_rule(points: int, whitening):
@@ -562,22 +554,10 @@ def _whitened_rule(points: int, whitening):
     return center + v_pts @ whiten.T, weights
 
 
-def _auto_box(spec: FormSpec) -> float:
-    """Fallback box half-width when no whitening is available."""
-    return max(6.0, max(f.scale_bound() for f in spec.functions) + 2.0)
-
-
-def _tensor_value(spec: FormSpec, points: int, box: Optional[float] = None) -> float:
-    dim = spec.datum.dim_H
-    if dim > 4:
+def _tensor_value(spec: FormSpec, points: int) -> float:
+    if spec.datum.dim_H > 4:
         raise ValueError("tensor quadrature is limited to total dimension 4")
-    whitening = None if box is not None else _combined_form(spec)
-    if whitening is None:
-        half = box if box is not None else _auto_box(spec)
-        nodes, w = _gauss_legendre(points)
-        pts, weights = _tensor_rule(half * nodes, half * w, dim)
-    else:
-        pts, weights = _whitened_rule(points, whitening)
+    pts, weights = _whitened_rule(points, _combined_form(spec))
     return float(np.dot(weights, _integrand(spec)(pts)))
 
 
@@ -586,14 +566,9 @@ def _mc_value(spec: FormSpec, quad: QuadSpec) -> Tuple[float, float]:
     if dim > 6:
         raise ValueError("Monte Carlo quadrature is limited to total dimension 6")
     f = _integrand(spec)
-    whitening = _combined_form(spec)
-    if whitening is None:
-        center = np.zeros(dim)
-        shape = _PROPOSAL_WIDTH * np.eye(dim)
-    else:
-        # proposal matched to the Gaussian part, widened a little
-        center, whiten, _ = whitening
-        shape = (_PROPOSAL_WIDTH / np.sqrt(2.0 * pi)) * whiten
+    # proposal matched to the Gaussian weight, widened a little
+    center, whiten, _ = _combined_form(spec)
+    shape = (_PROPOSAL_WIDTH / np.sqrt(2.0 * pi)) * whiten
     log_det = np.linalg.slogdet(shape)[1]
     total = 0.0
     total_sq = 0.0
@@ -663,51 +638,40 @@ def delta_limit_check(d: SBLDatum, functions, widths=(0.25, 0.125, 0.0625),
     Splits coordinates along ker Pi_0 and a complement, integrates the
     Gaussian directions on their own scaled rule, and reports the residual
     sequence against the exact-limit value (times the volume factor);
-    the residuals must decrease as the width shrinks.
+    the residuals must decrease as the width shrinks.  The product grid of
+    points^dim_H nodes is held to the node budget before it is formed.
     """
+    _check_nodes(points ** d.dim_H)
     k0 = kernel_basis(d.pi[0])
     b = k0.dim
     a = d.dim_H - b
-    pis = [_np(p) for p in d.pi]
     if a == 0:
-        spec = FormSpec(d, None, tuple(functions))
-        box = _auto_box(spec)
-        val = _tensor_value(spec, points, box)
-        return [0.0] * len(widths), val
+        return [0.0] * len(widths), _tensor_value(FormSpec(d, None, tuple(functions)), points)
 
+    pis = [_np(p) for p in d.pi]
     kmat = _np(k0.basis) if b else np.zeros((d.dim_H, 0))
     pi0 = pis[0]
     right = pi0.T @ np.linalg.inv(pi0 @ pi0.T)
     full = np.concatenate([kmat, right], axis=1)
     jac = abs(float(np.linalg.det(full)))
 
-    def product_values(x: np.ndarray) -> np.ndarray:
-        vals = np.ones(len(x))
-        for i in (1, 2, 3):
-            vals = vals * functions[i - 1](x @ pis[i].T)
-        return vals
-
     # whiten the kernel-subspace coordinates against the combined Gaussian
-    # form, so one modest tensor rule resolves even scrambled data
-    whitening = _whitening([pis[i] @ kmat for i in (1, 2, 3)], functions)
-    if whitening is None:
-        raise ValueError("test functions do not decay along the kernel of Pi_0")
+    # form, so one modest tensor rule resolves even scrambled data.
     # Gauss-Hermite in the whitened coordinates: the combined Gaussian is the
     # weight, everything else is the smooth factor
-    u_pts, u_weights = _whitened_rule(points, whitening)
-
-    reference = jac * float(np.dot(u_weights, product_values(u_pts @ kmat.T)))
+    u_pts, u_weights = _whitened_rule(
+        points, _whitening([pis[i] @ kmat for i in (1, 2, 3)], functions))
+    base_u = u_pts @ kmat.T
+    reference = jac * float(np.dot(u_weights, _product(pis[1:], functions, base_u)))
 
     # Gauss-Hermite for the scaled kernel directions as well; the factor
     # exp(-pi |t|^2) is the quadrature weight
     z_pts, z_weights = _hermite_grid(points, a)
-
-    base_u = u_pts @ kmat.T
     residuals = []
     for width in widths:
         shift = width * (z_pts @ right.T)
         x = (base_u[:, None, :] + shift[None, :, :]).reshape(-1, d.dim_H)
-        vals = product_values(x).reshape(len(u_pts), len(z_pts))
+        vals = _product(pis[1:], functions, x).reshape(len(u_pts), len(z_pts))
         lam = jac * float(u_weights @ vals @ z_weights)
         residuals.append(abs(lam - reference))
     return residuals, reference

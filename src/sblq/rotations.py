@@ -240,10 +240,6 @@ class SphereGrid:
     def integrate(self, values: np.ndarray) -> float:
         return float(np.dot(self.weights, values))
 
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        band = degree_of_index(len(coeffs) - 1)
-        return sph_basis(self.points, band) @ coeffs
-
 
 def synthesize_at(points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     band = degree_of_index(len(coeffs) - 1)

@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import resource
 import subprocess
 import sys
 import textwrap
@@ -441,13 +443,61 @@ def test_numcheck_mikhlin_targets_pass_at_the_default_scale(target):
     (["numcheck", "mikhlin", "gaussian", "--order", "-1"], "sampled orders"),
     (["numcheck", "delta", "{bht}", "--delta-points", "0"], "delta points"),
     (["numcheck", "delta", "{bht}", "--delta-points", "11"], "delta points"),
+    # w^-1 is finite, but the decay form's w^-2 overflows
+    (["numcheck", "eval", "{bht}", "--kernel-width", "1e-160"], "overflows"),
 ])
 def test_out_of_range_numeric_requests_exit_one(bht_file, capsys, argv, message):
     from sblq.cli import main
     code = main([arg.format(bht=bht_file) for arg in argv])
     err = capsys.readouterr().err
     assert code == 1
+    # the message and nothing else: no warning, no traceback
     assert err.startswith("invalid request:") and message in err
+    assert err.count("\n") == 1
+
+
+def test_smallest_kernel_width_with_finite_decay_form_evaluates(bht_file, capsys):
+    from sblq.cli import main
+    code = main(["numcheck", "eval", bht_file, "--kernel-width", "1e-154",
+                 "--report", "json"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert math.isfinite(json.loads(out)["result"]["value"])
+
+
+def test_oversized_tensor_grids_exit_one_without_allocating(tmp_path):
+    # the address space is capped at 2 GiB, far below either grid
+    # (24^9 and 370^4 nodes), so only a refusal before allocation exits 1
+    # with the message alone
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    for name, extra in (("three_twisted", ["delta"]),
+                        ("twisted_paraproduct", ["eval", "--quad", "tensor:370"])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(shipped_fixture_dict(name)))
+        proc = subprocess.run([sys.executable, "-m", "sblq.cli", "numcheck", extra[0],
+                               str(path), *extra[1:]],
+                              capture_output=True, text=True, timeout=60, preexec_fn=cap,
+                              env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("invalid request: a quadrature grid of")
+        assert "exceeds the limit of 2^24" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("mode", ["eval", "equiv"])
+@pytest.mark.parametrize("quad", ["tensor:8", "tensor:24", "mc:20000"])
+def test_divergent_forms_exit_one(tmp_path, capsys, mode, quad):
+    # every map vanishes on e2: the form has no Gaussian weight in that
+    # direction and diverges, so no rule may report a passing value
+    path = tmp_path / "divergent.json"
+    path.write_text(json.dumps({"dim_H": 2, "dims": [1, 1, 1, 1],
+                                "pi": [[["1", "0"]]] * 4}))
+    from sblq.cli import main
+    code = main(["numcheck", mode, str(path), "--quad", quad])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("invalid request: the form has no nondegenerate Gaussian weight")
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -457,20 +507,15 @@ def test_out_of_range_numeric_requests_exit_one(bht_file, capsys, argv, message)
     (["numcheck", "eval", "{bht}", "--kernel-width", "nan"], 1, "kernel width"),
     (["numcheck", "eval", "{bht}", "--kernel-width", "1e-320"], 1, "overflows"),
     (["numcheck", "delta", "{bht}", "--kernel-width", "1e-320"], 1, "overflows"),
-    # w^-1 = 1e200 is finite, but w^2 underflows and the value is NaN
-    (["numcheck", "eval", "{bht}", "--kernel-width", "1e-200"], 3, None),
+    # w^-1 = 1e200 is finite, but the decay form's w^-2 overflows
+    (["numcheck", "eval", "{bht}", "--kernel-width", "1e-200"], 1, "overflows"),
 ])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on the NaN case
 def test_non_finite_numeric_results_fail(bht_file, capsys, argv, code, message):
     from sblq.cli import main
     got = main([arg.format(bht=bht_file) for arg in argv] + ["--report", "json"])
-    out, err = capsys.readouterr()
+    err = capsys.readouterr().err
     assert got == code
-    if message is None:
-        result = json.loads(out)["result"]
-        assert result["pass"] is False and math.isnan(result["value"])
-    else:
-        assert err.startswith("invalid request:") and message in err
+    assert err.startswith("invalid request:") and message in err
 
 
 @pytest.mark.parametrize("command", ["classify", "decompose", "validate"])

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,7 +17,8 @@ from sblq.numcheck import (
     verify_mikhlin,
 )
 from sblq.numcheck import (
-    _HERMITE_MAX_POINTS, _gauss_hermite, _hermite_grid, _j0, _tensor_rule,
+    _HERMITE_MAX_POINTS, _gauss_hermite, _hermite_grid, _j0, _numeric_symbol_factory,
+    _tensor_rule,
 )
 from sblq.rotations import _gauss_legendre
 
@@ -133,6 +135,16 @@ def test_mc_quadrature_deterministic():
     assert abs(a[0] - tensor_val) < 5 * a[1] + 1e-4
 
 
+@pytest.mark.parametrize("quad", [QuadSpec("tensor"), QuadSpec("mc")])
+def test_divergent_forms_are_refused(quad):
+    # every map vanishes on e2, so no Gaussian weight bounds that direction
+    # and the form diverges; no rule may report a value for it
+    d = SBLDatum(2, (1, 1, 1, 1), tuple(Matrix(1, 2, [1, 0]) for _ in range(4)))
+    fs = tuple(GaussianFunction.tensor([0], [1]) for _ in range(3))
+    with pytest.raises(ValueError, match="no nondegenerate Gaussian weight"):
+        eval_form(FormSpec(d, NarrowGaussian(1, 0.8), fs), quad)
+
+
 def test_quadrature_dimension_limits():
     d = SBLDatum(5, (2, 1, 1, 1),
                  (Matrix.from_rows([[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]),
@@ -239,6 +251,62 @@ def test_extended_kernel_mikhlin_pass_and_scaling():
     assert abs(worst100 - 100.0) / 100.0 < 0.05
 
 
+def reference_symbol_factory(kernel, npts_x, npts_y=None):
+    # the former transform, node counts given: one hand-written branch for
+    # 1-d kernels and one for their extension by one Gaussian direction
+    if isinstance(kernel, ExtendedKernel) and kernel.base.dim == 1 and kernel.extra == 1:
+        base = kernel.base
+        r_out = getattr(base, "r_out", 4.0)
+        y_win = 4.5 * r_out
+        nx, wx = _gauss_legendre(npts_x)
+        xs = r_out * nx
+        wx = r_out * wx
+        ny, wy = _gauss_legendre(npts_y)
+        ys = y_win * ny
+        wy = y_win * wy
+        grid_x, grid_y = np.meshgrid(xs, ys, indexing="ij")
+        samples = kernel.spatial(
+            np.stack([grid_x.ravel(), grid_y.ravel()], axis=1)).reshape(len(xs), len(ys))
+
+        def symbol(xi):
+            xi = np.atleast_2d(xi)
+            inner = np.exp(-2j * math.pi * np.outer(xi[:, 1], ys)) @ (samples * wy).T
+            phases = np.exp(-2j * math.pi * np.outer(xi[:, 0], xs)) * wx
+            return np.einsum("px,px->p", inner, phases)
+
+        return symbol
+    r_out = getattr(kernel, "r_out", 4.0)
+    nx, wx = _gauss_legendre(npts_x)
+    xs = r_out * nx
+    wx = r_out * wx
+    vals = kernel.spatial(xs[:, None]) * wx
+
+    def symbol1(xi):
+        xi = np.atleast_2d(xi)
+        return np.exp(-2j * math.pi * np.outer(xi[:, 0], xs)) @ vals
+
+    return symbol1
+
+
+@pytest.mark.parametrize("kernel, counts", [
+    (TruncatedOdd(), (800,)),
+    (ExtendedKernel(TruncatedOdd(), 1), (800, 2396)),
+])
+def test_numeric_symbol_matches_the_two_branch_transform(kernel, counts):
+    # on the Mikhlin grid and every point of its +-2% difference stencils,
+    # relative to the largest value: the extension's symbol is odd in xi_1,
+    # so it is rounding noise on the xi_2 axis
+    grid = MikhlinGrid()
+    new = _numeric_symbol_factory(kernel, grid.r_max * (1.0 + 2.0 * grid.step_rel))
+    old = reference_symbol_factory(kernel, *counts)
+    pts = grid.points(kernel.dim)
+    h = grid.step_rel * np.linalg.norm(pts, axis=1)[:, None]
+    for off in itertools.product((-1.0, 0.0, 1.0), repeat=kernel.dim):
+        xi = pts + h * np.array(off)
+        want = old(xi)
+        assert np.max(np.abs(new(xi) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def reference_hermite_grid(points, dim, scale=1.0, weighted=True):
     # the former construction: one unravel_index over all nodes per axis
     t_nodes, t_w = _gauss_hermite(points)
@@ -261,14 +329,26 @@ def test_tensor_rules_match_unravel_reference(points, dim):
             new = _hermite_grid(points, dim, scale, weighted)
             old = reference_hermite_grid(points, dim, scale, weighted)
             assert np.array_equal(new[0], old[0]) and np.array_equal(new[1], old[1])
-    # the Legendre rule of the box fallback, weights from ones
-    nodes, w = _gauss_legendre(points)
-    pts, weights = _tensor_rule(3.0 * nodes, 3.0 * w, dim)
+    # one Legendre rule per axis, of different sizes, weights from ones
+    rules = [(3.0 * nodes, 3.0 * w)
+             for nodes, w in (_gauss_legendre(points + k) for k in range(dim))]
+    pts, weights = _tensor_rule(rules)
+    idx = np.unravel_index(np.arange(len(pts)), [len(nodes) for nodes, _ in rules])
     old = np.ones(len(pts))
-    for axis in range(dim):
-        old = old * (3.0 * w)[np.unravel_index(np.arange(len(pts)), (points,) * dim)[axis]]
+    for axis, (nodes, w) in enumerate(rules):
+        old = old * w[idx[axis]]
+        assert np.array_equal(pts[:, axis], nodes[idx[axis]])
     assert np.array_equal(weights, old)
-    assert np.array_equal(pts[:, -1], np.tile(3.0 * nodes, points ** (dim - 1)))
+
+
+def test_tensor_rule_refuses_grids_above_the_node_budget():
+    # the count is checked before any node is formed: 2^25 nodes are refused
+    nodes, w = _gauss_legendre(32)
+    with pytest.raises(ValueError, match="33554432 nodes exceeds the limit of 2\\^24"):
+        _tensor_rule([(nodes, w)] * 5)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        _hermite_grid(370, 4)
+    assert len(_tensor_rule([(nodes, w)] * 4)[1]) == 32 ** 4
 
 
 GAUSS_RULES = {"legendre": (_gauss_legendre, gauss_legendre, 2.0),

@@ -342,7 +342,7 @@ def test_verify_repr_degree_two():
 
 def reference_verify_repr(dec, omega_coeffs, test_coeffs, grid, circle_count=64):
     """`verify_repr` as it was, with one grid basis per synthesized function."""
-    omega_vals = grid.synthesize(omega_coeffs)
+    omega_vals = synthesize_at(grid.points, omega_coeffs)
     nus = grid.points
     circles = great_circle_points(nus, circle_count)
     max_band = max([degree_of_index(len(omega_coeffs) - 1)]
@@ -353,7 +353,7 @@ def reference_verify_repr(dec, omega_coeffs, test_coeffs, grid, circle_count=64)
     gamma_vals = gamma_f.reshape(len(nus), circle_count) - tf_nu[:, None]
     residuals = []
     for fc in test_coeffs:
-        lhs = grid.integrate(grid.synthesize(fc) * omega_vals)
+        lhs = grid.integrate(synthesize_at(grid.points, fc) * omega_vals)
         f_vals = (circle_basis[:, :len(fc)] @ fc).reshape(len(nus), circle_count)
         rhs = grid.integrate((f_vals * gamma_vals).mean(axis=1))
         residuals.append(abs(lhs - rhs))
@@ -422,7 +422,7 @@ def reference_superposition(omega_coeffs, f, grid, radial_count=48, circle_count
     # at every radial node on every great circle
     lo, hi = f.support
     r_nodes, r_weights = radial_log_quadrature(lo, hi, radial_count)
-    omega_vals = grid.synthesize(omega_coeffs)
+    omega_vals = synthesize_at(grid.points, omega_coeffs)
     lhs = 0.0
     for r, w in zip(r_nodes, r_weights):
         fv = f(r * grid.points)
