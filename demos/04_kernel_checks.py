@@ -10,7 +10,7 @@ Run:  python demos/04_kernel_checks.py
 from sblq.core import random_equivalence
 from sblq.fixtures import bht
 from sblq.numcheck import (
-    FormSpec, GaussianFunction, NarrowGaussian, QuadSpec, TruncatedOdd,
+    FormSpec, GaussianFunction, NarrowGaussian, TruncatedOdd,
     check_equivalence_invariance, delta_limit_check, eval_form, extend_kernel,
     normalized_kernel, verify_mikhlin,
 )
@@ -34,16 +34,15 @@ def main():
              GaussianFunction.tensor([1], [1]),
              GaussianFunction.tensor([0], [2]))
     spec = FormSpec(datum, NarrowGaussian(1, 0.8), funcs)
-    value, err = eval_form(spec, QuadSpec("tensor", points=32))
+    value, err = eval_form(spec)
     print(f"\nbilinear Hilbert datum, Gaussian kernel: value {value:.8f} "
-          f"(est. error {err:.1e})")
+          f"(rounding bound {err:.1e})")
 
     for seed in (1, 2, 3):
-        residual, tol = check_equivalence_invariance(
-            spec, random_equivalence(datum, seed), QuadSpec("tensor", points=32))
+        residual, tol = check_equivalence_invariance(spec, random_equivalence(datum, seed))
         print(f"  equivalence seed {seed}: residual {residual:.2e} <= {tol:.2e}")
 
-    residuals, reference = delta_limit_check(datum, funcs, points=32)
+    residuals, reference = delta_limit_check(datum, funcs)
     print(f"  narrow-kernel limit (reference {reference:.6f}):")
     for width, res in zip((0.25, 0.125, 0.0625), residuals):
         print(f"    width {width}: residual {res:.2e}")

@@ -2,8 +2,8 @@
 
 The package splits into an exact-arithmetic half (rational linear algebra,
 four-subspace modules, pencil decomposition, boundedness verdicts) and a
-floating-point half (Funk-transform spectral checks and desk-scale
-quadrature verification of form identities).
+floating-point half (Funk-transform spectral checks, Mikhlin symbol
+sampling, and closed-form checks of form identities).
 """
 
 from .classify import StatusTag, Verdict, classify

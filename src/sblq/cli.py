@@ -15,7 +15,10 @@ the handlers of the numeric commands, and nothing loads scipy.  A numeric
 check passes only on finite values: `numcheck eval` exits 3 on a value or
 error estimate that is not finite, and a kernel scale or width that is not
 finite, or a width whose normalization or decay form overflows, exits 1.
-So do a divergent form and a quadrature grid above 2^24 nodes.
+So does a divergent form, and one whose Gaussian weight rounds to a
+quadratic form that is not positive definite.  `numcheck eval`, `equiv`
+and `delta` evaluate their Gaussian forms in closed form and take no
+quadrature settings.
 """
 
 from __future__ import annotations
@@ -275,19 +278,6 @@ def cmd_rotations_verify(args) -> int:
     return EXIT_OK if payload["pass"] else EXIT_TOLERANCE
 
 
-def _parse_quad(text: str) -> numcheck.QuadSpec:
-    from . import numcheck
-
-    parts = text.split(":")
-    if parts[0] == "tensor":
-        return numcheck.QuadSpec("tensor", points=int(parts[1]) if len(parts) > 1 else 48)
-    if parts[0] == "mc":
-        samples = int(parts[1]) if len(parts) > 1 else 200_000
-        seed = int(parts[2]) if len(parts) > 2 else 0
-        return numcheck.QuadSpec("mc", samples=samples, seed=seed)
-    raise ValueError(f"unknown quadrature spec {text!r}")
-
-
 def _default_form(d: SBLDatum, width: float) -> numcheck.FormSpec:
     from . import numcheck
 
@@ -330,32 +320,23 @@ def cmd_numcheck(args) -> int:
         return EXIT_OK if report.passed else EXIT_TOLERANCE
 
     d = _read_datum(args.file)
-    try:
-        quad = _parse_quad(args.quad)
-        spec = _default_form(d, args.kernel_width)
-        if args.mode == "delta" and args.delta_points < 12:
-            raise ValueError(f"delta points must be >= 12, got {args.delta_points}")
-    except ValueError as exc:
-        print(f"invalid request: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    spec = _default_form(d, args.kernel_width)
     if args.mode == "eval":
-        value, err = numcheck.eval_form(spec, quad)
+        value, err = numcheck.eval_form(spec)
         payload = {"value": value, "error_estimate": err,
-                   "quad": args.quad, "pass": isfinite(value) and isfinite(err)}
+                   "pass": isfinite(value) and isfinite(err)}
         _emit(args, _report(args, payload, started))
         return EXIT_OK if payload["pass"] else EXIT_TOLERANCE
     if args.mode == "equiv":
         e = random_equivalence(d, args.seed)
-        residual, tol = numcheck.check_equivalence_invariance(spec, e, quad)
-        payload = {"residual": residual, "tolerance": tol, "quad": args.quad,
+        residual, tol = numcheck.check_equivalence_invariance(spec, e)
+        payload = {"residual": residual, "tolerance": tol,
                    "pass": bool(residual <= tol)}
         _emit(args, _report(args, payload, started))
         return EXIT_OK if payload["pass"] else EXIT_TOLERANCE
-    residuals, reference = numcheck.delta_limit_check(
-        d, spec.functions, points=args.delta_points)
+    residuals, reference = numcheck.delta_limit_check(d, spec.functions)
     decreasing = all(a > b for a, b in zip(residuals, residuals[1:]))
     payload = {"residuals": residuals, "reference": reference,
-               "points": args.delta_points,
                "pass": bool(decreasing or all(r == 0 for r in residuals))}
     _emit(args, _report(args, payload, started))
     return EXIT_OK if payload["pass"] else EXIT_TOLERANCE
@@ -410,14 +391,12 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--seed", type=int, default=0)
     pv.set_defaults(func=cmd_rotations_verify)
 
-    p = sub.add_parser("numcheck", help="quadrature verification")
+    p = sub.add_parser("numcheck", help="numerical checks of forms and kernels")
     p.add_argument("mode", choices=("eval", "equiv", "mikhlin", "delta"))
     p.add_argument("file", help="datum file, or kernel kind for mikhlin")
-    p.add_argument("--quad", default="tensor:48")
     p.add_argument("--kernel-width", type=float, default=0.8)
     p.add_argument("--kernel-scale", type=float, default=1.0)
     p.add_argument("--order", type=int, default=2)
-    p.add_argument("--delta-points", type=int, default=24)
     common(p)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_numcheck)

@@ -7,30 +7,32 @@ formula, and samples Mikhlin symbol bounds on a logarithmic grid by central
 finite differences.  Everything here is floating point; nothing feeds back
 into the exact classification path.
 
-Forms are integrated only against their Gaussian weight (the test
-functions and the kernel's decay form), whitened; a form without a
-nondegenerate one diverges and is refused.  Tensor grids hold at most 2^24
-nodes.
+Every form has a Gaussian kernel or none, so its integrand is one Gaussian
+on H and the form is evaluated in closed form, at any dimension; a form
+whose Gaussian weight leaves a direction unbounded diverges and is refused.
+The windowed symbol transforms hold at most 2^24 nodes.
 
 Importing this module loads numpy and nothing else: the Gauss-Legendre
-rule comes from `rotations._gauss_legendre` and the Gauss-Hermite rule
-from numpy's `hermgauss`, both cached, and J0 for `MultiplierBump.spatial`
-in dimension 2 from a periodic trapezoid rule (`_j0`).
+rule comes from `rotations._gauss_legendre`, cached, and J0 for
+`MultiplierBump.spatial` in dimension 2 from a periodic trapezoid rule
+(`_j0`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
 from math import ceil, inf, pi, prod
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import EquivalenceMap, SBLDatum, apply_equivalence
-from .linalg import Matrix, inverse, kernel_basis
+from .linalg import Matrix, inverse, kernel_basis, rank, vstack
 from .rotations import _gauss_legendre
+
+
+_EPS = float(np.finfo(float).eps)
 
 
 def _np(m: Matrix) -> np.ndarray:
@@ -82,13 +84,10 @@ class GaussianFunction:
 
 
 class _Kernel:
-    """Rescaling and linear pullback, shared by the kernels with a `scale`."""
+    """Rescaling, shared by the kernels with a `scale`."""
 
     def scaled(self, c: float):
         return replace(self, scale=self.scale * c)
-
-    def pullback(self, m: np.ndarray) -> "_PullbackKernel":
-        return _PullbackKernel(self.dim, self, m)
 
 
 @dataclass(frozen=True)
@@ -127,6 +126,9 @@ class NarrowGaussian(_Kernel):
         """Quadratic form A with |K(u)| ~ exp(-pi u^T A u), a part of the
         Gaussian weight of every form with this kernel."""
         return np.eye(self.dim) / self.width ** 2
+
+    def pullback(self, m: np.ndarray) -> "_PullbackKernel":
+        return _PullbackKernel(self.dim, self, m)
 
 
 @dataclass(frozen=True)
@@ -224,23 +226,18 @@ class ExtendedKernel(_Kernel):
 
 @dataclass(frozen=True)
 class _PullbackKernel:
-    """K(m u) for an invertible matrix m; used by the equivalence check."""
+    """K(m u) for a Gaussian kernel K and an invertible matrix m; used by
+    the equivalence check."""
 
     dim: int
-    base: object
+    base: NarrowGaussian
     matrix: np.ndarray
 
     def spatial(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
-        if self.dim == 0:
-            return self.base.spatial(x)
-        return self.base.spatial(x @ self.matrix.T)
+        return self.base.spatial(np.atleast_2d(x) @ self.matrix.T)
 
-    def decay_form(self) -> Optional[np.ndarray]:
-        inner = getattr(self.base, "decay_form", None)
-        if inner is None:
-            return None
-        return self.matrix.T @ inner() @ self.matrix
+    def decay_form(self) -> np.ndarray:
+        return self.matrix.T @ self.base.decay_form() @ self.matrix
 
 
 def normalized_kernel(kernel):
@@ -324,6 +321,25 @@ def _stencil_offsets(alpha: Tuple[int, ...]):
     return terms
 
 
+_MAX_NODES = 2 ** 24
+
+
+def _tensor_rule(rules):
+    """Tensor product of one-dimensional rules, one (nodes, weights) pair per
+    axis: nodes in C order, weights w_0[i_0] * ... * w_{d-1}[i_{d-1}]
+    multiplied in axis order.  Grids above `_MAX_NODES` nodes are refused
+    before any node is formed."""
+    shape = tuple(len(nodes) for nodes, _ in rules)
+    if prod(shape) > _MAX_NODES:
+        raise ValueError(f"a quadrature grid of {prod(shape)} nodes exceeds the limit of 2^24")
+    grids = np.meshgrid(*(nodes for nodes, _ in rules), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    weights = np.ones(shape)
+    for axis, (_, w) in enumerate(rules):
+        weights = weights * w.reshape((-1,) + (1,) * (len(rules) - 1 - axis))
+    return pts, weights.ravel()
+
+
 def _numeric_symbol_factory(kernel, max_freq: float):
     """Windowed discrete transform of a spatial sample, for 1-d kernels and
     their extension by one Gaussian direction.
@@ -402,6 +418,11 @@ def verify_mikhlin(kernel, max_order: int = 2,
 
 @dataclass(frozen=True)
 class FormSpec:
+    """A form whose kernel, if any, has a Gaussian decay form: the integrand
+    is then one Gaussian on H, and `eval_form` integrates it in closed
+    form.  Other kernels (`TruncatedOdd`, `ExtendedKernel`,
+    `MultiplierBump`) are refused."""
+
     datum: SBLDatum
     kernel: object
     functions: Tuple[GaussianFunction, GaussianFunction, GaussianFunction]
@@ -411,6 +432,9 @@ class FormSpec:
             if self.datum.dims[0] > 0:
                 raise ValueError("a kernel is required when the distribution "
                                  "space is nontrivial")
+        elif not hasattr(self.kernel, "decay_form"):
+            raise ValueError(f"{type(self.kernel).__name__} has no Gaussian decay form; "
+                             "forms are evaluated only with Gaussian kernels")
         elif self.kernel.dim != self.datum.dims[0]:
             raise ValueError("kernel dimension must match the distribution space")
         for i, f in enumerate(self.functions, start=1):
@@ -421,26 +445,15 @@ class FormSpec:
 
 @dataclass(frozen=True)
 class QuadSpec:
-    mode: str = "tensor"          # "tensor" or "mc"
-    points: int = 48              # per axis (tensor)
-    samples: int = 200_000        # total (mc)
+    """Accepted by `eval_form` and `check_equivalence_invariance` and not
+    read: every form is evaluated in closed form.  It stays only because
+    perfbench builds it; the next benchmark change (ROADMAP item 10)
+    removes it."""
+
+    mode: str = "tensor"
+    points: int = 48
+    samples: int = 200_000
     seed: int = 0
-
-    def __post_init__(self):
-        if self.mode not in ("tensor", "mc"):
-            raise ValueError("quadrature mode must be 'tensor' or 'mc'")
-        if min(self.points, self.samples) < 1:
-            raise ValueError(f"quadrature needs points and samples >= 1, got {self}")
-
-
-_MC_CHUNK = 65_536
-_PROPOSAL_WIDTH = 2.0
-_MAX_NODES = 2 ** 24
-
-
-def _check_nodes(count: int) -> None:
-    if count > _MAX_NODES:
-        raise ValueError(f"a quadrature grid of {count} nodes exceeds the limit of 2^24")
 
 
 def _product(maps, functions, x: np.ndarray) -> np.ndarray:
@@ -465,160 +478,91 @@ def _integrand(spec: FormSpec):
 
 
 def _combined_form(spec: FormSpec):
-    """`_whitening` of the integrand: the pulled-back test functions and the
-    kernel, when it advertises a Gaussian decay form.  Every rule's nodes
-    come from it."""
-    extra = None
-    decay = getattr(spec.kernel, "decay_form", None)
-    a_kernel = decay() if decay is not None and spec.datum.dims[0] else None
-    if a_kernel is not None:
-        p = _np(spec.datum.pi[0])
-        extra = p.T @ a_kernel @ p
-    return _whitening([_np(spec.datum.pi[i]) for i in (1, 2, 3)], spec.functions, extra)
-
-
-def _whitening(maps, functions, extra=None):
-    """(x0, W, |det W|) with W^T Q W = I for the Gaussian product
-    prod_i f_i(P_i x) = c exp(-pi (x-x0)^T Q (x-x0)), Q being the sum of the
-    P_i^T A_i P_i and `extra`.  A degenerate Q leaves the form divergent
-    and is refused."""
-    dim = maps[0].shape[1]
-    q = np.zeros((dim, dim))
-    lin = np.zeros(dim)
-    for p, f in zip(maps, functions):
-        if f.dim == 0:
-            continue
-        q += p.T @ f.quad_form @ p
-        lin += p.T @ f.quad_form @ f.center
-    if extra is not None:
-        q += extra
-    eigval, eigvec = np.linalg.eigh(q)
-    if eigval.min() <= 1e-9:
+    """`_whitening` of the whole integrand: the pulled-back test functions
+    and the kernel's decay form.  Every slot of nonzero dimension carries a
+    positive-definite Gaussian factor, so the form converges iff the
+    stacked maps have full column rank; that is decided exactly, on the
+    datum's rationals."""
+    d = spec.datum
+    if rank(vstack(*d.pi)) < d.dim_H:
         raise ValueError("the form has no nondegenerate Gaussian weight: the test "
                          "functions and the kernel's decay form leave a direction unbounded")
-    whiten = eigvec @ np.diag(1.0 / np.sqrt(eigval))
-    center = np.linalg.solve(q, lin)
-    return center, whiten, abs(float(np.linalg.det(whiten)))
+    decay = spec.kernel.decay_form() if d.dims[0] else np.zeros((0, 0))
+    forms = [(decay, np.zeros(d.dims[0]))] + [(f.quad_form, f.center) for f in spec.functions]
+    return _whitening([_np(p) for p in d.pi], forms)
 
 
-def _tensor_rule(rules, scale: float = 1.0):
-    """Tensor product of one-dimensional rules, one (nodes, weights) pair per
-    axis: nodes in C order, weights scale * w_0[i_0] * ... * w_{d-1}[i_{d-1}]
-    multiplied in axis order.  Grids above `_MAX_NODES` nodes are refused."""
-    shape = tuple(len(nodes) for nodes, _ in rules)
-    _check_nodes(prod(shape))
-    grids = np.meshgrid(*(nodes for nodes, _ in rules), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    weights = np.full(shape, scale)
-    for axis, (_, w) in enumerate(rules):
-        weights = weights * w.reshape((-1,) + (1,) * (len(rules) - 1 - axis))
-    return pts, weights.ravel()
+def _whitening(maps, forms):
+    """(x0, |det W|, bound) for the Gaussian product
+    prod_i exp(-pi (P_i x - c_i)^T A_i (P_i x - c_i)) = exp(-pi E) exp(-pi (x-x0)^T Q (x-x0)),
+    one (A_i, c_i) per map P_i (none for a slot of dimension 0), Q being the
+    sum of the P_i^T A_i P_i.
+
+    Q is not formed.  With A_i = S_i^T S_i (Cholesky), Q = F^T F for the
+    stacked rows F = [S_i P_i], x0 is the least-squares solution of
+    F x = g = [S_i c_i], E = |F x0 - g|^2, and the singular values s of F
+    give W = V diag(1/s) with W^T Q W = I, so |det W| = det(Q)^(-1/2) =
+    1/prod(s).  Rounding in Q and E moves exp(-pi E) |det W| by at most
+    bound = eps dim (cond(Q) + pi E + 1) relative, to first order; see
+    `eval_form`.  An A_i that rounds to a matrix that is not positive
+    definite, or an F whose singular values round to 0, is refused with
+    its condition number."""
+    rows, targets = [], []
+    for p, (a, c) in zip(maps, forms):
+        if not len(a):
+            continue
+        try:
+            s = np.linalg.cholesky(a).T
+        except np.linalg.LinAlgError:
+            _refuse(np.linalg.cond(a))
+        rows.append(s @ p)
+        targets.append(s @ c)
+    f, g = np.vstack(rows), np.concatenate(targets)
+    center, _, _, sv = np.linalg.lstsq(f, g, rcond=None)
+    lo = sv.min(initial=inf)   # inf, and cond 0, on a space of dimension 0
+    if not lo > 0:
+        _refuse(inf)
+    cond = float((sv.max(initial=0.0) / lo) ** 2)
+    exponent = float(np.sum((f @ center - g) ** 2))
+    return center, float(np.prod(1.0 / sv)), _EPS * len(sv) * (cond + pi * exponent + 1.0)
 
 
-_HERMITE_MAX_POINTS = 370
+def _refuse(cond: float):
+    raise ValueError(f"the form's Gaussian weight rounds to a quadratic form that is not "
+                     f"positive definite in float64 (condition number {cond:.3g})")
 
 
-@lru_cache(maxsize=None)
-def _gauss_hermite(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes (ascending) and weights of the n-point Gauss-Hermite rule for
-    the weight exp(-t^2), as read-only arrays, from numpy's `hermgauss`.
+def eval_form(spec: FormSpec, quad: Optional[QuadSpec] = None) -> Tuple[float, float]:
+    """The trilinear form in closed form, with a rounding bound.
 
-    Its weights are sound up to 370 points.  At 371 their normalising sum
-    overflows and every weight comes out 0; from 372 on they are NaN and
-    e^{t^2} overflows at the outer nodes.  Larger counts are refused.
-    """
-    if n < 1:
-        raise ValueError(f"a Gauss rule needs at least one point, got {n}")
-    if n > _HERMITE_MAX_POINTS:
-        raise ValueError(f"Gauss-Hermite quadrature is limited to "
-                         f"{_HERMITE_MAX_POINTS} points per axis, got {n}")
-    nodes, weights = np.polynomial.hermite.hermgauss(n)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
-def _hermite_grid(points: int, dim: int, scale: float = 1.0, weighted: bool = True):
-    """Tensor Gauss-Hermite nodes for the weight exp(-pi |v|^2) on R^dim,
-    and their weights times `scale`.  With weighted=False the weight is
-    divided out on each axis, as w e^{t^2}, and the rule integrates g dv."""
-    t, w = _gauss_hermite(points)
-    if not weighted:
-        w = w * np.exp(t * t)
-    return _tensor_rule([(t / np.sqrt(pi), w)] * dim, scale * pi ** (-dim / 2.0))
-
-
-def _whitened_rule(points: int, whitening):
-    """The Hermite rule through a whitening, weight divided out: it integrates f dx."""
-    center, whiten, vol = whitening
-    v_pts, weights = _hermite_grid(points, whiten.shape[1], vol, weighted=False)
-    return center + v_pts @ whiten.T, weights
-
-
-def _tensor_value(spec: FormSpec, points: int) -> float:
-    if spec.datum.dim_H > 4:
-        raise ValueError("tensor quadrature is limited to total dimension 4")
-    pts, weights = _whitened_rule(points, _combined_form(spec))
-    return float(np.dot(weights, _integrand(spec)(pts)))
-
-
-def _mc_value(spec: FormSpec, quad: QuadSpec) -> Tuple[float, float]:
-    dim = spec.datum.dim_H
-    if dim > 6:
-        raise ValueError("Monte Carlo quadrature is limited to total dimension 6")
-    f = _integrand(spec)
-    # proposal matched to the Gaussian weight, widened a little
-    center, whiten, _ = _combined_form(spec)
-    shape = (_PROPOSAL_WIDTH / np.sqrt(2.0 * pi)) * whiten
-    log_det = np.linalg.slogdet(shape)[1]
-    total = 0.0
-    total_sq = 0.0
-    count = 0
-    chunk_index = 0
-    remaining = quad.samples
-    while remaining > 0:
-        n = min(_MC_CHUNK, remaining)
-        rng = np.random.Generator(np.random.Philox(
-            key=np.array([quad.seed, chunk_index], dtype=np.uint64)))
-        xi = rng.standard_normal((n, dim))
-        x = center + xi @ shape.T
-        log_dens = (-0.5 * np.sum(xi * xi, axis=1)
-                    - 0.5 * dim * np.log(2.0 * pi) - log_det)
-        vals = f(x) * np.exp(-log_dens)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        count += n
-        chunk_index += 1
-        remaining -= n
-    mean = total / count
-    var = max(total_sq / count - mean * mean, 0.0)
-    return mean, float(np.sqrt(var / count))
-
-
-def eval_form(spec: FormSpec, quad: QuadSpec) -> Tuple[float, float]:
-    """Numerical value of the trilinear form with an error estimate.
-
-    Tensor quadrature reports a Richardson-style difference against the
-    half-resolution rule; Monte Carlo reports the standard error and is
-    bitwise deterministic given the seed (counter-based streams reduced in
-    fixed chunk order).
+    The integrand is c exp(-pi (x-x0)^T Q (x-x0)), so the form equals the
+    integrand at x0 times |det W| = det(Q)^(-1/2) (`_whitening`).  The
+    error estimate is eps dim_H (cond(Q) + pi E + 1) |value|, eps = 2^-52
+    and E the exponent at x0.  To first order it bounds
+      - the change of det(Q)^(-1/2) under a symmetric dQ with
+        ||dQ|| <= 2 eps ||Q||: half of |tr(Q^-1 dQ)| <= dim_H cond(Q) eps;
+      - a relative error of dim_H eps in E, which moves exp(-pi E) by
+        pi E dim_H eps, and dim_H eps more for the exponentials and
+        products of the integrand.
+    x0, where the integrand is stationary, moves the value only to second
+    order.  `quad` is not read (see `QuadSpec`).
     """
     if spec.datum.dim_H == 0:
         return 0.0, 0.0
-    if quad.mode == "tensor":
-        value = _tensor_value(spec, quad.points)
-        coarse = _tensor_value(spec, max(quad.points // 2, 4))
-        return value, abs(value - coarse)
-    return _mc_value(spec, quad)
+    center, vol, bound = _combined_form(spec)
+    value = float(_integrand(spec)(center[None, :])[0]) * vol
+    return value, bound * abs(value)
 
 
 def check_equivalence_invariance(spec: FormSpec, e: EquivalenceMap,
-                                 quad: QuadSpec) -> Tuple[float, float]:
+                                 quad: Optional[QuadSpec] = None) -> Tuple[float, float]:
     """Residual of the change-of-variables identity under an equivalence.
 
     Evaluates the transformed datum against pulled-back functions and
     kernel, multiplies by the Jacobian factor |det phi|, taken in floating
     point like every value here, and returns (residual, tolerance) with
-    tolerance three times the summed quadrature error estimates.
+    tolerance three times the summed rounding bounds.  `quad` is passed on
+    to `eval_form` unread.
     """
     d2 = apply_equivalence(spec.datum, e)
     jac = abs(float(np.linalg.det(_np(e.phi))))
@@ -631,47 +575,25 @@ def check_equivalence_invariance(spec: FormSpec, e: EquivalenceMap,
     return abs(v2 - jac * v1), 3.0 * (e1 + e2 + 1e-12)
 
 
-def delta_limit_check(d: SBLDatum, functions, widths=(0.25, 0.125, 0.0625),
-                      points: int = 32) -> Tuple[List[float], float]:
+def delta_limit_check(d: SBLDatum, functions,
+                      widths=(0.25, 0.125, 0.0625)) -> Tuple[List[float], float]:
     """Compare narrow-Gaussian-kernel values against the kernel-subspace form.
 
-    Splits coordinates along ker Pi_0 and a complement, integrates the
-    Gaussian directions on their own scaled rule, and reports the residual
-    sequence against the exact-limit value (times the volume factor);
-    the residuals must decrease as the width shrinks.  The product grid of
-    points^dim_H nodes is held to the node budget before it is formed.
+    Evaluates the form with kernel `NarrowGaussian(dims[0], w)` at each
+    width w.  As w -> 0 it tends to the form on ker Pi_0 times the volume
+    factor |det [K | Pi_0^+]| of the split of H into ker Pi_0 and a
+    complement.  All are taken in closed form.  Returns the residuals
+    against that limit, which must decrease as the width shrinks, and the
+    limit.
     """
-    _check_nodes(points ** d.dim_H)
-    k0 = kernel_basis(d.pi[0])
-    b = k0.dim
-    a = d.dim_H - b
-    if a == 0:
-        return [0.0] * len(widths), _tensor_value(FormSpec(d, None, tuple(functions)), points)
-
+    functions = tuple(functions)
+    values = [eval_form(FormSpec(d, NarrowGaussian(d.dims[0], w), functions))[0]
+              for w in widths]
     pis = [_np(p) for p in d.pi]
-    kmat = _np(k0.basis) if b else np.zeros((d.dim_H, 0))
-    pi0 = pis[0]
-    right = pi0.T @ np.linalg.inv(pi0 @ pi0.T)
-    full = np.concatenate([kmat, right], axis=1)
-    jac = abs(float(np.linalg.det(full)))
-
-    # whiten the kernel-subspace coordinates against the combined Gaussian
-    # form, so one modest tensor rule resolves even scrambled data.
-    # Gauss-Hermite in the whitened coordinates: the combined Gaussian is the
-    # weight, everything else is the smooth factor
-    u_pts, u_weights = _whitened_rule(
-        points, _whitening([pis[i] @ kmat for i in (1, 2, 3)], functions))
-    base_u = u_pts @ kmat.T
-    reference = jac * float(np.dot(u_weights, _product(pis[1:], functions, base_u)))
-
-    # Gauss-Hermite for the scaled kernel directions as well; the factor
-    # exp(-pi |t|^2) is the quadrature weight
-    z_pts, z_weights = _hermite_grid(points, a)
-    residuals = []
-    for width in widths:
-        shift = width * (z_pts @ right.T)
-        x = (base_u[:, None, :] + shift[None, :, :]).reshape(-1, d.dim_H)
-        vals = _product(pis[1:], functions, x).reshape(len(u_pts), len(z_pts))
-        lam = jac * float(u_weights @ vals @ z_weights)
-        residuals.append(abs(lam - reference))
-    return residuals, reference
+    kmat = _np(kernel_basis(d.pi[0]).basis)
+    right = pis[0].T @ np.linalg.inv(pis[0] @ pis[0].T)
+    jac = abs(float(np.linalg.det(np.concatenate([kmat, right], axis=1))))
+    center, vol, _ = _whitening([pis[i] @ kmat for i in (1, 2, 3)],
+                                [(f.quad_form, f.center) for f in functions])
+    reference = jac * float(_product(pis[1:], functions, (kmat @ center)[None, :])[0]) * vol
+    return [abs(v - reference) for v in values], reference

@@ -19,7 +19,7 @@ from sblq.core import random_equivalence
 from sblq.decompose import canonical_multiset, decompose, expand_tags
 from sblq.fixtures import SHIPPED_FIXTURES, shipped_fixture
 from sblq.numcheck import (
-    FormSpec, GaussianFunction, NarrowGaussian, QuadSpec, TruncatedOdd,
+    FormSpec, GaussianFunction, NarrowGaussian, TruncatedOdd,
     check_equivalence_invariance, extend_kernel, verify_mikhlin,
 )
 from sblq.randomized import random_case
@@ -243,18 +243,19 @@ def test_criterion_8_kernel_extension():
 def test_criterion_9_equivalence_invariance():
     problems = []
     for name in SHIPPED_FIXTURES:
-        d = shipped_fixture(name)
-        if d.dim_H > 5:
+        # three_twisted's pulled-back weights have condition numbers of 6e15
+        # to 1e18 at these seeds, so the rounding bound, and the tolerance,
+        # is 37 to 6300 times the value: the check would pass whatever the
+        # value.  (The residuals are 2.5e-9 to 8.6e-8 of it.)
+        if name == "three_twisted":
             continue
+        d = shipped_fixture(name)
         funcs = tuple(GaussianFunction.tensor([0] * d.dims[i], [1] * d.dims[i])
                       for i in (1, 2, 3))
         kernel = NarrowGaussian(d.dims[0], 0.8) if d.dims[0] else None
         spec = FormSpec(d, kernel, funcs)
-        quad = QuadSpec("tensor", points=20) if d.dim_H <= 4 else \
-            QuadSpec("mc", samples=120_000, seed=7)
         for seed in (21, 22, 23):
-            residual, tol = check_equivalence_invariance(
-                spec, random_equivalence(d, seed), quad)
+            residual, tol = check_equivalence_invariance(spec, random_equivalence(d, seed))
             if residual > tol:
                 problems.append(f"{name}#{seed}: {residual:.2e} > {tol:.2e}")
     _line("criterion 9 (equivalence invariance)", not problems, "; ".join(problems))
@@ -281,7 +282,7 @@ def test_criterion_10_determinism(tmp_path):
     for argv in (
         ("classify", str(fix), "--report", "json", "--certificates"),
         ("decompose", str(fix), "--report", "json"),
-        ("numcheck", "eval", str(fix), "--quad", "mc:60000:3", "--report", "json"),
+        ("numcheck", "eval", str(fix), "--report", "json"),
     ):
         a = _run_cli(*argv)
         b = _run_cli(*argv)

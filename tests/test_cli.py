@@ -341,7 +341,7 @@ def test_fixture_reports_match_snapshot_under_optimize():
 NUMERIC_SHA256 = {
     "eigen": [0, "7c406ecf9c4cf305fa4e2518b623697ee5fd11b41a04b4b4b935ae5cbd3815a1"],
     "mikhlin": [0, "5475b715633b6aedc38db96fe396e6b23a1a4445fbebe9fcf897b41233018f92"],
-    "eval": [0, "ae0a0a0167b235ac32b87cc2ea16cf5dd31b9261aeb73a7396b5cab0b520b6d3"],
+    "eval": [0, "73ce3040f3a96d518dd7a48e4ae4e2c892cd63120e85e328c98c781d51d5fba2"],
 }
 
 NUMERIC_HASHES = textwrap.dedent("""
@@ -353,7 +353,7 @@ NUMERIC_HASHES = textwrap.dedent("""
     out = {}
     for key, argv in (("eigen", ["rotations", "eigen", "--dim", "3", "--max-degree", "8"]),
                       ("mikhlin", ["numcheck", "mikhlin", "bump"]),
-                      ("eval", ["numcheck", "eval", path, "--quad", "tensor:8"])):
+                      ("eval", ["numcheck", "eval", path])):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = main([*argv, "--report", "json"])
@@ -370,19 +370,25 @@ def test_numeric_reports_match_snapshot():
     assert json.loads(proc.stdout) == NUMERIC_SHA256
 
 
-def test_numcheck_eval_hermite_points_up_to_the_cap(bht_file):
-    # the weight is divided out per axis, so 300 points stay finite (the
-    # closed form is 0.50027800947380254697); above the cap of the
-    # Gauss-Hermite rule the request is refused
-    proc = run_cli("numcheck", "eval", bht_file, "--quad", "tensor:300",
-                   "--report", "json")
+def test_numcheck_eval_bht_matches_mpmath(bht_file):
+    # the closed form against mpmath's 40-digit value, to a few ulp, and
+    # within the reported rounding bound
+    proc = run_cli("numcheck", "eval", bht_file, "--report", "json")
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)["result"]
-    assert abs(result["value"] - 0.50027800947380255) < 1e-15
-    assert 0 <= result["error_estimate"] < 1e-15
-    proc = run_cli("numcheck", "eval", bht_file, "--quad", "tensor:400")
-    assert proc.returncode == 1
-    assert "limited to 370 points" in proc.stderr
+    error = abs(result["value"] - 0.50027800947380254697)
+    assert error <= 3 * math.ulp(0.5) and error <= result["error_estimate"] < 1e-15
+
+
+def test_numcheck_eval_three_twisted(tmp_path):
+    # dim H = 9: the rational oracle of test_numcheck gives 9.3714513736868708e-06
+    path = tmp_path / "three_twisted.json"
+    path.write_text(json.dumps(shipped_fixture_dict("three_twisted")))
+    proc = run_cli("numcheck", "eval", str(path), "--report", "json")
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert abs(result["value"] - 9.3714513736868708e-06) <= 1e-12 * 9.37e-06
+    assert result["error_estimate"] < 1e-4 * result["value"]
 
 
 def test_rotations_eigen_table():
@@ -403,13 +409,11 @@ def test_rotations_verify_small():
 
 
 def test_numcheck_eval_and_equiv(bht_file):
-    proc = run_cli("numcheck", "eval", bht_file, "--quad", "tensor:32",
-                   "--report", "json")
+    proc = run_cli("numcheck", "eval", bht_file, "--report", "json")
     assert proc.returncode == 0
     result = json.loads(proc.stdout)["result"]
     assert result["value"] != 0.0
-    proc = run_cli("numcheck", "equiv", bht_file, "--seed", "2",
-                   "--quad", "tensor:32", "--report", "json")
+    proc = run_cli("numcheck", "equiv", bht_file, "--seed", "2", "--report", "json")
     assert proc.returncode == 0
 
 
@@ -433,16 +437,16 @@ def test_numcheck_mikhlin_targets_pass_at_the_default_scale(target):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["numcheck", "eval", "{bht}", "--quad", "mc:0"], "points and samples"),
-    (["numcheck", "eval", "{bht}", "--quad", "mc:-5"], "points and samples"),
-    (["numcheck", "eval", "{bht}", "--quad", "tensor:0"], "points and samples"),
+    (["numcheck", "equiv", "{bht}", "--kernel-width", "0"], "kernel width"),
+    (["numcheck", "delta", "{bht}", "--kernel-width", "-1"], "kernel width"),
+    (["numcheck", "equiv", "{bht}", "--kernel-width", "1e-160"], "overflows"),
     (["numcheck", "eval", "{bht}", "--kernel-width", "0"], "kernel width"),
     (["numcheck", "eval", "{bht}", "--kernel-width", "-1"], "kernel width"),
     (["rotations", "eigen", "--max-degree", "-1"], "max degree"),
     (["rotations", "verify", "--band", "-2"], "band"),
     (["numcheck", "mikhlin", "gaussian", "--order", "-1"], "sampled orders"),
-    (["numcheck", "delta", "{bht}", "--delta-points", "0"], "delta points"),
-    (["numcheck", "delta", "{bht}", "--delta-points", "11"], "delta points"),
+    (["numcheck", "mikhlin", "gaussian", "--order", "3"], "sampled orders"),
+    (["numcheck", "delta", "{bht}", "--kernel-width", "nan"], "kernel width"),
     # w^-1 is finite, but the decay form's w^-2 overflows
     (["numcheck", "eval", "{bht}", "--kernel-width", "1e-160"], "overflows"),
 ])
@@ -457,44 +461,45 @@ def test_out_of_range_numeric_requests_exit_one(bht_file, capsys, argv, message)
 
 
 def test_smallest_kernel_width_with_finite_decay_form_evaluates(bht_file, capsys):
+    # Q's condition number is about 1e308 there, so the rounding bound is
+    # huge; the kernel is nearly a delta, and the value nearly 1/sqrt(3)
     from sblq.cli import main
     code = main(["numcheck", "eval", bht_file, "--kernel-width", "1e-154",
                  "--report", "json"])
     out, err = capsys.readouterr()
     assert code == 0 and err == ""
-    assert math.isfinite(json.loads(out)["result"]["value"])
+    result = json.loads(out)["result"]
+    assert abs(result["value"] - 3 ** -0.5) <= 2e-16
+    assert math.isfinite(result["error_estimate"])
 
 
-def test_oversized_tensor_grids_exit_one_without_allocating(tmp_path):
-    # the address space is capped at 2 GiB, far below either grid
-    # (24^9 and 370^4 nodes), so only a refusal before allocation exits 1
-    # with the message alone
+def test_large_forms_run_under_a_two_gib_cap(tmp_path):
+    # the address space is capped at 2 GiB: delta young peaked at 911 MB on
+    # its 24^5-node grid, and three_twisted's 24^9 grid was refused
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
-    for name, extra in (("three_twisted", ["delta"]),
-                        ("twisted_paraproduct", ["eval", "--quad", "tensor:370"])):
+    for name, mode in (("young", "delta"), ("three_twisted", "delta"),
+                       ("three_twisted", "eval")):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(shipped_fixture_dict(name)))
-        proc = subprocess.run([sys.executable, "-m", "sblq.cli", "numcheck", extra[0],
-                               str(path), *extra[1:]],
+        proc = subprocess.run([sys.executable, "-m", "sblq.cli", "numcheck", mode, str(path),
+                               "--report", "json"],
                               capture_output=True, text=True, timeout=60, preexec_fn=cap,
                               env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
-        assert proc.returncode == 1, proc.stderr
-        assert proc.stderr.startswith("invalid request: a quadrature grid of")
-        assert "exceeds the limit of 2^24" in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["result"]["pass"] is True
 
 
 @pytest.mark.parametrize("mode", ["eval", "equiv"])
-@pytest.mark.parametrize("quad", ["tensor:8", "tensor:24", "mc:20000"])
-def test_divergent_forms_exit_one(tmp_path, capsys, mode, quad):
+def test_divergent_forms_exit_one(tmp_path, capsys, mode):
     # every map vanishes on e2: the form has no Gaussian weight in that
-    # direction and diverges, so no rule may report a passing value
+    # direction and diverges, so no value may be reported
     path = tmp_path / "divergent.json"
     path.write_text(json.dumps({"dim_H": 2, "dims": [1, 1, 1, 1],
                                 "pi": [[["1", "0"]]] * 4}))
     from sblq.cli import main
-    code = main(["numcheck", mode, str(path), "--quad", quad])
+    code = main(["numcheck", mode, str(path)])
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert err.startswith("invalid request: the form has no nondegenerate Gaussian weight")

@@ -5,10 +5,11 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from sympy.integrals.quadrature import gauss_hermite, gauss_legendre
+from hypothesis import given, settings, strategies as st
+from sympy.integrals.quadrature import gauss_legendre
 
-from sblq.core import SBLDatum, random_equivalence
-from sblq.fixtures import bht, fixture_datum
+from sblq.core import EquivalenceMap, SBLDatum, apply_equivalence, random_equivalence
+from sblq.fixtures import SHIPPED_FIXTURES, bht, fixture_datum, shipped_fixture
 from sblq.linalg import Matrix
 from sblq.numcheck import (
     ExtendedKernel, FormSpec, GaussianFunction, MikhlinGrid, MultiplierBump,
@@ -16,10 +17,7 @@ from sblq.numcheck import (
     delta_limit_check, eval_form, extend_kernel, normalized_kernel,
     verify_mikhlin,
 )
-from sblq.numcheck import (
-    _HERMITE_MAX_POINTS, _gauss_hermite, _hermite_grid, _j0, _numeric_symbol_factory,
-    _tensor_rule,
-)
+from sblq.numcheck import _j0, _numeric_symbol_factory, _tensor_rule
 from sblq.rotations import _gauss_legendre
 
 
@@ -41,19 +39,18 @@ def test_eval_form_matches_closed_form():
           GaussianFunction.tensor([Fraction(1, 2)], [2]),
           GaussianFunction.tensor([-1], [1]))
     kernel = NarrowGaussian(1, 0.5)
-    value, err = eval_form(FormSpec(d, kernel, fs), QuadSpec("tensor", points=64))
+    value, err = eval_form(FormSpec(d, kernel, fs))
     closed = gaussian_product_integral(
         [1.0, 0.25, 1.0, 1.0 / 0.5 ** 2], [0.0, 0.5, -1.0, 0.0], 1.0 / 0.5)
-    assert abs(value - closed) < 1e-6
-    assert err >= 0
+    assert abs(value - closed) < 1e-15
+    assert 0 < err < 1e-15
 
 
 def test_eval_form_zero_function():
     d = identity_datum_1d()
     fs = (GaussianFunction.zero(1), GaussianFunction.tensor([0], [1]),
           GaussianFunction.tensor([0], [1]))
-    value, _ = eval_form(FormSpec(d, NarrowGaussian(1, 1.0), fs),
-                         QuadSpec("tensor", points=24))
+    value, _ = eval_form(FormSpec(d, NarrowGaussian(1, 1.0), fs))
     assert value == 0.0
 
 
@@ -65,49 +62,45 @@ def test_eval_form_kernel_only_direction_factorizes():
     fs = (GaussianFunction.tensor([0], [1]),
           GaussianFunction.tensor([Fraction(1, 3)], [1]),
           GaussianFunction.tensor([0], [2]))
-    ref, _ = eval_form(FormSpec(base, None, fs), QuadSpec("tensor", points=64))
+    ref, _ = eval_form(FormSpec(base, None, fs))
     extended = SBLDatum(2, (1, 1, 1, 1),
                         (Matrix(1, 2, [0, 1]), Matrix(1, 2, [1, 0]),
                          Matrix(1, 2, [1, 0]), Matrix(1, 2, [1, 0])))
     for mass in (1.0, 0.35):
-        val, _ = eval_form(FormSpec(extended, NarrowGaussian(1, 0.9, scale=mass), fs),
-                           QuadSpec("tensor", points=64))
-        assert abs(val - mass * ref) < 1e-7
+        val, _ = eval_form(FormSpec(extended, NarrowGaussian(1, 0.9, scale=mass), fs))
+        assert abs(val - mass * ref) < 1e-15
 
 
 def test_trilinearity():
     d = bht()
     kernel = NarrowGaussian(1, 0.8)
-    quad = QuadSpec("tensor", points=48)
     f2 = GaussianFunction.tensor([1], [1])
     f3 = GaussianFunction.tensor([0], [2])
     a = GaussianFunction.tensor([0], [1])
     b = GaussianFunction.tensor([Fraction(1, 2)], [1])
-    va, _ = eval_form(FormSpec(d, kernel, (a, f2, f3)), quad)
-    vb, _ = eval_form(FormSpec(d, kernel, (b, f2, f3)), quad)
+    va, _ = eval_form(FormSpec(d, kernel, (a, f2, f3)))
+    vb, _ = eval_form(FormSpec(d, kernel, (b, f2, f3)))
     scaled = GaussianFunction(1, a.center, a.quad_form, 2.5)
-    vs, _ = eval_form(FormSpec(d, kernel, (scaled, f2, f3)), quad)
+    vs, _ = eval_form(FormSpec(d, kernel, (scaled, f2, f3)))
     assert abs(vs - 2.5 * va) < 1e-9
     # additivity checked through amplitude-weighted pieces of a common form
     half = GaussianFunction(1, b.center, b.quad_form, 0.5)
-    vhalf, _ = eval_form(FormSpec(d, kernel, (half, f2, f3)), quad)
+    vhalf, _ = eval_form(FormSpec(d, kernel, (half, f2, f3)))
     assert abs(vhalf + vhalf - vb) < 1e-9
 
 
 def test_equivalence_invariance_identity_and_scaling():
-    from sblq.core import EquivalenceMap
     d = bht()
     fs = (GaussianFunction.tensor([0], [1]), GaussianFunction.tensor([1], [1]),
           GaussianFunction.tensor([0], [2]))
     spec = FormSpec(d, NarrowGaussian(1, 0.8), fs)
-    quad = QuadSpec("tensor", points=48)
     ident = EquivalenceMap(Matrix.identity(2),
                            tuple(Matrix.identity(1) for _ in range(4)))
-    residual, tol = check_equivalence_invariance(spec, ident, quad)
+    residual, tol = check_equivalence_invariance(spec, ident)
     assert residual == 0.0
     doubling = EquivalenceMap(Matrix.identity(2).scale(2),
                               tuple(Matrix.identity(1) for _ in range(4)))
-    residual, tol = check_equivalence_invariance(spec, doubling, quad)
+    residual, tol = check_equivalence_invariance(spec, doubling)
     assert residual <= tol
 
 
@@ -116,46 +109,161 @@ def test_equivalence_invariance_seeded_shears():
     fs = (GaussianFunction.tensor([0], [1]), GaussianFunction.tensor([1], [1]),
           GaussianFunction.tensor([0], [2]))
     spec = FormSpec(d, NarrowGaussian(1, 0.8), fs)
-    quad = QuadSpec("tensor", points=56)
     for seed in (1, 2, 3):
-        residual, tol = check_equivalence_invariance(
-            spec, random_equivalence(d, seed), quad)
+        residual, tol = check_equivalence_invariance(spec, random_equivalence(d, seed))
         assert residual <= tol
 
 
-def test_mc_quadrature_deterministic():
-    d = bht()
-    fs = (GaussianFunction.tensor([0], [1]), GaussianFunction.tensor([1], [1]),
-          GaussianFunction.tensor([0], [2]))
-    spec = FormSpec(d, NarrowGaussian(1, 0.8), fs)
-    a = eval_form(spec, QuadSpec("mc", samples=120_000, seed=9))
-    b = eval_form(spec, QuadSpec("mc", samples=120_000, seed=9))
-    assert a == b
-    tensor_val, _ = eval_form(spec, QuadSpec("tensor", points=64))
-    assert abs(a[0] - tensor_val) < 5 * a[1] + 1e-4
+def test_quad_is_accepted_and_passed_on_unread(monkeypatch):
+    # perfbench's tracer unpacks eval_form's first two positional arguments
+    # and reads quad.mode; check_equivalence_invariance must pass quad on
+    import sblq.numcheck as numcheck
+    spec = FormSpec(bht(), NarrowGaussian(1, 0.8),
+                    tuple(GaussianFunction.tensor([0], [1]) for _ in range(3)))
+    quad = QuadSpec("mc", samples=20_000, seed=3)
+    assert eval_form(spec, quad) == eval_form(spec)
+    seen = []
+    real = numcheck.eval_form
+    monkeypatch.setattr(numcheck, "eval_form", lambda *args: seen.append(args) or real(*args))
+    check_equivalence_invariance(spec, random_equivalence(bht(), 1), quad)
+    assert [args[1:] for args in seen] == [(quad,), (quad,)]
+
+
+def test_equivalence_residuals_stay_small_where_the_bound_is_loose():
+    # three_twisted's pulled-back weights have cond(Q') of 6e15 to 4e18, so
+    # the tolerance exceeds the value; Q' is never formed, and the residual
+    # stays below 1e-7 of the value (a value read off the formed Q' has no
+    # digit left there, and Q' even rounds to an indefinite matrix)
+    d = shipped_fixture("three_twisted")
+    fs = tuple(GaussianFunction.tensor([0] * k, [1] * k) for k in d.dims[1:])
+    spec = FormSpec(d, NarrowGaussian(5, 0.8), fs)
+    value, _ = eval_form(spec)
+    for seed in (0, 21, 22, 23):
+        residual, tol = check_equivalence_invariance(spec, random_equivalence(d, seed))
+        assert residual <= 1e-7 * value < tol
 
 
 @pytest.mark.parametrize("quad", [QuadSpec("tensor"), QuadSpec("mc")])
 def test_divergent_forms_are_refused(quad):
     # every map vanishes on e2, so no Gaussian weight bounds that direction
-    # and the form diverges; no rule may report a value for it
+    # and the form diverges: the stacked maps have rank 1 < dim H = 2, and
+    # whatever quad says, no value is reported
     d = SBLDatum(2, (1, 1, 1, 1), tuple(Matrix(1, 2, [1, 0]) for _ in range(4)))
     fs = tuple(GaussianFunction.tensor([0], [1]) for _ in range(3))
     with pytest.raises(ValueError, match="no nondegenerate Gaussian weight"):
         eval_form(FormSpec(d, NarrowGaussian(1, 0.8), fs), quad)
 
 
-def test_quadrature_dimension_limits():
-    d = SBLDatum(5, (2, 1, 1, 1),
-                 (Matrix.from_rows([[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]),
-                  Matrix(1, 5, [1, 0, 0, 0, 0]),
-                  Matrix(1, 5, [0, 1, 0, 0, 0]),
-                  Matrix(1, 5, [0, 0, 1, 0, 0])))
-    fs = tuple(GaussianFunction.tensor([0], [1]) for _ in range(3))
-    spec = FormSpec(d, NarrowGaussian(2, 1.0), fs)
-    with pytest.raises(ValueError):
-        eval_form(spec, QuadSpec("tensor", points=12))
-    eval_form(spec, QuadSpec("mc", samples=2_000, seed=0))  # allowed
+def _mp(x: Fraction):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def exact_gaussian_form(d, kernel_width, centers, widths):
+    """The form with kernel NarrowGaussian(dims[0], kernel_width) and test
+    functions of these rational centres and widths, from the datum's
+    rationals alone: Q, b = sum P_i^T A_i c_i, det Q, Q^-1 b and the exponent
+    are exact Fractions, and only the last exp and sqrt are taken, at 40
+    digits."""
+    n = d.dim_H
+    slots = [(d.pi[0], [Fraction(0)] * d.dims[0], [kernel_width] * d.dims[0])]
+    slots += list(zip(d.pi[1:], centers, widths))
+    m = [[Fraction(0)] * (n + 1) for _ in range(n)]   # [Q | b]
+    const = Fraction(0)
+    for p, c, w in slots:
+        for r in range(p.rows):
+            a = 1 / w[r] ** 2
+            row = [p[r, j] for j in range(n)] + [c[r]]
+            const += a * c[r] ** 2
+            for x in range(n):
+                for y in range(n + 1):
+                    m[x][y] += a * row[x] * row[y]
+    b = [row[n] for row in m]
+    det = Fraction(1)
+    for k in range(n):   # Q is positive definite: no pivoting is needed
+        det *= m[k][k]
+        for r in range(n):
+            if r != k:
+                f = m[r][k] / m[k][k]
+                m[r] = [x - f * y for x, y in zip(m[r], m[k])]
+    exponent = const - sum(bk * m[k][n] / m[k][k] for k, bk in enumerate(b))
+    with mpmath.workdps(40):
+        return float(_mp(kernel_width) ** -d.dims[0]
+                     * mpmath.exp(-mpmath.pi * _mp(exponent)) / mpmath.sqrt(_mp(det)))
+
+
+FIXTURES_UP_TO_4 = [n for n in SHIPPED_FIXTURES if shipped_fixture(n).dim_H <= 4]
+RATIONALS = st.fractions(min_value=-1, max_value=1, max_denominator=8)
+WIDTHS = st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(5, 4),
+                          Fraction(2)])
+
+
+@st.composite
+def gaussian_forms(draw):
+    # a fixture scrambled by unit triangular L U with entries in {-1, 0, 1}
+    def unimodular(k):
+        lo, up = ([[Fraction(int(i == j)) if cmp(i, j) else Fraction(draw(st.integers(-1, 1)))
+                    for j in range(k)] for i in range(k)]
+                  for cmp in ((lambda i, j: i <= j), (lambda i, j: i >= j)))
+        return Matrix.from_rows(lo, k) @ Matrix.from_rows(up, k)
+
+    d = shipped_fixture(draw(st.sampled_from(FIXTURES_UP_TO_4)))
+    d = apply_equivalence(d, EquivalenceMap(unimodular(d.dim_H),
+                                            tuple(unimodular(k) for k in d.dims)))
+    centers = [[draw(RATIONALS) for _ in range(k)] for k in d.dims[1:]]
+    widths = [[draw(WIDTHS) for _ in range(k)] for k in d.dims[1:]]
+    return d, draw(WIDTHS), centers, widths
+
+
+@settings(max_examples=200, deadline=None)
+@given(gaussian_forms())
+def test_closed_form_matches_an_exact_rational_oracle(case):
+    d, kernel_width, centers, widths = case
+    fs = tuple(GaussianFunction.tensor(c, w) for c, w in zip(centers, widths))
+    value, err = eval_form(FormSpec(d, NarrowGaussian(d.dims[0], float(kernel_width)), fs))
+    exact = exact_gaussian_form(d, kernel_width, centers, widths)
+    # within the rounding bound, and to 1e-11 relative: scrambled j2 forms
+    # far off centre reach 1.1e-12 (bound 3.3e-9), the others stay below 1e-12
+    assert abs(value - exact) <= err
+    assert abs(value - exact) <= 1e-11 * exact
+
+
+def test_wide_forms_evaluate():
+    # scaling every width by s scales the bht form by s^(dim H - dim H_0) = s;
+    # Q's eigenvalues are then about 1e-10 at s = 1e5 and 1e-16 at 1e8
+    base, _ = eval_form(FormSpec(bht(), NarrowGaussian(1, 0.8),
+                                 tuple(GaussianFunction.tensor([0], [1]) for _ in range(3))))
+    for s in (1e4, 1e5, 1e8):
+        fs = tuple(GaussianFunction.tensor([0], [s]) for _ in range(3))
+        value, err = eval_form(FormSpec(bht(), NarrowGaussian(1, 0.8 * s), fs))
+        assert abs(value - s * base) <= 1e-14 * s * base
+        assert err < 1e-14 * value
+
+
+@pytest.mark.parametrize("kernel", [TruncatedOdd(), ExtendedKernel(TruncatedOdd(), 1),
+                                    MultiplierBump(1, 0.5, 2.0)])
+def test_forms_refuse_kernels_without_a_gaussian_decay_form(kernel):
+    d = bht() if kernel.dim == 1 else fixture_datum("coifman_meyer", n=1)
+    fs = tuple(GaussianFunction.tensor([0] * k, [1] * k) for k in d.dims[1:])
+    assert d.dims[0] == kernel.dim
+    with pytest.raises(ValueError, match="has no Gaussian decay form"):
+        FormSpec(d, kernel, fs)
+
+
+def test_weights_that_round_to_an_indefinite_form_are_refused():
+    # a test function whose quadratic form is indefinite: the rank test
+    # passes, and the float check names the condition number
+    fs = (GaussianFunction(1, np.zeros(1), np.array([[-1.0]])),
+          GaussianFunction.tensor([0], [1]), GaussianFunction.tensor([0], [1]))
+    with pytest.raises(ValueError, match="not positive definite in float64 .*condition number"):
+        eval_form(FormSpec(bht(), NarrowGaussian(1, 0.8), fs))
+
+
+@pytest.mark.parametrize("name", SHIPPED_FIXTURES)
+def test_delta_limit_decreases_on_every_fixture(name):
+    d = shipped_fixture(name)
+    fs = tuple(GaussianFunction.tensor([0] * k, [1] * k) for k in d.dims[1:])
+    residuals, reference = delta_limit_check(d, fs)
+    assert residuals[0] > residuals[1] > residuals[2] > 0 and reference > 0
 
 
 def test_delta_limit_no_kernel_directions():
@@ -163,14 +271,25 @@ def test_delta_limit_no_kernel_directions():
                  (Matrix.zeros(0, 1), Matrix(1, 1, [1]),
                   Matrix(1, 1, [1]), Matrix(1, 1, [1])))
     fs = tuple(GaussianFunction.tensor([0], [1]) for _ in range(3))
-    residuals, _ = delta_limit_check(d, fs, points=24)
+    residuals, _ = delta_limit_check(d, fs)
     assert residuals == [0.0, 0.0, 0.0]
+
+
+def test_delta_limit_with_an_injective_pi0():
+    # ker Pi_0 = 0: the limit is the product of the functions at 0, here 1,
+    # and the form at width w is 1 / sqrt(1 + 3 w^2)
+    d = identity_datum_1d()
+    fs = tuple(GaussianFunction.tensor([0], [1]) for _ in range(3))
+    residuals, reference = delta_limit_check(d, fs)
+    assert reference == 1.0
+    for w, r in zip((0.25, 0.125, 0.0625), residuals):
+        assert abs(r - (1 - (1 + 3 * w * w) ** -0.5)) < 1e-15
 
 
 def test_delta_limit_bht_decreasing():
     fs = (GaussianFunction.tensor([0], [1]), GaussianFunction.tensor([1], [1]),
           GaussianFunction.tensor([0], [2]))
-    residuals, _ = delta_limit_check(bht(), fs, points=48)
+    residuals, _ = delta_limit_check(bht(), fs)
     assert residuals[0] > residuals[1] > residuals[2] > 0
 
 
@@ -178,7 +297,7 @@ def test_delta_limit_young_decreasing():
     d = fixture_datum("young")
     fs = tuple(GaussianFunction.tensor([0] * d.dims[i], [1] * d.dims[i])
                for i in (1, 2, 3))
-    residuals, _ = delta_limit_check(d, fs, points=14)
+    residuals, _ = delta_limit_check(d, fs)
     assert residuals[0] > residuals[1] > residuals[2]
 
 
@@ -307,28 +426,8 @@ def test_numeric_symbol_matches_the_two_branch_transform(kernel, counts):
         assert np.max(np.abs(new(xi) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def reference_hermite_grid(points, dim, scale=1.0, weighted=True):
-    # the former construction: one unravel_index over all nodes per axis
-    t_nodes, t_w = _gauss_hermite(points)
-    if not weighted:
-        t_w = t_w * np.exp(t_nodes * t_nodes)
-    v_nodes = t_nodes / np.sqrt(math.pi)
-    grids = np.meshgrid(*([v_nodes] * dim), indexing="ij")
-    v_pts = np.stack([g.ravel() for g in grids], axis=1)
-    weights = np.full(len(v_pts), scale * math.pi ** (-dim / 2.0))
-    for axis in range(dim):
-        idx = np.unravel_index(np.arange(len(v_pts)), (points,) * dim)[axis]
-        weights *= t_w[idx]
-    return v_pts, weights
-
-
 @pytest.mark.parametrize("points,dim", [(16, 4), (8, 4), (5, 3), (7, 2), (6, 1)])
 def test_tensor_rules_match_unravel_reference(points, dim):
-    for scale in (1.0, 0.37):
-        for weighted in (True, False):
-            new = _hermite_grid(points, dim, scale, weighted)
-            old = reference_hermite_grid(points, dim, scale, weighted)
-            assert np.array_equal(new[0], old[0]) and np.array_equal(new[1], old[1])
     # one Legendre rule per axis, of different sizes, weights from ones
     rules = [(3.0 * nodes, 3.0 * w)
              for nodes, w in (_gauss_legendre(points + k) for k in range(dim))]
@@ -346,13 +445,10 @@ def test_tensor_rule_refuses_grids_above_the_node_budget():
     nodes, w = _gauss_legendre(32)
     with pytest.raises(ValueError, match="33554432 nodes exceeds the limit of 2\\^24"):
         _tensor_rule([(nodes, w)] * 5)
-    with pytest.raises(ValueError, match="exceeds the limit"):
-        _hermite_grid(370, 4)
     assert len(_tensor_rule([(nodes, w)] * 4)[1]) == 32 ** 4
 
 
-GAUSS_RULES = {"legendre": (_gauss_legendre, gauss_legendre, 2.0),
-               "hermite": (_gauss_hermite, gauss_hermite, math.sqrt(math.pi))}
+GAUSS_RULES = {"legendre": (_gauss_legendre, gauss_legendre, 2.0)}
 
 
 @pytest.mark.parametrize("kind", sorted(GAUSS_RULES))
@@ -400,7 +496,7 @@ def test_gauss_legendre_matches_mpmath_at_the_mikhlin_sizes(n):
         assert abs(weights[i] / w - 1) <= 1e-13 + 4e-16 / (1.0 - nodes[i] ** 2)
 
 
-@pytest.mark.parametrize("rule", [_gauss_legendre, _gauss_hermite])
+@pytest.mark.parametrize("rule", [_gauss_legendre])
 def test_gauss_rules_are_cached_read_only(rule):
     nodes, weights = rule(6)
     assert rule(6)[0] is nodes
@@ -410,15 +506,6 @@ def test_gauss_rules_are_cached_read_only(rule):
     for n in (0, -3):
         with pytest.raises(ValueError):
             rule(n)
-
-
-def test_hermite_rule_is_sound_up_to_its_cap():
-    nodes, weights = _gauss_hermite(_HERMITE_MAX_POINTS)
-    assert abs(weights.sum() - math.sqrt(math.pi)) <= 1e-14
-    divided = weights * np.exp(nodes * nodes)
-    assert np.all(np.isfinite(divided)) and np.all(divided > 0)
-    with pytest.raises(ValueError, match=f"limited to {_HERMITE_MAX_POINTS} points"):
-        _gauss_hermite(_HERMITE_MAX_POINTS + 1)
 
 
 def test_gaussian_function_matches_three_operand_einsum():
