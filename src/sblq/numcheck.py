@@ -10,7 +10,9 @@ into the exact classification path.
 Every form has a Gaussian kernel or none, so its integrand is one Gaussian
 on H and the form is evaluated in closed form, at any dimension; a form
 whose Gaussian weight leaves a direction unbounded diverges and is refused.
-The windowed symbol transforms hold at most 2^24 nodes.
+Every sampled kernel carries its own symbol; the odd kernel and its
+Gaussian extension take theirs from one Gauss-Legendre rule on the support
+(`TruncatedOdd._damped`), at most 2^24 points times nodes per call.
 
 Importing this module loads numpy and nothing else: the Gauss-Legendre
 rule comes from `rotations._gauss_legendre`, cached, and J0 for
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import ceil, inf, pi, prod
+from math import ceil, frexp, inf, pi
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -177,9 +179,13 @@ def _j0(z: np.ndarray) -> np.ndarray:
     return sum(np.cos(z * s) for s in np.sin(2.0 * pi * np.arange(n) / n)) / n
 
 
+_MAX_NODES = 2 ** 24
+
+
 @dataclass(frozen=True)
 class TruncatedOdd(_Kernel):
-    """The odd homogeneous profile 1/t on r_in <= |t| <= r_out (dimension 1)."""
+    """The odd homogeneous profile 1/t on r_in <= |t| <= r_out (dimension 1);
+    its symbol is `TruncatedOdd._damped` at eta2 = 0."""
 
     r_in: float = 0.25
     r_out: float = 4.0
@@ -193,19 +199,55 @@ class TruncatedOdd(_Kernel):
         out[mask] = self.scale / x[mask]
         return out
 
+    def symbol(self, xi: np.ndarray) -> np.ndarray:
+        xi = np.atleast_2d(xi)
+        return self._damped(xi[:, 0], np.zeros(len(xi)))
+
+    def _damped(self, xi: np.ndarray, eta2: np.ndarray) -> np.ndarray:
+        """The transform of K(t) exp(-pi t^2 eta2) at xi, one pair (xi, eta2)
+        per point: -2i scale int_{r_in}^{r_out} sin(2 pi t xi) exp(-pi t^2
+        eta2) / t dt.
+
+        One Gauss-Legendre rule on [r_in, r_out] serves every point.  Its
+        n nodes, the least power of two above 4 (r_out - r_in) f and at
+        least 64, for f the largest |xi| or sqrt(eta2) of the call, put four
+        to eight on each oscillation of the sine and on each 1/sqrt(eta2)
+        of the damping; the power of two keeps the cached rules few.  A
+        call whose points times nodes exceed 2^24 is refused before any
+        rule is built.
+        """
+        length = self.r_out - self.r_in
+        f = max(np.max(np.abs(xi), initial=0.0), np.sqrt(np.max(eta2, initial=0.0)))
+        n = 2 ** max(6, frexp(4.0 * length * float(f))[1])
+        if n * len(xi) > _MAX_NODES:
+            raise ValueError(f"a symbol call of {len(xi)} points on {n} nodes "
+                             "exceeds the limit of 2^24")
+        nodes, w = _gauss_legendre(n)
+        t = 0.5 * length * nodes + 0.5 * (self.r_in + self.r_out)
+        phases = np.sin(2.0 * pi * np.outer(xi, t)) * np.exp(-pi * np.outer(eta2, t * t))
+        return -1j * self.scale * length * (phases @ (w / t))
+
 
 @dataclass(frozen=True)
 class ExtendedKernel(_Kernel):
     """K'(x, y) = scale * |x|^{-extra} exp(-pi |y|^2/|x|^2) K(x).
 
-    Extends a spatially evaluable kernel on R^base_dim by `extra` Gaussian
-    directions; the scale is what the Mikhlin pass chooses to make the
-    sampled symbol bounds hold with constant 1.
+    Extends a `TruncatedOdd` by `extra` Gaussian directions; a base without
+    its damped transform (`TruncatedOdd._damped`) is refused.  The y-integral
+    of the transform is a Gaussian that cancels |x|^{-extra}, so the symbol at
+    (xi, eta) is scale times that damped transform at (xi, |eta|^2).  The
+    scale is what the Mikhlin pass chooses to make the sampled symbol
+    bounds hold with constant 1.
     """
 
     base: object
     extra: int
     scale: float = 1.0
+
+    def __post_init__(self):
+        if not hasattr(self.base, "_damped"):
+            raise ValueError(f"{type(self.base).__name__} has no damped one-dimensional "
+                             "transform to extend")
 
     @property
     def dim(self) -> int:
@@ -222,6 +264,10 @@ class ExtendedKernel(_Kernel):
         out[mask] = (self.scale * rx[mask] ** (-self.extra)
                      * np.exp(-pi * ratio) * self.base.spatial(x[mask]))
         return out
+
+    def symbol(self, xi: np.ndarray) -> np.ndarray:
+        xi = np.atleast_2d(xi)
+        return self.scale * self.base._damped(xi[:, 0], np.sum(xi[:, 1:] ** 2, axis=1))
 
 
 @dataclass(frozen=True)
@@ -246,10 +292,9 @@ def normalized_kernel(kernel):
 
 
 def extend_kernel(kernel, extra: int) -> ExtendedKernel:
-    """Extend a spatially evaluable kernel by Gaussian directions, rescaled
-    so that the sampled Mikhlin constant of the extension equals one."""
-    if getattr(kernel, "spatial", None) is None:
-        raise ValueError("extension needs a spatially evaluable kernel")
+    """Extend a `TruncatedOdd` by Gaussian directions (`ExtendedKernel`),
+    rescaled so that the sampled Mikhlin constant of the extension equals
+    one."""
     return normalized_kernel(ExtendedKernel(kernel, extra))
 
 
@@ -321,59 +366,6 @@ def _stencil_offsets(alpha: Tuple[int, ...]):
     return terms
 
 
-_MAX_NODES = 2 ** 24
-
-
-def _tensor_rule(rules):
-    """Tensor product of one-dimensional rules, one (nodes, weights) pair per
-    axis: nodes in C order, weights w_0[i_0] * ... * w_{d-1}[i_{d-1}]
-    multiplied in axis order.  Grids above `_MAX_NODES` nodes are refused
-    before any node is formed."""
-    shape = tuple(len(nodes) for nodes, _ in rules)
-    if prod(shape) > _MAX_NODES:
-        raise ValueError(f"a quadrature grid of {prod(shape)} nodes exceeds the limit of 2^24")
-    grids = np.meshgrid(*(nodes for nodes, _ in rules), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    weights = np.ones(shape)
-    for axis, (_, w) in enumerate(rules):
-        weights = weights * w.reshape((-1,) + (1,) * (len(rules) - 1 - axis))
-    return pts, weights.ravel()
-
-
-def _numeric_symbol_factory(kernel, max_freq: float):
-    """Windowed discrete transform of a spatial sample, for 1-d kernels and
-    their extension by one Gaussian direction.
-
-    Each axis gets a Gauss-Legendre rule sized to the largest frequency the
-    caller will sample: ten nodes per oscillation (at least 800) on the base
-    window [-r_out, r_out], eight (at least 900) on the Gaussian one, 4.5
-    times as wide.  One contraction of the weighted sample with the per-axis
-    phases gives the symbol, complex valued (odd kernels have purely
-    imaginary symbols).
-    """
-    base = getattr(kernel, "base", kernel)
-    if base.dim != 1 or kernel.dim > 2:
-        raise NotImplementedError("numeric symbols implemented for the shipped kernel kinds")
-    r_out = getattr(base, "r_out", 4.0)
-    rules = []
-    for stretch, per_wave, least in ((1.0, 10, 800), (4.5, 8, 900))[:kernel.dim]:
-        half = stretch * r_out
-        nodes, w = _gauss_legendre(max(least, int(per_wave * max_freq * 2 * half)))
-        rules.append((half * nodes, half * w))
-    pts, weights = _tensor_rule(rules)
-    samples = (kernel.spatial(pts) * weights).reshape([len(n) for n, _ in rules])
-    axes = list(range(1, kernel.dim + 1))
-
-    def symbol(xi: np.ndarray) -> np.ndarray:
-        xi = np.atleast_2d(xi)
-        phases = []
-        for k, (nodes, _) in enumerate(rules):
-            phases += [np.exp(-2j * pi * np.outer(xi[:, k], nodes)), [0, k + 1]]
-        return np.einsum(*phases, samples, axes, [0], optimize=True)
-
-    return symbol
-
-
 def verify_mikhlin(kernel, max_order: int = 2,
                    grid: Optional[MikhlinGrid] = None) -> MikhlinReport:
     """Sample |xi|^{|alpha|} |d^alpha symbol(xi)| over a logarithmic grid.
@@ -388,11 +380,8 @@ def verify_mikhlin(kernel, max_order: int = 2,
     if grid.step_rel >= 0.25:
         raise ValueError(f"grid too coarse: relative step {grid.step_rel} "
                          "exceeds a quarter of the sample radius")
-    if getattr(kernel, "symbol", None) is not None:
-        symbol = kernel.symbol
-    else:
-        max_freq = grid.r_max * (1.0 + 2.0 * grid.step_rel)
-        symbol = _numeric_symbol_factory(kernel, max_freq)
+    if not hasattr(kernel, "symbol"):
+        raise ValueError(f"{type(kernel).__name__} has no symbol to sample")
     pts = grid.points(kernel.dim)
     alphas = _multi_indices(kernel.dim, max_order)
     # assemble every stencil sample in one batch per alpha
@@ -404,7 +393,7 @@ def verify_mikhlin(kernel, max_order: int = 2,
         acc = np.zeros(len(pts), dtype=complex)
         for coeff, off in _stencil_offsets(alpha):
             shifted = pts + h[:, None] * np.array(off, dtype=float)
-            acc = acc + coeff * np.asarray(symbol(shifted), dtype=complex)
+            acc = acc + coeff * np.asarray(kernel.symbol(shifted), dtype=complex)
         deriv = acc / h ** order
         bound = np.max(radii ** order * np.abs(deriv))
         table.append((alpha, float(bound)))

@@ -322,3 +322,38 @@ def test_classify_matches_screen_first_on_fixed_data():
     data += [apply_equivalence(LATTICE_FAILURE, random_equivalence(LATTICE_FAILURE, 3))]
     kinds = Counter(assert_matches_screen_first(d).status.kind for d in data)
     assert kinds["NotPBounded"] >= 4 and kinds["Bounded"] >= 10
+
+
+def slot_permuted(d, sigma):
+    # slot j of the result is slot sigma[j - 1] + 1 of d, for j = 1, 2, 3
+    order = (0,) + tuple(1 + i for i in sigma)
+    return SBLDatum(d.dim_H, tuple(d.dims[k] for k in order), tuple(d.pi[k] for k in order))
+
+
+def _family_sizes(verdict):
+    # the summands' families with superscripts dropped, and their sizes
+    return Counter((s.tag.family.rstrip("123"), s.tag.n)
+                   for s in verdict.summands for _ in range(s.multiplicity))
+
+
+def _slotted(verdict, slot):
+    # the J, P and K summands with superscript i read as slot(i)
+    return Counter((s.tag.family[0], slot(int(s.tag.family[1])), s.tag.n)
+                   for s in verdict.summands if s.tag.family[:1] in ("J", "P", "K")
+                   for _ in range(s.multiplicity))
+
+
+@pytest.mark.parametrize("name, datum",
+                         [(name, shipped_fixture(name)) for name in SHIPPED_FIXTURES]
+                         + [(f"random_case({k})", random_case(k)[1]) for k in range(30)])
+def test_verdicts_commute_with_the_slot_permutations(name, datum):
+    # permuting f_1, f_2, f_3 asks the same question: the status, citation,
+    # case tags and the families and sizes of the summands stay, and a
+    # J^(i), P^(i) or K^(i) follows slot i to where the permutation puts it
+    v = classify(datum)
+    for sigma in itertools.permutations(range(3)):
+        w = classify(slot_permuted(datum, sigma))
+        assert (w.status.kind, w.status.citation) == (v.status.kind, v.status.citation), sigma
+        assert [c.tag for c in w.cases] == [c.tag for c in v.cases], sigma
+        assert _family_sizes(w) == _family_sizes(v), sigma
+        assert _slotted(w, lambda i: i) == _slotted(v, lambda i: 1 + sigma.index(i - 1)), sigma

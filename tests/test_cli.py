@@ -108,8 +108,16 @@ def test_settings_nothing_reads_are_gone(bht_file):
             assert run_cli(*argv, flag, "1").returncode == 1, (argv, flag)
         report = json.loads(run_cli(*argv, "--report", "json").stdout)
         assert report["seeds"] == dict(zip(("seed", "trials"), seeds))
-    proc = run_cli("numcheck", "delta", bht_file, "--trials", "1")
-    assert proc.returncode == 1
+    # each numcheck mode takes only the flags it reads; only equiv draws
+    reads = {"eval": ("--kernel-width",), "equiv": ("--kernel-width", "--seed"),
+             "delta": ("--kernel-width",), "mikhlin": ("--kernel-scale", "--order")}
+    for mode, flags in reads.items():
+        argv = ("numcheck", mode, "odd" if mode == "mikhlin" else bht_file)
+        for flag in ("--seed", "--trials", "--kernel-width", "--kernel-scale", "--order"):
+            code = run_cli(*argv, flag, "1").returncode
+            assert (code == 0) == (flag in flags), (mode, flag, code)
+        report = json.loads(run_cli(*argv, "--report", "json").stdout)
+        assert report["seeds"] == {"seed": 0 if mode == "equiv" else None, "trials": None}
 
 
 def _scrambled_file(tmp_path, tags, name):
@@ -340,8 +348,8 @@ def test_fixture_reports_match_snapshot_under_optimize():
 # float in them.
 NUMERIC_SHA256 = {
     "eigen": [0, "7c406ecf9c4cf305fa4e2518b623697ee5fd11b41a04b4b4b935ae5cbd3815a1"],
-    "mikhlin": [0, "5475b715633b6aedc38db96fe396e6b23a1a4445fbebe9fcf897b41233018f92"],
-    "eval": [0, "73ce3040f3a96d518dd7a48e4ae4e2c892cd63120e85e328c98c781d51d5fba2"],
+    "mikhlin": [0, "987434af9ccd9e00d0f85194106d3836bf7a86b1ccd374a5a6c31a5ff1988788"],
+    "eval": [0, "d67bd0e81cbb6404e00ccde01849902a58904d6cbeb48ff631b8e11785c1b049"],
 }
 
 NUMERIC_HASHES = textwrap.dedent("""

@@ -17,7 +17,7 @@ from sblq.numcheck import (
     delta_limit_check, eval_form, extend_kernel, normalized_kernel,
     verify_mikhlin,
 )
-from sblq.numcheck import _j0, _numeric_symbol_factory, _tensor_rule
+from sblq.numcheck import _j0
 from sblq.rotations import _gauss_legendre
 
 
@@ -370,82 +370,105 @@ def test_extended_kernel_mikhlin_pass_and_scaling():
     assert abs(worst100 - 100.0) / 100.0 < 0.05
 
 
-def reference_symbol_factory(kernel, npts_x, npts_y=None):
-    # the former transform, node counts given: one hand-written branch for
-    # 1-d kernels and one for their extension by one Gaussian direction
-    if isinstance(kernel, ExtendedKernel) and kernel.base.dim == 1 and kernel.extra == 1:
-        base = kernel.base
-        r_out = getattr(base, "r_out", 4.0)
-        y_win = 4.5 * r_out
-        nx, wx = _gauss_legendre(npts_x)
-        xs = r_out * nx
-        wx = r_out * wx
-        ny, wy = _gauss_legendre(npts_y)
-        ys = y_win * ny
-        wy = y_win * wy
-        grid_x, grid_y = np.meshgrid(xs, ys, indexing="ij")
-        samples = kernel.spatial(
-            np.stack([grid_x.ravel(), grid_y.ravel()], axis=1)).reshape(len(xs), len(ys))
-
-        def symbol(xi):
-            xi = np.atleast_2d(xi)
-            inner = np.exp(-2j * math.pi * np.outer(xi[:, 1], ys)) @ (samples * wy).T
-            phases = np.exp(-2j * math.pi * np.outer(xi[:, 0], xs)) * wx
-            return np.einsum("px,px->p", inner, phases)
-
-        return symbol
-    r_out = getattr(kernel, "r_out", 4.0)
-    nx, wx = _gauss_legendre(npts_x)
-    xs = r_out * nx
-    wx = r_out * wx
-    vals = kernel.spatial(xs[:, None]) * wx
-
-    def symbol1(xi):
-        xi = np.atleast_2d(xi)
-        return np.exp(-2j * math.pi * np.outer(xi[:, 0], xs)) @ vals
-
-    return symbol1
+def odd_symbol_by_si(kernel, xi):
+    # -2i scale (Si(2 pi r_out xi) - Si(2 pi r_in xi)), at 30 digits
+    with mpmath.workdps(30):
+        return np.array([-2j * kernel.scale * float(
+            mpmath.si(2 * mpmath.pi * kernel.r_out * x) - mpmath.si(2 * mpmath.pi * kernel.r_in * x))
+            for x in xi])
 
 
-@pytest.mark.parametrize("kernel, counts", [
-    (TruncatedOdd(), (800,)),
-    (ExtendedKernel(TruncatedOdd(), 1), (800, 2396)),
-])
-def test_numeric_symbol_matches_the_two_branch_transform(kernel, counts):
-    # on the Mikhlin grid and every point of its +-2% difference stencils,
-    # relative to the largest value: the extension's symbol is odd in xi_1,
-    # so it is rounding noise on the xi_2 axis
-    grid = MikhlinGrid()
-    new = _numeric_symbol_factory(kernel, grid.r_max * (1.0 + 2.0 * grid.step_rel))
-    old = reference_symbol_factory(kernel, *counts)
-    pts = grid.points(kernel.dim)
+def stencil_points(grid, dim):
+    # the grid and every point of its +-step_rel difference stencils
+    pts = grid.points(dim)
     h = grid.step_rel * np.linalg.norm(pts, axis=1)[:, None]
-    for off in itertools.product((-1.0, 0.0, 1.0), repeat=kernel.dim):
-        xi = pts + h * np.array(off)
-        want = old(xi)
-        assert np.max(np.abs(new(xi) - want)) <= 1e-13 * np.max(np.abs(want))
+    return np.concatenate([pts + h * np.array(off)
+                           for off in itertools.product((-1.0, 0.0, 1.0), repeat=dim)])
 
 
-@pytest.mark.parametrize("points,dim", [(16, 4), (8, 4), (5, 3), (7, 2), (6, 1)])
-def test_tensor_rules_match_unravel_reference(points, dim):
-    # one Legendre rule per axis, of different sizes, weights from ones
-    rules = [(3.0 * nodes, 3.0 * w)
-             for nodes, w in (_gauss_legendre(points + k) for k in range(dim))]
-    pts, weights = _tensor_rule(rules)
-    idx = np.unravel_index(np.arange(len(pts)), [len(nodes) for nodes, _ in rules])
-    old = np.ones(len(pts))
-    for axis, (nodes, w) in enumerate(rules):
-        old = old * w[idx[axis]]
-        assert np.array_equal(pts[:, axis], nodes[idx[axis]])
-    assert np.array_equal(weights, old)
+@pytest.mark.parametrize("kernel, grid", [
+    (TruncatedOdd(), MikhlinGrid()),
+    (TruncatedOdd(), MikhlinGrid(r_max=64.0)),
+    (TruncatedOdd(0.125, 8.0, 3.0), MikhlinGrid()),
+])
+def test_odd_symbol_matches_the_sine_integral(kernel, grid):
+    xi = stencil_points(grid, 1)
+    want = odd_symbol_by_si(kernel, xi[:, 0])
+    assert np.max(np.abs(kernel.symbol(xi) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_tensor_rule_refuses_grids_above_the_node_budget():
-    # the count is checked before any node is formed: 2^25 nodes are refused
-    nodes, w = _gauss_legendre(32)
-    with pytest.raises(ValueError, match="33554432 nodes exceeds the limit of 2\\^24"):
-        _tensor_rule([(nodes, w)] * 5)
-    assert len(_tensor_rule([(nodes, w)] * 4)[1]) == 32 ** 4
+def test_extended_symbol_at_eta_zero_is_the_odd_symbol():
+    base = TruncatedOdd()
+    ext = ExtendedKernel(base, 1, 2.5)
+    xi = stencil_points(MikhlinGrid(), 1)
+    want = base.symbol(xi)
+    got = ext.symbol(np.concatenate([xi, np.zeros_like(xi)], axis=1))
+    assert np.max(np.abs(got - 2.5 * want)) <= 1e-12 * np.max(np.abs(2.5 * want))
+
+
+def extended_symbol_by_quadrature(ext, xi):
+    # the transform of ext.spatial itself: a Gauss-Legendre rule in y on
+    # [-6|x|, 6|x|] (the Gaussian is below e^{-36 pi} outside it) at every
+    # node of one in x on each half of the support
+    base = ext.base
+    half = 0.5 * (base.r_out - base.r_in)
+    nx, wx = _gauss_legendre(400)
+    t = half * nx + base.r_in + half
+    x = np.concatenate([-t, t])[:, None]
+    ny, wy = _gauss_legendre(1500)
+    y = 6.0 * np.abs(x) * ny
+    weights = half * np.concatenate([wx, wx])[:, None] * 6.0 * np.abs(x) * wy
+    samples = ext.spatial(np.stack(np.broadcast_arrays(x, y), axis=-1).reshape(-1, 2))
+    samples = samples.reshape(y.shape) * weights
+    return np.array([np.sum(samples * np.exp(-2j * math.pi * (a * x + b * y))) for a, b in xi])
+
+
+def test_extended_symbol_matches_a_quadrature_in_y():
+    ext = ExtendedKernel(TruncatedOdd(), 1, 0.5)
+    xi = np.random.default_rng(7).uniform(-8.32, 8.32, size=(20, 2))
+    xi[:3] = [[0.0, 8.32], [8.32, 0.0], [0.125, -8.32]]
+    want = extended_symbol_by_quadrature(ext, xi)
+    assert np.max(np.abs(ext.symbol(xi) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_extended_symbol_resolves_a_steep_damping():
+    # with r_in = 0.01 the damping exp(-pi t^2 |eta|^2) is steep where the
+    # integrand is not small, and |eta| sizes the rule as |xi| does; the
+    # reference is mpmath's adaptive quadrature of the one-dimensional form
+    base = TruncatedOdd(0.01, 4.0)
+    xi = np.array([[0.125, 0.0], [0.001, 50.0], [0.1, 50.0], [0.001, 200.0], [0.1, 400.0]])
+
+    def form(a, b):
+        def f(t):
+            return mpmath.sin(2 * mpmath.pi * t * a) * mpmath.exp(-mpmath.pi * (t * b) ** 2) / t
+        return -2j * float(mpmath.quad(f, [0.01, 0.012, 0.015, 0.02, 0.05, 0.1, 4.0]))
+
+    want = np.array([form(a, b) for a, b in xi])
+    got = ExtendedKernel(base, 1).symbol(xi)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_mikhlin_refuses_a_kernel_without_a_symbol():
+    kernel = NarrowGaussian(1, 1.0).pullback(np.eye(1))
+    with pytest.raises(ValueError, match="_PullbackKernel has no symbol"):
+        verify_mikhlin(kernel)
+
+
+def test_only_kernels_with_the_damped_transform_extend():
+    with pytest.raises(ValueError, match="NarrowGaussian has no damped"):
+        ExtendedKernel(NarrowGaussian(1, 1.0), 1)
+    with pytest.raises(ValueError, match="MultiplierBump has no damped"):
+        extend_kernel(MultiplierBump(1, 0.5, 2.0), 1)
+
+
+@pytest.mark.parametrize("kernel", [TruncatedOdd(), ExtendedKernel(TruncatedOdd(), 1)])
+def test_symbol_calls_above_the_node_budget_are_refused_before_any_rule(kernel):
+    # points x nodes of one symbol call stay within 2^24; the rule for
+    # r_max = 1e9 would have 2^34 nodes and is neither built nor cached
+    cached = _gauss_legendre.cache_info().currsize
+    with pytest.raises(ValueError, match="exceeds the limit of 2\\^24"):
+        verify_mikhlin(kernel, grid=MikhlinGrid(r_max=1e9))
+    assert _gauss_legendre.cache_info().currsize == cached
 
 
 GAUSS_RULES = {"legendre": (_gauss_legendre, gauss_legendre, 2.0)}
@@ -484,9 +507,11 @@ def mp_legendre_rule(n, x):
         return x, 2 / ((1 - x * x) * slope * slope)
 
 
-@pytest.mark.parametrize("n", [665, 2396])
+@pytest.mark.parametrize("n", [128, 665, 2396])
 def test_gauss_legendre_matches_mpmath_at_the_mikhlin_sizes(n):
-    # `numcheck mikhlin extended` builds these two rules.  A node has an
+    # the Mikhlin symbols of the default odd kernel and its extension take
+    # the 128-node rule; 665 and 2396 nodes check the rule well above the
+    # sizes any shipped command builds.  A node has an
     # error of about one ulp; the weight moves with it by about
     # 2 |dx| / (1 - x^2), which is largest at the ends
     nodes, weights = _gauss_legendre(n)
