@@ -14,12 +14,15 @@ or more.  numpy and the `rotations` and `numcheck` modules load only inside
 the handlers of the numeric commands, and nothing loads scipy.  A numeric
 check passes only on finite values: `numcheck eval` exits 3 on a value or
 error estimate that is not finite, and a kernel scale or width that is not
-finite, or a width whose normalization or decay form overflows, exits 1.
-So does a divergent form, and one whose Gaussian weight rounds to a
-quadratic form that is not positive definite.  `numcheck eval`, `equiv`
-and `delta` evaluate their Gaussian forms in closed form and take no
-quadrature settings.  Each numcheck mode takes only the flags it reads:
-`--seed` is equiv's alone, `--kernel-scale` and `--order` mikhlin's.
+finite, or a width w whose w^-dim or w^-2 overflows, exits 1.  So does a
+divergent form, and one whose Gaussian weight rounds to a quadratic form
+that is not positive definite.  `numcheck eval`, `equiv` and `delta`
+evaluate their Gaussian forms in closed form and take no quadrature
+settings.  Each numcheck mode takes only the flags it reads:
+`--kernel-width` is eval's and equiv's (delta's widths are fixed at 0.25,
+0.125 and 0.0625), `--seed` equiv's alone, `--kernel-scale` and `--order`
+mikhlin's.  `fixtures` refuses a size above 32, given by `--n` or as the n
+of a `<family>_<n>` spec, with exit 1 before anything is built.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import sys
 import time
 from fractions import Fraction
 from math import isfinite
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import Dict, Optional
 
 from .classify import FACT_DESCRIPTIONS, classify
 from .core import (
@@ -41,9 +44,6 @@ from .decompose import _DRAWS, decompose
 from .fixtures import FIXTURE_NAMES, fixture_datum
 from .polynomials import format_poly
 from .tolerances import CIRCLE_MEAN_TOLERANCE, TOLERANCES, TRANSFORM_CROSS_CHECK_TOLERANCE
-
-if TYPE_CHECKING:
-    from . import numcheck
 
 SCHEMA_VERSION = "1"
 
@@ -279,16 +279,6 @@ def cmd_rotations_verify(args) -> int:
     return EXIT_OK if payload["pass"] else EXIT_TOLERANCE
 
 
-def _default_form(d: SBLDatum, width: float) -> numcheck.FormSpec:
-    from . import numcheck
-
-    funcs = tuple(
-        numcheck.GaussianFunction.tensor([0] * d.dims[i], [1] * d.dims[i])
-        for i in (1, 2, 3))
-    kernel = numcheck.NarrowGaussian(d.dims[0], width) if d.dims[0] else None
-    return numcheck.FormSpec(d, kernel, funcs)
-
-
 def cmd_numcheck(args) -> int:
     from . import numcheck
 
@@ -318,24 +308,26 @@ def cmd_numcheck(args) -> int:
         return EXIT_OK if report.passed else EXIT_TOLERANCE
 
     d = _read_datum(args.file)
-    spec = _default_form(d, args.kernel_width)
+    funcs = tuple(numcheck.GaussianFunction.tensor([0] * k, [1] * k) for k in d.dims[1:])
+    if args.mode == "delta":
+        residuals, reference = numcheck.delta_limit_check(d, funcs)
+        decreasing = all(a > b for a, b in zip(residuals, residuals[1:]))
+        payload = {"residuals": residuals, "reference": reference,
+                   "pass": bool(decreasing or all(r == 0 for r in residuals))}
+        _emit(args, _report(args, payload, started))
+        return EXIT_OK if payload["pass"] else EXIT_TOLERANCE
+    kernel = numcheck.NarrowGaussian(d.dims[0], args.kernel_width) if d.dims[0] else None
+    spec = numcheck.FormSpec(d, kernel, funcs)
     if args.mode == "eval":
         value, err = numcheck.eval_form(spec)
         payload = {"value": value, "error_estimate": err,
                    "pass": isfinite(value) and isfinite(err)}
         _emit(args, _report(args, payload, started))
         return EXIT_OK if payload["pass"] else EXIT_TOLERANCE
-    if args.mode == "equiv":
-        e = random_equivalence(d, args.seed)
-        residual, tol = numcheck.check_equivalence_invariance(spec, e)
-        payload = {"residual": residual, "tolerance": tol,
-                   "pass": bool(residual <= tol)}
-        _emit(args, _report(args, payload, started))
-        return EXIT_OK if payload["pass"] else EXIT_TOLERANCE
-    residuals, reference = numcheck.delta_limit_check(d, spec.functions)
-    decreasing = all(a > b for a, b in zip(residuals, residuals[1:]))
-    payload = {"residuals": residuals, "reference": reference,
-               "pass": bool(decreasing or all(r == 0 for r in residuals))}
+    e = random_equivalence(d, args.seed)
+    residual, tol = numcheck.check_equivalence_invariance(spec, e)
+    payload = {"residual": residual, "tolerance": tol,
+               "pass": bool(residual <= tol)}
     _emit(args, _report(args, payload, started))
     return EXIT_OK if payload["pass"] else EXIT_TOLERANCE
 
@@ -395,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
                        ("delta", "narrow-kernel limit")):
         pn = nsub.add_parser(mode, help=what)
         pn.add_argument("file", help="datum file")
-        pn.add_argument("--kernel-width", type=float, default=0.8)
+        if mode != "delta":
+            pn.add_argument("--kernel-width", type=float, default=0.8)
         common(pn)
         if mode == "equiv":
             pn.add_argument("--seed", type=int, default=0)

@@ -25,6 +25,21 @@ from .polynomials import Poly
 from .tables import FamilyTag, build
 
 
+# the largest size n a fixture is built at: coifman_meyer(32) has dim H = 65
+# and builds in well under a second, while n = 100 took seconds and n = 10^5
+# ran out of memory
+MAX_SIZE = 32
+
+
+class FixtureTooLarge(ValueError):
+    """A size parameter above `MAX_SIZE`, refused before anything is built."""
+
+
+def _check_size(n: int) -> None:
+    if n > MAX_SIZE:
+        raise FixtureTooLarge(f"size {n} exceeds the fixture limit of {MAX_SIZE}")
+
+
 def bht(alpha=Fraction(1, 3)) -> SBLDatum:
     """f1(x) f2(x+t) f3(x+alpha*t) against a one-dimensional kernel in t."""
     alpha = Fraction(alpha)
@@ -36,9 +51,11 @@ def bht(alpha=Fraction(1, 3)) -> SBLDatum:
 
 
 def coifman_meyer(n: int = 1) -> SBLDatum:
-    """The size-n staircase multiplier datum (the n = 1 form is written out)."""
+    """The size-n staircase multiplier datum (the n = 1 form is written out),
+    1 <= n <= `MAX_SIZE`."""
     if n < 1:
         raise ValueError("coifman_meyer needs n >= 1")
+    _check_size(n)
     if n == 1:
         # f1(x) f2(x+y) f3(x+z) K(y,z) over (x, y, z)
         return SBLDatum(3, (2, 1, 1, 1),
@@ -130,12 +147,14 @@ def family_datum(spec: str, alpha=Fraction(1, 3)) -> SBLDatum:
     """Datum of a raw constructor given as '<family>_<n>', e.g. 'T_2' or 'J2_1'.
 
     Regular families take their parameter from `alpha` (degree-1 polynomial
-    t - alpha, repeated into a power for larger n).
+    t - alpha, repeated into a power for larger n).  Sizes above `MAX_SIZE`
+    are refused.
     """
     family, _, n_text = spec.rpartition("_")
     if not family:
         family, n_text = spec, "0"
     n = int(n_text)
+    _check_size(n)
     if family in ("0", "N"):
         tag = FamilyTag(family, n, regular_poly=Poly.from_roots([Fraction(alpha)] * n))
     else:
@@ -153,6 +172,8 @@ def fixture_datum(name: str, **params) -> SBLDatum:
         return _BUILDERS[name](**params)
     try:
         return family_datum(name, **params)
+    except FixtureTooLarge:
+        raise
     except (ValueError, KeyError):
         raise KeyError(f"unknown fixture {name!r}; know {sorted(_BUILDERS)} "
                        "or '<family>_<n>' constructor specs") from None

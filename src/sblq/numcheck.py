@@ -7,12 +7,16 @@ formula, and samples Mikhlin symbol bounds on a logarithmic grid by central
 finite differences.  Everything here is floating point; nothing feeds back
 into the exact classification path.
 
-Every form has a Gaussian kernel or none, so its integrand is one Gaussian
-on H and the form is evaluated in closed form, at any dimension; a form
-whose Gaussian weight leaves a direction unbounded diverges and is refused.
-Every sampled kernel carries its own symbol; the odd kernel and its
-Gaussian extension take theirs from one Gauss-Legendre rule on the support
-(`TruncatedOdd._damped`), at most 2^24 points times nodes per call.
+A form is four Gaussian factors, the kernel's included: a `NarrowGaussian`,
+or no kernel on H_0 = 0, is the slot-0 `GaussianFunction` of a `FormSpec`.
+So its integrand is one Gaussian on H, and one closed-form integral
+(`_gaussian_integral`), at any dimension, serves `eval_form`, the
+pulled-back form of `check_equivalence_invariance` and the limit of
+`delta_limit_check`; a form whose Gaussian weight leaves a direction
+unbounded diverges and is refused.  Every sampled kernel carries its own
+symbol; the odd kernel and its Gaussian extension take theirs from one
+Gauss-Legendre rule on the support (`TruncatedOdd._damped`), of at most
+2^13 nodes and at most 2^24 points times nodes per call.
 
 Importing this module loads numpy and nothing else: the Gauss-Legendre
 rule comes from `rotations._gauss_legendre`, cached, and J0 for
@@ -97,8 +101,9 @@ class NarrowGaussian(_Kernel):
     """K(u) = scale * w^{-dim} exp(-pi |u|^2 / w^2); symbol exp(-pi w^2 |xi|^2).
 
     Integrates to `scale`; the Mikhlin bounds hold with constant 1 for
-    orders up to 2 at scale 1.  The width must be finite and positive, with
-    w^{-dim} and the decay form's w^{-2} finite floats.
+    orders up to 2 at scale 1.  In a `FormSpec` it is the Gaussian of
+    amplitude scale * w^{-dim} and form I / w^2.  The width must be finite
+    and positive, with w^{-dim} and w^{-2} finite floats.
     """
 
     dim: int
@@ -123,14 +128,6 @@ class NarrowGaussian(_Kernel):
     def symbol(self, xi: np.ndarray) -> np.ndarray:
         xi = np.atleast_2d(xi)
         return self.scale * np.exp(-pi * self.width ** 2 * np.sum(xi * xi, axis=1))
-
-    def decay_form(self) -> np.ndarray:
-        """Quadratic form A with |K(u)| ~ exp(-pi u^T A u), a part of the
-        Gaussian weight of every form with this kernel."""
-        return np.eye(self.dim) / self.width ** 2
-
-    def pullback(self, m: np.ndarray) -> "_PullbackKernel":
-        return _PullbackKernel(self.dim, self, m)
 
 
 @dataclass(frozen=True)
@@ -180,6 +177,7 @@ def _j0(z: np.ndarray) -> np.ndarray:
 
 
 _MAX_NODES = 2 ** 24
+_MAX_RULE_NODES = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -213,8 +211,9 @@ class TruncatedOdd(_Kernel):
         least 64, for f the largest |xi| or sqrt(eta2) of the call, put four
         to eight on each oscillation of the sine and on each 1/sqrt(eta2)
         of the damping; the power of two keeps the cached rules few.  A
-        call whose points times nodes exceed 2^24 is refused before any
-        rule is built.
+        call whose points times nodes exceed 2^24, or that needs more than
+        2^13 nodes, is refused before any rule is built: an n-node rule
+        takes O(n^2) time to build.
         """
         length = self.r_out - self.r_in
         f = max(np.max(np.abs(xi), initial=0.0), np.sqrt(np.max(eta2, initial=0.0)))
@@ -222,6 +221,9 @@ class TruncatedOdd(_Kernel):
         if n * len(xi) > _MAX_NODES:
             raise ValueError(f"a symbol call of {len(xi)} points on {n} nodes "
                              "exceeds the limit of 2^24")
+        if n > _MAX_RULE_NODES:
+            raise ValueError(f"a symbol call needs a rule of {n} nodes, "
+                             "above the limit of 2^13")
         nodes, w = _gauss_legendre(n)
         t = 0.5 * length * nodes + 0.5 * (self.r_in + self.r_out)
         phases = np.sin(2.0 * pi * np.outer(xi, t)) * np.exp(-pi * np.outer(eta2, t * t))
@@ -268,22 +270,6 @@ class ExtendedKernel(_Kernel):
     def symbol(self, xi: np.ndarray) -> np.ndarray:
         xi = np.atleast_2d(xi)
         return self.scale * self.base._damped(xi[:, 0], np.sum(xi[:, 1:] ** 2, axis=1))
-
-
-@dataclass(frozen=True)
-class _PullbackKernel:
-    """K(m u) for a Gaussian kernel K and an invertible matrix m; used by
-    the equivalence check."""
-
-    dim: int
-    base: NarrowGaussian
-    matrix: np.ndarray
-
-    def spatial(self, x: np.ndarray) -> np.ndarray:
-        return self.base.spatial(np.atleast_2d(x) @ self.matrix.T)
-
-    def decay_form(self) -> np.ndarray:
-        return self.matrix.T @ self.base.decay_form() @ self.matrix
 
 
 def normalized_kernel(kernel):
@@ -407,29 +393,41 @@ def verify_mikhlin(kernel, max_order: int = 2,
 
 @dataclass(frozen=True)
 class FormSpec:
-    """A form whose kernel, if any, has a Gaussian decay form: the integrand
-    is then one Gaussian on H, and `eval_form` integrates it in closed
-    form.  Other kernels (`TruncatedOdd`, `ExtendedKernel`,
-    `MultiplierBump`) are refused."""
+    """The form of a datum, the integral over H of K(Pi_0 x) f_1(Pi_1 x)
+    f_2(Pi_2 x) f_3(Pi_3 x), with four Gaussian factors.  The kernel K is
+    given as a `NarrowGaussian`, as a `GaussianFunction` on H_0, or as None
+    when H_0 = 0, and is kept as the slot-0 `GaussianFunction` (None as the
+    0-dimensional one of amplitude 1).  Kernels without a Gaussian form
+    (`TruncatedOdd`, `ExtendedKernel`, `MultiplierBump`) are refused."""
 
     datum: SBLDatum
     kernel: object
     functions: Tuple[GaussianFunction, GaussianFunction, GaussianFunction]
 
     def __post_init__(self):
-        if self.kernel is None:
+        k = self.kernel
+        if k is None:
             if self.datum.dims[0] > 0:
                 raise ValueError("a kernel is required when the distribution "
                                  "space is nontrivial")
-        elif not hasattr(self.kernel, "decay_form"):
-            raise ValueError(f"{type(self.kernel).__name__} has no Gaussian decay form; "
+            k = GaussianFunction.tensor([], [])
+        elif isinstance(k, NarrowGaussian):
+            k = GaussianFunction(k.dim, np.zeros(k.dim), np.eye(k.dim) / k.width ** 2,
+                                 k.scale * k.width ** (-k.dim))
+        elif not isinstance(k, GaussianFunction):
+            raise ValueError(f"{type(k).__name__} has no Gaussian decay form; "
                              "forms are evaluated only with Gaussian kernels")
-        elif self.kernel.dim != self.datum.dims[0]:
+        if k.dim != self.datum.dims[0]:
             raise ValueError("kernel dimension must match the distribution space")
         for i, f in enumerate(self.functions, start=1):
             if f.dim != self.datum.dims[i]:
                 raise ValueError(f"function {i} has dimension {f.dim}, "
                                  f"datum wants {self.datum.dims[i]}")
+        object.__setattr__(self, "kernel", k)
+
+    @property
+    def slots(self) -> Tuple[GaussianFunction, ...]:
+        return (self.kernel,) + tuple(self.functions)
 
 
 @dataclass(frozen=True)
@@ -445,75 +443,41 @@ class QuadSpec:
     seed: int = 0
 
 
-def _product(maps, functions, x: np.ndarray) -> np.ndarray:
-    vals = np.ones(len(x))
-    for p, f in zip(maps, functions):
-        vals = vals * f(x @ p.T)
-    return vals
+def _gaussian_integral(maps, slots) -> Tuple[float, float]:
+    """The integral over x of prod_i g_i(P_i x), one `GaussianFunction`
+    g_i = a_i exp(-pi (u-c_i)^T A_i (u-c_i)) per map P_i, and its rounding
+    bound.
 
-
-def _integrand(spec: FormSpec):
-    pis = [_np(p) for p in spec.datum.pi]
-
-    def f(x: np.ndarray) -> np.ndarray:
-        vals = _product(pis[1:], spec.functions, x)
-        if spec.datum.dims[0] > 0:
-            vals = vals * spec.kernel.spatial(x @ pis[0].T)
-        elif spec.kernel is not None:
-            vals = vals * getattr(spec.kernel, "scale", 1.0)
-        return vals
-
-    return f
-
-
-def _combined_form(spec: FormSpec):
-    """`_whitening` of the whole integrand: the pulled-back test functions
-    and the kernel's decay form.  Every slot of nonzero dimension carries a
-    positive-definite Gaussian factor, so the form converges iff the
-    stacked maps have full column rank; that is decided exactly, on the
-    datum's rationals."""
-    d = spec.datum
-    if rank(vstack(*d.pi)) < d.dim_H:
-        raise ValueError("the form has no nondegenerate Gaussian weight: the test "
-                         "functions and the kernel's decay form leave a direction unbounded")
-    decay = spec.kernel.decay_form() if d.dims[0] else np.zeros((0, 0))
-    forms = [(decay, np.zeros(d.dims[0]))] + [(f.quad_form, f.center) for f in spec.functions]
-    return _whitening([_np(p) for p in d.pi], forms)
-
-
-def _whitening(maps, forms):
-    """(x0, |det W|, bound) for the Gaussian product
-    prod_i exp(-pi (P_i x - c_i)^T A_i (P_i x - c_i)) = exp(-pi E) exp(-pi (x-x0)^T Q (x-x0)),
-    one (A_i, c_i) per map P_i (none for a slot of dimension 0), Q being the
-    sum of the P_i^T A_i P_i.
-
-    Q is not formed.  With A_i = S_i^T S_i (Cholesky), Q = F^T F for the
-    stacked rows F = [S_i P_i], x0 is the least-squares solution of
+    The product is prod_i a_i exp(-pi E) exp(-pi (x-x0)^T Q (x-x0)), Q the
+    sum of the P_i^T A_i P_i, so the integral is the product at x0 times
+    |det W| = det(Q)^(-1/2), W^T Q W = I.  Q is not formed.  With
+    A_i = S_i^T S_i (Cholesky), Q = F^T F for the stacked rows F = [S_i P_i]
+    (none for a slot of dimension 0), x0 is the least-squares solution of
     F x = g = [S_i c_i], E = |F x0 - g|^2, and the singular values s of F
-    give W = V diag(1/s) with W^T Q W = I, so |det W| = det(Q)^(-1/2) =
-    1/prod(s).  Rounding in Q and E moves exp(-pi E) |det W| by at most
-    bound = eps dim (cond(Q) + pi E + 1) relative, to first order; see
-    `eval_form`.  An A_i that rounds to a matrix that is not positive
-    definite, or an F whose singular values round to 0, is refused with
-    its condition number."""
+    give |det W| = 1/prod(s).  The bound is eps dim (cond(Q) + pi E + 1)
+    |value|; see `eval_form`.  An A_i that rounds to a matrix that is not
+    positive definite, or an F whose singular values round to 0, is
+    refused with its condition number."""
     rows, targets = [], []
-    for p, (a, c) in zip(maps, forms):
-        if not len(a):
+    for p, g in zip(maps, slots):
+        if not g.dim:
             continue
         try:
-            s = np.linalg.cholesky(a).T
+            s = np.linalg.cholesky(g.quad_form).T
         except np.linalg.LinAlgError:
-            _refuse(np.linalg.cond(a))
+            _refuse(np.linalg.cond(g.quad_form))
         rows.append(s @ p)
-        targets.append(s @ c)
-    f, g = np.vstack(rows), np.concatenate(targets)
-    center, _, _, sv = np.linalg.lstsq(f, g, rcond=None)
+        targets.append(s @ g.center)
+    f, t = np.vstack(rows), np.concatenate(targets)
+    center, _, _, sv = np.linalg.lstsq(f, t, rcond=None)
     lo = sv.min(initial=inf)   # inf, and cond 0, on a space of dimension 0
     if not lo > 0:
         _refuse(inf)
     cond = float((sv.max(initial=0.0) / lo) ** 2)
-    exponent = float(np.sum((f @ center - g) ** 2))
-    return center, float(np.prod(1.0 / sv)), _EPS * len(sv) * (cond + pi * exponent + 1.0)
+    exponent = float(np.sum((f @ center - t) ** 2))
+    value = float(np.prod([g(center @ p.T)[0] for p, g in zip(maps, slots)]))
+    value *= float(np.prod(1.0 / sv))
+    return value, _EPS * len(sv) * (cond + pi * exponent + 1.0) * abs(value)
 
 
 def _refuse(cond: float):
@@ -524,10 +488,12 @@ def _refuse(cond: float):
 def eval_form(spec: FormSpec, quad: Optional[QuadSpec] = None) -> Tuple[float, float]:
     """The trilinear form in closed form, with a rounding bound.
 
-    The integrand is c exp(-pi (x-x0)^T Q (x-x0)), so the form equals the
-    integrand at x0 times |det W| = det(Q)^(-1/2) (`_whitening`).  The
-    error estimate is eps dim_H (cond(Q) + pi E + 1) |value|, eps = 2^-52
-    and E the exponent at x0.  To first order it bounds
+    Every slot of nonzero dimension is a positive-definite Gaussian, so the
+    form converges iff the stacked maps have full column rank; that is
+    decided exactly, on the datum's rationals.  The value is
+    `_gaussian_integral` of the four slots.  The error estimate
+    eps dim_H (cond(Q) + pi E + 1) |value|, eps = 2^-52 and E the exponent
+    at x0, bounds to first order
       - the change of det(Q)^(-1/2) under a symmetric dQ with
         ||dQ|| <= 2 eps ||Q||: half of |tr(Q^-1 dQ)| <= dim_H cond(Q) eps;
       - a relative error of dim_H eps in E, which moves exp(-pi E) by
@@ -536,29 +502,29 @@ def eval_form(spec: FormSpec, quad: Optional[QuadSpec] = None) -> Tuple[float, f
     x0, where the integrand is stationary, moves the value only to second
     order.  `quad` is not read (see `QuadSpec`).
     """
-    if spec.datum.dim_H == 0:
+    d = spec.datum
+    if d.dim_H == 0:
         return 0.0, 0.0
-    center, vol, bound = _combined_form(spec)
-    value = float(_integrand(spec)(center[None, :])[0]) * vol
-    return value, bound * abs(value)
+    if rank(vstack(*d.pi)) < d.dim_H:
+        raise ValueError("the form has no nondegenerate Gaussian weight: its four "
+                         "Gaussian factors leave a direction unbounded")
+    return _gaussian_integral([_np(p) for p in d.pi], spec.slots)
 
 
 def check_equivalence_invariance(spec: FormSpec, e: EquivalenceMap,
                                  quad: Optional[QuadSpec] = None) -> Tuple[float, float]:
     """Residual of the change-of-variables identity under an equivalence.
 
-    Evaluates the transformed datum against pulled-back functions and
-    kernel, multiplies by the Jacobian factor |det phi|, taken in floating
+    Evaluates the transformed datum with every slot, the kernel's included,
+    pulled back by phi_i^{-1} (`GaussianFunction.pullback`), multiplies the
+    original value by the Jacobian factor |det phi|, taken in floating
     point like every value here, and returns (residual, tolerance) with
     tolerance three times the summed rounding bounds.  `quad` is passed on
     to `eval_form` unread.
     """
-    d2 = apply_equivalence(spec.datum, e)
     jac = abs(float(np.linalg.det(_np(e.phi))))
-    phi_inv = [_np(inverse(e.phi_i[i])) for i in range(4)]
-    funcs2 = tuple(spec.functions[i - 1].pullback(phi_inv[i]) for i in (1, 2, 3))
-    kernel2 = spec.kernel.pullback(phi_inv[0]) if spec.datum.dims[0] else spec.kernel
-    spec2 = FormSpec(d2, kernel2, funcs2)
+    kernel2, *funcs2 = (g.pullback(_np(inverse(m))) for g, m in zip(spec.slots, e.phi_i))
+    spec2 = FormSpec(apply_equivalence(spec.datum, e), kernel2, tuple(funcs2))
     v1, e1 = eval_form(spec, quad)
     v2, e2 = eval_form(spec2, quad)
     return abs(v2 - jac * v1), 3.0 * (e1 + e2 + 1e-12)
@@ -571,7 +537,7 @@ def delta_limit_check(d: SBLDatum, functions,
     Evaluates the form with kernel `NarrowGaussian(dims[0], w)` at each
     width w.  As w -> 0 it tends to the form on ker Pi_0 times the volume
     factor |det [K | Pi_0^+]| of the split of H into ker Pi_0 and a
-    complement.  All are taken in closed form.  Returns the residuals
+    complement.  Both are `_gaussian_integral`s.  Returns the residuals
     against that limit, which must decrease as the width shrinks, and the
     limit.
     """
@@ -582,7 +548,5 @@ def delta_limit_check(d: SBLDatum, functions,
     kmat = _np(kernel_basis(d.pi[0]).basis)
     right = pis[0].T @ np.linalg.inv(pis[0] @ pis[0].T)
     jac = abs(float(np.linalg.det(np.concatenate([kmat, right], axis=1))))
-    center, vol, _ = _whitening([pis[i] @ kmat for i in (1, 2, 3)],
-                                [(f.quad_form, f.center) for f in functions])
-    reference = jac * float(_product(pis[1:], functions, (kmat @ center)[None, :])[0]) * vol
+    reference = jac * _gaussian_integral([p @ kmat for p in pis[1:]], functions)[0]
     return [abs(v - reference) for v in values], reference

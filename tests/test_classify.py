@@ -343,17 +343,42 @@ def _slotted(verdict, slot):
                    for _ in range(s.multiplicity))
 
 
+def _regular_parameters(verdict):
+    # lambda of each regular summand of degree 1, whose polynomial is t - lambda
+    return [-s.tag.regular_poly.coeffs[0] for s in verdict.summands
+            if s.tag.regular_poly is not None and s.tag.n == 1
+            for _ in range(s.multiplicity)]
+
+
+# where lambda of a single N_1 goes under each slot permutation: the
+# anharmonic group, with swaps of slots 2 and 3, 1 and 2, and 1 and 3 first
+ANHARMONIC = {
+    (0, 1, 2): lambda x: x,
+    (0, 2, 1): lambda x: 1 / x,
+    (1, 0, 2): lambda x: 1 - x,
+    (2, 1, 0): lambda x: x / (x - 1),
+    (1, 2, 0): lambda x: 1 / (1 - x),
+    (2, 0, 1): lambda x: (x - 1) / x,
+}
+
+
 @pytest.mark.parametrize("name, datum",
                          [(name, shipped_fixture(name)) for name in SHIPPED_FIXTURES]
                          + [(f"random_case({k})", random_case(k)[1]) for k in range(30)])
 def test_verdicts_commute_with_the_slot_permutations(name, datum):
     # permuting f_1, f_2, f_3 asks the same question: the status, citation,
-    # case tags and the families and sizes of the summands stay, and a
-    # J^(i), P^(i) or K^(i) follows slot i to where the permutation puts it
+    # case tags and the families and sizes of the summands stay, a J^(i),
+    # P^(i) or K^(i) follows slot i to where the permutation puts it, and
+    # the lambda of a datum's one regular summand, when it has degree 1,
+    # moves by the anharmonic group (bht, n1_j1 and random_case(10))
     v = classify(datum)
+    regular = [s for s in v.summands if s.tag.regular_poly is not None]
+    lam = _regular_parameters(v) if len(regular) == 1 and regular[0].multiplicity == 1 else []
     for sigma in itertools.permutations(range(3)):
         w = classify(slot_permuted(datum, sigma))
         assert (w.status.kind, w.status.citation) == (v.status.kind, v.status.citation), sigma
         assert [c.tag for c in w.cases] == [c.tag for c in v.cases], sigma
         assert _family_sizes(w) == _family_sizes(v), sigma
         assert _slotted(w, lambda i: i) == _slotted(v, lambda i: 1 + sigma.index(i - 1)), sigma
+        if lam:
+            assert _regular_parameters(w) == [ANHARMONIC[sigma](lam[0])], sigma

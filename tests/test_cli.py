@@ -109,8 +109,9 @@ def test_settings_nothing_reads_are_gone(bht_file):
         report = json.loads(run_cli(*argv, "--report", "json").stdout)
         assert report["seeds"] == dict(zip(("seed", "trials"), seeds))
     # each numcheck mode takes only the flags it reads; only equiv draws
+    # (delta's widths are fixed, so it takes no --kernel-width)
     reads = {"eval": ("--kernel-width",), "equiv": ("--kernel-width", "--seed"),
-             "delta": ("--kernel-width",), "mikhlin": ("--kernel-scale", "--order")}
+             "delta": (), "mikhlin": ("--kernel-scale", "--order")}
     for mode, flags in reads.items():
         argv = ("numcheck", mode, "odd" if mode == "mikhlin" else bht_file)
         for flag in ("--seed", "--trials", "--kernel-width", "--kernel-scale", "--order"):
@@ -446,7 +447,7 @@ def test_numcheck_mikhlin_targets_pass_at_the_default_scale(target):
 
 @pytest.mark.parametrize("argv, message", [
     (["numcheck", "equiv", "{bht}", "--kernel-width", "0"], "kernel width"),
-    (["numcheck", "delta", "{bht}", "--kernel-width", "-1"], "kernel width"),
+    (["numcheck", "equiv", "{bht}", "--kernel-width", "-1"], "kernel width"),
     (["numcheck", "equiv", "{bht}", "--kernel-width", "1e-160"], "overflows"),
     (["numcheck", "eval", "{bht}", "--kernel-width", "0"], "kernel width"),
     (["numcheck", "eval", "{bht}", "--kernel-width", "-1"], "kernel width"),
@@ -454,7 +455,7 @@ def test_numcheck_mikhlin_targets_pass_at_the_default_scale(target):
     (["rotations", "verify", "--band", "-2"], "band"),
     (["numcheck", "mikhlin", "gaussian", "--order", "-1"], "sampled orders"),
     (["numcheck", "mikhlin", "gaussian", "--order", "3"], "sampled orders"),
-    (["numcheck", "delta", "{bht}", "--kernel-width", "nan"], "kernel width"),
+    (["numcheck", "equiv", "{bht}", "--kernel-width", "nan"], "kernel width"),
     # w^-1 is finite, but the decay form's w^-2 overflows
     (["numcheck", "eval", "{bht}", "--kernel-width", "1e-160"], "overflows"),
 ])
@@ -519,7 +520,7 @@ def test_divergent_forms_exit_one(tmp_path, capsys, mode):
     (["numcheck", "eval", "{bht}", "--kernel-width", "inf"], 1, "kernel width"),
     (["numcheck", "eval", "{bht}", "--kernel-width", "nan"], 1, "kernel width"),
     (["numcheck", "eval", "{bht}", "--kernel-width", "1e-320"], 1, "overflows"),
-    (["numcheck", "delta", "{bht}", "--kernel-width", "1e-320"], 1, "overflows"),
+    (["numcheck", "equiv", "{bht}", "--kernel-width", "1e-320"], 1, "overflows"),
     # w^-1 = 1e200 is finite, but the decay form's w^-2 overflows
     (["numcheck", "eval", "{bht}", "--kernel-width", "1e-200"], 1, "overflows"),
 ])
@@ -571,6 +572,26 @@ def test_refine_real_flag(tmp_path):
 def test_fixtures_family_spec_errors():
     proc = run_cli("fixtures", "QQ_3")
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("refused, admitted", [
+    (("coifman_meyer", "--n", "100000"), ("coifman_meyer", "--n", "32")),
+    (("C_100000",), ("C_32",)),
+])
+def test_oversized_fixtures_are_refused_before_any_build(monkeypatch, capsys, refused,
+                                                         admitted):
+    # a size above the limit of 32 exits 1 with a message before any module
+    # is built: before the bound, --n 100 took seconds and both of these
+    # requests ran out of memory
+    import sblq.fixtures
+    from sblq.cli import main
+    monkeypatch.setattr(sblq.fixtures, "build", lambda tag: pytest.fail("built"))
+    assert main(["fixtures", *refused]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "cannot build fixture: size 100000 exceeds the fixture limit of 32\n"
+    monkeypatch.undo()
+    assert main(["fixtures", *admitted]) == 0
+    assert json.loads(capsys.readouterr().out)["dim_H"] == 65
 
 
 @pytest.mark.parametrize("name", ["bht", "N_2"])

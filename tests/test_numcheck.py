@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -249,6 +250,23 @@ def test_forms_refuse_kernels_without_a_gaussian_decay_form(kernel):
         FormSpec(d, kernel, fs)
 
 
+def test_a_narrow_gaussian_is_the_slot_zero_gaussian():
+    # amplitude scale w^-dim and form I/w^2; a GaussianFunction kernel is
+    # taken as it is, and no kernel is the 0-dimensional one of amplitude 1
+    fs = (GaussianFunction.tensor([0], [1]), GaussianFunction.tensor([1], [1]),
+          GaussianFunction.tensor([0], [2]))
+    spec = FormSpec(bht(), NarrowGaussian(1, 0.5, 3.0), fs)
+    assert spec.kernel.amplitude == 6.0 and np.array_equal(spec.kernel.quad_form, [[4.0]])
+    assert spec.slots == (spec.kernel,) + fs
+    same = FormSpec(bht(), GaussianFunction.tensor([0], [0.5], 6.0), fs)
+    assert eval_form(same) == eval_form(spec)
+    flat = SBLDatum(1, (0, 1, 1, 1), (Matrix.zeros(0, 1),) + (Matrix(1, 1, [1]),) * 3)
+    kernel = FormSpec(flat, None, fs).kernel
+    assert (kernel.dim, kernel.amplitude) == (0, 1.0)
+    with pytest.raises(ValueError, match="kernel dimension must match"):
+        FormSpec(bht(), GaussianFunction.tensor([0, 0], [1, 1]), fs)
+
+
 def test_weights_that_round_to_an_indefinite_form_are_refused():
     # a test function whose quadratic form is indefinite: the rank test
     # passes, and the float check names the condition number
@@ -449,8 +467,8 @@ def test_extended_symbol_resolves_a_steep_damping():
 
 
 def test_mikhlin_refuses_a_kernel_without_a_symbol():
-    kernel = NarrowGaussian(1, 1.0).pullback(np.eye(1))
-    with pytest.raises(ValueError, match="_PullbackKernel has no symbol"):
+    kernel = GaussianFunction.tensor([0], [1])
+    with pytest.raises(ValueError, match="GaussianFunction has no symbol"):
         verify_mikhlin(kernel)
 
 
@@ -468,6 +486,18 @@ def test_symbol_calls_above_the_node_budget_are_refused_before_any_rule(kernel):
     cached = _gauss_legendre.cache_info().currsize
     with pytest.raises(ValueError, match="exceeds the limit of 2\\^24"):
         verify_mikhlin(kernel, grid=MikhlinGrid(r_max=1e9))
+    assert _gauss_legendre.cache_info().currsize == cached
+
+
+def test_symbol_rules_above_the_node_cap_are_refused_before_any_rule():
+    # r_max = 1e4 asks for 2^18 nodes on 26 points, within the 2^24 budget,
+    # but an n-node rule takes O(n^2) time: it would run for minutes.  The
+    # cap of 2^13 nodes refuses it at once and caches no rule
+    cached = _gauss_legendre.cache_info().currsize
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="rule of 262144 nodes, above the limit of 2\\^13"):
+        verify_mikhlin(TruncatedOdd(), grid=MikhlinGrid(r_max=1e4))
+    assert time.perf_counter() - started < 0.5
     assert _gauss_legendre.cache_info().currsize == cached
 
 
